@@ -505,11 +505,6 @@ impl LdcDb {
 
     /// Access to the underlying engine (experiments, tests). The engine
     /// API is `&self` throughout, so shared access suffices.
-    pub fn engine(&self) -> &Db {
-        &self.inner
-    }
-
-    /// Read-only access to the underlying engine.
     pub fn engine_ref(&self) -> &Db {
         &self.inner
     }

@@ -220,7 +220,7 @@ fn ldc_improves_virtual_time_on_write_heavy_load() {
             let (k, _) = kv(i % 8000);
             db.put(&k, &value).unwrap();
         }
-        db.engine().drain_background();
+        db.engine_ref().drain_background();
         db.device().clock().now()
     };
     let udc_time = run(true);

@@ -41,6 +41,7 @@ pub const TABLE_PATH: &str = "crates/lint/lock_order.toml";
 /// Files whose locks participate in the ordered hierarchy.
 pub const SCOPED_FILES: &[&str] = &[
     "crates/lsm/src/db.rs",
+    "crates/lsm/src/compaction/exec.rs",
     "crates/lsm/src/scheduler.rs",
     "crates/lsm/src/commit.rs",
     "crates/lsm/src/memtable.rs",

@@ -21,6 +21,7 @@ pub const SCOPED_FILES: &[&str] = &[
     "crates/lsm/src/wal.rs",
     "crates/lsm/src/version.rs",
     "crates/lsm/src/db.rs",
+    "crates/lsm/src/compaction/exec.rs",
     "crates/lsm/src/cache.rs",
     "crates/lsm/src/table/mod.rs",
     "crates/lsm/src/table/builder.rs",

@@ -2,8 +2,9 @@
 //!
 //! The engine separates *decision* from *execution*. A
 //! [`CompactionPolicy`] inspects the current [`Version`] and proposes one
-//! [`CompactionTask`]; the database executes it (performing all I/O and
-//! logging the version edit) and asks again until the tree is healthy.
+//! [`CompactionTask`]; the database takes it through the executor's three
+//! stages (`exec`: plan → run → install — all the I/O, one version edit)
+//! and asks again until the tree is healthy.
 //!
 //! The task vocabulary covers both compaction styles in the paper:
 //!
@@ -14,6 +15,7 @@
 //!   metadata-only; `LdcMerge` performs the actual I/O, driven by the lower
 //!   file once it has accumulated enough slices.
 
+pub(crate) mod exec;
 mod size_tiered;
 mod udc;
 

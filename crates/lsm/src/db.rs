@@ -6,16 +6,26 @@
 //!
 //! ## Execution model
 //!
-//! The core runs in virtual time with a modelled background thread.
-//! Flushes and compaction tasks execute *logically* immediately (reads see
-//! their results like an installed version), but their device time is
-//! booked on a background lane; the foreground feels them only through
-//! LevelDB's classic write gates — the 1 ms Level-0 slowdown, the Level-0
-//! stop, and the wait for an immutable-memtable slot at rotation — plus
-//! bandwidth contention on reads. Those gates are exactly the paper's
-//! tail-latency model (Eq. 3): a write's latency is the memtable insert
-//! plus however much compaction work it had to wait for. Throughput is
-//! `ops / virtual seconds`.
+//! Flushes and compaction tasks all go through one executor
+//! (`crate::compaction::exec`): *plan* a task against the current
+//! version, *run* its I/O, *install* the result as one version edit. This
+//! module only decides which thread calls those stages and how the core
+//! lock is held around them.
+//!
+//! By default the core runs in virtual time with a modelled background
+//! thread: `pump_background` calls the three stages on the caller's
+//! thread while it holds the core, so tasks execute *logically*
+//! immediately (reads see their results like an installed version), and
+//! then books the elapsed device time on a background lane; the
+//! foreground feels them only through LevelDB's classic write gates —
+//! the 1 ms Level-0 slowdown, the Level-0 stop, and the wait for an
+//! immutable-memtable slot at rotation — plus bandwidth contention on
+//! reads. Those gates are exactly the paper's tail-latency model
+//! (Eq. 3): a write's latency is the memtable insert plus however much
+//! compaction work it had to wait for. Throughput is `ops / virtual
+//! seconds`. With `Options::background_workers >= 1`, worker threads
+//! (`run_one_job`) call the same stages instead, releasing the core
+//! around the run stage (`crate::scheduler`, DESIGN.md §15).
 //!
 //! ## Concurrency model
 //!
@@ -54,7 +64,6 @@
 //! ranges on distinct files never overlap — which keeps both point reads
 //! and range scans single-candidate per level.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,20 +80,21 @@ use crate::backup::{self, CheckpointReport};
 use crate::batch::{BatchOp, WriteBatch};
 use crate::cache::{BlockCache, CacheCounters, TableCache};
 use crate::commit::{CommitQueue, Role, Ticket};
+use crate::compaction::exec::{plan, Planned, Planning, Stale, TaskClock, UnitOutput};
 use crate::compaction::{CompactionPolicy, CompactionTask, PickContext};
 use crate::error::{CorruptionInfo, Error, Result};
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::{LookupResult, MemTable};
 use crate::options::{CorruptionPolicy, Options};
 use crate::retry::RetryStorage;
-use crate::scheduler::{CompactionScheduler, MergeUnitSpec, SubBatch, SubUnit, UnitOutput};
-use crate::table::{Table, TableBuilder};
+use crate::scheduler::{CompactionScheduler, SubBatch, SubUnit};
+use crate::table::Table;
 use crate::types::{
-    encode_internal_key, parse_trailer, user_key, KeyRange, SequenceNumber, ValueType,
-    MAX_SEQUENCE, TYPE_FOR_SEEK,
+    encode_internal_key, parse_trailer, user_key, SequenceNumber, ValueType, MAX_SEQUENCE,
+    TYPE_FOR_SEEK,
 };
 use crate::version::{
-    log_file_name, table_file_name, FileMeta, Shipper, SliceLink, Version, VersionEdit, VersionSet,
+    log_file_name, table_file_name, FileMeta, Shipper, Version, VersionEdit, VersionSet,
     STREAM_FILE,
 };
 use crate::wal::{LogReader, LogWriter};
@@ -209,28 +219,6 @@ impl AsRef<[u8]> for PinnedValue {
     }
 }
 
-/// Pre-dispatch description of a compaction task, captured while its
-/// input files still exist in the current version.
-#[derive(Debug, Clone, Copy)]
-struct TaskDescriptor {
-    kind: EventKind,
-    level: u32,
-    output_level: u32,
-    input_files: u32,
-    input_bytes: u64,
-}
-
-/// Scratch the merge/write helpers fill while one flush or compaction
-/// task runs, so [`Db::execute`] can attribute output size and phase
-/// time to the event it emits. Reset at the start of every task.
-#[derive(Debug, Clone, Copy, Default)]
-struct ExecTrace {
-    output_files: u32,
-    output_bytes: u64,
-    /// Virtual time spent writing output tables (Table 1's write phase).
-    write_nanos: Nanos,
-}
-
 /// The state a read operation pins at entry: `Arc`s to the version and
 /// memtables current at some commit boundary, plus the sequence number
 /// published with them. Cloning is a few refcount bumps; everything
@@ -247,8 +235,8 @@ struct ReadView {
 /// All mutable engine state, guarded by one mutex. Writers (and the
 /// background work they pump) hold it for the duration of a commit;
 /// readers never take it — they go through the published [`ReadView`].
-struct DbCore {
-    versions: VersionSet,
+pub(crate) struct DbCore {
+    pub(crate) versions: VersionSet,
     mem: Arc<MemTable>,
     /// Immutable memtable awaiting its background flush.
     imm: Option<Arc<MemTable>>,
@@ -258,12 +246,10 @@ struct DbCore {
     /// Engine counters; `gets`/`scans`/`bloom_skips` live in atomics on
     /// `Db` (the read path does not lock the core) and are folded in by
     /// [`Db::stats`].
-    stats: DbStats,
+    pub(crate) stats: DbStats,
     /// Live snapshots: sequence -> handle count. Compaction never drops a
     /// version the oldest live snapshot could observe.
     snapshots: std::collections::BTreeMap<SequenceNumber, usize>,
-    /// Per-task scratch for event phase attribution.
-    trace: ExecTrace,
     /// First background/storage failure. Once set, further writes are
     /// refused: a failed WAL or manifest append leaves the log's record
     /// framing in an unknown state, and writing past it would corrupt it.
@@ -275,6 +261,16 @@ struct DbCore {
     /// deleted: a concurrent reader's pinned view may still reference
     /// them. Reaped at commit/drain boundaries once no read is in flight.
     pending_deletes: Vec<u64>,
+}
+
+impl DbCore {
+    /// Latches `e` as the background error unless one is already set: the
+    /// first failure is the one worth reporting.
+    fn latch(&mut self, e: Error) {
+        if self.bg_error.is_none() {
+            self.bg_error = Some(e);
+        }
+    }
 }
 
 /// Decrements the in-flight read counter on drop, so pending physical
@@ -298,9 +294,9 @@ impl Drop for ReadPin<'_> {
 /// and the handle is `Send + Sync`: share it across threads behind an
 /// `Arc` (see the module docs for the concurrency model).
 pub struct Db {
-    options: Options,
-    storage: Arc<dyn StorageBackend>,
-    device: Arc<SsdDevice>,
+    pub(crate) options: Options,
+    pub(crate) storage: Arc<dyn StorageBackend>,
+    pub(crate) device: Arc<SsdDevice>,
     policy: Mutex<Box<dyn CompactionPolicy>>,
     /// Open-table handles (pinned index + Bloom filter each), LRU-bounded
     /// by `options.table_cache_entries`; pinned bytes are charged to the
@@ -309,7 +305,7 @@ pub struct Db {
     block_cache: Arc<BlockCache>,
     /// Where structured events go; [`NoopSink`] by default, in which case
     /// no event is ever built (`sink.enabled()` gates construction).
-    sink: SharedSink,
+    pub(crate) sink: SharedSink,
     /// Per-level gauges and per-op latency histograms.
     metrics: Arc<MetricsRegistry>,
     /// Worst-K trace reservoir; `None` (the default) disables per-op
@@ -322,7 +318,7 @@ pub struct Db {
     /// Background worker pool; dormant unless `options.background_workers`
     /// is at least 1 and the owner called [`Db::start_workers`]. While
     /// active, the write path signals it instead of pumping inline.
-    scheduler: CompactionScheduler,
+    pub(crate) scheduler: CompactionScheduler,
     /// The state readers pin; republished at every commit boundary.
     view: RwLock<ReadView>,
     /// Leader/follower write grouping.
@@ -531,7 +527,6 @@ impl Db {
                     wal,
                     stats: DbStats::default(),
                     snapshots: std::collections::BTreeMap::new(),
-                    trace: ExecTrace::default(),
                     bg_error: None,
                     quarantined: Vec::new(),
                     pending_deletes: Vec::new(),
@@ -557,7 +552,7 @@ impl Db {
             if replayed > 0 {
                 let full =
                     std::mem::replace(&mut core.mem, Arc::new(MemTable::new(db.options.seed)));
-                db.flush_table(&mut core, &full, Some(new_log_number))?;
+                db.flush_memtable(&mut core, &full, Some(new_log_number))?;
             } else {
                 core.versions.log_and_apply(VersionEdit {
                     log_number: Some(new_log_number),
@@ -1191,11 +1186,7 @@ impl Db {
                     }
                     let results = self.commit_group(&mut core, group, trace);
                     self.publish_view(&core);
-                    if let Err(e) = self.reap_pending_deletes(&mut core) {
-                        if core.bg_error.is_none() {
-                            core.bg_error = Some(e);
-                        }
-                    }
+                    self.reap_pending_deletes(&mut core);
                     results
                 };
                 self.commit.finish(ticket, results)
@@ -1472,17 +1463,7 @@ impl Db {
                 // this commit — the next write's entry gate waits for the
                 // in-flight flush (releasing the core) before proceeding.
                 if core.imm.is_none() {
-                    let new_log_number = core.versions.new_file_number();
-                    let old_log = core.wal.name().to_string();
-                    core.wal = LogWriter::new(
-                        Arc::clone(&self.storage),
-                        log_file_name(new_log_number),
-                        IoClass::WalWrite,
-                    );
-                    let seed = self.options.seed ^ core.versions.next_file_number;
-                    let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
-                    core.imm = Some(full);
-                    core.imm_wal_to_delete = Some(old_log);
+                    self.rotate_memtable(core);
                 }
                 self.scheduler_signal();
                 return Ok(());
@@ -1519,20 +1500,34 @@ impl Db {
                     }
                 }
             }
-            let new_log_number = core.versions.new_file_number();
-            let old_log = core.wal.name().to_string();
-            core.wal = LogWriter::new(
-                Arc::clone(&self.storage),
-                log_file_name(new_log_number),
-                IoClass::WalWrite,
-            );
-            let seed = self.options.seed ^ core.versions.next_file_number;
-            let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
-            core.imm = Some(full);
-            core.imm_wal_to_delete = Some(old_log);
+            self.rotate_memtable(core);
             self.pump_background(core)?; // start the flush if the lane is idle
         }
         Ok(())
+    }
+
+    /// Swaps in a fresh WAL and memtable, parking the full memtable (and
+    /// the name of the WAL that covers it) in the `imm` slot, which must
+    /// be free. Returns the new WAL's number.
+    fn rotate_memtable(&self, core: &mut DbCore) -> u64 {
+        // A crashed incarnation may have left a log at a number this one
+        // re-allocates; appending to it would shift the writer's block
+        // accounting, so keep allocating until the name is free.
+        let mut new_log_number = core.versions.new_file_number();
+        while self.storage.exists(&log_file_name(new_log_number)) {
+            new_log_number = core.versions.new_file_number();
+        }
+        let old_log = core.wal.name().to_string();
+        core.wal = LogWriter::new(
+            Arc::clone(&self.storage),
+            log_file_name(new_log_number),
+            IoClass::WalWrite,
+        );
+        let seed = self.options.seed ^ core.versions.next_file_number;
+        let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
+        core.imm = Some(full);
+        core.imm_wal_to_delete = Some(old_log);
+        new_log_number
     }
 }
 
@@ -1552,39 +1547,15 @@ impl Db {
             return Ok(()); // lane busy
         }
         let t0 = now;
-        if let Some(imm) = core.imm.take() {
-            let wal = core.imm_wal_to_delete.take();
-            self.flush_table(core, &imm, None)?;
-            if let Some(wal) = wal {
-                if self.storage.exists(&wal) {
-                    self.storage.delete(&wal)?;
-                }
-            }
+        if core.imm.is_some() {
+            self.flush_imm(core, None)?;
         } else {
-            let task = {
-                let ctx = PickContext {
-                    version: &core.versions.current,
-                    options: &self.options,
-                    compact_pointers: &core.versions.compact_pointers,
-                };
-                self.policy.lock().pick(&ctx)
+            let Some(task) = self.pick_task(core) else {
+                return Ok(()); // nothing to do
             };
-            match task {
-                Some(task) => {
-                    if let Err(e) = self.execute(core, task) {
-                        match e {
-                            // A compaction input turned out to be corrupt.
-                            // Under the quarantine policy, set the file
-                            // aside and let the policy re-plan on the next
-                            // pump against the surviving version; partial
-                            // outputs are orphaned on disk and reclaimed by
-                            // `repair_db`.
-                            Error::Corruption(ref info) if self.try_quarantine(core, info)? => {}
-                            e => return Err(e),
-                        }
-                    }
-                }
-                None => return Ok(()), // nothing to do
+            let clock = self.task_clock();
+            if let Err(e) = self.compact_inline(core, &task, clock) {
+                self.abandon(core, clock, e)?;
             }
         }
         let t1 = self.device.clock().now();
@@ -1593,29 +1564,124 @@ impl Db {
         Ok(())
     }
 
+    /// Asks the policy for the next task against the current version.
+    fn pick_task(&self, core: &DbCore) -> Option<CompactionTask> {
+        let ctx = PickContext {
+            version: &core.versions.current,
+            options: &self.options,
+            compact_pointers: &core.versions.compact_pointers,
+        };
+        self.policy.lock().pick(&ctx)
+    }
+
+    /// The inline executor: all three stages on the caller's thread, which
+    /// holds the core throughout — so a stale pick is a policy bug.
+    fn compact_inline(
+        &self,
+        core: &mut DbCore,
+        task: &CompactionTask,
+        clock: TaskClock,
+    ) -> Result<()> {
+        let planned = self
+            .plan_task(core, task)
+            .map_err(|Stale(why)| Error::InvalidState(why))?;
+        let outs = self.run_units(&planned, &mut || core.versions.new_file_number())?;
+        self.install(core, &planned, &outs, clock)
+    }
+
+    /// Stage 1 against the core's current version and snapshot floor.
+    fn plan_task(&self, core: &DbCore, task: &CompactionTask) -> Planning<Arc<Planned>> {
+        // The oldest sequence any live snapshot can observe (or the
+        // current sequence when none is held). Captured at plan time, this
+        // stays a safe lower bound for the whole job: new snapshots always
+        // pin a sequence `>=` the one current when they were taken.
+        let smallest_snapshot = core
+            .snapshots
+            .keys()
+            .next()
+            .copied()
+            .unwrap_or(core.versions.last_sequence);
+        plan(
+            &core.versions.current,
+            task,
+            &self.options,
+            smallest_snapshot,
+        )
+        .map(Arc::new)
+    }
+
+    /// A task failed before it installed. Its device time still counts as
+    /// compaction work. If an input turned out to be corrupt and the
+    /// quarantine policy is on, the file is set aside and `Ok` returned:
+    /// the policy re-plans against the surviving version, and partial
+    /// outputs are orphans reclaimed by `repair_db`. Every other error
+    /// comes back to the caller.
+    fn abandon(&self, core: &mut DbCore, clock: TaskClock, err: Error) -> Result<()> {
+        self.record_compaction_time(clock);
+        match err {
+            Error::Corruption(ref info) if self.try_quarantine(core, info)? => Ok(()),
+            e => Err(e),
+        }
+    }
+
+    /// Flushes the parked immutable memtable, if any, on the caller's
+    /// thread: build, install, retire.
+    fn flush_imm(&self, core: &mut DbCore, log_number: Option<u64>) -> Result<()> {
+        let Some(imm) = core.imm.clone() else {
+            return Ok(());
+        };
+        self.flush_memtable(core, &imm, log_number)?;
+        self.retire_imm(core)
+    }
+
+    /// Writes `mem` out as a Level-0 table and installs it, recording
+    /// `log_number` (if given) as the WAL now in use.
+    fn flush_memtable(
+        &self,
+        core: &mut DbCore,
+        mem: &MemTable,
+        log_number: Option<u64>,
+    ) -> Result<()> {
+        let clock = self.task_clock();
+        let out = self.build_l0_table(mem, &mut || core.versions.new_file_number())?;
+        self.install_flush(core, mem, out, log_number, clock)
+    }
+
+    /// Clears the `imm` slot once its table is installed and deletes the
+    /// WAL that covered it.
+    fn retire_imm(&self, core: &mut DbCore) -> Result<()> {
+        core.imm = None;
+        if let Some(wal) = core.imm_wal_to_delete.take() {
+            if self.storage.exists(&wal) {
+                self.storage.delete(&wal)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Physically deletes table files dropped from the version, once no
     /// read holds a pinned view that could still reference them. Runs at
     /// commit and drain boundaries — always *after* `publish_view`, so any
     /// view pinned after the zero-pin check cannot name these files. The
     /// delete cost (a filesystem op per file) is booked on the background
-    /// lane, like the compaction work that orphaned the files.
-    fn reap_pending_deletes(&self, core: &mut DbCore) -> Result<()> {
+    /// lane, like the compaction work that orphaned the files. A failed
+    /// delete latches the background error.
+    fn reap_pending_deletes(&self, core: &mut DbCore) {
         if core.pending_deletes.is_empty()
             || self.read_pins.load(Ordering::SeqCst) != 0
             || self.ckpt_pins.load(Ordering::SeqCst) != 0
         {
-            return Ok(());
+            return;
         }
         let t0 = self.device.clock().now();
         let pending = std::mem::take(&mut core.pending_deletes);
-        let mut result = Ok(());
         for number in pending {
             self.tables.remove(number);
             self.block_cache.evict_file(number);
             let name = table_file_name(number);
             if self.storage.exists(&name) {
                 if let Err(e) = self.storage.delete(&name) {
-                    result = Err(e.into());
+                    core.latch(e.into());
                 }
             }
         }
@@ -1626,7 +1692,6 @@ impl Db {
             self.bg_until
                 .store(bg.max(t0) + (t1 - t0), Ordering::SeqCst);
         }
-        result
     }
 
     /// Charges a foreground read for sharing device bandwidth with active
@@ -1689,11 +1754,7 @@ impl Db {
             }
         }
         self.publish_view(&core);
-        if let Err(e) = self.reap_pending_deletes(&mut core) {
-            if core.bg_error.is_none() {
-                core.bg_error = Some(e);
-            }
-        }
+        self.reap_pending_deletes(&mut core);
         // The reap books lane time; absorb it so "drained" means idle.
         let now = self.device.clock().now();
         let bg = self.bg_until.load(Ordering::SeqCst);
@@ -1879,21 +1940,17 @@ impl Db {
             core = g;
         }
         self.publish_view(&core);
-        if let Err(e) = self.reap_pending_deletes(&mut core) {
-            if core.bg_error.is_none() {
-                core.bg_error = Some(e);
-            }
-        }
+        self.reap_pending_deletes(&mut core);
         self.device.clock().now().saturating_sub(t0)
     }
 
     /// A worker thread's main loop: park on `work_cv`, then either run a
-    /// queued subcompaction unit or plan-run-install one whole job.
+    /// queued subcompaction unit or take one whole job through the stages.
     fn worker_main(&self) {
         enum Next {
             Exit,
             Job,
-            Unit(SubUnit, Arc<MergeUnitSpec>),
+            Unit(SubUnit, Arc<Planned>),
         }
         loop {
             let next = {
@@ -1903,8 +1960,8 @@ impl Db {
                         break Next::Exit;
                     }
                     if let Some(u) = st.subqueue.pop_front() {
-                        match st.sub.as_ref().map(|b| Arc::clone(&b.spec)) {
-                            Some(spec) => break Next::Unit(u, spec),
+                        match st.sub.as_ref().map(|b| Arc::clone(&b.planned)) {
+                            Some(planned) => break Next::Unit(u, planned),
                             None => continue, // stale unit of a torn-down batch
                         }
                     }
@@ -1918,7 +1975,10 @@ impl Db {
             match next {
                 Next::Exit => return,
                 Next::Job => self.run_one_job(),
-                Next::Unit(unit, spec) => self.run_queued_unit(unit, &spec),
+                Next::Unit(unit, planned) => {
+                    let alloc = &mut || self.locked_file_number();
+                    self.post_unit(unit.idx, self.run(&planned, unit.range.as_ref(), alloc));
+                }
             }
             // One scheduling point per job keeps a busy pool from
             // monopolizing a small machine between back-to-back picks.
@@ -1926,57 +1986,46 @@ impl Db {
         }
     }
 
-    /// Plan one job under the core lock, then run and install it.
+    /// One job on a worker thread: plan and claim under the core lock,
+    /// run without it, re-lock and install. Flush has priority (mirroring
+    /// the inline pump); metadata-only tasks (trivial move, link) have
+    /// nothing to run and install under the same lock hold that planned
+    /// them.
     fn run_one_job(&self) {
-        let job = {
-            let mut core = self.core.lock();
-            if core.bg_error.is_some() {
-                return;
-            }
-            self.plan_job(&mut core)
-        };
-        match job {
-            Some(BgJob::Flush { imm, wal }) => self.run_flush_job(imm, wal),
-            Some(BgJob::Compact {
-                job,
-                t0,
-                desc,
-                inputs,
-                plan,
-            }) => self.run_compact_job(job, t0, desc, inputs, plan),
-            None => {}
+        let mut core = self.core.lock();
+        if core.bg_error.is_some() {
+            return;
         }
-    }
-
-    /// Claims the next unit of work. Flush has priority (mirroring the
-    /// inline pump); metadata-only tasks (trivial move, link) execute
-    /// right here under the core lock; merges are claimed with conflict
-    /// tracking and returned for the lock-free run phase.
-    fn plan_job(&self, core: &mut DbCore) -> Option<BgJob> {
-        if let Some(imm) = core.imm.as_ref() {
-            let mut st = self.scheduler.state.lock();
-            if !st.flush_inflight {
-                st.flush_inflight = true;
-                st.policy_idle = false;
-                return Some(BgJob::Flush {
-                    imm: Arc::clone(imm),
-                    wal: core.imm_wal_to_delete.clone(),
+        if let Some(imm) = core.imm.clone() {
+            let claimed = {
+                let mut st = self.scheduler.state.lock();
+                let claimed = !st.flush_inflight;
+                if claimed {
+                    st.flush_inflight = true;
+                    st.policy_idle = false;
+                }
+                claimed
+            };
+            if claimed {
+                // The memtable stays in `core.imm` (readers keep seeing
+                // it) until its L0 table installs.
+                drop(core);
+                let clock = self.task_clock();
+                let built = self.build_l0_table(&imm, &mut || self.locked_file_number());
+                let mut core = self.core.lock();
+                let result = built.and_then(|out| {
+                    self.install_flush(&mut core, &imm, out, None, clock)?;
+                    self.retire_imm(&mut core)
                 });
+                self.finish_job(&mut core, result, clock, None, true);
+                return;
             }
         }
         let gen = {
             let st = self.scheduler.state.lock();
             st.completed
         };
-        let task = {
-            let ctx = PickContext {
-                version: &core.versions.current,
-                options: &self.options,
-                compact_pointers: &core.versions.compact_pointers,
-            };
-            self.policy.lock().pick(&ctx)
-        };
-        let Some(task) = task else {
+        let Some(task) = self.pick_task(&core) else {
             {
                 let mut st = self.scheduler.state.lock();
                 // Only latch idle if no job installed since the pick —
@@ -1988,453 +2037,91 @@ impl Db {
             // Stalled writers re-check `policy_idle` under the core lock
             // (which we hold), so this wake cannot be lost.
             self.scheduler.done_cv.notify_all();
-            return None;
+            return;
         };
-        let desc = if self.sink.enabled() {
-            Some(self.describe_task(&core.versions.current, &task))
-        } else {
-            None
+        let clock = self.task_clock();
+        // A stale pick (an input vanished via quarantine or a concurrent
+        // install) is dropped; the policy re-picks against the new version.
+        let Ok(planned) = self.plan_task(&core, &task) else {
+            return;
         };
-        let t0 = self.device.clock().now();
-        let smallest_snapshot = snapshot_floor(core);
-        match task {
-            CompactionTask::TrivialMove { level, file } | CompactionTask::Link { level, file } => {
-                // Stale pick (input vanished via quarantine) — drop it.
-                if core.versions.current.find_file(file).map(|(l, _)| l) != Some(level) {
-                    return None;
-                }
-                let conflict = {
-                    let st = self.scheduler.state.lock();
-                    // Coarse but safe: a move/link rewires metadata at
-                    // `level`/`level+1`; defer while any job claims
-                    // ranges there (its outputs could interleave).
-                    st.inflight_inputs.contains(&file)
-                        || st
-                            .claims
-                            .iter()
-                            .any(|c| c.level == level || c.level == level + 1)
-                };
-                if conflict {
-                    return None;
-                }
-                if let Err(e) = self.execute(core, task) {
-                    self.fail_planned(core, e);
-                } else {
-                    self.publish_view(core);
-                    if let Err(e) = self.reap_pending_deletes(core) {
-                        if core.bg_error.is_none() {
-                            core.bg_error = Some(e);
-                        }
-                    }
-                    self.complete_job(core, None, &[], false);
-                }
-                None
-            }
-            CompactionTask::Merge {
-                level,
-                upper,
-                lower,
-            } => {
-                let upper_m = resolve_metas(core, &upper)?;
-                let lower_m = resolve_metas(core, &lower)?;
-                if upper_m.iter().chain(&lower_m).any(|m| !m.slices.is_empty()) {
-                    return None; // slice-carrying files merge via LdcMerge
-                }
-                let inputs: Vec<u64> = upper.iter().chain(&lower).copied().collect();
-                let (lo, hi) = key_span(upper_m.iter().chain(&lower_m))?;
-                let ranges = vec![(level, lo.clone(), hi.clone()), (level + 1, lo, hi)];
-                let job = {
-                    let mut st = self.scheduler.state.lock();
-                    if st.conflicts(&inputs, &ranges) {
-                        return None;
-                    }
-                    st.policy_idle = false;
-                    st.claim(&inputs, ranges)
-                };
-                let spec = Arc::new(MergeUnitSpec {
-                    inputs: inputs.clone(),
-                    drop_tombstones: level + 1 == self.options.max_levels - 1,
-                    split_outputs: true,
-                    smallest_snapshot,
-                });
-                Some(BgJob::Compact {
-                    job,
-                    t0,
-                    desc,
-                    inputs,
-                    plan: PlannedCompaction::Merge {
-                        level,
-                        upper: upper_m,
-                        lower: lower_m,
-                        spec,
-                    },
-                })
-            }
-            CompactionTask::LdcMerge { level, file } => {
-                let meta = match core.versions.current.find_file(file) {
-                    Some((l, m)) if l == level && !m.slices.is_empty() => m.clone(),
-                    _ => return None, // stale pick
-                };
-                let mut inputs: Vec<u64> = vec![file];
-                inputs.extend(meta.slices.iter().map(|s| s.source_file));
-                inputs.sort_unstable();
-                inputs.dedup();
-                // Outputs replace `file` within its responsible range, so
-                // claiming the file's own span excludes same-level writers;
-                // shared frozen sources are excluded via `inputs`.
-                let ranges = vec![(
-                    level,
-                    meta.smallest_ukey().to_vec(),
-                    meta.largest_ukey().to_vec(),
-                )];
-                let job = {
-                    let mut st = self.scheduler.state.lock();
-                    if st.conflicts(&inputs, &ranges) {
-                        return None;
-                    }
-                    st.policy_idle = false;
-                    st.claim(&inputs, ranges)
-                };
-                Some(BgJob::Compact {
-                    job,
-                    t0,
-                    desc,
-                    inputs,
-                    plan: PlannedCompaction::Ldc {
-                        level,
-                        meta,
-                        drop_tombstones: level == self.options.max_levels - 1,
-                        smallest_snapshot,
-                    },
-                })
-            }
-            CompactionTask::TieredMerge { files } => {
-                let metas = resolve_metas(core, &files)?;
-                if metas.iter().any(|m| !m.slices.is_empty()) {
-                    return None;
-                }
-                let (lo, hi) = key_span(metas.iter())?;
-                let ranges = vec![(0usize, lo, hi)];
-                let job = {
-                    let mut st = self.scheduler.state.lock();
-                    if st.conflicts(&files, &ranges) {
-                        return None;
-                    }
-                    st.policy_idle = false;
-                    st.claim(&files, ranges)
-                };
-                let spec = Arc::new(MergeUnitSpec {
-                    inputs: files.clone(),
-                    drop_tombstones: false,
-                    split_outputs: false,
-                    smallest_snapshot,
-                });
-                Some(BgJob::Compact {
-                    job,
-                    t0,
-                    desc,
-                    inputs: files,
-                    plan: PlannedCompaction::Tiered { metas, spec },
-                })
-            }
-        }
-    }
-
-    /// Flush job: build and stream the L0 table with no engine lock held,
-    /// then install under the core lock.
-    fn run_flush_job(&self, imm: Arc<MemTable>, wal: Option<String>) {
-        let t0 = self.device.clock().now();
-        let input_bytes = imm.approximate_bytes() as u64;
-        let built = (|| -> Result<(FileMeta, Nanos)> {
-            let mut builder = TableBuilder::new(
-                self.options.block_bytes,
-                self.options.block_restart_interval,
-                self.options.bloom_bits_per_key,
-            );
-            let mut it = imm.iter();
-            it.seek_to_first();
-            while it.valid() {
-                builder.add(it.key(), it.value());
-                it.next();
-            }
-            // The iterator pins the memtable's list lock (rank 90); release
-            // it before taking core (rank 60) for the file number.
-            drop(it);
-            let finished = builder.finish();
-            let number = self.core.lock().versions.new_file_number();
-            let w0 = self.device.clock().now();
-            self.write_table_chunked(
-                &table_file_name(number),
-                &finished.bytes,
-                IoClass::FlushWrite,
-            )?;
-            Ok((
-                FileMeta {
-                    number,
-                    size: finished.bytes.len() as u64,
-                    smallest: finished.smallest,
-                    largest: finished.largest,
-                    slices: Vec::new(),
-                },
-                self.device.clock().now().saturating_sub(w0),
-            ))
-        })();
-        let (meta, write_nanos) = match built {
-            Ok(b) => b,
-            Err(e) => {
-                self.fail_job(e, None, &[], true);
+        let job = {
+            let mut st = self.scheduler.state.lock();
+            let level = planned.level;
+            // A move/link rewires metadata at `level`/`level + 1` without
+            // a key range of its own — coarse but safe: defer it while
+            // any job claims ranges there (its outputs could interleave).
+            let conflict = st.conflicts(&planned.inputs, &planned.claims)
+                || (planned.metadata_only()
+                    && st
+                        .claims
+                        .iter()
+                        .any(|c| c.level == level || c.level == level + 1));
+            if conflict {
                 return;
             }
+            if planned.metadata_only() {
+                None
+            } else {
+                st.policy_idle = false;
+                Some(st.claim(&planned.inputs, planned.claims.clone()))
+            }
         };
+        let Some(job) = job else {
+            let result = self.install(&mut core, &planned, &[], clock);
+            self.finish_job(&mut core, result, clock, None, false);
+            return;
+        };
+        drop(core);
+        let outs = self.run_units(&planned, &mut || self.locked_file_number());
         let mut core = self.core.lock();
-        let installed = (|| -> Result<()> {
-            core.versions.log_and_apply(VersionEdit {
-                new_files: vec![(0, meta.clone())],
-                ..Default::default()
-            })?;
-            core.imm = None;
-            core.imm_wal_to_delete = None;
-            core.stats.flushes += 1;
-            if let Some(wal) = &wal {
-                if self.storage.exists(wal) {
-                    self.storage.delete(wal)?;
-                }
+        let result = outs.and_then(|outs| {
+            // If an input vanished mid-run (quarantine), the job aborts
+            // and its outputs stay as orphans for `repair_db`.
+            if planned.inputs_live(&core.versions.current) {
+                self.install(&mut core, &planned, &outs, clock)
+            } else {
+                Ok(())
             }
-            Ok(())
-        })();
-        if let Err(e) = installed {
-            if core.bg_error.is_none() {
-                core.bg_error = Some(e);
-            }
-        } else {
-            self.publish_view(&core);
-            if let Err(e) = self.reap_pending_deletes(&mut core) {
-                if core.bg_error.is_none() {
-                    core.bg_error = Some(e);
-                }
-            }
-            self.refresh_level_gauges(&core.versions.current);
-            if self.sink.enabled() {
-                let end = self.device.clock().now();
-                let mut ev = Event::span(EventKind::Flush, t0, end)
-                    .files(0, 1)
-                    .bytes(input_bytes, meta.size)
-                    .phases(0, 0, write_nanos);
-                ev.output_level = Some(0);
-                self.sink.record(ev);
-            }
-        }
-        self.complete_job(&core, None, &[], true);
+        });
+        self.finish_job(
+            &mut core,
+            result,
+            clock,
+            Some((job, &planned.inputs)),
+            false,
+        );
     }
 
-    /// Run phase + install for a claimed compaction job.
-    fn run_compact_job(
-        &self,
-        job: u64,
-        t0: Nanos,
-        desc: Option<TaskDescriptor>,
-        inputs: Vec<u64>,
-        plan: PlannedCompaction,
-    ) {
-        let result: Result<(Vec<UnitOutput>, CompactInstall)> = match plan {
-            PlannedCompaction::Merge {
-                level,
-                upper,
-                lower,
-                spec,
-            } => {
-                let ranges = split_merge_ranges(&upper, &lower, self.options.max_subcompactions);
-                self.run_split_merge(&spec, ranges).map(|outs| {
-                    (
-                        outs,
-                        CompactInstall::Merge {
-                            level,
-                            upper,
-                            lower,
-                        },
-                    )
-                })
-            }
-            PlannedCompaction::Ldc {
-                level,
-                meta,
-                drop_tombstones,
-                smallest_snapshot,
-            } => self
-                .run_ldc_merge(&meta, drop_tombstones, smallest_snapshot)
-                .map(|out| (vec![out], CompactInstall::Ldc { level, meta })),
-            PlannedCompaction::Tiered { metas, spec } => self
-                .run_merge_unit(&spec, None)
-                .map(|out| (vec![out], CompactInstall::Tiered { metas })),
-        };
-        match result {
-            Ok((outs, install)) => self.install_compaction(job, t0, desc, &inputs, outs, install),
-            Err(e) => self.fail_job(e, Some(job), &inputs, false),
-        }
+    /// The file-number allocator for run stages that do not hold the core.
+    fn locked_file_number(&self) -> u64 {
+        self.core.lock().versions.new_file_number()
     }
 
-    /// Installs a finished compaction as one atomic `VersionEdit`. If an
-    /// input vanished mid-run (quarantine), the job aborts and its outputs
-    /// stay as orphans for `repair_db`.
-    fn install_compaction(
+    /// The run stage of a whole task: one unit per subcompaction range,
+    /// results in range order so the installed file sequence matches an
+    /// unsplit merge's. The deterministic inline mode never splits. With
+    /// workers, units 1.. are queued for idle workers (when the single
+    /// split slot is free) while this thread runs unit 0 and then helps
+    /// drain the queue until every unit posted. `alloc` numbers the
+    /// outputs of the units this thread runs.
+    fn run_units(
         &self,
-        job: u64,
-        t0: Nanos,
-        desc: Option<TaskDescriptor>,
-        inputs: &[u64],
-        outs: Vec<UnitOutput>,
-        install: CompactInstall,
-    ) {
-        let mut core = self.core.lock();
-        let live = |core: &DbCore, n: u64| core.versions.current.find_file(n).is_some();
-        let mut edit = VersionEdit::default();
-        let mut dropped: Vec<u64> = Vec::new();
-        let mut stat: Option<&'static str> = None;
-        let ok = match &install {
-            CompactInstall::Merge {
-                level,
-                upper,
-                lower,
-            } => {
-                if upper.iter().chain(lower).all(|m| live(&core, m.number)) {
-                    for m in upper {
-                        edit.deleted_files.push((*level as u32, m.number));
-                    }
-                    for m in lower {
-                        edit.deleted_files.push(((*level + 1) as u32, m.number));
-                    }
-                    for u in &outs {
-                        for m in &u.metas {
-                            edit.new_files.push(((*level + 1) as u32, m.clone()));
-                        }
-                    }
-                    if *level >= 1 {
-                        if let Some(hi) = upper.iter().map(|m| m.largest_ukey().to_vec()).max() {
-                            edit.compact_pointers.push((*level as u32, hi));
-                        }
-                    }
-                    dropped.extend(upper.iter().chain(lower).map(|m| m.number));
-                    stat = Some("merges");
-                    true
-                } else {
-                    false
-                }
-            }
-            CompactInstall::Ldc { level, meta } => {
-                if live(&core, meta.number) {
-                    edit.deleted_files.push((*level as u32, meta.number));
-                    for u in &outs {
-                        for m in &u.metas {
-                            edit.new_files.push((*level as u32, m.clone()));
-                        }
-                    }
-                    // Reference counting against the refcounts current at
-                    // install time (Algorithm 1, lines 18-22).
-                    let mut remaining: HashMap<u64, u32> = HashMap::new();
-                    for (number, frozen) in &core.versions.current.frozen {
-                        remaining.insert(*number, frozen.refcount);
-                    }
-                    let mut reclaimed: Vec<u64> = Vec::new();
-                    for slice in &meta.slices {
-                        if let Some(count) = remaining.get_mut(&slice.source_file) {
-                            *count = count.saturating_sub(1);
-                            if *count == 0 {
-                                reclaimed.push(slice.source_file);
-                            }
-                        }
-                    }
-                    reclaimed.sort_unstable();
-                    reclaimed.dedup();
-                    edit.deleted_frozen.clone_from(&reclaimed);
-                    dropped.push(meta.number);
-                    dropped.extend(reclaimed);
-                    stat = Some("ldc_merges");
-                    true
-                } else {
-                    false
-                }
-            }
-            CompactInstall::Tiered { metas } => {
-                if metas.iter().all(|m| live(&core, m.number)) {
-                    for m in metas {
-                        edit.deleted_files.push((0, m.number));
-                    }
-                    for u in &outs {
-                        for m in &u.metas {
-                            edit.new_files.push((0, m.clone()));
-                        }
-                    }
-                    dropped.extend(metas.iter().map(|m| m.number));
-                    stat = Some("merges");
-                    true
-                } else {
-                    false
-                }
-            }
-        };
-        if ok {
-            match core.versions.log_and_apply(edit) {
-                Ok(()) => {
-                    for n in dropped {
-                        self.drop_table_file(&mut core, n);
-                    }
-                    match stat {
-                        Some("ldc_merges") => core.stats.ldc_merges += 1,
-                        _ => core.stats.merges += 1,
-                    }
-                    self.publish_view(&core);
-                    if let Err(e) = self.reap_pending_deletes(&mut core) {
-                        if core.bg_error.is_none() {
-                            core.bg_error = Some(e);
-                        }
-                    }
-                    self.refresh_level_gauges(&core.versions.current);
-                    if let Some(desc) = desc {
-                        let end = self.device.clock().now();
-                        let elapsed = end.saturating_sub(t0);
-                        let write: u64 =
-                            outs.iter().map(|u| u.write_nanos).sum::<u64>().min(elapsed);
-                        let (files, bytes) = outs.iter().fold((0u32, 0u64), |(f, b), u| {
-                            (f + u.output_files, b + u.output_bytes)
-                        });
-                        self.sink.record(
-                            Event::span(desc.kind, t0, end)
-                                .levels(desc.level, desc.output_level)
-                                .files(desc.input_files, files)
-                                .bytes(desc.input_bytes, bytes)
-                                .phases(elapsed - write, 0, write),
-                        );
-                    }
-                }
-                Err(e) => {
-                    if core.bg_error.is_none() {
-                        core.bg_error = Some(e);
-                    }
-                }
-            }
-        }
-        self.complete_job(&core, Some(job), inputs, false);
-    }
-
-    /// Runs a split merge: queue units 1.. for idle workers (when the
-    /// single split slot is free), run unit 0 ourselves, then help drain
-    /// the queue until every unit posted. Results come back in unit order
-    /// so the installed file sequence matches an unsplit merge's.
-    fn run_split_merge(
-        &self,
-        spec: &Arc<MergeUnitSpec>,
-        ranges: Vec<Option<KeyRange>>,
+        planned: &Arc<Planned>,
+        alloc: &mut dyn FnMut() -> u64,
     ) -> Result<Vec<UnitOutput>> {
+        let ranges = if self.scheduler.active() {
+            planned.unit_ranges(self.options.max_subcompactions)
+        } else {
+            vec![None]
+        };
         let k = ranges.len();
-        let first = ranges.first().and_then(|r| r.as_ref());
-        if k == 1 {
-            return Ok(vec![self.run_merge_unit(spec, first)?]);
-        }
-        let queued = {
+        let queued = k > 1 && {
             let mut st = self.scheduler.state.lock();
-            if st.sub.is_none() {
+            let free = st.sub.is_none();
+            if free {
                 st.sub = Some(SubBatch {
-                    spec: Arc::clone(spec),
+                    planned: Arc::clone(planned),
                     remaining: k,
                     results: Vec::new(),
                 });
@@ -2445,164 +2132,88 @@ impl Db {
                     });
                 }
                 self.scheduler.work_cv.notify_all();
-                true
-            } else {
-                false
             }
+            free
         };
         if !queued {
-            // Another split merge holds the slot; run sequentially.
-            let mut outs = Vec::with_capacity(k);
-            for r in &ranges {
-                outs.push(self.run_merge_unit(spec, r.as_ref())?);
-            }
-            return Ok(outs);
+            // Unsplit, or another split merge holds the slot: run the
+            // units sequentially.
+            return ranges
+                .iter()
+                .map(|r| self.run(planned, r.as_ref(), alloc))
+                .collect();
         }
-        let r0 = self.run_merge_unit(spec, first);
-        let mut st = self.scheduler.state.lock();
-        if let Some(b) = st.sub.as_mut() {
-            b.remaining -= 1;
-            b.results.push((0, r0));
-        }
+        let first = ranges.first().and_then(|r| r.as_ref());
+        self.post_unit(0, self.run(planned, first, alloc));
         loop {
-            if st.sub.as_ref().is_none_or(|b| b.remaining == 0) {
-                break;
-            }
-            if let Some(u) = st.subqueue.pop_front() {
-                drop(st);
-                let r = self.run_merge_unit(spec, u.range.as_ref());
-                st = self.scheduler.state.lock();
-                if let Some(b) = st.sub.as_mut() {
-                    b.remaining -= 1;
-                    b.results.push((u.idx, r));
+            let next = {
+                let mut st = self.scheduler.state.lock();
+                loop {
+                    if st.sub.as_ref().is_none_or(|b| b.remaining == 0) {
+                        break None;
+                    }
+                    match st.subqueue.pop_front() {
+                        Some(u) => break Some(u),
+                        None => st = st.wait(&self.scheduler.subs_cv),
+                    }
                 }
-            } else {
-                st = st.wait(&self.scheduler.subs_cv);
-            }
+            };
+            let Some(u) = next else { break };
+            self.post_unit(u.idx, self.run(planned, u.range.as_ref(), alloc));
         }
-        let Some(batch) = st.sub.take() else {
-            drop(st);
+        let batch = {
+            let mut st = self.scheduler.state.lock();
+            st.sub.take()
+        };
+        let Some(batch) = batch else {
             return Err(Error::InvalidState(
                 "split-merge batch vanished before its coordinator collected it".to_string(),
             ));
         };
-        drop(st);
         let mut results = batch.results;
         results.sort_by_key(|(i, _)| *i);
-        let mut outs = Vec::with_capacity(k);
-        for (_, r) in results {
-            outs.push(r?);
-        }
-        Ok(outs)
+        results.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Executes one queued subcompaction unit and posts its result to the
-    /// coordinator.
-    fn run_queued_unit(&self, unit: SubUnit, spec: &Arc<MergeUnitSpec>) {
-        let r = self.run_merge_unit(spec, unit.range.as_ref());
+    /// Posts one subcompaction unit's result to the active split batch
+    /// and wakes its coordinator.
+    fn post_unit(&self, idx: usize, result: Result<UnitOutput>) {
         let mut st = self.scheduler.state.lock();
         if let Some(b) = st.sub.as_mut() {
             b.remaining -= 1;
-            b.results.push((unit.idx, r));
+            b.results.push((idx, result));
         }
         self.scheduler.subs_cv.notify_all();
     }
 
-    /// One subcompaction unit: merge the job's inputs restricted to
-    /// `range` (None = everything) into output tables.
-    fn run_merge_unit(&self, spec: &MergeUnitSpec, range: Option<&KeyRange>) -> Result<UnitOutput> {
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for &n in &spec.inputs {
-            let table = self.table(n)?;
-            match range {
-                Some(r) => inputs.push(Box::new(
-                    table.range_iter(r.clone(), IoClass::CompactionRead),
-                )),
-                None => inputs.push(Box::new(table.iter(IoClass::CompactionRead))),
-            }
-        }
-        self.merge_stream_detached(
-            inputs,
-            spec.drop_tombstones,
-            spec.split_outputs,
-            spec.smallest_snapshot,
-        )
-    }
-
-    /// The LDC merge run phase (file + its slices; never split — each
-    /// LdcMerge already covers exactly one responsible range).
-    fn run_ldc_merge(
-        &self,
-        meta: &FileMeta,
-        drop_tombstones: bool,
-        smallest_snapshot: SequenceNumber,
-    ) -> Result<UnitOutput> {
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        let table = self.table(meta.number)?;
-        inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
-        for slice in &meta.slices {
-            let frozen = self.table(slice.source_file)?;
-            inputs.push(Box::new(
-                frozen.range_iter(slice.range.clone(), IoClass::CompactionRead),
-            ));
-        }
-        self.merge_stream_detached(inputs, drop_tombstones, true, smallest_snapshot)
-    }
-
-    /// Job failure: quarantine a corrupt input when the policy allows
-    /// (the policy then re-plans against the surviving version), latch
-    /// `bg_error` otherwise, and release the job's claims either way.
-    fn fail_job(&self, err: Error, job: Option<u64>, inputs: &[u64], flush: bool) {
-        let mut core = self.core.lock();
-        self.latch_or_quarantine(&mut core, err);
-        self.publish_view(&core);
-        self.complete_job(&core, job, inputs, flush);
-    }
-
-    /// Like [`Db::fail_job`] for errors hit while still holding the core
-    /// during planning (metadata-only tasks).
-    fn fail_planned(&self, core: &mut DbCore, err: Error) {
-        self.latch_or_quarantine(core, err);
-        self.publish_view(core);
-        self.complete_job(core, None, &[], false);
-    }
-
-    fn latch_or_quarantine(&self, core: &mut DbCore, err: Error) {
-        match err {
-            Error::Corruption(ref info) => match self.try_quarantine(core, info) {
-                Ok(true) => {}
-                Ok(false) => {
-                    if core.bg_error.is_none() {
-                        core.bg_error = Some(err.clone());
-                    }
-                }
-                Err(e2) => {
-                    if core.bg_error.is_none() {
-                        core.bg_error = Some(e2);
-                    }
-                }
-            },
-            e => {
-                if core.bg_error.is_none() {
-                    core.bg_error = Some(e);
-                }
-            }
-        }
-    }
-
-    /// Completion bookkeeping: release claims, bump `completed`, re-arm
-    /// the work hint, and wake both the pool and any stalled writers.
-    /// Must be called while holding the core lock (`_core` witnesses it):
+    /// The end of a worker's job, under the core lock it installed with:
+    /// publish what the install changed — or, if it failed, quarantine a
+    /// corrupt input when the policy allows (the policy then re-plans
+    /// against the surviving version) and latch `bg_error` otherwise.
+    /// Either way release the job's claims, bump `completed`, re-arm the
+    /// work hint, and wake both the pool and any stalled writers.
     /// `done_cv` waiters check their predicates under the core, so
-    /// notifying while holding it cannot lose a wakeup.
-    fn complete_job(&self, _core: &DbCore, job: Option<u64>, inputs: &[u64], flush: bool) {
+    /// notifying while the caller holds it cannot lose a wakeup.
+    fn finish_job(
+        &self,
+        core: &mut DbCore,
+        result: Result<()>,
+        clock: TaskClock,
+        claimed: Option<(u64, &[u64])>,
+        flush: bool,
+    ) {
+        if let Err(e) = result.or_else(|e| self.abandon(core, clock, e)) {
+            core.latch(e);
+        }
+        self.publish_view(core);
+        self.reap_pending_deletes(core);
         {
             let mut st = self.scheduler.state.lock();
             if flush {
                 st.flush_inflight = false;
             }
-            if let Some(j) = job {
-                st.release(j, inputs);
+            if let Some((job, inputs)) = claimed {
+                st.release(job, inputs);
             }
             st.completed += 1;
             st.policy_idle = false;
@@ -2610,35 +2221,6 @@ impl Db {
             self.scheduler.work_cv.notify_all();
         }
         self.scheduler.done_cv.notify_all();
-    }
-
-    /// Streams a sealed table out in bounded `append` chunks followed by
-    /// one `sync`, instead of a single monolithic `write_file`. Each
-    /// chunk holds the storage map's write lock only briefly, so
-    /// concurrent foreground reads interleave with flush/compaction
-    /// output — the pipelined write stage of a background job, and the
-    /// main reason worker mode improves the foreground read tail. Only
-    /// used off the foreground thread: the inline path keeps its single
-    /// atomic write so deterministic runs stay byte-identical. The file
-    /// is garbage until the final sync *and* the version edit that links
-    /// it; a torn prefix is an orphan, reclaimed by `repair_db`.
-    fn write_table_chunked(&self, name: &str, bytes: &[u8], class: IoClass) -> Result<()> {
-        const CHUNK: usize = 256 << 10;
-        // A crashed predecessor may have left an orphan at a re-allocated
-        // number; appending to it would interleave two tables.
-        if self.storage.exists(name) {
-            self.storage.delete(name)?;
-        }
-        for chunk in bytes.chunks(CHUNK) {
-            self.storage.append(name, chunk, class)?;
-            // Hand the CPU to any foreground thread parked on the storage
-            // lock (or starved for a core) between chunks: on oversubscribed
-            // hosts the reader tail is bounded by how long a worker runs
-            // uninterrupted, not by the chunk size alone.
-            std::thread::yield_now();
-        }
-        self.storage.sync(name)?;
-        Ok(())
     }
 
     /// Pins the current state for repeatable reads. The snapshot must be
@@ -3021,7 +2603,7 @@ impl Db {
     /// Drops a table file from the caches and schedules its physical
     /// delete for the next reap point (a concurrent reader's pinned view
     /// may still reference it until then).
-    fn drop_table_file(&self, core: &mut DbCore, file_number: u64) {
+    pub(crate) fn drop_table_file(&self, core: &mut DbCore, file_number: u64) {
         self.tables.remove(file_number);
         self.block_cache.evict_file(file_number);
         core.pending_deletes.push(file_number);
@@ -3044,50 +2626,23 @@ impl Db {
         }
         let outcome = self.flush_all(&mut core);
         if let Err(e) = &outcome {
-            core.bg_error = Some(e.clone());
+            core.latch(e.clone());
         }
         self.publish_view(&core);
-        if let Err(e) = self.reap_pending_deletes(&mut core) {
-            if core.bg_error.is_none() {
-                core.bg_error = Some(e);
-            }
-        }
+        self.reap_pending_deletes(&mut core);
         outcome
     }
 
     /// Flushes the pending immutable memtable (if any), then rotates the
     /// WAL and flushes the active memtable — the write path's rotation
-    /// sequence, without parking the memtable in the `imm` slot.
+    /// sequence, run to completion on the caller's thread.
     fn flush_all(&self, core: &mut DbCore) -> Result<()> {
-        if let Some(imm) = core.imm.take() {
-            let wal = core.imm_wal_to_delete.take();
-            self.flush_table(core, &imm, None)?;
-            if let Some(wal) = wal {
-                if self.storage.exists(&wal) {
-                    self.storage.delete(&wal)?;
-                }
-            }
-        }
+        self.flush_imm(core, None)?;
         if core.mem.is_empty() {
             return Ok(());
         }
-        let mut new_log_number = core.versions.new_file_number();
-        while self.storage.exists(&log_file_name(new_log_number)) {
-            new_log_number = core.versions.new_file_number();
-        }
-        let old_log = core.wal.name().to_string();
-        core.wal = LogWriter::new(
-            Arc::clone(&self.storage),
-            log_file_name(new_log_number),
-            IoClass::WalWrite,
-        );
-        let seed = self.options.seed ^ core.versions.next_file_number;
-        let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
-        self.flush_table(core, &full, Some(new_log_number))?;
-        if old_log != log_file_name(new_log_number) && self.storage.exists(&old_log) {
-            self.storage.delete(&old_log)?;
-        }
-        Ok(())
+        let new_log_number = self.rotate_memtable(core);
+        self.flush_imm(core, Some(new_log_number))
     }
 
     /// Creates online checkpoint `name`: a crash-consistent image of the
@@ -3248,11 +2803,7 @@ impl Db {
         }
         core.stats.edits_applied += 1;
         self.publish_view(&core);
-        if let Err(e) = self.reap_pending_deletes(&mut core) {
-            if core.bg_error.is_none() {
-                core.bg_error = Some(e);
-            }
-        }
+        self.reap_pending_deletes(&mut core);
         self.refresh_level_gauges(&core.versions.current);
         self.metrics.record_repl_apply();
         if self.sink.enabled() {
@@ -3280,182 +2831,8 @@ fn candidate_file(version: &Version, level: usize, key: &[u8]) -> Option<FileMet
 }
 
 impl Db {
-    // ------------------------------------------------------------------
-    // Flush & compaction execution
-    // ------------------------------------------------------------------
-
-    /// Writes the memtable out as a Level-0 SSTable and records `log_number`
-    /// as the new WAL.
-    fn flush_table(
-        &self,
-        core: &mut DbCore,
-        mem: &MemTable,
-        log_number: Option<u64>,
-    ) -> Result<()> {
-        let t0 = self.device.clock().now();
-        let fs_before = self.device.ledger().get(TimeCategory::FileSystem);
-        if !mem.is_empty() {
-            let input_bytes = mem.approximate_bytes() as u64;
-            let number = core.versions.new_file_number();
-            let mut builder = TableBuilder::new(
-                self.options.block_bytes,
-                self.options.block_restart_interval,
-                self.options.bloom_bits_per_key,
-            );
-            let mut it = mem.iter();
-            it.seek_to_first();
-            while it.valid() {
-                builder.add(it.key(), it.value());
-                it.next();
-            }
-            let finished = builder.finish();
-            let write_start = self.device.clock().now();
-            self.storage.write_file(
-                &table_file_name(number),
-                &finished.bytes,
-                IoClass::FlushWrite,
-            )?;
-            let write_nanos = self.device.clock().now() - write_start;
-            let output_bytes = finished.bytes.len() as u64;
-            let meta = FileMeta {
-                number,
-                size: output_bytes,
-                smallest: finished.smallest,
-                largest: finished.largest,
-                slices: Vec::new(),
-            };
-            core.versions.log_and_apply(VersionEdit {
-                log_number,
-                new_files: vec![(0, meta)],
-                ..Default::default()
-            })?;
-            core.stats.flushes += 1;
-            if self.sink.enabled() {
-                let end = self.device.clock().now();
-                let mut ev = Event::span(EventKind::Flush, t0, end)
-                    .files(0, 1)
-                    .bytes(input_bytes, output_bytes)
-                    .phases(0, 0, write_nanos);
-                ev.output_level = Some(0);
-                self.sink.record(ev);
-            }
-            self.refresh_level_gauges(&core.versions.current);
-        } else if log_number.is_some() {
-            core.versions.log_and_apply(VersionEdit {
-                log_number,
-                ..Default::default()
-            })?;
-        }
-        self.record_compaction_time(t0, fs_before);
-        Ok(())
-    }
-
-    /// Executes one compaction task.
-    fn execute(&self, core: &mut DbCore, task: CompactionTask) -> Result<()> {
-        let t0 = self.device.clock().now();
-        let fs_before = self.device.ledger().get(TimeCategory::FileSystem);
-        // Input descriptors must be captured before the task consumes the
-        // files they describe.
-        let described = if self.sink.enabled() {
-            Some(self.describe_task(&core.versions.current, &task))
-        } else {
-            None
-        };
-        core.trace = ExecTrace::default();
-        let result = match task {
-            CompactionTask::Merge {
-                level,
-                upper,
-                lower,
-            } => self.execute_merge(core, level, &upper, &lower),
-            CompactionTask::TrivialMove { level, file } => {
-                self.execute_trivial_move(core, level, file)
-            }
-            CompactionTask::Link { level, file } => self.execute_link(core, level, file),
-            CompactionTask::LdcMerge { level, file } => self.execute_ldc_merge(core, level, file),
-            CompactionTask::TieredMerge { files } => self.execute_tiered_merge(core, &files),
-        };
-        self.record_compaction_time(t0, fs_before);
-        if let (Some(desc), Ok(())) = (described, &result) {
-            let end = self.device.clock().now();
-            let elapsed = end - t0;
-            // The in-memory merge does not advance the virtual clock, so
-            // its phase is 0; everything that is not output writing is
-            // input reading (plus metadata, which is negligible).
-            let write = core.trace.write_nanos.min(elapsed);
-            self.sink.record(
-                Event::span(desc.kind, t0, end)
-                    .levels(desc.level, desc.output_level)
-                    .files(desc.input_files, core.trace.output_files)
-                    .bytes(desc.input_bytes, core.trace.output_bytes)
-                    .phases(elapsed - write, 0, write),
-            );
-        }
-        self.refresh_level_gauges(&core.versions.current);
-        result
-    }
-
-    /// What a task is about to do, captured while its inputs still exist.
-    fn describe_task(&self, version: &Version, task: &CompactionTask) -> TaskDescriptor {
-        let size_of = |number: u64| version.find_file(number).map(|(_, m)| m.size).unwrap_or(0);
-        match task {
-            CompactionTask::Merge {
-                level,
-                upper,
-                lower,
-            } => TaskDescriptor {
-                kind: EventKind::UdcMerge,
-                level: *level as u32,
-                output_level: (*level + 1) as u32,
-                input_files: (upper.len() + lower.len()) as u32,
-                input_bytes: upper.iter().chain(lower).map(|&n| size_of(n)).sum(),
-            },
-            CompactionTask::TrivialMove { level, file } => TaskDescriptor {
-                kind: EventKind::TrivialMove,
-                level: *level as u32,
-                output_level: (*level + 1) as u32,
-                input_files: 1,
-                input_bytes: size_of(*file),
-            },
-            CompactionTask::Link { level, file } => TaskDescriptor {
-                kind: EventKind::LdcLink,
-                level: *level as u32,
-                output_level: (*level + 1) as u32,
-                input_files: 1,
-                input_bytes: size_of(*file),
-            },
-            CompactionTask::LdcMerge { level, file } => {
-                let (slices, slice_bytes) = version
-                    .find_file(*file)
-                    .map(|(_, m)| {
-                        (
-                            m.slices.len() as u32,
-                            m.slices.iter().map(|s| s.approx_bytes).sum::<u64>(),
-                        )
-                    })
-                    .unwrap_or((0, 0));
-                TaskDescriptor {
-                    kind: EventKind::LdcMerge,
-                    level: *level as u32,
-                    output_level: *level as u32,
-                    input_files: 1 + slices,
-                    input_bytes: size_of(*file) + slice_bytes,
-                }
-            }
-            // The size-tiered baseline's intra-L0 merge is reported as a
-            // (generic) merge event at level 0.
-            CompactionTask::TieredMerge { files } => TaskDescriptor {
-                kind: EventKind::UdcMerge,
-                level: 0,
-                output_level: 0,
-                input_files: files.len() as u32,
-                input_bytes: files.iter().map(|&n| size_of(n)).sum(),
-            },
-        }
-    }
-
     /// Recomputes the per-level gauges from `version`.
-    fn refresh_level_gauges(&self, version: &Version) {
+    pub(crate) fn refresh_level_gauges(&self, version: &Version) {
         let scores = crate::compaction::level_scores(version, &self.options);
         let gauges = (0..version.num_levels())
             .map(|level| LevelGauge {
@@ -3466,598 +2843,6 @@ impl Db {
             .collect();
         self.metrics.set_level_gauges(gauges);
     }
-
-    fn record_compaction_time(&self, t0: Nanos, fs_before: Nanos) {
-        let fs_delta = self
-            .device
-            .ledger()
-            .get(TimeCategory::FileSystem)
-            .saturating_sub(fs_before);
-        let elapsed = self.device.clock().now().saturating_sub(t0);
-        self.device.ledger().record(
-            TimeCategory::CompactionWork,
-            elapsed.saturating_sub(fs_delta),
-        );
-    }
-
-    /// Classic UDC merge of `upper` (at `level`) with `lower` (at `level+1`).
-    fn execute_merge(
-        &self,
-        core: &mut DbCore,
-        level: usize,
-        upper: &[u64],
-        lower: &[u64],
-    ) -> Result<()> {
-        let output_level = level + 1;
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for &number in upper.iter().chain(lower) {
-            let (_, meta) = core
-                .versions
-                .current
-                .find_file(number)
-                .ok_or_else(|| Error::InvalidState(format!("merge input {number} missing")))?;
-            if !meta.slices.is_empty() {
-                return Err(Error::InvalidState(format!(
-                    "merge input {number} carries slice links; use LdcMerge"
-                )));
-            }
-            let table = self.table(number)?;
-            inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
-        }
-        let drop_tombstones = output_level == self.options.max_levels - 1;
-        let outputs = self.merge_to_tables(core, inputs, drop_tombstones)?;
-
-        let mut edit = VersionEdit::default();
-        for &n in upper {
-            edit.deleted_files.push((level as u32, n));
-        }
-        for &n in lower {
-            edit.deleted_files.push(((level + 1) as u32, n));
-        }
-        for meta in &outputs {
-            edit.new_files.push((output_level as u32, meta.clone()));
-        }
-        if level >= 1 {
-            if let Some(hi) = upper
-                .iter()
-                .filter_map(|n| core.versions.current.find_file(*n))
-                .map(|(_, m)| m.largest_ukey().to_vec())
-                .max()
-            {
-                edit.compact_pointers.push((level as u32, hi));
-            }
-        }
-        core.versions.log_and_apply(edit)?;
-        for &n in upper.iter().chain(lower) {
-            self.drop_table_file(core, n);
-        }
-        core.stats.merges += 1;
-        Ok(())
-    }
-
-    /// Metadata-only move of `file` from `level` to `level + 1`.
-    fn execute_trivial_move(&self, core: &mut DbCore, level: usize, file: u64) -> Result<()> {
-        let (found_level, meta) = core
-            .versions
-            .current
-            .find_file(file)
-            .ok_or_else(|| Error::InvalidState(format!("move of missing file {file}")))?;
-        if found_level != level {
-            return Err(Error::InvalidState(format!(
-                "move of file {file}: expected level {level}, found {found_level}"
-            )));
-        }
-        if !meta.slices.is_empty() {
-            return Err(Error::InvalidState(format!(
-                "cannot trivially move file {file} with slice links"
-            )));
-        }
-        let meta = meta.clone();
-        let mut edit = VersionEdit {
-            deleted_files: vec![(level as u32, file)],
-            new_files: vec![((level + 1) as u32, meta.clone())],
-            ..Default::default()
-        };
-        if level >= 1 {
-            edit.compact_pointers
-                .push((level as u32, meta.largest_ukey().to_vec()));
-        }
-        core.versions.log_and_apply(edit)?;
-        core.stats.trivial_moves += 1;
-        Ok(())
-    }
-
-    /// LDC link phase (Algorithm 1, `link`): freeze `file` and attach one
-    /// slice per responsible range of the overlapping `level+1` files.
-    fn execute_link(&self, core: &mut DbCore, level: usize, file: u64) -> Result<()> {
-        let (found_level, meta) = core
-            .versions
-            .current
-            .find_file(file)
-            .ok_or_else(|| Error::InvalidState(format!("link of missing file {file}")))?;
-        if found_level != level {
-            return Err(Error::InvalidState(format!(
-                "link of file {file}: expected level {level}, found {found_level}"
-            )));
-        }
-        if !meta.slices.is_empty() {
-            return Err(Error::InvalidState(format!(
-                "file {file} has slice links and cannot be linked down"
-            )));
-        }
-        let meta = meta.clone();
-        let (lo, hi) = (meta.smallest_ukey().to_vec(), meta.largest_ukey().to_vec());
-        let lower = &core.versions.current.levels[level + 1];
-        if lower.is_empty() {
-            // Nothing to link against; degenerate to a trivial move.
-            return self.execute_trivial_move(core, level, file);
-        }
-        // Responsible ranges partition the key space: file j owns
-        // (prev.largest, largest_j]; first extends to -inf, last to +inf.
-        let mut targets: Vec<(u64, KeyRange)> = Vec::new();
-        for (i, lf) in lower.iter().enumerate() {
-            let range_lo = if i == 0 {
-                Vec::new()
-            } else {
-                successor(lower[i - 1].largest_ukey())
-            };
-            let range_hi = if i + 1 == lower.len() {
-                None
-            } else {
-                Some(successor(lf.largest_ukey()))
-            };
-            let range = KeyRange {
-                lo: range_lo,
-                hi: range_hi,
-            };
-            if range.overlaps(&lo, &hi) {
-                targets.push((lf.number, range));
-            }
-        }
-        debug_assert!(!targets.is_empty(), "partition must cover [lo, hi]");
-        let mut edit = VersionEdit {
-            frozen_files: vec![(level as u32, file)],
-            ..Default::default()
-        };
-        let approx_bytes = meta.size / targets.len().max(1) as u64;
-        for (target, range) in targets {
-            let link_seq = core.versions.new_link_seq();
-            edit.new_links.push((
-                target,
-                SliceLink {
-                    source_file: file,
-                    range,
-                    link_seq,
-                    approx_bytes,
-                },
-            ));
-        }
-        if level >= 1 {
-            edit.compact_pointers.push((level as u32, hi));
-        }
-        core.versions.log_and_apply(edit)?;
-        core.stats.links += 1;
-        Ok(())
-    }
-
-    /// LDC merge phase (Algorithm 1, `merge`): rewrite `file` together with
-    /// all linked slices; outputs stay at `level`; fully consumed frozen
-    /// files are reclaimed.
-    fn execute_ldc_merge(&self, core: &mut DbCore, level: usize, file: u64) -> Result<()> {
-        let (found_level, meta) = core
-            .versions
-            .current
-            .find_file(file)
-            .ok_or_else(|| Error::InvalidState(format!("ldc-merge of missing file {file}")))?;
-        if found_level != level {
-            return Err(Error::InvalidState(format!(
-                "ldc-merge of file {file}: expected level {level}, found {found_level}"
-            )));
-        }
-        let meta = meta.clone();
-        if meta.slices.is_empty() {
-            return Err(Error::InvalidState(format!(
-                "ldc-merge of file {file} with no slices"
-            )));
-        }
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        let table = self.table(file)?;
-        inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
-        for slice in &meta.slices {
-            let frozen_table = self.table(slice.source_file)?;
-            inputs.push(Box::new(
-                frozen_table.range_iter(slice.range.clone(), IoClass::CompactionRead),
-            ));
-        }
-        let drop_tombstones = level == self.options.max_levels - 1;
-        let outputs = self.merge_to_tables(core, inputs, drop_tombstones)?;
-
-        let mut edit = VersionEdit {
-            deleted_files: vec![(level as u32, file)],
-            ..Default::default()
-        };
-        for out in &outputs {
-            edit.new_files.push((level as u32, out.clone()));
-        }
-        // Reference counting: sources whose last live link was on this file
-        // are reclaimed (Algorithm 1, lines 18-22).
-        let mut remaining: HashMap<u64, u32> = HashMap::new();
-        for (number, frozen) in &core.versions.current.frozen {
-            remaining.insert(*number, frozen.refcount);
-        }
-        let mut reclaimed: Vec<u64> = Vec::new();
-        for slice in &meta.slices {
-            let count = remaining.get_mut(&slice.source_file).ok_or_else(|| {
-                Error::InvalidState(format!("slice source {} is not frozen", slice.source_file))
-            })?;
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                reclaimed.push(slice.source_file);
-            }
-        }
-        reclaimed.sort_unstable();
-        reclaimed.dedup();
-        edit.deleted_frozen.clone_from(&reclaimed);
-        core.versions.log_and_apply(edit)?;
-        self.drop_table_file(core, file);
-        for n in reclaimed {
-            self.drop_table_file(core, n);
-        }
-        core.stats.ldc_merges += 1;
-        Ok(())
-    }
-
-    /// Size-tiered merge (lazy baseline): combine several Level-0 runs into
-    /// one bigger Level-0 run. No tombstone dropping (deeper levels may
-    /// hold older versions) and no output splitting (tiers grow).
-    fn execute_tiered_merge(&self, core: &mut DbCore, files: &[u64]) -> Result<()> {
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for &number in files {
-            let (level, meta) = core
-                .versions
-                .current
-                .find_file(number)
-                .ok_or_else(|| Error::InvalidState(format!("tiered input {number} missing")))?;
-            if level != 0 {
-                return Err(Error::InvalidState(format!(
-                    "tiered merge input {number} is at level {level}, not 0"
-                )));
-            }
-            if !meta.slices.is_empty() {
-                return Err(Error::InvalidState(format!(
-                    "tiered merge input {number} carries slice links"
-                )));
-            }
-            let table = self.table(number)?;
-            inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
-        }
-        let outputs = self.merge_stream(core, inputs, false, false)?;
-        let mut edit = VersionEdit::default();
-        for &n in files {
-            edit.deleted_files.push((0, n));
-        }
-        for meta in &outputs {
-            edit.new_files.push((0, meta.clone()));
-        }
-        core.versions.log_and_apply(edit)?;
-        for &n in files {
-            self.drop_table_file(core, n);
-        }
-        core.stats.merges += 1;
-        Ok(())
-    }
-
-    /// Merge-sorts `inputs`, deduplicates by user key (newest wins), and
-    /// writes output tables cut at the target file size (only at user-key
-    /// boundaries, so level files never share a user key).
-    fn merge_to_tables(
-        &self,
-        core: &mut DbCore,
-        inputs: Vec<Box<dyn InternalIterator>>,
-        drop_tombstones: bool,
-    ) -> Result<Vec<FileMeta>> {
-        self.merge_stream(core, inputs, drop_tombstones, true)
-    }
-
-    /// Core merge loop; `split_outputs` controls whether files are cut at
-    /// the target SSTable size (leveled) or grow unbounded (tiered).
-    fn merge_stream(
-        &self,
-        core: &mut DbCore,
-        inputs: Vec<Box<dyn InternalIterator>>,
-        drop_tombstones: bool,
-        split_outputs: bool,
-    ) -> Result<Vec<FileMeta>> {
-        let smallest_snapshot = snapshot_floor(core);
-        let mut outputs = Vec::new();
-        self.merge_entries(
-            inputs,
-            drop_tombstones,
-            split_outputs,
-            smallest_snapshot,
-            &mut |finished| {
-                let meta = self.write_output_table(core, finished)?;
-                outputs.push(meta);
-                Ok(())
-            },
-        )?;
-        Ok(outputs)
-    }
-
-    /// [`Db::merge_stream`] for background workers: no core lock is held
-    /// across the merge; output tables go through a brief core lock for
-    /// the file number, then [`Db::write_table_chunked`].
-    fn merge_stream_detached(
-        &self,
-        inputs: Vec<Box<dyn InternalIterator>>,
-        drop_tombstones: bool,
-        split_outputs: bool,
-        smallest_snapshot: SequenceNumber,
-    ) -> Result<UnitOutput> {
-        let mut out = UnitOutput::default();
-        self.merge_entries(
-            inputs,
-            drop_tombstones,
-            split_outputs,
-            smallest_snapshot,
-            &mut |finished| {
-                let number = self.core.lock().versions.new_file_number();
-                let t0 = self.device.clock().now();
-                self.write_table_chunked(
-                    &table_file_name(number),
-                    &finished.bytes,
-                    IoClass::CompactionWrite,
-                )?;
-                out.write_nanos += self.device.clock().now().saturating_sub(t0);
-                out.output_files += 1;
-                out.output_bytes += finished.bytes.len() as u64;
-                out.metas.push(FileMeta {
-                    number,
-                    size: finished.bytes.len() as u64,
-                    smallest: finished.smallest,
-                    largest: finished.largest,
-                    slices: Vec::new(),
-                });
-                Ok(())
-            },
-        )?;
-        Ok(out)
-    }
-
-    /// The merge loop proper, independent of where outputs land. Within
-    /// one key range the kept-entry decisions depend only on the input
-    /// stream and `smallest_snapshot` (the shadowing state `last_kept_seq`
-    /// resets at every user-key boundary and file cuts happen only there),
-    /// which is what makes per-range subcompactions exactly equivalent to
-    /// an unsplit merge.
-    fn merge_entries(
-        &self,
-        inputs: Vec<Box<dyn InternalIterator>>,
-        drop_tombstones: bool,
-        split_outputs: bool,
-        smallest_snapshot: SequenceNumber,
-        emit: &mut dyn FnMut(crate::table::FinishedTable) -> Result<()>,
-    ) -> Result<()> {
-        // Versions above `smallest_snapshot` are never dropped: the oldest
-        // live snapshot (or the sequence current at planning time when
-        // none is held) can still observe them.
-        let mut merge = MergingIterator::new(inputs);
-        merge.seek_to_first();
-        let mut builder: Option<TableBuilder> = None;
-        let mut last_ukey: Option<Vec<u8>> = None;
-        // Sequence of the last kept entry for the current user key; MAX
-        // means "none kept yet".
-        let mut last_kept_seq = SequenceNumber::MAX;
-        while merge.valid() {
-            let ikey = merge.key();
-            let ukey = user_key(ikey);
-            let changed_ukey = last_ukey.as_deref() != Some(ukey);
-            if changed_ukey {
-                last_ukey = Some(ukey.to_vec());
-                last_kept_seq = SequenceNumber::MAX;
-                // Cut the output file at user-key boundaries.
-                if let Some(b) = builder.take() {
-                    if split_outputs && b.estimated_file_bytes() >= self.options.sstable_bytes {
-                        emit(b.finish())?;
-                    } else {
-                        builder = Some(b);
-                    }
-                }
-            }
-            // LevelDB's snapshot-aware shadowing rule: an entry is dead if
-            // a newer entry for the same user key was already kept at a
-            // sequence every live snapshot can see.
-            let (seq, vt) = parse_trailer(ikey);
-            let shadowed =
-                last_kept_seq != SequenceNumber::MAX && last_kept_seq <= smallest_snapshot;
-            let drop_tombstone = vt == ValueType::Deletion
-                && drop_tombstones
-                && seq <= smallest_snapshot
-                && last_kept_seq == SequenceNumber::MAX;
-            if !shadowed && !drop_tombstone {
-                let b = builder.get_or_insert_with(|| {
-                    TableBuilder::new(
-                        self.options.block_bytes,
-                        self.options.block_restart_interval,
-                        self.options.bloom_bits_per_key,
-                    )
-                });
-                b.add(ikey, merge.value());
-                last_kept_seq = seq;
-            }
-            merge.next();
-        }
-        merge.status()?;
-        if let Some(b) = builder {
-            if !b.is_empty() {
-                emit(b.finish())?;
-            }
-        }
-        Ok(())
-    }
-
-    fn write_output_table(
-        &self,
-        core: &mut DbCore,
-        finished: crate::table::FinishedTable,
-    ) -> Result<FileMeta> {
-        let number = core.versions.new_file_number();
-        let t0 = self.device.clock().now();
-        self.storage.write_file(
-            &table_file_name(number),
-            &finished.bytes,
-            IoClass::CompactionWrite,
-        )?;
-        core.trace.write_nanos += self.device.clock().now() - t0;
-        core.trace.output_files += 1;
-        core.trace.output_bytes += finished.bytes.len() as u64;
-        Ok(FileMeta {
-            number,
-            size: finished.bytes.len() as u64,
-            smallest: finished.smallest,
-            largest: finished.largest,
-            slices: Vec::new(),
-        })
-    }
-}
-
-/// A unit of background work claimed by [`Db::plan_job`] under the core
-/// lock and executed without it.
-enum BgJob {
-    /// Flush the immutable memtable. The memtable stays in `core.imm`
-    /// (readers keep seeing it) until the L0 table installs.
-    Flush {
-        imm: Arc<MemTable>,
-        wal: Option<String>,
-    },
-    /// A claimed compaction with conflict-tracked key ranges.
-    Compact {
-        job: u64,
-        t0: Nanos,
-        desc: Option<TaskDescriptor>,
-        inputs: Vec<u64>,
-        plan: PlannedCompaction,
-    },
-}
-
-/// The run-phase recipe for a claimed compaction: input metadata snapshot
-/// plus the merge spec, fixed at plan time.
-enum PlannedCompaction {
-    Merge {
-        level: usize,
-        upper: Vec<FileMeta>,
-        lower: Vec<FileMeta>,
-        spec: Arc<MergeUnitSpec>,
-    },
-    Ldc {
-        level: usize,
-        meta: FileMeta,
-        drop_tombstones: bool,
-        smallest_snapshot: SequenceNumber,
-    },
-    Tiered {
-        metas: Vec<FileMeta>,
-        spec: Arc<MergeUnitSpec>,
-    },
-}
-
-/// What [`Db::install_compaction`] needs to build the atomic
-/// `VersionEdit` once the run phase produced its outputs.
-enum CompactInstall {
-    Merge {
-        level: usize,
-        upper: Vec<FileMeta>,
-        lower: Vec<FileMeta>,
-    },
-    Ldc {
-        level: usize,
-        meta: FileMeta,
-    },
-    Tiered {
-        metas: Vec<FileMeta>,
-    },
-}
-
-/// Clones the metadata for `numbers` out of the current version; `None`
-/// if any has vanished (a stale pick racing a concurrent install).
-fn resolve_metas(core: &DbCore, numbers: &[u64]) -> Option<Vec<FileMeta>> {
-    numbers
-        .iter()
-        .map(|&n| core.versions.current.find_file(n).map(|(_, m)| m.clone()))
-        .collect()
-}
-
-/// The closed user-key span covered by `metas`.
-fn key_span<'a>(metas: impl Iterator<Item = &'a FileMeta>) -> Option<(Vec<u8>, Vec<u8>)> {
-    let mut span: Option<(Vec<u8>, Vec<u8>)> = None;
-    for m in metas {
-        let (lo, hi) =
-            span.get_or_insert_with(|| (m.smallest_ukey().to_vec(), m.largest_ukey().to_vec()));
-        if m.smallest_ukey() < lo.as_slice() {
-            *lo = m.smallest_ukey().to_vec();
-        }
-        if m.largest_ukey() > hi.as_slice() {
-            *hi = m.largest_ukey().to_vec();
-        }
-    }
-    span
-}
-
-/// The oldest sequence any live snapshot can observe (or the current
-/// sequence when none is held). Captured at plan time, this stays a safe
-/// lower bound for the whole job: new snapshots always pin a sequence
-/// `>=` the one current when they were taken.
-fn snapshot_floor(core: &DbCore) -> SequenceNumber {
-    core.snapshots
-        .keys()
-        .next()
-        .copied()
-        .unwrap_or(core.versions.last_sequence)
-}
-
-/// Carves a merge's key space into up to `max` disjoint subcompaction
-/// ranges, cutting only at input-table smallest-key boundaries. Every
-/// input entry falls in exactly one range, and because the merge loop's
-/// shadowing state resets at user-key boundaries (and smallest keys *are*
-/// user-key boundaries), merging the ranges independently keeps exactly
-/// the entries an unsplit merge would. Returns `vec![None]` (one
-/// unrestricted unit) when there is nothing to split on.
-fn split_merge_ranges(upper: &[FileMeta], lower: &[FileMeta], max: usize) -> Vec<Option<KeyRange>> {
-    let mut bounds: Vec<Vec<u8>> = upper
-        .iter()
-        .chain(lower)
-        .map(|m| m.smallest_ukey().to_vec())
-        .collect();
-    bounds.sort();
-    bounds.dedup();
-    // The global minimum is not a cut — everything below the first cut
-    // already belongs to unit 0.
-    if !bounds.is_empty() {
-        bounds.remove(0);
-    }
-    let units = max.min(bounds.len() + 1);
-    if units <= 1 {
-        return vec![None];
-    }
-    let mut cuts: Vec<Vec<u8>> = Vec::with_capacity(units - 1);
-    for i in 1..units {
-        // Evenly spread, strictly increasing because `bounds` is strictly
-        // sorted and `i * len / units` is strictly monotone for len >= units-1.
-        if let Some(cut) = bounds.get(i * bounds.len() / units) {
-            cuts.push(cut.clone());
-        }
-    }
-    let mut ranges = Vec::with_capacity(units);
-    let mut lo: Vec<u8> = Vec::new(); // empty = -inf
-    for cut in &cuts {
-        ranges.push(Some(KeyRange {
-            lo: std::mem::take(&mut lo),
-            hi: Some(cut.clone()),
-        }));
-        lo = cut.clone();
-    }
-    ranges.push(Some(KeyRange { lo, hi: None }));
-    ranges
 }
 
 /// A pinned read point; obtain via [`Db::snapshot`] and return via
@@ -4072,13 +2857,6 @@ impl Snapshot {
     pub fn sequence(&self) -> SequenceNumber {
         self.seq
     }
-}
-
-/// The smallest user key strictly greater than `key`.
-fn successor(key: &[u8]) -> Vec<u8> {
-    let mut s = key.to_vec();
-    s.push(0);
-    s
 }
 
 /// Lazily walks one level's files in key order, merging each file with its

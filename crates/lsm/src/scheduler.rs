@@ -1,13 +1,17 @@
 //! Background worker pool for flush and compaction.
 //!
-//! With `Options::background_workers >= 1`, the engine stops executing
+//! With `Options::background_workers >= 1`, the engine stops driving
 //! background work inline on the write path ([`crate::db::Db`]'s
 //! `pump_background`) and instead signals this scheduler: N dedicated
-//! worker threads plan one job at a time under the core lock, run its
-//! reads/merge/writes without any engine lock held, and install the
+//! worker threads drive the same three-stage executor
+//! (`crate::compaction::exec`: plan → run → install) — planning and
+//! claiming one job at a time under the core lock, running its
+//! reads/merge/writes without any engine lock held, and installing the
 //! result under the core lock as one atomic `VersionEdit`. Large merges
 //! are carved into range-partitioned subcompactions (bounded by
-//! `Options::max_subcompactions`) that idle workers execute in parallel.
+//! `Options::max_subcompactions`) that idle workers run in parallel.
+//! This module holds only what the pool synchronizes on; the stages
+//! themselves are shared with the inline pump.
 //!
 //! # Conflict tracking
 //!
@@ -21,8 +25,9 @@
 //!
 //! # Determinism contract
 //!
-//! `background_workers == 0` keeps the pool dormant: the inline pump runs
-//! in the exact pre-pool order and same-seed runs stay byte-identical.
+//! `background_workers == 0` keeps the pool dormant: the inline pump calls
+//! the stages in the exact pre-pool order and same-seed runs stay
+//! byte-identical (pinned by `tests/inline_golden.rs`).
 //! With workers, runs promise linearizability, not timing reproducibility
 //! — the same contract as multi-threaded group commit (see the module
 //! docs on `crate::db`).
@@ -47,6 +52,7 @@ use std::thread::JoinHandle;
 
 use ldc_obs::lockcheck::{Condvar, Mutex};
 
+use crate::compaction::exec::{Planned, UnitOutput};
 use crate::error::Result;
 use crate::types::KeyRange;
 use crate::version::FileMeta;
@@ -60,21 +66,6 @@ pub(crate) struct RangeClaim {
     pub(crate) hi: Vec<u8>,
 }
 
-/// Shared description of a split merge: every subcompaction unit opens
-/// the same input tables, restricted to its own key range.
-#[derive(Debug)]
-pub(crate) struct MergeUnitSpec {
-    /// Input table numbers (all full-table inputs; slice-carrying merges
-    /// never split).
-    pub(crate) inputs: Vec<u64>,
-    pub(crate) drop_tombstones: bool,
-    /// Whether outputs are cut at the target SSTable size.
-    pub(crate) split_outputs: bool,
-    /// Snapshot floor captured at plan time (a lower bound for the whole
-    /// job: snapshots taken later are always newer).
-    pub(crate) smallest_snapshot: u64,
-}
-
 /// One queued subcompaction unit; `range == None` means the full key
 /// space (the unsplit case and the first unit of a split).
 #[derive(Debug)]
@@ -83,23 +74,64 @@ pub(crate) struct SubUnit {
     pub(crate) range: Option<KeyRange>,
 }
 
-/// What one subcompaction unit produced; merged into the job's single
-/// `VersionEdit` by the coordinating worker.
-#[derive(Debug, Default)]
-pub(crate) struct UnitOutput {
-    pub(crate) metas: Vec<FileMeta>,
-    pub(crate) write_nanos: u64,
-    pub(crate) output_files: u32,
-    pub(crate) output_bytes: u64,
-}
-
 /// The in-flight split merge (at most one at a time; a second split-able
 /// job runs its units sequentially on its own coordinator instead).
 pub(crate) struct SubBatch {
-    pub(crate) spec: Arc<MergeUnitSpec>,
+    /// The split job's plan: every unit opens the same input tables,
+    /// restricted to its own key range.
+    pub(crate) planned: Arc<Planned>,
     /// Units not yet posted to `results`.
     pub(crate) remaining: usize,
     pub(crate) results: Vec<(usize, Result<UnitOutput>)>,
+}
+
+/// Carves a merge's key space into up to `max` disjoint subcompaction
+/// ranges, cutting only at input-table smallest-key boundaries. Every
+/// input entry falls in exactly one range, and because the merge loop's
+/// shadowing state resets at user-key boundaries (and smallest keys *are*
+/// user-key boundaries), merging the ranges independently keeps exactly
+/// the entries an unsplit merge would. Returns `vec![None]` (one
+/// unrestricted unit) when there is nothing to split on.
+pub(crate) fn split_merge_ranges(
+    upper: &[FileMeta],
+    lower: &[FileMeta],
+    max: usize,
+) -> Vec<Option<KeyRange>> {
+    let mut bounds: Vec<Vec<u8>> = upper
+        .iter()
+        .chain(lower)
+        .map(|m| m.smallest_ukey().to_vec())
+        .collect();
+    bounds.sort();
+    bounds.dedup();
+    // The global minimum is not a cut — everything below the first cut
+    // already belongs to unit 0.
+    if !bounds.is_empty() {
+        bounds.remove(0);
+    }
+    let units = max.min(bounds.len() + 1);
+    if units <= 1 {
+        return vec![None];
+    }
+    let mut cuts: Vec<Vec<u8>> = Vec::with_capacity(units - 1);
+    for i in 1..units {
+        // Evenly spread, strictly increasing because `bounds` is strictly
+        // sorted and `i * len / units` is strictly monotone for len >= units-1.
+        if let Some(cut) = bounds.get(i * bounds.len() / units) {
+            cuts.push(cut.clone());
+        }
+    }
+    let mut ranges = Vec::with_capacity(units);
+    let mut lo: Vec<u8> = Vec::new(); // empty = -inf
+    for cut in &cuts {
+        ranges.push(Some(KeyRange {
+            lo: std::mem::take(&mut lo),
+            hi: Some(cut.clone()),
+        }));
+        lo = cut.clone();
+    }
+    ranges.push(Some(KeyRange { lo, hi: None }));
+    ranges
 }
 
 /// Everything the pool synchronizes on, guarded by `lsm/scheduler::state`.

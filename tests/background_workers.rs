@@ -12,9 +12,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ldc_chaos::{FaultPlan, FaultStorage};
-use ldc_core::LdcDb;
+use ldc_core::{LdcDb, LdcDbBuilder};
 use ldc_lsm::{repair_db, Options};
-use ldc_ssd::{MemStorage, SsdConfig, SsdDevice, StorageBackend};
+use ldc_obs::{EventKind, RingBufferSink};
+use ldc_ssd::{MemStorage, SsdConfig, SsdDevice, StorageBackend, TimeCategory};
 use proptest::prelude::*;
 
 fn tiny_options() -> Options {
@@ -39,14 +40,20 @@ fn value(k: u32, v: u32) -> Vec<u8> {
     out
 }
 
-fn build(udc: bool, workers: usize, storage: Option<Arc<dyn StorageBackend>>) -> LdcDb {
-    let mut b = LdcDb::builder()
+fn builder(udc: bool, workers: usize) -> LdcDbBuilder {
+    let b = LdcDb::builder()
         .options(tiny_options())
         .background_workers(workers)
         .max_subcompactions(4);
     if udc {
-        b = b.udc_baseline();
+        b.udc_baseline()
+    } else {
+        b
     }
+}
+
+fn build(udc: bool, workers: usize, storage: Option<Arc<dyn StorageBackend>>) -> LdcDb {
+    let mut b = builder(udc, workers);
     if let Some(s) = storage {
         b = b.storage(s);
     }
@@ -77,19 +84,66 @@ fn contents(db: &LdcDb) -> BTreeMap<Vec<u8>, Vec<u8>> {
 }
 
 /// Workers run real flushes and compactions off the write path, and the
-/// store ends exactly at the model.
-fn threaded_smoke(udc: bool) {
-    let db = build(udc, 2, None);
+/// store ends exactly at the model. The bookkeeping the single install
+/// stage owns must come out the same whichever thread drove it: one event
+/// per counted task, and the Table-I ledger sees the compaction work.
+/// Returns the ledger's `CompactionWork` nanos.
+fn smoke(udc: bool, workers: usize) -> u64 {
+    let sink = Arc::new(RingBufferSink::new(1 << 16));
+    let db = builder(udc, workers)
+        .event_sink(sink.clone())
+        .build()
+        .expect("open");
     let model = apply_workload(&db, 6, 700);
     db.drain_background();
     let stats = db.stats();
     assert!(stats.flushes > 0, "workload must force flushes: {stats:?}");
-    assert!(
-        stats.merges + stats.trivial_moves + stats.links + stats.ldc_merges > 0,
-        "workload must force compactions: {stats:?}"
-    );
+    let tasks = stats.merges + stats.trivial_moves + stats.links + stats.ldc_merges;
+    assert!(tasks > 0, "workload must force compactions: {stats:?}");
     assert_eq!(contents(&db), model);
     db.engine_ref().version().check_invariants().unwrap();
+
+    assert_eq!(sink.dropped(), 0);
+    let count = |kinds: &[EventKind]| {
+        sink.events()
+            .iter()
+            .filter(|e| kinds.contains(&e.kind))
+            .count() as u64
+    };
+    assert_eq!(
+        count(&[EventKind::Flush]),
+        stats.flushes,
+        "workers={workers}"
+    );
+    assert_eq!(
+        count(&[
+            EventKind::UdcMerge,
+            EventKind::LdcMerge,
+            EventKind::LdcLink,
+            EventKind::TrivialMove
+        ]),
+        tasks,
+        "workers={workers}: {stats:?}"
+    );
+    db.device().ledger().get(TimeCategory::CompactionWork)
+}
+
+/// Flushes and merges run by workers reach the ledger like inline ones.
+/// Threaded timing is not reproducible (and concurrent jobs each see the
+/// other's clock charges), so only the order of magnitude is compared:
+/// before the pipeline was shared, workers booked only their
+/// metadata-only tasks — 1/16 of the inline total in LDC, 1/600 in UDC.
+fn threaded_smoke(udc: bool) {
+    let threaded = smoke(udc, 2);
+    let inline = smoke(udc, 0);
+    assert!(
+        inline > 0,
+        "merges ran but the ledger saw no compaction work"
+    );
+    assert!(
+        threaded.saturating_mul(4) >= inline,
+        "ledger under-reports threaded compaction: {threaded} ns vs {inline} ns inline"
+    );
 }
 
 #[test]
