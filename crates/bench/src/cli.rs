@@ -71,6 +71,36 @@ impl CommonArgs {
     }
 }
 
+/// A subcommand's arguments. Each extractor removes what it matched, and
+/// [`Flags::common`] hands the remainder to [`CommonArgs::from_iter`], so
+/// a flag nobody extracted is still fatal.
+pub struct Flags(Vec<String>);
+
+impl Flags {
+    pub fn new(args: impl IntoIterator<Item = String>) -> Self {
+        Flags(args.into_iter().collect())
+    }
+
+    /// Removes the boolean flag `name`; true when it was present.
+    pub fn flag(&mut self, name: &str) -> bool {
+        let at = self.0.iter().position(|a| a == name);
+        at.map(|at| self.0.remove(at)).is_some()
+    }
+
+    /// Removes `name VALUE` and parses the value.
+    pub fn value<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        let at = self.0.iter().position(|a| a == name)?;
+        let raw: Vec<String> = self.0.drain(at..(at + 2).min(self.0.len())).collect();
+        let parsed = raw.get(1).and_then(|v| v.parse().ok());
+        Some(parsed.unwrap_or_else(|| panic!("{name} needs a valid value")))
+    }
+
+    /// Parses everything not extracted as the common flags.
+    pub fn common(self, default_ops: u64) -> CommonArgs {
+        CommonArgs::from_iter(default_ops, self.0)
+    }
+}
+
 /// Prints a markdown table (or CSV when `csv` is set).
 pub fn print_table(csv: bool, title: &str, headers: &[&str], rows: &[Vec<String>]) {
     if csv {
@@ -147,6 +177,29 @@ mod tests {
     #[should_panic(expected = "unknown flag")]
     fn rejects_unknown_flags() {
         args(&["--bogus"]);
+    }
+
+    #[test]
+    fn flags_extract_and_leave_common_flags() {
+        let list = ["--seed", "7", "--k", "3", "--quick", "--ops", "50"];
+        let mut f = Flags::new(list.iter().map(|s| s.to_string()));
+        assert_eq!(f.value::<usize>("--k"), Some(3));
+        assert_eq!(f.value::<String>("--out"), None);
+        assert!(f.flag("--quick") && !f.flag("--quick"));
+        let a = f.common(1000);
+        assert_eq!((a.seed, a.ops), (7, 50));
+    }
+
+    #[test]
+    #[should_panic(expected = "--k needs a valid value")]
+    fn flags_name_the_flag_with_a_bad_value() {
+        Flags::new(["--k".to_string(), "x".to_string()]).value::<usize>("--k");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --bogus")]
+    fn flags_leave_unknown_flags_fatal() {
+        Flags::new(["--bogus".to_string()]).common(1000);
     }
 
     #[test]

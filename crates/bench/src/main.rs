@@ -2,11 +2,12 @@
 //!
 //! The figure/table reproductions live in `src/bin/` (one binary each;
 //! `cargo run -p ldc-bench --bin fig08_tail_latency`). This default binary
-//! hosts operational subcommands that exercise the engine end to end:
+//! hosts the deterministic operational subcommands that exercise the
+//! engine end to end:
 //!
 //! ```text
 //! cargo run -p ldc-bench -- repair --seed 7
-//! cargo run -p ldc-bench -- readwhilewriting --quick
+//! cargo run -p ldc-bench -- tail --quick --seed 7
 //! ```
 //!
 //! `repair` drives the full degraded-mode pipeline on a fresh simulated
@@ -17,24 +18,18 @@
 //! heal-after-N read failures. Exits non-zero on any verification failure,
 //! printing the `(seed, plan)` replay recipe.
 //!
-//! `readwhilewriting` is the db_bench-style mixed workload: one writer
-//! overwrites a preloaded keyspace (forcing flushes and compactions) while
-//! N reader threads hammer point lookups through the shared handle,
-//! measuring host-time read latency. It runs both compaction modes and
-//! writes a machine-readable `BENCH_readwhilewriting.json` for CI trend
-//! tracking. Latencies here are *host* wall-clock (thread scheduling and
-//! all), unlike the figure binaries' virtual-clock numbers — the point is
-//! exercising the concurrent read path, not reproducing a paper figure.
+//! Nothing here reads the host clock: `tail`, `trace-report` and
+//! `compaction-backlog` are single-threaded replays stamped off the virtual
+//! clock, so same-seed outputs are byte-identical and CI compares them with
+//! the files under `crates/bench/golden/`. Host time — throughput, host
+//! latency percentiles, threads racing the worker pool — is measured only
+//! by the repository benchmark (`benchmark/`, workload `rww-threaded`).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
-
-use ldc_bench::cli::{print_table, CommonArgs};
+use ldc_bench::cli::{CommonArgs, Flags};
 use ldc_bench::prelude::*;
 use ldc_chaos::{ChaosConfig, ChaosHarness};
 use ldc_core::CompactionMode;
 use ldc_core::LdcConfig;
-use ldc_workload::Histogram;
 
 fn usage() -> ! {
     eprintln!("usage: ldc-bench <subcommand> [flags]");
@@ -45,15 +40,10 @@ fn usage() -> ! {
     );
     eprintln!("  backup            checkpoint -> incremental stream -> crash -> restore ->");
     eprintln!("                    verify, plus follower apply-crash recovery, UDC and LDC");
-    eprintln!("  readwhilewriting  1 writer + N readers on a shared handle, UDC vs LDC");
-    eprintln!("                    [--readers N] [--workers N] [--quick] [--out PATH]");
-    eprintln!("                    + common flags; --workers N also runs both modes with");
-    eprintln!("                    N background workers next to the inline baseline");
-    eprintln!("  compaction-backlog  burst-load a flush/compaction backlog, then measure");
-    eprintln!("                    drain time + foreground read p50/p99/p999 during the");
-    eprintln!("                    drain, UDC vs LDC -> BENCH_backlog.json");
-    eprintln!("                    [--readers N] [--workers N] [--quick] [--out PATH]");
-    eprintln!("                    [--det-out PATH  deterministic single-threaded replay]");
+    eprintln!("  compaction-backlog  burst-load a flush/compaction backlog, then drain it:");
+    eprintln!("                    L0 backlog, virtual drain time, flushes, compactions,");
+    eprintln!("                    UDC vs LDC, single-threaded on the virtual clock");
+    eprintln!("                    --det-out PATH [--quick] + common flags");
     eprintln!("  tail              deterministic mixed load, UDC vs LDC: P50..P99.99 +");
     eprintln!("                    per-blame breakdown -> BENCH_tail.json");
     eprintln!("                    [--k N] [--quick] [--out PATH] + common flags");
@@ -214,65 +204,7 @@ fn run_backup(args: CommonArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// One mode's results from the read-while-writing race.
-struct RwwResult {
-    mode: &'static str,
-    background_workers: usize,
-    wall_secs: f64,
-    writes: u64,
-    reads: u64,
-    read_latency_ns: Histogram,
-    write_latency_ns: Histogram,
-    flushes: u64,
-    compactions: u64,
-}
-
-impl RwwResult {
-    fn p_us(&self, p: f64) -> f64 {
-        self.read_latency_ns.percentile(p) as f64 / 1e3
-    }
-
-    fn wp_us(&self, p: f64) -> f64 {
-        self.write_latency_ns.percentile(p) as f64 / 1e3
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"mode\":\"{}\",\"background_workers\":{},",
-                "\"wall_secs\":{:.3},\"writes\":{},",
-                "\"writes_per_sec\":{:.0},\"reads\":{},\"reads_per_sec\":{:.0},",
-                "\"read_p50_us\":{:.1},\"read_p99_us\":{:.1},\"read_p999_us\":{:.1},",
-                "\"read_mean_us\":{:.1},\"read_max_us\":{:.1},",
-                "\"write_p50_us\":{:.1},\"write_p99_us\":{:.1},\"write_p999_us\":{:.1},",
-                "\"write_mean_us\":{:.1},\"write_max_us\":{:.1},",
-                "\"flushes\":{},\"compactions\":{}}}"
-            ),
-            self.mode,
-            self.background_workers,
-            self.wall_secs,
-            self.writes,
-            self.writes as f64 / self.wall_secs,
-            self.reads,
-            self.reads as f64 / self.wall_secs,
-            self.p_us(50.0),
-            self.p_us(99.0),
-            self.p_us(99.9),
-            self.read_latency_ns.mean() / 1e3,
-            self.read_latency_ns.max() as f64 / 1e3,
-            self.wp_us(50.0),
-            self.wp_us(99.0),
-            self.wp_us(99.9),
-            self.write_latency_ns.mean() / 1e3,
-            self.write_latency_ns.max() as f64 / 1e3,
-            self.flushes,
-            self.compactions
-        )
-    }
-}
-
-/// Tiny xorshift so reader key choice is seedable without pulling the
-/// workload sampler (whose state isn't `Send`-shareable across threads).
+/// Tiny xorshift: seedable uniform key choice for the tail load.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -282,109 +214,7 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// One writer overwriting `args.ops` keys over a preloaded keyspace while
-/// `readers` threads do point gets through the same shared handle.
-// Host wall-clock is the measurement here, not a determinism leak: threads
-// race for real, so virtual time cannot describe what readers experience.
-#[allow(clippy::disallowed_methods)]
-fn run_rww_mode(
-    mode: &'static str,
-    background_workers: usize,
-    db: LdcDb,
-    args: &CommonArgs,
-    readers: u64,
-) -> Result<RwwResult, String> {
-    let codec = args.codec();
-    let preload = args.ops.max(1);
-    for i in 0..preload {
-        db.put(&codec.key(i), &codec.value(i, 0))
-            .map_err(|e| format!("{mode} preload: {e}"))?;
-    }
-    db.drain_background();
-
-    let stop = AtomicBool::new(false);
-    let failed = AtomicBool::new(false);
-    let reads = AtomicU64::new(0);
-    let start = Instant::now();
-    let mut merged = Histogram::new();
-    let mut write_hist = Histogram::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for r in 0..readers {
-            let db = &db;
-            let codec = &codec;
-            let (stop, failed, reads) = (&stop, &failed, &reads);
-            let seed = args.seed;
-            handles.push(s.spawn(move || {
-                let mut hist = Histogram::new();
-                let mut rng = seed ^ (r + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                while !stop.load(Ordering::Relaxed) {
-                    let key = codec.key(xorshift(&mut rng) % preload);
-                    let t0 = Instant::now();
-                    let got = db.get_pinned(&key);
-                    hist.record(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-                    match got {
-                        Ok(Some(_)) => {}
-                        Ok(None) => {
-                            eprintln!("{mode}: reader {r} lost a preloaded key");
-                            failed.store(true, Ordering::Relaxed);
-                            return hist;
-                        }
-                        Err(e) => {
-                            eprintln!("{mode}: reader {r} error: {e}");
-                            failed.store(true, Ordering::Relaxed);
-                            return hist;
-                        }
-                    }
-                    reads.fetch_add(1, Ordering::Relaxed);
-                }
-                hist
-            }));
-        }
-        // This thread is the writer: overwrite the preloaded keyspace so
-        // flushes and compactions churn the files readers are pinned to.
-        // Write latency is measured the same way the readers measure
-        // theirs — host time around each call — so stalls and group-commit
-        // waits land in the write tail.
-        for i in 0..args.ops {
-            let idx = i % preload;
-            let t0 = Instant::now();
-            let put = db.put(&codec.key(idx), &codec.value(idx, 1 + i / preload));
-            write_hist.record(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            if let Err(e) = put {
-                eprintln!("{mode}: writer error: {e}");
-                failed.store(true, Ordering::Relaxed);
-                break;
-            }
-            if failed.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            merged.merge(&h.join().expect("reader thread panicked"));
-        }
-    });
-    let wall_secs = start.elapsed().as_secs_f64().max(1e-9);
-    db.drain_background();
-    if failed.load(Ordering::Relaxed) {
-        return Err(format!("{mode}: read-while-writing race failed"));
-    }
-    let stats = db.stats();
-    Ok(RwwResult {
-        mode,
-        background_workers,
-        wall_secs,
-        writes: args.ops,
-        reads: reads.load(Ordering::Relaxed),
-        read_latency_ns: merged,
-        write_latency_ns: write_hist,
-        flushes: stats.flushes,
-        compactions: stats.merges + stats.trivial_moves + stats.links + stats.ldc_merges,
-    })
-}
-
-/// Deterministic readwhilewriting-style mixed load for tail attribution:
+/// Deterministic read-while-writing mixed load for tail attribution:
 /// single-threaded (so the virtual clock is exactly reproducible), one
 /// write every fourth op over a preloaded keyspace, uniform point gets in
 /// between. Returns the store with tracing still enabled so callers can
@@ -514,255 +344,10 @@ fn run_trace_report(args: CommonArgs, worst_k: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn run_read_while_writing(
-    args: CommonArgs,
-    readers: u64,
-    workers: usize,
-    out: &str,
-) -> Result<(), String> {
-    let open = |udc: bool, bg: usize| -> Result<LdcDb, String> {
-        let mut b = LdcDb::builder()
-            .options(paper_scaled_options())
-            .background_workers(bg)
-            .max_subcompactions(4);
-        if udc {
-            b = b.udc_baseline();
-        }
-        b.build().map_err(|e| e.to_string())
-    };
-    // With `--workers N` the inline runs stay in as the baseline, so one
-    // JSON records the threaded-vs-inline read-tail difference directly.
-    let mut results = vec![
-        run_rww_mode("UDC", 0, open(true, 0)?, &args, readers)?,
-        run_rww_mode("LDC", 0, open(false, 0)?, &args, readers)?,
-    ];
-    if workers > 0 {
-        results.push(run_rww_mode(
-            "UDC",
-            workers,
-            open(true, workers)?,
-            &args,
-            readers,
-        )?);
-        results.push(run_rww_mode(
-            "LDC",
-            workers,
-            open(false, workers)?,
-            &args,
-            readers,
-        )?);
-    }
-
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.to_string(),
-                format!("{}", r.background_workers),
-                format!("{:.0}", r.writes as f64 / r.wall_secs),
-                format!("{:.0}", r.reads as f64 / r.wall_secs),
-                format!("{:.1}", r.p_us(50.0)),
-                format!("{:.1}", r.p_us(99.0)),
-                format!("{:.1}", r.p_us(99.9)),
-                format!("{:.1}", r.wp_us(50.0)),
-                format!("{:.1}", r.wp_us(99.0)),
-                format!("{:.1}", r.wp_us(99.9)),
-                format!("{}", r.flushes),
-                format!("{}", r.compactions),
-            ]
-        })
-        .collect();
-    print_table(
-        args.csv,
-        &format!(
-            "readwhilewriting: {} writes vs {} readers ({}-byte values, host time)",
-            args.ops, readers, args.value_bytes
-        ),
-        &[
-            "system",
-            "bg workers",
-            "writes/s",
-            "reads/s",
-            "read p50 (us)",
-            "read p99 (us)",
-            "read p99.9 (us)",
-            "write p50 (us)",
-            "write p99 (us)",
-            "write p99.9 (us)",
-            "flushes",
-            "compactions",
-        ],
-        &rows,
-    );
-
-    let modes_json: Vec<String> = results.iter().map(|r| r.json()).collect();
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"readwhilewriting\",\"ops\":{},\"readers\":{},",
-            "\"value_bytes\":{},\"seed\":{},\"background_workers\":{},",
-            "\"modes\":[{}]}}\n"
-        ),
-        args.ops,
-        readers,
-        args.value_bytes,
-        args.seed,
-        workers,
-        modes_json.join(",")
-    );
-    std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("\nwrote {out}");
-    Ok(())
-}
-
-/// One mode's results from the backlog burst-and-drain measurement.
-struct BacklogResult {
-    mode: &'static str,
-    background_workers: usize,
-    burst_wall_secs: f64,
-    backlog_l0_files: usize,
-    drain_wall_secs: f64,
-    reads: u64,
-    read_latency_ns: Histogram,
-    flushes: u64,
-    compactions: u64,
-}
-
-impl BacklogResult {
-    fn p_us(&self, p: f64) -> f64 {
-        self.read_latency_ns.percentile(p) as f64 / 1e3
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"mode\":\"{}\",\"background_workers\":{},",
-                "\"burst_wall_secs\":{:.3},\"backlog_l0_files\":{},",
-                "\"drain_wall_secs\":{:.3},\"reads\":{},",
-                "\"read_p50_us\":{:.1},\"read_p99_us\":{:.1},\"read_p999_us\":{:.1},",
-                "\"flushes\":{},\"compactions\":{}}}"
-            ),
-            self.mode,
-            self.background_workers,
-            self.burst_wall_secs,
-            self.backlog_l0_files,
-            self.drain_wall_secs,
-            self.reads,
-            self.p_us(50.0),
-            self.p_us(99.0),
-            self.p_us(99.9),
-            self.flushes,
-            self.compactions
-        )
-    }
-}
-
-/// Burst-loads a compaction backlog, then measures how long the pool takes
-/// to drain it and what foreground point reads experience meanwhile.
-// Host wall-clock again: the drain races real reader threads.
-#[allow(clippy::disallowed_methods)]
-fn run_backlog_mode(
-    mode: &'static str,
-    udc: bool,
-    args: &CommonArgs,
-    workers: usize,
-    readers: u64,
-) -> Result<BacklogResult, String> {
-    let mut b = LdcDb::builder()
-        .options(paper_scaled_options())
-        .background_workers(workers)
-        .max_subcompactions(4);
-    if udc {
-        b = b.udc_baseline();
-    }
-    let db = b.build().map_err(|e| e.to_string())?;
-    let codec = args.codec();
-    let preload = args.ops.max(1);
-    for i in 0..preload {
-        db.put(&codec.key(i), &codec.value(i, 0))
-            .map_err(|e| format!("{mode} preload: {e}"))?;
-    }
-    db.drain_background();
-    let s0 = db.stats();
-
-    // Burst: overwrite the keyspace as fast as the write gates allow, so
-    // flush/compaction debt piles up faster than the pool retires it.
-    let t0 = Instant::now();
-    for i in 0..args.ops {
-        let idx = i % preload;
-        db.put(&codec.key(idx), &codec.value(idx, 1 + i / preload))
-            .map_err(|e| format!("{mode} burst: {e}"))?;
-    }
-    let burst_wall_secs = t0.elapsed().as_secs_f64();
-    let backlog_l0_files = db.engine_ref().version().levels[0].len();
-
-    // Drain while foreground readers measure what the backlog costs them.
-    let stop = AtomicBool::new(false);
-    let failed = AtomicBool::new(false);
-    let reads = AtomicU64::new(0);
-    let mut merged = Histogram::new();
-    let mut drain_wall_secs = 0.0f64;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for r in 0..readers {
-            let db = &db;
-            let codec = &codec;
-            let (stop, failed, reads) = (&stop, &failed, &reads);
-            let seed = args.seed;
-            handles.push(s.spawn(move || {
-                let mut hist = Histogram::new();
-                let mut rng = seed ^ (r + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                while !stop.load(Ordering::Relaxed) {
-                    let key = codec.key(xorshift(&mut rng) % preload);
-                    let t0 = Instant::now();
-                    let got = db.get_pinned(&key);
-                    hist.record(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-                    match got {
-                        Ok(Some(_)) => {}
-                        Ok(None) => {
-                            eprintln!("{mode}: reader {r} lost a preloaded key");
-                            failed.store(true, Ordering::Relaxed);
-                            return hist;
-                        }
-                        Err(e) => {
-                            eprintln!("{mode}: reader {r} error: {e}");
-                            failed.store(true, Ordering::Relaxed);
-                            return hist;
-                        }
-                    }
-                    reads.fetch_add(1, Ordering::Relaxed);
-                }
-                hist
-            }));
-        }
-        let t1 = Instant::now();
-        db.drain_background();
-        drain_wall_secs = t1.elapsed().as_secs_f64();
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            merged.merge(&h.join().expect("reader thread panicked"));
-        }
-    });
-    if failed.load(Ordering::Relaxed) {
-        return Err(format!("{mode}: backlog drain race failed"));
-    }
-    let stats = db.stats();
-    Ok(BacklogResult {
-        mode,
-        background_workers: workers,
-        burst_wall_secs,
-        backlog_l0_files,
-        drain_wall_secs,
-        reads: reads.load(Ordering::Relaxed),
-        read_latency_ns: merged,
-        flushes: stats.flushes - s0.flushes,
-        compactions: (stats.merges + stats.trivial_moves + stats.links + stats.ldc_merges)
-            - (s0.merges + s0.trivial_moves + s0.links + s0.ldc_merges),
-    })
-}
-
-/// Single-threaded deterministic replay of the backlog shape: no reader
-/// threads, `background_workers == 0`, everything stamped off the virtual
-/// clock — two same-seed runs must emit byte-identical JSON.
+/// One mode's backlog burst and drain: overwrite a preloaded keyspace so
+/// flush/compaction debt piles up, then drain it. Single-threaded with
+/// `background_workers == 0`, everything stamped off the virtual clock —
+/// same-seed runs must emit byte-identical JSON.
 fn backlog_det_json(udc: bool, args: &CommonArgs) -> Result<String, String> {
     let mode = if udc { "UDC" } else { "LDC" };
     let mut b = LdcDb::builder()
@@ -803,83 +388,17 @@ fn backlog_det_json(udc: bool, args: &CommonArgs) -> Result<String, String> {
     ))
 }
 
-fn run_backlog(
-    args: CommonArgs,
-    workers: usize,
-    readers: u64,
-    out: &str,
-    det_out: Option<&str>,
-) -> Result<(), String> {
-    let udc = run_backlog_mode("UDC", true, &args, workers, readers)?;
-    let ldc = run_backlog_mode("LDC", false, &args, workers, readers)?;
-
-    let rows: Vec<Vec<String>> = [&udc, &ldc]
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.to_string(),
-                format!("{}", r.background_workers),
-                format!("{:.3}", r.burst_wall_secs),
-                format!("{}", r.backlog_l0_files),
-                format!("{:.3}", r.drain_wall_secs),
-                format!("{:.1}", r.p_us(50.0)),
-                format!("{:.1}", r.p_us(99.0)),
-                format!("{:.1}", r.p_us(99.9)),
-                format!("{}", r.flushes),
-                format!("{}", r.compactions),
-            ]
-        })
-        .collect();
-    print_table(
-        args.csv,
-        &format!(
-            "compaction-backlog: {} burst writes, {} readers during drain ({}-byte values, host time)",
-            args.ops, readers, args.value_bytes
-        ),
-        &[
-            "system",
-            "bg workers",
-            "burst (s)",
-            "L0 backlog",
-            "drain (s)",
-            "read p50 (us)",
-            "read p99 (us)",
-            "read p99.9 (us)",
-            "flushes",
-            "compactions",
-        ],
-        &rows,
-    );
-
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"compaction-backlog\",\"ops\":{},\"readers\":{},",
-            "\"value_bytes\":{},\"seed\":{},\"background_workers\":{},",
-            "\"modes\":[{},{}]}}\n"
-        ),
+fn run_backlog(args: CommonArgs, det_out: &str) -> Result<(), String> {
+    let det = format!(
+        "{{\"bench\":\"compaction-backlog-det\",\"ops\":{},\"value_bytes\":{},\"seed\":{},\"modes\":[{},{}]}}\n",
         args.ops,
-        readers,
         args.value_bytes,
         args.seed,
-        workers,
-        udc.json(),
-        ldc.json()
+        backlog_det_json(true, &args)?,
+        backlog_det_json(false, &args)?
     );
-    std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("\nwrote {out}");
-
-    if let Some(det_path) = det_out {
-        let det = format!(
-            "{{\"bench\":\"compaction-backlog-det\",\"ops\":{},\"value_bytes\":{},\"seed\":{},\"modes\":[{},{}]}}\n",
-            args.ops,
-            args.value_bytes,
-            args.seed,
-            backlog_det_json(true, &args)?,
-            backlog_det_json(false, &args)?
-        );
-        std::fs::write(det_path, &det).map_err(|e| format!("writing {det_path}: {e}"))?;
-        println!("wrote {det_path} (single-threaded, virtual clock)");
-    }
+    std::fs::write(det_out, &det).map_err(|e| format!("writing {det_out}: {e}"))?;
+    println!("wrote {det_out} (single-threaded, virtual clock)");
     Ok(())
 }
 
@@ -889,182 +408,56 @@ fn main() {
         Some(s) => s,
         None => usage(),
     };
-    match sub.as_str() {
-        "repair" => {
-            let common = CommonArgs::from_iter(400, args);
-            if let Err(detail) = run_repair(common) {
-                eprintln!("repair pipeline FAILED: {detail}");
-                std::process::exit(1);
-            }
-        }
-        "backup" => {
-            let common = CommonArgs::from_iter(300, args);
-            if let Err(detail) = run_backup(common) {
-                eprintln!("backup pipeline FAILED: {detail}");
-                std::process::exit(1);
-            }
-        }
-        "readwhilewriting" => {
-            // Pull out the flags CommonArgs doesn't know before delegating
-            // (its parser treats unknown flags as fatal).
-            let mut readers = 4u64;
-            let mut workers = 0usize;
-            let mut quick = false;
-            let mut out = "BENCH_readwhilewriting.json".to_string();
-            let mut rest = Vec::new();
-            let mut iter = args.peekable();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--readers" => {
-                        readers = iter
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--readers: integer"))
-                    }
-                    "--workers" => {
-                        workers = iter
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--workers: integer"))
-                    }
-                    "--quick" => quick = true,
-                    "--out" => out = iter.next().unwrap_or_else(|| panic!("--out needs a value")),
-                    _ => rest.push(arg),
-                }
-            }
-            let default_ops = if quick { 2_000 } else { 20_000 };
-            let common = CommonArgs::from_iter(default_ops, rest);
-            if let Err(detail) = run_read_while_writing(common, readers.max(1), workers, &out) {
-                eprintln!("readwhilewriting FAILED: {detail}");
-                std::process::exit(1);
-            }
-        }
+    // Every subcommand-specific flag is pulled out here; what is left goes
+    // to `CommonArgs`, which rejects anything it does not know.
+    let mut flags = Flags::new(args);
+    let result = match sub.as_str() {
+        "repair" => run_repair(flags.common(400)),
+        "backup" => run_backup(flags.common(300)),
         "compaction-backlog" => {
-            let mut readers = 4u64;
-            let mut workers = 2usize;
-            let mut quick = false;
-            let mut out = "BENCH_backlog.json".to_string();
-            let mut det_out: Option<String> = None;
-            let mut rest = Vec::new();
-            let mut iter = args.peekable();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--readers" => {
-                        readers = iter
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--readers: integer"))
-                    }
-                    "--workers" => {
-                        workers = iter
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--workers: integer"))
-                    }
-                    "--quick" => quick = true,
-                    "--out" => out = iter.next().unwrap_or_else(|| panic!("--out needs a value")),
-                    "--det-out" => {
-                        det_out = Some(
-                            iter.next()
-                                .unwrap_or_else(|| panic!("--det-out needs a value")),
-                        )
-                    }
-                    _ => rest.push(arg),
-                }
-            }
-            let default_ops = if quick { 2_000 } else { 20_000 };
-            let common = CommonArgs::from_iter(default_ops, rest);
-            if let Err(detail) =
-                run_backlog(common, workers, readers.max(1), &out, det_out.as_deref())
-            {
-                eprintln!("compaction-backlog FAILED: {detail}");
-                std::process::exit(1);
-            }
+            let det_out: String = flags.value("--det-out").unwrap_or_else(|| usage());
+            let ops = if flags.flag("--quick") { 2_000 } else { 20_000 };
+            run_backlog(flags.common(ops), &det_out)
         }
         "tail" | "trace-report" => {
-            let mut worst_k = 8usize;
-            let mut quick = false;
-            let mut out = "BENCH_tail.json".to_string();
-            let mut rest = Vec::new();
-            let mut iter = args.peekable();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--k" => {
-                        worst_k = iter
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--k: integer"))
-                    }
-                    "--quick" => quick = true,
-                    "--out" => out = iter.next().unwrap_or_else(|| panic!("--out needs a value")),
-                    _ => rest.push(arg),
-                }
-            }
-            let default_ops = if quick { 2_000 } else { 20_000 };
-            let common = CommonArgs::from_iter(default_ops, rest);
-            let result = if sub == "tail" {
-                run_tail(common, worst_k.max(1), &out)
+            let worst_k = flags.value("--k").unwrap_or(8usize).max(1);
+            let out = flags
+                .value("--out")
+                .unwrap_or_else(|| "BENCH_tail.json".to_string());
+            let ops = if flags.flag("--quick") { 2_000 } else { 20_000 };
+            let common = flags.common(ops);
+            if sub == "tail" {
+                run_tail(common, worst_k, &out)
             } else {
-                run_trace_report(common, worst_k.max(1))
-            };
-            if let Err(detail) = result {
-                eprintln!("{sub} FAILED: {detail}");
-                std::process::exit(1);
+                run_trace_report(common, worst_k)
             }
         }
         "ycsb-net" => {
-            let mut net = ldc_bench::NetBenchArgs {
-                common: CommonArgs::from_iter(3_000, std::iter::empty::<String>()),
-                shards: 4,
-                queue_capacity: 64,
-                rate_per_sec: 20_000.0,
-                closed_only: false,
-                out: "BENCH_net.json".to_string(),
-            };
-            let mut quick = false;
-            let mut rest = Vec::new();
-            let mut iter = args.peekable();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--shards" => {
-                        net.shards = iter
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--shards: integer"))
-                    }
-                    "--queue-capacity" => {
-                        net.queue_capacity = iter
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--queue-capacity: integer"))
-                    }
-                    "--rate" => {
-                        net.rate_per_sec = iter
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--rate: number"))
-                    }
-                    "--closed-only" => net.closed_only = true,
-                    "--quick" => quick = true,
-                    "--out" => {
-                        net.out = iter.next().unwrap_or_else(|| panic!("--out needs a value"))
-                    }
-                    _ => rest.push(arg),
-                }
-            }
-            let default_ops = if quick { 800 } else { 3_000 };
-            net.common = CommonArgs::from_iter(default_ops, rest);
-            net.shards = net.shards.max(1);
-            net.queue_capacity = net.queue_capacity.max(1);
-            if let Err(detail) = ldc_bench::run_ycsb_net(&net) {
-                eprintln!("ycsb-net FAILED: {detail}");
-                std::process::exit(1);
-            }
+            let shards = flags.value("--shards").unwrap_or(4usize).max(1);
+            let queue_capacity = flags.value("--queue-capacity").unwrap_or(64usize).max(1);
+            let rate_per_sec = flags.value("--rate").unwrap_or(20_000.0);
+            let closed_only = flags.flag("--closed-only");
+            let out = flags
+                .value("--out")
+                .unwrap_or_else(|| "BENCH_net.json".to_string());
+            let ops = if flags.flag("--quick") { 800 } else { 3_000 };
+            ldc_bench::run_ycsb_net(&ldc_bench::NetBenchArgs {
+                common: flags.common(ops),
+                shards,
+                queue_capacity,
+                rate_per_sec,
+                closed_only,
+                out,
+            })
         }
         "--help" | "-h" | "help" => usage(),
         other => {
             eprintln!("unknown subcommand: {other}");
             usage();
         }
+    };
+    if let Err(detail) = result {
+        eprintln!("{sub} FAILED: {detail}");
+        std::process::exit(1);
     }
 }

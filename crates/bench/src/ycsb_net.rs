@@ -15,8 +15,8 @@
 //!   never fatal) and as queue depth in the sampled per-shard series.
 //!
 //! Results land in `BENCH_net.json`. `--closed-only` skips the open-loop
-//! phases so the whole file is deterministic — CI runs it twice and
-//! compares bytes to prove the stack replays.
+//! phases so the whole file is deterministic — CI compares one run with
+//! `crates/bench/golden/ycsb_net_closed.json` to prove the stack replays.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;

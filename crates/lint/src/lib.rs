@@ -136,9 +136,11 @@ pub fn lint_workspace(root: &Path, update_baseline: bool) -> Result<Report, Stri
         None
     };
 
-    // 5. lock order (needs the shared lock table).
+    // 5. workspace-graph rules: lock order (needs the shared lock table),
+    // determinism taint, must-use.
+    let ws = graph::Workspace::build(&files);
     match fs::read_to_string(root.join(rules::lock_order::TABLE_PATH)) {
-        Ok(table) => diagnostics.extend(rules::lock_order::check(&files, &table)),
+        Ok(table) => diagnostics.extend(rules::lock_order::check(&ws, &files, &table)),
         Err(e) => diagnostics.push(Diagnostic::error(
             rules::lock_order::TABLE_PATH,
             0,
@@ -148,8 +150,6 @@ pub fn lint_workspace(root: &Path, update_baseline: bool) -> Result<Report, Stri
         )),
     }
 
-    // 6. workspace-graph rules: determinism taint + must-use.
-    let ws = graph::Workspace::build(&files);
     diagnostics.extend(rules::taint::check(&ws, &files));
     diagnostics.extend(rules::must_use::check(&ws, &files));
 

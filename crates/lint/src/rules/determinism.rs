@@ -6,7 +6,8 @@
 //! nanosecond and every random draw flows from the `ldc-ssd` virtual
 //! clock and explicit seeds. Scope: non-test code in `ssd`, `lsm`,
 //! `core`, `chaos`, `workload`. Shims and `bench` are exempt (the
-//! criterion shim legitimately measures host time).
+//! `ycsb-net` open loop legitimately measures host time; the
+//! `determinism_taint` rule keeps it out of the compared outputs).
 
 use crate::diag::Diagnostic;
 use crate::lexer::{token_positions, SourceView};

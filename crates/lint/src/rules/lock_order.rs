@@ -16,8 +16,10 @@
 //!    with `let` lives until its enclosing block closes or it is `drop`ped;
 //!    a temporary guard lives to the end of its statement.
 //! 3. **May-hold-while-acquiring edges** — lock B acquired (directly, or
-//!    transitively through a call to another scoped function) while a guard
-//!    on lock A is live adds edge A → B.
+//!    transitively through a call the workspace graph resolves) while a
+//!    guard on lock A is live adds edge A → B. Callees are resolved by
+//!    qualifier ([`Workspace::resolve`]): a bare `helper(..)` matches free
+//!    functions only, so `drop(guard)` is never some type's `Drop::drop`.
 //! 4. **Checking** — every discovered lock must appear in the table; every
 //!    edge must climb strictly in rank (a self-edge on a non-sharded lock
 //!    is a re-entrant acquisition; sharded locks may nest across
@@ -29,7 +31,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::Diagnostic;
-use crate::lexer::{match_brace, SourceView};
+use crate::graph::{Call, CallKind, FnId, Workspace};
+use crate::lexer::SourceView;
 use ldc_obs::lockcheck::{parse_lock_table, LockDef};
 
 /// Stable rule id.
@@ -75,19 +78,11 @@ fn lock_file_key(path: &str) -> String {
 #[derive(Debug, Clone)]
 struct Acquisition {
     lock: String,
-    /// Byte offset of the call in the function body.
+    /// Byte offset of the call in the file.
     pos: usize,
     /// Byte offset where the guard dies.
     live_until: usize,
     line: usize,
-}
-
-#[derive(Debug, Clone)]
-struct FnInfo {
-    file: String,
-    acquisitions: Vec<Acquisition>,
-    /// `(callee name, position in body, 1-based line)` triples.
-    calls: Vec<(String, usize, usize)>,
 }
 
 /// One may-hold-while-acquiring edge, with the site that witnesses it.
@@ -103,9 +98,10 @@ pub struct Edge {
     pub line: usize,
 }
 
-/// Runs the rule over `(path, view)` pairs plus the text of
-/// [`TABLE_PATH`] (the same TOML the runtime sanitizer embeds).
-pub fn check(files: &[(String, SourceView)], table_text: &str) -> Vec<Diagnostic> {
+/// Runs the rule over `(path, view)` pairs (the slice `ws` was built from)
+/// plus the text of [`TABLE_PATH`] (the same TOML the runtime sanitizer
+/// embeds).
+pub fn check(ws: &Workspace, files: &[(String, SourceView)], table_text: &str) -> Vec<Diagnostic> {
     let scoped: Vec<&(String, SourceView)> = files.iter().filter(|(p, _)| in_scope(p)).collect();
     let mut out = Vec::new();
 
@@ -207,7 +203,7 @@ pub fn check(files: &[(String, SourceView)], table_text: &str) -> Vec<Diagnostic
         }
     }
 
-    // 3. Per-function acquisition/call extraction. A field name may be
+    // 3. Per-function acquisition extraction. A field name may be
     // declared by several files (`state` lives in commit, scheduler, and
     // server); the resolver disambiguates per use site.
     let mut lock_field_names: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -215,56 +211,50 @@ pub fn check(files: &[(String, SourceView)], table_text: &str) -> Vec<Diagnostic
         let field = id.rsplit("::").next().unwrap_or(id).to_string();
         lock_field_names.entry(field).or_default().push(id.clone());
     }
-    let mut fns: BTreeMap<String, FnInfo> = BTreeMap::new();
-    for (path, view) in &scoped {
-        for info in extract_functions(path, view, &lock_field_names) {
-            fns.insert(info.0, info.1);
+    let mut fns: BTreeMap<FnId, Vec<Acquisition>> = BTreeMap::new();
+    for id in ws.all_fns() {
+        let (path, view) = &files[id.0];
+        let item = ws.item(id);
+        let Some((open, close)) = item.body else {
+            continue;
+        };
+        if in_scope(path) && !item.is_test {
+            let body = &view.code[open..close];
+            fns.insert(id, acquisitions(path, view, open, body, &lock_field_names));
         }
     }
 
-    // 4. Transitive acquire sets.
-    let mut transitive: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for name in fns.keys() {
-        let mut seen = BTreeSet::new();
-        let mut acc = BTreeSet::new();
-        collect_transitive(name, &fns, &mut seen, &mut acc);
-        transitive.insert(name.clone(), acc);
-    }
-
-    // 5. Edges.
+    // 4. Edges: direct nesting, and nesting through resolved calls.
     let mut edges: BTreeSet<Edge> = BTreeSet::new();
-    for info in fns.values() {
-        for a in &info.acquisitions {
-            // Direct nesting.
-            for b in &info.acquisitions {
-                if b.pos > a.pos && b.pos < a.live_until {
+    for (&id, acqs) in &fns {
+        let file = &files[id.0].0;
+        for a in acqs {
+            let live = |pos: usize| pos > a.pos && pos < a.live_until;
+            for b in acqs.iter().filter(|b| live(b.pos)) {
+                edges.insert(Edge {
+                    from: a.lock.clone(),
+                    to: b.lock.clone(),
+                    file: file.clone(),
+                    line: b.line,
+                });
+            }
+            for call in ws.calls[id.0][id.1].iter().filter(|c| live(c.pos)) {
+                let Some(callee) = followed(ws, id, call) else {
+                    continue;
+                };
+                for to in transitive_locks(ws, callee, &fns) {
                     edges.insert(Edge {
                         from: a.lock.clone(),
-                        to: b.lock.clone(),
-                        file: info.file.clone(),
-                        line: b.line,
+                        to,
+                        file: file.clone(),
+                        line: call.line,
                     });
                 }
             }
-            // Nesting through calls.
-            for (callee, pos, call_line) in &info.calls {
-                if *pos > a.pos && *pos < a.live_until {
-                    if let Some(set) = transitive.get(callee) {
-                        for b in set {
-                            edges.insert(Edge {
-                                from: a.lock.clone(),
-                                to: b.clone(),
-                                file: info.file.clone(),
-                                line: *call_line,
-                            });
-                        }
-                    }
-                }
-            }
         }
     }
 
-    // 6. Check edges against the order, with suppression at the witness line.
+    // 5. Check edges against the order, with suppression at the witness line.
     let find_view = |file: &str| files.iter().find(|(p, _)| p == file).map(|(_, v)| v);
     for e in &edges {
         let suppressed = find_view(&e.file).is_some_and(|v| v.is_suppressed(e.line, RULE));
@@ -307,7 +297,7 @@ pub fn check(files: &[(String, SourceView)], table_text: &str) -> Vec<Diagnostic
         }
     }
 
-    // 7. Cycle detection on the raw edge graph (covers undeclared locks).
+    // 6. Cycle detection on the raw edge graph (covers undeclared locks).
     if let Some(cycle) = find_cycle(&edges) {
         out.push(Diagnostic::error(
             TABLE_PATH,
@@ -404,72 +394,17 @@ fn ctor_ids(view: &SourceView) -> Vec<(&'static str, usize, Option<String>)> {
     out
 }
 
-/// Extracts every `fn` in the file with its acquisitions and calls.
-/// Returned key is the bare function name (collisions across files merge
-/// conservatively at the call-resolution step).
-fn extract_functions(
-    path: &str,
-    view: &SourceView,
-    lock_fields: &BTreeMap<String, Vec<String>>,
-) -> Vec<(String, FnInfo)> {
-    let code = &view.code;
-    let bytes = code.as_bytes();
-    let mut out = Vec::new();
-    for at in crate::lexer::token_positions(code, "fn") {
-        let line = view.line_of(at);
-        if view.is_test_line(line) {
-            continue;
-        }
-        // Name.
-        let mut i = at + 2;
-        while bytes.get(i).is_some_and(|b| b.is_ascii_whitespace()) {
-            i += 1;
-        }
-        let name_start = i;
-        while bytes
-            .get(i)
-            .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
-        {
-            i += 1;
-        }
-        if i == name_start {
-            continue;
-        }
-        let name = code[name_start..i].to_string();
-        // Body: first `{` after the signature (trait methods end with `;`).
-        let mut j = i;
-        let mut body_open = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'{' => {
-                    body_open = Some(j);
-                    break;
-                }
-                b';' => break,
-                _ => j += 1,
-            }
-        }
-        let Some(open) = body_open else { continue };
-        let close = match_brace(bytes, open);
-        let body = &code[open..close];
-        let info = analyse_body(path, view, open, body, lock_fields);
-        out.push((name, info));
-    }
-    out
-}
-
-/// Scans one function body for lock acquisitions (with guard liveness) and
-/// calls to named functions.
-fn analyse_body(
+/// Scans one function body (`view.code[body_start..]`) for lock
+/// acquisitions, with guard liveness.
+fn acquisitions(
     path: &str,
     view: &SourceView,
     body_start: usize,
     body: &str,
     lock_fields: &BTreeMap<String, Vec<String>>,
-) -> FnInfo {
+) -> Vec<Acquisition> {
     let bytes = body.as_bytes();
-    let mut acquisitions: Vec<Acquisition> = Vec::new();
-    let mut calls = Vec::new();
+    let mut out: Vec<Acquisition> = Vec::new();
 
     // Acquisition sites: `<field> . (lock|read|write) ( )`.
     for (field, ids) in lock_fields {
@@ -489,7 +424,6 @@ fn analyse_body(
                 continue;
             }
             let lock_id = resolve_lock_id(path, body, at, ids);
-            let pos = at;
             // Statement bounds.
             let stmt_start = body[..at].rfind(';').map(|p| p + 1).unwrap_or(0);
             let stmt_head = &body[stmt_start..at];
@@ -519,55 +453,15 @@ fn analyse_body(
             } else {
                 live_until
             };
-            acquisitions.push(Acquisition {
+            out.push(Acquisition {
                 lock: lock_id,
-                pos,
-                live_until,
+                pos: body_start + at,
+                live_until: body_start + live_until,
                 line: view.line_of(body_start + at),
             });
         }
     }
-
-    // Call sites: `name (` — resolved against the scoped function set later,
-    // so record every identifier-followed-by-paren that is not a definition
-    // or macro. Lines are resolved here.
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b.is_ascii_alphabetic() || b == b'_' {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
-            }
-            let word = &body[start..i];
-            let mut k = i;
-            while bytes.get(k).is_some_and(|b| b.is_ascii_whitespace()) {
-                k += 1;
-            }
-            if bytes.get(k) == Some(&b'(')
-                && !matches!(word, "if" | "while" | "match" | "for" | "fn" | "return")
-            {
-                // Only bare calls (`helper(..)`) and `self.` method calls
-                // are followed — `container.get(..)` would otherwise
-                // collide with any scoped `fn get`.
-                let before = body[..start].trim_end();
-                let is_method = before.ends_with('.');
-                let is_self_method = before.ends_with("self.");
-                let preceded_by_fn = before.ends_with("fn");
-                if (!is_method || is_self_method) && !preceded_by_fn {
-                    calls.push((word.to_string(), start, view.line_of(body_start + start)));
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-
-    FnInfo {
-        file: path.to_string(),
-        acquisitions,
-        calls,
-    }
+    out
 }
 
 /// Picks which declared lock a use of `<field>.lock()` refers to when
@@ -647,22 +541,34 @@ fn binding_name(stmt_head: &str) -> Option<String> {
     (!name.is_empty()).then_some(name)
 }
 
-fn collect_transitive(
-    name: &str,
-    fns: &BTreeMap<String, FnInfo>,
-    seen: &mut BTreeSet<String>,
-    acc: &mut BTreeSet<String>,
-) {
-    if !seen.insert(name.to_string()) {
-        return;
+/// The callee a call site may take locks through. Bare, `self.` and
+/// `Type::` calls are followed by qualifier; `container.get(..)` is not —
+/// the receiver's type is unknown, and a workspace-unique name match
+/// would fabricate edges into any scoped `fn get`.
+fn followed(ws: &Workspace, caller: FnId, call: &Call) -> Option<FnId> {
+    (call.kind != CallKind::Method)
+        .then(|| ws.resolve(caller, call))
+        .flatten()
+}
+
+/// Every lock `root` or a function it transitively calls may acquire.
+fn transitive_locks(
+    ws: &Workspace,
+    root: FnId,
+    fns: &BTreeMap<FnId, Vec<Acquisition>>,
+) -> BTreeSet<String> {
+    let mut seen = BTreeSet::new();
+    let mut acc = BTreeSet::new();
+    let mut stack = vec![root];
+    while let Some(id) = stack.pop() {
+        if !seen.insert(id) {
+            continue;
+        }
+        acc.extend(fns.get(&id).into_iter().flatten().map(|a| a.lock.clone()));
+        let calls = ws.calls[id.0][id.1].iter();
+        stack.extend(calls.filter_map(|c| followed(ws, id, c)));
     }
-    let Some(info) = fns.get(name) else { return };
-    for a in &info.acquisitions {
-        acc.insert(a.lock.clone());
-    }
-    for (callee, _, _) in &info.calls {
-        collect_transitive(callee, fns, seen, acc);
-    }
+    acc
 }
 
 /// DFS cycle detection; returns one cycle's node list if present.
@@ -733,7 +639,7 @@ mod tests {
             ("crates/obs/src/sink.rs".to_string(), SourceView::new("")),
             ("crates/obs/src/metrics.rs".to_string(), SourceView::new("")),
         ];
-        check(&files, ORDER)
+        check(&Workspace::build(&files), &files, ORDER)
     }
 
     const DB_OK: &str = "struct Db { tables: Mutex<u32> }\nimpl Db {\n  fn table(&self) {\n    { let t = self.tables.lock(); use_it(t); }\n    other();\n  }\n}\n";
@@ -816,7 +722,7 @@ mod tests {
     #[test]
     fn malformed_table_is_an_error() {
         let files = vec![("crates/lsm/src/db.rs".to_string(), SourceView::new(""))];
-        let d = check(&files, "not toml at all");
+        let d = check(&Workspace::build(&files), &files, "not toml at all");
         assert!(
             d.iter().any(|d| d.message.contains("does not parse")),
             "{d:?}"

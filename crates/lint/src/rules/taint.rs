@@ -121,6 +121,8 @@ const SINKS: &[(&str, Option<&str>, &str, &str)] = &[
         "run_experiment",
         "bench-json",
     ),
+    ("bench/src/main.rs", None, "tail_mode_json", "bench-json"),
+    ("bench/src/main.rs", None, "backlog_det_json", "bench-json"),
 ];
 
 /// Runs both analyses. `files` must be the same slice the workspace was

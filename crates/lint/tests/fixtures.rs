@@ -96,7 +96,7 @@ fn lock_order_run(cache_src: &str) -> Vec<ldc_lint::Diagnostic> {
             SourceView::new(METRICS_DECL),
         ),
     ];
-    lock_order::check(&files, DESIGN)
+    lock_order::check(&Workspace::build(&files), &files, DESIGN)
 }
 
 #[test]
@@ -118,6 +118,17 @@ fn lock_order_fixture_fail() {
 fn lock_order_fixture_pass() {
     let diags = lock_order_run(include_str!("fixtures/lock_order_pass.rs"));
     assert!(errors_of(&diags).is_empty(), "{diags:?}");
+}
+
+#[test]
+fn lock_order_resolves_callees_by_qualifier() {
+    let diags = lock_order_run(include_str!("fixtures/lock_order_qualified.rs"));
+    let lines: Vec<usize> = errors_of(&diags).iter().map(|d| d.line).collect();
+    assert_eq!(
+        lines,
+        [27],
+        "only `self.helper()` is out of order: {diags:?}"
+    );
 }
 
 #[test]

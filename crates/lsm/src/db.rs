@@ -1111,26 +1111,24 @@ impl Db {
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.put(key, value);
-        let t0 = self.device.clock().now();
-        let mut ctx = self.trace_start(OpType::Put, t0);
-        let result = self.write_traced(batch, ctx.as_mut());
-        let end = self.device.clock().now();
-        self.metrics
-            .record_latency(OpType::Put, end.saturating_sub(t0));
-        self.trace_finish(ctx, end);
-        result
+        self.write_op(OpType::Put, batch)
     }
 
     /// Deletes `key` (writes a tombstone).
     pub fn delete(&self, key: &[u8]) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.delete(key);
+        self.write_op(OpType::Delete, batch)
+    }
+
+    /// The envelope of a single-key foreground write: trace, commit,
+    /// record the op's virtual latency.
+    fn write_op(&self, op: OpType, batch: WriteBatch) -> Result<()> {
         let t0 = self.device.clock().now();
-        let mut ctx = self.trace_start(OpType::Delete, t0);
+        let mut ctx = self.trace_start(op, t0);
         let result = self.write_traced(batch, ctx.as_mut());
         let end = self.device.clock().now();
-        self.metrics
-            .record_latency(OpType::Delete, end.saturating_sub(t0));
+        self.metrics.record_latency(op, end.saturating_sub(t0));
         self.trace_finish(ctx, end);
         result
     }
@@ -2282,10 +2280,27 @@ impl Db {
     /// sequence (the view's); holding no locks, it pins a view and serves
     /// the whole lookup from it.
     fn get_with_seq(&self, key: &[u8], seq: Option<SequenceNumber>) -> Result<Option<PinnedValue>> {
+        self.read_op(OpType::Get, &self.gets, seq, |view, snapshot, trace| {
+            self.get_internal(view, key, snapshot, trace)
+        })
+    }
+
+    /// The envelope every foreground read runs in: policy hint, op
+    /// counter, trace, read pin, the read-contention charge, the Table-I
+    /// `ForegroundRead` ledger entry and the op's virtual latency. `body`
+    /// is one attempt against a pinned view; a failed read is charged and
+    /// recorded like a successful one.
+    fn read_op<T>(
+        &self,
+        op: OpType,
+        counter: &AtomicU64,
+        seq: Option<SequenceNumber>,
+        mut body: impl FnMut(&ReadView, SequenceNumber, Option<&mut TraceCtx>) -> Result<T>,
+    ) -> Result<T> {
         self.policy.lock().observe_op(false);
-        self.gets.fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
         let start = self.device.clock().now();
-        let mut ctx = self.trace_start(OpType::Get, start);
+        let mut ctx = self.trace_start(op, start);
         let fs_before = self.device.ledger().get(TimeCategory::FileSystem);
         let _pin = ReadPin::new(&self.read_pins);
         // Quarantine-retry loop: each successful quarantine publishes a
@@ -2294,7 +2309,7 @@ impl Db {
         let result = loop {
             let view = { self.view.read().clone() };
             let snapshot = seq.unwrap_or(view.seq);
-            match self.get_internal(&view, key, snapshot, ctx.as_mut()) {
+            match body(&view, snapshot, ctx.as_mut()) {
                 Err(Error::Corruption(info)) => {
                     if !self.quarantine_corruption(&info)? {
                         break Err(Error::Corruption(info));
@@ -2320,12 +2335,12 @@ impl Db {
             .ledger()
             .get(TimeCategory::FileSystem)
             .saturating_sub(fs_before);
+        let elapsed = end.saturating_sub(start);
         self.device.ledger().record(
             TimeCategory::ForegroundRead,
-            end.saturating_sub(start).saturating_sub(fs_delta),
+            elapsed.saturating_sub(fs_delta),
         );
-        self.metrics
-            .record_latency(OpType::Get, end.saturating_sub(start));
+        self.metrics.record_latency(op, elapsed);
         self.trace_finish(ctx, end);
         result
     }
@@ -2467,23 +2482,14 @@ impl Db {
         limit: usize,
         seq: Option<SequenceNumber>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.policy.lock().observe_op(false);
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        let t0 = self.device.clock().now();
-        let mut ctx = self.trace_start(OpType::Scan, t0);
-        let fs_before = self.device.ledger().get(TimeCategory::FileSystem);
-        let _pin = ReadPin::new(&self.read_pins);
-
-        let out = loop {
-            let view = { self.view.read().clone() };
-            let snapshot = seq.unwrap_or(view.seq);
-            let (io_t0, retry0) = if ctx.is_some() {
+        self.read_op(OpType::Scan, &self.scans, seq, |view, snapshot, trace| {
+            let (io_t0, retry0) = if trace.is_some() {
                 (self.device.clock().now(), self.metrics.retry_backoff_ns())
             } else {
                 (0, 0)
             };
-            let attempt = self.scan_collect(&view, start, limit, snapshot);
-            if let Some(t) = ctx.as_mut() {
+            let attempt = self.scan_collect(view, start, limit, snapshot);
+            if let Some(t) = trace {
                 let now = self.device.clock().now();
                 if now > io_t0 {
                     t.span(Blame::CacheMissIo, "scan_io", io_t0, now);
@@ -2494,41 +2500,8 @@ impl Db {
                     );
                 }
             }
-            match attempt {
-                Err(Error::Corruption(info)) => {
-                    if !self.quarantine_corruption(&info)? {
-                        break Err(Error::Corruption(info));
-                    }
-                }
-                other => break other,
-            }
-        }?;
-
-        let cont_t0 = if ctx.is_some() {
-            self.device.clock().now()
-        } else {
-            0
-        };
-        self.charge_read_contention(t0);
-        let end = self.device.clock().now();
-        if let Some(t) = ctx.as_mut() {
-            if end > cont_t0 {
-                t.span(Blame::CompactionInterference, "bg_contention", cont_t0, end);
-            }
-        }
-        let fs_delta = self
-            .device
-            .ledger()
-            .get(TimeCategory::FileSystem)
-            .saturating_sub(fs_before);
-        let elapsed = end.saturating_sub(t0);
-        self.device.ledger().record(
-            TimeCategory::ForegroundRead,
-            elapsed.saturating_sub(fs_delta),
-        );
-        self.metrics.record_latency(OpType::Scan, elapsed);
-        self.trace_finish(ctx, end);
-        Ok(out)
+            attempt
+        })
     }
 
     /// The merging-iterator body of a scan, separated out so the quarantine
