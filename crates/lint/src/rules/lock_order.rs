@@ -41,9 +41,11 @@ pub const RULE: &str = "lock_order";
 /// Workspace-relative path of the shared lock table.
 pub const TABLE_PATH: &str = "crates/lint/lock_order.toml";
 
-/// Files whose locks participate in the ordered hierarchy.
+/// Files (or, ending in `/`, module directories) whose locks participate
+/// in the ordered hierarchy.
 pub const SCOPED_FILES: &[&str] = &[
     "crates/lsm/src/db.rs",
+    "crates/lsm/src/db/",
     "crates/lsm/src/compaction/exec.rs",
     "crates/lsm/src/scheduler.rs",
     "crates/lsm/src/commit.rs",
@@ -58,7 +60,7 @@ pub const SCOPED_FILES: &[&str] = &[
 
 /// Is `path` (workspace-relative) in this rule's scope?
 pub fn in_scope(path: &str) -> bool {
-    SCOPED_FILES.contains(&path)
+    super::scoped(SCOPED_FILES, path)
 }
 
 /// `crates/lsm/src/db.rs` → `lsm/db`.
@@ -644,6 +646,18 @@ mod tests {
 
     const DB_OK: &str = "struct Db { tables: Mutex<u32> }\nimpl Db {\n  fn table(&self) {\n    { let t = self.tables.lock(); use_it(t); }\n    other();\n  }\n}\n";
     const CACHE_OK: &str = "struct C { inner: Mutex<u32> }\nimpl C {\n  fn get(&self) { let i = self.inner.lock(); }\n}\n";
+
+    #[test]
+    fn scope_takes_files_and_module_directories() {
+        assert!(in_scope("crates/lsm/src/db.rs"));
+        assert!(in_scope("crates/lsm/src/db/write.rs"));
+        assert!(in_scope("crates/lsm/src/scheduler.rs"));
+        // A module's out-of-line test half is test code.
+        assert!(!in_scope("crates/lsm/src/db/tests.rs"));
+        // A prefix is a directory, not a string prefix of sibling files.
+        assert!(!in_scope("crates/lsm/src/db_util.rs"));
+        assert!(!in_scope("crates/lsm/src/wal.rs"));
+    }
 
     #[test]
     fn clean_code_passes() {

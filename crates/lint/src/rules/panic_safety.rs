@@ -16,11 +16,14 @@ use crate::lexer::SourceView;
 /// Stable rule id.
 pub const RULE: &str = "panic_safety";
 
-/// Files on the production I/O / recovery path (workspace-relative).
+/// Files (or, ending in `/`, module directories) on the production I/O /
+/// recovery path, workspace-relative.
 pub const SCOPED_FILES: &[&str] = &[
     "crates/lsm/src/wal.rs",
     "crates/lsm/src/version.rs",
     "crates/lsm/src/db.rs",
+    "crates/lsm/src/db/",
+    "crates/lsm/src/scheduler.rs",
     "crates/lsm/src/compaction/exec.rs",
     "crates/lsm/src/cache.rs",
     "crates/lsm/src/table/mod.rs",
@@ -60,7 +63,7 @@ pub type Baseline = BTreeMap<String, Counts>;
 
 /// Is `path` (workspace-relative) in this rule's scope?
 pub fn in_scope(path: &str) -> bool {
-    SCOPED_FILES.contains(&path)
+    super::scoped(SCOPED_FILES, path)
 }
 
 /// Counts non-test, non-suppressed panic sites in one file, returning the
@@ -263,6 +266,15 @@ mod tests {
 
     fn view(src: &str) -> SourceView {
         SourceView::new(src)
+    }
+
+    #[test]
+    fn scope_takes_files_and_module_directories() {
+        assert!(in_scope("crates/lsm/src/db.rs"));
+        assert!(in_scope("crates/lsm/src/db/open.rs"));
+        assert!(in_scope("crates/lsm/src/scheduler.rs"));
+        assert!(!in_scope("crates/lsm/src/db/tests.rs"));
+        assert!(!in_scope("crates/lsm/src/memtable.rs"));
     }
 
     #[test]
