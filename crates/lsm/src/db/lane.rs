@@ -1,0 +1,248 @@
+//! The inline background lane: the modelled background thread of the
+//! default (`background_workers = 0`) mode.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use ldc_ssd::Nanos;
+
+use super::{Db, DbCore};
+use crate::compaction::exec::{plan, Planned, Planning, Stale, TaskClock};
+use crate::compaction::{CompactionTask, PickContext};
+use crate::error::{Error, Result};
+use crate::memtable::MemTable;
+use crate::version::table_file_name;
+
+impl Db {
+    /// One scheduling step of the simulated background thread.
+    ///
+    /// If the lane is idle, starts the next unit of work — the pending
+    /// memtable flush first, otherwise one policy-picked compaction task.
+    /// The work executes immediately (so all state changes are visible to
+    /// subsequent reads, like a real background thread's results would be
+    /// once installed), but its virtual time is booked on the lane: the
+    /// clock is rewound and `bg_until` extended. Foreground requests feel
+    /// it only through the write gates and read contention.
+    pub(super) fn pump_background(&self, core: &mut DbCore) -> Result<()> {
+        let now = self.device.clock().now();
+        if self.bg_until.load(Ordering::SeqCst) > now {
+            return Ok(()); // lane busy
+        }
+        let t0 = now;
+        if core.imm.is_some() {
+            self.flush_imm(core, None)?;
+        } else {
+            let Some(task) = self.pick_task(core) else {
+                return Ok(()); // nothing to do
+            };
+            let clock = self.task_clock();
+            if let Err(e) = self.compact_inline(core, &task, clock) {
+                self.abandon(core, clock, e)?;
+            }
+        }
+        let t1 = self.device.clock().now();
+        self.device.clock().rewind_to(t0);
+        self.bg_until.store(t0 + (t1 - t0), Ordering::SeqCst);
+        Ok(())
+    }
+
+    /// Asks the policy for the next task against the current version.
+    pub(crate) fn pick_task(&self, core: &DbCore) -> Option<CompactionTask> {
+        let ctx = PickContext {
+            version: &core.versions.current,
+            options: &self.options,
+            compact_pointers: &core.versions.compact_pointers,
+        };
+        self.policy.lock().pick(&ctx)
+    }
+
+    /// The inline executor: all three stages on the caller's thread, which
+    /// holds the core throughout — so a stale pick is a policy bug.
+    fn compact_inline(
+        &self,
+        core: &mut DbCore,
+        task: &CompactionTask,
+        clock: TaskClock,
+    ) -> Result<()> {
+        let planned = self
+            .plan_task(core, task)
+            .map_err(|Stale(why)| Error::InvalidState(why))?;
+        let outs = self.run_units(&planned, &mut || core.versions.new_file_number())?;
+        self.install(core, &planned, &outs, clock)
+    }
+
+    /// Stage 1 against the core's current version and snapshot floor.
+    pub(crate) fn plan_task(&self, core: &DbCore, task: &CompactionTask) -> Planning<Arc<Planned>> {
+        // The oldest sequence any live snapshot can observe (or the
+        // current sequence when none is held). Captured at plan time, this
+        // stays a safe lower bound for the whole job: new snapshots always
+        // pin a sequence `>=` the one current when they were taken.
+        let smallest_snapshot = core
+            .snapshots
+            .keys()
+            .next()
+            .copied()
+            .unwrap_or(core.versions.last_sequence);
+        plan(
+            &core.versions.current,
+            task,
+            &self.options,
+            smallest_snapshot,
+        )
+        .map(Arc::new)
+    }
+
+    /// A task failed before it installed. Its device time still counts as
+    /// compaction work. If an input turned out to be corrupt and the
+    /// quarantine policy is on, the file is set aside and `Ok` returned:
+    /// the policy re-plans against the surviving version, and partial
+    /// outputs are orphans reclaimed by `repair_db`. Every other error
+    /// comes back to the caller.
+    pub(crate) fn abandon(&self, core: &mut DbCore, clock: TaskClock, err: Error) -> Result<()> {
+        self.record_compaction_time(clock);
+        match err {
+            Error::Corruption(ref info) if self.try_quarantine(core, info)? => Ok(()),
+            e => Err(e),
+        }
+    }
+
+    /// Flushes the parked immutable memtable, if any, on the caller's
+    /// thread: build, install, retire.
+    pub(super) fn flush_imm(&self, core: &mut DbCore, log_number: Option<u64>) -> Result<()> {
+        let Some(imm) = core.imm.clone() else {
+            return Ok(());
+        };
+        self.flush_memtable(core, &imm, log_number)?;
+        self.retire_imm(core)
+    }
+
+    /// Writes `mem` out as a Level-0 table and installs it, recording
+    /// `log_number` (if given) as the WAL now in use.
+    pub(super) fn flush_memtable(
+        &self,
+        core: &mut DbCore,
+        mem: &MemTable,
+        log_number: Option<u64>,
+    ) -> Result<()> {
+        let clock = self.task_clock();
+        let out = self.build_l0_table(mem, &mut || core.versions.new_file_number())?;
+        self.install_flush(core, mem, out, log_number, clock)
+    }
+
+    /// Clears the `imm` slot once its table is installed and deletes the
+    /// WAL that covered it.
+    pub(crate) fn retire_imm(&self, core: &mut DbCore) -> Result<()> {
+        core.imm = None;
+        if let Some(wal) = core.imm_wal_to_delete.take() {
+            if self.storage.exists(&wal) {
+                self.storage.delete(&wal)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Physically deletes table files dropped from the version, once no
+    /// read holds a pinned view that could still reference them. Runs at
+    /// commit and drain boundaries — always *after* `publish_view`, so any
+    /// view pinned after the zero-pin check cannot name these files. The
+    /// delete cost (a filesystem op per file) is booked on the background
+    /// lane, like the compaction work that orphaned the files. A failed
+    /// delete latches the background error.
+    pub(crate) fn reap_pending_deletes(&self, core: &mut DbCore) {
+        if core.pending_deletes.is_empty()
+            || self.read_pins.load(Ordering::SeqCst) != 0
+            || self.ckpt_pins.load(Ordering::SeqCst) != 0
+        {
+            return;
+        }
+        let t0 = self.device.clock().now();
+        let pending = std::mem::take(&mut core.pending_deletes);
+        for number in pending {
+            self.tables.remove(number);
+            self.block_cache.evict_file(number);
+            let name = table_file_name(number);
+            if self.storage.exists(&name) {
+                if let Err(e) = self.storage.delete(&name) {
+                    core.latch(e.into());
+                }
+            }
+        }
+        let t1 = self.device.clock().now();
+        if t1 > t0 {
+            self.device.clock().rewind_to(t0);
+            let bg = self.bg_until.load(Ordering::SeqCst);
+            self.bg_until
+                .store(bg.max(t0) + (t1 - t0), Ordering::SeqCst);
+        }
+    }
+
+    /// Charges a foreground read for sharing device bandwidth with active
+    /// background work: both streams run at half speed during the overlap,
+    /// so the read takes twice as long *and* the background lane's drain is
+    /// pushed out by the same amount.
+    pub(super) fn charge_read_contention(&self, op_start: Nanos) {
+        let end = self.device.clock().now();
+        let window_end = self.bg_until.load(Ordering::SeqCst).min(end);
+        // Claim [start, window_end) exactly once across all readers: the
+        // cursor CAS hands each slice of the contention window to exactly
+        // one op. Single-threaded this is byte-identical to charging
+        // `window_end - op_start` directly (the cursor always trails
+        // op_start), which keeps same-seed runs reproducible.
+        let mut claimed = self.contended_until.load(Ordering::SeqCst);
+        loop {
+            let start = op_start.max(claimed);
+            if window_end <= start {
+                return;
+            }
+            match self.contended_until.compare_exchange(
+                claimed,
+                window_end,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => {
+                    let overlap = window_end - start;
+                    self.device.clock().advance(overlap);
+                    self.bg_until.fetch_add(overlap, Ordering::SeqCst);
+                    return;
+                }
+                Err(current) => claimed = current,
+            }
+        }
+    }
+
+    /// Advances the clock until the background lane is fully idle — the
+    /// pending flush is done and the policy has no more work — returning
+    /// the total wait. Harnesses call this at measurement boundaries so
+    /// compaction debt is not silently dropped from throughput accounting.
+    pub fn drain_background(&self) -> Nanos {
+        if self.scheduler.active() {
+            return self.drain_background_threaded();
+        }
+        let t0 = self.device.clock().now();
+        let mut core = self.core.lock();
+        loop {
+            let now = self.device.clock().now();
+            let bg = self.bg_until.load(Ordering::SeqCst);
+            if bg > now {
+                self.device.clock().advance(bg - now);
+            }
+            let before = self.bg_until.load(Ordering::SeqCst);
+            if self.pump_background(&mut core).is_err() {
+                break;
+            }
+            if self.bg_until.load(Ordering::SeqCst) == before && core.imm.is_none() {
+                break; // lane idle and nothing started
+            }
+        }
+        self.publish_view(&core);
+        self.reap_pending_deletes(&mut core);
+        // The reap books lane time; absorb it so "drained" means idle.
+        let now = self.device.clock().now();
+        let bg = self.bg_until.load(Ordering::SeqCst);
+        if bg > now {
+            self.device.clock().advance(bg - now);
+        }
+        self.device.clock().now().saturating_sub(t0)
+    }
+}

@@ -1,0 +1,478 @@
+//! The read path: point lookups, scans, and the per-level LDC iterator.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use bytes::Bytes;
+use ldc_obs::{Blame, OpType, TraceCtx};
+use ldc_ssd::{IoClass, TimeCategory};
+
+use super::{Db, PinnedValue, ReadPin, ReadView, Snapshot};
+use crate::error::{Error, Result};
+use crate::iterator::{InternalIterator, MergingIterator};
+use crate::memtable::LookupResult;
+use crate::types::{
+    encode_internal_key, parse_trailer, user_key, SequenceNumber, ValueType, MAX_SEQUENCE,
+    TYPE_FOR_SEEK,
+};
+use crate::version::{FileMeta, Version};
+
+impl Db {
+    /// Point lookup as of a pinned snapshot.
+    pub fn get_at(&self, key: &[u8], snapshot: &Snapshot) -> Result<Option<Vec<u8>>> {
+        Ok(self
+            .get_with_seq(key, Some(snapshot.seq))?
+            .map(PinnedValue::into_vec))
+    }
+
+    /// Zero-copy point lookup as of a pinned snapshot.
+    pub fn get_pinned_at(&self, key: &[u8], snapshot: &Snapshot) -> Result<Option<PinnedValue>> {
+        self.get_with_seq(key, Some(snapshot.seq))
+    }
+
+    /// Range scan as of a pinned snapshot.
+    pub fn scan_at(
+        &self,
+        start: &[u8],
+        limit: usize,
+        snapshot: &Snapshot,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.scan_with_seq(start, limit, Some(snapshot.seq))
+    }
+
+    /// Point lookup at the latest sequence number.
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        Ok(self.get_with_seq(key, None)?.map(PinnedValue::into_vec))
+    }
+
+    /// Zero-copy point lookup at the latest sequence number: an SSTable
+    /// hit returns a handle into the cached block instead of copying the
+    /// value. Copy at the boundary that needs an owned buffer.
+    pub fn get_pinned(&self, key: &[u8]) -> Result<Option<PinnedValue>> {
+        self.get_with_seq(key, None)
+    }
+
+    /// The shared get path. `seq: None` reads at the latest *published*
+    /// sequence (the view's); holding no locks, it pins a view and serves
+    /// the whole lookup from it.
+    fn get_with_seq(&self, key: &[u8], seq: Option<SequenceNumber>) -> Result<Option<PinnedValue>> {
+        self.read_op(OpType::Get, &self.gets, seq, |view, snapshot, trace| {
+            self.get_internal(view, key, snapshot, trace)
+        })
+    }
+
+    /// The envelope every foreground read runs in: policy hint, op
+    /// counter, trace, read pin, the read-contention charge, the Table-I
+    /// `ForegroundRead` ledger entry and the op's virtual latency. `body`
+    /// is one attempt against a pinned view; a failed read is charged and
+    /// recorded like a successful one.
+    fn read_op<T>(
+        &self,
+        op: OpType,
+        counter: &AtomicU64,
+        seq: Option<SequenceNumber>,
+        mut body: impl FnMut(&ReadView, SequenceNumber, Option<&mut TraceCtx>) -> Result<T>,
+    ) -> Result<T> {
+        self.policy.lock().observe_op(false);
+        counter.fetch_add(1, Ordering::Relaxed);
+        let start = self.device.clock().now();
+        let mut ctx = self.trace_start(op, start);
+        let fs_before = self.device.ledger().get(TimeCategory::FileSystem);
+        let _pin = ReadPin::new(&self.read_pins);
+        // Quarantine-retry loop: each successful quarantine publishes a
+        // shrunken version, so re-pinning the view lands the retry on the
+        // surviving files. Bounded by the number of live files.
+        let result = loop {
+            let view = { self.view.read().clone() };
+            let snapshot = seq.unwrap_or(view.seq);
+            match body(&view, snapshot, ctx.as_mut()) {
+                Err(Error::Corruption(info)) => {
+                    if !self.quarantine_corruption(&info)? {
+                        break Err(Error::Corruption(info));
+                    }
+                }
+                other => break other,
+            }
+        };
+        let cont_t0 = if ctx.is_some() {
+            self.device.clock().now()
+        } else {
+            0
+        };
+        self.charge_read_contention(start);
+        let end = self.device.clock().now();
+        if let Some(t) = ctx.as_mut() {
+            if end > cont_t0 {
+                t.span(Blame::CompactionInterference, "bg_contention", cont_t0, end);
+            }
+        }
+        let fs_delta = self
+            .device
+            .ledger()
+            .get(TimeCategory::FileSystem)
+            .saturating_sub(fs_before);
+        let elapsed = end.saturating_sub(start);
+        self.device.ledger().record(
+            TimeCategory::ForegroundRead,
+            elapsed.saturating_sub(fs_delta),
+        );
+        self.metrics.record_latency(op, elapsed);
+        self.trace_finish(ctx, end);
+        result
+    }
+
+    fn get_internal(
+        &self,
+        view: &ReadView,
+        key: &[u8],
+        snapshot: SequenceNumber,
+        mut trace: Option<&mut TraceCtx>,
+    ) -> Result<Option<PinnedValue>> {
+        match view.mem.get(key, snapshot) {
+            LookupResult::Found(v) => return Ok(Some(PinnedValue::Inline(v))),
+            LookupResult::Deleted => return Ok(None),
+            LookupResult::NotFound => {}
+        }
+        if let Some(imm) = &view.imm {
+            match imm.get(key, snapshot) {
+                LookupResult::Found(v) => return Ok(Some(PinnedValue::Inline(v))),
+                LookupResult::Deleted => return Ok(None),
+                LookupResult::NotFound => {}
+            }
+        }
+
+        // Level 0: files may overlap, and (with the tiered policy) file
+        // numbers do not imply data age, so gather every covering file's
+        // hit and keep the highest sequence. Frozen L0 data is reachable
+        // via L1 slices and is guaranteed older than any active L0 file
+        // (the LDC policy freezes oldest-first).
+        let mut best: Option<(SequenceNumber, ValueType, Bytes)> = None;
+        for meta in view.version.levels.first().into_iter().flatten().rev() {
+            if key < meta.smallest_ukey() || key > meta.largest_ukey() {
+                continue;
+            }
+            if let Some(hit) = self.probe_table(meta.number, key, snapshot, trace.as_deref_mut())? {
+                if best.as_ref().is_none_or(|b| hit.0 > b.0) {
+                    best = Some(hit);
+                }
+            }
+        }
+        if let Some((_, vt, value)) = best {
+            return Ok(match vt {
+                ValueType::Value => Some(PinnedValue::Block(value)),
+                ValueType::Deletion => None,
+            });
+        }
+
+        // Deeper levels: one candidate file per level (responsible-range
+        // partition); resolve file-vs-slices by sequence number.
+        for level in 1..view.version.num_levels() {
+            let candidate = match candidate_file(&view.version, level, key) {
+                Some(meta) => meta,
+                None => continue,
+            };
+            let mut best: Option<(SequenceNumber, ValueType, Bytes)> = None;
+            // Slices first (they are newer on average, enabling bloom skips
+            // to keep this cheap), then the file itself.
+            for slice in candidate.slices.iter().rev() {
+                if !slice.range.contains(key) {
+                    continue;
+                }
+                let frozen = view.version.frozen.get(&slice.source_file);
+                let Some(frozen) = frozen.map(|f| f.number) else {
+                    continue;
+                };
+                if let Some(hit) = self.probe_table(frozen, key, snapshot, trace.as_deref_mut())? {
+                    if best.as_ref().is_none_or(|b| hit.0 > b.0) {
+                        best = Some(hit);
+                    }
+                }
+            }
+            if key >= candidate.smallest_ukey() && key <= candidate.largest_ukey() {
+                if let Some(hit) =
+                    self.probe_table(candidate.number, key, snapshot, trace.as_deref_mut())?
+                {
+                    if best.as_ref().is_none_or(|b| hit.0 > b.0) {
+                        best = Some(hit);
+                    }
+                }
+            }
+            if let Some((_, vt, value)) = best {
+                return Ok(match vt {
+                    ValueType::Value => Some(PinnedValue::Block(value)),
+                    ValueType::Deletion => None,
+                });
+            }
+        }
+        Ok(None)
+    }
+
+    /// Bloom-checked point probe of one table file. The returned value is
+    /// a zero-copy handle into the table's cached block.
+    ///
+    /// With tracing on, any probe that cost virtual time becomes a
+    /// [`Blame::CacheMissIo`] span (cache hits and bloom skips are free in
+    /// virtual time, so they produce no span), with the portion spent in
+    /// transient-read backoff carved out as [`Blame::Retry`].
+    fn probe_table(
+        &self,
+        file_number: u64,
+        key: &[u8],
+        snapshot: SequenceNumber,
+        trace: Option<&mut TraceCtx>,
+    ) -> Result<Option<(SequenceNumber, ValueType, Bytes)>> {
+        let (t0, retry0) = if trace.is_some() {
+            (self.device.clock().now(), self.metrics.retry_backoff_ns())
+        } else {
+            (0, 0)
+        };
+        let table = self.table(file_number)?;
+        let result = if !table.may_contain(key) {
+            self.bloom_skips.fetch_add(1, Ordering::Relaxed);
+            Ok(None)
+        } else {
+            table.get(key, snapshot, IoClass::UserRead)
+        };
+        if let Some(t) = trace {
+            let now = self.device.clock().now();
+            if now > t0 {
+                t.span(Blame::CacheMissIo, "table_probe", t0, now);
+                t.carve_from_last(
+                    Blame::Retry,
+                    "retry_backoff",
+                    self.metrics.retry_backoff_ns().saturating_sub(retry0),
+                );
+            }
+        }
+        result
+    }
+
+    /// Range scan: up to `limit` live entries with key >= `start`.
+    pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.scan_with_seq(start, limit, None)
+    }
+
+    fn scan_with_seq(
+        &self,
+        start: &[u8],
+        limit: usize,
+        seq: Option<SequenceNumber>,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.read_op(OpType::Scan, &self.scans, seq, |view, snapshot, trace| {
+            let (io_t0, retry0) = if trace.is_some() {
+                (self.device.clock().now(), self.metrics.retry_backoff_ns())
+            } else {
+                (0, 0)
+            };
+            let attempt = self.scan_collect(view, start, limit, snapshot);
+            if let Some(t) = trace {
+                let now = self.device.clock().now();
+                if now > io_t0 {
+                    t.span(Blame::CacheMissIo, "scan_io", io_t0, now);
+                    t.carve_from_last(
+                        Blame::Retry,
+                        "retry_backoff",
+                        self.metrics.retry_backoff_ns().saturating_sub(retry0),
+                    );
+                }
+            }
+            attempt
+        })
+    }
+
+    /// The merging-iterator body of a scan, separated out so the quarantine
+    /// retry wrapper can re-run it against a re-pinned (shrunken) view.
+    fn scan_collect(
+        &self,
+        view: &ReadView,
+        start: &[u8],
+        limit: usize,
+        snapshot: SequenceNumber,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut children: Vec<Box<dyn InternalIterator + '_>> = Vec::new();
+        children.push(Box::new(view.mem.iter()));
+        if let Some(imm) = &view.imm {
+            children.push(Box::new(imm.iter()));
+        }
+        for meta in view.version.levels.first().into_iter().flatten().rev() {
+            let table = self.table(meta.number)?;
+            children.push(Box::new(table.iter(IoClass::UserRead)));
+        }
+        for level in 1..view.version.num_levels() {
+            let files = match view.version.levels.get(level) {
+                Some(files) if !files.is_empty() => files.clone(),
+                _ => continue,
+            };
+            children.push(Box::new(LevelIter::new(self, files, IoClass::UserRead)));
+        }
+        let mut merge = MergingIterator::new(children);
+        merge.seek(&encode_internal_key(start, MAX_SEQUENCE, TYPE_FOR_SEEK));
+        let mut out = Vec::with_capacity(limit.min(4096));
+        let mut last_ukey: Option<Vec<u8>> = None;
+        while merge.valid() && out.len() < limit {
+            let ikey = merge.key();
+            let (entry_seq, vt) = parse_trailer(ikey);
+            let ukey = user_key(ikey);
+            let visible = entry_seq <= snapshot;
+            let shadowed = last_ukey.as_deref() == Some(ukey);
+            if visible && !shadowed {
+                last_ukey = Some(ukey.to_vec());
+                if vt == ValueType::Value {
+                    out.push((ukey.to_vec(), merge.value().to_vec()));
+                }
+            }
+            merge.next();
+        }
+        merge.status()?;
+        Ok(out)
+    }
+}
+
+/// The single file at `level` whose responsible range covers `key`:
+/// the first file with `largest >= key`, or the last file (whose range
+/// extends to +inf) if none.
+fn candidate_file(version: &Version, level: usize, key: &[u8]) -> Option<FileMeta> {
+    let files = version.levels.get(level)?;
+    if files.is_empty() {
+        return None;
+    }
+    let idx = files.partition_point(|f| f.largest_ukey() < key);
+    let meta = files.get(idx).or_else(|| files.last())?;
+    Some(meta.clone())
+}
+
+/// Lazily walks one level's files in key order, merging each file with its
+/// slice links (the LDC read path for scans). Holds the file list it was
+/// constructed with (a pinned view's), so a concurrent compaction cannot
+/// change what it iterates.
+struct LevelIter<'a> {
+    db: &'a Db,
+    files: Vec<FileMeta>,
+    class: IoClass,
+    idx: usize,
+    cur: Option<MergingIterator<'static>>,
+    error: Option<Error>,
+}
+
+impl<'a> LevelIter<'a> {
+    fn new(db: &'a Db, files: Vec<FileMeta>, class: IoClass) -> Self {
+        Self {
+            db,
+            files,
+            class,
+            idx: 0,
+            cur: None,
+            error: None,
+        }
+    }
+
+    fn open_current(&mut self) {
+        self.cur = None;
+        let Some(meta) = self.files.get(self.idx) else {
+            return;
+        };
+        let build = (|| -> Result<MergingIterator<'static>> {
+            let mut children: Vec<Box<dyn InternalIterator + 'static>> = Vec::new();
+            let table = self.db.table(meta.number)?;
+            children.push(Box::new(table.iter(self.class)));
+            for slice in &meta.slices {
+                let frozen = self.db.table(slice.source_file)?;
+                children.push(Box::new(frozen.range_iter(slice.range.clone(), self.class)));
+            }
+            Ok(MergingIterator::new(children))
+        })();
+        match build {
+            Ok(m) => self.cur = Some(m),
+            Err(e) => self.error = Some(e),
+        }
+    }
+
+    fn advance_until_valid(&mut self) {
+        loop {
+            if self.error.is_some() {
+                return;
+            }
+            match &self.cur {
+                Some(m) if m.valid() => return,
+                _ => {}
+            }
+            self.idx += 1;
+            if self.idx >= self.files.len() {
+                self.cur = None;
+                return;
+            }
+            self.open_current();
+            if let Some(m) = self.cur.as_mut() {
+                m.seek_to_first();
+            }
+        }
+    }
+}
+
+impl InternalIterator for LevelIter<'_> {
+    fn valid(&self) -> bool {
+        self.error.is_none() && self.cur.as_ref().map(|m| m.valid()).unwrap_or(false)
+    }
+
+    fn seek_to_first(&mut self) {
+        self.idx = 0;
+        self.open_current();
+        if let Some(m) = self.cur.as_mut() {
+            m.seek_to_first();
+        }
+        self.advance_until_valid();
+    }
+
+    fn seek(&mut self, target: &[u8]) {
+        let ukey = user_key(target);
+        let mut idx = self.files.partition_point(|f| f.largest_ukey() < ukey);
+        if idx >= self.files.len() {
+            // The last file's slices may extend past its largest key.
+            if self
+                .files
+                .last()
+                .map(|f| f.slices.iter().any(|s| s.range.hi.is_none()))
+                .unwrap_or(false)
+            {
+                idx = self.files.len() - 1;
+            } else {
+                self.cur = None;
+                self.idx = self.files.len();
+                return;
+            }
+        }
+        self.idx = idx;
+        self.open_current();
+        if let Some(m) = self.cur.as_mut() {
+            m.seek(target);
+        }
+        self.advance_until_valid();
+    }
+
+    fn next(&mut self) {
+        if let Some(m) = self.cur.as_mut() {
+            if m.valid() {
+                m.next();
+            }
+        }
+        self.advance_until_valid();
+    }
+
+    fn key(&self) -> &[u8] {
+        // Contract: only called while `valid()`; empty when misused.
+        self.cur.as_ref().map(|m| m.key()).unwrap_or_default()
+    }
+
+    fn value(&self) -> &[u8] {
+        self.cur.as_ref().map(|m| m.value()).unwrap_or_default()
+    }
+
+    fn status(&self) -> Result<()> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        if let Some(m) = &self.cur {
+            m.status()?;
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,358 @@
+use super::*;
+use crate::batch::WriteBatch;
+use crate::compaction::UdcPolicy;
+use ldc_ssd::{MemStorage, SsdConfig, TimeCategory};
+
+fn open_db() -> Db {
+    let device = ldc_ssd::SsdDevice::new(SsdConfig::default());
+    let storage = MemStorage::new(device);
+    Db::open(
+        storage,
+        Options::small_for_tests(),
+        Box::new(UdcPolicy::new()),
+    )
+    .unwrap()
+}
+
+fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
+    (
+        format!("key{i:08}").into_bytes(),
+        format!("value-{i:08}-{}", "x".repeat(64)).into_bytes(),
+    )
+}
+
+#[test]
+fn put_get_roundtrip() {
+    let db = open_db();
+    db.put(b"hello", b"world").unwrap();
+    assert_eq!(db.get(b"hello").unwrap(), Some(b"world".to_vec()));
+    assert_eq!(db.get(b"absent").unwrap(), None);
+}
+
+#[test]
+fn overwrites_and_deletes() {
+    let db = open_db();
+    db.put(b"k", b"v1").unwrap();
+    db.put(b"k", b"v2").unwrap();
+    assert_eq!(db.get(b"k").unwrap(), Some(b"v2".to_vec()));
+    db.delete(b"k").unwrap();
+    assert_eq!(db.get(b"k").unwrap(), None);
+    db.put(b"k", b"v3").unwrap();
+    assert_eq!(db.get(b"k").unwrap(), Some(b"v3".to_vec()));
+}
+
+#[test]
+fn batch_is_atomic_and_ordered() {
+    let db = open_db();
+    let mut batch = WriteBatch::new();
+    batch.put(b"a", b"1");
+    batch.put(b"b", b"2");
+    batch.delete(b"a");
+    db.write(batch).unwrap();
+    assert_eq!(db.get(b"a").unwrap(), None);
+    assert_eq!(db.get(b"b").unwrap(), Some(b"2".to_vec()));
+    assert_eq!(db.stats().writes, 3);
+}
+
+#[test]
+fn data_survives_flushes_and_compactions() {
+    let db = open_db();
+    let n = 3000u64;
+    for i in 0..n {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    let stats = db.stats();
+    assert!(stats.flushes > 0, "memtable must have rotated");
+    assert!(
+        stats.merges + stats.trivial_moves > 0,
+        "compactions must have run"
+    );
+    // Spot-check across the keyspace.
+    for i in (0..n).step_by(97) {
+        let (k, v) = kv(i);
+        assert_eq!(db.get(&k).unwrap(), Some(v), "key {i} lost");
+    }
+    db.version().check_invariants().unwrap();
+}
+
+#[test]
+fn overwritten_values_survive_compaction() {
+    let db = open_db();
+    for round in 0..4u64 {
+        for i in 0..800u64 {
+            let (k, _) = kv(i);
+            db.put(&k, format!("round{round}").as_bytes()).unwrap();
+        }
+    }
+    for i in (0..800).step_by(53) {
+        let (k, _) = kv(i);
+        assert_eq!(db.get(&k).unwrap(), Some(b"round3".to_vec()));
+    }
+}
+
+#[test]
+fn deletes_survive_compaction() {
+    let db = open_db();
+    for i in 0..1500u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    for i in (0..1500).step_by(2) {
+        let (k, _) = kv(i);
+        db.delete(&k).unwrap();
+    }
+    // Push more data to force tombstones through compactions.
+    for i in 2000..3500u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    for i in (0..1500u64).step_by(100) {
+        let (k, v) = kv(i);
+        let got = db.get(&k).unwrap();
+        if i % 2 == 0 {
+            assert_eq!(got, None, "deleted key {i} resurrected");
+        } else {
+            assert_eq!(got, Some(v));
+        }
+    }
+}
+
+#[test]
+fn scan_returns_sorted_live_entries() {
+    let db = open_db();
+    for i in 0..500u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    db.delete(&kv(102).0).unwrap();
+    let results = db.scan(&kv(100).0, 10).unwrap();
+    assert_eq!(results.len(), 10);
+    assert_eq!(results[0].0, kv(100).0);
+    assert_eq!(results[1].0, kv(101).0);
+    // 102 deleted -> 103 next.
+    assert_eq!(results[2].0, kv(103).0);
+    for w in results.windows(2) {
+        assert!(w[0].0 < w[1].0);
+    }
+}
+
+#[test]
+fn scan_spans_levels_after_compaction() {
+    let db = open_db();
+    for i in 0..4000u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    let results = db.scan(&kv(1000).0, 100).unwrap();
+    assert_eq!(results.len(), 100);
+    for (j, (k, v)) in results.iter().enumerate() {
+        let (ek, ev) = kv(1000 + j as u64);
+        assert_eq!(k, &ek);
+        assert_eq!(v, &ev);
+    }
+}
+
+#[test]
+fn scan_from_before_and_after_keyspace() {
+    let db = open_db();
+    for i in 0..100u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    let from_start = db.scan(b"", 5).unwrap();
+    assert_eq!(from_start.len(), 5);
+    assert_eq!(from_start[0].0, kv(0).0);
+    let past_end = db.scan(b"zzzz", 5).unwrap();
+    assert!(past_end.is_empty());
+}
+
+#[test]
+fn reopen_recovers_flushed_and_walled_data() {
+    let device = ldc_ssd::SsdDevice::new(SsdConfig::default());
+    let storage = MemStorage::new(device);
+    let n = 2500u64;
+    {
+        let db = Db::open(
+            storage.clone(),
+            Options::small_for_tests(),
+            Box::new(UdcPolicy::new()),
+        )
+        .unwrap();
+        for i in 0..n {
+            let (k, v) = kv(i);
+            db.put(&k, &v).unwrap();
+        }
+        db.delete(&kv(7).0).unwrap();
+    } // dropped without explicit shutdown: WAL + manifest must suffice
+    let db = Db::open(
+        storage,
+        Options::small_for_tests(),
+        Box::new(UdcPolicy::new()),
+    )
+    .unwrap();
+    for i in (0..n).step_by(111) {
+        let (k, v) = kv(i);
+        let expect = if i == 7 { None } else { Some(v) };
+        assert_eq!(db.get(&k).unwrap(), expect, "key {i} after recovery");
+    }
+    db.version().check_invariants().unwrap();
+}
+
+#[test]
+fn io_classes_are_populated() {
+    let db = open_db();
+    for i in 0..2000u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    for i in 0..50 {
+        let (k, _) = kv(i);
+        db.get(&k).unwrap();
+    }
+    let io = db.device().io_stats();
+    assert!(io.write_bytes_for(IoClass::WalWrite) > 0);
+    assert!(io.write_bytes_for(IoClass::FlushWrite) > 0);
+    assert!(io.compaction_read_bytes() > 0);
+    assert!(io.compaction_write_bytes() > 0);
+    assert!(io.read_bytes_for(IoClass::UserRead) > 0);
+}
+
+#[test]
+fn virtual_time_advances_with_work() {
+    let db = open_db();
+    let t0 = db.device().clock().now();
+    for i in 0..500u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    assert!(db.device().clock().now() > t0);
+    let ledger = db.device().ledger();
+    assert!(ledger.get(TimeCategory::ForegroundWrite) > 0);
+    assert!(ledger.get(TimeCategory::CompactionWork) > 0);
+}
+
+#[test]
+fn snapshots_pin_old_versions_through_compaction() {
+    let db = open_db();
+    db.put(b"pinned", b"v1").unwrap();
+    let snap = db.snapshot();
+    db.put(b"pinned", b"v2").unwrap();
+    // Bury the old version under heavy churn (flushes + compactions).
+    for i in 0..3000u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    db.drain_background();
+    assert_eq!(db.get(b"pinned").unwrap(), Some(b"v2".to_vec()));
+    assert_eq!(db.get_at(b"pinned", &snap).unwrap(), Some(b"v1".to_vec()));
+    // Scan at the snapshot must also see the old value.
+    let rows = db.scan_at(b"pinned", 1, &snap).unwrap();
+    assert_eq!(rows, vec![(b"pinned".to_vec(), b"v1".to_vec())]);
+    db.release_snapshot(snap);
+}
+
+#[test]
+fn snapshot_isolates_deletes() {
+    let db = open_db();
+    db.put(b"k", b"v").unwrap();
+    let snap = db.snapshot();
+    db.delete(b"k").unwrap();
+    for i in 0..2000u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    assert_eq!(db.get(b"k").unwrap(), None);
+    assert_eq!(db.get_at(b"k", &snap).unwrap(), Some(b"v".to_vec()));
+    db.release_snapshot(snap);
+}
+
+#[test]
+fn released_snapshots_unpin() {
+    let db = open_db();
+    let a = db.snapshot();
+    let b = db.snapshot();
+    assert_eq!(db.core.lock().snapshots.len(), 1); // same sequence, two handles
+    db.release_snapshot(a);
+    assert_eq!(db.core.lock().snapshots.len(), 1);
+    db.release_snapshot(b);
+    assert!(db.core.lock().snapshots.is_empty());
+}
+
+#[test]
+fn table_cache_is_bounded() {
+    let device = ldc_ssd::SsdDevice::new(SsdConfig::default());
+    let storage = MemStorage::new(device);
+    let mut options = Options::small_for_tests();
+    options.table_cache_entries = 4;
+    let db = Db::open(storage, options, Box::new(UdcPolicy::new())).unwrap();
+    for i in 0..3000u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    db.drain_background();
+    // Touch many files via scattered reads; the handle cache must stay
+    // within its bound while reads keep working.
+    for i in (0..3000).step_by(17) {
+        let (k, v) = kv(i);
+        assert_eq!(db.get(&k).unwrap(), Some(v));
+        assert!(db.tables.len() <= 4);
+    }
+}
+
+#[test]
+fn empty_batch_is_a_noop() {
+    let db = open_db();
+    let before = db.core.lock().versions.last_sequence;
+    db.write(WriteBatch::new()).unwrap();
+    assert_eq!(db.core.lock().versions.last_sequence, before);
+}
+
+#[test]
+fn pinned_get_matches_owned_get() {
+    let db = open_db();
+    for i in 0..2000u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    db.drain_background();
+    for i in (0..2000).step_by(71) {
+        let (k, v) = kv(i);
+        let pinned = db.get_pinned(&k).unwrap().expect("present");
+        assert_eq!(pinned.as_slice(), v.as_slice());
+        assert_eq!(pinned.len(), v.len());
+        assert_eq!(db.get(&k).unwrap(), Some(v));
+    }
+}
+
+#[test]
+fn concurrent_readers_during_writes() {
+    use std::sync::Arc;
+    let db = Arc::new(open_db());
+    for i in 0..500u64 {
+        let (k, v) = kv(i);
+        db.put(&k, &v).unwrap();
+    }
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let db = Arc::clone(&db);
+            s.spawn(move || {
+                for i in (t * 7..500).step_by(13) {
+                    let (k, v) = kv(i);
+                    assert_eq!(db.get(&k).unwrap(), Some(v));
+                }
+            });
+        }
+        let db = Arc::clone(&db);
+        s.spawn(move || {
+            for i in 500..1500u64 {
+                let (k, v) = kv(i);
+                db.put(&k, &v).unwrap();
+            }
+        });
+    });
+    for i in (0..1500).step_by(97) {
+        let (k, v) = kv(i);
+        assert_eq!(db.get(&k).unwrap(), Some(v));
+    }
+}

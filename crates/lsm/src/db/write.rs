@@ -1,0 +1,433 @@
+//! The write path: group commit, the write gates, WAL + memtable, rotation.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use ldc_obs::{Blame, Event, EventKind, OpType, TraceCtx};
+use ldc_ssd::{IoClass, TimeCategory};
+
+use super::{Db, DbCore};
+use crate::batch::{BatchOp, WriteBatch};
+use crate::commit::{Role, Ticket};
+use crate::error::Result;
+use crate::memtable::MemTable;
+use crate::types::ValueType;
+use crate::version::log_file_name;
+use crate::wal::LogWriter;
+
+impl Db {
+    /// Inserts or overwrites `key`.
+    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        let mut batch = WriteBatch::new();
+        batch.put(key, value);
+        self.write_op(OpType::Put, batch)
+    }
+
+    /// Deletes `key` (writes a tombstone).
+    pub fn delete(&self, key: &[u8]) -> Result<()> {
+        let mut batch = WriteBatch::new();
+        batch.delete(key);
+        self.write_op(OpType::Delete, batch)
+    }
+
+    /// The envelope of a single-key foreground write: trace, commit,
+    /// record the op's virtual latency.
+    fn write_op(&self, op: OpType, batch: WriteBatch) -> Result<()> {
+        let t0 = self.device.clock().now();
+        let mut ctx = self.trace_start(op, t0);
+        let result = self.write_traced(batch, ctx.as_mut());
+        let end = self.device.clock().now();
+        self.metrics.record_latency(op, end.saturating_sub(t0));
+        self.trace_finish(ctx, end);
+        result
+    }
+
+    /// Applies a batch atomically.
+    ///
+    /// Concurrent writers coalesce: each enqueues its batch, and the first
+    /// to find no leader active commits *every* queued batch as one WAL
+    /// append (the deterministic drain-all-queued rule), then distributes
+    /// results. A single-threaded caller always leads a group of exactly
+    /// one batch, so the WAL bytes and virtual-clock charges are identical
+    /// to an ungrouped write.
+    ///
+    /// This is where the paper's tail latency comes from: a write normally
+    /// costs only the WAL append and memtable insert, but when background
+    /// flush/compaction lags it absorbs LevelDB's classic brakes — the 1 ms
+    /// Level-0 slowdown, the Level-0 stop, and the wait for an immutable
+    /// memtable slot at rotation.
+    pub fn write(&self, batch: WriteBatch) -> Result<()> {
+        self.write_traced(batch, None)
+    }
+
+    /// [`Db::write`] with an optional trace context. A follower's entire
+    /// wait is one [`Blame::GroupCommitWait`] span (the leader advanced the
+    /// clock on its behalf); a leader's commit is broken down inside
+    /// [`Db::commit_batches`].
+    fn write_traced(&self, batch: WriteBatch, mut trace: Option<&mut TraceCtx>) -> Result<()> {
+        let wait_t0 = if trace.is_some() {
+            self.device.clock().now()
+        } else {
+            0
+        };
+        let ticket = self.commit.enqueue(batch);
+        match self.commit.wait(ticket) {
+            Role::Done(result) => {
+                if let Some(t) = trace.as_deref_mut() {
+                    let now = self.device.clock().now();
+                    if now > wait_t0 {
+                        t.span(Blame::GroupCommitWait, "follower_wait", wait_t0, now);
+                    }
+                }
+                result
+            }
+            Role::Leader(group) => {
+                let results = {
+                    let mut core = self.core.lock();
+                    if self.scheduler.active() {
+                        // Threaded mode: the write gates are condvar waits
+                        // on job completion (they must release the core so
+                        // workers can install), so they run here where the
+                        // guard is owned, before the commit proper.
+                        core = self.threaded_write_gates(core, trace.as_deref_mut());
+                    }
+                    let results = self.commit_group(&mut core, group, trace);
+                    self.publish_view(&core);
+                    self.reap_pending_deletes(&mut core);
+                    results
+                };
+                self.commit.finish(ticket, results)
+            }
+        }
+    }
+
+    /// Commits one leader-drained group of batches under the core lock and
+    /// returns the per-ticket results. Empty batches succeed without side
+    /// effects (not even a policy op observation), exactly like the
+    /// ungrouped path; the non-empty ones are merged, in ticket order,
+    /// into one atomically-committed batch and share one outcome.
+    fn commit_group(
+        &self,
+        core: &mut DbCore,
+        group: Vec<(Ticket, WriteBatch)>,
+        trace: Option<&mut TraceCtx>,
+    ) -> Vec<(Ticket, Result<()>)> {
+        if let Some(e) = &core.bg_error {
+            let e = e.clone();
+            return group
+                .into_iter()
+                .map(|(t, _)| (t, Err(e.clone())))
+                .collect();
+        }
+        let mut results: Vec<(Ticket, Result<()>)> = Vec::with_capacity(group.len());
+        let mut tickets: Vec<Ticket> = Vec::new();
+        let mut batches: Vec<WriteBatch> = Vec::new();
+        for (ticket, batch) in group {
+            if batch.is_empty() {
+                results.push((ticket, Ok(())));
+            } else {
+                tickets.push(ticket);
+                batches.push(batch);
+            }
+        }
+        if batches.is_empty() {
+            return results;
+        }
+        let outcome = self.commit_batches(core, batches, trace);
+        if let Err(e) = &outcome {
+            // Fail-stop: a failed WAL/manifest append leaves that log's
+            // record framing unknown, and appending more records after it
+            // would make the file unrecoverable. Reads keep working.
+            core.bg_error = Some(e.clone());
+        }
+        for ticket in tickets {
+            results.push((ticket, outcome.clone()));
+        }
+        results
+    }
+
+    /// The grouped write path: gates, one WAL append, memtable inserts,
+    /// and rotation, all in virtual time. `batches` is non-empty and every
+    /// batch in it is non-empty.
+    fn commit_batches(
+        &self,
+        core: &mut DbCore,
+        mut batches: Vec<WriteBatch>,
+        mut trace: Option<&mut TraceCtx>,
+    ) -> Result<()> {
+        {
+            let mut policy = self.policy.lock();
+            for _ in 0..batches.len() {
+                policy.observe_op(true);
+            }
+        }
+        // Threaded mode: the stall/slowdown gates already ran in
+        // `threaded_write_gates` (they need the core *guard* to wait on);
+        // just make sure the pool knows there is work.
+        let inline = !self.scheduler.active();
+        if !inline {
+            self.scheduler_signal();
+        }
+        if inline {
+            self.pump_background(core)?;
+        }
+
+        // LevelDB's write gates, in escalating order of pain.
+        if inline && core.versions.current.level_files(0) >= self.options.l0_stop_threshold {
+            // Hard stop: wait for background tasks until L0 drains below
+            // the limit.
+            let t0 = self.device.clock().now();
+            loop {
+                if core.versions.current.level_files(0) < self.options.l0_stop_threshold {
+                    break;
+                }
+                let now = self.device.clock().now();
+                let bg = self.bg_until.load(Ordering::SeqCst);
+                if bg > now {
+                    self.device.clock().advance(bg - now);
+                }
+                let before = (
+                    core.versions.current.level_files(0),
+                    self.bg_until.load(Ordering::SeqCst),
+                );
+                self.pump_background(core)?;
+                if before
+                    == (
+                        core.versions.current.level_files(0),
+                        self.bg_until.load(Ordering::SeqCst),
+                    )
+                {
+                    break; // no progress possible (policy is idle)
+                }
+            }
+            let waited = self.device.clock().now().saturating_sub(t0);
+            if waited > 0 {
+                core.stats.stalls += 1;
+                core.stats.stall_nanos += waited;
+                if let Some(t) = trace.as_deref_mut() {
+                    t.span(Blame::Stall, "l0_stop", t0, t0 + waited);
+                }
+                if self.sink.enabled() {
+                    self.sink
+                        .record(Event::span(EventKind::Stall, t0, t0 + waited).levels(0, 0));
+                }
+            }
+        } else if inline
+            && core.versions.current.level_files(0) >= self.options.l0_slowdown_threshold
+        {
+            let t0 = self.device.clock().now();
+            self.device.clock().advance(self.options.slowdown_delay_ns);
+            core.stats.slowdowns += 1;
+            if let Some(t) = trace.as_deref_mut() {
+                t.span(
+                    Blame::Slowdown,
+                    "l0_slowdown",
+                    t0,
+                    t0 + self.options.slowdown_delay_ns,
+                );
+            }
+            if self.sink.enabled() {
+                self.sink.record(
+                    Event::span(EventKind::Slowdown, t0, t0 + self.options.slowdown_delay_ns)
+                        .levels(0, 0),
+                );
+            }
+        }
+
+        // Coalesce the group into the leader's batch. A group of one is
+        // committed as-is — byte-identical WAL framing to the ungrouped
+        // engine, which is what keeps single-threaded runs deterministic.
+        let group_size = batches.len();
+        let mut batch = batches.remove(0);
+        for follower in batches {
+            for item in follower.iter() {
+                let (_, op) = item?;
+                match op {
+                    BatchOp::Put { key, value } => batch.put(key, value),
+                    BatchOp::Delete { key } => batch.delete(key),
+                }
+            }
+        }
+
+        // Foreground write: WAL + memtable. With `wal_sync` off (LevelDB's
+        // default), the WAL append lands in the page cache and the device
+        // write happens asynchronously — so its device time is booked on
+        // the background lane, sharing bandwidth with flush/compaction,
+        // while the foreground pays only the syscall-ish cost.
+        let fg_start = self.device.clock().now();
+        let seq = core.versions.last_sequence + 1;
+        batch.set_sequence(seq);
+        let count = u64::from(batch.count());
+        if self.options.wal_sync {
+            let t0 = self.device.clock().now();
+            let gc0 = if trace.is_some() {
+                self.device.gc_busy_nanos()
+            } else {
+                0
+            };
+            core.wal.add_record(batch.encoded())?;
+            core.wal.sync()?;
+            if let Some(t) = trace.as_deref_mut() {
+                let now = self.device.clock().now();
+                if now > t0 {
+                    t.span(Blame::WalSync, "wal_sync", t0, now);
+                    // Any GC relocation the device squeezed into this sync
+                    // is its own blame: the paper's write-amplification tax.
+                    t.carve_from_last(
+                        Blame::SsdGc,
+                        "ssd_gc",
+                        self.device.gc_busy_nanos().saturating_sub(gc0),
+                    );
+                }
+            }
+            if self.sink.enabled() {
+                self.sink.record(
+                    Event::span(EventKind::WalSync, t0, self.device.clock().now())
+                        .bytes(batch.byte_size() as u64, 0),
+                );
+            }
+        } else {
+            let t0 = self.device.clock().now();
+            core.wal.add_record(batch.encoded())?;
+            self.device.clock().rewind_to(t0);
+            // The async flush consumes device *bandwidth* (no per-append
+            // setup latency — the kernel batches page writes), serialized
+            // with flush/compaction on the background lane.
+            let lane_cost = (batch.byte_size() as u64).saturating_mul(1_000_000_000)
+                / self.device.config().write_bandwidth;
+            let bg = self.bg_until.load(Ordering::SeqCst);
+            self.bg_until
+                .store(bg.max(t0) + lane_cost, Ordering::SeqCst);
+            // The buffered append still costs a syscall on the foreground.
+            self.device.clock().advance(3_000);
+            if let Some(t) = trace.as_deref_mut() {
+                t.span(
+                    Blame::WalAppend,
+                    "wal_append",
+                    t0,
+                    self.device.clock().now(),
+                );
+            }
+        }
+        let mem_t0 = if trace.is_some() {
+            self.device.clock().now()
+        } else {
+            0
+        };
+        for item in batch.iter() {
+            let (offset, op) = item?;
+            let op_seq = seq + u64::from(offset);
+            match op {
+                BatchOp::Put { key, value } => core.mem.add(op_seq, ValueType::Value, key, value),
+                BatchOp::Delete { key } => core.mem.add(op_seq, ValueType::Deletion, key, b""),
+            }
+        }
+        self.device
+            .clock()
+            .advance(self.options.memtable_write_ns * count);
+        if let Some(t) = trace.as_deref_mut() {
+            t.span(
+                Blame::Memtable,
+                "memtable_insert",
+                mem_t0,
+                self.device.clock().now(),
+            );
+        }
+        core.versions.last_sequence = seq + count - 1;
+        core.stats.writes += count;
+        core.stats.user_bytes_written += batch.user_bytes();
+        let fg_end = self.device.clock().now();
+        self.device.ledger().record(
+            TimeCategory::ForegroundWrite,
+            fg_end.saturating_sub(fg_start),
+        );
+        if group_size > 1 {
+            core.stats.write_groups += 1;
+            core.stats.grouped_batches += group_size as u64;
+            if self.sink.enabled() {
+                self.sink.record(
+                    Event::span(EventKind::GroupCommit, fg_start, fg_end)
+                        .files(group_size as u32, 0)
+                        .bytes(batch.byte_size() as u64, 0),
+                );
+            }
+        }
+
+        // Rotate when the memtable is full. If the previous immutable
+        // memtable is still waiting for (or in) its flush, the writer must
+        // wait for the slot — the paper's Eq. 3 tail event.
+        if core.mem.approximate_bytes() >= self.options.memtable_bytes {
+            if !inline {
+                // Threaded mode: rotate only if the `imm` slot is free and
+                // hand the flush to the pool. When the slot is still
+                // occupied the memtable simply overshoots its budget for
+                // this commit — the next write's entry gate waits for the
+                // in-flight flush (releasing the core) before proceeding.
+                if core.imm.is_none() {
+                    self.rotate_memtable(core);
+                }
+                self.scheduler_signal();
+                return Ok(());
+            }
+            if core.imm.is_some() {
+                let t0 = self.device.clock().now();
+                // Let the lane finish its current task, then force the
+                // flush through.
+                let bg = self.bg_until.load(Ordering::SeqCst);
+                if bg > t0 {
+                    self.device.clock().advance(bg - t0);
+                }
+                self.pump_background(core)?; // starts the flush if still pending
+                if core.imm.is_some() {
+                    // The lane picked something else first (cannot happen
+                    // with the flush-first pump, but stay safe): wait again.
+                    let now = self.device.clock().now();
+                    let bg = self.bg_until.load(Ordering::SeqCst);
+                    if bg > now {
+                        self.device.clock().advance(bg - now);
+                    }
+                    self.pump_background(core)?;
+                }
+                let waited = self.device.clock().now().saturating_sub(t0);
+                if waited > 0 {
+                    core.stats.stalls += 1;
+                    core.stats.stall_nanos += waited;
+                    if let Some(t) = trace {
+                        t.span(Blame::Stall, "rotation_wait", t0, t0 + waited);
+                    }
+                    if self.sink.enabled() {
+                        self.sink
+                            .record(Event::span(EventKind::Stall, t0, t0 + waited));
+                    }
+                }
+            }
+            self.rotate_memtable(core);
+            self.pump_background(core)?; // start the flush if the lane is idle
+        }
+        Ok(())
+    }
+
+    /// Swaps in a fresh WAL and memtable, parking the full memtable (and
+    /// the name of the WAL that covers it) in the `imm` slot, which must
+    /// be free. Returns the new WAL's number.
+    pub(super) fn rotate_memtable(&self, core: &mut DbCore) -> u64 {
+        // A crashed incarnation may have left a log at a number this one
+        // re-allocates; appending to it would shift the writer's block
+        // accounting, so keep allocating until the name is free.
+        let mut new_log_number = core.versions.new_file_number();
+        while self.storage.exists(&log_file_name(new_log_number)) {
+            new_log_number = core.versions.new_file_number();
+        }
+        let old_log = core.wal.name().to_string();
+        core.wal = LogWriter::new(
+            Arc::clone(&self.storage),
+            log_file_name(new_log_number),
+            IoClass::WalWrite,
+        );
+        let seed = self.options.seed ^ core.versions.next_file_number;
+        let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
+        core.imm = Some(full);
+        core.imm_wal_to_delete = Some(old_log);
+        new_log_number
+    }
+}

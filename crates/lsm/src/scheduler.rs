@@ -49,11 +49,15 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
-use ldc_obs::lockcheck::{Condvar, Mutex};
+use ldc_obs::lockcheck::{Condvar, Mutex, MutexGuard};
+use ldc_obs::{Blame, Event, EventKind, TraceCtx};
+use ldc_ssd::Nanos;
 
-use crate::compaction::exec::{Planned, UnitOutput};
-use crate::error::Result;
+use crate::compaction::exec::{Planned, TaskClock, UnitOutput};
+use crate::db::{Db, DbCore};
+use crate::error::{Error, Result};
 use crate::types::KeyRange;
 use crate::version::FileMeta;
 
@@ -288,6 +292,470 @@ impl CompactionScheduler {
             let _ = h.join();
         }
         self.started.store(false, Ordering::SeqCst);
+    }
+}
+
+impl Db {
+    // ------------------------------------------------------------------
+    // Background worker pool (threaded mode)
+    // ------------------------------------------------------------------
+
+    /// Spawns the `options.background_workers` worker threads. A no-op if
+    /// the option is 0 or the pool already runs. While active, the write
+    /// path signals the pool instead of pumping inline; runs are
+    /// linearizable but not timing-reproducible. Call
+    /// [`Db::shutdown_workers`] before dropping the last handle you plan
+    /// to reopen from quickly — otherwise parked threads keep the `Arc`
+    /// (and the store) alive until process exit.
+    pub fn start_workers(self: &Arc<Self>) {
+        if self.scheduler.workers == 0 || self.scheduler.active() {
+            return;
+        }
+        let mut threads = self.scheduler.threads.lock();
+        if !threads.is_empty() {
+            return;
+        }
+        for i in 0..self.scheduler.workers {
+            let db = Arc::clone(self);
+            let handle = std::thread::Builder::new()
+                .name(format!("ldc-bg-{i}"))
+                .spawn(move || db.worker_main())
+                // ldc-lint: allow(panic_safety) — spawn failing at startup has no degraded mode; an "active" pool with zero workers would deadlock the write gates
+                .expect("spawn background worker");
+            threads.push(handle);
+        }
+        self.scheduler.started.store(true, Ordering::SeqCst);
+    }
+
+    /// Stops and joins the worker pool. Idempotent. Pending background
+    /// work is simply dropped — an unflushed memtable is still covered by
+    /// its WAL, and uninstalled compaction outputs are orphans reclaimed
+    /// by `repair_db`; nothing acknowledged is lost.
+    pub fn shutdown_workers(&self) {
+        if self.scheduler.active() {
+            self.scheduler.stop();
+        }
+    }
+
+    /// Whether the background worker pool is running.
+    pub fn workers_active(&self) -> bool {
+        self.scheduler.active()
+    }
+
+    /// Marks work pending and wakes one worker. Called with the core lock
+    /// held (rank 60 → state's rank 65 is a legal forward acquisition).
+    pub(crate) fn scheduler_signal(&self) {
+        let mut st = self.scheduler.state.lock();
+        st.work_hint = true;
+        self.scheduler.work_cv.notify_one();
+    }
+
+    /// Threaded-mode write-entry gates: the L0 stop gate and the
+    /// rotation-slot gate become waits on job completion (`done_cv`,
+    /// paired with the core mutex — the wait releases the core so workers
+    /// can install), attributed to [`Blame::WorkerQueue`]. The soft L0
+    /// slowdown brake parks on the same condvar for up to the slowdown
+    /// delay. Mirrors the inline gates' "no progress possible" break via
+    /// the scheduler's `policy_idle` flag.
+    pub(crate) fn threaded_write_gates<'a>(
+        &self,
+        mut core: MutexGuard<'a, DbCore>,
+        mut trace: Option<&mut TraceCtx>,
+    ) -> MutexGuard<'a, DbCore> {
+        let mut stall_t0: Option<Nanos> = None;
+        loop {
+            if core.bg_error.is_some() {
+                break;
+            }
+            let over_stop = core.versions.current.level_files(0) >= self.options.l0_stop_threshold;
+            let rot_blocked =
+                core.imm.is_some() && core.mem.approximate_bytes() >= self.options.memtable_bytes;
+            if !over_stop && !rot_blocked {
+                break;
+            }
+            let stuck = {
+                let mut st = self.scheduler.state.lock();
+                st.work_hint = true;
+                self.scheduler.work_cv.notify_all();
+                // Nothing running, nothing queued, and the policy had no
+                // task for the current version: waiting cannot help.
+                st.policy_idle && !st.busy() && core.imm.is_none()
+            };
+            if stuck {
+                break;
+            }
+            if stall_t0.is_none() {
+                stall_t0 = Some(self.device.clock().now());
+            }
+            // The timeout is a lost-wakeup/progress backstop; installs
+            // notify `done_cv` while holding the core, so the normal path
+            // wakes immediately.
+            let (g, _) = core.wait_timeout(&self.scheduler.done_cv, Duration::from_millis(2));
+            core = g;
+        }
+        if let Some(t0) = stall_t0 {
+            let now = self.device.clock().now();
+            let waited = now.saturating_sub(t0);
+            if waited > 0 {
+                core.stats.stalls += 1;
+                core.stats.stall_nanos += waited;
+                if let Some(t) = trace.as_deref_mut() {
+                    t.span(Blame::WorkerQueue, "worker_queue", t0, now);
+                }
+                if self.sink.enabled() {
+                    self.sink
+                        .record(Event::span(EventKind::Stall, t0, now).levels(0, 0));
+                }
+            }
+        } else if core.bg_error.is_none()
+            && core.versions.current.level_files(0) >= self.options.l0_slowdown_threshold
+        {
+            // Soft brake: a real host-time pause (bounded by the slowdown
+            // delay), released early by any job install. The virtual clock
+            // is advanced by the model delay so event spans stay sane.
+            let t0 = self.device.clock().now();
+            self.scheduler_signal();
+            let dur = Duration::from_nanos(self.options.slowdown_delay_ns.min(1_000_000));
+            let (g, _) = core.wait_timeout(&self.scheduler.done_cv, dur);
+            core = g;
+            self.device.clock().advance(self.options.slowdown_delay_ns);
+            core.stats.slowdowns += 1;
+            let end = self.device.clock().now();
+            if let Some(t) = trace {
+                t.span(Blame::Slowdown, "l0_slowdown", t0, end);
+            }
+            if self.sink.enabled() {
+                self.sink
+                    .record(Event::span(EventKind::Slowdown, t0, end).levels(0, 0));
+            }
+        }
+        core
+    }
+
+    /// Waits out an in-flight worker flush job so the caller can run the
+    /// inline flush path while holding the core continuously (no worker
+    /// can claim `imm` without the core lock). No-op in inline mode.
+    pub(crate) fn wait_flush_job<'a>(
+        &self,
+        mut core: MutexGuard<'a, DbCore>,
+    ) -> MutexGuard<'a, DbCore> {
+        if !self.scheduler.active() {
+            return core;
+        }
+        loop {
+            let inflight = self.scheduler.state.lock().flush_inflight;
+            if !inflight {
+                return core;
+            }
+            let (g, _) = core.wait_timeout(&self.scheduler.done_cv, Duration::from_millis(2));
+            core = g;
+        }
+    }
+
+    /// Threaded-mode drain: signal the pool and wait until nothing is
+    /// claimed, nothing is queued, the `imm` slot is clear, and the
+    /// policy reported no further work.
+    pub(crate) fn drain_background_threaded(&self) -> Nanos {
+        let t0 = self.device.clock().now();
+        let mut core = self.core.lock();
+        loop {
+            if core.bg_error.is_some() {
+                break;
+            }
+            let idle = {
+                let mut st = self.scheduler.state.lock();
+                st.work_hint = true;
+                self.scheduler.work_cv.notify_all();
+                st.policy_idle && !st.busy()
+            };
+            if idle && core.imm.is_none() {
+                break;
+            }
+            let (g, _) = core.wait_timeout(&self.scheduler.done_cv, Duration::from_millis(2));
+            core = g;
+        }
+        self.publish_view(&core);
+        self.reap_pending_deletes(&mut core);
+        self.device.clock().now().saturating_sub(t0)
+    }
+
+    /// A worker thread's main loop: park on `work_cv`, then either run a
+    /// queued subcompaction unit or take one whole job through the stages.
+    fn worker_main(&self) {
+        enum Next {
+            Exit,
+            Job,
+            Unit(SubUnit, Arc<Planned>),
+        }
+        loop {
+            let next = {
+                let mut st = self.scheduler.state.lock();
+                loop {
+                    if self.scheduler.shutdown.load(Ordering::SeqCst) {
+                        break Next::Exit;
+                    }
+                    if let Some(u) = st.subqueue.pop_front() {
+                        match st.sub.as_ref().map(|b| Arc::clone(&b.planned)) {
+                            Some(planned) => break Next::Unit(u, planned),
+                            None => continue, // stale unit of a torn-down batch
+                        }
+                    }
+                    if st.work_hint {
+                        st.work_hint = false;
+                        break Next::Job;
+                    }
+                    st = st.wait(&self.scheduler.work_cv);
+                }
+            };
+            match next {
+                Next::Exit => return,
+                Next::Job => self.run_one_job(),
+                Next::Unit(unit, planned) => {
+                    let alloc = &mut || self.locked_file_number();
+                    self.post_unit(unit.idx, self.run(&planned, unit.range.as_ref(), alloc));
+                }
+            }
+            // One scheduling point per job keeps a busy pool from
+            // monopolizing a small machine between back-to-back picks.
+            std::thread::yield_now();
+        }
+    }
+
+    /// One job on a worker thread: plan and claim under the core lock,
+    /// run without it, re-lock and install. Flush has priority (mirroring
+    /// the inline pump); metadata-only tasks (trivial move, link) have
+    /// nothing to run and install under the same lock hold that planned
+    /// them.
+    fn run_one_job(&self) {
+        let mut core = self.core.lock();
+        if core.bg_error.is_some() {
+            return;
+        }
+        if let Some(imm) = core.imm.clone() {
+            let claimed = {
+                let mut st = self.scheduler.state.lock();
+                let claimed = !st.flush_inflight;
+                if claimed {
+                    st.flush_inflight = true;
+                    st.policy_idle = false;
+                }
+                claimed
+            };
+            if claimed {
+                // The memtable stays in `core.imm` (readers keep seeing
+                // it) until its L0 table installs.
+                drop(core);
+                let clock = self.task_clock();
+                let built = self.build_l0_table(&imm, &mut || self.locked_file_number());
+                let mut core = self.core.lock();
+                let result = built.and_then(|out| {
+                    self.install_flush(&mut core, &imm, out, None, clock)?;
+                    self.retire_imm(&mut core)
+                });
+                self.finish_job(&mut core, result, clock, None, true);
+                return;
+            }
+        }
+        let gen = {
+            let st = self.scheduler.state.lock();
+            st.completed
+        };
+        let Some(task) = self.pick_task(&core) else {
+            {
+                let mut st = self.scheduler.state.lock();
+                // Only latch idle if no job installed since the pick —
+                // an install changes the version the policy judged.
+                if st.completed == gen {
+                    st.policy_idle = true;
+                }
+            }
+            // Stalled writers re-check `policy_idle` under the core lock
+            // (which we hold), so this wake cannot be lost.
+            self.scheduler.done_cv.notify_all();
+            return;
+        };
+        let clock = self.task_clock();
+        // A stale pick (an input vanished via quarantine or a concurrent
+        // install) is dropped; the policy re-picks against the new version.
+        let Ok(planned) = self.plan_task(&core, &task) else {
+            return;
+        };
+        let job = {
+            let mut st = self.scheduler.state.lock();
+            let level = planned.level;
+            // A move/link rewires metadata at `level`/`level + 1` without
+            // a key range of its own — coarse but safe: defer it while
+            // any job claims ranges there (its outputs could interleave).
+            let conflict = st.conflicts(&planned.inputs, &planned.claims)
+                || (planned.metadata_only()
+                    && st
+                        .claims
+                        .iter()
+                        .any(|c| c.level == level || c.level == level + 1));
+            if conflict {
+                return;
+            }
+            if planned.metadata_only() {
+                None
+            } else {
+                st.policy_idle = false;
+                Some(st.claim(&planned.inputs, planned.claims.clone()))
+            }
+        };
+        let Some(job) = job else {
+            let result = self.install(&mut core, &planned, &[], clock);
+            self.finish_job(&mut core, result, clock, None, false);
+            return;
+        };
+        drop(core);
+        let outs = self.run_units(&planned, &mut || self.locked_file_number());
+        let mut core = self.core.lock();
+        let result = outs.and_then(|outs| {
+            // If an input vanished mid-run (quarantine), the job aborts
+            // and its outputs stay as orphans for `repair_db`.
+            if planned.inputs_live(&core.versions.current) {
+                self.install(&mut core, &planned, &outs, clock)
+            } else {
+                Ok(())
+            }
+        });
+        self.finish_job(
+            &mut core,
+            result,
+            clock,
+            Some((job, &planned.inputs)),
+            false,
+        );
+    }
+
+    /// The file-number allocator for run stages that do not hold the core.
+    fn locked_file_number(&self) -> u64 {
+        self.core.lock().versions.new_file_number()
+    }
+
+    /// The run stage of a whole task: one unit per subcompaction range,
+    /// results in range order so the installed file sequence matches an
+    /// unsplit merge's. The deterministic inline mode never splits. With
+    /// workers, units 1.. are queued for idle workers (when the single
+    /// split slot is free) while this thread runs unit 0 and then helps
+    /// drain the queue until every unit posted. `alloc` numbers the
+    /// outputs of the units this thread runs.
+    pub(crate) fn run_units(
+        &self,
+        planned: &Arc<Planned>,
+        alloc: &mut dyn FnMut() -> u64,
+    ) -> Result<Vec<UnitOutput>> {
+        let ranges = if self.scheduler.active() {
+            planned.unit_ranges(self.options.max_subcompactions)
+        } else {
+            vec![None]
+        };
+        let k = ranges.len();
+        let queued = k > 1 && {
+            let mut st = self.scheduler.state.lock();
+            let free = st.sub.is_none();
+            if free {
+                st.sub = Some(SubBatch {
+                    planned: Arc::clone(planned),
+                    remaining: k,
+                    results: Vec::new(),
+                });
+                for (i, r) in ranges.iter().enumerate().skip(1) {
+                    st.subqueue.push_back(SubUnit {
+                        idx: i,
+                        range: r.clone(),
+                    });
+                }
+                self.scheduler.work_cv.notify_all();
+            }
+            free
+        };
+        if !queued {
+            // Unsplit, or another split merge holds the slot: run the
+            // units sequentially.
+            return ranges
+                .iter()
+                .map(|r| self.run(planned, r.as_ref(), alloc))
+                .collect();
+        }
+        let first = ranges.first().and_then(|r| r.as_ref());
+        self.post_unit(0, self.run(planned, first, alloc));
+        loop {
+            let next = {
+                let mut st = self.scheduler.state.lock();
+                loop {
+                    if st.sub.as_ref().is_none_or(|b| b.remaining == 0) {
+                        break None;
+                    }
+                    match st.subqueue.pop_front() {
+                        Some(u) => break Some(u),
+                        None => st = st.wait(&self.scheduler.subs_cv),
+                    }
+                }
+            };
+            let Some(u) = next else { break };
+            self.post_unit(u.idx, self.run(planned, u.range.as_ref(), alloc));
+        }
+        let batch = {
+            let mut st = self.scheduler.state.lock();
+            st.sub.take()
+        };
+        let Some(batch) = batch else {
+            return Err(Error::InvalidState(
+                "split-merge batch vanished before its coordinator collected it".to_string(),
+            ));
+        };
+        let mut results = batch.results;
+        results.sort_by_key(|(i, _)| *i);
+        results.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Posts one subcompaction unit's result to the active split batch
+    /// and wakes its coordinator.
+    fn post_unit(&self, idx: usize, result: Result<UnitOutput>) {
+        let mut st = self.scheduler.state.lock();
+        if let Some(b) = st.sub.as_mut() {
+            b.remaining -= 1;
+            b.results.push((idx, result));
+        }
+        self.scheduler.subs_cv.notify_all();
+    }
+
+    /// The end of a worker's job, under the core lock it installed with:
+    /// publish what the install changed — or, if it failed, quarantine a
+    /// corrupt input when the policy allows (the policy then re-plans
+    /// against the surviving version) and latch `bg_error` otherwise.
+    /// Either way release the job's claims, bump `completed`, re-arm the
+    /// work hint, and wake both the pool and any stalled writers.
+    /// `done_cv` waiters check their predicates under the core, so
+    /// notifying while the caller holds it cannot lose a wakeup.
+    fn finish_job(
+        &self,
+        core: &mut DbCore,
+        result: Result<()>,
+        clock: TaskClock,
+        claimed: Option<(u64, &[u64])>,
+        flush: bool,
+    ) {
+        if let Err(e) = result.or_else(|e| self.abandon(core, clock, e)) {
+            core.latch(e);
+        }
+        self.publish_view(core);
+        self.reap_pending_deletes(core);
+        {
+            let mut st = self.scheduler.state.lock();
+            if flush {
+                st.flush_inflight = false;
+            }
+            if let Some((job, inputs)) = claimed {
+                st.release(job, inputs);
+            }
+            st.completed += 1;
+            st.policy_idle = false;
+            st.work_hint = true;
+            self.scheduler.work_cv.notify_all();
+        }
+        self.scheduler.done_cv.notify_all();
     }
 }
 
