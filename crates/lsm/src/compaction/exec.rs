@@ -21,8 +21,9 @@
 //!    gauges — and where Algorithm 1's refcount reclaim lives.
 //!    [`Db::install_flush`] is its counterpart for the flush edit.
 //!
-//! The inline pump and the worker pool (`crate::db`) differ only in how
-//! they hold the core lock around these calls; see DESIGN.md §15.
+//! The two drivers — the inline lane (`db/lane.rs`) and the worker pool
+//! (`crate::scheduler`) — differ only in how they hold the core lock
+//! around these calls; see DESIGN.md §15.
 
 use std::collections::HashMap;
 

@@ -2,67 +2,29 @@
 //!
 //! `Db` ties everything together: memtable + WAL in front, leveled SSTables
 //! behind, a pluggable [`CompactionPolicy`] deciding what to compact, and
-//! the engine executing tasks (all I/O charged to the simulated SSD).
+//! one executor (`crate::compaction::exec`) carrying tasks out, all I/O
+//! charged to the simulated SSD. Every public operation takes `&self`.
+//! Mutable engine state lives in one rank-witnessed
+//! [`ldc_obs::lockcheck::Mutex`]`<DbCore>`; readers never touch it — they
+//! pin the published [`ReadView`] instead.
 //!
-//! ## Execution model
+//! This file holds what every concern shares: the public value types,
+//! `Db` / `DbCore` / `ReadView` and the constructor that names their lock
+//! ids (`crates/lint/lock_order.toml` keys a lock by its file stem, so
+//! `lsm/db::{core,policy,view}` must be built here), accessors,
+//! snapshots, view publication, the table cache front and the corruption
+//! quarantine. The `impl Db` blocks live with their concern:
 //!
-//! Flushes and compaction tasks all go through one executor
-//! (`crate::compaction::exec`): *plan* a task against the current
-//! version, *run* its I/O, *install* the result as one version edit. This
-//! module only decides which thread calls those stages and how the core
-//! lock is held around them.
-//!
-//! By default the core runs in virtual time with a modelled background
-//! thread: `pump_background` calls the three stages on the caller's
-//! thread while it holds the core, so tasks execute *logically*
-//! immediately (reads see their results like an installed version), and
-//! then books the elapsed device time on a background lane; the
-//! foreground feels them only through LevelDB's classic write gates —
-//! the 1 ms Level-0 slowdown, the Level-0 stop, and the wait for an
-//! immutable-memtable slot at rotation — plus bandwidth contention on
-//! reads. Those gates are exactly the paper's tail-latency model
-//! (Eq. 3): a write's latency is the memtable insert plus however much
-//! compaction work it had to wait for. Throughput is `ops / virtual
-//! seconds`. With `Options::background_workers >= 1`, worker threads
-//! (`run_one_job`) call the same stages instead, releasing the core
-//! around the run stage (`crate::scheduler`, DESIGN.md §15).
-//!
-//! ## Concurrency model
-//!
-//! Every public operation takes `&self`. Mutable engine state lives in one
-//! a rank-witnessed [`ldc_obs::lockcheck::Mutex`]`<DbCore>`; readers never touch it. Instead they
-//! clone the published [`ReadView`] — `Arc`s to the current [`Version`],
-//! the live memtable, and the immutable memtable, plus the last published
-//! sequence number — and serve the whole operation from that pinned,
-//! immutable snapshot. Writers funnel through a leader/follower
-//! [`CommitQueue`]: the leader drains *all* queued batches, commits them
-//! as one WAL append under the core lock, republishes the view, and hands
-//! each follower its result. Virtual-clock determinism is preserved
-//! because a single-threaded caller always leads a group of exactly one
-//! batch, producing byte- and time-identical traces to the non-grouped
-//! path. Multithreaded runs promise linearizable correctness, not timing
-//! reproducibility. See DESIGN.md §10 for the full model and lock order.
-//!
-//! ## LDC-specific read semantics
-//!
-//! Frozen files (removed from their level by a *link*) are reachable only
-//! through the slice links attached to lower-level files. Within a level,
-//! lookups gather every candidate version — the file's own entry plus any
-//! covering slices — and keep the one with the highest sequence number;
-//! across levels, search stops at the first level that produced a result
-//! (upper levels always hold newer data). For this to hold at Level 0,
-//! policies must freeze the *oldest* Level-0 file first; see
-//! `CompactionTask::Link`.
-//!
-//! ## Responsible ranges
-//!
-//! When linking a file down to level `L+1`, the target files partition the
-//! whole key space by "responsible ranges": file `j` owns
-//! `(prev.largest, largest_j]`, the first file's range extends to -inf and
-//! the last file's to +inf (paper Example 3.2). Because every slice is
-//! scoped to a responsible range and LDC-merge outputs stay within it, slice
-//! ranges on distinct files never overlap — which keeps both point reads
-//! and range scans single-candidate per level.
+//! | module | owns |
+//! |---|---|
+//! | `open` | manifest recovery, WAL replay, the first flush |
+//! | `write` | group commit, WAL + memtable, rotation, write-gate booking; asks once per commit which driver runs |
+//! | `read` | the pinned-view read envelope, gets, scans, `LevelIter`; LDC read semantics and responsible ranges |
+//! | `lane` | the inline driver: `BgLane`, the pump, its write gates, drain, deferred deletes |
+//! | `checkpoint` | `flush`, checkpoints, backup streams, replicated edits |
+//! | `report` | `stats_report`, `tail_report`, per-op tracing |
+//! | `crate::scheduler` | the pool driver: worker threads, claims, its write gates and drain |
+//! | `crate::compaction::exec` | plan → run → install, shared by both drivers |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -238,7 +200,7 @@ pub(crate) struct DbCore {
     /// First background/storage failure. Once set, further writes are
     /// refused: a failed WAL or manifest append leaves the log's record
     /// framing in an unknown state, and writing past it would corrupt it.
-    pub(crate) bg_error: Option<Error>,
+    bg_error: Option<Error>,
     /// SSTables set aside by the quarantine corruption policy, in the
     /// order they were quarantined.
     quarantined: Vec<QuarantinedFile>,
@@ -270,6 +232,11 @@ impl DbCore {
         if self.bg_error.is_none() {
             self.bg_error = Some(e);
         }
+    }
+
+    /// Whether an error is latched (writes are refused).
+    pub(crate) fn failed(&self) -> bool {
+        self.bg_error.is_some()
     }
 }
 
@@ -323,19 +290,11 @@ pub struct Db {
     view: RwLock<ReadView>,
     /// Leader/follower write grouping.
     commit: CommitQueue,
-    /// Virtual time until which the background lane (flush + compaction)
-    /// is busy. Background work executes eagerly for correctness, but its
-    /// device time is re-booked here; foreground requests pay for it only
-    /// through rotation stalls and bandwidth contention — which is where
-    /// the paper's tail latency comes from.
-    bg_until: AtomicU64,
-    /// High-water mark (virtual ns) through which foreground reads have
-    /// already been charged for background contention. Concurrent readers
-    /// claim disjoint `[cursor, window_end)` slices via CAS so the same
-    /// overlap is never double-charged — without this, each reader's
-    /// contention `advance` inflates the next reader's window and the
-    /// clock runs away exponentially under multi-threaded load.
-    contended_until: AtomicU64,
+    /// The inline driver's timeline. Background work executes eagerly for
+    /// correctness, but its device time is re-booked here; foreground
+    /// requests pay for it only through the write gates and bandwidth
+    /// contention — which is where the paper's tail latency comes from.
+    lane: BgLane,
     /// Point lookups served (read path is lock-free w.r.t. the core).
     gets: AtomicU64,
     /// Range scans served.
@@ -365,6 +324,9 @@ mod report;
 #[cfg(test)]
 mod tests;
 mod write;
+
+use lane::BgLane;
+pub(crate) use write::Gate;
 
 impl Db {
     /// Builds the handle around a recovered core. Lives in this file, not
@@ -407,8 +369,7 @@ impl Db {
             scheduler,
             view: RwLock::new("lsm/db::view", view),
             commit: CommitQueue::new(),
-            bg_until: AtomicU64::new(0),
-            contended_until: AtomicU64::new(0),
+            lane: BgLane::default(),
             gets: AtomicU64::new(0),
             scans: AtomicU64::new(0),
             bloom_skips: AtomicU64::new(0),
@@ -637,7 +598,6 @@ impl Db {
         }
     }
 
-    /// Opens (or fetches from cache) the table for `file_number`.
     /// Pins physical file deletion for the returned guard's lifetime
     /// (reap defers while any pin is held). For crate-internal scans that
     /// walk the published version without the core lock — the scrubber's
@@ -646,6 +606,7 @@ impl Db {
         ReadPin::new(&self.read_pins)
     }
 
+    /// Opens (or fetches from cache) the table for `file_number`.
     pub(crate) fn table(&self, file_number: u64) -> Result<Arc<Table>> {
         self.tables.get_or_open(file_number, || {
             // Opening a handle reads the footer/index/filter — charge a

@@ -129,7 +129,7 @@ impl Db {
                 ));
             }
             if let Err(e) = self.flush_all(&mut core) {
-                core.bg_error = Some(e.clone());
+                core.latch(e.clone());
                 return Err(e);
             }
             self.publish_view(&core);
@@ -187,7 +187,7 @@ impl Db {
             return Err(e.clone());
         }
         if let Err(e) = core.versions.apply_remote_edit(edit) {
-            core.bg_error = Some(e.clone());
+            core.latch(e.clone());
             return Err(e);
         }
         for (_, number) in &edit.deleted_files {

@@ -1,17 +1,121 @@
-//! The inline background lane: the modelled background thread of the
-//! default (`background_workers = 0`) mode.
+//! The inline driver: the modelled background thread of the default
+//! (`background_workers = 0`) mode.
+//!
+//! Flushes and compaction tasks all go through one executor
+//! (`crate::compaction::exec`): *plan* a task against the current
+//! version, *run* its I/O, *install* the result as one version edit. A
+//! driver only decides which thread calls those stages and how the core
+//! lock is held around them. This one runs in virtual time:
+//! [`Db::pump_background`] calls the three stages on the caller's thread
+//! while it holds the core, so tasks execute *logically* immediately
+//! (reads see their results like an installed version), and then books the
+//! elapsed device time on a [`BgLane`]. The foreground feels that time
+//! only through LevelDB's classic write gates — the 1 ms Level-0
+//! slowdown, the Level-0 stop, and the wait for an immutable-memtable slot
+//! at rotation — plus bandwidth contention on reads. Those gates are
+//! exactly the paper's tail-latency model (Eq. 3): a write's latency is
+//! the memtable insert plus however much compaction work it had to wait
+//! for. Throughput is `ops / virtual seconds`. The other driver is the
+//! worker pool (`crate::scheduler`, DESIGN.md §15).
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ldc_ssd::Nanos;
+use ldc_obs::TraceCtx;
+use ldc_ssd::{Nanos, VirtualClock};
 
-use super::{Db, DbCore};
+use super::{Db, DbCore, Gate};
 use crate::compaction::exec::{plan, Planned, Planning, Stale, TaskClock};
 use crate::compaction::{CompactionTask, PickContext};
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;
 use crate::version::table_file_name;
+
+/// The modelled background thread's timeline. Work booked here has
+/// already executed; the lane only remembers how long the device will be
+/// busy with it.
+#[derive(Default)]
+pub(super) struct BgLane {
+    /// Virtual time until which the lane (flush + compaction + buffered
+    /// WAL writeback) is busy.
+    bg_until: AtomicU64,
+    /// High-water mark (virtual ns) through which foreground reads have
+    /// already been charged for background contention. Concurrent readers
+    /// claim disjoint `[cursor, window_end)` slices via CAS so the same
+    /// overlap is never double-charged — without this, each reader's
+    /// contention `advance` inflates the next reader's window and the
+    /// clock runs away exponentially under multi-threaded load.
+    contended_until: AtomicU64,
+}
+
+impl BgLane {
+    fn busy(&self, now: Nanos) -> bool {
+        self.bg_until.load(Ordering::SeqCst) > now
+    }
+
+    /// Queues `cost` of device time behind whatever the lane already
+    /// holds, starting no earlier than `from`.
+    pub(super) fn occupy(&self, from: Nanos, cost: Nanos) {
+        let bg = self.bg_until.load(Ordering::SeqCst);
+        self.bg_until.store(bg.max(from) + cost, Ordering::SeqCst);
+    }
+
+    /// Work that ran eagerly on the caller's thread since `t0`, when the
+    /// lane was idle, becomes lane time: the clock goes back to `t0` and
+    /// the lane is busy until where the clock had got to. A store, not an
+    /// [`occupy`](Self::occupy): whatever concurrent readers pushed onto
+    /// the lane meanwhile advanced the same clock, so it is already
+    /// inside the elapsed time — adding it again compounds.
+    fn book_since(&self, clock: &VirtualClock, t0: Nanos) {
+        let t1 = clock.now();
+        clock.rewind_to(t0);
+        self.bg_until.store(t1.max(t0), Ordering::SeqCst);
+    }
+
+    /// Advances the clock to the end of the booked work.
+    fn wait_idle(&self, clock: &VirtualClock) {
+        let now = clock.now();
+        let bg = self.bg_until.load(Ordering::SeqCst);
+        if bg > now {
+            clock.advance(bg - now);
+        }
+    }
+
+    /// Charges a foreground read that started at `op_start` for sharing
+    /// device bandwidth with active background work: both streams run at
+    /// half speed during the overlap, so the read takes twice as long
+    /// *and* the lane's drain is pushed out by the same amount.
+    pub(super) fn charge_read_contention(&self, clock: &VirtualClock, op_start: Nanos) {
+        let end = clock.now();
+        let window_end = self.bg_until.load(Ordering::SeqCst).min(end);
+        // Claim [start, window_end) exactly once across all readers: the
+        // cursor CAS hands each slice of the contention window to exactly
+        // one op. Single-threaded this is byte-identical to charging
+        // `window_end - op_start` directly (the cursor always trails
+        // op_start), which keeps same-seed runs reproducible.
+        let mut claimed = self.contended_until.load(Ordering::SeqCst);
+        loop {
+            let start = op_start.max(claimed);
+            if window_end <= start {
+                return;
+            }
+            match self.contended_until.compare_exchange(
+                claimed,
+                window_end,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => {
+                    let overlap = window_end - start;
+                    clock.advance(overlap);
+                    self.bg_until.fetch_add(overlap, Ordering::SeqCst);
+                    return;
+                }
+                Err(current) => claimed = current,
+            }
+        }
+    }
+}
 
 impl Db {
     /// One scheduling step of the simulated background thread.
@@ -21,14 +125,13 @@ impl Db {
     /// The work executes immediately (so all state changes are visible to
     /// subsequent reads, like a real background thread's results would be
     /// once installed), but its virtual time is booked on the lane: the
-    /// clock is rewound and `bg_until` extended. Foreground requests feel
+    /// clock is rewound and the lane extended. Foreground requests feel
     /// it only through the write gates and read contention.
-    pub(super) fn pump_background(&self, core: &mut DbCore) -> Result<()> {
-        let now = self.device.clock().now();
-        if self.bg_until.load(Ordering::SeqCst) > now {
-            return Ok(()); // lane busy
+    fn pump_background(&self, core: &mut DbCore) -> Result<()> {
+        let t0 = self.device.clock().now();
+        if self.lane.busy(t0) {
+            return Ok(());
         }
-        let t0 = now;
         if core.imm.is_some() {
             self.flush_imm(core, None)?;
         } else {
@@ -40,10 +143,70 @@ impl Db {
                 self.abandon(core, clock, e)?;
             }
         }
-        let t1 = self.device.clock().now();
-        self.device.clock().rewind_to(t0);
-        self.bg_until.store(t0 + (t1 - t0), Ordering::SeqCst);
+        self.lane.book_since(self.device.clock(), t0);
         Ok(())
+    }
+
+    /// The inline driver's half of a commit's entry: give the lane a
+    /// turn, then LevelDB's Level-0 gates in escalating order of pain.
+    pub(super) fn inline_entry_gates(
+        &self,
+        core: &mut DbCore,
+        trace: Option<&mut TraceCtx>,
+    ) -> Result<()> {
+        self.pump_background(core)?;
+        let clock = self.device.clock();
+        let t0 = clock.now();
+        if core.versions.current.level_files(0) >= self.options.l0_stop_threshold {
+            // Hard stop: wait for background tasks until L0 drains below
+            // the limit.
+            while core.versions.current.level_files(0) >= self.options.l0_stop_threshold {
+                self.lane.wait_idle(clock);
+                let progress = |core: &DbCore| {
+                    let bg = self.lane.bg_until.load(Ordering::SeqCst);
+                    (core.versions.current.level_files(0), bg)
+                };
+                let before = progress(core);
+                self.pump_background(core)?;
+                if before == progress(core) {
+                    break; // no progress possible (policy is idle)
+                }
+            }
+            self.record_gate(core, trace, Gate::L0Stop, t0, clock.now());
+        } else if core.versions.current.level_files(0) >= self.options.l0_slowdown_threshold {
+            clock.advance(self.options.slowdown_delay_ns);
+            let end = t0 + self.options.slowdown_delay_ns;
+            self.record_gate(core, trace, Gate::L0Slowdown, t0, end);
+        }
+        Ok(())
+    }
+
+    /// The inline driver's rotation: if the previous immutable memtable
+    /// is still waiting for (or in) its flush, the writer waits for the
+    /// slot — the paper's Eq. 3 tail event — then rotates and starts the
+    /// new flush.
+    pub(super) fn inline_rotate(
+        &self,
+        core: &mut DbCore,
+        trace: Option<&mut TraceCtx>,
+    ) -> Result<()> {
+        if core.imm.is_some() {
+            let clock = self.device.clock();
+            let t0 = clock.now();
+            // Let the lane finish its current task, then force the flush
+            // through.
+            self.lane.wait_idle(clock);
+            self.pump_background(core)?; // starts the flush if still pending
+            if core.imm.is_some() {
+                // The lane picked something else first (cannot happen
+                // with the flush-first pump, but stay safe): wait again.
+                self.lane.wait_idle(clock);
+                self.pump_background(core)?;
+            }
+            self.record_gate(core, trace, Gate::RotationWait, t0, clock.now());
+        }
+        self.rotate_memtable(core);
+        self.pump_background(core) // start the flush if the lane is idle
     }
 
     /// Asks the policy for the next task against the current version.
@@ -67,8 +230,9 @@ impl Db {
         let planned = self
             .plan_task(core, task)
             .map_err(|Stale(why)| Error::InvalidState(why))?;
-        let outs = self.run_units(&planned, &mut || core.versions.new_file_number())?;
-        self.install(core, &planned, &outs, clock)
+        // One unit: the deterministic mode never splits a merge.
+        let out = self.run(&planned, None, &mut || core.versions.new_file_number())?;
+        self.install(core, &planned, &[out], clock)
     }
 
     /// Stage 1 against the core's current version and snapshot floor.
@@ -170,44 +334,7 @@ impl Db {
         let t1 = self.device.clock().now();
         if t1 > t0 {
             self.device.clock().rewind_to(t0);
-            let bg = self.bg_until.load(Ordering::SeqCst);
-            self.bg_until
-                .store(bg.max(t0) + (t1 - t0), Ordering::SeqCst);
-        }
-    }
-
-    /// Charges a foreground read for sharing device bandwidth with active
-    /// background work: both streams run at half speed during the overlap,
-    /// so the read takes twice as long *and* the background lane's drain is
-    /// pushed out by the same amount.
-    pub(super) fn charge_read_contention(&self, op_start: Nanos) {
-        let end = self.device.clock().now();
-        let window_end = self.bg_until.load(Ordering::SeqCst).min(end);
-        // Claim [start, window_end) exactly once across all readers: the
-        // cursor CAS hands each slice of the contention window to exactly
-        // one op. Single-threaded this is byte-identical to charging
-        // `window_end - op_start` directly (the cursor always trails
-        // op_start), which keeps same-seed runs reproducible.
-        let mut claimed = self.contended_until.load(Ordering::SeqCst);
-        loop {
-            let start = op_start.max(claimed);
-            if window_end <= start {
-                return;
-            }
-            match self.contended_until.compare_exchange(
-                claimed,
-                window_end,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    let overlap = window_end - start;
-                    self.device.clock().advance(overlap);
-                    self.bg_until.fetch_add(overlap, Ordering::SeqCst);
-                    return;
-                }
-                Err(current) => claimed = current,
-            }
+            self.lane.occupy(t0, t1 - t0);
         }
     }
 
@@ -219,30 +346,23 @@ impl Db {
         if self.scheduler.active() {
             return self.drain_background_threaded();
         }
-        let t0 = self.device.clock().now();
+        let clock = self.device.clock();
+        let t0 = clock.now();
         let mut core = self.core.lock();
         loop {
-            let now = self.device.clock().now();
-            let bg = self.bg_until.load(Ordering::SeqCst);
-            if bg > now {
-                self.device.clock().advance(bg - now);
-            }
-            let before = self.bg_until.load(Ordering::SeqCst);
+            self.lane.wait_idle(clock);
+            let before = self.lane.bg_until.load(Ordering::SeqCst);
             if self.pump_background(&mut core).is_err() {
                 break;
             }
-            if self.bg_until.load(Ordering::SeqCst) == before && core.imm.is_none() {
+            if self.lane.bg_until.load(Ordering::SeqCst) == before && core.imm.is_none() {
                 break; // lane idle and nothing started
             }
         }
         self.publish_view(&core);
         self.reap_pending_deletes(&mut core);
         // The reap books lane time; absorb it so "drained" means idle.
-        let now = self.device.clock().now();
-        let bg = self.bg_until.load(Ordering::SeqCst);
-        if bg > now {
-            self.device.clock().advance(bg - now);
-        }
-        self.device.clock().now().saturating_sub(t0)
+        self.lane.wait_idle(clock);
+        clock.now().saturating_sub(t0)
     }
 }

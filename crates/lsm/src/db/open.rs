@@ -3,18 +3,18 @@
 use std::sync::Arc;
 
 use ldc_obs::{Event, EventKind, MetricsRegistry, NoopSink, SharedSink};
-use ldc_ssd::{IoClass, StorageBackend};
+use ldc_ssd::StorageBackend;
 
+use super::write::fresh_wal;
 use super::{Db, DbCore, RecoverySummary};
-use crate::batch::{BatchOp, WriteBatch};
+use crate::batch::WriteBatch;
 use crate::compaction::CompactionPolicy;
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;
 use crate::options::Options;
 use crate::retry::RetryStorage;
-use crate::types::ValueType;
 use crate::version::{log_file_name, VersionEdit, VersionSet};
-use crate::wal::{LogReader, LogWriter};
+use crate::wal::LogReader;
 
 impl Db {
     /// Opens (creating or recovering) a database on `storage` with the given
@@ -87,19 +87,10 @@ impl Db {
                 let mut reader = LogReader::open(storage.as_ref(), name)?;
                 let replay = reader.for_each(|record| {
                     let batch = WriteBatch::decode(record)?;
-                    let base = batch.sequence();
-                    for item in batch.iter() {
-                        let (offset, op) = item?;
-                        let seq = base + u64::from(offset);
-                        match op {
-                            BatchOp::Put { key, value } => {
-                                mem.add(seq, ValueType::Value, key, value)
-                            }
-                            BatchOp::Delete { key } => mem.add(seq, ValueType::Deletion, key, b""),
-                        }
-                        max_seq = max_seq.max(seq);
-                        replayed += 1;
+                    if let Some(last) = mem.apply(&batch)? {
+                        max_seq = max_seq.max(last);
                     }
+                    replayed += u64::from(batch.count());
                     Ok(())
                 });
                 match replay {
@@ -128,7 +119,7 @@ impl Db {
                 }
             }
             if let Some(from) = corrupt_from {
-                for (_, name) in &old_logs[from..] {
+                for (_, name) in old_logs.iter().skip(from) {
                     storage.rename(name, &format!("{name}.quarantined"))?;
                     recovery.files_quarantined += 1;
                 }
@@ -138,44 +129,31 @@ impl Db {
         }
         recovery.records_replayed = replayed;
 
-        // Fresh WAL for new writes. A crashed incarnation may have left a
-        // log at a number this incarnation re-allocates (the counter update
-        // never became durable); appending to it would shift the writer's
-        // block accounting, so keep allocating until the name is free.
-        let mut new_log_number = versions.new_file_number();
-        while storage.exists(&log_file_name(new_log_number)) {
-            new_log_number = versions.new_file_number();
-        }
-        let wal = LogWriter::new(
-            Arc::clone(&storage),
-            log_file_name(new_log_number),
-            IoClass::WalWrite,
-        );
+        // Fresh WAL for new writes.
+        let (new_log_number, wal) = fresh_wal(&mut versions, &storage);
 
         let core = DbCore::new(versions, Arc::new(mem), wal);
         let db = Db::assemble(options, storage, policy, sink, metrics, core, recovery);
 
         // Persist the replayed data so the old WALs can be dropped, then
         // record the new WAL number.
-        {
-            let mut core = db.core.lock();
-            if replayed > 0 {
-                let full =
-                    std::mem::replace(&mut core.mem, Arc::new(MemTable::new(db.options.seed)));
-                db.flush_memtable(&mut core, &full, Some(new_log_number))?;
-            } else {
-                core.versions.log_and_apply(VersionEdit {
-                    log_number: Some(new_log_number),
-                    ..Default::default()
-                })?;
-            }
-            for (_, name) in &old_logs {
-                if *name != log_file_name(new_log_number) && db.storage.exists(name) {
-                    db.storage.delete(name)?;
-                }
-            }
-            db.publish_view(&core);
+        let mut core = db.core.lock();
+        if replayed > 0 {
+            let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(db.options.seed)));
+            db.flush_memtable(&mut core, &full, Some(new_log_number))?;
+        } else {
+            core.versions.log_and_apply(VersionEdit {
+                log_number: Some(new_log_number),
+                ..Default::default()
+            })?;
         }
+        for (_, name) in &old_logs {
+            if *name != log_file_name(new_log_number) && db.storage.exists(name) {
+                db.storage.delete(name)?;
+            }
+        }
+        db.publish_view(&core);
+        drop(core);
         if db.sink.enabled() {
             let r = db.recovery;
             db.sink.record(

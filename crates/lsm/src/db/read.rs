@@ -1,4 +1,31 @@
 //! The read path: point lookups, scans, and the per-level LDC iterator.
+//!
+//! Readers never take the core lock. They clone the published
+//! [`ReadView`] — `Arc`s to the current [`Version`], the live memtable,
+//! and the immutable memtable, plus the last published sequence number —
+//! and serve the whole operation from that pinned, immutable snapshot
+//! (DESIGN.md §10).
+//!
+//! ## LDC-specific read semantics
+//!
+//! Frozen files (removed from their level by a *link*) are reachable only
+//! through the slice links attached to lower-level files. Within a level,
+//! lookups gather every candidate version — the file's own entry plus any
+//! covering slices — and keep the one with the highest sequence number;
+//! across levels, search stops at the first level that produced a result
+//! (upper levels always hold newer data). For this to hold at Level 0,
+//! policies must freeze the *oldest* Level-0 file first; see
+//! `CompactionTask::Link`.
+//!
+//! ## Responsible ranges
+//!
+//! When linking a file down to level `L+1`, the target files partition the
+//! whole key space by "responsible ranges": file `j` owns
+//! `(prev.largest, largest_j]`, the first file's range extends to -inf and
+//! the last file's to +inf (paper Example 3.2). Because every slice is
+//! scoped to a responsible range and LDC-merge outputs stay within it, slice
+//! ranges on distinct files never overlap — which keeps both point reads
+//! and range scans single-candidate per level.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -98,7 +125,7 @@ impl Db {
         } else {
             0
         };
-        self.charge_read_contention(start);
+        self.lane.charge_read_contention(self.device.clock(), start);
         let end = self.device.clock().now();
         if let Some(t) = ctx.as_mut() {
             if end > cont_t0 {

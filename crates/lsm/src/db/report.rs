@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ldc_obs::{Blame, OpType, Trace, TraceCtx, TraceReservoir};
+use ldc_obs::{Blame, LatencyHistogram, OpType, Trace, TraceCtx, TraceReservoir};
 use ldc_ssd::Nanos;
 
 use super::Db;
@@ -154,27 +154,14 @@ impl Db {
             }
         }
 
-        let _ = writeln!(
-            out,
-            "Op       Count   Mean(us)    P50(us)    P99(us)  P99.9(us) P99.99(us)"
+        self.write_latency_table(
+            &mut out,
+            "Op       Count   Mean(us)    P50(us)    P99(us)  P99.9(us) P99.99(us)",
+            |h| {
+                let p = |q| h.percentile(q) as f64;
+                [h.mean(), p(50.0), p(99.0), p(99.9), p(99.99)]
+            },
         );
-        for op in OpType::ALL {
-            let h = self.metrics.latency(op);
-            if h.count() == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{:<6} {:>7}  {:>9.1}  {:>9.1}  {:>9.1}  {:>9.1}  {:>9.1}",
-                op.label(),
-                h.count(),
-                h.mean() / 1e3,
-                h.percentile(50.0) as f64 / 1e3,
-                h.percentile(99.0) as f64 / 1e3,
-                h.percentile(99.9) as f64 / 1e3,
-                h.percentile(99.99) as f64 / 1e3,
-            );
-        }
         self.write_blame_breakdown(&mut out);
 
         let dev = self.device.snapshot();
@@ -197,6 +184,29 @@ impl Db {
             s.scans
         );
         out
+    }
+
+    /// Appends `header` and one row per op type that recorded a latency:
+    /// its count, then the five `columns` (nanoseconds) in microseconds.
+    fn write_latency_table(
+        &self,
+        out: &mut String,
+        header: &str,
+        columns: fn(&LatencyHistogram) -> [f64; 5],
+    ) {
+        use std::fmt::Write as _;
+        let _ = writeln!(out, "{header}");
+        for op in OpType::ALL {
+            let h = self.metrics.latency(op);
+            if h.count() == 0 {
+                continue;
+            }
+            let _ = write!(out, "{:<6} {:>7}", op.label(), h.count());
+            for nanos in columns(&h) {
+                let _ = write!(out, "  {:>9.1}", nanos / 1e3);
+            }
+            let _ = writeln!(out);
+        }
     }
 
     /// Appends the per-op blame breakdown (nonzero buckets only) to a
@@ -237,27 +247,14 @@ impl Db {
     pub fn tail_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Op       Count     P50(us)    P99(us)  P99.9(us) P99.99(us)    Max(us)"
+        self.write_latency_table(
+            &mut out,
+            "Op       Count     P50(us)    P99(us)  P99.9(us) P99.99(us)    Max(us)",
+            |h| {
+                let p = |q| h.percentile(q) as f64;
+                [p(50.0), p(99.0), p(99.9), p(99.99), h.max() as f64]
+            },
         );
-        for op in OpType::ALL {
-            let h = self.metrics.latency(op);
-            if h.count() == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{:<6} {:>7}  {:>9.1}  {:>9.1}  {:>9.1}  {:>9.1}  {:>9.1}",
-                op.label(),
-                h.count(),
-                h.percentile(50.0) as f64 / 1e3,
-                h.percentile(99.0) as f64 / 1e3,
-                h.percentile(99.9) as f64 / 1e3,
-                h.percentile(99.99) as f64 / 1e3,
-                h.max() as f64 / 1e3,
-            );
-        }
         self.write_blame_breakdown(&mut out);
         let worst = self.worst_traces();
         if !worst.is_empty() {

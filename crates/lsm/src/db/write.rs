@@ -1,19 +1,61 @@
-//! The write path: group commit, the write gates, WAL + memtable, rotation.
+//! The write path: group commit, one WAL append, memtable inserts,
+//! rotation — and the bookkeeping of the write gates both drivers apply.
+//!
+//! Writers funnel through a leader/follower [`crate::commit::CommitQueue`]:
+//! the leader drains *all* queued batches, commits them as one WAL append
+//! under the core lock, republishes the view, and hands each follower its
+//! result. Virtual-clock determinism is preserved because a
+//! single-threaded caller always leads a group of exactly one batch,
+//! producing byte- and time-identical traces to the non-grouped path.
+//! Multithreaded runs promise linearizable correctness, not timing
+//! reproducibility. See DESIGN.md §10 for the full model and lock order.
+//!
+//! Which driver does the background work — the inline lane (`lane.rs`) or
+//! the worker pool (`crate::scheduler`) — is asked once per commit, in
+//! [`Db::write_traced`]; everything below it takes the answer as `pooled`.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ldc_obs::{Blame, Event, EventKind, OpType, TraceCtx};
-use ldc_ssd::{IoClass, TimeCategory};
+use ldc_ssd::{IoClass, Nanos, StorageBackend, TimeCategory};
 
 use super::{Db, DbCore};
 use crate::batch::{BatchOp, WriteBatch};
 use crate::commit::{Role, Ticket};
 use crate::error::Result;
 use crate::memtable::MemTable;
-use crate::types::ValueType;
-use crate::version::log_file_name;
+use crate::version::{log_file_name, VersionSet};
 use crate::wal::LogWriter;
+
+/// One of the write gates (the paper's Eq. 3 terms), as it is booked.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Gate {
+    /// Level 0 at the stop threshold: waited for the inline lane.
+    L0Stop,
+    /// Level 0 in the slowdown band: the fixed delay.
+    L0Slowdown,
+    /// Waited for the immutable-memtable slot at rotation.
+    RotationWait,
+    /// Either stall, waited out on the worker pool's completion condvar.
+    WorkerQueue,
+}
+
+/// Allocates a file number for a fresh WAL and opens its writer. A crashed
+/// incarnation may have left a log at a number this one re-allocates (the
+/// counter update never became durable); appending to it would shift the
+/// writer's block accounting, so keep allocating until the name is free.
+pub(super) fn fresh_wal(
+    versions: &mut VersionSet,
+    storage: &Arc<dyn StorageBackend>,
+) -> (u64, LogWriter) {
+    let mut number = versions.new_file_number();
+    while storage.exists(&log_file_name(number)) {
+        number = versions.new_file_number();
+    }
+    let name = log_file_name(number);
+    let wal = LogWriter::new(Arc::clone(storage), name, IoClass::WalWrite);
+    (number, wal)
+}
 
 impl Db {
     /// Inserts or overwrites `key`.
@@ -82,20 +124,19 @@ impl Db {
                 result
             }
             Role::Leader(group) => {
-                let results = {
-                    let mut core = self.core.lock();
-                    if self.scheduler.active() {
-                        // Threaded mode: the write gates are condvar waits
-                        // on job completion (they must release the core so
-                        // workers can install), so they run here where the
-                        // guard is owned, before the commit proper.
-                        core = self.threaded_write_gates(core, trace.as_deref_mut());
-                    }
-                    let results = self.commit_group(&mut core, group, trace);
-                    self.publish_view(&core);
-                    self.reap_pending_deletes(&mut core);
-                    results
-                };
+                let mut core = self.core.lock();
+                let pooled = self.scheduler.active();
+                if pooled {
+                    // The pool's write gates are condvar waits on job
+                    // completion (they must release the core so workers
+                    // can install), so they run here where the guard is
+                    // owned, before the commit proper.
+                    core = self.threaded_write_gates(core, trace.as_deref_mut());
+                }
+                let results = self.commit_group(&mut core, group, trace, pooled);
+                self.publish_view(&core);
+                self.reap_pending_deletes(&mut core);
+                drop(core);
                 self.commit.finish(ticket, results)
             }
         }
@@ -111,6 +152,7 @@ impl Db {
         core: &mut DbCore,
         group: Vec<(Ticket, WriteBatch)>,
         trace: Option<&mut TraceCtx>,
+        pooled: bool,
     ) -> Vec<(Ticket, Result<()>)> {
         if let Some(e) = &core.bg_error {
             let e = e.clone();
@@ -133,12 +175,12 @@ impl Db {
         if batches.is_empty() {
             return results;
         }
-        let outcome = self.commit_batches(core, batches, trace);
+        let outcome = self.commit_batches(core, batches, trace, pooled);
         if let Err(e) = &outcome {
             // Fail-stop: a failed WAL/manifest append leaves that log's
             // record framing unknown, and appending more records after it
             // would make the file unrecoverable. Reads keep working.
-            core.bg_error = Some(e.clone());
+            core.latch(e.clone());
         }
         for ticket in tickets {
             results.push((ticket, outcome.clone()));
@@ -149,89 +191,28 @@ impl Db {
     /// The grouped write path: gates, one WAL append, memtable inserts,
     /// and rotation, all in virtual time. `batches` is non-empty and every
     /// batch in it is non-empty.
+    ///
+    /// This is where the paper's tail latency comes from: a write normally
+    /// costs only the WAL append and memtable insert, but when background
+    /// flush/compaction lags it absorbs the driver's brakes.
     fn commit_batches(
         &self,
         core: &mut DbCore,
         mut batches: Vec<WriteBatch>,
         mut trace: Option<&mut TraceCtx>,
+        pooled: bool,
     ) -> Result<()> {
-        {
-            let mut policy = self.policy.lock();
-            for _ in 0..batches.len() {
-                policy.observe_op(true);
-            }
+        let mut policy = self.policy.lock();
+        for _ in 0..batches.len() {
+            policy.observe_op(true);
         }
-        // Threaded mode: the stall/slowdown gates already ran in
-        // `threaded_write_gates` (they need the core *guard* to wait on);
-        // just make sure the pool knows there is work.
-        let inline = !self.scheduler.active();
-        if !inline {
-            self.scheduler_signal();
-        }
-        if inline {
-            self.pump_background(core)?;
-        }
-
-        // LevelDB's write gates, in escalating order of pain.
-        if inline && core.versions.current.level_files(0) >= self.options.l0_stop_threshold {
-            // Hard stop: wait for background tasks until L0 drains below
-            // the limit.
-            let t0 = self.device.clock().now();
-            loop {
-                if core.versions.current.level_files(0) < self.options.l0_stop_threshold {
-                    break;
-                }
-                let now = self.device.clock().now();
-                let bg = self.bg_until.load(Ordering::SeqCst);
-                if bg > now {
-                    self.device.clock().advance(bg - now);
-                }
-                let before = (
-                    core.versions.current.level_files(0),
-                    self.bg_until.load(Ordering::SeqCst),
-                );
-                self.pump_background(core)?;
-                if before
-                    == (
-                        core.versions.current.level_files(0),
-                        self.bg_until.load(Ordering::SeqCst),
-                    )
-                {
-                    break; // no progress possible (policy is idle)
-                }
-            }
-            let waited = self.device.clock().now().saturating_sub(t0);
-            if waited > 0 {
-                core.stats.stalls += 1;
-                core.stats.stall_nanos += waited;
-                if let Some(t) = trace.as_deref_mut() {
-                    t.span(Blame::Stall, "l0_stop", t0, t0 + waited);
-                }
-                if self.sink.enabled() {
-                    self.sink
-                        .record(Event::span(EventKind::Stall, t0, t0 + waited).levels(0, 0));
-                }
-            }
-        } else if inline
-            && core.versions.current.level_files(0) >= self.options.l0_slowdown_threshold
-        {
-            let t0 = self.device.clock().now();
-            self.device.clock().advance(self.options.slowdown_delay_ns);
-            core.stats.slowdowns += 1;
-            if let Some(t) = trace.as_deref_mut() {
-                t.span(
-                    Blame::Slowdown,
-                    "l0_slowdown",
-                    t0,
-                    t0 + self.options.slowdown_delay_ns,
-                );
-            }
-            if self.sink.enabled() {
-                self.sink.record(
-                    Event::span(EventKind::Slowdown, t0, t0 + self.options.slowdown_delay_ns)
-                        .levels(0, 0),
-                );
-            }
+        drop(policy);
+        if pooled {
+            // The gates already ran in `threaded_write_gates`; just make
+            // sure the pool knows there is work.
+            self.scheduler.signal();
+        } else {
+            self.inline_entry_gates(core, trace.as_deref_mut())?;
         }
 
         // Coalesce the group into the leader's batch. A group of one is
@@ -295,9 +276,7 @@ impl Db {
             // with flush/compaction on the background lane.
             let lane_cost = (batch.byte_size() as u64).saturating_mul(1_000_000_000)
                 / self.device.config().write_bandwidth;
-            let bg = self.bg_until.load(Ordering::SeqCst);
-            self.bg_until
-                .store(bg.max(t0) + lane_cost, Ordering::SeqCst);
+            self.lane.occupy(t0, lane_cost);
             // The buffered append still costs a syscall on the foreground.
             self.device.clock().advance(3_000);
             if let Some(t) = trace.as_deref_mut() {
@@ -314,14 +293,7 @@ impl Db {
         } else {
             0
         };
-        for item in batch.iter() {
-            let (offset, op) = item?;
-            let op_seq = seq + u64::from(offset);
-            match op {
-                BatchOp::Put { key, value } => core.mem.add(op_seq, ValueType::Value, key, value),
-                BatchOp::Delete { key } => core.mem.add(op_seq, ValueType::Deletion, key, b""),
-            }
-        }
+        core.mem.apply(&batch)?;
         self.device
             .clock()
             .advance(self.options.memtable_write_ns * count);
@@ -353,77 +325,67 @@ impl Db {
             }
         }
 
-        // Rotate when the memtable is full. If the previous immutable
-        // memtable is still waiting for (or in) its flush, the writer must
-        // wait for the slot — the paper's Eq. 3 tail event.
         if core.mem.approximate_bytes() >= self.options.memtable_bytes {
-            if !inline {
-                // Threaded mode: rotate only if the `imm` slot is free and
-                // hand the flush to the pool. When the slot is still
-                // occupied the memtable simply overshoots its budget for
-                // this commit — the next write's entry gate waits for the
-                // in-flight flush (releasing the core) before proceeding.
+            if pooled {
+                // Rotate only if the `imm` slot is free and hand the flush
+                // to the pool. When the slot is still occupied the
+                // memtable simply overshoots its budget for this commit —
+                // the next write's entry gate waits for the in-flight
+                // flush (releasing the core) before proceeding.
                 if core.imm.is_none() {
                     self.rotate_memtable(core);
                 }
-                self.scheduler_signal();
-                return Ok(());
+                self.scheduler.signal();
+            } else {
+                self.inline_rotate(core, trace)?;
             }
-            if core.imm.is_some() {
-                let t0 = self.device.clock().now();
-                // Let the lane finish its current task, then force the
-                // flush through.
-                let bg = self.bg_until.load(Ordering::SeqCst);
-                if bg > t0 {
-                    self.device.clock().advance(bg - t0);
-                }
-                self.pump_background(core)?; // starts the flush if still pending
-                if core.imm.is_some() {
-                    // The lane picked something else first (cannot happen
-                    // with the flush-first pump, but stay safe): wait again.
-                    let now = self.device.clock().now();
-                    let bg = self.bg_until.load(Ordering::SeqCst);
-                    if bg > now {
-                        self.device.clock().advance(bg - now);
-                    }
-                    self.pump_background(core)?;
-                }
-                let waited = self.device.clock().now().saturating_sub(t0);
-                if waited > 0 {
-                    core.stats.stalls += 1;
-                    core.stats.stall_nanos += waited;
-                    if let Some(t) = trace {
-                        t.span(Blame::Stall, "rotation_wait", t0, t0 + waited);
-                    }
-                    if self.sink.enabled() {
-                        self.sink
-                            .record(Event::span(EventKind::Stall, t0, t0 + waited));
-                    }
-                }
-            }
-            self.rotate_memtable(core);
-            self.pump_background(core)?; // start the flush if the lane is idle
         }
         Ok(())
+    }
+
+    /// Books one write-gate wait over `[t0, end)`: the counters, the
+    /// trace span, the event. A stall that waited for nothing is not one.
+    pub(crate) fn record_gate(
+        &self,
+        core: &mut DbCore,
+        trace: Option<&mut TraceCtx>,
+        gate: Gate,
+        t0: Nanos,
+        end: Nanos,
+    ) {
+        let (kind, blame, label) = match gate {
+            Gate::L0Stop => (EventKind::Stall, Blame::Stall, "l0_stop"),
+            Gate::RotationWait => (EventKind::Stall, Blame::Stall, "rotation_wait"),
+            Gate::WorkerQueue => (EventKind::Stall, Blame::WorkerQueue, "worker_queue"),
+            Gate::L0Slowdown => (EventKind::Slowdown, Blame::Slowdown, "l0_slowdown"),
+        };
+        if matches!(gate, Gate::L0Slowdown) {
+            core.stats.slowdowns += 1;
+        } else if end > t0 {
+            core.stats.stalls += 1;
+            core.stats.stall_nanos += end - t0;
+        } else {
+            return;
+        }
+        if let Some(t) = trace {
+            t.span(blame, label, t0, end);
+        }
+        if self.sink.enabled() {
+            let event = Event::span(kind, t0, end);
+            // The rotation wait is not a Level-0 condition.
+            self.sink.record(match gate {
+                Gate::RotationWait => event,
+                _ => event.levels(0, 0),
+            });
+        }
     }
 
     /// Swaps in a fresh WAL and memtable, parking the full memtable (and
     /// the name of the WAL that covers it) in the `imm` slot, which must
     /// be free. Returns the new WAL's number.
     pub(super) fn rotate_memtable(&self, core: &mut DbCore) -> u64 {
-        // A crashed incarnation may have left a log at a number this one
-        // re-allocates; appending to it would shift the writer's block
-        // accounting, so keep allocating until the name is free.
-        let mut new_log_number = core.versions.new_file_number();
-        while self.storage.exists(&log_file_name(new_log_number)) {
-            new_log_number = core.versions.new_file_number();
-        }
-        let old_log = core.wal.name().to_string();
-        core.wal = LogWriter::new(
-            Arc::clone(&self.storage),
-            log_file_name(new_log_number),
-            IoClass::WalWrite,
-        );
+        let (new_log_number, wal) = fresh_wal(&mut core.versions, &self.storage);
+        let old_log = std::mem::replace(&mut core.wal, wal).name().to_string();
         let seed = self.options.seed ^ core.versions.next_file_number;
         let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
         core.imm = Some(full);

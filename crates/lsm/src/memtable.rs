@@ -13,6 +13,8 @@
 
 use ldc_obs::lockcheck::{RwLock, RwLockReadGuard};
 
+use crate::batch::{BatchOp, WriteBatch};
+use crate::error::Result;
 use crate::skiplist::SkipList;
 use crate::types::{
     compare_internal_keys, encode_internal_key, parse_trailer, user_key, SequenceNumber, ValueType,
@@ -66,6 +68,23 @@ impl MemTable {
     pub fn add(&self, seq: SequenceNumber, vt: ValueType, key: &[u8], value: &[u8]) {
         let ikey = encode_internal_key(key, seq, vt);
         self.list.write().insert(ikey, value.to_vec());
+    }
+
+    /// Inserts every op of `batch`, the i-th at sequence
+    /// `batch.sequence() + i`, and returns the highest sequence used
+    /// (`None` for an empty batch).
+    pub(crate) fn apply(&self, batch: &WriteBatch) -> Result<Option<SequenceNumber>> {
+        let mut last = None;
+        for item in batch.iter() {
+            let (offset, op) = item?;
+            let seq = batch.sequence() + u64::from(offset);
+            match op {
+                BatchOp::Put { key, value } => self.add(seq, ValueType::Value, key, value),
+                BatchOp::Delete { key } => self.add(seq, ValueType::Deletion, key, b""),
+            }
+            last = Some(seq);
+        }
+        Ok(last)
     }
 
     /// Looks up `key` as of `snapshot` (inclusive).

@@ -35,14 +35,14 @@ use std::sync::Arc;
 use ldc_obs::{Event, EventKind, MetricsRegistry, NoopSink, SharedSink};
 use ldc_ssd::{IoClass, StorageBackend};
 
-use crate::batch::{BatchOp, WriteBatch};
+use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
 use crate::error::{corruption, Error, Result};
 use crate::memtable::MemTable;
 use crate::options::Options;
 use crate::retry::RetryStorage;
 use crate::table::{Table, TableBuilder};
-use crate::types::{parse_trailer, SequenceNumber, ValueType};
+use crate::types::{parse_trailer, SequenceNumber};
 use crate::version::{table_file_name, FileMeta, Version, VersionSet, CURRENT_FILE};
 use crate::wal::LogReader;
 
@@ -328,17 +328,10 @@ pub fn repair_db_with_sink(
         let mut reader = LogReader::open(storage.as_ref(), name)?;
         let replay = reader.for_each(|record| {
             let batch = WriteBatch::decode(record)?;
-            let base = batch.sequence();
-            for item in batch.iter() {
-                let (offset, op) = item?;
-                let seq = base + u64::from(offset);
-                match op {
-                    BatchOp::Put { key, value } => mem.add(seq, ValueType::Value, key, value),
-                    BatchOp::Delete { key } => mem.add(seq, ValueType::Deletion, key, b""),
-                }
-                last_seq = last_seq.max(seq);
-                report.wal_records_salvaged += 1;
+            if let Some(last) = mem.apply(&batch)? {
+                last_seq = last_seq.max(last);
             }
+            report.wal_records_salvaged += u64::from(batch.count());
             Ok(())
         });
         match replay {

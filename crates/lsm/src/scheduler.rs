@@ -1,8 +1,8 @@
 //! Background worker pool for flush and compaction.
 //!
 //! With `Options::background_workers >= 1`, the engine stops driving
-//! background work inline on the write path ([`crate::db::Db`]'s
-//! `pump_background`) and instead signals this scheduler: N dedicated
+//! background work inline on the write path (`db/lane.rs`, the inline
+//! driver) and instead signals this scheduler: N dedicated
 //! worker threads drive the same three-stage executor
 //! (`crate::compaction::exec`: plan → run → install) — planning and
 //! claiming one job at a time under the core lock, running its
@@ -10,8 +10,14 @@
 //! result under the core lock as one atomic `VersionEdit`. Large merges
 //! are carved into range-partitioned subcompactions (bounded by
 //! `Options::max_subcompactions`) that idle workers run in parallel.
-//! This module holds only what the pool synchronizes on; the stages
-//! themselves are shared with the inline pump.
+//!
+//! This module is the whole pool driver: the state it synchronizes on
+//! (private — nothing outside reads a field or touches a condvar), the
+//! worker loop, and the write path's side of it. The rest of the engine
+//! uses six verbs: `active` (which driver?), `signal`,
+//! `threaded_write_gates`, `wait_flush_job`, `drain_background_threaded`,
+//! and `start_workers` / `shutdown_workers`. The stages themselves are
+//! shared with the inline driver.
 //!
 //! # Conflict tracking
 //!
@@ -30,7 +36,7 @@
 //! byte-identical (pinned by `tests/inline_golden.rs`).
 //! With workers, runs promise linearizability, not timing reproducibility
 //! — the same contract as multi-threaded group commit (see the module
-//! docs on `crate::db`).
+//! docs of `db/write.rs`).
 //!
 //! # Lock ranks (crates/lint/lock_order.toml)
 //!
@@ -52,41 +58,41 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ldc_obs::lockcheck::{Condvar, Mutex, MutexGuard};
-use ldc_obs::{Blame, Event, EventKind, TraceCtx};
+use ldc_obs::TraceCtx;
 use ldc_ssd::Nanos;
 
 use crate::compaction::exec::{Planned, TaskClock, UnitOutput};
-use crate::db::{Db, DbCore};
+use crate::db::{Db, DbCore, Gate};
 use crate::error::{Error, Result};
 use crate::types::KeyRange;
 use crate::version::FileMeta;
 
 /// A user-key interval claimed at `level` by running job `job`.
 #[derive(Debug, Clone)]
-pub(crate) struct RangeClaim {
-    pub(crate) job: u64,
-    pub(crate) level: usize,
-    pub(crate) lo: Vec<u8>,
-    pub(crate) hi: Vec<u8>,
+struct RangeClaim {
+    job: u64,
+    level: usize,
+    lo: Vec<u8>,
+    hi: Vec<u8>,
 }
 
 /// One queued subcompaction unit; `range == None` means the full key
 /// space (the unsplit case and the first unit of a split).
 #[derive(Debug)]
-pub(crate) struct SubUnit {
-    pub(crate) idx: usize,
-    pub(crate) range: Option<KeyRange>,
+struct SubUnit {
+    idx: usize,
+    range: Option<KeyRange>,
 }
 
 /// The in-flight split merge (at most one at a time; a second split-able
 /// job runs its units sequentially on its own coordinator instead).
-pub(crate) struct SubBatch {
+struct SubBatch {
     /// The split job's plan: every unit opens the same input tables,
     /// restricted to its own key range.
-    pub(crate) planned: Arc<Planned>,
+    planned: Arc<Planned>,
     /// Units not yet posted to `results`.
-    pub(crate) remaining: usize,
-    pub(crate) results: Vec<(usize, Result<UnitOutput>)>,
+    remaining: usize,
+    results: Vec<(usize, Result<UnitOutput>)>,
 }
 
 /// Carves a merge's key space into up to `max` disjoint subcompaction
@@ -139,41 +145,42 @@ pub(crate) fn split_merge_ranges(
 }
 
 /// Everything the pool synchronizes on, guarded by `lsm/scheduler::state`.
-pub(crate) struct SchedState {
+#[derive(Default)]
+struct SchedState {
     /// Set by foreground signals and job installs; consumed (one plan
     /// attempt) per worker wakeup.
-    pub(crate) work_hint: bool,
+    work_hint: bool,
     /// A worker owns the pending immutable-memtable flush.
-    pub(crate) flush_inflight: bool,
+    flush_inflight: bool,
     /// Compaction jobs currently claimed (planned but not yet installed).
-    pub(crate) compactions_inflight: usize,
+    compactions_inflight: usize,
     /// Input file numbers of running jobs (live tables and frozen slice
     /// sources alike).
-    pub(crate) inflight_inputs: HashSet<u64>,
+    inflight_inputs: HashSet<u64>,
     /// Per-level output/input range claims of running jobs.
-    pub(crate) claims: Vec<RangeClaim>,
+    claims: Vec<RangeClaim>,
     /// The policy returned no task against the version current at
     /// `completed`; cleared by every install. Stall gates use this to
     /// detect "no progress possible" (the inline pump's break condition).
-    pub(crate) policy_idle: bool,
+    policy_idle: bool,
     /// Monotone count of installed (or aborted) jobs.
-    pub(crate) completed: u64,
+    completed: u64,
     /// Next job id.
     next_job: u64,
     /// Queued subcompaction units of `sub`.
-    pub(crate) subqueue: VecDeque<SubUnit>,
+    subqueue: VecDeque<SubUnit>,
     /// The active split merge, if any.
-    pub(crate) sub: Option<SubBatch>,
+    sub: Option<SubBatch>,
 }
 
 impl SchedState {
-    pub(crate) fn next_job(&mut self) -> u64 {
+    fn next_job(&mut self) -> u64 {
         self.next_job += 1;
         self.next_job
     }
 
     /// Any job claimed or unit outstanding?
-    pub(crate) fn busy(&self) -> bool {
+    fn busy(&self) -> bool {
         self.flush_inflight
             || self.compactions_inflight > 0
             || self.sub.is_some()
@@ -183,7 +190,7 @@ impl SchedState {
     /// Would a job over `inputs` with per-level `ranges` overlap a
     /// running job? `ranges` entries are `(level, lo, hi)` inclusive
     /// user-key intervals.
-    pub(crate) fn conflicts(&self, inputs: &[u64], ranges: &[(usize, Vec<u8>, Vec<u8>)]) -> bool {
+    fn conflicts(&self, inputs: &[u64], ranges: &[(usize, Vec<u8>, Vec<u8>)]) -> bool {
         if inputs.iter().any(|n| self.inflight_inputs.contains(n)) {
             return true;
         }
@@ -198,7 +205,7 @@ impl SchedState {
 
     /// Claims `inputs` and `ranges` for a new job, returning its id.
     /// Callers must have checked [`SchedState::conflicts`] first.
-    pub(crate) fn claim(&mut self, inputs: &[u64], ranges: Vec<(usize, Vec<u8>, Vec<u8>)>) -> u64 {
+    fn claim(&mut self, inputs: &[u64], ranges: Vec<(usize, Vec<u8>, Vec<u8>)>) -> u64 {
         let job = self.next_job();
         self.inflight_inputs.extend(inputs.iter().copied());
         self.compactions_inflight += 1;
@@ -209,7 +216,7 @@ impl SchedState {
     }
 
     /// Releases a job's claims (on install, abort, or failure).
-    pub(crate) fn release(&mut self, job: u64, inputs: &[u64]) {
+    fn release(&mut self, job: u64, inputs: &[u64]) {
         for n in inputs {
             self.inflight_inputs.remove(n);
         }
@@ -221,27 +228,34 @@ impl SchedState {
 /// The worker pool. Lives on every [`crate::db::Db`]; dormant (no threads,
 /// `active() == false`, zero steady-state overhead beyond one relaxed
 /// atomic load per write) unless `Options::background_workers >= 1` *and*
-/// the owner called `Db::start_workers`.
+/// the owner called `Db::start_workers`. Everything inside is private to
+/// this module; the write path reaches it through [`Self::active`],
+/// [`Self::signal`] and the `Db` methods below.
 pub struct CompactionScheduler {
     /// Configured thread count.
-    pub(crate) workers: usize,
-    /// Threads are running; checked (relaxed) on every write to pick the
-    /// inline vs. pool path.
-    pub(crate) started: AtomicBool,
+    workers: usize,
+    /// Threads are running; checked (relaxed) once per commit to pick the
+    /// inline vs. pool driver.
+    started: AtomicBool,
     /// Ask the workers to exit at their next park point.
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) state: Mutex<SchedState>,
+    shutdown: AtomicBool,
+    state: Mutex<SchedState>,
     /// Workers park here for job signals (paired with `state`).
-    pub(crate) work_cv: Condvar,
+    work_cv: Condvar,
     /// A split-merge coordinator parks here for unit results (paired with
     /// `state`).
-    pub(crate) subs_cv: Condvar,
+    subs_cv: Condvar,
     /// Foreground stall gates park here for job installs (paired with the
     /// `lsm/db::core` mutex, *not* `state`).
-    pub(crate) done_cv: Condvar,
+    done_cv: Condvar,
     /// Join handles; populated by `start`, drained by `shutdown`.
-    pub(crate) threads: Mutex<Vec<JoinHandle<()>>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
+
+/// The stall gates' wait on `done_cv`. The timeout is a lost-wakeup /
+/// progress backstop; installs notify while holding the core, so the
+/// normal path wakes immediately.
+const GATE_RECHECK: Duration = Duration::from_millis(2);
 
 impl CompactionScheduler {
     pub(crate) fn new(workers: usize) -> CompactionScheduler {
@@ -249,21 +263,7 @@ impl CompactionScheduler {
             workers,
             started: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            state: Mutex::new(
-                "lsm/scheduler::state",
-                SchedState {
-                    work_hint: false,
-                    flush_inflight: false,
-                    compactions_inflight: 0,
-                    inflight_inputs: HashSet::new(),
-                    claims: Vec::new(),
-                    policy_idle: false,
-                    completed: 0,
-                    next_job: 0,
-                    subqueue: VecDeque::new(),
-                    sub: None,
-                },
-            ),
+            state: Mutex::new("lsm/scheduler::state", SchedState::default()),
             work_cv: Condvar::new(),
             subs_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -276,15 +276,33 @@ impl CompactionScheduler {
         self.started.load(Ordering::Relaxed)
     }
 
+    /// Marks work pending and wakes one worker. Called with the core lock
+    /// held (rank 60 → state's rank 65 is a legal forward acquisition).
+    pub(crate) fn signal(&self) {
+        let mut st = self.state.lock();
+        st.work_hint = true;
+        self.work_cv.notify_one();
+    }
+
+    /// Marks work pending, wakes every worker, and reports whether the
+    /// pool is out of work: nothing running, nothing queued, and the
+    /// policy had no task for the current version — so waiting on it
+    /// cannot help.
+    fn wake_all(&self) -> bool {
+        let mut st = self.state.lock();
+        st.work_hint = true;
+        self.work_cv.notify_all();
+        st.policy_idle && !st.busy()
+    }
+
     /// Asks every worker to exit, wakes them, and joins. Idempotent; safe
     /// to call with no pool started.
-    pub(crate) fn stop(&self) {
+    fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _st = self.state.lock();
-            self.work_cv.notify_all();
-            self.subs_cv.notify_all();
-        }
+        let st = self.state.lock();
+        self.work_cv.notify_all();
+        self.subs_cv.notify_all();
+        drop(st);
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for h in handles {
             // A worker that panicked (e.g. a lockcheck violation) already
@@ -295,11 +313,9 @@ impl CompactionScheduler {
     }
 }
 
+/// The pool driver: what runs the executor's stages on worker threads,
+/// and the write path's gates against it.
 impl Db {
-    // ------------------------------------------------------------------
-    // Background worker pool (threaded mode)
-    // ------------------------------------------------------------------
-
     /// Spawns the `options.background_workers` worker threads. A no-op if
     /// the option is 0 or the pool already runs. While active, the write
     /// path signals the pool instead of pumping inline; runs are
@@ -342,92 +358,46 @@ impl Db {
         self.scheduler.active()
     }
 
-    /// Marks work pending and wakes one worker. Called with the core lock
-    /// held (rank 60 → state's rank 65 is a legal forward acquisition).
-    pub(crate) fn scheduler_signal(&self) {
-        let mut st = self.scheduler.state.lock();
-        st.work_hint = true;
-        self.scheduler.work_cv.notify_one();
-    }
-
-    /// Threaded-mode write-entry gates: the L0 stop gate and the
+    /// The pool's write-entry gates: the L0 stop gate and the
     /// rotation-slot gate become waits on job completion (`done_cv`,
     /// paired with the core mutex — the wait releases the core so workers
-    /// can install), attributed to [`Blame::WorkerQueue`]. The soft L0
+    /// can install), attributed to `Blame::WorkerQueue`. The soft L0
     /// slowdown brake parks on the same condvar for up to the slowdown
     /// delay. Mirrors the inline gates' "no progress possible" break via
     /// the scheduler's `policy_idle` flag.
     pub(crate) fn threaded_write_gates<'a>(
         &self,
         mut core: MutexGuard<'a, DbCore>,
-        mut trace: Option<&mut TraceCtx>,
+        trace: Option<&mut TraceCtx>,
     ) -> MutexGuard<'a, DbCore> {
+        let clock = self.device.clock();
+        let l0_files = |core: &DbCore| core.versions.current.level_files(0);
         let mut stall_t0: Option<Nanos> = None;
-        loop {
-            if core.bg_error.is_some() {
-                break;
-            }
-            let over_stop = core.versions.current.level_files(0) >= self.options.l0_stop_threshold;
+        while !core.failed() {
+            let over_stop = l0_files(&core) >= self.options.l0_stop_threshold;
             let rot_blocked =
                 core.imm.is_some() && core.mem.approximate_bytes() >= self.options.memtable_bytes;
             if !over_stop && !rot_blocked {
                 break;
             }
-            let stuck = {
-                let mut st = self.scheduler.state.lock();
-                st.work_hint = true;
-                self.scheduler.work_cv.notify_all();
-                // Nothing running, nothing queued, and the policy had no
-                // task for the current version: waiting cannot help.
-                st.policy_idle && !st.busy() && core.imm.is_none()
-            };
-            if stuck {
+            if self.scheduler.wake_all() && core.imm.is_none() {
                 break;
             }
-            if stall_t0.is_none() {
-                stall_t0 = Some(self.device.clock().now());
-            }
-            // The timeout is a lost-wakeup/progress backstop; installs
-            // notify `done_cv` while holding the core, so the normal path
-            // wakes immediately.
-            let (g, _) = core.wait_timeout(&self.scheduler.done_cv, Duration::from_millis(2));
-            core = g;
+            stall_t0.get_or_insert_with(|| clock.now());
+            (core, _) = core.wait_timeout(&self.scheduler.done_cv, GATE_RECHECK);
         }
         if let Some(t0) = stall_t0 {
-            let now = self.device.clock().now();
-            let waited = now.saturating_sub(t0);
-            if waited > 0 {
-                core.stats.stalls += 1;
-                core.stats.stall_nanos += waited;
-                if let Some(t) = trace.as_deref_mut() {
-                    t.span(Blame::WorkerQueue, "worker_queue", t0, now);
-                }
-                if self.sink.enabled() {
-                    self.sink
-                        .record(Event::span(EventKind::Stall, t0, now).levels(0, 0));
-                }
-            }
-        } else if core.bg_error.is_none()
-            && core.versions.current.level_files(0) >= self.options.l0_slowdown_threshold
-        {
+            self.record_gate(&mut core, trace, Gate::WorkerQueue, t0, clock.now());
+        } else if !core.failed() && l0_files(&core) >= self.options.l0_slowdown_threshold {
             // Soft brake: a real host-time pause (bounded by the slowdown
             // delay), released early by any job install. The virtual clock
             // is advanced by the model delay so event spans stay sane.
-            let t0 = self.device.clock().now();
-            self.scheduler_signal();
-            let dur = Duration::from_nanos(self.options.slowdown_delay_ns.min(1_000_000));
-            let (g, _) = core.wait_timeout(&self.scheduler.done_cv, dur);
-            core = g;
-            self.device.clock().advance(self.options.slowdown_delay_ns);
-            core.stats.slowdowns += 1;
-            let end = self.device.clock().now();
-            if let Some(t) = trace {
-                t.span(Blame::Slowdown, "l0_slowdown", t0, end);
-            }
-            if self.sink.enabled() {
-                self.sink
-                    .record(Event::span(EventKind::Slowdown, t0, end).levels(0, 0));
-            }
+            let t0 = clock.now();
+            self.scheduler.signal();
+            let pause = Duration::from_nanos(self.options.slowdown_delay_ns.min(1_000_000));
+            (core, _) = core.wait_timeout(&self.scheduler.done_cv, pause);
+            clock.advance(self.options.slowdown_delay_ns);
+            self.record_gate(&mut core, trace, Gate::L0Slowdown, t0, clock.now());
         }
         core
     }
@@ -439,40 +409,20 @@ impl Db {
         &self,
         mut core: MutexGuard<'a, DbCore>,
     ) -> MutexGuard<'a, DbCore> {
-        if !self.scheduler.active() {
-            return core;
+        while self.scheduler.active() && self.scheduler.state.lock().flush_inflight {
+            (core, _) = core.wait_timeout(&self.scheduler.done_cv, GATE_RECHECK);
         }
-        loop {
-            let inflight = self.scheduler.state.lock().flush_inflight;
-            if !inflight {
-                return core;
-            }
-            let (g, _) = core.wait_timeout(&self.scheduler.done_cv, Duration::from_millis(2));
-            core = g;
-        }
+        core
     }
 
-    /// Threaded-mode drain: signal the pool and wait until nothing is
-    /// claimed, nothing is queued, the `imm` slot is clear, and the
-    /// policy reported no further work.
+    /// The pool's drain: signal it and wait until nothing is claimed,
+    /// nothing is queued, the `imm` slot is clear, and the policy reported
+    /// no further work — or the engine latched an error.
     pub(crate) fn drain_background_threaded(&self) -> Nanos {
         let t0 = self.device.clock().now();
         let mut core = self.core.lock();
-        loop {
-            if core.bg_error.is_some() {
-                break;
-            }
-            let idle = {
-                let mut st = self.scheduler.state.lock();
-                st.work_hint = true;
-                self.scheduler.work_cv.notify_all();
-                st.policy_idle && !st.busy()
-            };
-            if idle && core.imm.is_none() {
-                break;
-            }
-            let (g, _) = core.wait_timeout(&self.scheduler.done_cv, Duration::from_millis(2));
-            core = g;
+        while !(core.failed() || (self.scheduler.wake_all() && core.imm.is_none())) {
+            (core, _) = core.wait_timeout(&self.scheduler.done_cv, GATE_RECHECK);
         }
         self.publish_view(&core);
         self.reap_pending_deletes(&mut core);
@@ -528,19 +478,17 @@ impl Db {
     /// them.
     fn run_one_job(&self) {
         let mut core = self.core.lock();
-        if core.bg_error.is_some() {
+        if core.failed() {
             return;
         }
         if let Some(imm) = core.imm.clone() {
-            let claimed = {
-                let mut st = self.scheduler.state.lock();
-                let claimed = !st.flush_inflight;
-                if claimed {
-                    st.flush_inflight = true;
-                    st.policy_idle = false;
-                }
-                claimed
-            };
+            let mut st = self.scheduler.state.lock();
+            let claimed = !st.flush_inflight;
+            if claimed {
+                st.flush_inflight = true;
+                st.policy_idle = false;
+            }
+            drop(st);
             if claimed {
                 // The memtable stays in `core.imm` (readers keep seeing
                 // it) until its L0 table installs.
@@ -556,19 +504,17 @@ impl Db {
                 return;
             }
         }
-        let gen = {
-            let st = self.scheduler.state.lock();
-            st.completed
-        };
+        let st = self.scheduler.state.lock();
+        let gen = st.completed;
+        drop(st);
         let Some(task) = self.pick_task(&core) else {
-            {
-                let mut st = self.scheduler.state.lock();
-                // Only latch idle if no job installed since the pick —
-                // an install changes the version the policy judged.
-                if st.completed == gen {
-                    st.policy_idle = true;
-                }
+            let mut st = self.scheduler.state.lock();
+            // Only latch idle if no job installed since the pick —
+            // an install changes the version the policy judged.
+            if st.completed == gen {
+                st.policy_idle = true;
             }
+            drop(st);
             // Stalled writers re-check `policy_idle` under the core lock
             // (which we hold), so this wake cannot be lost.
             self.scheduler.done_cv.notify_all();
@@ -580,33 +526,29 @@ impl Db {
         let Ok(planned) = self.plan_task(&core, &task) else {
             return;
         };
-        let job = {
-            let mut st = self.scheduler.state.lock();
-            let level = planned.level;
-            // A move/link rewires metadata at `level`/`level + 1` without
-            // a key range of its own — coarse but safe: defer it while
-            // any job claims ranges there (its outputs could interleave).
-            let conflict = st.conflicts(&planned.inputs, &planned.claims)
-                || (planned.metadata_only()
-                    && st
-                        .claims
-                        .iter()
-                        .any(|c| c.level == level || c.level == level + 1));
-            if conflict {
-                return;
-            }
-            if planned.metadata_only() {
-                None
-            } else {
-                st.policy_idle = false;
-                Some(st.claim(&planned.inputs, planned.claims.clone()))
-            }
-        };
-        let Some(job) = job else {
+        let mut st = self.scheduler.state.lock();
+        let level = planned.level;
+        // A move/link rewires metadata at `level`/`level + 1` without
+        // a key range of its own — coarse but safe: defer it while
+        // any job claims ranges there (its outputs could interleave).
+        let conflict = st.conflicts(&planned.inputs, &planned.claims)
+            || (planned.metadata_only()
+                && st
+                    .claims
+                    .iter()
+                    .any(|c| c.level == level || c.level == level + 1));
+        if conflict {
+            return;
+        }
+        if planned.metadata_only() {
+            drop(st);
             let result = self.install(&mut core, &planned, &[], clock);
             self.finish_job(&mut core, result, clock, None, false);
             return;
-        };
+        }
+        st.policy_idle = false;
+        let job = st.claim(&planned.inputs, planned.claims.clone());
+        drop(st);
         drop(core);
         let outs = self.run_units(&planned, &mut || self.locked_file_number());
         let mut core = self.core.lock();
@@ -633,23 +575,18 @@ impl Db {
         self.core.lock().versions.new_file_number()
     }
 
-    /// The run stage of a whole task: one unit per subcompaction range,
-    /// results in range order so the installed file sequence matches an
-    /// unsplit merge's. The deterministic inline mode never splits. With
-    /// workers, units 1.. are queued for idle workers (when the single
-    /// split slot is free) while this thread runs unit 0 and then helps
-    /// drain the queue until every unit posted. `alloc` numbers the
-    /// outputs of the units this thread runs.
-    pub(crate) fn run_units(
+    /// The run stage of a whole task on the pool: one unit per
+    /// subcompaction range, results in range order so the installed file
+    /// sequence matches an unsplit merge's. Units 1.. are queued for idle
+    /// workers (when the single split slot is free) while this thread
+    /// runs unit 0 and then helps drain the queue until every unit
+    /// posted. `alloc` numbers the outputs of the units this thread runs.
+    fn run_units(
         &self,
         planned: &Arc<Planned>,
         alloc: &mut dyn FnMut() -> u64,
     ) -> Result<Vec<UnitOutput>> {
-        let ranges = if self.scheduler.active() {
-            planned.unit_ranges(self.options.max_subcompactions)
-        } else {
-            vec![None]
-        };
+        let ranges = planned.unit_ranges(self.options.max_subcompactions);
         let k = ranges.len();
         let queued = k > 1 && {
             let mut st = self.scheduler.state.lock();
@@ -696,10 +633,9 @@ impl Db {
             let Some(u) = next else { break };
             self.post_unit(u.idx, self.run(planned, u.range.as_ref(), alloc));
         }
-        let batch = {
-            let mut st = self.scheduler.state.lock();
-            st.sub.take()
-        };
+        let mut st = self.scheduler.state.lock();
+        let batch = st.sub.take();
+        drop(st);
         let Some(batch) = batch else {
             return Err(Error::InvalidState(
                 "split-merge batch vanished before its coordinator collected it".to_string(),
@@ -724,7 +660,7 @@ impl Db {
     /// The end of a worker's job, under the core lock it installed with:
     /// publish what the install changed — or, if it failed, quarantine a
     /// corrupt input when the policy allows (the policy then re-plans
-    /// against the surviving version) and latch `bg_error` otherwise.
+    /// against the surviving version) and latch the error otherwise.
     /// Either way release the job's claims, bump `completed`, re-arm the
     /// work hint, and wake both the pool and any stalled writers.
     /// `done_cv` waiters check their predicates under the core, so
@@ -742,19 +678,18 @@ impl Db {
         }
         self.publish_view(core);
         self.reap_pending_deletes(core);
-        {
-            let mut st = self.scheduler.state.lock();
-            if flush {
-                st.flush_inflight = false;
-            }
-            if let Some((job, inputs)) = claimed {
-                st.release(job, inputs);
-            }
-            st.completed += 1;
-            st.policy_idle = false;
-            st.work_hint = true;
-            self.scheduler.work_cv.notify_all();
+        let mut st = self.scheduler.state.lock();
+        if flush {
+            st.flush_inflight = false;
         }
+        if let Some((job, inputs)) = claimed {
+            st.release(job, inputs);
+        }
+        st.completed += 1;
+        st.policy_idle = false;
+        st.work_hint = true;
+        self.scheduler.work_cv.notify_all();
+        drop(st);
         self.scheduler.done_cv.notify_all();
     }
 }
@@ -764,18 +699,7 @@ mod tests {
     use super::*;
 
     fn st() -> SchedState {
-        SchedState {
-            work_hint: false,
-            flush_inflight: false,
-            compactions_inflight: 0,
-            inflight_inputs: HashSet::new(),
-            claims: Vec::new(),
-            policy_idle: false,
-            completed: 0,
-            next_job: 0,
-            subqueue: VecDeque::new(),
-            sub: None,
-        }
+        SchedState::default()
     }
 
     #[test]
