@@ -352,7 +352,10 @@ impl Db {
         loop {
             self.lane.wait_idle(clock);
             let before = self.lane.bg_until.load(Ordering::SeqCst);
-            if self.pump_background(&mut core).is_err() {
+            if let Err(e) = self.pump_background(&mut core) {
+                // Fail-stop, for the reason `commit_group` gives: a failed
+                // flush write or MANIFEST append must refuse later writes.
+                core.latch(e);
                 break;
             }
             if self.lane.bg_until.load(Ordering::SeqCst) == before && core.imm.is_none() {

@@ -13,9 +13,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use ldc::lsm::db::Db;
 use ldc::ssd::{IoClass, MemStorage, SsdDevice, StorageBackend};
-use ldc::{CompactionMode, LdcConfig, LdcDb, Options};
-use ldc_chaos::{BitFlipOutcome, BitFlipTarget, ChaosConfig, ChaosHarness};
+use ldc::{CompactionMode, LdcConfig, LdcDb, LdcPolicy, Options};
+use ldc_chaos::{
+    BitFlipOutcome, BitFlipTarget, ChaosConfig, ChaosHarness, FaultPlan, FaultStorage,
+};
 
 fn mode(ldc: bool) -> CompactionMode {
     if ldc {
@@ -228,6 +231,68 @@ fn recovery_summary_surfaces_in_stats_report() {
         )),
         "{report}"
     );
+}
+
+/// A store on a fault-injecting storage, filled inline with enough data
+/// that a drain still has hundreds of storage ops of flush and compaction
+/// debt to work off. The pool (if `workers > 0`) is *not* started: the
+/// fill runs on the deterministic inline driver either way, so the op
+/// count at which the drain begins is the same for every `plan`.
+fn filled_store(plan: FaultPlan, workers: usize) -> (Arc<Db>, Arc<FaultStorage>) {
+    let storage = FaultStorage::new(MemStorage::new(SsdDevice::with_defaults()), plan);
+    let options = Options {
+        background_workers: workers,
+        ..Options::small_for_tests()
+    };
+    let db = Db::open(storage.clone(), options, Box::new(LdcPolicy::new())).unwrap();
+    let value = vec![b'v'; 900];
+    for k in 0..3_000u32 {
+        db.put(format!("key{k:06}").as_bytes(), &value).unwrap();
+    }
+    assert!(!storage.powered_off(), "the fault fired before the drain");
+    (Arc::new(db), storage)
+}
+
+/// The fail-stop contract both background drivers owe a drain: whichever
+/// storage op fails inside it, the engine latches the error and the next
+/// write is refused with it.
+fn assert_drain_latched(db: &Db, storage: &FaultStorage, what: &str) {
+    assert!(storage.powered_off(), "{what}: the fault never fired");
+    let latched = db
+        .background_error()
+        .unwrap_or_else(|| panic!("{what}: a failed drain left no background error"));
+    assert_eq!(db.put(b"after", b"drain"), Err(latched), "{what}");
+}
+
+/// Sweeps a power loss over the storage ops one inline drain performs
+/// (strided: every point replays the fill). A failed flush write or
+/// MANIFEST append inside the drain must fail-stop exactly like one on the
+/// commit path.
+#[test]
+fn failed_drain_latches_inline() {
+    let (db, storage) = filled_store(FaultPlan::new(5), 0);
+    let first = storage.mutating_ops() + 1;
+    db.drain_background();
+    let last = storage.mutating_ops();
+    assert!(last >= first + 500, "drain did only {first}..={last}");
+    for op in (first..=last).step_by(((last - first) / 12) as usize) {
+        let (db, storage) = filled_store(FaultPlan::crash_at(5, op), 0);
+        db.drain_background();
+        assert_drain_latched(&db, &storage, &format!("inline drain, crash at op {op}"));
+    }
+}
+
+/// The same contract on the worker pool. Op indices are not reproducible
+/// once threads run, so one failure early in the drain stands for all.
+#[test]
+fn failed_drain_latches_threaded() {
+    let (_, probe) = filled_store(FaultPlan::new(5), 2);
+    let op = probe.mutating_ops() + 40;
+    let (db, storage) = filled_store(FaultPlan::crash_at(5, op), 2);
+    db.start_workers();
+    db.drain_background();
+    db.shutdown_workers();
+    assert_drain_latched(&db, &storage, &format!("pool drain, crash at op {op}"));
 }
 
 proptest! {
