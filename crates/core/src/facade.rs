@@ -12,10 +12,9 @@
 use std::sync::Arc;
 
 use ldc_lsm::compaction::{CompactionPolicy, UdcPolicy};
-use ldc_lsm::db::{Db, DbStats};
-use ldc_lsm::RecoverySummary;
-use ldc_lsm::{CacheCounters, Options, PinnedValue, Result};
-use ldc_obs::{MetricsRegistry, NoopSink, SharedSink, Trace};
+use ldc_lsm::db::Db;
+use ldc_lsm::{Options, Result};
+use ldc_obs::{NoopSink, SharedSink};
 use ldc_ssd::{MemStorage, SsdConfig, SsdDevice, StorageBackend};
 
 use crate::policy::{LdcConfig, LdcPolicy};
@@ -231,12 +230,26 @@ impl LdcDbBuilder {
 /// An SSD-oriented key-value store running lower-level driven compaction
 /// (or, for comparison, the UDC baseline).
 ///
-/// The engine lives behind an `Arc` so the background worker pool (when
-/// `background_workers >= 1`) can share it; dropping the facade stops and
-/// joins the pool.
+/// The handle dereferences to the engine, so the whole [`Db`] API —
+/// `put`/`get`/`get_pinned`/`delete`/`scan`/`write`, snapshots, `stats`,
+/// `stats_report`/`tail_report`, `scrub`, `flush`, `checkpoint`,
+/// `backup_begin`/`backup_end`, `drain_background`, … — is called on it
+/// directly. What this type adds is construction ([`LdcDb::builder`]),
+/// [`LdcDb::multi_get`], the storage handle, and ownership of the
+/// background worker pool: the engine lives behind an `Arc` so the pool
+/// (when `background_workers >= 1`) can share it, and dropping the
+/// handle stops and joins the pool.
 pub struct LdcDb {
     inner: Arc<Db>,
     storage: Arc<dyn StorageBackend>,
+}
+
+impl std::ops::Deref for LdcDb {
+    type Target = Db;
+
+    fn deref(&self) -> &Db {
+        &self.inner
+    }
 }
 
 impl Drop for LdcDb {
@@ -253,125 +266,22 @@ impl LdcDb {
         LdcDbBuilder::new()
     }
 
-    /// Inserts or overwrites a key.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.inner.put(key, value)
-    }
-
-    /// Point lookup. The value is copied out of the engine at this
-    /// boundary; use [`LdcDb::get_pinned`] to borrow it zero-copy instead.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.get(key)
-    }
-
-    /// Zero-copy point lookup: the returned handle borrows the cached
-    /// block (or the inline memtable entry) without copying the value.
-    pub fn get_pinned(&self, key: &[u8]) -> Result<Option<PinnedValue>> {
-        self.inner.get_pinned(key)
-    }
-
-    /// Deletes a key.
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.inner.delete(key)
-    }
-
     /// Batched point lookups against **one** pinned snapshot: every key is
     /// resolved at the same sequence number, so the results are mutually
     /// consistent even while concurrent writers advance the store (an
     /// atomically written batch is observed either entirely or not at
     /// all). Returns one entry per input key, in order.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        let snapshot = self.inner.snapshot();
-        let mut out = Vec::with_capacity(keys.len());
-        let mut failed = None;
-        for key in keys {
-            match self.inner.get_at(key, &snapshot) {
-                Ok(value) => out.push(value),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
+        let snapshot = self.snapshot();
+        let out = keys.iter().map(|key| self.get_at(key, &snapshot)).collect();
         // Always unpin, error or not — a leaked snapshot pins files forever.
-        self.inner.release_snapshot(snapshot);
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Range scan: up to `limit` live entries with key >= `start`.
-    pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.inner.scan(start, limit)
-    }
-
-    /// Applies a write batch atomically. Concurrent callers are group
-    /// committed: one leader folds every queued batch into a single WAL
-    /// append and sync.
-    pub fn write(&self, batch: ldc_lsm::WriteBatch) -> Result<()> {
-        self.inner.write(batch)
-    }
-
-    /// Pins the current state for repeatable reads (release with
-    /// [`LdcDb::release_snapshot`]).
-    pub fn snapshot(&self) -> ldc_lsm::db::Snapshot {
-        self.inner.snapshot()
-    }
-
-    /// Releases a pinned snapshot.
-    pub fn release_snapshot(&self, snapshot: ldc_lsm::db::Snapshot) {
-        self.inner.release_snapshot(snapshot)
-    }
-
-    /// Point lookup as of a pinned snapshot.
-    pub fn get_at(&self, key: &[u8], snapshot: &ldc_lsm::db::Snapshot) -> Result<Option<Vec<u8>>> {
-        self.inner.get_at(key, snapshot)
-    }
-
-    /// Range scan as of a pinned snapshot.
-    pub fn scan_at(
-        &self,
-        start: &[u8],
-        limit: usize,
-        snapshot: &ldc_lsm::db::Snapshot,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.inner.scan_at(start, limit, snapshot)
-    }
-
-    /// Engine counters.
-    pub fn stats(&self) -> DbStats {
-        self.inner.stats()
-    }
-
-    /// What the opening recovery replayed, truncated, and quarantined.
-    pub fn recovery_summary(&self) -> RecoverySummary {
-        self.inner.recovery_summary()
-    }
-
-    /// The simulated device (clock, I/O stats, wear).
-    pub fn device(&self) -> &Arc<SsdDevice> {
-        self.inner.device()
+        self.release_snapshot(snapshot);
+        out
     }
 
     /// The storage backend (space accounting, file listing).
     pub fn storage(&self) -> &Arc<dyn StorageBackend> {
         &self.storage
-    }
-
-    /// Name of the active compaction policy ("ldc" or "udc").
-    pub fn policy_name(&self) -> String {
-        self.inner.policy_name()
-    }
-
-    /// Live on-device bytes (Fig 15's space metric).
-    pub fn space_bytes(&self) -> u64 {
-        self.inner.space_bytes()
-    }
-
-    /// Block-cache counters (hits, misses, evictions).
-    pub fn block_cache_counters(&self) -> CacheCounters {
-        self.inner.block_cache_counters()
     }
 
     /// Routes structured events to `sink` from now on (equivalent to the
@@ -390,117 +300,6 @@ impl LdcDb {
         if restart {
             self.inner.start_workers();
         }
-    }
-
-    /// The engine's metrics registry (per-level gauges, per-op latency
-    /// histograms).
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        self.inner.metrics()
-    }
-
-    /// Human-readable engine report (LevelDB `leveldb.stats` style).
-    pub fn stats_report(&self) -> String {
-        self.inner.stats_report()
-    }
-
-    /// The worst-latency traces captured by the reservoir, grouped by op
-    /// type, worst first. Empty unless the store was built with
-    /// [`LdcDbBuilder::trace_worst_k`].
-    pub fn worst_traces(&self) -> Vec<Trace> {
-        self.inner.worst_traces()
-    }
-
-    /// Tail-latency report: per-op percentiles through P99.99, the blame
-    /// breakdown, and the worst captured traces.
-    pub fn tail_report(&self) -> String {
-        self.inner.tail_report()
-    }
-
-    /// The worst-K trace reservoir rendered as folded stacks (flamegraph
-    /// collapse format). Empty unless tracing was enabled.
-    pub fn trace_folded_report(&self) -> String {
-        self.inner.trace_folded_report()
-    }
-
-    /// Clears the worst-K reservoir and its arrival counters (e.g. after
-    /// a preload phase). No-op when tracing is off.
-    pub fn reset_traces(&self) {
-        self.inner.reset_traces()
-    }
-
-    /// Verifies every SSTable's checksums and ordering; returns entries
-    /// scanned.
-    pub fn verify_integrity(&self) -> Result<u64> {
-        self.inner.verify_integrity()
-    }
-
-    /// Online scrub: re-reads every reachable SSTable and re-verifies
-    /// block CRCs, key order, index/footer consistency, and filter
-    /// membership. Under [`ldc_lsm::CorruptionPolicy::Quarantine`] corrupt
-    /// live tables are quarantined on the spot.
-    pub fn scrub(&self) -> Result<ldc_lsm::ScrubReport> {
-        self.inner.scrub()
-    }
-
-    /// Files quarantined since open (corrupt tables set aside as
-    /// `<name>.quarantined` and dropped from the version).
-    pub fn quarantined(&self) -> Vec<ldc_lsm::QuarantinedFile> {
-        self.inner.quarantined()
-    }
-
-    /// Waits out any pending background flush/compaction debt, returning
-    /// the virtual nanoseconds waited. Call at measurement boundaries.
-    pub fn drain_background(&self) -> u64 {
-        self.inner.drain_background()
-    }
-
-    /// Flushes both memtables and rotates the WAL, so the version alone
-    /// captures every acknowledged write.
-    pub fn flush(&self) -> Result<()> {
-        self.inner.flush()
-    }
-
-    /// Creates an online, crash-consistent checkpoint named `name` under
-    /// the `ckpt-<name>@` prefix on this store's storage. Restore it with
-    /// [`ldc_lsm::restore_checkpoint`].
-    pub fn checkpoint(&self, name: &str) -> Result<ldc_lsm::CheckpointReport> {
-        self.inner.checkpoint(name)
-    }
-
-    /// Starts incremental backup `name`: a base checkpoint under
-    /// `backup-<name>@` plus an armed edit-stream shipper that appends
-    /// every subsequent version change (and links its new SSTables) until
-    /// [`LdcDb::backup_end`]. Restore with [`ldc_lsm::restore_backup`].
-    pub fn backup_begin(&self, name: &str) -> Result<ldc_lsm::CheckpointReport> {
-        self.inner.backup_begin(name)
-    }
-
-    /// Stops the active backup stream, returning `(edits, files, bytes)`
-    /// shipped, or `None` when no stream was armed.
-    pub fn backup_end(&self) -> Option<(u64, u64, u64)> {
-        self.inner.backup_end()
-    }
-
-    /// Whether an incremental backup stream is currently armed.
-    pub fn shipping(&self) -> bool {
-        self.inner.shipping()
-    }
-
-    /// Progress of the armed backup stream as `(edits, files, bytes)`.
-    pub fn shipper_progress(&self) -> Option<(u64, u64, u64)> {
-        self.inner.shipper_progress()
-    }
-
-    /// How many backup-stream records this store has applied (nonzero
-    /// only on followers / restored backups).
-    pub fn replication_cursor(&self) -> u64 {
-        self.inner.replication_cursor()
-    }
-
-    /// Applies one replicated version edit (the read-only follower's
-    /// write path; see `ldc-sync`).
-    pub fn apply_remote_edit(&self, edit: &ldc_lsm::version::VersionEdit) -> Result<()> {
-        self.inner.apply_remote_edit(edit)
     }
 
     /// Access to the underlying engine (experiments, tests). The engine
