@@ -331,6 +331,9 @@ impl Db {
         if !threads.is_empty() {
             return;
         }
+        // A pool restarted after `shutdown_workers` must not find the
+        // exit request of its previous incarnation still standing.
+        self.scheduler.shutdown.store(false, Ordering::SeqCst);
         for i in 0..self.scheduler.workers {
             let db = Arc::clone(self);
             let handle = std::thread::Builder::new()

@@ -191,6 +191,28 @@ fn subcompactions_match_inline_ldc() {
     split_matches_unsplit(false, 8, 900);
 }
 
+/// `LdcDb::set_event_sink` parks the pool to swap the sink and restarts
+/// it. The restarted workers must actually run: a pool that is "active"
+/// with no live worker deadlocks the first write gate that waits on it.
+#[test]
+fn pool_restarts_after_set_event_sink() {
+    let mut db = build(true, 2, None);
+    let sink = Arc::new(RingBufferSink::new(4096));
+    db.set_event_sink(sink.clone());
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        apply_workload(&db, 4, 400);
+        db.drain_background();
+        // Ignored on purpose: the receiver is gone only if it timed out.
+        let _ = done.send(db.stats());
+    });
+    let stats = finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("writes hung: the restarted pool has no live workers");
+    assert!(stats.flushes > 0 && stats.merges > 0, "{stats:?}");
+    assert!(sink.events().iter().any(|e| e.kind == EventKind::Flush));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
