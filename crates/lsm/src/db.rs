@@ -179,6 +179,18 @@ struct ReadView {
     seq: SequenceNumber,
 }
 
+impl ReadView {
+    /// The view of `core`'s current state.
+    fn of(core: &DbCore) -> ReadView {
+        ReadView {
+            version: Arc::clone(&core.versions.current),
+            mem: Arc::clone(&core.mem),
+            imm: core.imm.clone(),
+            seq: core.versions.last_sequence,
+        }
+    }
+}
+
 /// All mutable engine state, guarded by one mutex. Writers (and the
 /// background work they pump) hold it for the duration of a commit;
 /// readers never take it — they go through the published [`ReadView`].
@@ -348,12 +360,7 @@ impl Db {
             options.block_cache_shards,
         ));
         let tables = TableCache::new(options.table_cache_entries, Arc::clone(&block_cache));
-        let view = ReadView {
-            version: Arc::clone(&core.versions.current),
-            mem: Arc::clone(&core.mem),
-            imm: None,
-            seq: core.versions.last_sequence,
-        };
+        let view = ReadView::of(&core);
         let scheduler = CompactionScheduler::new(options.background_workers);
         Db {
             options,
@@ -384,12 +391,7 @@ impl Db {
     /// reader is allowed to observe the new state: end of a leader commit,
     /// end of a background drain, after a quarantine, and at open.
     pub(crate) fn publish_view(&self, core: &DbCore) {
-        *self.view.write() = ReadView {
-            version: Arc::clone(&core.versions.current),
-            mem: Arc::clone(&core.mem),
-            imm: core.imm.as_ref().map(Arc::clone),
-            seq: core.versions.last_sequence,
-        };
+        *self.view.write() = ReadView::of(core);
         // Order the publish before any subsequent `read_pins` check (see
         // `reap_pending_deletes`): a reader that pins after a zero-pin
         // observation must see this (or a newer) view.
@@ -492,11 +494,6 @@ impl Db {
     /// since this handle was opened, oldest first.
     pub fn quarantined(&self) -> Vec<QuarantinedFile> {
         self.core.lock().quarantined.clone()
-    }
-
-    /// The event sink, for sibling modules (scrub) that emit events.
-    pub(crate) fn event_sink(&self) -> &SharedSink {
-        &self.sink
     }
 
     /// Reacts to a permanent corruption report according to the corruption

@@ -90,23 +90,23 @@ impl Db {
                     report.bytes_verified += stats.bytes;
                     report.entries_verified += stats.entries;
                     metrics.record_scrub_blocks(stats.blocks);
-                    if self.event_sink().enabled() {
+                    if self.sink.enabled() {
                         let mut ev = Event::span(EventKind::ScrubProgress, t0, t1)
                             .files(1, u32::try_from(stats.blocks).unwrap_or(u32::MAX))
                             .bytes(stats.bytes, 0);
                         ev.level = level;
-                        self.event_sink().record(ev);
+                        self.sink.record(ev);
                     }
                 }
                 Err(Error::Corruption(info)) => {
                     report.tables_scanned += 1;
                     metrics.record_scrub_corruption();
-                    if self.event_sink().enabled() {
+                    if self.sink.enabled() {
                         let mut ev = Event::span(EventKind::ScrubCorruption, t0, t1)
                             .files(1, 0)
                             .bytes(info.offset.unwrap_or(0), 0);
                         ev.level = level;
-                        self.event_sink().record(ev);
+                        self.sink.record(ev);
                     }
                     // Only live files quarantine; `quarantine_corruption`
                     // itself enforces the policy and live-ness.
