@@ -9,13 +9,13 @@ pub mod must_use;
 pub mod panic_safety;
 pub mod taint;
 
-/// Does a rule's `scoped` list cover `path` (both workspace-relative)? An
+/// Does a rule's scope list cover `path` (both workspace-relative)? An
 /// entry names one file, or — ending in `/` — every file under a module
 /// directory except `tests.rs`, the module's out-of-line `#[cfg(test)]`
 /// half (the lexer marks test code per file and cannot see the `mod`
 /// declaration's attribute).
-pub(crate) fn scoped(scoped: &[&str], path: &str) -> bool {
-    scoped.iter().any(|entry| match entry.strip_suffix('/') {
+pub(crate) fn scoped(entries: &[&str], path: &str) -> bool {
+    entries.iter().any(|entry| match entry.strip_suffix('/') {
         Some(_) => path.starts_with(entry) && !path.ends_with("/tests.rs"),
         None => *entry == path,
     })

@@ -250,6 +250,11 @@ impl DbCore {
     pub(crate) fn failed(&self) -> bool {
         self.bg_error.is_some()
     }
+
+    /// Level-0 file count, what both drivers' stop and slowdown gates test.
+    pub(crate) fn l0_files(&self) -> usize {
+        self.versions.current.level_files(0)
+    }
 }
 
 /// Decrements the in-flight read counter on drop, so pending physical

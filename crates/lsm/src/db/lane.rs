@@ -157,15 +157,13 @@ impl Db {
         self.pump_background(core)?;
         let clock = self.device.clock();
         let t0 = clock.now();
-        if core.versions.current.level_files(0) >= self.options.l0_stop_threshold {
+        if core.l0_files() >= self.options.l0_stop_threshold {
             // Hard stop: wait for background tasks until L0 drains below
             // the limit.
-            while core.versions.current.level_files(0) >= self.options.l0_stop_threshold {
+            while core.l0_files() >= self.options.l0_stop_threshold {
                 self.lane.wait_idle(clock);
-                let progress = |core: &DbCore| {
-                    let bg = self.lane.bg_until.load(Ordering::SeqCst);
-                    (core.versions.current.level_files(0), bg)
-                };
+                let progress =
+                    |core: &DbCore| (core.l0_files(), self.lane.bg_until.load(Ordering::SeqCst));
                 let before = progress(core);
                 self.pump_background(core)?;
                 if before == progress(core) {
@@ -173,7 +171,7 @@ impl Db {
                 }
             }
             self.record_gate(core, trace, Gate::L0Stop, t0, clock.now());
-        } else if core.versions.current.level_files(0) >= self.options.l0_slowdown_threshold {
+        } else if core.l0_files() >= self.options.l0_slowdown_threshold {
             clock.advance(self.options.slowdown_delay_ns);
             let end = t0 + self.options.slowdown_delay_ns;
             self.record_gate(core, trace, Gate::L0Slowdown, t0, end);

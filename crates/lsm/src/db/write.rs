@@ -48,13 +48,14 @@ pub(super) fn fresh_wal(
     versions: &mut VersionSet,
     storage: &Arc<dyn StorageBackend>,
 ) -> (u64, LogWriter) {
-    let mut number = versions.new_file_number();
-    while storage.exists(&log_file_name(number)) {
-        number = versions.new_file_number();
+    loop {
+        let number = versions.new_file_number();
+        let name = log_file_name(number);
+        if !storage.exists(&name) {
+            let wal = LogWriter::new(Arc::clone(storage), name, IoClass::WalWrite);
+            return (number, wal);
+        }
     }
-    let name = log_file_name(number);
-    let wal = LogWriter::new(Arc::clone(storage), name, IoClass::WalWrite);
-    (number, wal)
 }
 
 impl Db {
@@ -353,13 +354,15 @@ impl Db {
         t0: Nanos,
         end: Nanos,
     ) {
-        let (kind, blame, label) = match gate {
-            Gate::L0Stop => (EventKind::Stall, Blame::Stall, "l0_stop"),
-            Gate::RotationWait => (EventKind::Stall, Blame::Stall, "rotation_wait"),
-            Gate::WorkerQueue => (EventKind::Stall, Blame::WorkerQueue, "worker_queue"),
-            Gate::L0Slowdown => (EventKind::Slowdown, Blame::Slowdown, "l0_slowdown"),
+        // Event kind, blame bucket, span label, and whether the event is
+        // tagged as a Level-0 condition (the rotation wait is not one).
+        let (kind, blame, label, l0) = match gate {
+            Gate::L0Stop => (EventKind::Stall, Blame::Stall, "l0_stop", true),
+            Gate::RotationWait => (EventKind::Stall, Blame::Stall, "rotation_wait", false),
+            Gate::WorkerQueue => (EventKind::Stall, Blame::WorkerQueue, "worker_queue", true),
+            Gate::L0Slowdown => (EventKind::Slowdown, Blame::Slowdown, "l0_slowdown", true),
         };
-        if matches!(gate, Gate::L0Slowdown) {
+        if kind == EventKind::Slowdown {
             core.stats.slowdowns += 1;
         } else if end > t0 {
             core.stats.stalls += 1;
@@ -372,11 +375,8 @@ impl Db {
         }
         if self.sink.enabled() {
             let event = Event::span(kind, t0, end);
-            // The rotation wait is not a Level-0 condition.
-            self.sink.record(match gate {
-                Gate::RotationWait => event,
-                _ => event.levels(0, 0),
-            });
+            self.sink
+                .record(if l0 { event.levels(0, 0) } else { event });
         }
     }
 

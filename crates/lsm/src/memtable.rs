@@ -74,10 +74,11 @@ impl MemTable {
     /// `batch.sequence() + i`, and returns the highest sequence used
     /// (`None` for an empty batch).
     pub(crate) fn apply(&self, batch: &WriteBatch) -> Result<Option<SequenceNumber>> {
+        let base = batch.sequence();
         let mut last = None;
         for item in batch.iter() {
             let (offset, op) = item?;
-            let seq = batch.sequence() + u64::from(offset);
+            let seq = base + u64::from(offset);
             match op {
                 BatchOp::Put { key, value } => self.add(seq, ValueType::Value, key, value),
                 BatchOp::Delete { key } => self.add(seq, ValueType::Deletion, key, b""),

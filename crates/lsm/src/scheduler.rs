@@ -374,10 +374,9 @@ impl Db {
         trace: Option<&mut TraceCtx>,
     ) -> MutexGuard<'a, DbCore> {
         let clock = self.device.clock();
-        let l0_files = |core: &DbCore| core.versions.current.level_files(0);
         let mut stall_t0: Option<Nanos> = None;
         while !core.failed() {
-            let over_stop = l0_files(&core) >= self.options.l0_stop_threshold;
+            let over_stop = core.l0_files() >= self.options.l0_stop_threshold;
             let rot_blocked =
                 core.imm.is_some() && core.mem.approximate_bytes() >= self.options.memtable_bytes;
             if !over_stop && !rot_blocked {
@@ -391,7 +390,7 @@ impl Db {
         }
         if let Some(t0) = stall_t0 {
             self.record_gate(&mut core, trace, Gate::WorkerQueue, t0, clock.now());
-        } else if !core.failed() && l0_files(&core) >= self.options.l0_slowdown_threshold {
+        } else if !core.failed() && core.l0_files() >= self.options.l0_slowdown_threshold {
             // Soft brake: a real host-time pause (bounded by the slowdown
             // delay), released early by any job install. The virtual clock
             // is advanced by the model delay so event spans stay sane.
