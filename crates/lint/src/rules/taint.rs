@@ -27,6 +27,14 @@
 //! times into reply frames) carry `// ldc-lint: allow(determinism_taint)`
 //! comments with reasons.
 //!
+//! CPU-feature detection (`is_x86_feature_detected!`) is a source too:
+//! a value computed by whichever implementation the machine supports is
+//! deterministic only if the implementations agree, which this analysis
+//! cannot see. The dispatch in `lsm/src/crc32c.rs` therefore carries an
+//! `allow` naming the proptest that pins its arms equal — and because that
+//! annotation answers for the value, a source that carries one does not
+//! taint the function's return either.
+//!
 //! The ftl `host_pages_written` counter family is *not* a source: `host_`
 //! there means "host writes vs. GC writes" (deterministic workload
 //! accounting), not host wall-clock time.
@@ -50,6 +58,11 @@ const SOURCES: &[&str] = &[
     "RandomState",
     "thread::current",
     "ThreadId",
+    // Which CPU the process landed on. A value computed one way here and
+    // another way there is only as deterministic as the proof that the
+    // two ways agree — which the analyzer cannot see, so the dispatch has
+    // to say where that proof lives.
+    "is_x86_feature_detected",
 ];
 
 /// Deterministic sinks: `(path suffix, impl qualifier, name, sink class)`.
@@ -220,10 +233,15 @@ pub fn check(ws: &Workspace, files: &[(String, SourceView)]) -> Vec<Diagnostic> 
             if item.ret.is_empty() {
                 return false;
             }
+            // A source that carries an `allow` has been argued not to
+            // make the value host-derived; it does not taint the return.
             item.body.is_some_and(|(open, close)| {
-                let code = &files[id.0].1.code;
-                let body = &code[open..close.min(code.len())];
-                SOURCES.iter().any(|s| body.contains(s))
+                let view = &files[id.0].1;
+                let body = &view.code[open..close.min(view.code.len())];
+                SOURCES.iter().any(|s| {
+                    body.match_indices(s)
+                        .any(|(at, _)| !view.is_suppressed(view.line_of(open + at), RULE))
+                })
             })
         })
         .collect();
@@ -570,6 +588,32 @@ mod tests {
                 "fn charge(c: &VirtualClock) {\n    let d = Instant::now().elapsed().as_nanos() as u64;\n    // ldc-lint: allow(determinism_taint) — test flow\n    c.advance(d);\n}\n",
             ),
         ]);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn an_allowed_source_does_not_taint_the_return_value() {
+        // One annotation at the source answers for every value computed
+        // from it: callers of `pick` need none of their own. Without the
+        // annotation the flow into the clock is reported.
+        let flow = |allow: &str| {
+            format!(
+                "fn pick() -> u64 {{\n    {allow}\n    if is_x86_feature_detected!(\"sse4.2\") {{ return 1; }}\n    1\n}}\n\
+                 fn charge(c: &VirtualClock) {{\n    let d = pick();\n    c.advance(d);\n}}\n"
+            )
+        };
+        let run_flow = |src: &str| {
+            run(&[
+                ("crates/ssd/src/clock.rs", CLOCK),
+                ("crates/lsm/src/io.rs", src),
+            ])
+        };
+        let diags = run_flow(&flow(""));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("`d`"), "{diags:?}");
+        let diags = run_flow(&flow(
+            "// ldc-lint: allow(determinism_taint) — both arms return 1",
+        ));
         assert!(diags.is_empty(), "{diags:?}");
     }
 

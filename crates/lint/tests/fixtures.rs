@@ -276,6 +276,36 @@ fn taint_fixture_pass_is_clean() {
     assert!(errors_of(&diags).is_empty(), "{diags:?}");
 }
 
+/// A CPU-feature dispatch under an encoder is a finding unless it carries
+/// an `allow` saying why the arms agree: the same fixture is clean as
+/// written and reported once the annotation is taken out.
+#[test]
+fn taint_dispatch_fixture_needs_its_annotation() {
+    let run = |src: &str| {
+        let files = vec![("crates/lsm/src/wal.rs".to_string(), SourceView::new(src))];
+        taint::check(&Workspace::build(&files), &files)
+    };
+    let annotated = include_str!("fixtures/taint_dispatch.rs");
+    let diags = run(annotated);
+    assert!(errors_of(&diags).is_empty(), "{diags:?}");
+
+    let bare: String = annotated
+        .lines()
+        .filter(|l| !l.contains("ldc-lint: allow(determinism_taint)"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_ne!(bare, annotated);
+    let diags = run(&bare);
+    let errs = errors_of(&diags);
+    // Once per sink the dispatch sits under (`add_record`, `emit`).
+    assert_eq!(errs.len(), 2, "{diags:?}");
+    assert!(
+        errs.iter().all(|d| d.message.contains("(wal class)")
+            && d.message.contains("uses source `is_x86_feature_detected`")),
+        "{diags:?}"
+    );
+}
+
 #[test]
 fn json_output_is_parseable_shape() {
     let d = ldc_lint::Diagnostic::error(

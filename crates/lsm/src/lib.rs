@@ -16,7 +16,7 @@
 //! to the simulated SSD's virtual clock and traffic counters.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod backup;
 pub mod batch;
