@@ -257,7 +257,7 @@ impl Db {
             self.bloom_skips.fetch_add(1, Ordering::Relaxed);
             Ok(None)
         } else {
-            table.get(key, snapshot, IoClass::UserRead)
+            table.get_unfiltered(key, snapshot, IoClass::UserRead)
         };
         if let Some(t) = trace {
             let now = self.device.clock().now();
@@ -357,14 +357,10 @@ impl Db {
 /// The single file at `level` whose responsible range covers `key`:
 /// the first file with `largest >= key`, or the last file (whose range
 /// extends to +inf) if none.
-fn candidate_file(version: &Version, level: usize, key: &[u8]) -> Option<FileMeta> {
+fn candidate_file<'v>(version: &'v Version, level: usize, key: &[u8]) -> Option<&'v FileMeta> {
     let files = version.levels.get(level)?;
-    if files.is_empty() {
-        return None;
-    }
     let idx = files.partition_point(|f| f.largest_ukey() < key);
-    let meta = files.get(idx).or_else(|| files.last())?;
-    Some(meta.clone())
+    files.get(idx).or_else(|| files.last())
 }
 
 /// Lazily walks one level's files in key order, merging each file with its

@@ -113,6 +113,18 @@ impl Table {
         if !self.filter.may_contain(ukey) {
             return Ok(None);
         }
+        self.get_unfiltered(ukey, snapshot, class)
+    }
+
+    /// [`Table::get`] without the Bloom check, for the engine's read path,
+    /// which has already asked [`Table::may_contain`] (it counts the skips)
+    /// and should not pay the filter's hashes a second time.
+    pub(crate) fn get_unfiltered(
+        &self,
+        ukey: &[u8],
+        snapshot: SequenceNumber,
+        class: IoClass,
+    ) -> Result<Option<(SequenceNumber, ValueType, Bytes)>> {
         let probe = encode_internal_key(ukey, snapshot, TYPE_FOR_SEEK);
         let mut index_iter = self.index.iter();
         index_iter.seek(&probe);
