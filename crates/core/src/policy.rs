@@ -13,13 +13,19 @@
 //! data has accumulated, each round of compaction rewrites O(1) lower-level
 //! bytes per upper-level byte instead of O(k) — Theorems 3.1/2.1.
 //!
-//! Picking order:
-//! 1. any file at or past the threshold → `LdcMerge` (most-linked first);
-//! 2. otherwise, the most overfull level links one file down (`Link`), or
-//!    trivially moves it if the next level is empty;
-//! 3. liveness guard: if every candidate in the overfull level already
-//!    carries slices (so it cannot be frozen), force-merge the most-linked
-//!    file of that level even below the threshold.
+//! Picking order ([`CompactionPolicy::pick`] — work the tree needs):
+//! 1. the most overfull level links one file down (`Link`), or trivially
+//!    moves it if the next level is empty; liveness guard: if every
+//!    candidate in that level already carries slices (so it cannot be
+//!    frozen), force-merge its most-linked file even below the threshold;
+//! 2. otherwise, any file at or past the threshold → `LdcMerge`
+//!    (most-linked first).
+//!
+//! And, only on background time nothing else wants
+//! ([`CompactionPolicy::pick_idle`]):
+//! 3. space reclamation — once the frozen region exceeds its budget, merge
+//!    the lower file that releases the most frozen bytes. The driver says
+//!    when the background is idle; the policy only says what it would do.
 //!
 //! Level-0 files are always frozen **oldest first** — the engine's read
 //! path relies on frozen L0 data being older than any active L0 file.
@@ -167,14 +173,15 @@ impl CompactionPolicy for LdcPolicy {
         // `T_s` is the steady-state proxy.
         let byte_threshold = (threshold as u64).saturating_mul(ctx.options.sstable_bytes as u64)
             / ctx.options.fan_out.max(1);
-        if let Some((level, file)) = most_linked_file(version, threshold, byte_threshold) {
-            return Some(CompactionTask::LdcMerge { level, file });
-        }
+        most_linked_file(version, threshold, byte_threshold)
+            .map(|(level, file)| CompactionTask::LdcMerge { level, file })
+    }
 
-        // Space reclamation (§III-D): frozen files whose slices are mostly
-        // merged already still pin their full size. When that dead weight
-        // exceeds the budget, spend idle time merging the lower file that
-        // releases the most frozen bytes.
+    /// Space reclamation (§III-D): frozen files whose slices are mostly
+    /// merged already still pin their full size. When that dead weight
+    /// exceeds the budget, idle background time goes to merging the lower
+    /// file that releases the most frozen bytes.
+    fn pick_idle(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
         self.pick_space_reclamation(ctx)
     }
 
@@ -323,7 +330,7 @@ fn round_robin_pick(
 mod tests {
     use super::*;
     use ldc_lsm::types::{encode_internal_key, KeyRange, ValueType};
-    use ldc_lsm::version::SliceLink;
+    use ldc_lsm::version::{FrozenMeta, SliceLink};
     use ldc_lsm::Options;
 
     fn meta(number: u64, lo: &[u8], hi: &[u8], size: u64) -> FileMeta {
@@ -494,5 +501,101 @@ mod tests {
         let v = Version::new(4);
         let mut policy = LdcPolicy::new();
         assert!(policy.pick(&ctx(&v, &options, &pointers)).is_none());
+        assert!(policy.pick_idle(&ctx(&v, &options, &pointers)).is_none());
+    }
+
+    fn frozen(number: u64, size: u64, refcount: u32) -> FrozenMeta {
+        FrozenMeta {
+            number,
+            size,
+            smallest: encode_internal_key(b"a", 1, ValueType::Value),
+            largest: encode_internal_key(b"z", 1, ValueType::Value),
+            refcount,
+        }
+    }
+
+    /// A tree in which nothing is overfull and no file is near `T_s`, but
+    /// the frozen region (3 000 B) is over a quarter of the level bytes
+    /// (4 000 B): file 11 holds the only link to frozen 101 (2 000 B, all
+    /// released by merging it), files 10 and 11 share frozen 100
+    /// (1 000 B, 500 B each).
+    fn over_budget_only() -> Version {
+        let mut v = Version::new(4);
+        let mut f10 = meta(10, b"a", b"m", 2000);
+        f10.slices.push(link(100, 0));
+        let mut f11 = meta(11, b"n", b"z", 2000);
+        f11.slices.push(link(100, 1));
+        f11.slices.push(link(101, 2));
+        v.levels[1].push(f10);
+        v.levels[1].push(f11);
+        v.frozen.insert(100, frozen(100, 1000, 2));
+        v.frozen.insert(101, frozen(101, 2000, 1));
+        v
+    }
+
+    #[test]
+    fn reclamation_is_idle_work_only() {
+        // Only the reclamation budget is exceeded: the tree needs nothing,
+        // so `pick` stays quiet however often it is asked, and the merge
+        // `pick` used to fall through to is what `pick_idle` offers.
+        let options = Options::default();
+        let pointers = vec![Vec::new(); 4];
+        let v = over_budget_only();
+        let mut policy = LdcPolicy::new();
+        for _ in 0..3 {
+            assert_eq!(policy.pick(&ctx(&v, &options, &pointers)), None);
+        }
+        assert_eq!(
+            policy.pick_idle(&ctx(&v, &options, &pointers)),
+            Some(CompactionTask::LdcMerge { level: 1, file: 11 }),
+            "the file whose slices release the most frozen bytes"
+        );
+    }
+
+    #[test]
+    fn reclamation_respects_its_budget() {
+        let options = Options::default();
+        let pointers = vec![Vec::new(); 4];
+        let mut v = over_budget_only();
+        // Within budget: grow the live levels until 3 000 B frozen is no
+        // more than a quarter of them.
+        v.levels[2].push(meta(20, b"a", b"z", 8000));
+        let mut policy = LdcPolicy::new();
+        assert_eq!(policy.pick_idle(&ctx(&v, &options, &pointers)), None);
+        // A tighter budget brings it back; `1.0` turns the tier off.
+        let mut tight = LdcPolicy::with_config(LdcConfig {
+            space_gc_ratio: 0.10,
+            ..LdcConfig::default()
+        });
+        assert_eq!(
+            tight.pick_idle(&ctx(&v, &options, &pointers)),
+            Some(CompactionTask::LdcMerge { level: 1, file: 11 })
+        );
+        let mut off = LdcPolicy::with_config(LdcConfig {
+            space_gc_ratio: 1.0,
+            ..LdcConfig::default()
+        });
+        let v = over_budget_only();
+        assert_eq!(off.pick_idle(&ctx(&v, &options, &pointers)), None);
+    }
+
+    #[test]
+    fn needed_work_is_never_offered_as_idle_work() {
+        // An overfull level and a file at the threshold are `pick`'s; with
+        // nothing frozen to reclaim `pick_idle` has nothing.
+        let options = Options::default();
+        let pointers = vec![Vec::new(); 4];
+        let mut v = Version::new(4);
+        let mut f = meta(10, b"a", b"m", 1000);
+        for i in 0..10 {
+            f.slices.push(link(100 + i, i));
+        }
+        v.levels[1].push(f);
+        for i in 1..=4 {
+            v.levels[0].push(meta(i, b"a", b"z", 1000));
+        }
+        let mut policy = LdcPolicy::new();
+        assert!(policy.pick(&ctx(&v, &options, &pointers)).is_some());
+        assert_eq!(policy.pick_idle(&ctx(&v, &options, &pointers)), None);
     }
 }

@@ -135,7 +135,7 @@ impl Db {
         if core.imm.is_some() {
             self.flush_imm(core, None)?;
         } else {
-            let Some(task) = self.pick_task(core) else {
+            let Some(task) = self.pick_task(core, true) else {
                 return Ok(()); // nothing to do
             };
             let clock = self.task_clock();
@@ -207,14 +207,23 @@ impl Db {
         self.pump_background(core) // start the flush if the lane is idle
     }
 
-    /// Asks the policy for the next task against the current version.
-    pub(crate) fn pick_task(&self, core: &DbCore) -> Option<CompactionTask> {
+    /// Asks the policy for the next task against the current version:
+    /// work the tree needs first and, when the caller's background is
+    /// `idle`, work that only pays on idle time. The inline lane is idle
+    /// in virtual time whenever it asks (`pump_background` returns early
+    /// otherwise), so this driver always passes `true`.
+    pub(crate) fn pick_task(&self, core: &DbCore, idle: bool) -> Option<CompactionTask> {
         let ctx = PickContext {
             version: &core.versions.current,
             options: &self.options,
             compact_pointers: &core.versions.compact_pointers,
         };
-        self.policy.lock().pick(&ctx)
+        let mut policy = self.policy.lock();
+        let needed = policy.pick(&ctx);
+        if needed.is_some() || !idle {
+            return needed;
+        }
+        policy.pick_idle(&ctx)
     }
 
     /// The inline executor: all three stages on the caller's thread, which

@@ -19,6 +19,24 @@
 //! and `start_workers` / `shutdown_workers`. The stages themselves are
 //! shared with the inline driver.
 //!
+//! # Needed work and idle work
+//!
+//! A policy proposes two kinds of task (`crate::compaction`): what the
+//! tree needs (`pick`) and what only pays on time nobody else wants
+//! (`pick_idle` — LDC's frozen-region reclamation). A worker that is awake
+//! is not evidence of such time: every commit signals the pool, and a free
+//! *host* thread says nothing about the device or the foreground. So a job
+//! taken on a hint is offered `pick` alone, and the idle tier is offered
+//! in exactly two situations: a worker's park on `work_cv` ran a whole
+//! `GATE_RECHECK` without one commit signalled, with no writer parked at
+//! a stall gate and no hint or unit pending (the foreground is quiet), or
+//! `drain_background_threaded` is waiting, which makes the background idle
+//! by definition and must not return while either tier has work, so that
+//! "drained" names the same tree as the inline driver's drain. Once both
+//! tiers came back empty for the current version the workers park without
+//! a timeout until the next signal or install. The write gates wait for
+//! needed work only.
+//!
 //! # Conflict tracking
 //!
 //! Two jobs must never touch overlapping key ranges of the same output
@@ -144,12 +162,36 @@ pub(crate) fn split_merge_ranges(
     ranges
 }
 
+/// How much of the policy is known to have no task against the version
+/// current at `SchedState::completed`. Ordered: an empty idle tier was
+/// only ever asked after `pick` came back empty.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum PolicyEmpty {
+    /// Not asked since the last install (or it had a task).
+    #[default]
+    Unknown,
+    /// `pick` returned nothing: the tree needs no work.
+    Needed,
+    /// `pick_idle` returned nothing either.
+    BothTiers,
+}
+
 /// Everything the pool synchronizes on, guarded by `lsm/scheduler::state`.
 #[derive(Default)]
 struct SchedState {
     /// Set by foreground signals and job installs; consumed (one plan
     /// attempt) per worker wakeup.
     work_hint: bool,
+    /// Commits signalled so far ([`CompactionScheduler::signal`]; installs
+    /// do not count). A worker whose park timed out without this moving
+    /// knows no write arrived for a whole `GATE_RECHECK`.
+    signals: u64,
+    /// `drain_background_threaded` callers currently waiting. While any
+    /// is, the background is idle by definition: there is no foreground.
+    draining: usize,
+    /// Writers currently parked at a stall gate: a foreground that sends
+    /// no commits because it is blocked on the pool is not a quiet one.
+    stalled: usize,
     /// A worker owns the pending immutable-memtable flush.
     flush_inflight: bool,
     /// Compaction jobs currently claimed (planned but not yet installed).
@@ -159,10 +201,12 @@ struct SchedState {
     inflight_inputs: HashSet<u64>,
     /// Per-level output/input range claims of running jobs.
     claims: Vec<RangeClaim>,
-    /// The policy returned no task against the version current at
-    /// `completed`; cleared by every install. Stall gates use this to
-    /// detect "no progress possible" (the inline pump's break condition).
-    policy_idle: bool,
+    /// What the policy last said against the version current at
+    /// `completed`; reset by every install. Stall gates break on `Needed`
+    /// ("no progress possible", the inline pump's break condition); a
+    /// drain is done only at `BothTiers`, and workers stop polling for a
+    /// quiet foreground once it is reached.
+    policy_empty: PolicyEmpty,
     /// Monotone count of installed (or aborted) jobs.
     completed: u64,
     /// Next job id.
@@ -281,18 +325,25 @@ impl CompactionScheduler {
     pub(crate) fn signal(&self) {
         let mut st = self.state.lock();
         st.work_hint = true;
+        st.signals += 1;
         self.work_cv.notify_one();
     }
 
     /// Marks work pending, wakes every worker, and reports whether the
     /// pool is out of work: nothing running, nothing queued, and the
     /// policy had no task for the current version — so waiting on it
-    /// cannot help.
-    fn wake_all(&self) -> bool {
+    /// cannot help. A stalled writer waits only for work the tree needs;
+    /// `through_idle_tier` (the drain) also waits out the idle tier.
+    fn wake_all(&self, through_idle_tier: bool) -> bool {
         let mut st = self.state.lock();
         st.work_hint = true;
         self.work_cv.notify_all();
-        st.policy_idle && !st.busy()
+        let wanted = if through_idle_tier {
+            PolicyEmpty::BothTiers
+        } else {
+            PolicyEmpty::Needed
+        };
+        st.policy_empty >= wanted && !st.busy()
     }
 
     /// Asks every worker to exit, wakes them, and joins. Idempotent; safe
@@ -367,7 +418,7 @@ impl Db {
     /// can install), attributed to `Blame::WorkerQueue`. The soft L0
     /// slowdown brake parks on the same condvar for up to the slowdown
     /// delay. Mirrors the inline gates' "no progress possible" break via
-    /// the scheduler's `policy_idle` flag.
+    /// the scheduler's `policy_empty` latch.
     pub(crate) fn threaded_write_gates<'a>(
         &self,
         mut core: MutexGuard<'a, DbCore>,
@@ -382,13 +433,17 @@ impl Db {
             if !over_stop && !rot_blocked {
                 break;
             }
-            if self.scheduler.wake_all() && core.imm.is_none() {
+            if self.scheduler.wake_all(false) && core.imm.is_none() {
                 break;
             }
-            stall_t0.get_or_insert_with(|| clock.now());
+            if stall_t0.is_none() {
+                stall_t0 = Some(clock.now());
+                self.scheduler.state.lock().stalled += 1;
+            }
             (core, _) = core.wait_timeout(&self.scheduler.done_cv, GATE_RECHECK);
         }
         if let Some(t0) = stall_t0 {
+            self.scheduler.state.lock().stalled -= 1;
             self.record_gate(&mut core, trace, Gate::WorkerQueue, t0, clock.now());
         } else if !core.failed() && core.l0_files() >= self.options.l0_slowdown_threshold {
             // Soft brake: a real host-time pause (bounded by the slowdown
@@ -419,13 +474,18 @@ impl Db {
 
     /// The pool's drain: signal it and wait until nothing is claimed,
     /// nothing is queued, the `imm` slot is clear, and the policy reported
-    /// no further work — or the engine latched an error.
+    /// no further work in *either* tier — or the engine latched an error.
+    /// While it waits the workers treat the background as idle, so
+    /// "drained" names the same tree here as in the inline driver, whose
+    /// drain pumps `pick` and `pick_idle` dry.
     pub(crate) fn drain_background_threaded(&self) -> Nanos {
         let t0 = self.device.clock().now();
         let mut core = self.core.lock();
-        while !(core.failed() || (self.scheduler.wake_all() && core.imm.is_none())) {
+        self.scheduler.state.lock().draining += 1;
+        while !(core.failed() || (self.scheduler.wake_all(true) && core.imm.is_none())) {
             (core, _) = core.wait_timeout(&self.scheduler.done_cv, GATE_RECHECK);
         }
+        self.scheduler.state.lock().draining -= 1;
         self.publish_view(&core);
         self.reap_pending_deletes(&mut core);
         self.device.clock().now().saturating_sub(t0)
@@ -433,15 +493,24 @@ impl Db {
 
     /// A worker thread's main loop: park on `work_cv`, then either run a
     /// queued subcompaction unit or take one whole job through the stages.
+    ///
+    /// A job taken on a hint is work somebody asked for, and is offered
+    /// the policy's idle tier only while a drain is waiting. A worker
+    /// nobody asked for anything parks for a `GATE_RECHECK` at a time
+    /// (indefinitely once the idle tier is known to be empty), and when a
+    /// whole interval passes with no commit and no stalled writer it takes
+    /// a job with the idle tier on offer: the foreground is quiet, so the
+    /// time is nobody else's.
     fn worker_main(&self) {
         enum Next {
             Exit,
-            Job,
+            Job { idle: bool },
             Unit(SubUnit, Arc<Planned>),
         }
         loop {
             let next = {
                 let mut st = self.scheduler.state.lock();
+                let mut quiet = false;
                 loop {
                     if self.scheduler.shutdown.load(Ordering::SeqCst) {
                         break Next::Exit;
@@ -454,14 +523,24 @@ impl Db {
                     }
                     if st.work_hint {
                         st.work_hint = false;
-                        break Next::Job;
+                        break Next::Job {
+                            idle: st.draining > 0,
+                        };
                     }
-                    st = st.wait(&self.scheduler.work_cv);
+                    if st.policy_empty == PolicyEmpty::BothTiers {
+                        st = st.wait(&self.scheduler.work_cv);
+                    } else if quiet {
+                        break Next::Job { idle: true };
+                    } else {
+                        let seen = st.signals;
+                        (st, quiet) = st.wait_timeout(&self.scheduler.work_cv, GATE_RECHECK);
+                        quiet = quiet && st.signals == seen && st.stalled == 0;
+                    }
                 }
             };
             match next {
                 Next::Exit => return,
-                Next::Job => self.run_one_job(),
+                Next::Job { idle } => self.run_one_job(idle),
                 Next::Unit(unit, planned) => {
                     let alloc = &mut || self.locked_file_number();
                     self.post_unit(unit.idx, self.run(&planned, unit.range.as_ref(), alloc));
@@ -477,8 +556,9 @@ impl Db {
     /// run without it, re-lock and install. Flush has priority (mirroring
     /// the inline pump); metadata-only tasks (trivial move, link) have
     /// nothing to run and install under the same lock hold that planned
-    /// them.
-    fn run_one_job(&self) {
+    /// them. `idle` offers the policy's idle tier when it has nothing the
+    /// tree needs.
+    fn run_one_job(&self, idle: bool) {
         let mut core = self.core.lock();
         if core.failed() {
             return;
@@ -488,7 +568,7 @@ impl Db {
             let claimed = !st.flush_inflight;
             if claimed {
                 st.flush_inflight = true;
-                st.policy_idle = false;
+                st.policy_empty = PolicyEmpty::Unknown;
             }
             drop(st);
             if claimed {
@@ -509,15 +589,19 @@ impl Db {
         let st = self.scheduler.state.lock();
         let gen = st.completed;
         drop(st);
-        let Some(task) = self.pick_task(&core) else {
+        let Some(task) = self.pick_task(&core, idle) else {
             let mut st = self.scheduler.state.lock();
             // Only latch idle if no job installed since the pick —
             // an install changes the version the policy judged.
             if st.completed == gen {
-                st.policy_idle = true;
+                st.policy_empty = st.policy_empty.max(if idle {
+                    PolicyEmpty::BothTiers
+                } else {
+                    PolicyEmpty::Needed
+                });
             }
             drop(st);
-            // Stalled writers re-check `policy_idle` under the core lock
+            // Stalled writers re-check `policy_empty` under the core lock
             // (which we hold), so this wake cannot be lost.
             self.scheduler.done_cv.notify_all();
             return;
@@ -548,7 +632,7 @@ impl Db {
             self.finish_job(&mut core, result, clock, None, false);
             return;
         }
-        st.policy_idle = false;
+        st.policy_empty = PolicyEmpty::Unknown;
         let job = st.claim(&planned.inputs, planned.claims.clone());
         drop(st);
         drop(core);
@@ -688,7 +772,7 @@ impl Db {
             st.release(job, inputs);
         }
         st.completed += 1;
-        st.policy_idle = false;
+        st.policy_empty = PolicyEmpty::Unknown;
         st.work_hint = true;
         self.scheduler.work_cv.notify_all();
         drop(st);
@@ -726,6 +810,23 @@ mod tests {
         s.release(job, &[1]);
         assert!(!s.conflicts(&[1], &[(2, b"a".to_vec(), b"e".to_vec())]));
         assert!(!s.busy());
+    }
+
+    #[test]
+    fn a_gate_waits_for_needed_work_and_a_drain_for_both_tiers() {
+        let s = CompactionScheduler::new(2);
+        assert!(!s.wake_all(false), "nothing known about the policy yet");
+        s.state.lock().policy_empty = PolicyEmpty::Needed;
+        assert!(
+            s.wake_all(false),
+            "a stalled writer has nothing to wait for"
+        );
+        assert!(!s.wake_all(true), "a drain still has the idle tier to run");
+        s.state.lock().policy_empty = PolicyEmpty::BothTiers;
+        assert!(s.wake_all(true));
+        s.state.lock().claim(&[1], vec![]);
+        assert!(!s.wake_all(true), "a claimed job is work in either case");
+        assert!(s.state.lock().work_hint);
     }
 
     #[test]

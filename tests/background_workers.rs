@@ -9,11 +9,13 @@
 //! never virtual-clock readings.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ldc_chaos::{FaultPlan, FaultStorage};
-use ldc_core::{LdcDb, LdcDbBuilder};
-use ldc_lsm::{repair_db, Options};
+use ldc_core::{LdcConfig, LdcDb, LdcDbBuilder, LdcPolicy};
+use ldc_lsm::compaction::{CompactionPolicy, CompactionTask, PickContext};
+use ldc_lsm::{repair_db, Db, Options};
 use ldc_obs::{EventKind, RingBufferSink};
 use ldc_ssd::{MemStorage, SsdConfig, SsdDevice, StorageBackend, TimeCategory};
 use proptest::prelude::*;
@@ -211,6 +213,209 @@ fn pool_restarts_after_set_event_sink() {
         .expect("writes hung: the restarted pool has no live workers");
     assert!(stats.flushes > 0 && stats.merges > 0, "{stats:?}");
     assert!(sink.events().iter().any(|e| e.kind == EventKind::Flush));
+}
+
+/// A policy that counts what the driver asks of its idle tier. With an
+/// inner [`LdcPolicy`] it is LDC, observed; without one it never has work
+/// in either tier.
+struct CountingPolicy {
+    inner: Option<LdcPolicy>,
+    /// `pick_idle` calls.
+    idle_asked: Arc<AtomicU64>,
+    /// `pick_idle` calls that came back with a task.
+    idle_offered: Arc<AtomicU64>,
+}
+
+impl CompactionPolicy for CountingPolicy {
+    fn name(&self) -> &str {
+        "counting"
+    }
+
+    fn pick(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
+        self.inner.as_mut()?.pick(ctx)
+    }
+
+    fn pick_idle(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
+        self.idle_asked.fetch_add(1, Ordering::Relaxed);
+        let task = self.inner.as_mut()?.pick_idle(ctx)?;
+        self.idle_offered.fetch_add(1, Ordering::Relaxed);
+        Some(task)
+    }
+}
+
+/// Opens `storage` on a two-worker pool under a [`CountingPolicy`] and
+/// returns it with the policy's two counters (`idle_asked`,
+/// `idle_offered`). The caller owns the pool: `shutdown_workers` before
+/// dropping.
+fn counting_pool(
+    storage: Arc<dyn StorageBackend>,
+    options: Options,
+    inner: Option<LdcPolicy>,
+) -> (Arc<Db>, Arc<AtomicU64>, Arc<AtomicU64>) {
+    let (asked, offered) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let policy = CountingPolicy {
+        inner,
+        idle_asked: Arc::clone(&asked),
+        idle_offered: Arc::clone(&offered),
+    };
+    let options = Options {
+        background_workers: 2,
+        ..options
+    };
+    let db = Arc::new(Db::open(storage, options, Box::new(policy)).expect("open"));
+    db.start_workers();
+    assert!(db.workers_active());
+    (db, asked, offered)
+}
+
+fn mem_storage() -> Arc<dyn StorageBackend> {
+    MemStorage::new(SsdDevice::new(SsdConfig::default()))
+}
+
+/// LDC with a frozen-region budget of zero: any frozen byte a slice still
+/// references is over budget, so the idle tier has work until the frozen
+/// region is empty.
+fn zero_budget_ldc() -> LdcPolicy {
+    LdcPolicy::with_config(LdcConfig {
+        space_gc_ratio: 0.0,
+        ..LdcConfig::default()
+    })
+}
+
+/// What a fresh [`zero_budget_ldc`] makes of the store's current version:
+/// the task the tree needs, and the task idle time would go to.
+fn picks_now(db: &Db) -> (Option<CompactionTask>, Option<CompactionTask>) {
+    let version = db.version();
+    let pointers = vec![Vec::new(); version.num_levels()];
+    let ctx = PickContext {
+        version: &version,
+        options: db.options(),
+        compact_pointers: &pointers,
+    };
+    let mut policy = zero_budget_ldc();
+    (policy.pick(&ctx), policy.pick_idle(&ctx))
+}
+
+/// A store whose frozen region is over budget with `pick` dry, reopened on
+/// the pool under [`zero_budget_ldc`]; returns it with the count of idle
+/// tasks the policy has offered.
+///
+/// The tree is built inline — deterministically — by an LDC policy with
+/// reclamation switched off, and drained: three levels, two dozen lower
+/// files, a dozen frozen files still pinned by links below `T_s`. Nothing
+/// but the idle tier will free them (a dozen reclamation merges).
+fn over_budget_pool() -> (Arc<Db>, Arc<AtomicU64>) {
+    let storage = mem_storage();
+    let no_reclamation = LdcPolicy::with_config(LdcConfig {
+        space_gc_ratio: 1.0,
+        ..LdcConfig::default()
+    });
+    let db = Db::open(
+        Arc::clone(&storage),
+        Options::small_for_tests(),
+        Box::new(no_reclamation),
+    )
+    .expect("open");
+    for r in 0..4u32 {
+        for k in 0..1500u32 {
+            db.put(&key(k), &value(k, r)).unwrap();
+            if k % 500 == 499 {
+                db.drain_background();
+            }
+        }
+    }
+    // Nothing left in the WAL, so the reopen has no recovery flush to add.
+    db.flush().unwrap();
+    db.drain_background();
+    drop(db);
+    let (db, _, offered) =
+        counting_pool(storage, Options::small_for_tests(), Some(zero_budget_ldc()));
+    let (needed, idle) = picks_now(&db);
+    assert!(
+        needed.is_none() && idle.is_some() && db.version().frozen_files() >= 10,
+        "set-up must leave only idle-tier work: {needed:?} {idle:?}"
+    );
+    (db, offered)
+}
+
+/// "Drained" names the same tree under both drivers: the inline drain pumps
+/// `pick` and `pick_idle` dry, so the pool's drain must not return while
+/// the frozen region is still over budget — even though, with writes
+/// flowing, its workers left that tier alone.
+#[test]
+fn pool_drain_empties_both_tiers() {
+    let (db, offered) = over_budget_pool();
+    db.drain_background();
+    assert_eq!(
+        picks_now(&db),
+        (None, None),
+        "the inline post-drain condition"
+    );
+    assert_eq!(db.version().frozen_bytes(), 0);
+    assert!(
+        offered.load(Ordering::Relaxed) > 0,
+        "the frozen region can only have been emptied through `pick_idle`"
+    );
+    db.version().check_invariants().unwrap();
+    db.shutdown_workers();
+}
+
+/// Liveness of the idle tier without a drain: once writes stop, nobody has
+/// to ask — the workers notice the foreground went quiet and reclaim on
+/// their own.
+#[test]
+fn quiet_pool_reclaims_without_a_drain() {
+    let (db, offered) = over_budget_pool();
+    let (done, finished) = std::sync::mpsc::channel();
+    let watched = Arc::clone(&db);
+    std::thread::spawn(move || {
+        while picks_now(&watched) != (None, None) {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        // Ignored on purpose: the receiver is gone only if it timed out.
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .unwrap_or_else(|_| {
+            panic!(
+                "pool left work undone with the foreground quiet: {:?}",
+                picks_now(&db)
+            )
+        });
+    assert_eq!(db.version().frozen_bytes(), 0);
+    assert!(
+        offered.load(Ordering::Relaxed) > 0,
+        "the frozen region can only have been emptied through `pick_idle`"
+    );
+    db.shutdown_workers();
+}
+
+/// The idle tier is offered on idle time, not on every wake-up: with one
+/// thread committing back to back the pool is woken 20 000 times, finds
+/// nothing it needs to do every time, and still asks `pick_idle` only when
+/// a whole `GATE_RECHECK` passed without a commit (and not again until an
+/// install changes the tree). Before the tiers were told apart, every one
+/// of those wake-ups evaluated — and ran — the reclamation tier.
+#[test]
+fn idle_tier_is_not_offered_per_commit() {
+    let options = Options {
+        // Few flushes: with a policy that never compacts, Level 0 only
+        // grows, and past the slowdown threshold every put would pause.
+        memtable_bytes: 1 << 20,
+        ..tiny_options()
+    };
+    let (db, asked, _) = counting_pool(mem_storage(), options, None);
+    const PUTS: u32 = 20_000;
+    for k in 0..PUTS {
+        db.put(&key(k), &value(k, 0)).unwrap();
+    }
+    let asked = asked.load(Ordering::Relaxed);
+    assert!(
+        asked < u64::from(PUTS) / 10,
+        "pick_idle asked {asked} times for {PUTS} commits"
+    );
+    db.shutdown_workers();
 }
 
 proptest! {
