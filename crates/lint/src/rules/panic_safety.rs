@@ -103,7 +103,8 @@ pub fn count_sites(view: &SourceView) -> (Counts, Vec<(usize, String)>) {
 
 /// Offsets of `[` tokens that begin an index expression: the previous
 /// non-space character is an identifier character, `)` or `]`, and not a
-/// macro bang. Type positions (`&[u8]`), array literals (`[0u8; 4]`),
+/// macro bang. Type positions (`&[u8]`, and `&'a [u8]`, where the word
+/// before the bracket is a lifetime), array literals (`[0u8; 4]`),
 /// attributes (`#[...]`) and `vec![...]` never match.
 fn index_sites(code: &str) -> Vec<usize> {
     let bytes = code.as_bytes();
@@ -119,7 +120,9 @@ fn index_sites(code: &str) -> Vec<usize> {
             if p.is_ascii_whitespace() {
                 continue;
             }
-            if p.is_ascii_alphanumeric() || p == b'_' || p == b')' || p == b']' {
+            let word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+            let lifetime = word(p) && bytes[..j].iter().rev().find(|&&c| !word(c)) == Some(&b'\'');
+            if (word(p) && !lifetime) || p == b')' || p == b']' {
                 out.push(i);
             }
             break;
@@ -291,6 +294,10 @@ mod tests {
         let src = "fn f(a: &[u8], b: [u8; 4]) { let v = vec![1]; let _ = (a, b, v); }";
         let (c, _) = count_sites(&view(src));
         assert_eq!(c.indexes, 0);
+        // A lifetime before the bracket is a type position; a plain word is not.
+        let src = "struct S<'a> { f: &'a [u8] } fn f<'b>(b: &'b [u8]) -> u8 { b[0] }";
+        let (c, _) = count_sites(&view(src));
+        assert_eq!(c.indexes, 1);
     }
 
     #[test]

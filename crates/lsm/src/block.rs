@@ -4,6 +4,12 @@
 //! varint(value_len) key_delta value`; every `restart_interval`-th key is
 //! stored whole and its offset recorded in a trailer of fixed32 restart
 //! offsets followed by their count. Restarts give binary-searchable seeks.
+//!
+//! A restart entry shares nothing with its predecessor (`shared == 0`), so
+//! its key lies whole and contiguous in the block: the binary search of
+//! [`BlockIter::seek`] compares the target against those bytes where they
+//! are and allocates nothing. Only the linear walk after it, which has to
+//! undo prefix compression, fills the iterator's key buffer.
 
 use std::cmp::Ordering;
 
@@ -77,19 +83,34 @@ impl BlockBuilder {
         self.entries == 0
     }
 
-    /// Serializes the block and resets the builder.
+    /// Serializes the block and resets the builder, handing out its buffer.
     pub fn finish(&mut self) -> Vec<u8> {
         let mut out = std::mem::take(&mut self.buf);
+        self.finish_trailer(&mut out);
+        out
+    }
+
+    /// Appends the serialized block to `out` and resets the builder, which
+    /// keeps its buffers: the next block of a table is built in the capacity
+    /// this one grew.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.buf);
+        self.buf.clear();
+        self.finish_trailer(out);
+    }
+
+    /// Appends the restart array and its count to `out`, which already holds
+    /// the entries, and resets everything but the entry buffer.
+    fn finish_trailer(&mut self, out: &mut Vec<u8>) {
         for &r in &self.restarts {
-            put_fixed32(&mut out, r);
+            put_fixed32(out, r);
         }
-        put_fixed32(&mut out, self.restarts.len() as u32);
+        put_fixed32(out, self.restarts.len() as u32);
         self.restarts.clear();
         self.restarts.push(0);
         self.counter = 0;
         self.last_key.clear();
         self.entries = 0;
-        out
     }
 }
 
@@ -171,6 +192,23 @@ impl Block {
         get_fixed32(&self.data, self.restarts_offset + 4 * i) as usize
     }
 
+    /// The key of restart entry `i`, borrowed from the block.
+    fn restart_key(&self, i: usize) -> &[u8] {
+        let mut offset = self.restart_point(i);
+        let data = &self.data[..self.restarts_offset];
+        // Infallible: every restart entry was validated by `Block::new`
+        // (three varints, `shared == 0`, the whole key in bounds), so a
+        // failure here is an engine invariant violation, not bad input.
+        let (_, n) = get_varint32(&data[offset..]).expect("restart validated at Block::new");
+        offset += n;
+        let (non_shared, n) =
+            get_varint32(&data[offset..]).expect("restart validated at Block::new");
+        offset += n;
+        let (_, n) = get_varint32(&data[offset..]).expect("restart validated at Block::new");
+        offset += n;
+        &data[offset..offset + non_shared as usize]
+    }
+
     /// Creates an unpositioned iterator.
     pub fn iter(&self) -> BlockIter {
         BlockIter {
@@ -235,8 +273,7 @@ impl BlockIter {
         let (mut lo, mut hi) = (0usize, self.block.num_restarts.saturating_sub(1));
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let key = self.restart_key(mid);
-            if compare_internal_keys(&key, target) == Ordering::Less {
+            if compare_internal_keys(self.block.restart_key(mid), target) == Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -263,21 +300,6 @@ impl BlockIter {
     pub fn next(&mut self) {
         debug_assert!(self.valid);
         self.parse_next();
-    }
-
-    fn restart_key(&self, i: usize) -> Vec<u8> {
-        let mut offset = self.block.restart_point(i);
-        let data = &self.block.data[..self.block.restarts_offset];
-        // Infallible: every restart entry was validated by `Block::new`,
-        // so a failure here is an engine invariant violation, not bad input.
-        let (_, n) = get_varint32(&data[offset..]).expect("restart validated at Block::new");
-        offset += n;
-        let (non_shared, n) =
-            get_varint32(&data[offset..]).expect("restart validated at Block::new");
-        offset += n;
-        let (_, n) = get_varint32(&data[offset..]).expect("restart validated at Block::new");
-        offset += n;
-        data[offset..offset + non_shared as usize].to_vec()
     }
 
     fn parse_next(&mut self) -> bool {
@@ -331,6 +353,7 @@ impl BlockIter {
 mod tests {
     use super::*;
     use crate::types::{encode_internal_key, user_key, ValueType};
+    use proptest::prelude::*;
 
     fn ik(key: &[u8], seq: u64) -> Vec<u8> {
         encode_internal_key(key, seq, ValueType::Value)
@@ -471,5 +494,73 @@ mod tests {
         b.add(&ik(b"a", 1), b"1");
         let second = b.finish();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn finish_into_appends_what_finish_returns() {
+        let entries = sample_entries(40);
+        let mut a = BlockBuilder::new(4);
+        let mut b = BlockBuilder::new(4);
+        let mut image = b"already here".to_vec();
+        for round in 0..2 {
+            for (k, v) in &entries[round * 20..(round + 1) * 20] {
+                a.add(k, v);
+                b.add(k, v);
+            }
+            let start = image.len();
+            b.finish_into(&mut image);
+            assert_eq!(a.finish(), image[start..], "round {round}");
+            assert!(b.is_empty());
+        }
+        assert!(image.starts_with(b"already here"));
+    }
+
+    /// Where a linear walk from the first entry stops for `target`: the
+    /// definition `seek` has to agree with.
+    fn linear_seek(block: &Block, target: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+        let mut it = block.iter();
+        it.seek_to_first();
+        while it.valid() && compare_internal_keys(it.key(), target) == Ordering::Less {
+            it.next();
+        }
+        it.valid().then(|| (it.key().to_vec(), it.value().to_vec()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// `seek` binary-searches keys borrowed from the block and then
+        /// walks; it must land where the walk alone does, whatever the
+        /// restart interval, for targets before, between, equal to and after
+        /// the stored keys. A two-letter alphabet makes long shared prefixes
+        /// (what restarts cut) and frequent exact matches.
+        #[test]
+        fn seek_lands_where_a_linear_scan_does(
+            interval in prop_oneof![Just(1usize), Just(2usize), Just(16usize)],
+            ukeys in prop::collection::btree_map(
+                prop::collection::vec(0..2u8, 0..9),
+                (1..50u64, 0..40usize),
+                0..60,
+            ),
+            probes in prop::collection::vec((prop::collection::vec(0..3u8, 0..10), 0..60u64), 1..40),
+        ) {
+            // Two versions of every third key, newest first as the engine stores them.
+            let mut entries = Vec::new();
+            for (i, (ukey, (seq, value_len))) in ukeys.iter().enumerate() {
+                if i % 3 == 0 {
+                    entries.push((ik(ukey, seq + 50), vec![b'n'; *value_len]));
+                }
+                entries.push((ik(ukey, *seq), vec![b'o'; *value_len]));
+            }
+            let block = build(&entries, interval);
+            let stored = entries.iter().map(|(k, _)| k.clone());
+            let random = probes.iter().map(|(ukey, seq)| ik(ukey, *seq));
+            let mut it = block.iter();
+            for target in stored.chain(random) {
+                it.seek(&target);
+                let got = it.valid().then(|| (it.key().to_vec(), it.value().to_vec()));
+                prop_assert_eq!(got, linear_seek(&block, &target), "target {:?}", target);
+            }
+        }
     }
 }

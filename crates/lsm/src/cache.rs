@@ -12,16 +12,29 @@
 //! different shards never contend. Lookups hand out `Arc<Block>` handles:
 //! block bytes are decoded (restart array parsed, CRC checked) exactly once
 //! and never copied per read — values are returned as [`bytes::Bytes`]
-//! slices pinning the block's backing buffer.
+//! slices pinning the block's backing buffer. That buffer is whatever the
+//! storage backend's read returned: a copy of one block, or — for a sealed
+//! `MemStorage` file — a slice of the whole table image, which a cached
+//! block or a value handed to a caller then keeps alive until it is dropped
+//! ([`BlockCache::evict_file`] drops the cache's share when the file goes).
 //!
-//! [`TableCache`] bounds the set of open SSTable handles the same way the
-//! old per-`Db` open-table map did, but lives in the cache layer so the
-//! pinned index/filter bytes of every open table are charged to the block
-//! cache budget instead of being invisible free memory (the old
-//! double-accounting bug: table handles held decoded index blocks outside
-//! the cache's charge).
+//! [`TableCache`] bounds the set of open SSTable handles the same way and
+//! lives in the cache layer so the pinned index/filter bytes of every open
+//! table are charged to the block cache budget instead of being invisible
+//! free memory.
+//!
+//! Both caches keep their order in one private [`Lru`]: a slab of nodes on
+//! an intrusive doubly linked list plus a map from key to slot. Every
+//! operation is O(1) and the order is **strictly** least-recently-used —
+//! a hit moves the entry to the front, an insert lands at the front, the
+//! victim is always the back — so which block or handle goes, and with it
+//! every later miss, device read and virtual nanosecond, is a function of
+//! the access sequence alone. `tests/cache_golden.rs` pins that order end
+//! to end; the proptest below pins it against the tick-ordered B-tree pair
+//! this list replaced.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,29 +52,200 @@ pub type BlockKey = (u64, u64);
 /// threads rarely collide on one lock.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// Mixes a block key into a shard index. SplitMix64 finalizer: cheap,
-/// deterministic across processes (no `RandomState`), and good avalanche
-/// so consecutive offsets in one file spread across shards.
-fn shard_hash(key: BlockKey) -> u64 {
-    let mut z = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ key.1;
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64 finalizer: cheap, deterministic across processes (no
+/// `RandomState`), and good avalanche.
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
 
-struct CacheEntry {
-    block: Arc<Block>,
-    tick: u64,
+/// Mixes a block key into a shard index, so consecutive offsets in one
+/// file spread across shards.
+fn shard_hash(key: BlockKey) -> u64 {
+    mix64(key.0.wrapping_mul(GOLDEN_GAMMA) ^ key.1)
+}
+
+/// Hasher of the [`Lru`] maps. Keys are file numbers and block offsets the
+/// engine made itself, never outside input, so SipHash's flood resistance
+/// buys nothing here and costs a fifth of a cached probe.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = self.0.wrapping_mul(GOLDEN_GAMMA) ^ v;
+    }
+
+    /// For a [`BlockKey`] this is [`shard_hash`] with its halves swapped:
+    /// all keys of one shard agree in the low bits of `shard_hash`, which
+    /// are the bits a hash map picks its bucket from.
+    fn finish(&self) -> u64 {
+        mix64(self.0).rotate_left(32)
+    }
+}
+
+/// Slot of the list's sentinel: its `next` is the most recently used entry,
+/// its `prev` the least, and an empty list is the sentinel linked to itself
+/// — so linking and unlinking never meet an end of the list.
+const SENTINEL: usize = 0;
+
+struct Node<K, V> {
+    key: K,
+    /// `None` in the sentinel and in slots waiting on the free list.
+    value: Option<V>,
+    /// Towards the front (more recently used).
+    prev: usize,
+    /// Towards the back (less recently used).
+    next: usize,
+}
+
+/// Strict-LRU order over a set of keys, every operation O(1).
+///
+/// Invariant: `map` holds exactly the slots on the list besides the
+/// sentinel, a node's `prev` / `next` are list slots, and `free` holds every
+/// other slot — so a slot taken from any of the three is inside `slab`.
+struct Lru<K, V> {
+    map: HashMap<K, usize, BuildHasherDefault<KeyHasher>>,
+    slab: Vec<Node<K, V>>,
+    free: Vec<usize>,
+}
+
+impl<K: Copy + Default + Eq + Hash, V> Lru<K, V> {
+    fn new() -> Self {
+        let sentinel = Node {
+            key: K::default(),
+            value: None,
+            prev: SENTINEL,
+            next: SENTINEL,
+        };
+        Self {
+            map: HashMap::default(),
+            slab: vec![sentinel],
+            free: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn node(&self, slot: usize) -> &Node<K, V> {
+        // ldc-lint: allow(panic_safety) — slots come only from `map`, `free` and the links, all of which this type maintains (see the invariant)
+        &self.slab[slot]
+    }
+
+    fn node_mut(&mut self, slot: usize) -> &mut Node<K, V> {
+        // ldc-lint: allow(panic_safety) — as `node`
+        &mut self.slab[slot]
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = (self.node(slot).prev, self.node(slot).next);
+        self.node_mut(prev).next = next;
+        self.node_mut(next).prev = prev;
+    }
+
+    fn link_front(&mut self, slot: usize) {
+        let old_front = std::mem::replace(&mut self.node_mut(SENTINEL).next, slot);
+        self.node_mut(old_front).prev = slot;
+        let node = self.node_mut(slot);
+        node.prev = SENTINEL;
+        node.next = old_front;
+    }
+
+    /// Looks `key` up and, if present, makes it the most recently used.
+    fn touch(&mut self, key: &K) -> Option<&V> {
+        let slot = *self.map.get(key)?;
+        self.unlink(slot);
+        self.link_front(slot);
+        self.node(slot).value.as_ref()
+    }
+
+    /// Makes `key -> value` the most recently used entry, returning the
+    /// value it replaces, if any.
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let replaced = self.remove(&key);
+        let node = Node {
+            key,
+            value: Some(value),
+            prev: SENTINEL,
+            next: SENTINEL,
+        };
+        let slot = self.free.pop().unwrap_or(self.slab.len());
+        match self.slab.get_mut(slot) {
+            Some(vacant) => *vacant = node,
+            None => self.slab.push(node),
+        }
+        self.link_front(slot);
+        self.map.insert(key, slot);
+        replaced
+    }
+
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let slot = self.map.remove(key)?;
+        self.unlink(slot);
+        self.free.push(slot);
+        self.node_mut(slot).value.take()
+    }
+
+    /// Removes and returns the least recently used entry.
+    fn pop_lru(&mut self) -> Option<(K, V)> {
+        let back = self.node(SENTINEL).prev;
+        if back == SENTINEL {
+            return None;
+        }
+        let key = self.node(back).key;
+        Some((key, self.remove(&key)?))
+    }
+
+    /// Removes every entry whose key `doomed` accepts, least recently used
+    /// first, handing each value to `each`.
+    fn remove_where(&mut self, doomed: impl Fn(&K) -> bool, mut each: impl FnMut(V)) {
+        let mut slot = self.node(SENTINEL).prev;
+        while slot != SENTINEL {
+            let node = self.node(slot);
+            let (key, towards_front) = (node.key, node.prev);
+            if doomed(&key) {
+                if let Some(value) = self.remove(&key) {
+                    each(value);
+                }
+            }
+            slot = towards_front;
+        }
+    }
 }
 
 struct ShardInner {
-    map: HashMap<BlockKey, CacheEntry>,
-    lru: BTreeMap<u64, BlockKey>,
+    blocks: Lru<BlockKey, Arc<Block>>,
     used_bytes: usize,
     /// Bytes charged by open tables for their pinned index/filter blocks.
     /// Never evicted here — released when the table handle is dropped.
     pinned_bytes: usize,
-    next_tick: u64,
+}
+
+impl ShardInner {
+    /// Evicts least-recently-used blocks until data plus pinned bytes fit
+    /// `capacity` or one block is left; returns how many went.
+    fn evict_to(&mut self, capacity: usize) -> u64 {
+        let mut evicted = 0;
+        while self.used_bytes + self.pinned_bytes > capacity && self.blocks.len() > 1 {
+            let Some((_, block)) = self.blocks.pop_lru() else {
+                break;
+            };
+            self.used_bytes -= block.size();
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 struct Shard {
@@ -74,11 +258,9 @@ impl Shard {
             inner: Mutex::new(
                 "lsm/cache::inner",
                 ShardInner {
-                    map: HashMap::new(),
-                    lru: BTreeMap::new(),
+                    blocks: Lru::new(),
                     used_bytes: 0,
                     pinned_bytes: 0,
-                    next_tick: 0,
                 },
             ),
         }
@@ -164,16 +346,8 @@ impl BlockCache {
         load: impl FnOnce() -> Result<Block>,
     ) -> Result<Arc<Block>> {
         if self.capacity_bytes > 0 {
-            let shard = self.shard(key);
-            let mut inner = shard.inner.lock();
-            let tick = inner.next_tick;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                let old_tick = entry.tick;
-                entry.tick = tick;
-                let block = Arc::clone(&entry.block);
-                inner.next_tick += 1;
-                inner.lru.remove(&old_tick);
-                inner.lru.insert(tick, key);
+            let hit = self.shard(key).inner.lock().blocks.touch(&key).cloned();
+            if let Some(block) = hit {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(block);
             }
@@ -184,34 +358,13 @@ impl BlockCache {
         // block; last insert wins, both handles stay valid.
         let block = Arc::new(load()?);
         if self.capacity_bytes > 0 {
-            let shard = self.shard(key);
-            let mut inner = shard.inner.lock();
-            let tick = inner.next_tick;
-            inner.next_tick += 1;
-            if let Some(prev) = inner.map.remove(&key) {
-                inner.lru.remove(&prev.tick);
-                inner.used_bytes -= prev.block.size();
+            let mut inner = self.shard(key).inner.lock();
+            if let Some(prev) = inner.blocks.insert(key, Arc::clone(&block)) {
+                inner.used_bytes -= prev.size();
             }
             inner.used_bytes += block.size();
-            inner.map.insert(
-                key,
-                CacheEntry {
-                    block: Arc::clone(&block),
-                    tick,
-                },
-            );
-            inner.lru.insert(tick, key);
-            while inner.used_bytes + inner.pinned_bytes > self.shard_capacity && inner.map.len() > 1
-            {
-                let Some((&oldest_tick, &oldest_key)) = inner.lru.iter().next() else {
-                    break;
-                };
-                inner.lru.remove(&oldest_tick);
-                if let Some(evicted) = inner.map.remove(&oldest_key) {
-                    inner.used_bytes -= evicted.block.size();
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let evicted = inner.evict_to(self.shard_capacity);
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         Ok(block)
     }
@@ -219,20 +372,12 @@ impl BlockCache {
     /// Drops all blocks belonging to `file_number` (called on file delete).
     pub fn evict_file(&self, file_number: u64) {
         for shard in &self.shards {
-            let mut inner = shard.inner.lock();
-            let mut doomed: Vec<(u64, BlockKey)> = inner
-                .map
-                .iter()
-                .filter(|((f, _), _)| *f == file_number)
-                .map(|(k, e)| (e.tick, *k))
-                .collect();
-            doomed.sort_unstable();
-            for (tick, key) in doomed {
-                inner.lru.remove(&tick);
-                if let Some(e) = inner.map.remove(&key) {
-                    inner.used_bytes -= e.block.size();
-                }
-            }
+            let mut guard = shard.inner.lock();
+            let inner = &mut *guard;
+            inner.blocks.remove_where(
+                |&(file, _)| file == file_number,
+                |block| inner.used_bytes -= block.size(),
+            );
         }
     }
 
@@ -247,16 +392,8 @@ impl BlockCache {
         let shard = self.shard((file_number, u64::MAX));
         let mut inner = shard.inner.lock();
         inner.pinned_bytes += bytes;
-        while inner.used_bytes + inner.pinned_bytes > self.shard_capacity && inner.map.len() > 1 {
-            let Some((&oldest_tick, &oldest_key)) = inner.lru.iter().next() else {
-                break;
-            };
-            inner.lru.remove(&oldest_tick);
-            if let Some(evicted) = inner.map.remove(&oldest_key) {
-                inner.used_bytes -= evicted.block.size();
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let evicted = inner.evict_to(self.shard_capacity);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Releases a pinned-byte charge made by [`BlockCache::charge_pinned`].
@@ -315,26 +452,14 @@ impl BlockCache {
     }
 }
 
-struct TableEntry {
-    table: Arc<Table>,
-    tick: u64,
-}
-
-struct TableCacheInner {
-    entries: HashMap<u64, TableEntry>,
-    lru: BTreeMap<u64, u64>,
-    next_tick: u64,
-}
-
-/// Entry-bounded LRU cache of open SSTable handles. Replaces the old
-/// per-`Db` `Mutex<HashMap<u64, (Arc<Table>, u64)>>` open-table map; each
-/// resident table's decoded index block and Bloom filter are charged to the
-/// shared [`BlockCache`] budget as pinned bytes, so "open table" memory and
+/// Entry-bounded LRU cache of open SSTable handles. Each resident table's
+/// decoded index block and Bloom filter are charged to the shared
+/// [`BlockCache`] budget as pinned bytes, so "open table" memory and
 /// "cached block" memory come out of one pool.
 pub struct TableCache {
     capacity: usize,
     block_cache: Arc<BlockCache>,
-    map: Mutex<TableCacheInner>,
+    map: Mutex<Lru<u64, Arc<Table>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -346,14 +471,7 @@ impl TableCache {
         Self {
             capacity: capacity.max(1),
             block_cache,
-            map: Mutex::new(
-                "lsm/cache::map",
-                TableCacheInner {
-                    entries: HashMap::new(),
-                    lru: BTreeMap::new(),
-                    next_tick: 0,
-                },
-            ),
+            map: Mutex::new("lsm/cache::map", Lru::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -365,55 +483,31 @@ impl TableCache {
         file_number: u64,
         open: impl FnOnce() -> Result<Arc<Table>>,
     ) -> Result<Arc<Table>> {
-        {
-            let mut inner = self.map.lock();
-            let tick = inner.next_tick;
-            if let Some(entry) = inner.entries.get_mut(&file_number) {
-                let old_tick = entry.tick;
-                entry.tick = tick;
-                let table = Arc::clone(&entry.table);
-                inner.next_tick += 1;
-                inner.lru.remove(&old_tick);
-                inner.lru.insert(tick, file_number);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(table);
-            }
+        let hit = {
+            let mut tables = self.map.lock();
+            tables.touch(&file_number).cloned()
+        };
+        if let Some(table) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(table);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Open outside the map lock (footer/index/filter reads hit the
         // device). Two racing opens resolve to whichever inserted first.
         let table = open()?;
-        let mut inner = self.map.lock();
-        let tick = inner.next_tick;
-        if let Some(entry) = inner.entries.get_mut(&file_number) {
-            let old_tick = entry.tick;
-            entry.tick = tick;
-            let existing = Arc::clone(&entry.table);
-            inner.next_tick += 1;
-            inner.lru.remove(&old_tick);
-            inner.lru.insert(tick, file_number);
-            return Ok(existing);
+        let mut tables = self.map.lock();
+        if let Some(existing) = tables.touch(&file_number) {
+            return Ok(Arc::clone(existing));
         }
-        inner.next_tick += 1;
         self.block_cache
             .charge_pinned(file_number, table.pinned_bytes());
-        inner.entries.insert(
-            file_number,
-            TableEntry {
-                table: Arc::clone(&table),
-                tick,
-            },
-        );
-        inner.lru.insert(tick, file_number);
-        while inner.entries.len() > self.capacity {
-            let Some((&oldest_tick, &oldest_file)) = inner.lru.iter().next() else {
+        tables.insert(file_number, Arc::clone(&table));
+        while tables.len() > self.capacity {
+            let Some((oldest_file, oldest)) = tables.pop_lru() else {
                 break;
             };
-            inner.lru.remove(&oldest_tick);
-            if let Some(e) = inner.entries.remove(&oldest_file) {
-                self.block_cache
-                    .release_pinned(oldest_file, e.table.pinned_bytes());
-            }
+            self.block_cache
+                .release_pinned(oldest_file, oldest.pinned_bytes());
         }
         Ok(table)
     }
@@ -421,17 +515,15 @@ impl TableCache {
     /// Drops the handle for a deleted file (its blocks are evicted by the
     /// caller via [`BlockCache::evict_file`]).
     pub fn remove(&self, file_number: u64) {
-        let mut inner = self.map.lock();
-        if let Some(e) = inner.entries.remove(&file_number) {
-            inner.lru.remove(&e.tick);
+        if let Some(table) = self.map.lock().remove(&file_number) {
             self.block_cache
-                .release_pinned(file_number, e.table.pinned_bytes());
+                .release_pinned(file_number, table.pinned_bytes());
         }
     }
 
     /// Open handles currently resident.
     pub fn len(&self) -> usize {
-        self.map.lock().entries.len()
+        self.map.lock().len()
     }
 
     /// True when no handles are resident.
@@ -475,6 +567,8 @@ mod tests {
     use crate::block::BlockBuilder;
     use crate::types::{encode_internal_key, ValueType};
     use bytes::Bytes;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn make_block(tag: u8, bytes: usize) -> Block {
         let mut b = BlockBuilder::new(16);
@@ -612,5 +706,236 @@ mod tests {
         assert_eq!(cache.pinned_bytes(), 1800);
         cache.release_pinned(9, 1800);
         assert_eq!(cache.pinned_bytes(), 0);
+    }
+
+    /// Keys in eviction order.
+    fn keys_lru_first<K: Copy + Default + Eq + Hash, V>(lru: &Lru<K, V>) -> Vec<K> {
+        let mut keys = Vec::with_capacity(lru.len());
+        let mut slot = lru.node(SENTINEL).prev;
+        while slot != SENTINEL {
+            keys.push(lru.node(slot).key);
+            slot = lru.node(slot).prev;
+        }
+        keys
+    }
+
+    #[test]
+    fn lru_reuses_slots_after_remove() {
+        let mut lru: Lru<u64, &str> = Lru::new();
+        for (k, v) in [(1, "a"), (2, "b"), (3, "c")] {
+            assert_eq!(lru.insert(k, v), None);
+        }
+        assert_eq!(lru.remove(&2), Some("b"));
+        assert_eq!(lru.remove(&2), None);
+        assert_eq!(keys_lru_first(&lru), vec![1, 3]);
+        // The freed slot is taken again; the slab does not grow.
+        lru.insert(4, "d");
+        assert_eq!(lru.slab.len(), 1 + 3);
+        assert_eq!(keys_lru_first(&lru), vec![1, 3, 4]);
+        // Replacing a key keeps one entry for it and makes it the newest.
+        assert_eq!(lru.insert(1, "a2"), Some("a"));
+        assert_eq!(lru.slab.len(), 1 + 3);
+        assert_eq!(keys_lru_first(&lru), vec![3, 4, 1]);
+        assert_eq!(lru.touch(&3), Some(&"c"));
+        assert_eq!(keys_lru_first(&lru), vec![4, 1, 3]);
+        let mut gone = Vec::new();
+        lru.remove_where(|k| *k != 1, |v| gone.push(v));
+        assert_eq!(gone, vec!["d", "c"]);
+        assert_eq!(keys_lru_first(&lru), vec![1]);
+        assert_eq!((lru.len(), lru.free.len()), (1, 2));
+    }
+
+    #[test]
+    fn lru_pops_its_only_entry() {
+        let mut lru: Lru<u64, u8> = Lru::new();
+        assert_eq!(lru.pop_lru(), None);
+        lru.insert(7, 70);
+        assert_eq!(lru.pop_lru(), Some((7, 70)));
+        let sentinel = lru.node(SENTINEL);
+        assert_eq!(
+            (sentinel.prev, sentinel.next, lru.len()),
+            (SENTINEL, SENTINEL, 0)
+        );
+        assert_eq!(lru.pop_lru(), None);
+        assert_eq!(lru.touch(&7), None);
+        // Empty again, it takes entries as a new list does.
+        lru.insert(8, 80);
+        lru.insert(9, 90);
+        assert_eq!(lru.pop_lru(), Some((8, 80)));
+        assert_eq!(keys_lru_first(&lru), vec![9]);
+    }
+
+    /// One shard of the cache this file held before [`Lru`]: a map plus a
+    /// `BTreeMap<tick, key>`, a fresh tick on every hit and insert, the
+    /// lowest tick evicted. Kept, without the locks and the blocks (sizes
+    /// are enough), as the oracle the list's order is tested against.
+    #[derive(Default)]
+    struct TickShard {
+        map: HashMap<BlockKey, (usize, u64)>,
+        lru: BTreeMap<u64, BlockKey>,
+        used_bytes: usize,
+        pinned_bytes: usize,
+        next_tick: u64,
+    }
+
+    impl TickShard {
+        fn evict_to(&mut self, capacity: usize) -> u64 {
+            let mut evicted = 0;
+            while self.used_bytes + self.pinned_bytes > capacity && self.map.len() > 1 {
+                let Some((_, oldest_key)) = self.lru.pop_first() else {
+                    break;
+                };
+                if let Some((size, _)) = self.map.remove(&oldest_key) {
+                    self.used_bytes -= size;
+                    evicted += 1;
+                }
+            }
+            evicted
+        }
+    }
+
+    struct TickCache {
+        shard_capacity: usize,
+        shards: Vec<TickShard>,
+        counters: CacheCounters,
+    }
+
+    impl TickCache {
+        fn new(capacity_bytes: usize, shards: usize) -> Self {
+            Self {
+                shard_capacity: capacity_bytes / shards,
+                shards: (0..shards).map(|_| TickShard::default()).collect(),
+                counters: CacheCounters::default(),
+            }
+        }
+
+        fn shard(&mut self, key: BlockKey) -> &mut TickShard {
+            let mask = self.shards.len() as u64 - 1;
+            &mut self.shards[(shard_hash(key) & mask) as usize]
+        }
+
+        /// `size` is the size of the block a miss would load.
+        fn get_or_load(&mut self, key: BlockKey, size: usize) {
+            let capacity = self.shard_capacity;
+            let shard = self.shard(key);
+            let tick = shard.next_tick;
+            shard.next_tick += 1;
+            if let Some((_, old_tick)) = shard.map.get_mut(&key) {
+                shard.lru.remove(&std::mem::replace(old_tick, tick));
+                shard.lru.insert(tick, key);
+                self.counters.hits += 1;
+                return;
+            }
+            shard.used_bytes += size;
+            shard.map.insert(key, (size, tick));
+            shard.lru.insert(tick, key);
+            let evicted = shard.evict_to(capacity);
+            self.counters.misses += 1;
+            self.counters.evictions += evicted;
+        }
+
+        fn evict_file(&mut self, file_number: u64) {
+            for shard in &mut self.shards {
+                let mut doomed: Vec<(u64, BlockKey)> = shard
+                    .map
+                    .iter()
+                    .filter(|((f, _), _)| *f == file_number)
+                    .map(|(k, (_, tick))| (*tick, *k))
+                    .collect();
+                doomed.sort_unstable();
+                for (tick, key) in doomed {
+                    shard.lru.remove(&tick);
+                    if let Some((size, _)) = shard.map.remove(&key) {
+                        shard.used_bytes -= size;
+                    }
+                }
+            }
+        }
+
+        fn charge_pinned(&mut self, file_number: u64, bytes: usize) {
+            let capacity = self.shard_capacity;
+            let shard = self.shard((file_number, u64::MAX));
+            shard.pinned_bytes += bytes;
+            let evicted = shard.evict_to(capacity);
+            self.counters.evictions += evicted;
+        }
+
+        fn release_pinned(&mut self, file_number: u64, bytes: usize) {
+            let shard = self.shard((file_number, u64::MAX));
+            shard.pinned_bytes = shard.pinned_bytes.saturating_sub(bytes);
+        }
+
+        fn used_bytes(&self) -> usize {
+            self.shards
+                .iter()
+                .map(|s| s.used_bytes + s.pinned_bytes)
+                .sum()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        GetOrLoad { key: BlockKey, payload: usize },
+        EvictFile(u64),
+        ChargePinned(u64, usize),
+        ReleasePinned(u64, usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            12 => (0..6u64, 0..10u64, 1..9usize).prop_map(|(file, block, eighths)| Op::GetOrLoad {
+                key: (file, block * 4096),
+                payload: eighths * 128,
+            }),
+            1 => (0..6u64).prop_map(Op::EvictFile),
+            1 => (0..6u64, 1..1500usize).prop_map(|(f, n)| Op::ChargePinned(f, n)),
+            1 => (0..6u64, 1..1500usize).prop_map(|(f, n)| Op::ReleasePinned(f, n)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The list keeps the order the ticks kept: after every operation of
+        /// a random sequence the two caches agree on the hit / miss /
+        /// eviction counters, on the bytes in use and pinned, and on the
+        /// eviction order of every shard — so each victim was the same one.
+        #[test]
+        fn lru_order_equals_tick_order(
+            shards in prop_oneof![Just(1usize), Just(4usize)],
+            capacity in 2_000..12_000usize,
+            ops in prop::collection::vec(op(), 1..400),
+        ) {
+            let cache = BlockCache::with_shards(capacity, shards);
+            let mut model = TickCache::new(capacity, shards);
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::GetOrLoad { key, payload } => {
+                        let block = make_block(key.0 as u8, payload);
+                        model.get_or_load(key, block.size());
+                        cache.get_or_load(key, || Ok(block)).unwrap();
+                    }
+                    Op::EvictFile(file) => {
+                        model.evict_file(file);
+                        cache.evict_file(file);
+                    }
+                    Op::ChargePinned(file, bytes) => {
+                        model.charge_pinned(file, bytes);
+                        cache.charge_pinned(file, bytes);
+                    }
+                    Op::ReleasePinned(file, bytes) => {
+                        model.release_pinned(file, bytes);
+                        cache.release_pinned(file, bytes);
+                    }
+                }
+                prop_assert_eq!(cache.counters(), model.counters, "step {} {:?}", step, op);
+                prop_assert_eq!(cache.used_bytes(), model.used_bytes(), "step {} {:?}", step, op);
+                for (real, want) in cache.shards.iter().zip(&model.shards) {
+                    let order = keys_lru_first(&real.inner.lock().blocks);
+                    let want: Vec<BlockKey> = want.lru.values().copied().collect();
+                    prop_assert_eq!(order, want, "step {} {:?}", step, op);
+                }
+            }
+        }
     }
 }

@@ -48,6 +48,11 @@ struct QueueState {
     leader_active: bool,
     /// Results posted for followers, keyed by ticket.
     results: HashMap<Ticket, Result<()>>,
+    /// Writers asleep on `ready`. A writer counts itself in before the wait
+    /// releases the lock, so a leader that finds zero under that lock has
+    /// nobody to wake — and a lone writer's commit skips the notify, which
+    /// is a system call whether or not anyone is listening.
+    parked: usize,
 }
 
 /// The write-group queue; see the module docs.
@@ -97,16 +102,19 @@ impl CommitQueue {
                 debug_assert!(group.iter().any(|(t, _)| *t == ticket));
                 return Role::Leader(group);
             }
+            st.parked += 1;
             st = st.wait(&self.ready);
+            st.parked -= 1;
         }
     }
 
     /// Posts the group's results, steps down as leader, and wakes every
-    /// waiter (followers collect results; one of the rest is elected the
-    /// next leader). Returns the leader's own result (ticket `own`).
+    /// waiter there is (followers collect results; one of the rest is
+    /// elected the next leader). Returns the leader's own result (ticket
+    /// `own`).
     pub(crate) fn finish(&self, own: Ticket, results: Vec<(Ticket, Result<()>)>) -> Result<()> {
         let mut own_result = Ok(());
-        {
+        let waiters = {
             let mut st = self.lock();
             for (ticket, result) in results {
                 if ticket == own {
@@ -116,8 +124,11 @@ impl CommitQueue {
                 }
             }
             st.leader_active = false;
+            st.parked
+        };
+        if waiters > 0 {
+            self.ready.notify_all();
         }
-        self.ready.notify_all();
         own_result
     }
 }
@@ -193,5 +204,34 @@ mod tests {
             }
         });
         assert_eq!(committed.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn finish_wakes_a_parked_follower() {
+        let q = CommitQueue::new();
+        let lead = q.enqueue(batch(b"a"));
+        assert!(matches!(q.wait(lead), Role::Leader(_)));
+        // Nobody is parked: this is the commit that skips the notify.
+        assert_eq!(q.lock().parked, 0);
+        std::thread::scope(|s| {
+            let follower = s.spawn(|| {
+                let t = q.enqueue(batch(b"b"));
+                q.wait(t)
+            });
+            // The follower counts itself in under the lock its wait then
+            // releases, so once the count shows here it is asleep (or about
+            // to be, with the wake-up below queued behind the same lock).
+            while q.lock().parked == 0 {
+                std::thread::yield_now();
+            }
+            q.finish(lead, vec![(lead, Ok(()))]).unwrap();
+            // Its batch came after the leader's drain: woken, it finds no
+            // result and no leader, and leads its own group.
+            match follower.join().unwrap() {
+                Role::Leader(group) => assert_eq!(group.len(), 1),
+                Role::Done(_) => panic!("nobody committed the follower's batch"),
+            }
+        });
+        assert_eq!(q.lock().parked, 0);
     }
 }

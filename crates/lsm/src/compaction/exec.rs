@@ -431,7 +431,7 @@ impl Db {
                 && seq <= smallest_snapshot
                 && last_kept_seq == SequenceNumber::MAX;
             if !shadowed && !drop_tombstone {
-                let b = builder.get_or_insert_with(|| self.table_builder());
+                let b = builder.get_or_insert_with(|| self.table_builder(planned.desc.input_bytes));
                 b.add(ikey, merge.value());
                 last_kept_seq = seq;
             }
@@ -446,11 +446,18 @@ impl Db {
         Ok(())
     }
 
-    fn table_builder(&self) -> TableBuilder {
-        TableBuilder::new(
+    /// A builder with the image of one table reserved: outputs are cut at
+    /// `sstable_bytes` on the next user-key boundary, and the entry that
+    /// crosses the line, the filter, the index and the footer come on top.
+    /// A task whose whole input is smaller reserves no more than that.
+    fn table_builder(&self, input_bytes: u64) -> TableBuilder {
+        let cut = self.options.sstable_bytes;
+        let input = usize::try_from(input_bytes).unwrap_or(usize::MAX);
+        TableBuilder::with_capacity(
             self.options.block_bytes,
             self.options.block_restart_interval,
             self.options.bloom_bits_per_key,
+            cut.saturating_add(cut / 8).min(input),
         )
     }
 
@@ -642,7 +649,7 @@ impl Db {
         if mem.is_empty() {
             return Ok(out);
         }
-        let mut builder = self.table_builder();
+        let mut builder = self.table_builder(mem.approximate_bytes() as u64);
         {
             // The iterator pins the memtable's list lock (rank 90); it
             // must be gone before `alloc`, which a worker backs with the

@@ -326,7 +326,7 @@ impl Db {
         }
         for level in 1..view.version.num_levels() {
             let files = match view.version.levels.get(level) {
-                Some(files) if !files.is_empty() => files.clone(),
+                Some(files) if !files.is_empty() => files.as_slice(),
                 _ => continue,
             };
             children.push(Box::new(LevelIter::new(self, files, IoClass::UserRead)));
@@ -364,12 +364,12 @@ fn candidate_file<'v>(version: &'v Version, level: usize, key: &[u8]) -> Option<
 }
 
 /// Lazily walks one level's files in key order, merging each file with its
-/// slice links (the LDC read path for scans). Holds the file list it was
-/// constructed with (a pinned view's), so a concurrent compaction cannot
-/// change what it iterates.
+/// slice links (the LDC read path for scans). Borrows its file list from
+/// the pinned view it was constructed with, so a concurrent compaction
+/// cannot change what it iterates.
 struct LevelIter<'a> {
     db: &'a Db,
-    files: Vec<FileMeta>,
+    files: &'a [FileMeta],
     class: IoClass,
     idx: usize,
     cur: Option<MergingIterator<'static>>,
@@ -377,7 +377,7 @@ struct LevelIter<'a> {
 }
 
 impl<'a> LevelIter<'a> {
-    fn new(db: &'a Db, files: Vec<FileMeta>, class: IoClass) -> Self {
+    fn new(db: &'a Db, files: &'a [FileMeta], class: IoClass) -> Self {
         Self {
             db,
             files,

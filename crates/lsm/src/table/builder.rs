@@ -42,10 +42,21 @@ impl TableBuilder {
     /// `restart_interval` prefix-compression restarts and a Bloom filter at
     /// `bits_per_key`.
     pub fn new(block_bytes: usize, restart_interval: usize, bits_per_key: usize) -> Self {
+        Self::with_capacity(block_bytes, restart_interval, bits_per_key, 0)
+    }
+
+    /// [`TableBuilder::new`] with room for a `file_bytes` image reserved up
+    /// front, so a table cut at a known size never regrows its buffer.
+    pub fn with_capacity(
+        block_bytes: usize,
+        restart_interval: usize,
+        bits_per_key: usize,
+        file_bytes: usize,
+    ) -> Self {
         Self {
             block_bytes: block_bytes.max(64),
             bits_per_key,
-            data: Vec::new(),
+            data: Vec::with_capacity(file_bytes),
             block: BlockBuilder::new(restart_interval),
             index: BlockBuilder::new(1),
             filter_keys: Vec::new(),
@@ -108,10 +119,11 @@ impl TableBuilder {
         }
         // Filter block.
         let filter = BloomFilter::build(&self.filter_keys, self.bits_per_key);
-        let filter_handle = self.write_raw_block(filter.as_bytes().to_vec());
+        let filter_handle = seal_block(&mut self.data, |out| {
+            out.extend_from_slice(filter.as_bytes());
+        });
         // Index block.
-        let index_bytes = self.index.finish();
-        let index_handle = self.write_raw_block(index_bytes);
+        let index_handle = seal_block(&mut self.data, |out| self.index.finish_into(out));
         // Footer.
         let footer = encode_footer(filter_handle, index_handle);
         self.data.extend_from_slice(&footer);
@@ -125,25 +137,28 @@ impl TableBuilder {
 
     fn flush_data_block(&mut self) {
         debug_assert!(!self.block.is_empty());
-        let contents = self.block.finish();
-        let handle = self.write_raw_block(contents);
+        let handle = seal_block(&mut self.data, |out| self.block.finish_into(out));
         let mut encoded = Vec::with_capacity(20);
         handle.encode_to(&mut encoded);
         // Index key: the last key of the block (a simple, correct separator).
         self.index.add(&self.last_key, &encoded);
     }
+}
 
-    /// Appends `contents` plus the type+crc trailer, returning its handle.
-    fn write_raw_block(&mut self, contents: Vec<u8>) -> BlockHandle {
-        let handle = BlockHandle {
-            offset: self.data.len() as u64,
-            size: contents.len() as u64,
-        };
-        let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(&contents), &[0u8]));
-        self.data.extend_from_slice(&contents);
-        self.data.push(0); // compression type: none
-        self.data.extend_from_slice(&crc.to_le_bytes());
-        handle
+/// Makes one block of whatever `write` appends to the table image `data`:
+/// checksums the appended bytes where they lie, adds the type+crc trailer
+/// and returns the block's handle.
+fn seal_block(data: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> BlockHandle {
+    let offset = data.len();
+    write(data);
+    let size = data.len() - offset;
+    // ldc-lint: allow(panic_safety) — `offset` was the image's length before `write`, which only appends
+    let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(&data[offset..]), &[0u8]));
+    data.push(0); // compression type: none
+    data.extend_from_slice(&crc.to_le_bytes());
+    BlockHandle {
+        offset: offset as u64,
+        size: size as u64,
     }
 }
 

@@ -7,6 +7,17 @@
 //! traffic — byte transfers, page programs, TRIMs, metadata operations — is
 //! charged to the shared [`SsdDevice`], so experiments observe realistic
 //! device time and wear without touching the host file system.
+//!
+//! How a file was written decides how it is read. A file created by
+//! [`StorageBackend::write_file`] is sealed: `MemStorage` keeps it as one
+//! immutable [`Bytes`] image and every read returns a bounds-checked slice
+//! of that image, the way LevelDB's default read path hands out slices of
+//! an mmapped table — the device is charged for the bytes first, exactly as
+//! before, only the host-side copy is gone. A slice keeps the image alive
+//! after the file is deleted or replaced, as an open mapping would. A file
+//! built by [`StorageBackend::append`] (WAL, MANIFEST, chunk-streamed
+//! tables) is a growable buffer and each read copies its range out;
+//! appending to or truncating a sealed file turns it into one, by one copy.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,9 +133,44 @@ pub trait StorageBackend: Send + Sync {
     }
 }
 
+/// A file's bytes, held the way the file was written; see the module docs.
+#[derive(Debug)]
+enum Contents {
+    /// Built by `append`: grows in place, reads copy out of it.
+    Growing(Vec<u8>),
+    /// Written whole by `write_file`: immutable, reads are slices of it.
+    Sealed(Bytes),
+}
+
+impl Default for Contents {
+    fn default() -> Self {
+        Contents::Growing(Vec::new())
+    }
+}
+
+impl Contents {
+    fn len(&self) -> usize {
+        match self {
+            Contents::Growing(buf) => buf.len(),
+            Contents::Sealed(image) => image.len(),
+        }
+    }
+
+    /// Changes the bytes in place. A sealed image is unsealed first, by one
+    /// copy; whatever `change` does, the file is a growing buffer afterwards.
+    fn edit(&mut self, change: impl FnOnce(&mut Vec<u8>)) {
+        let mut buf = match std::mem::take(self) {
+            Contents::Growing(buf) => buf,
+            Contents::Sealed(image) => image.to_vec(),
+        };
+        change(&mut buf);
+        *self = Contents::Growing(buf);
+    }
+}
+
 #[derive(Debug, Default)]
 struct MemFile {
-    data: Vec<u8>,
+    data: Contents,
     /// Logical pages backing the fully flushed prefix of `data`.
     pages: Vec<u64>,
     /// Logical page backing a flushed partial tail, if any.
@@ -264,9 +310,11 @@ impl MemStorage {
         } else {
             self.device.charge_read(len, class);
         }
-        Ok(Bytes::copy_from_slice(
-            &file.data[offset as usize..(offset + len) as usize],
-        ))
+        let range = offset as usize..(offset + len) as usize;
+        Ok(match &file.data {
+            Contents::Sealed(image) => image.slice(range),
+            Contents::Growing(buf) => Bytes::copy_from_slice(&buf[range]),
+        })
     }
 
     fn release_file(&self, file: MemFile) {
@@ -287,7 +335,7 @@ impl StorageBackend for MemStorage {
         }
         self.device.fs_op();
         let mut file = MemFile {
-            data: data.to_vec(),
+            data: Contents::Sealed(Bytes::copy_from_slice(data)),
             pages: Vec::new(),
             tail_lpn: None,
             // Sealed files are written atomically and durably (the engine
@@ -316,7 +364,7 @@ impl StorageBackend for MemStorage {
             files.insert(name.to_string(), MemFile::default());
         }
         let file = files.get_mut(name).expect("just inserted");
-        file.data.extend_from_slice(data);
+        file.data.edit(|buf| buf.extend_from_slice(data));
         self.device.charge_write(data.len() as u64, class);
         let programmed = self.flush_pages(file, false)?;
         self.device.program_pages(&programmed);
@@ -399,7 +447,7 @@ impl StorageBackend for MemStorage {
         if len >= file.data.len() as u64 {
             return Ok(());
         }
-        file.data.truncate(len as usize);
+        file.data.edit(|buf| buf.truncate(len as usize));
         file.synced_len = file.synced_len.min(len);
         // Release pages past the new end; a mid-page cut also invalidates
         // the flushed partial tail (its content changed).
@@ -652,5 +700,122 @@ mod tests {
         assert_eq!(s.total_file_bytes(), 1500);
         s.delete("a").unwrap();
         assert_eq!(s.total_file_bytes(), 500);
+    }
+
+    /// The same bytes as a sealed file and as a file built by appends.
+    fn sealed_and_appended(s: &MemStorage, bytes: &[u8]) {
+        s.write_file("sealed", bytes, IoClass::FlushWrite).unwrap();
+        for chunk in bytes.chunks(7) {
+            s.append("appended", chunk, IoClass::FlushWrite).unwrap();
+        }
+        s.sync("appended").unwrap();
+    }
+
+    #[test]
+    fn sealed_and_appended_files_read_alike() {
+        let s = storage();
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        sealed_and_appended(&s, &bytes);
+        let n = bytes.len() as u64;
+        // Every in-range (offset, len), both read flavours, plus the edges
+        // just past the end: same bytes or the same refusal.
+        for offset in 0..=n + 1 {
+            for len in 0..=n + 1 - offset.min(n) {
+                let sealed = s.read("sealed", offset, len, IoClass::UserRead);
+                let appended = s.read("appended", offset, len, IoClass::UserRead);
+                let sequential = s.read_sequential("sealed", offset, len, IoClass::UserRead);
+                if offset + len <= n {
+                    let want = &bytes[offset as usize..(offset + len) as usize];
+                    assert_eq!(sealed.unwrap().as_ref(), want);
+                    assert_eq!(appended.unwrap().as_ref(), want);
+                    assert_eq!(sequential.unwrap().as_ref(), want);
+                } else {
+                    for got in [sealed, appended, sequential] {
+                        assert!(matches!(got, Err(SsdError::OutOfRange { .. })));
+                    }
+                }
+            }
+        }
+        assert!(s.read("sealed", u64::MAX, 2, IoClass::UserRead).is_err());
+        assert_eq!(
+            s.read_all("sealed", IoClass::Other).unwrap(),
+            s.read_all("appended", IoClass::Other).unwrap()
+        );
+    }
+
+    #[test]
+    fn sealed_reads_are_slices_of_one_image() {
+        let s = storage();
+        let bytes = vec![9u8; 4096];
+        sealed_and_appended(&s, &bytes);
+        let before = s.device().io_stats().total_read_bytes();
+        let whole = s.read_all("sealed", IoClass::Other).unwrap();
+        let a = s.read("sealed", 100, 50, IoClass::UserRead).unwrap();
+        let b = s
+            .read_sequential("sealed", 100, 50, IoClass::UserRead)
+            .unwrap();
+        // No copy: both reads point into the image `read_all` returned.
+        assert_eq!(a.as_ptr(), b.as_ptr());
+        assert_eq!(a.as_ptr(), whole[100..].as_ptr());
+        // A file built by appends still copies each read out.
+        let c = s.read("appended", 100, 50, IoClass::UserRead).unwrap();
+        let d = s.read("appended", 100, 50, IoClass::UserRead).unwrap();
+        assert_ne!(c.as_ptr(), d.as_ptr());
+        // Sliced or copied, the device is charged for every byte.
+        assert_eq!(
+            s.device().io_stats().total_read_bytes() - before,
+            4096 + 4 * 50
+        );
+    }
+
+    #[test]
+    fn sealed_files_unseal_on_append_and_truncate() {
+        let s = storage();
+        s.write_file("f", b"0123456789", IoClass::FlushWrite)
+            .unwrap();
+        let held = s.read("f", 2, 6, IoClass::UserRead).unwrap();
+        s.append("f", b"abc", IoClass::FlushWrite).unwrap();
+        assert_eq!(s.size("f").unwrap(), 13);
+        assert_eq!(
+            s.read_all("f", IoClass::Other).unwrap().as_ref(),
+            b"0123456789abc"
+        );
+        // The appended tail is not durable until synced; the sealed part is.
+        assert_eq!(s.synced_len("f").unwrap(), 10);
+        s.truncate("f", 4).unwrap();
+        assert_eq!(s.read_all("f", IoClass::Other).unwrap().as_ref(), b"0123");
+        assert_eq!(s.synced_len("f").unwrap(), 4);
+        s.append("f", b"xy", IoClass::FlushWrite).unwrap();
+        assert_eq!(s.read_all("f", IoClass::Other).unwrap().as_ref(), b"0123xy");
+        // Truncating a still-sealed file works the same way.
+        s.write_file("g", b"0123456789", IoClass::FlushWrite)
+            .unwrap();
+        s.truncate("g", 3).unwrap();
+        assert_eq!(s.read_all("g", IoClass::Other).unwrap().as_ref(), b"012");
+        // A slice taken before any of it still reads the sealed image.
+        assert_eq!(held.as_ref(), b"234567");
+    }
+
+    #[test]
+    fn held_slices_outlive_delete_replace_and_link() {
+        let s = storage();
+        s.write_file("t", b"table image", IoClass::FlushWrite)
+            .unwrap();
+        let held = s.read("t", 6, 5, IoClass::UserRead).unwrap();
+        s.link_file("t", "ckpt@t", IoClass::Other).unwrap();
+        s.write_file("t", b"replacement", IoClass::FlushWrite)
+            .unwrap();
+        assert_eq!(held.as_ref(), b"image");
+        s.delete("t").unwrap();
+        assert!(matches!(
+            s.read("t", 0, 1, IoClass::UserRead),
+            Err(SsdError::NotFound(_))
+        ));
+        assert_eq!(held.as_ref(), b"image");
+        // The link is its own sealed image, not a view of the source's.
+        let linked = s.read("ckpt@t", 6, 5, IoClass::UserRead).unwrap();
+        assert_eq!(linked.as_ref(), b"image");
+        assert_ne!(linked.as_ptr(), held.as_ptr());
+        assert_eq!(s.total_file_bytes(), 11);
     }
 }

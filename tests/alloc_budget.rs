@@ -1,0 +1,130 @@
+//! Tier-1 budget for heap allocations on the cached read path.
+//!
+//! A point read served entirely from the table cache and the block cache
+//! does no I/O, so what is left of its cost is CPU — and the allocator was
+//! the largest avoidable part of it: at commit 945820e a cached `get` made
+//! 14.2 allocations, nine of them one `Vec` per binary-search step of a
+//! block seek. The budget below is what the path needs today: the memtable
+//! probe key, the table probe key, the key buffers of the index-block and
+//! data-block iterators, and the owned value `get` returns. Lower the
+//! constant when a change earns it; raising it needs a reason in CHANGES.md.
+//!
+//! One test only: the counter is process-wide, and a second test running on
+//! another thread would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ldc_core::LdcDb;
+use ldc_lsm::Options;
+
+/// Allocations of a fully cached `get` that do not depend on how many
+/// tables it searches: the memtable probe key and the owned value.
+const PER_GET: u64 = 2;
+/// Allocations per table searched (one whose Bloom filter does not rule the
+/// key out): the probe key and the two block iterators' key buffers. A get
+/// that finds its key in the first table it searches — all but the Bloom
+/// false positives, a few percent — therefore allocates five times.
+const PER_TABLE: u64 = 3;
+
+const PRELOAD: u64 = 8_000;
+const HOT: u64 = 500;
+const PASSES: u64 = 4;
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a relaxed counter
+// bump, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as they came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `layout` and `new_size` are the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn key(k: u64) -> [u8; 16] {
+    let mut out = [b'0'; 16];
+    let digits = format!("{:016}", k.wrapping_mul(0x9e37_79b9) % 10_000_000_000);
+    out.copy_from_slice(digits.as_bytes());
+    out
+}
+
+#[test]
+fn cached_get_stays_inside_its_allocation_budget() {
+    let db = LdcDb::builder()
+        .options(Options::default())
+        .background_workers(0)
+        .build()
+        .expect("open");
+    let value = vec![b'v'; 1024];
+    for k in 0..PRELOAD {
+        db.put(&key(k), &value).expect("put");
+    }
+    // Everything into tables: a memtable hit would be cheaper than the path
+    // under test and hide a regression behind a better average.
+    db.flush().expect("flush");
+    db.drain_background();
+
+    let hot: Vec<[u8; 16]> = (0..HOT).map(|i| key(i * (PRELOAD / HOT))).collect();
+    for k in &hot {
+        assert!(db.get(k).expect("warm-up get").is_some());
+    }
+
+    let before = db.block_cache_counters();
+    let (mut total, mut worst, mut searched) = (0u64, 0u64, 0u64);
+    for _ in 0..PASSES {
+        for k in &hot {
+            let hits0 = db.block_cache_counters().hits;
+            let a0 = ALLOCATIONS.load(Ordering::Relaxed);
+            let got = db.get(k).expect("get");
+            let spent = ALLOCATIONS.load(Ordering::Relaxed) - a0;
+            // One cached data block per table searched: the one holding the
+            // key, plus one for every Bloom false positive on the way down.
+            let tables = db.block_cache_counters().hits - hits0;
+            assert!(got.is_some());
+            assert!(tables >= 1, "the key must come out of a table");
+            assert!(
+                spent <= PER_GET + PER_TABLE * tables,
+                "a cached get searching {tables} table(s) allocated {spent} times"
+            );
+            total += spent;
+            worst = worst.max(spent);
+            searched += tables;
+        }
+    }
+    let gets = HOT * PASSES;
+    assert_eq!(
+        db.block_cache_counters().misses,
+        before.misses,
+        "the window must be fully cached"
+    );
+    println!(
+        "allocations per cached get: mean {:.2}, worst {worst}; tables searched per get {:.3}",
+        total as f64 / gets as f64,
+        searched as f64 / gets as f64
+    );
+}
