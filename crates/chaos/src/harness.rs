@@ -2,20 +2,58 @@
 //!
 //! [`ChaosHarness`] runs a deterministic workload against a store built on
 //! a [`FaultStorage`], injects one fault class per run, then reopens and
-//! checks the surviving state against an in-memory model:
+//! checks the surviving state against an in-memory model. Every scenario
+//! is a composition of the same two stages:
+//!
+//! 1. **`drive`** opens a store and feeds it the seeded op stream —
+//!    puts and deletes over a small key space — until the stream ends or
+//!    something fails. It records what a later check is held against: the
+//!    acknowledged key space, every value ever acknowledged per key, the
+//!    one write that was cut short, and (for the backup pipelines, which
+//!    pass a hook for the half-way mark) the key space after every
+//!    acknowledged write. A fault inside `open` itself is an outcome like
+//!    any other: nothing was acknowledged.
+//! 2. **`recover_and_verify`** reopens the store and demands the same of
+//!    every recovery: every key by point get, a full scan equal to the
+//!    model, [`Version::check_invariants`], an SSTable integrity sweep, a
+//!    recovery event — and then all of it again after a further clean
+//!    reopen, which catches half-written metadata the first recovery
+//!    papered over.
+//!
+//! [`Version::check_invariants`]: ldc_lsm::version::Version::check_invariants
+//!
+//! What a scenario adds is its fault plan, what it arms at the half-way
+//! mark, and what it asserts afterwards:
 //!
 //! * **Crash points** ([`ChaosHarness::run_crash_point`]): power loss on
 //!   the Nth mutating storage operation. With `wal_sync` on, every
 //!   acknowledged write must survive exactly; the single in-flight write
 //!   may land or vanish (and is checked to do one of the two).
+//! * **Backup crashes** ([`ChaosHarness::run_backup_crash`]): the same
+//!   power loss anywhere in checkpoint → ship; besides the primary's own
+//!   recovery, a complete surviving backup must restore (and bootstrap a
+//!   follower) onto the acknowledged-history prefix, an incomplete one
+//!   must be refused.
+//! * **Apply crashes** ([`ChaosHarness::run_apply_crash`]): the primary
+//!   runs clean and the *follower's* storage loses power mid-bootstrap or
+//!   mid-apply; after the documented recovery recipe it must converge on
+//!   the primary exactly.
 //! * **Bit flips** ([`ChaosHarness::run_bit_flip`]): one bit of a WAL,
 //!   SSTable, or manifest is flipped. The store must detect the damage or
-//!   mask it — it must never serve a value that was not written.
+//!   mask it — it must never serve a value that was not written — and
+//!   must do so again on the next reopen.
 //! * **I/O errors** ([`ChaosHarness::run_io_errors`]): mutating storage
 //!   operations fail with a configured probability. The first failure must
 //!   latch the engine's background error (fail-stop), reads must keep
 //!   working, and a clean reopen must restore exactly the acknowledged
 //!   state.
+//! * **Transient reads** ([`ChaosHarness::run_transient_reads`]): each
+//!   file's first N reads fail and then heal; the engine's retry budget
+//!   must mask them completely, recovery reads included.
+//! * **Scrub → quarantine → repair**
+//!   ([`ChaosHarness::run_scrub_quarantine_repair`]): the degraded-mode
+//!   ladder over a bit-flipped SSTable; what the repaired store serves is
+//!   never fabricated and survives two further reopens exactly.
 //!
 //! Every failure carries the [`FaultPlan`] and the fault journal, so a
 //! red run is replayable from the `(seed, crash point)` pair alone.
@@ -30,7 +68,7 @@ use ldc_lsm::{
     backup_prefix, checkpoint_complete, repair_db, restore_backup, CorruptionPolicy, Options,
     RecoverySummary, RepairReport,
 };
-use ldc_obs::{EventKind, RingBufferSink, SharedSink};
+use ldc_obs::{EventKind, RingBufferSink};
 use ldc_ssd::{MemStorage, SsdDevice, StorageBackend};
 use ldc_sync::Follower;
 use rand::rngs::SmallRng;
@@ -266,17 +304,69 @@ pub struct ApplyCrashReport {
     pub follower_ops: u64,
 }
 
-/// What [`ChaosHarness::drive_backup_primary`] observed before stopping.
-struct BackupPrimaryRun {
+/// One workload operation: `(key, Some(value))` for a put, `(key, None)`
+/// for a delete.
+type Op = (Vec<u8>, Option<Vec<u8>>);
+
+/// A key space: what a store serves, or should.
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// What a backup pipeline arms on the drained store at the half-way mark.
+type Midway<'a> = &'a mut dyn FnMut(&LdcDb) -> ldc_lsm::Result<()>;
+
+/// Applies `op` to `model`.
+fn apply(model: &mut Model, (key, value): &Op) {
+    match value {
+        Some(v) => {
+            model.insert(key.clone(), v.clone());
+        }
+        None => {
+            model.remove(key);
+        }
+    }
+}
+
+/// Everything a store serves, as a key space.
+fn scan_all(db: &LdcDb) -> ldc_lsm::Result<Model> {
+    Ok(db.scan(b"", usize::MAX)?.into_iter().collect())
+}
+
+fn mem_storage() -> Arc<dyn StorageBackend> {
+    MemStorage::new(SsdDevice::with_defaults())
+}
+
+/// What [`ChaosHarness::drive`] did and saw: the record every later check
+/// is held against.
+#[derive(Default)]
+struct Driven {
     /// Final acknowledged key space.
-    model: BTreeMap<Vec<u8>, Vec<u8>>,
+    model: Model,
+    /// Every value ever acknowledged, per key. Quarantine and point-in-time
+    /// recovery may roll a key back in time (a dropped tombstone resurfaces
+    /// an older value), so "ever written" is the fabrication check where
+    /// "latest value" cannot be demanded.
+    history: BTreeMap<Vec<u8>, Vec<Vec<u8>>>,
     /// `boundaries[n]` is the key space after the first `n` acknowledged
     /// writes; a restored backup must land on one of these states.
-    boundaries: Vec<BTreeMap<Vec<u8>, Vec<u8>>>,
-    in_flight: Option<(Vec<u8>, Option<Vec<u8>>)>,
+    /// Recorded only for the backup pipelines (a `midway` hook was given).
+    boundaries: Vec<Model>,
+    /// The write that was cut short, if one was: it may land or vanish.
+    in_flight: Option<Op>,
+    /// Writes acknowledged (so also the index of the in-flight one).
     acked: u64,
-    before_checkpoint: u64,
-    checkpoint_done: Option<u64>,
+    /// Why the stream stopped early; `None` when it ran to its end.
+    stopped: Option<String>,
+    /// The store, still open; `None` when the fault hit `open` itself.
+    db: Option<LdcDb>,
+}
+
+impl Driven {
+    /// Whether `key` was ever acknowledged carrying `value`.
+    fn never_fabricated(&self, key: &[u8], value: &[u8]) -> bool {
+        self.history
+            .get(key)
+            .is_some_and(|vs| vs.iter().any(|v| v == value))
+    }
 }
 
 /// Deterministic fault-injection verifier over one [`ChaosConfig`].
@@ -299,9 +389,8 @@ impl ChaosHarness {
         format!("key{idx:05}").into_bytes()
     }
 
-    /// Operation `i` of the workload: `(key, Some(value))` for a put,
-    /// `(key, None)` for a delete.
-    fn gen_op(&self, rng: &mut SmallRng, i: u64) -> (Vec<u8>, Option<Vec<u8>>) {
+    /// Operation `i` of the workload.
+    fn gen_op(&self, rng: &mut SmallRng, i: u64) -> Op {
         let key = Self::key_for(rng.gen_range(0..self.config.key_space));
         let deletes = self.config.delete_every;
         if deletes > 0 && i % deletes == deletes - 1 {
@@ -316,90 +405,149 @@ impl ChaosHarness {
         (key, Some(value))
     }
 
-    fn open(
-        &self,
-        storage: &Arc<dyn StorageBackend>,
-        sink: Option<SharedSink>,
-    ) -> ldc_lsm::Result<LdcDb> {
-        self.open_with(storage, sink, self.config.options.clone())
-    }
-
-    fn open_with(
-        &self,
-        storage: &Arc<dyn StorageBackend>,
-        sink: Option<SharedSink>,
-        options: Options,
-    ) -> ldc_lsm::Result<LdcDb> {
-        let mut builder = LdcDb::builder()
-            .options(options)
+    fn builder(&self, options: &Options) -> LdcDbBuilder {
+        LdcDb::builder()
+            .options(options.clone())
             .mode(self.config.mode.clone())
-            .storage(Arc::clone(storage));
-        if let Some(sink) = sink {
-            builder = builder.event_sink(sink);
-        }
-        builder.build()
     }
 
-    fn fail(&self, fault: &FaultStorage, detail: String) -> ChaosFailure {
+    fn open(&self, storage: &Arc<dyn StorageBackend>, options: &Options) -> ldc_lsm::Result<LdcDb> {
+        self.builder(options).storage(Arc::clone(storage)).build()
+    }
+
+    /// A fresh simulated device behind a fault injector running `plan`.
+    fn faulted(&self, plan: FaultPlan) -> (Arc<FaultStorage>, Arc<dyn StorageBackend>) {
+        let fault = FaultStorage::new(mem_storage(), plan);
+        let storage: Arc<dyn StorageBackend> = fault.clone();
+        (fault, storage)
+    }
+
+    fn fail(&self, fault: &FaultStorage, detail: impl Into<String>) -> ChaosFailure {
         ChaosFailure {
             plan: fault.plan().clone(),
-            detail,
+            detail: detail.into(),
             fault_log: fault.fault_log(),
         }
     }
 
-    /// Checks the reopened store against the model over the whole key
-    /// universe: point gets, a full scan, version invariants, and an
-    /// SSTable integrity sweep. The optional in-flight write is allowed
-    /// to have either landed or vanished — atomically.
+    /// Stage one of every scenario: opens a store on `storage` and feeds
+    /// it the seeded op stream until the stream ends or something fails —
+    /// the open, a write, or what `midway` arms. Nothing is judged here; a
+    /// scenario whose plan should not have stopped the stream says so with
+    /// [`ChaosHarness::ran_to_end`].
+    ///
+    /// `midway` gives the run the backup pipelines' shape: it is called
+    /// once on a drained store at the half-way mark (to begin a backup),
+    /// and from then on the store is flushed every 20 ops and at the end,
+    /// so the edit stream it armed has something to ship.
+    fn drive(
+        &self,
+        storage: &Arc<dyn StorageBackend>,
+        options: &Options,
+        mut midway: Option<Midway<'_>>,
+    ) -> Driven {
+        let mut run = Driven::default();
+        let db = match self.open(storage, options) {
+            Ok(db) => db,
+            Err(e) => {
+                run.stopped = Some(format!("open failed: {e}"));
+                return run;
+            }
+        };
+        let backup = midway.is_some();
+        if backup {
+            run.boundaries.push(Model::new());
+        }
+        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
+        let half = self.config.ops / 2;
+        let mut stream = || -> Result<(), String> {
+            for i in 0..self.config.ops {
+                if let (true, Some(begin)) = (i == half, midway.as_mut()) {
+                    db.drain_background();
+                    begin(&db).map_err(|e| format!("backup_begin failed: {e}"))?;
+                }
+                let op = self.gen_op(&mut rng, i);
+                let result = match &op {
+                    (key, Some(v)) => db.put(key, v),
+                    (key, None) => db.delete(key),
+                };
+                if let Err(e) = result {
+                    run.in_flight = Some(op);
+                    return Err(format!("write {i} failed: {e}"));
+                }
+                run.acked += 1;
+                apply(&mut run.model, &op);
+                if let (key, Some(v)) = op {
+                    run.history.entry(key).or_default().push(v);
+                }
+                if backup {
+                    run.boundaries.push(run.model.clone());
+                    if i >= half && (i - half) % 20 == 19 {
+                        db.flush().map_err(|e| format!("flush failed: {e}"))?;
+                    }
+                }
+            }
+            if backup {
+                db.flush().map_err(|e| format!("flush failed: {e}"))?;
+                db.drain_background();
+            }
+            Ok(())
+        };
+        run.stopped = stream().err();
+        run.db = Some(db);
+        run
+    }
+
+    /// For plans that inject nothing a write can trip over: a stream that
+    /// stopped is the harness's failure, not an outcome. Hands over the
+    /// open store.
+    fn ran_to_end(
+        &self,
+        fault: &FaultStorage,
+        run: &mut Driven,
+        who: &str,
+    ) -> Result<LdcDb, ChaosFailure> {
+        match (run.stopped.take(), run.db.take()) {
+            (None, Some(db)) => Ok(db),
+            (why, _) => Err(self.fail(fault, format!("{who}{}", why.unwrap_or_default()))),
+        }
+    }
+
+    /// Checks `db` against `model` over the whole key universe: point
+    /// gets, a full scan, version invariants, and an SSTable integrity
+    /// sweep. The optional in-flight write is allowed to have either
+    /// landed or vanished — atomically.
     fn verify_exact(
         &self,
-        db: &mut LdcDb,
-        model: &BTreeMap<Vec<u8>, Vec<u8>>,
-        in_flight: Option<&(Vec<u8>, Option<Vec<u8>>)>,
+        db: &LdcDb,
+        model: &Model,
+        in_flight: Option<&Op>,
     ) -> Result<(), String> {
+        let mut with_new = model.clone();
+        if let Some(op) = in_flight {
+            apply(&mut with_new, op);
+        }
         for idx in 0..self.config.key_space {
             let key = Self::key_for(idx);
+            let name = String::from_utf8_lossy(&key);
             let got = db
                 .get(&key)
-                .map_err(|e| format!("get {} failed: {e}", String::from_utf8_lossy(&key)))?;
-            let old = model.get(&key).map(|v| v.as_slice());
-            if let Some((k, new)) = in_flight {
-                if *k == key {
-                    if got.as_deref() != old && got.as_deref() != new.as_deref() {
-                        return Err(format!(
-                            "in-flight key {} resolved to neither old nor new value",
-                            String::from_utf8_lossy(&key)
-                        ));
-                    }
-                    continue;
-                }
+                .map_err(|e| format!("get {name} failed: {e}"))?;
+            let (old, new) = (model.get(&key), with_new.get(&key));
+            if got.as_ref() == old || got.as_ref() == new {
+                continue;
             }
-            if got.as_deref() != old {
-                return Err(format!(
-                    "key {}: got {:?}, model has {:?}",
-                    String::from_utf8_lossy(&key),
+            return Err(if old != new {
+                format!("in-flight key {name} resolved to neither old nor new value")
+            } else {
+                format!(
+                    "key {name}: got {:?}, model has {:?}",
                     got.map(|v| String::from_utf8_lossy(&v).into_owned()),
-                    old.map(String::from_utf8_lossy)
-                ));
-            }
+                    old.map(|v| String::from_utf8_lossy(v))
+                )
+            });
         }
-        let scanned: BTreeMap<Vec<u8>, Vec<u8>> = db
-            .scan(b"", usize::MAX)
-            .map_err(|e| format!("scan failed: {e}"))?
-            .into_iter()
-            .collect();
-        let mut with_new = model.clone();
-        if let Some((k, new)) = in_flight {
-            match new {
-                Some(v) => {
-                    with_new.insert(k.clone(), v.clone());
-                }
-                None => {
-                    with_new.remove(k);
-                }
-            }
-        }
+        let scanned = scan_all(db).map_err(|e| format!("scan failed: {e}"))?;
         if scanned != *model && scanned != with_new {
             return Err(format!(
                 "scan returned {} entries matching neither pre- nor post-in-flight model ({} entries)",
@@ -416,27 +564,79 @@ impl ChaosHarness {
         Ok(())
     }
 
+    /// Stage two of every scenario: reopens the store behind `fault` and
+    /// holds it to exactly what `run` acknowledged ([`Self::verify_exact`],
+    /// plus a recovery event), then demands the same of a further clean
+    /// reopen — the recovered store must keep working, and half-written
+    /// metadata the first recovery papered over shows up on the second.
+    /// `label` prefixes every failure it reports. Returns what the first
+    /// reopen's recovery did.
+    fn recover_and_verify(
+        &self,
+        fault: &Arc<FaultStorage>,
+        options: &Options,
+        run: &Driven,
+        label: &str,
+    ) -> Result<RecoverySummary, ChaosFailure> {
+        let fail = |detail: String| self.fail(fault, format!("{label}{detail}"));
+        let storage: Arc<dyn StorageBackend> = fault.clone();
+        let sink = Arc::new(RingBufferSink::new(4096));
+        let db = self
+            .builder(options)
+            .storage(Arc::clone(&storage))
+            .event_sink(sink.clone())
+            .build()
+            .map_err(|e| fail(format!("reopen failed: {e}")))?;
+        let recovery = db.recovery_summary();
+        self.verify_exact(&db, &run.model, run.in_flight.as_ref())
+            .map_err(fail)?;
+        if !sink.events().iter().any(|e| e.kind == EventKind::Recovery) {
+            return Err(fail("reopen emitted no recovery event".to_string()));
+        }
+        drop(db);
+        let db = self
+            .open(&storage, options)
+            .map_err(|e| fail(format!("second clean reopen failed: {e}")))?;
+        self.verify_exact(&db, &run.model, run.in_flight.as_ref())
+            .map_err(|detail| fail(format!("after second reopen: {detail}")))?;
+        Ok(recovery)
+    }
+
+    /// Flips one seed-chosen bit in the largest non-empty file of
+    /// `target`'s family (the one most likely to hold data), returning
+    /// `(file, byte offset, bit)`.
+    fn corrupt_largest(
+        &self,
+        fault: &FaultStorage,
+        target: BitFlipTarget,
+    ) -> Result<(String, u64, u8), ChaosFailure> {
+        let victim = fault
+            .list()
+            .into_iter()
+            .filter(|n| target.matches(n))
+            .filter_map(|n| fault.size(&n).ok().map(|s| (s, n)))
+            .filter(|(s, _)| *s > 0)
+            .max()
+            .map(|(_, n)| n)
+            .ok_or_else(|| {
+                self.fail(
+                    fault,
+                    format!("no non-empty {} file to corrupt", target.label()),
+                )
+            })?;
+        let (offset, bit) = fault
+            .flip_bit(&victim)
+            .map_err(|e| self.fail(fault, format!("bit flip failed: {e}")))?;
+        Ok((victim, offset, bit))
+    }
+
     /// Runs the workload with a benign plan and returns the total number
     /// of mutating storage operations it produces — the upper bound of
     /// the interesting crash-point space.
     pub fn measure_storage_ops(&self) -> Result<u64, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::new(self.config.seed),
-        );
-        let storage: Arc<dyn StorageBackend> = fault.clone();
-        let db = self
-            .open(&storage, None)
-            .map_err(|e| self.fail(&fault, format!("open failed under benign plan: {e}")))?;
-        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
-        for i in 0..self.config.ops {
-            let (key, value) = self.gen_op(&mut rng, i);
-            match &value {
-                Some(v) => db.put(&key, v),
-                None => db.delete(&key),
-            }
-            .map_err(|e| self.fail(&fault, format!("write failed under benign plan: {e}")))?;
-        }
+        let (fault, storage) = self.faulted(FaultPlan::new(self.config.seed));
+        let mut run = self.drive(&storage, &self.config.options, None);
+        self.ran_to_end(&fault, &mut run, "")?;
         Ok(fault.mutating_ops())
     }
 
@@ -444,78 +644,18 @@ impl ChaosHarness {
     /// reboots, reopens, and verifies that exactly the acknowledged writes
     /// survived (modulo the single in-flight write).
     pub fn run_crash_point(&self, crash_op: u64) -> Result<CrashPointReport, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::crash_at(self.config.seed, crash_op),
-        );
-        let storage: Arc<dyn StorageBackend> = fault.clone();
-
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        let mut in_flight: Option<(Vec<u8>, Option<Vec<u8>>)> = None;
-        let mut acked = 0u64;
-        let mut crashed = false;
-        match self.open(&storage, None) {
-            Ok(db) => {
-                let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
-                for i in 0..self.config.ops {
-                    let (key, value) = self.gen_op(&mut rng, i);
-                    let result = match &value {
-                        Some(v) => db.put(&key, v),
-                        None => db.delete(&key),
-                    };
-                    match result {
-                        Ok(()) => {
-                            acked += 1;
-                            match value {
-                                Some(v) => {
-                                    model.insert(key, v);
-                                }
-                                None => {
-                                    model.remove(&key);
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            in_flight = Some((key, value));
-                            crashed = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            // Crash during database creation: nothing was acknowledged.
-            Err(_) => crashed = true,
-        }
-
+        let options = &self.config.options;
+        let (fault, storage) = self.faulted(FaultPlan::crash_at(self.config.seed, crash_op));
+        let mut run = self.drive(&storage, options, None);
+        drop(run.db.take());
         let power_cycle = fault
             .power_cycle()
             .map_err(|e| self.fail(&fault, format!("power cycle failed: {e}")))?;
-
-        let sink = Arc::new(RingBufferSink::new(4096));
-        let mut db = self
-            .open(&storage, Some(sink.clone()))
-            .map_err(|e| self.fail(&fault, format!("reopen after crash failed: {e}")))?;
-        let recovery = db.recovery_summary();
-        self.verify_exact(&mut db, &model, in_flight.as_ref())
-            .map_err(|detail| self.fail(&fault, detail))?;
-        if !sink.events().iter().any(|e| e.kind == EventKind::Recovery) {
-            return Err(self.fail(&fault, "reopen emitted no recovery event".to_string()));
-        }
-
-        // The recovered store must keep working and survive a further
-        // clean reopen (catches half-written metadata the first recovery
-        // papered over).
-        drop(db);
-        let mut db = self
-            .open(&storage, None)
-            .map_err(|e| self.fail(&fault, format!("second clean reopen failed: {e}")))?;
-        self.verify_exact(&mut db, &model, in_flight.as_ref())
-            .map_err(|detail| self.fail(&fault, format!("after second reopen: {detail}")))?;
-
+        let recovery = self.recover_and_verify(&fault, options, &run, "")?;
         Ok(CrashPointReport {
             crash_op,
-            crashed,
-            acked_writes: acked,
+            crashed: run.stopped.is_some(),
+            acked_writes: run.acked,
             power_cycle,
             recovery,
         })
@@ -533,99 +673,48 @@ impl ChaosHarness {
             .collect()
     }
 
-    fn builder(&self) -> LdcDbBuilder {
-        LdcDb::builder()
-            .options(self.config.options.clone())
-            .mode(self.config.mode.clone())
-    }
-
     /// The primary side of the backup pipeline: first half of the
     /// workload, `backup_begin` (base checkpoint + armed stream), second
     /// half with periodic flushes so the stream grows, final flush. Stops
-    /// at the first error (the crash point) and reports what was
-    /// acknowledged and where the checkpoint phase sat in mutating-op
-    /// space.
+    /// at the first error (the crash point) and reports, besides what was
+    /// acknowledged, where the checkpoint phase sat in mutating-op space:
+    /// `(ops before backup_begin, ops when it returned)`.
     fn drive_backup_primary(
         &self,
-        storage: &Arc<dyn StorageBackend>,
         fault: &FaultStorage,
-    ) -> BackupPrimaryRun {
-        let mut run = BackupPrimaryRun {
-            model: BTreeMap::new(),
-            boundaries: vec![BTreeMap::new()],
-            in_flight: None,
-            acked: 0,
-            before_checkpoint: 0,
-            checkpoint_done: None,
-        };
-        let db = match self.open(storage, None) {
-            Ok(db) => db,
-            Err(_) => return run,
-        };
-        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
-        let half = self.config.ops / 2;
-        for i in 0..self.config.ops {
-            if i == half {
-                db.drain_background();
-                run.before_checkpoint = fault.mutating_ops();
-                if db.backup_begin("chaos").is_err() {
-                    return run;
-                }
-                run.checkpoint_done = Some(fault.mutating_ops());
-            }
-            let (key, value) = self.gen_op(&mut rng, i);
-            let result = match &value {
-                Some(v) => db.put(&key, v),
-                None => db.delete(&key),
-            };
-            match result {
-                Ok(()) => {
-                    run.acked += 1;
-                    match value {
-                        Some(v) => {
-                            run.model.insert(key, v);
-                        }
-                        None => {
-                            run.model.remove(&key);
-                        }
-                    }
-                    run.boundaries.push(run.model.clone());
-                }
-                Err(_) => {
-                    run.in_flight = Some((key, value));
-                    return run;
-                }
-            }
-            if i >= half && (i - half) % 20 == 19 && db.flush().is_err() {
-                return run;
-            }
+        storage: &Arc<dyn StorageBackend>,
+    ) -> (Driven, u64, Option<u64>) {
+        let (mut before, mut done) = (0, None);
+        let mut run = self.drive(
+            storage,
+            &self.config.options,
+            Some(&mut |db| {
+                before = fault.mutating_ops();
+                db.backup_begin("chaos")?;
+                done = Some(fault.mutating_ops());
+                Ok(())
+            }),
+        );
+        if let (None, Some(db)) = (&run.stopped, run.db.take()) {
+            let _ = db.backup_end();
         }
-        if db.flush().is_err() {
-            return run;
-        }
-        db.drain_background();
-        let _ = db.backup_end();
-        run
+        (run, before, done)
     }
 
     /// Runs the backup pipeline with a benign plan and returns its
     /// mutating-op landmarks, so a sweep can aim crash points at the
     /// checkpoint-creation and stream-shipping windows specifically.
     pub fn measure_backup_ops(&self) -> Result<BackupOpsProfile, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::new(self.config.seed),
-        );
-        let storage: Arc<dyn StorageBackend> = fault.clone();
-        let run = self.drive_backup_primary(&storage, &fault);
-        let Some(checkpoint_done) = run.checkpoint_done else {
+        let (fault, storage) = self.faulted(FaultPlan::new(self.config.seed));
+        let (_, before_checkpoint, done) = self.drive_backup_primary(&fault, &storage);
+        let Some(checkpoint_done) = done else {
             return Err(self.fail(
                 &fault,
-                "benign backup pipeline did not complete its checkpoint".to_string(),
+                "benign backup pipeline did not complete its checkpoint",
             ));
         };
         Ok(BackupOpsProfile {
-            before_checkpoint: run.before_checkpoint,
+            before_checkpoint,
             checkpoint_done,
             total: fault.mutating_ops(),
         })
@@ -638,39 +727,22 @@ impl ChaosHarness {
     /// surviving backup restores (and bootstraps a follower) to a state
     /// on the acknowledged-history prefix; an incomplete one is refused.
     pub fn run_backup_crash(&self, crash_op: u64) -> Result<BackupCrashReport, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::crash_at(self.config.seed, crash_op),
-        );
-        let storage: Arc<dyn StorageBackend> = fault.clone();
-        let run = self.drive_backup_primary(&storage, &fault);
+        let options = &self.config.options;
+        let (fault, storage) = self.faulted(FaultPlan::crash_at(self.config.seed, crash_op));
+        let (run, _, _) = self.drive_backup_primary(&fault, &storage);
         let crashed = fault.powered_off();
         let power_cycle = fault
             .power_cycle()
             .map_err(|e| self.fail(&fault, format!("power cycle failed: {e}")))?;
-
-        // The primary itself recovers to exactly the acknowledged state.
-        let mut db = self
-            .open(&storage, None)
-            .map_err(|e| self.fail(&fault, format!("primary reopen failed: {e}")))?;
-        self.verify_exact(&mut db, &run.model, run.in_flight.as_ref())
-            .map_err(|d| self.fail(&fault, format!("primary after crash: {d}")))?;
-        drop(db);
+        self.recover_and_verify(&fault, options, &run, "primary after crash: ")?;
 
         // The in-flight write may have reached a shipped flush before the
         // crash cut its put short — one more acceptable restore state.
         let mut with_in_flight = run.model.clone();
-        if let Some((k, new)) = &run.in_flight {
-            match new {
-                Some(v) => {
-                    with_in_flight.insert(k.clone(), v.clone());
-                }
-                None => {
-                    with_in_flight.remove(k);
-                }
-            }
+        if let Some(op) = &run.in_flight {
+            apply(&mut with_in_flight, op);
         }
-        let on_prefix = |state: &BTreeMap<Vec<u8>, Vec<u8>>| -> Option<u64> {
+        let on_prefix = |state: &Model| -> Option<u64> {
             match run.boundaries.iter().position(|b| b == state) {
                 Some(n) => Some(n as u64),
                 None if run.in_flight.is_some() && *state == with_in_flight => Some(run.acked + 1),
@@ -682,20 +754,19 @@ impl ChaosHarness {
         let backup_complete = checkpoint_complete(storage.as_ref(), &prefix);
         let mut restored_prefix = None;
         let mut follower_cursor = None;
+        let dst = mem_storage();
+        let restore = restore_backup(&storage, &prefix, &dst, options.max_levels);
         if backup_complete {
-            let dst: Arc<dyn StorageBackend> = MemStorage::new(SsdDevice::with_defaults());
-            restore_backup(&storage, &prefix, &dst, self.config.options.max_levels).map_err(
-                |e| self.fail(&fault, format!("restore of complete backup failed: {e}")),
-            )?;
-            let restored_db = self
-                .open(&dst, None)
-                .map_err(|e| self.fail(&fault, format!("restored store failed to open: {e}")))?;
-            let restored: BTreeMap<Vec<u8>, Vec<u8>> = restored_db
-                .scan(b"", usize::MAX)
-                .map_err(|e| self.fail(&fault, format!("restored scan failed: {e}")))?
-                .into_iter()
-                .collect();
-            drop(restored_db);
+            restore.map_err(|e| {
+                self.fail(&fault, format!("restore of complete backup failed: {e}"))
+            })?;
+            let restored = self
+                .open(&dst, options)
+                .map_err(|e| self.fail(&fault, format!("restored store failed to open: {e}")))
+                .and_then(|db| {
+                    scan_all(&db)
+                        .map_err(|e| self.fail(&fault, format!("restored scan failed: {e}")))
+                })?;
             restored_prefix = Some(on_prefix(&restored).ok_or_else(|| {
                 self.fail(
                     &fault,
@@ -708,35 +779,24 @@ impl ChaosHarness {
 
             // The real follower bootstraps from the same surviving backup
             // and must land on an acknowledged prefix too.
-            let follower = Follower::bootstrap(
-                &storage,
-                "chaos",
-                self.builder(),
-                MemStorage::new(SsdDevice::with_defaults()),
-            )
-            .map_err(|e| self.fail(&fault, format!("follower bootstrap failed: {e}")))?;
+            let follower =
+                Follower::bootstrap(&storage, "chaos", self.builder(options), mem_storage())
+                    .map_err(|e| self.fail(&fault, format!("follower bootstrap failed: {e}")))?;
             follower
                 .poll()
                 .map_err(|e| self.fail(&fault, format!("follower poll failed: {e}")))?;
-            let fstate: BTreeMap<Vec<u8>, Vec<u8>> = follower
-                .db()
-                .scan(b"", usize::MAX)
-                .map_err(|e| self.fail(&fault, format!("follower scan failed: {e}")))?
-                .into_iter()
-                .collect();
+            let fstate = scan_all(follower.db())
+                .map_err(|e| self.fail(&fault, format!("follower scan failed: {e}")))?;
             if on_prefix(&fstate).is_none() {
                 return Err(self.fail(
                     &fault,
-                    "follower state matches no acknowledged-history prefix".to_string(),
+                    "follower state matches no acknowledged-history prefix",
                 ));
             }
             follower_cursor = Some(follower.db().replication_cursor());
-        } else {
+        } else if restore.is_ok() {
             // Incomplete checkpoints must be refused, not half-restored.
-            let dst: Arc<dyn StorageBackend> = MemStorage::new(SsdDevice::with_defaults());
-            if restore_backup(&storage, &prefix, &dst, self.config.options.max_levels).is_ok() {
-                return Err(self.fail(&fault, "restore accepted an incomplete backup".to_string()));
-            }
+            return Err(self.fail(&fault, "restore accepted an incomplete backup"));
         }
 
         Ok(BackupCrashReport {
@@ -769,62 +829,28 @@ impl ChaosHarness {
     /// exactly to the primary's final state. `crash_op = 0` never fires
     /// and measures the benign pipeline instead.
     pub fn run_apply_crash(&self, crash_op: u64) -> Result<ApplyCrashReport, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::crash_at(self.config.seed, crash_op),
-        );
-        let fdst: Arc<dyn StorageBackend> = fault.clone();
-
+        let options = &self.config.options;
+        let (fault, fdst) = self.faulted(FaultPlan::crash_at(self.config.seed, crash_op));
         // The primary runs clean on its own storage; only the follower's
-        // disk is faulted.
-        let pstorage: Arc<dyn StorageBackend> = MemStorage::new(SsdDevice::with_defaults());
-        let db = self
-            .open(&pstorage, None)
-            .map_err(|e| self.fail(&fault, format!("primary open failed: {e}")))?;
-        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        let half = self.config.ops / 2;
-        let write =
-            |db: &LdcDb, i: u64, rng: &mut SmallRng, model: &mut BTreeMap<Vec<u8>, Vec<u8>>| {
-                let (key, value) = self.gen_op(rng, i);
-                match &value {
-                    Some(v) => db.put(&key, v),
-                    None => db.delete(&key),
-                }
-                .map_err(|e| self.fail(&fault, format!("primary write {i} failed: {e}")))?;
-                match value {
-                    Some(v) => {
-                        model.insert(key, v);
-                    }
-                    None => {
-                        model.remove(&key);
-                    }
-                }
+        // disk is faulted. The follower bootstraps through the fault
+        // storage as soon as the base checkpoint exists — the crash point
+        // may land inside the base restore itself — and the primary's
+        // second half then grows the stream past it.
+        let pstorage = mem_storage();
+        let bootstrap =
+            || Follower::bootstrap(&pstorage, "chaos", self.builder(options), Arc::clone(&fdst));
+        let mut follower = None;
+        let mut run = self.drive(
+            &pstorage,
+            options,
+            Some(&mut |db| {
+                db.backup_begin("chaos")?;
+                follower = bootstrap().ok();
                 Ok(())
-            };
-        for i in 0..half {
-            write(&db, i, &mut rng, &mut model)?;
-        }
-        db.drain_background();
-        db.backup_begin("chaos")
-            .map_err(|e| self.fail(&fault, format!("backup_begin failed: {e}")))?;
-
-        // Bootstrap through the fault storage: the crash point may land
-        // inside the base restore itself.
-        let mut follower =
-            Follower::bootstrap(&pstorage, "chaos", self.builder(), Arc::clone(&fdst)).ok();
-
-        // Grow the stream past the base checkpoint.
-        for i in half..self.config.ops {
-            write(&db, i, &mut rng, &mut model)?;
-            if (i - half) % 20 == 19 {
-                db.flush()
-                    .map_err(|e| self.fail(&fault, format!("primary flush failed: {e}")))?;
-            }
-        }
-        db.flush()
-            .map_err(|e| self.fail(&fault, format!("primary final flush failed: {e}")))?;
-        db.drain_background();
+            }),
+        );
+        // Kept open: the primary outlives its follower's recovery.
+        let _primary = self.ran_to_end(&fault, &mut run, "primary ")?;
 
         // Tail it; the crash point fires during the follower's table
         // copies or manifest appends.
@@ -841,44 +867,26 @@ impl ChaosHarness {
                 .map_err(|e| self.fail(&fault, format!("follower power cycle failed: {e}")))?;
             drop(follower.take());
             let recovered = if fdst.exists("CURRENT") {
-                Follower::reopen(&pstorage, "chaos", self.builder(), Arc::clone(&fdst))
+                Follower::reopen(&pstorage, "chaos", self.builder(options), Arc::clone(&fdst))
             } else {
                 for name in fdst.list() {
                     fdst.delete(&name)
                         .map_err(|e| self.fail(&fault, format!("wipe failed: {e}")))?;
                 }
-                Follower::bootstrap(&pstorage, "chaos", self.builder(), Arc::clone(&fdst))
+                bootstrap()
             }
             .map_err(|e| self.fail(&fault, format!("follower recovery failed: {e}")))?;
             follower = Some(recovered);
         }
-        let follower = follower.ok_or_else(|| {
-            self.fail(
-                &fault,
-                "follower bootstrap failed without a crash".to_string(),
-            )
-        })?;
+        let follower = follower
+            .ok_or_else(|| self.fail(&fault, "follower bootstrap failed without a crash"))?;
         follower
             .poll()
             .map_err(|e| self.fail(&fault, format!("catch-up poll failed: {e}")))?;
 
         // Exact convergence with the primary's final state.
-        for idx in 0..self.config.key_space {
-            let key = Self::key_for(idx);
-            let got = follower
-                .db()
-                .get(&key)
-                .map_err(|e| self.fail(&fault, format!("follower get failed: {e}")))?;
-            if got.as_deref() != model.get(&key).map(|v| v.as_slice()) {
-                return Err(self.fail(
-                    &fault,
-                    format!(
-                        "follower diverged on key {} after recovery",
-                        String::from_utf8_lossy(&key)
-                    ),
-                ));
-            }
-        }
+        self.verify_exact(follower.db(), &run.model, None)
+            .map_err(|d| self.fail(&fault, format!("follower after recovery: {d}")))?;
         if follower.lag() != 0 {
             return Err(self.fail(
                 &fault,
@@ -922,298 +930,169 @@ impl ChaosHarness {
             .collect()
     }
 
-    /// Runs the workload to completion, flips one bit in a file of
-    /// `target`'s family, reopens, and checks that the store either
-    /// detects the damage or keeps serving only values that were actually
-    /// written.
-    pub fn run_bit_flip(&self, target: BitFlipTarget) -> Result<BitFlipReport, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::new(self.config.seed),
-        );
-        let storage: Arc<dyn StorageBackend> = fault.clone();
-
-        // Per-key set of every value ever acknowledged (for point-in-time
-        // targets) plus the final model (for SSTables, where no data may
-        // be lost silently).
-        let mut history: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        {
-            let db = self
-                .open(&storage, None)
-                .map_err(|e| self.fail(&fault, format!("open failed: {e}")))?;
-            let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
-            for i in 0..self.config.ops {
-                let (key, value) = self.gen_op(&mut rng, i);
-                match &value {
-                    Some(v) => db.put(&key, v),
-                    None => db.delete(&key),
-                }
-                .map_err(|e| self.fail(&fault, format!("write {i} failed: {e}")))?;
-                match value {
-                    Some(v) => {
-                        history.entry(key.clone()).or_default().push(v.clone());
-                        model.insert(key, v);
-                    }
-                    None => {
-                        model.remove(&key);
-                    }
-                }
-            }
-            db.drain_background();
-        }
-
-        // Corrupt the largest file of the family (most likely to hold data).
-        let victim = storage
-            .list()
-            .into_iter()
-            .filter(|n| target.matches(n))
-            .filter_map(|n| storage.size(&n).ok().map(|s| (s, n)))
-            .filter(|(s, _)| *s > 0)
-            .max()
-            .map(|(_, n)| n)
-            .ok_or_else(|| {
-                self.fail(
-                    &fault,
-                    format!("no non-empty {} file to corrupt", target.label()),
-                )
-            })?;
-        let (offset, bit) = fault
-            .flip_bit(&victim)
-            .map_err(|e| self.fail(&fault, format!("bit flip failed: {e}")))?;
-
-        let db = match self.open(&storage, None) {
-            // Refusing to open a corrupt store is detection, not failure.
-            Err(e) => {
-                return Ok(BitFlipReport {
-                    file: victim,
-                    offset,
-                    bit,
-                    outcome: BitFlipOutcome::DetectedAtOpen(e.to_string()),
-                })
-            }
-            Ok(db) => db,
+    /// What a store that may still hold a flipped bit owes its readers:
+    /// every point get and the full scan are either refused (detected) or
+    /// correct, and the version is well-formed. Correct means exact for an
+    /// SSTable flip — table damage must not silently lose or alter data —
+    /// and never-fabricated for a log or manifest flip, which recovers to
+    /// a point in time: values may be stale or gone.
+    fn check_damaged(
+        &self,
+        db: &LdcDb,
+        target: BitFlipTarget,
+        run: &Driven,
+    ) -> Result<BitFlipOutcome, String> {
+        let exact = target == BitFlipTarget::Sstable;
+        let flip = target.label();
+        let wrong = |key: &[u8], got: Option<&Vec<u8>>| match got {
+            _ if exact => got != run.model.get(key),
+            Some(v) => !run.never_fabricated(key, v),
+            None => false,
         };
-
         let mut detected_reads = 0u64;
         for idx in 0..self.config.key_space {
             let key = Self::key_for(idx);
             match db.get(&key) {
                 Err(_) => detected_reads += 1,
-                Ok(got) => match target {
-                    // SSTable damage must not silently lose or alter data:
-                    // every read is exact or detected.
-                    BitFlipTarget::Sstable => {
-                        if got.as_deref() != model.get(&key).map(|v| v.as_slice()) {
-                            return Err(self.fail(
-                                &fault,
-                                format!(
-                                    "sstable flip: key {} served wrong value undetected",
-                                    String::from_utf8_lossy(&key)
-                                ),
-                            ));
-                        }
-                    }
-                    // Log/manifest damage recovers to a point in time:
-                    // values may be stale or gone, never fabricated.
-                    BitFlipTarget::Wal | BitFlipTarget::Manifest => {
-                        if let Some(v) = got {
-                            let ever = history.get(&key).is_some_and(|vs| vs.contains(&v));
-                            if !ever {
-                                return Err(self.fail(
-                                    &fault,
-                                    format!(
-                                        "{} flip: key {} served a never-written value",
-                                        target.label(),
-                                        String::from_utf8_lossy(&key)
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                },
+                Ok(got) if wrong(&key, got.as_ref()) => {
+                    return Err(format!(
+                        "{flip} flip: key {} served a wrong value undetected",
+                        String::from_utf8_lossy(&key)
+                    ));
+                }
+                Ok(_) => {}
             }
         }
-        match db.scan(b"", usize::MAX) {
+        match scan_all(db) {
             Err(_) => detected_reads += 1,
-            Ok(entries) => {
-                for (k, v) in entries {
-                    let ok = match target {
-                        BitFlipTarget::Sstable => model.get(&k).is_some_and(|want| *want == v),
-                        BitFlipTarget::Wal | BitFlipTarget::Manifest => {
-                            history.get(&k).is_some_and(|vs| vs.contains(&v))
-                        }
-                    };
-                    if !ok {
-                        return Err(self.fail(
-                            &fault,
-                            format!(
-                                "{} flip: scan served a wrong value for key {}",
-                                target.label(),
-                                String::from_utf8_lossy(&k)
-                            ),
-                        ));
-                    }
+            Ok(scanned) => {
+                if let Some((k, _)) = scanned.iter().find(|(k, v)| wrong(k, Some(v))) {
+                    return Err(format!(
+                        "{flip} flip: scan served a wrong value for key {}",
+                        String::from_utf8_lossy(k)
+                    ));
+                }
+                if exact && scanned.len() != run.model.len() {
+                    return Err(format!("{flip} flip: scan dropped keys undetected"));
                 }
             }
         }
-        let integrity_ok = db.verify_integrity().is_ok();
-        let files_quarantined = db.recovery_summary().files_quarantined;
+        db.engine_ref()
+            .version()
+            .check_invariants()
+            .map_err(|e| format!("{flip} flip: version invariants violated: {e}"))?;
+        Ok(BitFlipOutcome::Reopened {
+            detected_reads,
+            integrity_ok: db.verify_integrity().is_ok(),
+            files_quarantined: db.recovery_summary().files_quarantined,
+        })
+    }
+
+    /// Runs the workload to completion, flips one bit in a file of
+    /// `target`'s family, reopens, and checks that the store either
+    /// detects the damage or keeps serving only values that were actually
+    /// written — and that the next reopen does no worse. The report
+    /// describes the first reopen.
+    pub fn run_bit_flip(&self, target: BitFlipTarget) -> Result<BitFlipReport, ChaosFailure> {
+        let options = &self.config.options;
+        let (fault, storage) = self.faulted(FaultPlan::new(self.config.seed));
+        let mut run = self.drive(&storage, options, None);
+        self.ran_to_end(&fault, &mut run, "")?.drain_background();
+        let (file, offset, bit) = self.corrupt_largest(&fault, target)?;
+
+        let outcome = match self.open(&storage, options) {
+            // Refusing to open a corrupt store is detection, not failure.
+            Err(e) => BitFlipOutcome::DetectedAtOpen(e.to_string()),
+            Ok(db) => {
+                let outcome = self
+                    .check_damaged(&db, target, &run)
+                    .map_err(|d| self.fail(&fault, d))?;
+                drop(db);
+                // The next incarnation may refuse the store after all;
+                // if it serves, it serves by the same rules.
+                if let Ok(db) = self.open(&storage, options) {
+                    self.check_damaged(&db, target, &run)
+                        .map_err(|d| self.fail(&fault, format!("after second reopen: {d}")))?;
+                }
+                outcome
+            }
+        };
         Ok(BitFlipReport {
-            file: victim,
+            file,
             offset,
             bit,
-            outcome: BitFlipOutcome::Reopened {
-                detected_reads,
-                integrity_ok,
-                files_quarantined,
-            },
+            outcome,
         })
     }
 
     /// Injects I/O errors with probability `prob` on every mutating
     /// storage operation, verifying fail-stop behaviour: the first write
     /// failure latches, reads keep working, and a clean reopen restores
-    /// exactly the acknowledged state.
+    /// exactly the acknowledged state. An error that lands inside database
+    /// creation is the same outcome with nothing acknowledged: the reopen
+    /// must cope with the half-created store.
     pub fn run_io_errors(&self, prob: f64) -> Result<IoErrorReport, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::io_errors(self.config.seed, prob),
-        );
-        let storage: Arc<dyn StorageBackend> = fault.clone();
-        let mut db = self
-            .open(&storage, None)
-            .map_err(|e| self.fail(&fault, format!("open failed (error hit creation): {e}")))?;
-
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        let mut in_flight: Option<(Vec<u8>, Option<Vec<u8>>)> = None;
-        let mut acked = 0u64;
-        let mut first_error_op = None;
-        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
-        for i in 0..self.config.ops {
-            let (key, value) = self.gen_op(&mut rng, i);
-            let result = match &value {
-                Some(v) => db.put(&key, v),
-                None => db.delete(&key),
-            };
-            match result {
-                Ok(()) => {
-                    acked += 1;
-                    match value {
-                        Some(v) => {
-                            model.insert(key, v);
-                        }
-                        None => {
-                            model.remove(&key);
-                        }
-                    }
+        let options = &self.config.options;
+        let (fault, storage) = self.faulted(FaultPlan::io_errors(self.config.seed, prob));
+        let mut run = self.drive(&storage, options, None);
+        if let Some(db) = run.db.take() {
+            if run.in_flight.is_some() {
+                // Fail-stop: the background error must latch and refuse
+                // further writes. (Were the refused sentinel to surface
+                // later, every full scan below would see it.)
+                if db.engine_ref().background_error().is_none() {
+                    return Err(self.fail(&fault, "write failed but no background error latched"));
                 }
-                Err(_) => {
-                    first_error_op = Some(i);
-                    in_flight = Some((key, value));
-                    // Fail-stop: the background error must latch and
-                    // refuse further writes.
-                    if db.engine_ref().background_error().is_none() {
-                        return Err(self.fail(
-                            &fault,
-                            "write failed but no background error latched".to_string(),
-                        ));
-                    }
-                    if db.put(b"zz-sentinel", b"x").is_ok() {
-                        return Err(self.fail(
-                            &fault,
-                            "write accepted after background error latched".to_string(),
-                        ));
-                    }
-                    break;
+                if db.put(b"zz-sentinel", b"x").is_ok() {
+                    return Err(self.fail(&fault, "write accepted after background error latched"));
                 }
             }
+            // Reads are still served while the engine is failed-stop.
+            self.verify_exact(&db, &run.model, run.in_flight.as_ref())
+                .map_err(|detail| self.fail(&fault, format!("while latched: {detail}")))?;
         }
-        // Reads are still served while the engine is failed-stop.
-        self.verify_exact(&mut db, &model, in_flight.as_ref())
-            .map_err(|detail| self.fail(&fault, format!("while latched: {detail}")))?;
-        drop(db);
 
         // Clean process restart on intact storage (no power loss): the
         // acknowledged state must come back exactly.
         fault.disarm();
-        let mut db = self
-            .open(&storage, None)
-            .map_err(|e| self.fail(&fault, format!("reopen failed: {e}")))?;
-        self.verify_exact(&mut db, &model, in_flight.as_ref())
-            .map_err(|detail| self.fail(&fault, format!("after reopen: {detail}")))?;
-        if db
-            .get(b"zz-sentinel")
-            .map_err(|e| self.fail(&fault, format!("sentinel get failed: {e}")))?
-            .is_some()
-        {
-            return Err(self.fail(
-                &fault,
-                "refused sentinel write surfaced after reopen".to_string(),
-            ));
-        }
-
+        self.recover_and_verify(&fault, options, &run, "after reopen: ")?;
         Ok(IoErrorReport {
-            acked_writes: acked,
+            acked_writes: run.acked,
             injected_errors: fault.injected_errors(),
-            first_error_op,
+            first_error_op: run.in_flight.is_some().then_some(run.acked),
         })
     }
 
     /// Fails each file's first `failures` reads transiently and verifies
     /// the engine's retry budget masks them completely: the workload runs
-    /// to completion and every read verifies against the model.
+    /// to completion, every read verifies against the model, and so does
+    /// a recovery whose own reads meet the same failures.
     ///
     /// `failures` must stay below the engine's
     /// [`Options::read_retry_attempts`] budget; at or past it, transient
     /// errors surface and the run reports a [`ChaosFailure`].
     pub fn run_transient_reads(&self, failures: u32) -> Result<TransientReadReport, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::transient_reads(self.config.seed, failures),
-        );
-        let storage: Arc<dyn StorageBackend> = fault.clone();
-        let mut db = self
-            .open(&storage, None)
-            .map_err(|e| self.fail(&fault, format!("open failed under transient reads: {e}")))?;
-
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
-        for i in 0..self.config.ops {
-            let (key, value) = self.gen_op(&mut rng, i);
-            match &value {
-                Some(v) => db.put(&key, v),
-                None => db.delete(&key),
-            }
-            .map_err(|e| {
-                self.fail(
-                    &fault,
-                    format!("write {i} failed under transient reads: {e}"),
-                )
-            })?;
-            match value {
-                Some(v) => {
-                    model.insert(key, v);
-                }
-                None => {
-                    model.remove(&key);
-                }
-            }
-        }
+        let options = &self.config.options;
+        let plan = FaultPlan::transient_reads(self.config.seed, failures);
+        let (fault, storage) = self.faulted(plan);
+        let mut run = self.drive(&storage, options, None);
+        let db = self.ran_to_end(&fault, &mut run, "")?;
         db.drain_background();
-        self.verify_exact(&mut db, &model, None)
+        self.verify_exact(&db, &run.model, None)
             .map_err(|detail| self.fail(&fault, detail))?;
-        let retries = db.metrics().degraded_counters().transient_retries;
-        if failures > 0 && fault.injected_errors() > 0 && retries == 0 {
+        let report = TransientReadReport {
+            injected_failures: fault.injected_errors(),
+            retries_recorded: db.metrics().degraded_counters().transient_retries,
+        };
+        if failures > 0 && report.injected_failures > 0 && report.retries_recorded == 0 {
             return Err(self.fail(
                 &fault,
-                "transient failures injected but no retry was recorded".to_string(),
+                "transient failures injected but no retry was recorded",
             ));
         }
-        Ok(TransientReadReport {
-            injected_failures: fault.injected_errors(),
-            retries_recorded: retries,
-        })
+        drop(db);
+        self.recover_and_verify(&fault, options, &run, "after reopen: ")?;
+        Ok(report)
     }
 
     /// The full degraded-mode pipeline: run the workload, flip one bit in
@@ -1221,67 +1100,23 @@ impl ChaosHarness {
     /// the corrupt table while serving everything else), **repair** (rebuild
     /// the manifest, salvage WAL remnants), and finally reopen and verify
     /// against the model — no served value may be one that was never
-    /// written, and every key outside the quarantined table must still
-    /// carry its latest acknowledged value.
+    /// written, every key outside the quarantined table must still carry
+    /// its latest acknowledged value, and what the repaired store serves
+    /// must survive further reopens exactly.
     pub fn run_scrub_quarantine_repair(&self) -> Result<ScrubRepairReport, ChaosFailure> {
-        let fault = FaultStorage::new(
-            MemStorage::new(SsdDevice::with_defaults()),
-            FaultPlan::new(self.config.seed),
-        );
-        let storage: Arc<dyn StorageBackend> = fault.clone();
-        let options = Options {
+        let (fault, storage) = self.faulted(FaultPlan::new(self.config.seed));
+        let options = &Options {
             corruption_policy: CorruptionPolicy::Quarantine,
             ..self.config.options.clone()
         };
-
-        // Per-key set of every acknowledged value: quarantining a table
-        // can roll individual keys back in time (a dropped tombstone
-        // resurfaces an older value), so "ever written" is the fabrication
-        // check; "latest value" is the survival check.
-        let mut history: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        {
-            let db = self
-                .open_with(&storage, None, options.clone())
-                .map_err(|e| self.fail(&fault, format!("open failed: {e}")))?;
-            let mut rng = SmallRng::seed_from_u64(self.config.seed ^ WORKLOAD_STREAM);
-            for i in 0..self.config.ops {
-                let (key, value) = self.gen_op(&mut rng, i);
-                match &value {
-                    Some(v) => db.put(&key, v),
-                    None => db.delete(&key),
-                }
-                .map_err(|e| self.fail(&fault, format!("write {i} failed: {e}")))?;
-                match value {
-                    Some(v) => {
-                        history.entry(key.clone()).or_default().push(v.clone());
-                        model.insert(key, v);
-                    }
-                    None => {
-                        model.remove(&key);
-                    }
-                }
-            }
-            db.drain_background();
-        }
-
-        let victim = storage
-            .list()
-            .into_iter()
-            .filter(|n| BitFlipTarget::Sstable.matches(n))
-            .filter_map(|n| storage.size(&n).ok().map(|s| (s, n)))
-            .filter(|(s, _)| *s > 0)
-            .max()
-            .map(|(_, n)| n)
-            .ok_or_else(|| self.fail(&fault, "no non-empty sstable to corrupt".to_string()))?;
-        let (offset, bit) = fault
-            .flip_bit(&victim)
-            .map_err(|e| self.fail(&fault, format!("bit flip failed: {e}")))?;
+        let mut run = self.drive(&storage, options, None);
+        self.ran_to_end(&fault, &mut run, "")?.drain_background();
+        let (file, offset, bit) = self.corrupt_largest(&fault, BitFlipTarget::Sstable)?;
 
         let mut detected_at_open = false;
         let mut scrub_corruptions = 0u64;
         let mut files_quarantined = 0u64;
-        match self.open_with(&storage, None, options.clone()) {
+        match self.open(&storage, options) {
             Err(_) => detected_at_open = true,
             Ok(db) => {
                 let scrub = db
@@ -1290,116 +1125,77 @@ impl ChaosHarness {
                 if scrub.is_clean() {
                     return Err(self.fail(
                         &fault,
-                        format!("bit flip in {victim} at byte {offset} evaded the scrub"),
+                        format!("bit flip in {file} at byte {offset} evaded the scrub"),
                     ));
                 }
-                scrub_corruptions = scrub.corruptions.len() as u64;
-                files_quarantined = db.quarantined().len() as u64;
                 // Degraded serving: every read outside the quarantined
                 // table is exact; inside it, keys are gone or rolled back,
                 // never fabricated.
                 for idx in 0..self.config.key_space {
                     let key = Self::key_for(idx);
+                    let name = String::from_utf8_lossy(&key);
                     let got = db.get(&key).map_err(|e| {
                         self.fail(
                             &fault,
-                            format!(
-                                "degraded get {} errored after quarantine: {e}",
-                                String::from_utf8_lossy(&key)
-                            ),
+                            format!("degraded get {name} errored after quarantine: {e}"),
                         )
                     })?;
-                    if let Some(v) = &got {
-                        if !history.get(&key).is_some_and(|vs| vs.contains(v)) {
-                            return Err(self.fail(
-                                &fault,
-                                format!(
-                                    "degraded get {} served a never-written value",
-                                    String::from_utf8_lossy(&key)
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-
-        let repair = repair_db(Arc::clone(&storage), &options)
-            .map_err(|e| self.fail(&fault, format!("repair_db failed: {e}")))?;
-
-        let db = self
-            .open_with(&storage, None, options.clone())
-            .map_err(|e| self.fail(&fault, format!("reopen after repair failed: {e}")))?;
-        let mut surviving = 0u64;
-        let mut lost = 0u64;
-        for idx in 0..self.config.key_space {
-            let key = Self::key_for(idx);
-            let got = db.get(&key).map_err(|e| {
-                self.fail(
-                    &fault,
-                    format!(
-                        "post-repair get {} failed: {e}",
-                        String::from_utf8_lossy(&key)
-                    ),
-                )
-            })?;
-            let latest = model.get(&key);
-            match &got {
-                Some(v) => {
-                    if latest == Some(v) {
-                        surviving += 1;
-                    } else if history.get(&key).is_some_and(|vs| vs.contains(v)) {
-                        lost += 1; // rolled back with the quarantined table
-                    } else {
+                    if got.is_some_and(|v| !run.never_fabricated(&key, &v)) {
                         return Err(self.fail(
                             &fault,
-                            format!(
-                                "post-repair get {} served a never-written value",
-                                String::from_utf8_lossy(&key)
-                            ),
+                            format!("degraded get {name} served a never-written value"),
                         ));
                     }
                 }
-                None => {
-                    if latest.is_some() {
-                        lost += 1;
-                    } else {
-                        surviving += 1;
-                    }
-                }
+                scrub_corruptions = scrub.corruptions.len() as u64;
+                files_quarantined = db.quarantined().len() as u64;
             }
         }
-        for (k, v) in db
-            .scan(b"", usize::MAX)
-            .map_err(|e| self.fail(&fault, format!("post-repair scan failed: {e}")))?
-        {
-            if !history.get(&k).is_some_and(|vs| vs.contains(&v)) {
-                return Err(self.fail(
-                    &fault,
-                    format!(
-                        "post-repair scan served a never-written value for {}",
-                        String::from_utf8_lossy(&k)
-                    ),
-                ));
-            }
+
+        let repair = repair_db(Arc::clone(&storage), options)
+            .map_err(|e| self.fail(&fault, format!("repair_db failed: {e}")))?;
+
+        // Against the model, the repaired store may have lost what the
+        // quarantined table held — but only that, and only backwards in
+        // time.
+        let served = self
+            .open(&storage, options)
+            .map_err(|e| self.fail(&fault, format!("reopen after repair failed: {e}")))
+            .and_then(|db| {
+                scan_all(&db)
+                    .map_err(|e| self.fail(&fault, format!("post-repair scan failed: {e}")))
+            })?;
+        if let Some((k, _)) = served.iter().find(|(k, v)| !run.never_fabricated(k, v)) {
+            return Err(self.fail(
+                &fault,
+                format!(
+                    "post-repair scan served a never-written value for {}",
+                    String::from_utf8_lossy(k)
+                ),
+            ));
         }
-        db.engine_ref()
-            .version()
-            .check_invariants()
-            .map_err(|e| self.fail(&fault, format!("post-repair invariants violated: {e}")))?;
-        db.verify_integrity()
-            .map_err(|e| self.fail(&fault, format!("post-repair integrity sweep failed: {e}")))?;
+        let surviving_keys = (0..self.config.key_space)
+            .map(Self::key_for)
+            .filter(|key| served.get(key) == run.model.get(key))
+            .count() as u64;
+        // Against itself, it is a healthy store: point gets agree with that
+        // scan, invariants and integrity hold, twice over.
+        let served = Driven {
+            model: served,
+            ..Driven::default()
+        };
+        self.recover_and_verify(&fault, options, &served, "post-repair: ")?;
 
         Ok(ScrubRepairReport {
-            file: victim,
+            file,
             offset,
             bit,
             detected_at_open,
             scrub_corruptions,
             files_quarantined,
             repair,
-            surviving_keys: surviving,
-            lost_keys: lost,
+            surviving_keys,
+            lost_keys: self.config.key_space - surviving_keys,
         })
     }
 }
@@ -1442,6 +1238,33 @@ mod tests {
         let report = harness(3).run_io_errors(0.02).unwrap();
         assert!(report.injected_errors > 0, "no errors injected");
         assert!(report.first_error_op.is_some());
+    }
+
+    /// An injected error that lands on one of database creation's own
+    /// storage ops is an outcome — nothing acknowledged, no failed write —
+    /// and the clean reopen must cope with whatever half-created store it
+    /// left behind.
+    #[test]
+    fn io_error_inside_open_is_an_outcome() {
+        use ldc_core::LdcConfig;
+        for mode in [
+            CompactionMode::Udc,
+            CompactionMode::Ldc(LdcConfig::default()),
+        ] {
+            let mut hit_open = 0;
+            for seed in 0..24 {
+                let h = ChaosHarness::new(ChaosConfig {
+                    ops: 40,
+                    ..ChaosConfig::quick(seed, mode.clone())
+                });
+                let report = h.run_io_errors(0.25).unwrap_or_else(|f| panic!("{f}"));
+                if report.acked_writes == 0 && report.first_error_op.is_none() {
+                    assert!(report.injected_errors > 0, "seed {seed}: {report:?}");
+                    hit_open += 1;
+                }
+            }
+            assert!(hit_open > 0, "no seed put its first error inside open");
+        }
     }
 
     #[test]

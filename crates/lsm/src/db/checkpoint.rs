@@ -6,9 +6,9 @@ use std::sync::Arc;
 use ldc_obs::{Event, EventKind};
 
 use super::{Db, DbCore, ReadPin};
-use crate::backup::{self, CheckpointReport};
+use crate::backup::{self, CheckpointReport, Shipper, STREAM_FILE};
 use crate::error::{Error, Result};
-use crate::version::{Shipper, VersionEdit, STREAM_FILE};
+use crate::version::VersionEdit;
 
 impl Db {
     // ------------------------------------------------------------------

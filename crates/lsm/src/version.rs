@@ -18,9 +18,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ldc_obs::{Event, EventKind, NoopSink, SharedSink};
 use ldc_ssd::{IoClass, StorageBackend};
 
+use crate::backup::Shipper;
 use crate::encoding::{get_length_prefixed, get_varint64, put_length_prefixed, put_varint64};
 use crate::error::{corruption, Error, Result};
 use crate::types::{user_key, KeyRange, SequenceNumber};
@@ -190,43 +190,94 @@ impl Version {
             .sum()
     }
 
-    /// Internal consistency checks, used by tests and debug builds:
-    /// deeper levels sorted/disjoint, refcounts match live links, and every
-    /// link's source exists in the frozen set.
+    /// Internal consistency checks, run by tests, by every `log_and_apply`
+    /// in debug builds, and by every chaos reopen. Beyond LevelDB's layout
+    /// — deeper levels sorted and disjoint — they state what the LDC read
+    /// path relies on:
+    ///
+    /// * every link's source is frozen, and refcounts equal live links;
+    /// * links on one file ascend strictly in `link_seq`
+    ///   ([`FileMeta::slices_covering`] answers newest-first by reversing);
+    /// * a link's range meets its source's key span (a link that cannot
+    ///   serve a read still pins the source);
+    /// * slices cut from one source onto different files of one level are
+    ///   pairwise disjoint: the link split the source's span among them, so
+    ///   a key is served through at most one of them;
+    /// * a frozen file is counted once — filed under its own number and not
+    ///   also live in a level — so [`Version::frozen_bytes`] plus the level
+    ///   bytes are the table bytes the space metric reads off storage.
     pub fn check_invariants(&self) -> Result<()> {
+        let bad = |what: String| Err(Error::InvalidState(what));
         for (level, files) in self.levels.iter().enumerate().skip(1) {
-            for pair in files.windows(2) {
-                if let [a, b] = pair {
-                    if a.largest_ukey() >= b.smallest_ukey() {
-                        return Err(Error::InvalidState(format!(
-                            "level {level} files {} and {} overlap",
-                            a.number, b.number
-                        )));
-                    }
+            for (a, b) in files.iter().zip(files.iter().skip(1)) {
+                if a.largest_ukey() >= b.smallest_ukey() {
+                    return bad(format!(
+                        "level {level} files {} and {} overlap",
+                        a.number, b.number
+                    ));
                 }
             }
         }
         let mut refs: BTreeMap<u64, u32> = BTreeMap::new();
-        for files in &self.levels {
+        for (level, files) in self.levels.iter().enumerate() {
+            // Per source: the slices it has on this level, with their file.
+            let mut cuts: BTreeMap<u64, Vec<(&KeyRange, u64)>> = BTreeMap::new();
             for f in files {
+                if self.frozen.contains_key(&f.number) {
+                    return bad(format!("file {} is both live and frozen", f.number));
+                }
+                for (a, b) in f.slices.iter().zip(f.slices.iter().skip(1)) {
+                    if a.link_seq >= b.link_seq {
+                        return bad(format!(
+                            "links on file {} out of order: link_seq {} before {}",
+                            f.number, a.link_seq, b.link_seq
+                        ));
+                    }
+                }
                 for s in &f.slices {
                     *refs.entry(s.source_file).or_default() += 1;
-                    if !self.frozen.contains_key(&s.source_file) {
-                        return Err(Error::InvalidState(format!(
+                    let Some(source) = self.frozen.get(&s.source_file) else {
+                        return bad(format!(
                             "slice on file {} references missing frozen file {}",
                             f.number, s.source_file
-                        )));
+                        ));
+                    };
+                    let (lo, hi) = (user_key(&source.smallest), user_key(&source.largest));
+                    if !s.range.overlaps(lo, hi) {
+                        return bad(format!(
+                            "slice on file {} lies outside its source {}",
+                            f.number, s.source_file
+                        ));
+                    }
+                    cuts.entry(s.source_file)
+                        .or_default()
+                        .push((&s.range, f.number));
+                }
+            }
+            // `x` ends at or before `y` begins.
+            let below = |x: &KeyRange, y: &KeyRange| x.hi.as_ref().is_some_and(|hi| *hi <= y.lo);
+            for (source, cuts) in cuts {
+                for (i, (a, on_a)) in cuts.iter().enumerate() {
+                    for (b, on_b) in cuts.iter().skip(i + 1) {
+                        if on_a != on_b && !below(a, b) && !below(b, a) {
+                            return bad(format!(
+                                "slices of frozen {source} on level {level} files {on_a} and {on_b} overlap"
+                            ));
+                        }
                     }
                 }
             }
         }
         for (number, frozen) in &self.frozen {
+            if frozen.number != *number {
+                return bad(format!("frozen {} is filed under {number}", frozen.number));
+            }
             let expected = refs.get(number).copied().unwrap_or(0);
             if frozen.refcount != expected {
-                return Err(Error::InvalidState(format!(
+                return bad(format!(
                     "frozen {number} refcount {} != live links {expected}",
                     frozen.refcount
-                )));
+                ));
             }
         }
         Ok(())
@@ -452,8 +503,8 @@ pub struct VersionSet {
     /// primary). Persisted with every applied record and in snapshot
     /// manifests so a restarted follower resumes, not replays.
     pub replication_cursor: u64,
-    /// When armed, every applied edit is also shipped into an incremental
-    /// backup stream (see [`Shipper`]).
+    /// When armed, every edit `log_and_apply` commits is also handed to
+    /// this backup-stream writer (see [`Shipper`]).
     shipper: Option<Shipper>,
 }
 
@@ -664,36 +715,10 @@ impl VersionSet {
                 *slot = key.clone();
             }
         }
-        let record = edit.encode();
-        self.manifest.add_record(&record)?;
-        self.manifest.sync()?;
-        self.manifest_bytes += record.len() as u64;
         if let Some(v) = edit.log_number {
             self.log_number = v;
         }
-        // Copy-on-write publish: readers holding the old `Arc<Version>`
-        // keep a stable view while the new version becomes current.
-        let mut next = Version::clone(&self.current);
-        apply_edit(&mut next, &edit)?;
-        recompute_refcounts(&mut next);
-        debug_assert!(next.check_invariants().is_ok());
-        self.current = Arc::new(next);
-        // Ship after the local manifest sync + publish: the edit is already
-        // committed locally, so the backup stream never runs ahead of the
-        // primary. A ship failure propagates (the caller latches bg_error)
-        // because silently diverging from the stream would hand a follower
-        // an undetectably stale history.
-        if let Some(shipper) = &mut self.shipper {
-            shipper.ship(&edit)?;
-        }
-        if self.manifest_bytes > MANIFEST_ROLLOVER_BYTES {
-            let old = self.manifest.name().to_string();
-            self.write_snapshot_manifest()?;
-            if self.storage.exists(&old) {
-                self.storage.delete(&old)?;
-            }
-        }
-        Ok(())
+        self.commit(&edit, true)
     }
 
     /// Applies an edit received from a primary's backup stream: adopts the
@@ -727,15 +752,34 @@ impl VersionSet {
         self.replication_cursor += 1;
         let mut record_edit = edit.clone();
         record_edit.replication_cursor = Some(self.replication_cursor);
-        let record = record_edit.encode();
+        // An edit that arrived over a stream is not shipped onward.
+        self.commit(&record_edit, false)
+    }
+
+    /// The tail both entry points share, once the counters are settled:
+    /// append `edit` to the manifest and sync it, publish the version it
+    /// produces, tell the armed backup stream (`ship`), and roll the
+    /// manifest over once it has grown past [`MANIFEST_ROLLOVER_BYTES`].
+    fn commit(&mut self, edit: &VersionEdit, ship: bool) -> Result<()> {
+        let record = edit.encode();
         self.manifest.add_record(&record)?;
         self.manifest.sync()?;
         self.manifest_bytes += record.len() as u64;
+        // Copy-on-write publish: readers holding the old `Arc<Version>`
+        // keep a stable view while the new version becomes current.
         let mut next = Version::clone(&self.current);
         apply_edit(&mut next, edit)?;
         recompute_refcounts(&mut next);
         debug_assert!(next.check_invariants().is_ok());
         self.current = Arc::new(next);
+        // Ship after the local manifest sync + publish: the edit is already
+        // committed locally, so the backup stream never runs ahead of the
+        // primary. A ship failure propagates (the caller latches bg_error)
+        // because silently diverging from the stream would hand a follower
+        // an undetectably stale history.
+        if let (true, Some(shipper)) = (ship, &mut self.shipper) {
+            shipper.ship(edit)?;
+        }
         if self.manifest_bytes > MANIFEST_ROLLOVER_BYTES {
             let old = self.manifest.name().to_string();
             self.write_snapshot_manifest()?;
@@ -858,106 +902,6 @@ pub fn snapshot_edit(
     // freeze of their source and the add of their target, which holds
     // because apply_edit processes adds, then freezes, then links.
     edit
-}
-
-/// Appends applied [`VersionEdit`]s to an incremental backup stream:
-/// `<prefix>EDITS`, CRC-framed exactly like the WAL, preceded for each
-/// record by links of any referenced new SSTables into the backup prefix.
-/// Link-before-append means a durable stream record never references a
-/// file the backup is missing; a crash between the two leaves an orphan
-/// link that restore simply ignores.
-pub struct Shipper {
-    storage: Arc<dyn StorageBackend>,
-    prefix: String,
-    writer: LogWriter,
-    /// Where per-record [`EventKind::BackupShip`] events go.
-    sink: SharedSink,
-    /// Stream records appended (and synced) so far.
-    pub edits_shipped: u64,
-    /// SSTables linked into the backup prefix so far.
-    pub files_shipped: u64,
-    /// Total bytes of those SSTables.
-    pub bytes_shipped: u64,
-}
-
-impl std::fmt::Debug for Shipper {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shipper")
-            .field("prefix", &self.prefix)
-            .field("edits_shipped", &self.edits_shipped)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Name of the edit-stream file inside a backup prefix.
-pub const STREAM_FILE: &str = "EDITS";
-
-impl Shipper {
-    /// Opens (or continues) the stream at `<prefix>EDITS` on `storage`.
-    pub fn new(storage: Arc<dyn StorageBackend>, prefix: String) -> Shipper {
-        let writer = LogWriter::new(
-            Arc::clone(&storage),
-            format!("{prefix}{STREAM_FILE}"),
-            IoClass::ManifestWrite,
-        );
-        Shipper {
-            storage,
-            prefix,
-            writer,
-            sink: Arc::new(NoopSink),
-            edits_shipped: 0,
-            files_shipped: 0,
-            bytes_shipped: 0,
-        }
-    }
-
-    /// Routes per-record ship events to `sink`.
-    pub fn with_sink(mut self, sink: SharedSink) -> Shipper {
-        self.sink = sink;
-        self
-    }
-
-    /// The backup prefix this shipper writes under.
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
-    /// Ships one applied edit: links its new SSTables into the backup
-    /// prefix, then appends + syncs the encoded edit as one stream record.
-    pub fn ship(&mut self, edit: &VersionEdit) -> Result<()> {
-        let t0 = self.storage.device().clock().now();
-        let mut record_files = 0u64;
-        let mut record_bytes = 0u64;
-        for (_, meta) in &edit.new_files {
-            let src = table_file_name(meta.number);
-            let dst = format!("{}{src}", self.prefix);
-            // Trivial moves re-add a file the base checkpoint (or an
-            // earlier record) already shipped.
-            if self.storage.exists(&dst) {
-                continue;
-            }
-            self.storage.link_file(&src, &dst, IoClass::Other)?;
-            record_files += 1;
-            record_bytes += meta.size;
-        }
-        self.writer.add_record(&edit.encode())?;
-        self.writer.sync()?;
-        self.files_shipped += record_files;
-        self.bytes_shipped += record_bytes;
-        self.edits_shipped += 1;
-        if self.sink.enabled() {
-            self.sink.record(
-                Event::span(
-                    EventKind::BackupShip,
-                    t0,
-                    self.storage.device().clock().now(),
-                )
-                .files(record_files as u32, 0)
-                .bytes(record_bytes, 0),
-            );
-        }
-        Ok(())
-    }
 }
 
 /// Applies one edit to `version`. Processing order: deletes, adds, freezes,
@@ -1150,37 +1094,6 @@ mod tests {
         let follower = VersionSet::recover(s, 4).unwrap();
         assert_eq!(follower.replication_cursor, 1);
         assert_eq!(follower.current.level_files(1), 1);
-    }
-
-    #[test]
-    fn shipper_links_files_and_streams_edits() {
-        let s = storage();
-        let mut vs = VersionSet::create(s.clone(), 4).unwrap();
-        let f1 = vs.new_file_number();
-        s.write_file(&table_file_name(f1), b"sstable bytes", IoClass::Other)
-            .unwrap();
-        vs.arm_shipper(Shipper::new(s.clone(), "backup-t@".to_string()));
-        vs.log_and_apply(VersionEdit {
-            new_files: vec![(1, meta(f1, b"a", b"c"))],
-            ..Default::default()
-        })
-        .unwrap();
-        assert!(s.exists(&format!("backup-t@{}", table_file_name(f1))));
-        assert!(s.exists("backup-t@EDITS"));
-        let (edits, files, _) = vs.shipper_stats().unwrap();
-        assert_eq!((edits, files), (1, 1));
-        // A trivial move re-adds the same file: stream grows, no new link.
-        vs.log_and_apply(VersionEdit {
-            deleted_files: vec![(1, f1)],
-            new_files: vec![(2, meta(f1, b"a", b"c"))],
-            ..Default::default()
-        })
-        .unwrap();
-        let (edits, files, _) = vs.shipper_stats().unwrap();
-        assert_eq!((edits, files), (2, 1));
-        assert!(vs.shipping());
-        assert!(vs.disarm_shipper().is_some());
-        assert!(!vs.shipping());
     }
 
     #[test]
@@ -1487,5 +1400,90 @@ mod tests {
         v.levels[1].push(meta(1, b"a", b"m"));
         v.levels[1].push(meta(2, b"l", b"z")); // overlaps
         assert!(v.check_invariants().is_err());
+    }
+
+    fn link(source_file: u64, range: KeyRange, link_seq: u64) -> SliceLink {
+        SliceLink {
+            source_file,
+            range,
+            link_seq,
+            approx_bytes: 100,
+        }
+    }
+
+    /// A valid linked state to mutate: sources 10 and 11 (both `a..z`)
+    /// frozen out of level 1, each split at `i` across level-2 files 20
+    /// (`a..h`) and 21 (`i..z`). Slices of *different* sources cover the
+    /// same keys on one file; that is what `link_seq` orders.
+    fn linked_version() -> Version {
+        let mut v = Version::new(3);
+        let edit = VersionEdit {
+            new_files: vec![
+                (1, meta(10, b"a", b"z")),
+                (1, meta(11, b"a", b"z")),
+                (2, meta(20, b"a", b"h")),
+                (2, meta(21, b"i", b"z")),
+            ],
+            frozen_files: vec![(1, 10), (1, 11)],
+            new_links: vec![
+                (20, link(10, KeyRange::new(&b""[..], &b"i"[..]), 0)),
+                (21, link(10, KeyRange::from(&b"i"[..]), 1)),
+                (20, link(11, KeyRange::new(&b""[..], &b"i"[..]), 2)),
+                (21, link(11, KeyRange::from(&b"i"[..]), 3)),
+            ],
+            ..Default::default()
+        };
+        apply_edit(&mut v, &edit).unwrap();
+        recompute_refcounts(&mut v);
+        v.check_invariants().unwrap();
+        v
+    }
+
+    fn assert_violates(v: &Version, what: &str) {
+        let violation = v.check_invariants().unwrap_err().to_string();
+        assert!(violation.contains(what), "{violation}");
+    }
+
+    #[test]
+    fn invariant_checker_catches_links_out_of_order() {
+        let mut v = linked_version();
+        // Newest-first reads reverse the list, so the list must ascend.
+        v.levels[2][0].slices.swap(0, 1);
+        assert_violates(&v, "out of order");
+        // A repeated link_seq is not an order either.
+        let mut v = linked_version();
+        v.levels[2][0].slices[1].link_seq = 0;
+        assert_violates(&v, "out of order");
+    }
+
+    #[test]
+    fn invariant_checker_catches_slice_outside_its_source() {
+        let mut v = linked_version();
+        v.levels[2][1].slices[0].range = KeyRange::from(&b"zz"[..]);
+        assert_violates(&v, "lies outside its source 10");
+    }
+
+    #[test]
+    fn invariant_checker_catches_one_source_overlapping_across_files() {
+        let mut v = linked_version();
+        // File 21's slice of source 10 now also claims `a..i`, which file
+        // 20's slice of the same source already serves.
+        v.levels[2][1].slices[0].range = KeyRange::all();
+        assert_violates(&v, "slices of frozen 10 on level 2 files 20 and 21 overlap");
+    }
+
+    #[test]
+    fn invariant_checker_catches_frozen_bytes_counted_twice() {
+        // Filed under a second number, `frozen_bytes` counts file 10 twice.
+        let mut v = linked_version();
+        let mut copy = v.frozen[&10].clone();
+        copy.refcount = 0;
+        v.frozen.insert(12, copy);
+        assert_eq!(v.frozen_bytes(), 3000);
+        assert_violates(&v, "frozen 10 is filed under 12");
+        // Live and frozen at once, level bytes + frozen bytes count it twice.
+        let mut v = linked_version();
+        v.levels[1].push(meta(11, b"a", b"z"));
+        assert_violates(&v, "file 11 is both live and frozen");
     }
 }
