@@ -8,8 +8,13 @@
 //! A restart entry shares nothing with its predecessor (`shared == 0`), so
 //! its key lies whole and contiguous in the block: the binary search of
 //! [`BlockIter::seek`] compares the target against those bytes where they
-//! are and allocates nothing. Only the linear walk after it, which has to
-//! undo prefix compression, fills the iterator's key buffer.
+//! are and allocates nothing. The same holds for the cursor itself:
+//! [`BlockIter::key`] serves an entry with `shared == 0` straight from the
+//! block — every entry of a restart-interval-1 block (a table's index), and
+//! the first entry after each restart of any other — and the iterator's key
+//! buffer is filled only when a later entry has to be rebuilt from its
+//! predecessor's prefix. A seek that ends on a restart entry allocates
+//! nothing; any other seek allocates that one buffer.
 
 use std::cmp::Ordering;
 
@@ -211,10 +216,18 @@ impl Block {
 
     /// Creates an unpositioned iterator.
     pub fn iter(&self) -> BlockIter {
+        self.iter_with_buffer(Vec::new())
+    }
+
+    /// [`Block::iter`] with a key buffer to reuse, typically
+    /// [`BlockIter::into_buffer`] of the iterator over the previous block.
+    pub(crate) fn iter_with_buffer(&self, buf: Vec<u8>) -> BlockIter {
         BlockIter {
             block: self.clone(),
             offset: 0,
-            key: Vec::new(),
+            key_range: (0, 0),
+            key_in_buf: false,
+            buf,
             value_range: (0, 0),
             valid: false,
         }
@@ -226,7 +239,13 @@ pub struct BlockIter {
     block: Block,
     /// Offset of the *next* entry to decode.
     offset: usize,
-    key: Vec<u8>,
+    /// Where the current key lies in the block, when `!key_in_buf`: the
+    /// entry shared nothing with its predecessor. `(0, 0)`, the empty key,
+    /// before the first entry.
+    key_range: (usize, usize),
+    /// Whether the current key had to be rebuilt in `buf`.
+    key_in_buf: bool,
+    buf: Vec<u8>,
     value_range: (usize, usize),
     valid: bool,
 }
@@ -240,7 +259,25 @@ impl BlockIter {
     /// Current internal key.
     pub fn key(&self) -> &[u8] {
         debug_assert!(self.valid);
-        &self.key
+        if self.key_in_buf {
+            &self.buf
+        } else {
+            &self.block.data[self.key_range.0..self.key_range.1]
+        }
+    }
+
+    /// Gives up the iterator for its key buffer, for the next block's
+    /// iterator to reuse.
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Unpositions the cursor at `offset`, which must start a restart entry.
+    fn rewind_to(&mut self, offset: usize) {
+        self.offset = offset;
+        self.key_range = (0, 0);
+        self.key_in_buf = false;
+        self.valid = false;
     }
 
     /// Current value.
@@ -261,9 +298,7 @@ impl BlockIter {
 
     /// Positions at the first entry.
     pub fn seek_to_first(&mut self) {
-        self.offset = 0;
-        self.key.clear();
-        self.valid = false;
+        self.rewind_to(0);
         self.parse_next();
     }
 
@@ -283,14 +318,12 @@ impl BlockIter {
             self.valid = false;
             return;
         }
-        self.offset = self.block.restart_point(lo);
-        self.key.clear();
-        self.valid = false;
+        self.rewind_to(self.block.restart_point(lo));
         loop {
             if !self.parse_next() {
                 return;
             }
-            if compare_internal_keys(&self.key, target) != Ordering::Less {
+            if compare_internal_keys(self.key(), target) != Ordering::Less {
                 return;
             }
         }
@@ -334,14 +367,35 @@ impl BlockIter {
             }
         };
         off += n;
+        let shared = shared as usize;
         let key_end = off + non_shared as usize;
         let value_end = key_end + value_len as usize;
-        if value_end > data_end || shared as usize > self.key.len() {
+        let prev_len = if self.key_in_buf {
+            self.buf.len()
+        } else {
+            self.key_range.1 - self.key_range.0
+        };
+        if value_end > data_end || shared > prev_len {
             self.valid = false;
             return false;
         }
-        self.key.truncate(shared as usize);
-        self.key.extend_from_slice(&data[off..key_end]);
+        if shared == 0 {
+            self.key_range = (off, key_end);
+            self.key_in_buf = false;
+        } else {
+            if self.key_in_buf {
+                self.buf.truncate(shared);
+            } else {
+                // The previous key lies in the block: copy out the prefix
+                // this entry builds on, into room for the whole key.
+                let start = self.key_range.0;
+                self.buf.clear();
+                self.buf.reserve(shared + non_shared as usize);
+                self.buf.extend_from_slice(&data[start..start + shared]);
+                self.key_in_buf = true;
+            }
+            self.buf.extend_from_slice(&data[off..key_end]);
+        }
         self.value_range = (key_end, value_end);
         self.offset = value_end;
         self.valid = true;
@@ -515,15 +569,11 @@ mod tests {
         assert!(image.starts_with(b"already here"));
     }
 
-    /// Where a linear walk from the first entry stops for `target`: the
-    /// definition `seek` has to agree with.
-    fn linear_seek(block: &Block, target: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
-        let mut it = block.iter();
-        it.seek_to_first();
-        while it.valid() && compare_internal_keys(it.key(), target) == Ordering::Less {
-            it.next();
-        }
-        it.valid().then(|| (it.key().to_vec(), it.value().to_vec()))
+    /// Index in `entries` of the first key at or after `target`: the
+    /// definition `seek` has to agree with, taken from the entries the block
+    /// was built from, not from the iterator under test.
+    fn linear_seek(entries: &[(Vec<u8>, Vec<u8>)], target: &[u8]) -> usize {
+        entries.partition_point(|(k, _)| compare_internal_keys(k, target) == Ordering::Less)
     }
 
     proptest! {
@@ -532,7 +582,10 @@ mod tests {
         /// `seek` binary-searches keys borrowed from the block and then
         /// walks; it must land where the walk alone does, whatever the
         /// restart interval, for targets before, between, equal to and after
-        /// the stored keys. A two-letter alphabet makes long shared prefixes
+        /// the stored keys — and from there `next` must serve every later
+        /// key and value unchanged, through each restart → shared → restart
+        /// transition, whether `key()` borrows from the block or rebuilds in
+        /// its buffer. A two-letter alphabet makes long shared prefixes
         /// (what restarts cut) and frequent exact matches.
         #[test]
         fn seek_lands_where_a_linear_scan_does(
@@ -558,8 +611,13 @@ mod tests {
             let mut it = block.iter();
             for target in stored.chain(random) {
                 it.seek(&target);
-                let got = it.valid().then(|| (it.key().to_vec(), it.value().to_vec()));
-                prop_assert_eq!(got, linear_seek(&block, &target), "target {:?}", target);
+                for (i, (k, v)) in entries.iter().enumerate().skip(linear_seek(&entries, &target)) {
+                    prop_assert!(it.valid(), "target {:?}: ended before entry {}", target, i);
+                    prop_assert_eq!(it.key(), k.as_slice(), "target {:?}, entry {}", target, i);
+                    prop_assert_eq!(it.value(), v.as_slice(), "target {:?}, entry {}", target, i);
+                    it.next();
+                }
+                prop_assert!(!it.valid(), "target {:?}: entries past the last", target);
             }
         }
     }

@@ -407,7 +407,10 @@ impl Db {
             let ukey = user_key(ikey);
             let changed_ukey = last_ukey.as_deref() != Some(ukey);
             if changed_ukey {
-                last_ukey = Some(ukey.to_vec());
+                // One buffer for the whole merge, not one per user key.
+                let last = last_ukey.get_or_insert_with(Vec::new);
+                last.clear();
+                last.extend_from_slice(ukey);
                 last_kept_seq = SequenceNumber::MAX;
                 // Cut the output file at user-key boundaries.
                 if let Some(b) = builder.take() {

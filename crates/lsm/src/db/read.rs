@@ -35,6 +35,7 @@ use ldc_ssd::{IoClass, TimeCategory};
 
 use super::{Db, PinnedValue, ReadPin, ReadView, Snapshot};
 use crate::error::{Error, Result};
+use crate::filter::bloom_hash;
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::LookupResult;
 use crate::types::{
@@ -147,6 +148,9 @@ impl Db {
         result
     }
 
+    /// One attempt of a point read against a pinned view. The seek key and
+    /// the Bloom hash of `key` are built here, once, and every memtable and
+    /// table the lookup visits is asked with them.
     fn get_internal(
         &self,
         view: &ReadView,
@@ -154,13 +158,10 @@ impl Db {
         snapshot: SequenceNumber,
         mut trace: Option<&mut TraceCtx>,
     ) -> Result<Option<PinnedValue>> {
-        match view.mem.get(key, snapshot) {
-            LookupResult::Found(v) => return Ok(Some(PinnedValue::Inline(v))),
-            LookupResult::Deleted => return Ok(None),
-            LookupResult::NotFound => {}
-        }
-        if let Some(imm) = &view.imm {
-            match imm.get(key, snapshot) {
+        let probe = encode_internal_key(key, snapshot, TYPE_FOR_SEEK);
+        let hash = bloom_hash(key);
+        for mem in std::iter::once(&view.mem).chain(&view.imm) {
+            match mem.get_probe(&probe, hash) {
                 LookupResult::Found(v) => return Ok(Some(PinnedValue::Inline(v))),
                 LookupResult::Deleted => return Ok(None),
                 LookupResult::NotFound => {}
@@ -172,22 +173,16 @@ impl Db {
         // hit and keep the highest sequence. Frozen L0 data is reachable
         // via L1 slices and is guaranteed older than any active L0 file
         // (the LDC policy freezes oldest-first).
-        let mut best: Option<(SequenceNumber, ValueType, Bytes)> = None;
+        let mut best: Option<TableHit> = None;
         for meta in view.version.levels.first().into_iter().flatten().rev() {
             if key < meta.smallest_ukey() || key > meta.largest_ukey() {
                 continue;
             }
-            if let Some(hit) = self.probe_table(meta.number, key, snapshot, trace.as_deref_mut())? {
-                if best.as_ref().is_none_or(|b| hit.0 > b.0) {
-                    best = Some(hit);
-                }
-            }
+            let hit = self.probe_table(meta.number, &probe, hash, trace.as_deref_mut())?;
+            keep_newest(&mut best, hit);
         }
-        if let Some((_, vt, value)) = best {
-            return Ok(match vt {
-                ValueType::Value => Some(PinnedValue::Block(value)),
-                ValueType::Deletion => None,
-            });
+        if let Some(hit) = best {
+            return Ok(live_value(hit));
         }
 
         // Deeper levels: one candidate file per level (responsible-range
@@ -197,7 +192,7 @@ impl Db {
                 Some(meta) => meta,
                 None => continue,
             };
-            let mut best: Option<(SequenceNumber, ValueType, Bytes)> = None;
+            let mut best: Option<TableHit> = None;
             // Slices first (they are newer on average, enabling bloom skips
             // to keep this cheap), then the file itself.
             for slice in candidate.slices.iter().rev() {
@@ -208,33 +203,23 @@ impl Db {
                 let Some(frozen) = frozen.map(|f| f.number) else {
                     continue;
                 };
-                if let Some(hit) = self.probe_table(frozen, key, snapshot, trace.as_deref_mut())? {
-                    if best.as_ref().is_none_or(|b| hit.0 > b.0) {
-                        best = Some(hit);
-                    }
-                }
+                let hit = self.probe_table(frozen, &probe, hash, trace.as_deref_mut())?;
+                keep_newest(&mut best, hit);
             }
             if key >= candidate.smallest_ukey() && key <= candidate.largest_ukey() {
-                if let Some(hit) =
-                    self.probe_table(candidate.number, key, snapshot, trace.as_deref_mut())?
-                {
-                    if best.as_ref().is_none_or(|b| hit.0 > b.0) {
-                        best = Some(hit);
-                    }
-                }
+                let hit = self.probe_table(candidate.number, &probe, hash, trace.as_deref_mut())?;
+                keep_newest(&mut best, hit);
             }
-            if let Some((_, vt, value)) = best {
-                return Ok(match vt {
-                    ValueType::Value => Some(PinnedValue::Block(value)),
-                    ValueType::Deletion => None,
-                });
+            if let Some(hit) = best {
+                return Ok(live_value(hit));
             }
         }
         Ok(None)
     }
 
-    /// Bloom-checked point probe of one table file. The returned value is
-    /// a zero-copy handle into the table's cached block.
+    /// Bloom-checked point probe of one table file with the seek key
+    /// `probe`, whose user key hashes to `hash`. The returned value is a
+    /// zero-copy handle into the table's cached block.
     ///
     /// With tracing on, any probe that cost virtual time becomes a
     /// [`Blame::CacheMissIo`] span (cache hits and bloom skips are free in
@@ -243,21 +228,21 @@ impl Db {
     fn probe_table(
         &self,
         file_number: u64,
-        key: &[u8],
-        snapshot: SequenceNumber,
+        probe: &[u8],
+        hash: u32,
         trace: Option<&mut TraceCtx>,
-    ) -> Result<Option<(SequenceNumber, ValueType, Bytes)>> {
+    ) -> Result<Option<TableHit>> {
         let (t0, retry0) = if trace.is_some() {
             (self.device.clock().now(), self.metrics.retry_backoff_ns())
         } else {
             (0, 0)
         };
         let table = self.table(file_number)?;
-        let result = if !table.may_contain(key) {
+        let result = if !table.may_contain_hash(hash) {
             self.bloom_skips.fetch_add(1, Ordering::Relaxed);
             Ok(None)
         } else {
-            table.get_unfiltered(key, snapshot, IoClass::UserRead)
+            table.get_probe(probe, IoClass::UserRead)
         };
         if let Some(t) = trace {
             let now = self.device.clock().now();
@@ -342,7 +327,10 @@ impl Db {
             let visible = entry_seq <= snapshot;
             let shadowed = last_ukey.as_deref() == Some(ukey);
             if visible && !shadowed {
-                last_ukey = Some(ukey.to_vec());
+                // One buffer for the whole scan, not one per user key.
+                let last = last_ukey.get_or_insert_with(Vec::new);
+                last.clear();
+                last.extend_from_slice(ukey);
                 if vt == ValueType::Value {
                     out.push((ukey.to_vec(), merge.value().to_vec()));
                 }
@@ -351,6 +339,28 @@ impl Db {
         }
         merge.status()?;
         Ok(out)
+    }
+}
+
+/// What a table probe found: the entry's sequence and type, and its value as
+/// a handle into the cached block.
+type TableHit = (SequenceNumber, ValueType, Bytes);
+
+/// Replaces `best` with `hit` when `hit` is the newer version.
+fn keep_newest(best: &mut Option<TableHit>, hit: Option<TableHit>) {
+    if let Some(hit) = hit {
+        if best.as_ref().is_none_or(|b| hit.0 > b.0) {
+            *best = Some(hit);
+        }
+    }
+}
+
+/// What a get returns for the newest visible version: its value, or nothing
+/// when that version is a tombstone.
+fn live_value((_, vt, value): TableHit) -> Option<PinnedValue> {
+    match vt {
+        ValueType::Value => Some(PinnedValue::Block(value)),
+        ValueType::Deletion => None,
     }
 }
 

@@ -27,12 +27,8 @@ impl BloomFilter {
         let mut data = vec![0u8; bytes + 1];
         data[bytes] = k as u8;
         for key in keys {
-            let mut h = bloom_hash(key.as_ref());
-            let delta = h.rotate_right(17);
-            for _ in 0..k {
-                let bit = (h as usize) % bits;
+            for bit in probe_bits(bloom_hash(key.as_ref()), k, bits) {
                 data[bit / 8] |= 1 << (bit % 8);
-                h = h.wrapping_add(delta);
             }
         }
         Self { data }
@@ -55,6 +51,12 @@ impl BloomFilter {
 
     /// Whether `key` may be present. `false` is definitive.
     pub fn may_contain(&self, key: &[u8]) -> bool {
+        self.may_contain_hash(bloom_hash(key))
+    }
+
+    /// [`BloomFilter::may_contain`] for a key whose [`bloom_hash`] the caller
+    /// already has: a point read hashes its key once and asks every table.
+    pub(crate) fn may_contain_hash(&self, hash: u32) -> bool {
         if self.data.len() < 2 {
             return true; // empty/disabled filter never excludes
         }
@@ -64,21 +66,26 @@ impl BloomFilter {
         if k > 30 {
             return true; // reserved for future encodings
         }
-        let mut h = bloom_hash(key);
-        let delta = h.rotate_right(17);
-        for _ in 0..k {
-            let bit = (h as usize) % bits;
-            if self.data[bit / 8] & (1 << (bit % 8)) == 0 {
-                return false;
-            }
-            h = h.wrapping_add(delta);
-        }
-        true
+        probe_bits(hash, k, bits).all(|bit| self.data[bit / 8] & (1 << (bit % 8)) != 0)
     }
 }
 
+/// The `probes` bit positions, each below `bits`, that a key with
+/// [`bloom_hash`] `hash` sets and tests: double hashing, `h, h + d, h + 2d, …`
+/// with `d` a rotation of `h`. The table filters and the memtable's key
+/// filter ([`crate::skiplist`]) share it.
+pub(crate) fn probe_bits(hash: u32, probes: usize, bits: usize) -> impl Iterator<Item = usize> {
+    let delta = hash.rotate_right(17);
+    let mut h = hash;
+    (0..probes).map(move |_| {
+        let bit = (h as usize) % bits;
+        h = h.wrapping_add(delta);
+        bit
+    })
+}
+
 /// LevelDB's Bloom hash (a Murmur-like 32-bit hash, seed 0xbc9f1d34).
-fn bloom_hash(data: &[u8]) -> u32 {
+pub(crate) fn bloom_hash(data: &[u8]) -> u32 {
     const SEED: u32 = 0xbc9f_1d34;
     const M: u32 = 0xc6a4_a793;
     let n = data.len() as u32;

@@ -3,24 +3,57 @@
 //! This is the memtable's core ordered structure. It is insert-only (the
 //! memtable never deletes in place; tombstones are ordinary entries) which
 //! lets us use a simple index-based arena with no `unsafe`.
+//!
+//! ## Node layout
+//!
+//! A seek visits a few dozen nodes and at each asks two things: "is your key
+//! below the target?" and "who is next at this height?". Both answers sit in
+//! the node itself: `word` is the first eight user-key bytes as a big-endian
+//! integer (`types::user_key_word`), which decides most comparisons without
+//! touching the key's heap buffer, and `next` is the whole tower inline
+//! (`[u32; MAX_HEIGHT]`, unused heights `NIL`). A step therefore reads one
+//! arena slot; the key buffer is followed only when two words tie, and
+//! `insert` makes no allocation for the tower.
+//!
+//! ## The key filter
+//!
+//! The list also keeps a fixed-size Bloom filter over the *user* keys
+//! inserted (`SkipList::may_contain_hash`): a point read for a key that
+//! was never written here (in a read-mostly store, nearly every read) is
+//! answered by at most four bit tests instead of a seek. It lives and dies
+//! with the list, is written by `insert` and read by `&self`, so whatever
+//! guards the list guards it; it is not part of [`SkipList::approximate_bytes`]
+//! (a constant would only shift every flush by the same amount).
 
 use std::cmp::Ordering;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::types::compare_internal_keys;
+use crate::filter::{bloom_hash, probe_bits};
+use crate::types::{compare_internal_keys, user_key, user_key_word};
 
 const MAX_HEIGHT: usize = 12;
 const BRANCHING: u32 = 4;
 /// Sentinel "null pointer" in the arena.
 const NIL: u32 = u32::MAX;
 
+/// Bits of the key filter: 32 KiB, ten bits per key for the ~26 000 keys of
+/// 64 bytes that fill a 2 MiB memtable and far more for the paper's 1 KiB
+/// values. A list holding more keys than that only sees more false
+/// positives — every one of them falls through to the seek.
+const FILTER_BITS: usize = 1 << 18;
+const FILTER_WORDS: usize = FILTER_BITS / 64;
+const FILTER_PROBES: usize = 4;
+
 struct Node {
+    /// [`user_key_word`] of `key`.
+    word: u64,
     key: Vec<u8>,
     value: Vec<u8>,
-    /// next[h] = arena index of the successor at height h.
-    next: Vec<u32>,
+    /// next[h] = arena index of the successor at height h; `NIL` at and
+    /// above the node's own height.
+    next: [u32; MAX_HEIGHT],
 }
 
 /// Insert-only skiplist ordered by [`compare_internal_keys`].
@@ -31,22 +64,32 @@ pub struct SkipList {
     rng: SmallRng,
     len: usize,
     approximate_bytes: usize,
+    filter: Box<[u64; FILTER_WORDS]>,
+}
+
+/// The filter positions of a user key with Bloom hash `hash`, as (word,
+/// mask) pairs.
+fn filter_probes(hash: u32) -> impl Iterator<Item = (usize, u64)> {
+    probe_bits(hash, FILTER_PROBES, FILTER_BITS).map(|bit| (bit / 64, 1u64 << (bit % 64)))
 }
 
 impl SkipList {
     /// Creates an empty list. `seed` keeps runs deterministic.
     pub fn new(seed: u64) -> Self {
         let head = Node {
+            word: 0,
             key: Vec::new(),
             value: Vec::new(),
-            next: vec![NIL; MAX_HEIGHT],
+            next: [NIL; MAX_HEIGHT],
         };
+        let filter = vec![0u64; FILTER_WORDS].into_boxed_slice();
         Self {
             arena: vec![head],
             height: 1,
             rng: SmallRng::seed_from_u64(seed),
             len: 0,
             approximate_bytes: 0,
+            filter: filter.try_into().expect("FILTER_WORDS words allocated"),
         }
     }
 
@@ -66,6 +109,13 @@ impl SkipList {
         self.approximate_bytes
     }
 
+    /// Whether an entry for the user key with [`bloom_hash`] `hash` may have
+    /// been inserted. `false` is definitive, for every version and for
+    /// tombstones alike.
+    pub(crate) fn may_contain_hash(&self, hash: u32) -> bool {
+        filter_probes(hash).all(|(word, mask)| self.filter[word] & mask != 0)
+    }
+
     fn random_height(&mut self) -> usize {
         let mut h = 1;
         while h < MAX_HEIGHT && self.rng.gen_ratio(1, BRANCHING) {
@@ -74,18 +124,35 @@ impl SkipList {
         h
     }
 
-    fn key_is_after_node(&self, key: &[u8], node: u32) -> bool {
-        node != NIL && compare_internal_keys(&self.arena[node as usize].key, key) == Ordering::Less
+    // Arena indices come only from the towers, which hold nothing but `NIL`
+    // and indices of pushed nodes; callers test for `NIL` first.
+    fn node(&self, index: u32) -> &Node {
+        &self.arena[index as usize]
+    }
+
+    fn node_mut(&mut self, index: u32) -> &mut Node {
+        &mut self.arena[index as usize]
+    }
+
+    /// Whether `node`'s key sorts before `key`, whose word is `word`.
+    fn node_is_before(&self, node: u32, word: u64, key: &[u8]) -> bool {
+        let node = self.node(node);
+        match node.word.cmp(&word) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => compare_internal_keys(&node.key, key) == Ordering::Less,
+        }
     }
 
     /// Finds the node >= `key`, filling `prev` with the predecessor at every
     /// height. Returns the arena index or `NIL`.
     fn find_greater_or_equal(&self, key: &[u8], mut prev: Option<&mut [u32; MAX_HEIGHT]>) -> u32 {
+        let word = user_key_word(key);
         let mut x = 0u32; // head
         let mut level = self.height - 1;
         loop {
-            let next = self.arena[x as usize].next[level];
-            if self.key_is_after_node(key, next) {
+            let next = self.node(x).next[level];
+            if next != NIL && self.node_is_before(next, word, key) {
                 x = next;
             } else {
                 if let Some(prev) = prev.as_deref_mut() {
@@ -102,33 +169,31 @@ impl SkipList {
     /// Inserts `key -> value`. Keys must be unique (internal keys carry a
     /// unique sequence number, so the memtable guarantees this).
     pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        let mut prev = [NIL; MAX_HEIGHT];
+        // Every height starts at the head, so raising `self.height` below
+        // needs no fix-up.
+        let mut prev = [0u32; MAX_HEIGHT];
         let found = self.find_greater_or_equal(&key, Some(&mut prev));
         debug_assert!(
-            found == NIL
-                || compare_internal_keys(&self.arena[found as usize].key, &key) != Ordering::Equal,
+            found == NIL || compare_internal_keys(&self.node(found).key, &key) != Ordering::Equal,
             "duplicate internal key inserted"
         );
         let height = self.random_height();
-        if height > self.height {
-            for p in prev.iter_mut().take(height).skip(self.height) {
-                *p = 0; // head
-            }
-            self.height = height;
-        }
+        self.height = self.height.max(height);
         self.approximate_bytes += key.len() + value.len() + 32;
+        for (word, mask) in filter_probes(bloom_hash(user_key(&key))) {
+            self.filter[word] |= mask;
+        }
         let idx = self.arena.len() as u32;
-        let mut next = vec![NIL; height];
-        for (h, slot) in next.iter_mut().enumerate() {
-            *slot = self.arena[prev[h] as usize].next[h];
+        let mut next = [NIL; MAX_HEIGHT];
+        for (h, (slot, &p)) in next.iter_mut().zip(&prev).enumerate().take(height) {
+            *slot = std::mem::replace(&mut self.node_mut(p).next[h], idx);
         }
-        self.arena.push(Node { key, value, next });
-        // Indexing both `prev` and the per-node towers by height is the
-        // clearest form here.
-        #[allow(clippy::needless_range_loop)]
-        for h in 0..height {
-            self.arena[prev[h] as usize].next[h] = idx;
-        }
+        self.arena.push(Node {
+            word: user_key_word(&key),
+            key,
+            value,
+            next,
+        });
         self.len += 1;
     }
 
@@ -147,7 +212,7 @@ impl SkipList {
 
     /// Arena index of the first entry, or `u32::MAX` when empty.
     pub fn first(&self) -> u32 {
-        self.arena[0].next[0]
+        self.node(0).next[0]
     }
 
     /// Arena index of the first entry with key >= `target`, or `u32::MAX`.
@@ -158,19 +223,19 @@ impl SkipList {
     /// Arena index of the entry after `node` (which must be valid).
     pub fn successor(&self, node: u32) -> u32 {
         debug_assert!(node != NIL);
-        self.arena[node as usize].next[0]
+        self.node(node).next[0]
     }
 
     /// Internal key stored at `node` (which must be valid).
     pub fn node_key(&self, node: u32) -> &[u8] {
         debug_assert!(node != NIL);
-        &self.arena[node as usize].key
+        &self.node(node).key
     }
 
     /// Value stored at `node` (which must be valid).
     pub fn node_value(&self, node: u32) -> &[u8] {
         debug_assert!(node != NIL);
-        &self.arena[node as usize].value
+        &self.node(node).value
     }
 }
 
@@ -188,30 +253,30 @@ impl<'a> SkipListIter<'a> {
 
     /// Positions at the first entry.
     pub fn seek_to_first(&mut self) {
-        self.node = self.list.arena[0].next[0];
+        self.node = self.list.first();
     }
 
     /// Positions at the first entry with key >= `target` (internal key).
     pub fn seek(&mut self, target: &[u8]) {
-        self.node = self.list.find_greater_or_equal(target, None);
+        self.node = self.list.lower_bound(target);
     }
 
     /// Advances to the next entry.
     pub fn next(&mut self) {
         debug_assert!(self.valid());
-        self.node = self.list.arena[self.node as usize].next[0];
+        self.node = self.list.successor(self.node);
     }
 
     /// Current internal key.
     pub fn key(&self) -> &'a [u8] {
         debug_assert!(self.valid());
-        &self.list.arena[self.node as usize].key
+        self.list.node_key(self.node)
     }
 
     /// Current value.
     pub fn value(&self) -> &'a [u8] {
         debug_assert!(self.valid());
-        &self.list.arena[self.node as usize].value
+        self.list.node_value(self.node)
     }
 }
 
@@ -219,6 +284,9 @@ impl<'a> SkipListIter<'a> {
 mod tests {
     use super::*;
     use crate::types::{encode_internal_key, ValueType};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BTreeMap;
 
     fn ik(key: &[u8], seq: u64) -> Vec<u8> {
         encode_internal_key(key, seq, ValueType::Value)
@@ -324,5 +392,66 @@ mod tests {
         }
         assert_eq!(count, 2000);
         assert!(list.approximate_bytes() > 2000 * 16);
+    }
+
+    /// The internal-key order spelled out as a tuple order: user key
+    /// ascending, then sequence descending (types do not tie here: every
+    /// sequence is used once).
+    type OracleKey = (Vec<u8>, Reverse<u64>);
+
+    fn oracle_ikey((ukey, Reverse(seq)): &OracleKey) -> Vec<u8> {
+        ik(ukey, *seq)
+    }
+
+    /// User keys of 0 to 11 bytes over an alphabet with both extremes: the
+    /// node word is sometimes padded and often tied, and the key space is
+    /// small enough that several versions pile up on one key.
+    fn ukeys() -> impl Strategy<Value = Vec<u8>> {
+        let byte = prop_oneof![Just(0x00u8), Just(0xffu8), Just(b'a'), Just(b'b')];
+        prop::collection::vec(byte, 0..12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// After every insert the list iterates in the oracle's order and
+        /// `lower_bound` lands where the oracle's `range` does.
+        #[test]
+        fn agrees_with_a_btreemap_at_every_step(
+            seed in 0..1000u64,
+            inserts in prop::collection::vec(ukeys(), 1..48),
+            probes in prop::collection::vec((ukeys(), 0..60u64), 1..8),
+        ) {
+            let mut list = SkipList::new(seed);
+            let mut oracle: BTreeMap<OracleKey, Vec<u8>> = BTreeMap::new();
+            for (i, ukey) in inserts.iter().enumerate() {
+                let seq = i as u64 + 1;
+                let value = seq.to_le_bytes().to_vec();
+                list.insert(ik(ukey, seq), value.clone());
+                oracle.insert((ukey.clone(), Reverse(seq)), value);
+                prop_assert_eq!(list.len(), oracle.len());
+                prop_assert!(list.may_contain_hash(bloom_hash(ukey)));
+
+                let mut node = list.first();
+                for (key, value) in &oracle {
+                    prop_assert!(node != NIL, "list ended early after insert {}", i);
+                    prop_assert_eq!(list.node_key(node).to_vec(), oracle_ikey(key));
+                    prop_assert_eq!(list.node_value(node), value.as_slice());
+                    node = list.successor(node);
+                }
+                prop_assert_eq!(node, NIL);
+
+                let own = (ukey.clone(), seq);
+                for (ukey, seq) in probes.iter().chain(std::iter::once(&own)) {
+                    let node = list.lower_bound(&ik(ukey, *seq));
+                    let got = (node != NIL).then(|| list.node_key(node).to_vec());
+                    let want = oracle
+                        .range((ukey.clone(), Reverse(*seq))..)
+                        .next()
+                        .map(|(key, _)| oracle_ikey(key));
+                    prop_assert_eq!(got, want, "probe {:?}@{} after insert {}", ukey, seq, i);
+                }
+            }
+        }
     }
 }

@@ -82,9 +82,11 @@ impl Table {
         self.size
     }
 
-    /// Bloom filter check; `false` means the key is definitely absent.
-    pub fn may_contain(&self, ukey: &[u8]) -> bool {
-        self.filter.may_contain(ukey)
+    /// Bloom filter check for the user key whose
+    /// [`bloom_hash`](crate::filter::bloom_hash) is `hash`; `false` means
+    /// the key is definitely absent.
+    pub(crate) fn may_contain_hash(&self, hash: u32) -> bool {
+        self.filter.may_contain_hash(hash)
     }
 
     /// Size of the table's Bloom filter in bytes (Fig 13).
@@ -113,29 +115,29 @@ impl Table {
         if !self.filter.may_contain(ukey) {
             return Ok(None);
         }
-        self.get_unfiltered(ukey, snapshot, class)
+        self.get_probe(&encode_internal_key(ukey, snapshot, TYPE_FOR_SEEK), class)
     }
 
-    /// [`Table::get`] without the Bloom check, for the engine's read path,
-    /// which has already asked [`Table::may_contain`] (it counts the skips)
-    /// and should not pay the filter's hashes a second time.
-    pub(crate) fn get_unfiltered(
+    /// The search half of [`Table::get`], for the engine's read path: `probe`
+    /// is the seek key `(ukey, snapshot, TYPE_FOR_SEEK)`, built once per get
+    /// and shared by every table it searches. The Bloom filter is *not*
+    /// consulted: the caller has asked [`Table::may_contain_hash`] (it
+    /// counts the skips).
+    pub(crate) fn get_probe(
         &self,
-        ukey: &[u8],
-        snapshot: SequenceNumber,
+        probe: &[u8],
         class: IoClass,
     ) -> Result<Option<(SequenceNumber, ValueType, Bytes)>> {
-        let probe = encode_internal_key(ukey, snapshot, TYPE_FOR_SEEK);
         let mut index_iter = self.index.iter();
-        index_iter.seek(&probe);
+        index_iter.seek(probe);
         if !index_iter.valid() {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
         let block = self.read_data_block(handle, class)?;
         let mut it = block.iter();
-        it.seek(&probe);
-        if it.valid() && user_key(it.key()) == ukey {
+        it.seek(probe);
+        if it.valid() && user_key(it.key()) == user_key(probe) {
             let (seq, vt) = parse_trailer(it.key());
             return Ok(Some((seq, vt, it.value_bytes())));
         }
@@ -376,7 +378,7 @@ impl TableIter {
             self.skip_empty_blocks_forward();
             self.enforce_upper_bound();
         } else {
-            let probe = encode_internal_key(&self.range.lo.clone(), MAX_SEQUENCE, TYPE_FOR_SEEK);
+            let probe = encode_internal_key(&self.range.lo, MAX_SEQUENCE, TYPE_FOR_SEEK);
             self.seek(&probe);
         }
     }
@@ -438,14 +440,15 @@ impl TableIter {
     }
 
     fn init_data_block(&mut self, sequential: bool) {
-        self.data_iter = None;
+        // The outgoing block's key buffer serves the incoming one.
+        let buf = self.data_iter.take().map(BlockIter::into_buffer);
         if !self.index_iter.valid() {
             return;
         }
         match BlockHandle::decode_from(self.index_iter.value())
             .and_then(|(h, _)| self.table.read_data_block_inner(h, self.class, sequential))
         {
-            Ok(block) => self.data_iter = Some(block.iter()),
+            Ok(block) => self.data_iter = Some(block.iter_with_buffer(buf.unwrap_or_default())),
             Err(e) => self.error = Some(e),
         }
     }

@@ -4,6 +4,16 @@
 //! by an 8-byte little-endian trailer packing `(sequence << 8) | value_type`.
 //! Internal keys order by user key ascending, then sequence descending, then
 //! type descending — so the newest visible version of a key sorts first.
+//!
+//! [`compare_internal_keys`] is the engine's hottest function (every
+//! skiplist step, every block-seek step, every merge step), and most calls
+//! are between keys that already differ in their first few bytes. When both
+//! user keys are at least eight bytes long it therefore compares those eight
+//! bytes first, as one big-endian `u64` each: for byte strings, big-endian
+//! integer order *is* lexicographic order, so a difference there is the
+//! answer and no `memcmp` call is made. Equal words, or a user key shorter
+//! than eight bytes, fall through to the full comparison; the total order is
+//! the one above in every case (proptested against it below).
 
 use std::cmp::Ordering;
 
@@ -63,8 +73,34 @@ pub fn parse_trailer(internal_key: &[u8]) -> (SequenceNumber, ValueType) {
     (packed >> 8, vt)
 }
 
+/// The first eight bytes of `internal_key`'s user key as a big-endian word,
+/// zero-padded when the user key is shorter. Two keys whose words differ
+/// order as their words do (a zero pad can only tie with a real `0x00` byte
+/// or sort below a real byte, and the shorter key is then a proper prefix of
+/// the longer); equal words decide nothing.
+pub(crate) fn user_key_word(internal_key: &[u8]) -> u64 {
+    let ukey = user_key(internal_key);
+    match ukey.first_chunk::<8>() {
+        Some(word) => u64::from_be_bytes(*word),
+        None => {
+            let mut padded = [0u8; 8];
+            padded[..ukey.len()].copy_from_slice(ukey);
+            u64::from_be_bytes(padded)
+        }
+    }
+}
+
 /// Total order over internal keys (user key asc, seq desc, type desc).
 pub fn compare_internal_keys(a: &[u8], b: &[u8]) -> Ordering {
+    if let (Some(wa), Some(wb)) = (
+        user_key(a).first_chunk::<8>(),
+        user_key(b).first_chunk::<8>(),
+    ) {
+        let (wa, wb) = (u64::from_be_bytes(*wa), u64::from_be_bytes(*wb));
+        if wa != wb {
+            return wa.cmp(&wb);
+        }
+    }
     match user_key(a).cmp(user_key(b)) {
         Ordering::Equal => {
             let (seq_a, vt_a) = parse_trailer(a);
@@ -132,6 +168,67 @@ impl KeyRange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The order the module doc defines, with no fast path.
+    fn reference_order(a: &[u8], b: &[u8]) -> Ordering {
+        let ((seq_a, vt_a), (seq_b, vt_b)) = (parse_trailer(a), parse_trailer(b));
+        user_key(a)
+            .cmp(user_key(b))
+            .then(seq_b.cmp(&seq_a))
+            .then((vt_b as u8).cmp(&(vt_a as u8)))
+    }
+
+    /// Internal keys over a four-byte alphabet with both extremes in it, user
+    /// keys of 0 to 11 bytes (either side of the eight the fast path needs),
+    /// a handful of sequences and both types: equal eight-byte prefixes and
+    /// equal user keys with different trailers are common.
+    fn ikeys() -> impl Strategy<Value = Vec<u8>> {
+        let byte = prop_oneof![Just(0x00u8), Just(0xffu8), Just(b'a'), Just(b'b')];
+        (prop::collection::vec(byte, 0..12), 0..4u64, any::<bool>()).prop_map(
+            |(ukey, seq, live)| {
+                let vt = if live {
+                    ValueType::Value
+                } else {
+                    ValueType::Deletion
+                };
+                encode_internal_key(&ukey, seq, vt)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        #[test]
+        fn word_compare_keeps_the_reference_order(
+            a in ikeys(),
+            b in ikeys(),
+            share in 0..4u8,
+            trailer in (0..4u64, any::<bool>()),
+        ) {
+            // A quarter of the pairs share the whole user key, another
+            // quarter its first eight bytes.
+            let b = match share {
+                0 => {
+                    let vt = if trailer.1 { ValueType::Value } else { ValueType::Deletion };
+                    encode_internal_key(user_key(&a), trailer.0, vt)
+                }
+                1 => {
+                    let ukey = user_key(&a);
+                    [&ukey[..ukey.len().min(8)], &b[..]].concat()
+                }
+                _ => b,
+            };
+            let want = reference_order(&a, &b);
+            prop_assert_eq!(compare_internal_keys(&a, &b), want);
+            prop_assert_eq!(compare_internal_keys(&b, &a), want.reverse());
+            let (wa, wb) = (user_key_word(&a), user_key_word(&b));
+            if wa != wb {
+                prop_assert_eq!(wa.cmp(&wb), user_key(&a).cmp(user_key(&b)));
+            }
+        }
+    }
 
     #[test]
     fn encode_and_parse_roundtrip() {

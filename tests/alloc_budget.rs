@@ -4,10 +4,10 @@
 //! does no I/O, so what is left of its cost is CPU — and the allocator was
 //! the largest avoidable part of it: at commit 945820e a cached `get` made
 //! 14.2 allocations, nine of them one `Vec` per binary-search step of a
-//! block seek. The budget below is what the path needs today: the memtable
-//! probe key, the table probe key, the key buffers of the index-block and
-//! data-block iterators, and the owned value `get` returns. Lower the
-//! constant when a change earns it; raising it needs a reason in CHANGES.md.
+//! block seek. The budget below is what the path needs today: one probe key
+//! for the whole get, the owned value `get` returns, and the key buffer of a
+//! data-block iterator that has to undo prefix compression. Lower a constant
+//! when a change earns it; raising one needs a reason in CHANGES.md.
 //!
 //! One test only: the counter is process-wide, and a second test running on
 //! another thread would be counted too.
@@ -19,13 +19,19 @@ use ldc_core::LdcDb;
 use ldc_lsm::Options;
 
 /// Allocations of a fully cached `get` that do not depend on how many
-/// tables it searches: the memtable probe key and the owned value.
+/// tables it searches: the probe key `(key, snapshot, TYPE_FOR_SEEK)`, which
+/// the memtables and every table are searched with, and the owned value.
+/// (The memtable allocates nothing: its key filter answers for a key it
+/// never held, and a seek borrows the probe.)
 const PER_GET: u64 = 2;
 /// Allocations per table searched (one whose Bloom filter does not rule the
-/// key out): the probe key and the two block iterators' key buffers. A get
-/// that finds its key in the first table it searches — all but the Bloom
-/// false positives, a few percent — therefore allocates five times.
-const PER_TABLE: u64 = 3;
+/// key out). The index block restarts at every entry, so its iterator serves
+/// each key from the block and allocates nothing; the data block's iterator
+/// allocates its one key buffer unless the seek ends on the block's first
+/// entry. A get that finds its key in the first table it searches — all but
+/// the Bloom false positives, a few percent — therefore allocates two or
+/// three times.
+const PER_TABLE: u64 = 1;
 
 const PRELOAD: u64 = 8_000;
 const HOT: u64 = 500;
