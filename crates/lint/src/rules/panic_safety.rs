@@ -21,6 +21,7 @@ pub const RULE: &str = "panic_safety";
 pub const SCOPED_FILES: &[&str] = &[
     "crates/lsm/src/wal.rs",
     "crates/lsm/src/version.rs",
+    "crates/lsm/src/version/",
     "crates/lsm/src/db.rs",
     "crates/lsm/src/db/",
     "crates/lsm/src/scheduler.rs",

@@ -85,19 +85,19 @@ const SINKS: &[(&str, Option<&str>, &str, &str)] = &[
         "sstable",
     ),
     (
-        "lsm/src/version.rs",
+        "lsm/src/version/edit.rs",
         Some("VersionEdit"),
         "encode",
         "manifest",
     ),
     (
-        "lsm/src/version.rs",
+        "lsm/src/version/set.rs",
         Some("VersionSet"),
         "log_and_apply",
         "manifest",
     ),
     (
-        "lsm/src/version.rs",
+        "lsm/src/version/set.rs",
         Some("VersionSet"),
         "write_snapshot_manifest",
         "manifest",

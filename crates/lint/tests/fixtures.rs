@@ -193,9 +193,9 @@ const WAL_STUB: &str = "pub struct LogWriter;\nimpl LogWriter {\n    \
 const BUILDER_STUB: &str = "pub struct TableBuilder;\nimpl TableBuilder {\n    \
      pub fn add(&mut self, key: &[u8], value: &[u8]) { let _ = (key, value); }\n    \
      pub fn finish(&mut self) -> u64 { 0 }\n}\n";
-const VERSION_STUB: &str = "pub struct VersionEdit;\nimpl VersionEdit {\n    \
-     pub fn encode(&self) -> Vec<u8> { Vec::new() }\n}\n\
-     pub struct VersionSet;\nimpl VersionSet {\n    \
+const EDIT_STUB: &str = "pub struct VersionEdit;\nimpl VersionEdit {\n    \
+     pub fn encode(&self) -> Vec<u8> { Vec::new() }\n}\n";
+const SET_STUB: &str = "pub struct VersionSet;\nimpl VersionSet {\n    \
      pub fn log_and_apply(&mut self, seq: u64) { let _ = seq; }\n    \
      pub fn write_snapshot_manifest(&mut self) {}\n}\n";
 const CLOCK_STUB: &str = "pub struct VirtualClock;\nimpl VirtualClock {\n    \
@@ -219,8 +219,12 @@ fn taint_run(fixture_src: &str) -> Vec<ldc_lint::Diagnostic> {
             SourceView::new(BUILDER_STUB),
         ),
         (
-            "crates/lsm/src/version.rs".to_string(),
-            SourceView::new(VERSION_STUB),
+            "crates/lsm/src/version/edit.rs".to_string(),
+            SourceView::new(EDIT_STUB),
+        ),
+        (
+            "crates/lsm/src/version/set.rs".to_string(),
+            SourceView::new(SET_STUB),
         ),
         (
             "crates/ssd/src/clock.rs".to_string(),
