@@ -352,8 +352,7 @@ fn backlog_det_json(udc: bool, args: &CommonArgs) -> Result<String, String> {
     let mode = if udc { "UDC" } else { "LDC" };
     let mut b = LdcDb::builder()
         .options(paper_scaled_options())
-        .background_workers(0)
-        .max_subcompactions(4);
+        .background_workers(0);
     if udc {
         b = b.udc_baseline();
     }

@@ -755,7 +755,7 @@ impl ChaosHarness {
         let mut restored_prefix = None;
         let mut follower_cursor = None;
         let dst = mem_storage();
-        let restore = restore_backup(&storage, &prefix, &dst, options.max_levels);
+        let restore = restore_backup(&storage, &prefix, &dst);
         if backup_complete {
             restore.map_err(|e| {
                 self.fail(&fault, format!("restore of complete backup failed: {e}"))
@@ -1068,9 +1068,9 @@ impl ChaosHarness {
     /// to completion, every read verifies against the model, and so does
     /// a recovery whose own reads meet the same failures.
     ///
-    /// `failures` must stay below the engine's
-    /// [`Options::read_retry_attempts`] budget; at or past it, transient
-    /// errors surface and the run reports a [`ChaosFailure`].
+    /// `failures` must stay below the engine's budget of four read
+    /// attempts; at or past it, transient errors surface and the run
+    /// reports a [`ChaosFailure`].
     pub fn run_transient_reads(&self, failures: u32) -> Result<TransientReadReport, ChaosFailure> {
         let options = &self.config.options;
         let plan = FaultPlan::transient_reads(self.config.seed, failures);

@@ -59,12 +59,6 @@ impl LdcDbBuilder {
         self
     }
 
-    /// The options the store will open with (read-only; e.g. a follower
-    /// bootstrap needs `max_levels` before the store exists).
-    pub fn options_ref(&self) -> &Options {
-        &self.options
-    }
-
     /// Replaces the simulated-SSD profile.
     pub fn ssd_config(mut self, ssd: SsdConfig) -> Self {
         self.ssd = ssd;
@@ -84,13 +78,6 @@ impl LdcDbBuilder {
     /// timing-reproducible).
     pub fn background_workers(mut self, workers: usize) -> Self {
         self.options.background_workers = workers;
-        self
-    }
-
-    /// Upper bound on range-partitioned subcompactions per picked merge
-    /// when running on the worker pool (`1` disables splitting).
-    pub fn max_subcompactions(mut self, n: usize) -> Self {
-        self.options.max_subcompactions = n;
         self
     }
 

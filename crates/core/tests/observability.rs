@@ -120,7 +120,7 @@ fn metrics_registry_tracks_levels_and_latencies() {
     assert!(metrics.latency(OpType::Put).mean() > 0.0);
 
     let gauges = metrics.level_gauges();
-    assert_eq!(gauges.len(), db.engine_ref().options().max_levels);
+    assert_eq!(gauges.len(), db.engine_ref().version().num_levels());
     let version = db.engine_ref().version();
     for (level, g) in gauges.iter().enumerate() {
         assert_eq!(

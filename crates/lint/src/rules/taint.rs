@@ -96,12 +96,7 @@ const SINKS: &[(&str, Option<&str>, &str, &str)] = &[
         "log_and_apply",
         "manifest",
     ),
-    (
-        "lsm/src/version/set.rs",
-        Some("VersionSet"),
-        "write_snapshot_manifest",
-        "manifest",
-    ),
+    ("lsm/src/version/set.rs", None, "write_manifest", "manifest"),
     (
         "ssd/src/clock.rs",
         Some("VirtualClock"),

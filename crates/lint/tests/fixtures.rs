@@ -196,8 +196,8 @@ const BUILDER_STUB: &str = "pub struct TableBuilder;\nimpl TableBuilder {\n    \
 const EDIT_STUB: &str = "pub struct VersionEdit;\nimpl VersionEdit {\n    \
      pub fn encode(&self) -> Vec<u8> { Vec::new() }\n}\n";
 const SET_STUB: &str = "pub struct VersionSet;\nimpl VersionSet {\n    \
-     pub fn log_and_apply(&mut self, seq: u64) { let _ = seq; }\n    \
-     pub fn write_snapshot_manifest(&mut self) {}\n}\n";
+     pub fn log_and_apply(&mut self, seq: u64) { let _ = seq; }\n}\n\
+     pub fn write_manifest(number: u64) { let _ = number; }\n";
 const CLOCK_STUB: &str = "pub struct VirtualClock;\nimpl VirtualClock {\n    \
      pub fn advance(&self, d: u64) -> u64 { d }\n    \
      pub fn advance_micros(&self, m: u64) -> u64 { m }\n    \

@@ -28,7 +28,7 @@ use ldc_ssd::{IoClass, StorageBackend};
 use crate::error::{Error, Result};
 use crate::types::SequenceNumber;
 use crate::version::{
-    manifest_file_name, snapshot_edit, table_file_name, Version, VersionEdit, VersionSet,
+    snapshot_edit, table_file_name, write_manifest, Counters, Version, VersionEdit, VersionSet,
     CURRENT_FILE,
 };
 use crate::wal::{LogReader, LogWriter};
@@ -95,12 +95,10 @@ pub(crate) fn write_checkpoint_files(
     storage: &Arc<dyn StorageBackend>,
     prefix: &str,
     version: &Version,
-    next_file_number: u64,
-    last_sequence: SequenceNumber,
-    compact_pointers: &[Vec<u8>],
+    counters: Counters,
 ) -> Result<CheckpointReport> {
     let mut report = CheckpointReport {
-        last_sequence,
+        last_sequence: counters.last_sequence,
         ..Default::default()
     };
     let mut link = |number: u64, size: u64| -> Result<()> {
@@ -123,29 +121,15 @@ pub(crate) fn write_checkpoint_files(
     }
     // The checkpoint's manifest holds one snapshot edit of the pinned
     // state. `log_number` is 0: a checkpoint has no WAL (the caller
-    // flushed both memtables before pinning).
-    let manifest_name = manifest_file_name(1);
-    let full_manifest = format!("{prefix}{manifest_name}");
-    if storage.exists(&full_manifest) {
-        storage.delete(&full_manifest)?;
-    }
-    let mut writer = LogWriter::new(Arc::clone(storage), full_manifest, IoClass::ManifestWrite);
-    let edit = snapshot_edit(
-        version,
-        next_file_number,
-        last_sequence,
-        0,
-        compact_pointers,
-        0,
-    );
-    writer.add_record(&edit.encode())?;
-    writer.sync()?;
-    // CURRENT last: its durability marks the checkpoint complete.
-    storage.write_file(
-        &format!("{prefix}{CURRENT_FILE}"),
-        manifest_name.as_bytes(),
-        IoClass::ManifestWrite,
-    )?;
+    // flushed both memtables before pinning). Nor has it applied any
+    // stream record of its own. CURRENT goes last: its durability marks
+    // the checkpoint complete.
+    let counters = Counters {
+        log_number: 0,
+        replication_cursor: 0,
+        ..counters
+    };
+    write_manifest(storage, prefix, 1, &snapshot_edit(version, &counters))?;
     Ok(report)
 }
 
@@ -324,19 +308,17 @@ pub fn for_each_stream_edit(
 }
 
 /// Restores the backup at `prefix` on `src` into `dst`: base checkpoint,
-/// then the edit stream's clean prefix replayed on top. `max_levels` must
-/// match the options the store runs with. The result is consistent with
-/// the primary's acknowledged history as of the last durable stream
-/// record.
+/// then the edit stream's clean prefix replayed on top. The result is
+/// consistent with the primary's acknowledged history as of the last
+/// durable stream record.
 pub fn restore_backup(
     src: &Arc<dyn StorageBackend>,
     prefix: &str,
     dst: &Arc<dyn StorageBackend>,
-    max_levels: usize,
 ) -> Result<RestoreReport> {
     let mut report = restore_checkpoint(src, prefix, dst)?;
-    let mut vs = VersionSet::recover(Arc::clone(dst), max_levels)?;
-    let applied_before = vs.replication_cursor;
+    let mut vs = VersionSet::recover(Arc::clone(dst))?;
+    let applied_before = vs.counters.replication_cursor;
     for_each_stream_edit(src.as_ref(), prefix, applied_before, |_, edit| {
         for (_, meta) in &edit.new_files {
             let table = table_file_name(meta.number);
@@ -350,8 +332,8 @@ pub fn restore_backup(
         }
         vs.apply_remote_edit(&edit)
     })?;
-    report.edits_applied = vs.replication_cursor - applied_before;
-    report.last_sequence = vs.last_sequence;
+    report.edits_applied = vs.counters.replication_cursor - applied_before;
+    report.last_sequence = vs.counters.last_sequence;
     // Stream records can delete base files (compaction inputs); their
     // bytes were copied before the replay decided they are garbage.
     let referenced: BTreeSet<u64> = vs
@@ -378,22 +360,11 @@ pub fn restore_backup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{encode_internal_key, ValueType};
-    use crate::version::FileMeta;
+    use crate::version::tests::meta;
     use ldc_ssd::{MemStorage, SsdConfig, SsdDevice};
 
     fn storage() -> Arc<dyn StorageBackend> {
         MemStorage::new(SsdDevice::new(SsdConfig::tiny_for_tests()))
-    }
-
-    fn meta(number: u64, lo: &[u8], hi: &[u8]) -> FileMeta {
-        FileMeta {
-            number,
-            size: 1000,
-            smallest: encode_internal_key(lo, 1, ValueType::Value),
-            largest: encode_internal_key(hi, 1, ValueType::Value),
-            slices: Vec::new(),
-        }
     }
 
     #[test]
@@ -474,7 +445,7 @@ mod tests {
     #[test]
     fn shipper_links_files_and_streams_edits() {
         let s = storage();
-        let mut vs = VersionSet::create(s.clone(), 4).unwrap();
+        let mut vs = VersionSet::create(s.clone()).unwrap();
         let f1 = vs.new_file_number();
         s.write_file(&table_file_name(f1), b"sstable bytes", IoClass::Other)
             .unwrap();

@@ -35,9 +35,8 @@ use crate::db::{Db, DbCore, DbStats};
 use crate::error::{Error, Result};
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::MemTable;
-use crate::options::Options;
 use crate::scheduler::split_merge_ranges;
-use crate::table::{FinishedTable, TableBuilder};
+use crate::table::{FinishedTable, TableBuilder, BLOCK_RESTART_INTERVAL};
 use crate::types::{parse_trailer, user_key, KeyRange, SequenceNumber, ValueType};
 use crate::version::{table_file_name, FileMeta, SliceLink, Version, VersionEdit};
 
@@ -179,10 +178,10 @@ fn inputs(version: &Version, numbers: &[u64], level: usize) -> Planning<Vec<File
 pub(crate) fn plan(
     version: &Version,
     task: &CompactionTask,
-    options: &Options,
     smallest_snapshot: SequenceNumber,
 ) -> Planning<Planned> {
-    let last_level = options.max_levels - 1;
+    // Nothing lies below it, so a tombstone that reaches it can go.
+    let last_level = version.num_levels() - 1;
     let desc = |kind, output_level, read: &[&FileMeta]| TaskDescriptor {
         kind,
         output_level,
@@ -458,7 +457,7 @@ impl Db {
         let input = usize::try_from(input_bytes).unwrap_or(usize::MAX);
         TableBuilder::with_capacity(
             self.options.block_bytes,
-            self.options.block_restart_interval,
+            BLOCK_RESTART_INTERVAL,
             self.options.bloom_bits_per_key,
             cut.saturating_add(cut / 8).min(input),
         )
@@ -487,13 +486,12 @@ impl Db {
             self.storage.write_file(&name, &finished.bytes, class)?;
         }
         out.write_nanos += self.device.clock().now().saturating_sub(t0);
-        out.metas.push(FileMeta {
+        out.metas.push(FileMeta::new(
             number,
-            size: finished.bytes.len() as u64,
-            smallest: finished.smallest,
-            largest: finished.largest,
-            slices: Vec::new(),
-        });
+            finished.bytes.len() as u64,
+            finished.smallest,
+            finished.largest,
+        ));
         Ok(())
     }
 

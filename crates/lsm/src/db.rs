@@ -186,7 +186,7 @@ impl ReadView {
             version: Arc::clone(&core.versions.current),
             mem: Arc::clone(&core.mem),
             imm: core.imm.clone(),
-            seq: core.versions.last_sequence,
+            seq: core.versions.counters.last_sequence,
         }
     }
 }
@@ -343,7 +343,7 @@ mod tests;
 mod write;
 
 use lane::BgLane;
-pub(crate) use write::Gate;
+pub(crate) use write::{Gate, L0_SLOWDOWN_DELAY_NS};
 
 impl Db {
     /// Builds the handle around a recovered core. Lives in this file, not
@@ -360,10 +360,7 @@ impl Db {
     ) -> Db {
         let device = storage.device();
         device.set_event_sink(Arc::clone(&sink));
-        let block_cache = Arc::new(BlockCache::with_shards(
-            options.block_cache_bytes,
-            options.block_cache_shards,
-        ));
+        let block_cache = Arc::new(BlockCache::new(options.block_cache_bytes));
         let tables = TableCache::new(options.table_cache_entries, Arc::clone(&block_cache));
         let view = ReadView::of(&core);
         let scheduler = CompactionScheduler::new(options.background_workers);
@@ -584,7 +581,7 @@ impl Db {
     /// every version it could observe.
     pub fn snapshot(&self) -> Snapshot {
         let mut core = self.core.lock();
-        let seq = core.versions.last_sequence;
+        let seq = core.versions.counters.last_sequence;
         *core.snapshots.entry(seq).or_insert(0) += 1;
         Snapshot { seq }
     }

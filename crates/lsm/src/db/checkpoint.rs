@@ -93,16 +93,10 @@ impl Db {
         self.core.lock().versions.shipping()
     }
 
-    /// Progress of the armed backup stream as `(edits, files, bytes)`
-    /// shipped, or `None` when no stream is armed.
-    pub fn shipper_progress(&self) -> Option<(u64, u64, u64)> {
-        self.core.lock().versions.shipper_stats()
-    }
-
     /// How many backup-stream records this store has applied (nonzero
     /// only on followers / restored backups).
     pub fn replication_cursor(&self) -> u64 {
-        self.core.lock().versions.replication_cursor
+        self.core.lock().versions.counters.replication_cursor
     }
 
     /// Both phases of checkpoint creation. Phase 1 runs under the core
@@ -118,7 +112,7 @@ impl Db {
             )));
         }
         let t0 = self.device.clock().now();
-        let (version, next_file_number, last_sequence, compact_pointers, _pin) = {
+        let (version, counters, _pin) = {
             let mut core = self.wait_flush_job(self.core.lock());
             if let Some(e) = &core.bg_error {
                 return Err(e.clone());
@@ -141,20 +135,12 @@ impl Db {
             }
             (
                 Arc::clone(&core.versions.current),
-                core.versions.next_file_number,
-                core.versions.last_sequence,
-                core.versions.compact_pointers.clone(),
+                core.versions.counters.clone(),
                 ReadPin::new(&self.ckpt_pins),
             )
         };
-        let report = match backup::write_checkpoint_files(
-            &self.storage,
-            prefix,
-            &version,
-            next_file_number,
-            last_sequence,
-            &compact_pointers,
-        ) {
+        let report = match backup::write_checkpoint_files(&self.storage, prefix, &version, counters)
+        {
             Ok(r) => r,
             Err(e) => {
                 if arm_stream {
@@ -210,7 +196,7 @@ impl Db {
             self.sink.record(
                 Event::span(EventKind::ReplApply, t0, self.device.clock().now())
                     .files(edit.new_files.len() as u32, 0)
-                    .bytes(core.versions.replication_cursor, 0),
+                    .bytes(core.versions.counters.replication_cursor, 0),
             );
         }
         Ok(())

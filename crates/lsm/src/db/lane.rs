@@ -24,7 +24,7 @@ use std::sync::Arc;
 use ldc_obs::TraceCtx;
 use ldc_ssd::{Nanos, VirtualClock};
 
-use super::{Db, DbCore, Gate};
+use super::{Db, DbCore, Gate, L0_SLOWDOWN_DELAY_NS};
 use crate::compaction::exec::{plan, Planned, Planning, Stale, TaskClock};
 use crate::compaction::{CompactionTask, PickContext};
 use crate::error::{Error, Result};
@@ -172,8 +172,8 @@ impl Db {
             }
             self.record_gate(core, trace, Gate::L0Stop, t0, clock.now());
         } else if core.l0_files() >= self.options.l0_slowdown_threshold {
-            clock.advance(self.options.slowdown_delay_ns);
-            let end = t0 + self.options.slowdown_delay_ns;
+            clock.advance(L0_SLOWDOWN_DELAY_NS);
+            let end = t0 + L0_SLOWDOWN_DELAY_NS;
             self.record_gate(core, trace, Gate::L0Slowdown, t0, end);
         }
         Ok(())
@@ -216,7 +216,7 @@ impl Db {
         let ctx = PickContext {
             version: &core.versions.current,
             options: &self.options,
-            compact_pointers: &core.versions.compact_pointers,
+            compact_pointers: &core.versions.counters.compact_pointers,
         };
         let mut policy = self.policy.lock();
         let needed = policy.pick(&ctx);
@@ -253,14 +253,8 @@ impl Db {
             .keys()
             .next()
             .copied()
-            .unwrap_or(core.versions.last_sequence);
-        plan(
-            &core.versions.current,
-            task,
-            &self.options,
-            smallest_snapshot,
-        )
-        .map(Arc::new)
+            .unwrap_or(core.versions.counters.last_sequence);
+        plan(&core.versions.current, task, smallest_snapshot).map(Arc::new)
     }
 
     /// A task failed before it installed. Its device time still counts as

@@ -7,14 +7,13 @@ use ldc_ssd::StorageBackend;
 
 use super::write::fresh_wal;
 use super::{Db, DbCore, RecoverySummary};
-use crate::batch::WriteBatch;
 use crate::compaction::CompactionPolicy;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::memtable::MemTable;
 use crate::options::Options;
 use crate::retry::RetryStorage;
 use crate::version::{log_file_name, VersionEdit, VersionSet};
-use crate::wal::LogReader;
+use crate::wal::replay_into;
 
 impl Db {
     /// Opens (creating or recovering) a database on `storage` with the given
@@ -40,25 +39,19 @@ impl Db {
         // Transient-read retry wraps the backend before anything reads
         // through it, so manifest recovery and WAL replay get the same
         // bounded-retry protection as steady-state reads.
-        let storage: Arc<dyn StorageBackend> = if options.read_retry_attempts > 1 {
-            RetryStorage::new(
-                storage,
-                options.read_retry_attempts,
-                options.read_retry_backoff_ns,
-                options.seed,
-                Arc::clone(&sink),
-                Arc::clone(&metrics),
-            )
-        } else {
-            storage
-        };
+        let storage = RetryStorage::wrap(
+            storage,
+            options.seed,
+            Arc::clone(&sink),
+            Arc::clone(&metrics),
+        );
         let device = storage.device();
         let open_start = device.clock().now();
         let existed = VersionSet::exists(storage.as_ref());
         let mut versions = if existed {
-            VersionSet::recover(Arc::clone(&storage), options.max_levels)?
+            VersionSet::recover(Arc::clone(&storage))?
         } else {
-            VersionSet::create(Arc::clone(&storage), options.max_levels)?
+            VersionSet::create(Arc::clone(&storage))?
         };
         let mut recovery = RecoverySummary {
             bytes_truncated: versions.recovered_manifest_tail_bytes,
@@ -81,41 +74,29 @@ impl Db {
             .collect();
         old_logs.sort();
         if existed {
-            let mut max_seq = versions.last_sequence;
+            let mut max_seq = versions.counters.last_sequence;
             let mut corrupt_from: Option<usize> = None;
             for (idx, (_, name)) in old_logs.iter().enumerate() {
-                let mut reader = LogReader::open(storage.as_ref(), name)?;
-                let replay = reader.for_each(|record| {
-                    let batch = WriteBatch::decode(record)?;
-                    if let Some(last) = mem.apply(&batch)? {
-                        max_seq = max_seq.max(last);
-                    }
-                    replayed += u64::from(batch.count());
-                    Ok(())
-                });
-                match replay {
-                    Ok(()) => {
-                        recovery.wals_replayed += 1;
-                        let torn = reader.truncated_tail_bytes();
-                        if torn > 0 {
-                            // The torn tail is dead bytes: cut it so the log
-                            // reads cleanly if this open crashes before the
-                            // replayed data is flushed. Backends without
-                            // truncate just keep the tail; replay re-skips it.
-                            recovery.bytes_truncated += torn;
-                            // ldc-lint: allow(must_use_result) — best-effort cleanup; replay re-skips the tail if it survives
-                            let _ = storage.truncate(name, reader.clean_prefix());
-                        }
-                    }
-                    // Mid-log corruption: recover to the last consistent
-                    // point in time. Records before the bad region were
-                    // already replayed; the rest of this log and every
-                    // later log are set aside, not served as garbage.
-                    Err(Error::Corruption(_)) => {
-                        corrupt_from = Some(idx);
-                        break;
-                    }
-                    Err(e) => return Err(e),
+                let log = replay_into(storage.as_ref(), name, &mem)?;
+                replayed += log.entries;
+                max_seq = max_seq.max(log.last_sequence);
+                // Mid-log corruption: recover to the last consistent
+                // point in time. Records before the bad region were
+                // already replayed; the rest of this log and every
+                // later log are set aside, not served as garbage.
+                if log.corrupt {
+                    corrupt_from = Some(idx);
+                    break;
+                }
+                recovery.wals_replayed += 1;
+                if log.torn_bytes > 0 {
+                    // The torn tail is dead bytes: cut it so the log
+                    // reads cleanly if this open crashes before the
+                    // replayed data is flushed. Backends without
+                    // truncate just keep the tail; replay re-skips it.
+                    recovery.bytes_truncated += log.torn_bytes;
+                    // ldc-lint: allow(must_use_result) — best-effort cleanup; replay re-skips the tail if it survives
+                    let _ = storage.truncate(name, log.clean_prefix);
                 }
             }
             if let Some(from) = corrupt_from {
@@ -125,7 +106,7 @@ impl Db {
                 }
                 old_logs.truncate(from);
             }
-            versions.last_sequence = max_seq;
+            versions.counters.last_sequence = max_seq;
         }
         recovery.records_replayed = replayed;
 

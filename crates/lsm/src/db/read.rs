@@ -52,11 +52,6 @@ impl Db {
             .map(PinnedValue::into_vec))
     }
 
-    /// Zero-copy point lookup as of a pinned snapshot.
-    pub fn get_pinned_at(&self, key: &[u8], snapshot: &Snapshot) -> Result<Option<PinnedValue>> {
-        self.get_with_seq(key, Some(snapshot.seq))
-    }
-
     /// Range scan as of a pinned snapshot.
     pub fn scan_at(
         &self,

@@ -21,7 +21,7 @@ impl Db {
                 Arc::clone(&core.versions.current),
                 core.quarantined.clone(),
                 core.versions.shipper_stats(),
-                core.versions.replication_cursor,
+                core.versions.counters.replication_cursor,
             )
         };
         self.refresh_level_gauges(&version);
@@ -288,11 +288,6 @@ impl Db {
     /// are time-identical.
     pub fn enable_tracing(&mut self, worst_k: usize) {
         self.tracer = Some(Arc::new(TraceReservoir::new(worst_k, self.options.seed)));
-    }
-
-    /// Whether [`Db::enable_tracing`] was called.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.is_some()
     }
 
     /// The worst-latency traces captured so far, grouped by op type in

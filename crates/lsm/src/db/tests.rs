@@ -303,9 +303,9 @@ fn table_cache_is_bounded() {
 #[test]
 fn empty_batch_is_a_noop() {
     let db = open_db();
-    let before = db.core.lock().versions.last_sequence;
+    let before = db.core.lock().versions.counters.last_sequence;
     db.write(WriteBatch::new()).unwrap();
-    assert_eq!(db.core.lock().versions.last_sequence, before);
+    assert_eq!(db.core.lock().versions.counters.last_sequence, before);
 }
 
 #[test]

@@ -40,6 +40,14 @@ pub(crate) enum Gate {
     WorkerQueue,
 }
 
+/// What one write pays while Level 0 sits in the slowdown band: 1 ms,
+/// LevelDB's classic value.
+pub(crate) const L0_SLOWDOWN_DELAY_NS: Nanos = 1_000_000;
+
+/// CPU cost modelled for inserting one entry into the memtable (the
+/// constant `p` in the paper's Eq. 3).
+const MEMTABLE_WRITE_NS: Nanos = 1_000;
+
 /// Allocates a file number for a fresh WAL and opens its writer. A crashed
 /// incarnation may have left a log at a number this one re-allocates (the
 /// counter update never became durable); appending to it would shift the
@@ -237,7 +245,7 @@ impl Db {
         // the background lane, sharing bandwidth with flush/compaction,
         // while the foreground pays only the syscall-ish cost.
         let fg_start = self.device.clock().now();
-        let seq = core.versions.last_sequence + 1;
+        let seq = core.versions.counters.last_sequence + 1;
         batch.set_sequence(seq);
         let count = u64::from(batch.count());
         if self.options.wal_sync {
@@ -295,9 +303,7 @@ impl Db {
             0
         };
         core.mem.apply(&batch)?;
-        self.device
-            .clock()
-            .advance(self.options.memtable_write_ns * count);
+        self.device.clock().advance(MEMTABLE_WRITE_NS * count);
         if let Some(t) = trace.as_deref_mut() {
             t.span(
                 Blame::Memtable,
@@ -306,7 +312,7 @@ impl Db {
                 self.device.clock().now(),
             );
         }
-        core.versions.last_sequence = seq + count - 1;
+        core.versions.counters.last_sequence = seq + count - 1;
         core.stats.writes += count;
         core.stats.user_bytes_written += batch.user_bytes();
         let fg_end = self.device.clock().now();
@@ -386,7 +392,7 @@ impl Db {
     pub(super) fn rotate_memtable(&self, core: &mut DbCore) -> u64 {
         let (new_log_number, wal) = fresh_wal(&mut core.versions, &self.storage);
         let old_log = std::mem::replace(&mut core.wal, wal).name().to_string();
-        let seed = self.options.seed ^ core.versions.next_file_number;
+        let seed = self.options.seed ^ core.versions.counters.next_file_number;
         let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
         core.imm = Some(full);
         core.imm_wal_to_delete = Some(old_log);

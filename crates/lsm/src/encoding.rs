@@ -8,11 +8,6 @@ pub fn put_fixed32(dst: &mut Vec<u8>, v: u32) {
     dst.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends a little-endian u64.
-pub fn put_fixed64(dst: &mut Vec<u8>, v: u64) {
-    dst.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Reads a little-endian u32 at `offset`.
 pub fn get_fixed32(src: &[u8], offset: usize) -> u32 {
     let mut b = [0u8; 4];
@@ -85,7 +80,7 @@ mod tests {
     fn fixed_roundtrip() {
         let mut buf = Vec::new();
         put_fixed32(&mut buf, 0xdead_beef);
-        put_fixed64(&mut buf, 0x0123_4567_89ab_cdef);
+        buf.extend_from_slice(&0x0123_4567_89ab_cdef_u64.to_le_bytes());
         assert_eq!(get_fixed32(&buf, 0), 0xdead_beef);
         assert_eq!(get_fixed64(&buf, 4), 0x0123_4567_89ab_cdef);
     }

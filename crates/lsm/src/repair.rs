@@ -35,16 +35,15 @@ use std::sync::Arc;
 use ldc_obs::{Event, EventKind, MetricsRegistry, NoopSink, SharedSink};
 use ldc_ssd::{IoClass, StorageBackend};
 
-use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
 use crate::error::{corruption, Error, Result};
 use crate::memtable::MemTable;
 use crate::options::Options;
 use crate::retry::RetryStorage;
-use crate::table::{Table, TableBuilder};
+use crate::table::{Table, TableBuilder, BLOCK_RESTART_INTERVAL};
 use crate::types::{parse_trailer, SequenceNumber};
-use crate::version::{table_file_name, FileMeta, Version, VersionSet, CURRENT_FILE};
-use crate::wal::LogReader;
+use crate::version::{table_file_name, FileMeta, Version, VersionSet, CURRENT_FILE, NUM_LEVELS};
+use crate::wal::replay_into;
 
 /// What one [`repair_db`] pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -104,18 +103,12 @@ pub fn repair_db_with_sink(
     options.validate()?;
     let t0 = storage.device().clock().now();
     // The same bounded transient-retry protection the live engine gets.
-    let storage: Arc<dyn StorageBackend> = if options.read_retry_attempts > 1 {
-        RetryStorage::new(
-            storage,
-            options.read_retry_attempts,
-            options.read_retry_backoff_ns,
-            options.seed,
-            Arc::clone(&sink),
-            Arc::new(MetricsRegistry::new()),
-        )
-    } else {
-        storage
-    };
+    let storage = RetryStorage::wrap(
+        storage,
+        options.seed,
+        Arc::clone(&sink),
+        Arc::new(MetricsRegistry::new()),
+    );
     let mut report = RepairReport::default();
 
     // -- 1. Classify the directory listing. ---------------------------
@@ -180,7 +173,7 @@ pub fn repair_db_with_sink(
 
     // -- 3. Recover the manifest structure, or rebuild from scratch. --
     let recovered = if VersionSet::exists(storage.as_ref()) {
-        VersionSet::recover(Arc::clone(&storage), options.max_levels).ok()
+        VersionSet::recover(Arc::clone(&storage)).ok()
     } else {
         None
     };
@@ -189,8 +182,8 @@ pub fn repair_db_with_sink(
     let mut version = match recovered {
         Some(vs) => {
             report.manifest_recovered = true;
-            last_seq = vs.last_sequence;
-            next_file = next_file.max(vs.next_file_number);
+            last_seq = vs.counters.last_sequence;
+            next_file = next_file.max(vs.counters.next_file_number);
             let mut version = Version::clone(&vs.current);
             drop(vs);
 
@@ -253,13 +246,7 @@ pub fn repair_db_with_sink(
             for n in thaw {
                 if let Some(fm) = version.frozen.remove(&n) {
                     if let Some(l0) = version.levels.first_mut() {
-                        l0.push(FileMeta {
-                            number: fm.number,
-                            size: fm.size,
-                            smallest: fm.smallest,
-                            largest: fm.largest,
-                            slices: Vec::new(),
-                        });
+                        l0.push(fm.into());
                         report.frozen_thawed += 1;
                     }
                 }
@@ -299,7 +286,7 @@ pub fn repair_db_with_sink(
                 }
             }
             last_seq = 0;
-            let mut version = Version::new(options.max_levels);
+            let mut version = Version::new(NUM_LEVELS);
             for (number, facts) in &clean {
                 if facts.entries == 0 {
                     storage.delete(&table_file_name(*number))?;
@@ -307,13 +294,12 @@ pub fn repair_db_with_sink(
                     continue;
                 }
                 if let Some(l0) = version.levels.first_mut() {
-                    l0.push(FileMeta {
-                        number: *number,
-                        size: facts.size,
-                        smallest: facts.smallest.clone(),
-                        largest: facts.largest.clone(),
-                        slices: Vec::new(),
-                    });
+                    l0.push(FileMeta::new(
+                        *number,
+                        facts.size,
+                        facts.smallest.clone(),
+                        facts.largest.clone(),
+                    ));
                     report.tables_salvaged += 1;
                     last_seq = last_seq.max(facts.max_seq);
                 }
@@ -325,21 +311,11 @@ pub fn repair_db_with_sink(
     // -- 4. Salvage WAL remnants into one fresh Level-0 table. --------
     let mem = MemTable::new(options.seed);
     for (_, name) in &logs {
-        let mut reader = LogReader::open(storage.as_ref(), name)?;
-        let replay = reader.for_each(|record| {
-            let batch = WriteBatch::decode(record)?;
-            if let Some(last) = mem.apply(&batch)? {
-                last_seq = last_seq.max(last);
-            }
-            report.wal_records_salvaged += u64::from(batch.count());
-            Ok(())
-        });
-        match replay {
-            Ok(()) => {}
-            // Keep the clean prefix, drop the corrupt tail.
-            Err(Error::Corruption(_)) => report.wals_quarantined += 1,
-            Err(e) => return Err(e),
-        }
+        // Keep the clean prefix, drop the corrupt tail.
+        let log = replay_into(storage.as_ref(), name, &mem)?;
+        report.wal_records_salvaged += log.entries;
+        report.wals_quarantined += u64::from(log.corrupt);
+        last_seq = last_seq.max(log.last_sequence);
         // Everything readable now lives in the salvage memtable; the file
         // (including an unreadable tail) is no longer needed.
         storage.delete(name)?;
@@ -349,7 +325,7 @@ pub fn repair_db_with_sink(
         next_file += 1;
         let mut builder = TableBuilder::new(
             options.block_bytes,
-            options.block_restart_interval,
+            BLOCK_RESTART_INTERVAL,
             options.bloom_bits_per_key,
         );
         let mut it = mem.iter();
@@ -365,13 +341,12 @@ pub fn repair_db_with_sink(
             IoClass::FlushWrite,
         )?;
         if let Some(l0) = version.levels.first_mut() {
-            l0.push(FileMeta {
+            l0.push(FileMeta::new(
                 number,
-                size: finished.bytes.len() as u64,
-                smallest: finished.smallest,
-                largest: finished.largest,
-                slices: Vec::new(),
-            });
+                finished.bytes.len() as u64,
+                finished.smallest,
+                finished.largest,
+            ));
             report.tables_salvaged += 1;
         }
     }
@@ -381,7 +356,7 @@ pub fn repair_db_with_sink(
 
     // -- 5. Write the new snapshot manifest; drop stale ones. ---------
     let vs = VersionSet::rebuild(Arc::clone(&storage), version, last_seq, next_file)?;
-    report.last_sequence = vs.last_sequence;
+    report.last_sequence = vs.counters.last_sequence;
     let current = String::from_utf8(storage.read_all(CURRENT_FILE, IoClass::Other)?.to_vec())
         .map_err(|_| corruption("CURRENT is not utf-8"))?;
     for name in storage.list() {

@@ -69,7 +69,33 @@ impl std::fmt::Debug for RetryStorage {
     }
 }
 
+/// Read attempts, the first included, before the engine treats a transient
+/// device error as permanent.
+const READ_RETRY_ATTEMPTS: u32 = 4;
+
+/// Base backoff the engine charges to the virtual clock before retry `n`
+/// (multiplied by `n`, plus seeded jitter): 100 µs, about one flash read.
+const READ_RETRY_BACKOFF_NS: u64 = 100_000;
+
 impl RetryStorage {
+    /// Wraps `inner` in the engine's own retry budget: what `Db::open` and
+    /// `repair_db` put in front of the device before they read anything.
+    pub(crate) fn wrap(
+        inner: Arc<dyn StorageBackend>,
+        seed: u64,
+        sink: SharedSink,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Arc<dyn StorageBackend> {
+        Self::new(
+            inner,
+            READ_RETRY_ATTEMPTS,
+            READ_RETRY_BACKOFF_NS,
+            seed,
+            sink,
+            metrics,
+        )
+    }
+
     /// Wraps `inner`. `seed` makes the jitter sequence reproducible.
     pub fn new(
         inner: Arc<dyn StorageBackend>,

@@ -8,8 +8,8 @@
 //! claiming one job at a time under the core lock, running its
 //! reads/merge/writes without any engine lock held, and installing the
 //! result under the core lock as one atomic `VersionEdit`. Large merges
-//! are carved into range-partitioned subcompactions (bounded by
-//! `Options::max_subcompactions`) that idle workers run in parallel.
+//! are carved into range-partitioned subcompactions (at most
+//! [`MAX_SUBCOMPACTIONS`]) that idle workers run in parallel.
 //!
 //! This module is the whole pool driver: the state it synchronizes on
 //! (private — nothing outside reads a field or touches a condvar), the
@@ -80,7 +80,7 @@ use ldc_obs::TraceCtx;
 use ldc_ssd::Nanos;
 
 use crate::compaction::exec::{Planned, TaskClock, UnitOutput};
-use crate::db::{Db, DbCore, Gate};
+use crate::db::{Db, DbCore, Gate, L0_SLOWDOWN_DELAY_NS};
 use crate::error::{Error, Result};
 use crate::types::KeyRange;
 use crate::version::FileMeta;
@@ -301,6 +301,10 @@ pub struct CompactionScheduler {
 /// normal path wakes immediately.
 const GATE_RECHECK: Duration = Duration::from_millis(2);
 
+/// Most range-partitioned subcompactions one picked merge is split into.
+/// The inline driver never splits.
+const MAX_SUBCOMPACTIONS: usize = 4;
+
 impl CompactionScheduler {
     pub(crate) fn new(workers: usize) -> CompactionScheduler {
         CompactionScheduler {
@@ -451,9 +455,9 @@ impl Db {
             // is advanced by the model delay so event spans stay sane.
             let t0 = clock.now();
             self.scheduler.signal();
-            let pause = Duration::from_nanos(self.options.slowdown_delay_ns.min(1_000_000));
+            let pause = Duration::from_nanos(L0_SLOWDOWN_DELAY_NS);
             (core, _) = core.wait_timeout(&self.scheduler.done_cv, pause);
-            clock.advance(self.options.slowdown_delay_ns);
+            clock.advance(L0_SLOWDOWN_DELAY_NS);
             self.record_gate(&mut core, trace, Gate::L0Slowdown, t0, clock.now());
         }
         core
@@ -672,7 +676,7 @@ impl Db {
         planned: &Arc<Planned>,
         alloc: &mut dyn FnMut() -> u64,
     ) -> Result<Vec<UnitOutput>> {
-        let ranges = planned.unit_ranges(self.options.max_subcompactions);
+        let ranges = planned.unit_ranges(MAX_SUBCOMPACTIONS);
         let k = ranges.len();
         let queued = k > 1 && {
             let mut st = self.scheduler.state.lock();

@@ -37,6 +37,10 @@ pub struct TableBuilder {
     last_key: Vec<u8>,
 }
 
+/// Entries between prefix-compression restarts in the data blocks of every
+/// table the engine writes (LevelDB's `block_restart_interval`).
+pub(crate) const BLOCK_RESTART_INTERVAL: usize = 16;
+
 impl TableBuilder {
     /// Creates a builder emitting ~`block_bytes` data blocks with
     /// `restart_interval` prefix-compression restarts and a Bloom filter at

@@ -18,6 +18,7 @@
 mod builder;
 mod reader;
 
+pub(crate) use builder::BLOCK_RESTART_INTERVAL;
 pub use builder::{FinishedTable, TableBuilder};
 pub use reader::{Table, TableIter, TableScrubStats};
 

@@ -89,11 +89,6 @@ impl Table {
         self.filter.may_contain_hash(hash)
     }
 
-    /// Size of the table's Bloom filter in bytes (Fig 13).
-    pub fn filter_size(&self) -> usize {
-        self.filter.size_bytes()
-    }
-
     /// Bytes this open handle pins in memory (decoded index block plus
     /// Bloom filter) — charged against the block-cache budget by the table
     /// cache so open-table memory and cached-block memory share one pool.

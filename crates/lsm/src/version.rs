@@ -14,34 +14,38 @@
 //! Every mutation is expressed as a [`VersionEdit`], logged to the manifest
 //! (same record format as the WAL) before being applied, so a reopened
 //! database recovers the exact level/frozen/link state.
+//!
+//! This file is the module root: it re-exports the paths the rest of the
+//! workspace uses and fixes the level count. The code lives with its
+//! concern, and the first two rows need no storage backend, WAL or backup
+//! in scope — a shadow tree can drive them from plain values:
+//!
+//! | module | owns |
+//! |---|---|
+//! | `meta` | `SliceLink`, `FileMeta`, `FrozenMeta`, `Version` and its queries, `check_invariants`, Algorithm 1's refcounts (`recompute_refcounts`) |
+//! | `edit` | `VersionEdit` and its record encoding, `apply_edit`, the `Counters` that travel in edits and the one `absorb` that reads them out, `snapshot_edit` |
+//! | `set` | `VersionSet`: file names, `write_manifest` (the one place a manifest file is created), recovery, `log_and_apply` / `apply_remote_edit` on one commit tail, rollover, the backup-stream call-out |
 
 mod edit;
 mod meta;
 mod set;
 
-pub use edit::{snapshot_edit, VersionEdit};
+pub use edit::VersionEdit;
 pub use meta::{FileMeta, FrozenMeta, SliceLink, Version};
 pub use set::{
     log_file_name, manifest_file_name, table_file_name, VersionSet, CURRENT_FILE,
     MANIFEST_ROLLOVER_BYTES,
 };
 
+// What a checkpoint's manifest is written with (`backup.rs`).
+pub(crate) use edit::{snapshot_edit, Counters};
+pub(crate) use set::write_manifest;
+
+/// On-device levels, excluding the memtable: LevelDB's `kNumLevels`. Every
+/// store has this many, so a backup or a follower never has to be told.
+/// [`Version::new`] still takes a count: the policies' unit tests build
+/// two- to four-level trees on purpose.
+pub(crate) const NUM_LEVELS: usize = 7;
+
 #[cfg(test)]
-mod testutil {
-    use super::FileMeta;
-    use crate::types::{encode_internal_key, ValueType};
-
-    pub(crate) fn ik(key: &[u8]) -> Vec<u8> {
-        encode_internal_key(key, 1, ValueType::Value)
-    }
-
-    pub(crate) fn meta(number: u64, lo: &[u8], hi: &[u8]) -> FileMeta {
-        FileMeta {
-            number,
-            size: 1000,
-            smallest: ik(lo),
-            largest: ik(hi),
-            slices: Vec::new(),
-        }
-    }
-}
+pub(crate) mod tests;

@@ -145,16 +145,8 @@ impl VersionEdit {
                     let size = varint(&mut data)?;
                     let smallest = bytes(&mut data)?;
                     let largest = bytes(&mut data)?;
-                    edit.new_files.push((
-                        level,
-                        FileMeta {
-                            number,
-                            size,
-                            smallest,
-                            largest,
-                            slices: Vec::new(),
-                        },
-                    ));
+                    edit.new_files
+                        .push((level, FileMeta::new(number, size, smallest, largest)));
                 }
                 TAG_FROZEN_FILE => {
                     let level = varint(&mut data)? as u32;
@@ -192,25 +184,94 @@ impl VersionEdit {
     }
 }
 
-/// Builds the single [`VersionEdit`] that reproduces `version` and the
-/// given counters from an empty state — the payload of every snapshot
-/// manifest, and of a checkpoint's synthesized manifest.
-pub fn snapshot_edit(
-    version: &Version,
-    next_file_number: u64,
-    last_sequence: SequenceNumber,
-    log_number: u64,
-    compact_pointers: &[Vec<u8>],
-    replication_cursor: u64,
-) -> VersionEdit {
+/// The counters a store carries beside its [`Version`] and that survive
+/// restarts. Every edit in a manifest or a backup stream may move them;
+/// [`Counters::absorb`] is the one place they are read out of one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Counters {
+    /// Next file number to hand out.
+    pub(crate) next_file_number: u64,
+    /// Highest committed sequence number.
+    pub(crate) last_sequence: SequenceNumber,
+    /// WAL file number currently in use.
+    pub(crate) log_number: u64,
+    /// Per-level round-robin cursors (largest user key compacted so far).
+    pub(crate) compact_pointers: Vec<Vec<u8>>,
+    /// Monotonic counter stamping slice links.
+    pub(crate) link_counter: u64,
+    /// Backup-stream records applied so far (follower-side; stays 0 on a
+    /// primary). Persisted with every applied record and in snapshot
+    /// manifests so a restarted follower resumes, not replays.
+    pub(crate) replication_cursor: u64,
+}
+
+/// Whose numbers an absorbed edit carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Adopt {
+    /// This store's: its own manifest replayed, or an edit it has just
+    /// stamped. The edit's values replace ours.
+    Own,
+    /// A primary's, off its backup stream. The follower allocates its own
+    /// numbers for its WAL and manifest rollovers, which may run ahead of
+    /// the primary's high-water marks, so the larger value wins.
+    Max,
+}
+
+impl Counters {
+    /// A store that has written nothing: file number 1 is its first
+    /// manifest, so 2 is the first number to hand out.
+    pub(crate) fn new(levels: usize) -> Self {
+        Self {
+            next_file_number: 2,
+            last_sequence: 0,
+            log_number: 0,
+            compact_pointers: vec![Vec::new(); levels],
+            link_counter: 0,
+            replication_cursor: 0,
+        }
+    }
+
+    /// Takes what `edit` says about the counters into `self`. Compaction
+    /// cursors always follow the edit, and the link counter only ever
+    /// moves past the links it has seen; `adopt` settles the rest.
+    pub(crate) fn absorb(&mut self, edit: &VersionEdit, adopt: Adopt) {
+        let take = |mine: &mut u64, theirs: Option<u64>| {
+            if let Some(v) = theirs {
+                *mine = match adopt {
+                    Adopt::Own => v,
+                    Adopt::Max => (*mine).max(v),
+                };
+            }
+        };
+        take(&mut self.next_file_number, edit.next_file_number);
+        take(&mut self.last_sequence, edit.last_sequence);
+        take(&mut self.log_number, edit.log_number);
+        take(&mut self.replication_cursor, edit.replication_cursor);
+        for (level, key) in &edit.compact_pointers {
+            if let Some(slot) = self.compact_pointers.get_mut(*level as usize) {
+                *slot = key.clone();
+            }
+        }
+        for (_, link) in &edit.new_links {
+            self.link_counter = self.link_counter.max(link.link_seq + 1);
+        }
+    }
+}
+
+/// Builds the single [`VersionEdit`] that reproduces `version` and
+/// `counters` from an empty state — the payload of every snapshot
+/// manifest, and of a checkpoint's synthesized manifest. The link counter
+/// is not written: [`Counters::absorb`] finds it again in the links.
+pub(crate) fn snapshot_edit(version: &Version, counters: &Counters) -> VersionEdit {
+    let cursor = counters.replication_cursor;
     let mut edit = VersionEdit {
-        next_file_number: Some(next_file_number),
-        last_sequence: Some(last_sequence),
-        log_number: Some(log_number),
-        replication_cursor: (replication_cursor > 0).then_some(replication_cursor),
+        next_file_number: Some(counters.next_file_number),
+        last_sequence: Some(counters.last_sequence),
+        log_number: Some(counters.log_number),
+        replication_cursor: (cursor > 0).then_some(cursor),
         ..Default::default()
     };
-    for (level, key) in compact_pointers.iter().enumerate() {
+    for (level, key) in counters.compact_pointers.iter().enumerate() {
         if !key.is_empty() {
             edit.compact_pointers.push((level as u32, key.clone()));
         }
@@ -229,16 +290,7 @@ pub fn snapshot_edit(
     // then frozen; simplest encoding: add to their original level 0 and
     // freeze immediately (level choice is irrelevant once frozen).
     for frozen in version.frozen.values() {
-        edit.new_files.push((
-            0,
-            FileMeta {
-                number: frozen.number,
-                size: frozen.size,
-                smallest: frozen.smallest.clone(),
-                largest: frozen.largest.clone(),
-                slices: Vec::new(),
-            },
-        ));
+        edit.new_files.push((0, frozen.clone().into()));
         edit.frozen_files.push((0, frozen.number));
     }
     // Keep link/new_file ordering valid: links must come after both the
@@ -334,8 +386,10 @@ pub(crate) fn apply_edit(version: &mut Version, edit: &VersionEdit) -> Result<()
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::meta;
+    use super::super::meta::recompute_refcounts;
+    use super::super::tests::meta;
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn edit_encoding_roundtrip() {
@@ -385,77 +439,138 @@ mod tests {
         assert!(VersionEdit::decode(&bytes).is_err());
     }
 
-    #[test]
-    fn apply_add_delete() {
-        let mut v = Version::new(3);
-        let edit = VersionEdit {
-            new_files: vec![(1, meta(5, b"a", b"c")), (1, meta(6, b"d", b"f"))],
-            ..Default::default()
-        };
-        apply_edit(&mut v, &edit).unwrap();
-        assert_eq!(v.level_files(1), 2);
-        assert_eq!(v.level_bytes(1), 2000);
-        v.check_invariants().unwrap();
-
-        let edit = VersionEdit {
-            deleted_files: vec![(1, 5)],
-            ..Default::default()
-        };
-        apply_edit(&mut v, &edit).unwrap();
-        assert_eq!(v.level_files(1), 1);
-        assert!(v.find_file(6).is_some());
-        assert!(v.find_file(5).is_none());
-
-        // Deleting again is an error.
-        let edit = VersionEdit {
-            deleted_files: vec![(1, 5)],
-            ..Default::default()
-        };
-        assert!(apply_edit(&mut v, &edit).is_err());
+    /// A file over the slots `lo..=hi`, a slot being a two-byte user key.
+    fn slot_file(number: u64, lo: u16, hi: u16) -> FileMeta {
+        meta(number, &lo.to_be_bytes(), &hi.to_be_bytes())
     }
 
-    #[test]
-    fn levels_stay_sorted_by_smallest() {
-        let mut v = Version::new(3);
-        let edit = VersionEdit {
-            new_files: vec![(1, meta(5, b"m", b"p")), (1, meta(6, b"a", b"c"))],
-            ..Default::default()
-        };
-        apply_edit(&mut v, &edit).unwrap();
-        assert_eq!(v.levels[1][0].number, 6);
-        assert_eq!(v.levels[1][1].number, 5);
-        v.check_invariants().unwrap();
+    /// One step of a random but valid history: the edit that `kind` asks
+    /// for against `v`, or `None` when `v` has nothing it applies to.
+    /// `a` and `b` pick the level, the file and the key span.
+    fn random_edit(v: &Version, c: &mut Counters, kind: u8, a: u16, b: u16) -> Option<VersionEdit> {
+        let mut edit = VersionEdit::default();
+        let level = usize::from(a) % v.num_levels();
+        let pick = |n: usize| usize::from(b) % n;
+        match kind {
+            // Add a table; below level 0 only where it overlaps nothing.
+            0 | 1 => {
+                let lo = a / 8;
+                let file = slot_file(c.next_file_number, lo, lo + b % 512);
+                if level > 0
+                    && !v
+                        .overlapping_files(level, file.smallest_ukey(), file.largest_ukey())
+                        .is_empty()
+                {
+                    return None;
+                }
+                c.next_file_number += 1;
+                edit.new_files.push((level as u32, file));
+            }
+            // Delete a live table, links and all (what a merge does to its
+            // inputs); its sources may be left unreferenced.
+            2 => {
+                let files = v.levels.get(level).filter(|f| !f.is_empty())?;
+                let file = files.get(pick(files.len()))?;
+                edit.deleted_files.push((level as u32, file.number));
+                edit.compact_pointers
+                    .push((level as u32, file.largest_ukey().to_vec()));
+            }
+            // Freeze an unlinked table and link it below: split where a
+            // boundary between two lower files falls inside its span,
+            // whole onto one lower file otherwise.
+            3 => {
+                let lower = v.levels.get(level + 1).filter(|f| !f.is_empty())?;
+                let unlinked: Vec<&FileMeta> = v
+                    .levels
+                    .get(level)?
+                    .iter()
+                    .filter(|f| f.slices.is_empty())
+                    .collect();
+                let source = *unlinked.get(pick(unlinked.len().max(1)))?;
+                let mut link = |target: &FileMeta, range: KeyRange| {
+                    let link = SliceLink {
+                        source_file: source.number,
+                        range,
+                        link_seq: c.link_counter,
+                        approx_bytes: source.size / 2,
+                    };
+                    c.link_counter += 1;
+                    edit.new_links.push((target.number, link));
+                };
+                let inside = |f: &FileMeta| {
+                    source.smallest_ukey() < f.smallest_ukey()
+                        && f.smallest_ukey() <= source.largest_ukey()
+                };
+                match lower
+                    .windows(2)
+                    .find(|pair| pair.last().is_some_and(inside))
+                {
+                    Some([left, right]) => {
+                        let cut = right.smallest_ukey();
+                        link(left, KeyRange::new(Vec::new(), cut));
+                        link(right, KeyRange::from(cut));
+                    }
+                    _ => link(lower.get(pick(lower.len()))?, KeyRange::all()),
+                }
+                edit.frozen_files.push((level as u32, source.number));
+            }
+            // Reclaim a frozen file nothing links to any more.
+            _ => {
+                let dead: Vec<u64> = v
+                    .frozen
+                    .values()
+                    .filter(|f| f.refcount == 0)
+                    .map(|f| f.number)
+                    .collect();
+                edit.deleted_frozen
+                    .push(*dead.get(pick(dead.len().max(1)))?);
+            }
+        }
+        Some(edit)
     }
 
-    #[test]
-    fn freeze_with_slices_is_rejected() {
-        let mut v = Version::new(3);
-        apply_edit(
-            &mut v,
-            &VersionEdit {
-                new_files: vec![(1, meta(10, b"a", b"z")), (2, meta(20, b"a", b"z"))],
-                frozen_files: vec![(1, 10)],
-                new_links: vec![(
-                    20,
-                    SliceLink {
-                        source_file: 10,
-                        range: KeyRange::all(),
-                        link_seq: 0,
-                        approx_bytes: 100,
-                    },
-                )],
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Level-2 file 20 now has a slice; freezing it must fail.
-        let err = apply_edit(
-            &mut v,
-            &VersionEdit {
-                frozen_files: vec![(2, 20)],
-                ..Default::default()
-            },
-        );
-        assert!(err.is_err());
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// What a snapshot manifest, a checkpoint and a shadow tree rest
+        /// on: after any valid history of adds, deletes, freezes, links
+        /// and frozen deletes, `snapshot_edit` — through its record
+        /// encoding — applied to an empty version gives the same version
+        /// back, level by level, frozen set and refcounts included, and
+        /// the same counters.
+        #[test]
+        fn snapshot_edit_reproduces_any_reachable_version(
+            steps in prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 1..80),
+        ) {
+            let levels = 4;
+            let mut v = Version::new(levels);
+            let mut c = Counters::new(levels);
+            for (kind, a, b) in steps {
+                let Some(mut edit) = random_edit(&v, &mut c, kind, a, b) else { continue };
+                c.last_sequence += u64::from(a);
+                edit.next_file_number = Some(c.next_file_number);
+                edit.last_sequence = Some(c.last_sequence);
+                c.absorb(&edit, Adopt::Own);
+                apply_edit(&mut v, &edit).unwrap();
+                recompute_refcounts(&mut v);
+                v.check_invariants().unwrap();
+
+                let record = snapshot_edit(&v, &c).encode();
+                let snapshot = VersionEdit::decode(&record).unwrap();
+                let mut again = Version::new(levels);
+                let mut counters = Counters::new(levels);
+                apply_edit(&mut again, &snapshot).unwrap();
+                recompute_refcounts(&mut again);
+                counters.absorb(&snapshot, Adopt::Own);
+                again.check_invariants().unwrap();
+                prop_assert_eq!(&again.levels, &v.levels);
+                prop_assert_eq!(&again.frozen, &v.frozen);
+                // The link counter is not written: replay puts it just past
+                // the newest link still alive, never past where it was.
+                prop_assert!(counters.link_counter <= c.link_counter);
+                counters.link_counter = c.link_counter;
+                prop_assert_eq!(&counters, &c);
+            }
+        }
     }
 }

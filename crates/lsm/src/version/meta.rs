@@ -43,6 +43,18 @@ pub struct FileMeta {
 }
 
 impl FileMeta {
+    /// A table with no slice links yet: fresh off a flush or a merge, read
+    /// back from an edit, or found on disk by repair.
+    pub(crate) fn new(number: u64, size: u64, smallest: Vec<u8>, largest: Vec<u8>) -> Self {
+        Self {
+            number,
+            size,
+            smallest,
+            largest,
+            slices: Vec::new(),
+        }
+    }
+
     /// Smallest user key.
     pub fn smallest_ukey(&self) -> &[u8] {
         user_key(&self.smallest)
@@ -91,6 +103,13 @@ pub struct FrozenMeta {
     /// Live slice links referencing this file (Algorithm 1's
     /// `s_u.reference`). Recomputed from links on recovery.
     pub refcount: u32,
+}
+
+/// A frozen file as the live table it was (and, thawed by repair, is again).
+impl From<FrozenMeta> for FileMeta {
+    fn from(frozen: FrozenMeta) -> Self {
+        Self::new(frozen.number, frozen.size, frozen.smallest, frozen.largest)
+    }
 }
 
 /// The level/frozen/link state of the store at one instant.
@@ -286,91 +305,8 @@ pub(crate) fn recompute_refcounts(version: &mut Version) {
 #[cfg(test)]
 mod tests {
     use super::super::edit::{apply_edit, VersionEdit};
-    use super::super::testutil::meta;
+    use super::super::tests::meta;
     use super::*;
-
-    #[test]
-    fn freeze_and_link_lifecycle() {
-        let mut v = Version::new(3);
-        apply_edit(
-            &mut v,
-            &VersionEdit {
-                new_files: vec![
-                    (1, meta(10, b"a", b"z")),
-                    (2, meta(20, b"a", b"h")),
-                    (2, meta(21, b"i", b"z")),
-                ],
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Freeze file 10 and link its two slices to 20 and 21.
-        apply_edit(
-            &mut v,
-            &VersionEdit {
-                frozen_files: vec![(1, 10)],
-                new_links: vec![
-                    (
-                        20,
-                        SliceLink {
-                            source_file: 10,
-                            range: KeyRange::new(&b""[..], &b"i"[..]),
-                            link_seq: 0,
-                            approx_bytes: 100,
-                        },
-                    ),
-                    (
-                        21,
-                        SliceLink {
-                            source_file: 10,
-                            range: KeyRange::from(&b"i"[..]),
-                            link_seq: 1,
-                            approx_bytes: 100,
-                        },
-                    ),
-                ],
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        recompute_refcounts(&mut v);
-        v.check_invariants().unwrap();
-        assert_eq!(v.level_files(1), 0);
-        assert_eq!(v.frozen_files(), 1);
-        assert_eq!(v.frozen[&10].refcount, 2);
-        assert_eq!(v.total_slice_links(), 2);
-        assert_eq!(v.frozen_bytes(), 1000);
-
-        // Merge 20: delete it, add replacement, drop its link; frozen 10
-        // still referenced by 21's link.
-        apply_edit(
-            &mut v,
-            &VersionEdit {
-                deleted_files: vec![(2, 20)],
-                new_files: vec![(2, meta(30, b"a", b"h"))],
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        recompute_refcounts(&mut v);
-        v.check_invariants().unwrap();
-        assert_eq!(v.frozen[&10].refcount, 1);
-
-        // Merge 21 and delete the now-unreferenced frozen file.
-        apply_edit(
-            &mut v,
-            &VersionEdit {
-                deleted_files: vec![(2, 21)],
-                new_files: vec![(2, meta(31, b"i", b"z"))],
-                deleted_frozen: vec![10],
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        recompute_refcounts(&mut v);
-        v.check_invariants().unwrap();
-        assert_eq!(v.frozen_files(), 0);
-    }
 
     #[test]
     fn overlap_queries() {

@@ -4,8 +4,9 @@ use std::sync::Arc;
 
 use ldc_ssd::{IoClass, StorageBackend};
 
-use super::edit::{apply_edit, snapshot_edit, VersionEdit};
+use super::edit::{apply_edit, snapshot_edit, Adopt, Counters, VersionEdit};
 use super::meta::{recompute_refcounts, Version};
+use super::NUM_LEVELS;
 use crate::backup::Shipper;
 use crate::error::{corruption, Result};
 use crate::types::SequenceNumber;
@@ -22,16 +23,9 @@ pub struct VersionSet {
     /// keep an immutable, consistent file listing (LevelDB's version-set
     /// MVCC, minus the manual refcounting).
     pub current: Arc<Version>,
-    /// Next file number to hand out.
-    pub next_file_number: u64,
-    /// Highest committed sequence number.
-    pub last_sequence: SequenceNumber,
-    /// WAL file number currently in use.
-    pub log_number: u64,
-    /// Per-level round-robin cursors (largest user key compacted so far).
-    pub compact_pointers: Vec<Vec<u8>>,
-    /// Monotonic counter stamping slice links.
-    pub link_counter: u64,
+    /// File, sequence, WAL, link and stream counters, and the per-level
+    /// compaction cursors.
+    pub(crate) counters: Counters,
     /// Approximate bytes appended to the current manifest; when this
     /// exceeds [`MANIFEST_ROLLOVER_BYTES`] the manifest is rolled into a
     /// fresh snapshot so recovery time stays bounded.
@@ -39,10 +33,6 @@ pub struct VersionSet {
     /// Torn-tail bytes discarded from the manifest during the last
     /// [`VersionSet::recover`] (zero for a fresh set or a clean manifest).
     pub recovered_manifest_tail_bytes: u64,
-    /// Backup-stream records applied so far (follower-side; stays 0 on a
-    /// primary). Persisted with every applied record and in snapshot
-    /// manifests so a restarted follower resumes, not replays.
-    pub replication_cursor: u64,
     /// When armed, every edit `log_and_apply` commits is also handed to
     /// this backup-stream writer (see [`Shipper`]).
     shipper: Option<Shipper>,
@@ -69,115 +59,106 @@ pub fn manifest_file_name(number: u64) -> String {
     format!("MANIFEST-{number:06}")
 }
 
+/// The one place a manifest file is created: `<prefix>MANIFEST-<number>`
+/// with `edit` as its only record, synced, and then `<prefix>CURRENT`
+/// pointed at it — last, so a `CURRENT` that is there names a complete
+/// manifest. The prefix is empty for the store's own manifest and a
+/// checkpoint's or backup's name otherwise. Returns the writer, for a
+/// caller that goes on appending.
+///
+/// A crashed incarnation may have left a torn, unreferenced manifest at
+/// this name (a previous create that died before `CURRENT` was durable, or
+/// a rollover whose number this incarnation re-allocates because the edit
+/// consuming it never became durable). Appending after its garbage would
+/// wreck the log framing, so start from scratch.
+pub(crate) fn write_manifest(
+    storage: &Arc<dyn StorageBackend>,
+    prefix: &str,
+    number: u64,
+    edit: &VersionEdit,
+) -> Result<LogWriter> {
+    let name = manifest_file_name(number);
+    let path = format!("{prefix}{name}");
+    if storage.exists(&path) {
+        storage.delete(&path)?;
+    }
+    let mut writer = LogWriter::new(Arc::clone(storage), path, IoClass::ManifestWrite);
+    writer.add_record(&edit.encode())?;
+    writer.sync()?;
+    storage.write_file(
+        &format!("{prefix}{CURRENT_FILE}"),
+        name.as_bytes(),
+        IoClass::ManifestWrite,
+    )?;
+    Ok(writer)
+}
+
+/// Starts a fresh manifest under the next file number, holding one
+/// snapshot edit of `version` and `counters` (the number it took counted).
+fn snapshot_manifest(
+    storage: &Arc<dyn StorageBackend>,
+    version: &Version,
+    counters: &mut Counters,
+) -> Result<LogWriter> {
+    let number = counters.next_file_number;
+    counters.next_file_number += 1;
+    write_manifest(storage, "", number, &snapshot_edit(version, counters))
+}
+
 impl VersionSet {
-    /// Creates a brand-new version set (fresh database) with an initial
-    /// manifest.
-    pub fn create(storage: Arc<dyn StorageBackend>, max_levels: usize) -> Result<VersionSet> {
-        let manifest_number = 1;
-        let manifest_name = manifest_file_name(manifest_number);
-        // A crash during a previous create (before CURRENT became durable)
-        // can leave a torn manifest at this name; appending after its
-        // garbage would wreck the log framing, so start from scratch.
-        if storage.exists(&manifest_name) {
-            storage.delete(&manifest_name)?;
-        }
-        let mut manifest = LogWriter::new(
-            Arc::clone(&storage),
-            manifest_name.clone(),
-            IoClass::ManifestWrite,
-        );
-        // First record fixes the counters.
-        let edit = VersionEdit {
-            next_file_number: Some(2),
-            last_sequence: Some(0),
-            log_number: Some(0),
-            ..Default::default()
-        };
-        manifest.add_record(&edit.encode())?;
-        manifest.sync()?;
-        storage.write_file(
-            CURRENT_FILE,
-            manifest_name.as_bytes(),
-            IoClass::ManifestWrite,
-        )?;
+    /// The one constructor: settles `version`'s refcounts, checks it, and
+    /// writes the snapshot manifest the set will append to *before* the
+    /// set exists, so there is never a set without a manifest behind it.
+    /// Nothing from any previous manifest is reused: re-appending to a
+    /// recovered one would corrupt record framing mid-block.
+    fn with_fresh_manifest(
+        storage: Arc<dyn StorageBackend>,
+        mut version: Version,
+        mut counters: Counters,
+        recovered_manifest_tail_bytes: u64,
+    ) -> Result<VersionSet> {
+        recompute_refcounts(&mut version);
+        version.check_invariants()?;
+        let manifest = snapshot_manifest(&storage, &version, &mut counters)?;
         Ok(VersionSet {
             storage,
             manifest,
-            current: Arc::new(Version::new(max_levels)),
-            next_file_number: 2,
-            last_sequence: 0,
-            log_number: 0,
-            compact_pointers: vec![Vec::new(); max_levels],
-            link_counter: 0,
+            current: Arc::new(version),
+            counters,
             manifest_bytes: 0,
-            recovered_manifest_tail_bytes: 0,
-            replication_cursor: 0,
+            recovered_manifest_tail_bytes,
             shipper: None,
         })
     }
 
+    /// Creates a brand-new version set (fresh database) with an initial
+    /// manifest, `MANIFEST-000001`.
+    pub fn create(storage: Arc<dyn StorageBackend>) -> Result<VersionSet> {
+        let counters = Counters {
+            next_file_number: 1,
+            ..Counters::new(NUM_LEVELS)
+        };
+        Self::with_fresh_manifest(storage, Version::new(NUM_LEVELS), counters, 0)
+    }
+
     /// Recovers the version set from an existing `CURRENT` + manifest.
-    pub fn recover(storage: Arc<dyn StorageBackend>, max_levels: usize) -> Result<VersionSet> {
+    pub fn recover(storage: Arc<dyn StorageBackend>) -> Result<VersionSet> {
         let manifest_name =
             String::from_utf8(storage.read_all(CURRENT_FILE, IoClass::Other)?.to_vec())
                 .map_err(|_| corruption("CURRENT is not utf-8"))?;
-        let mut version = Version::new(max_levels);
-        let mut next_file_number = 2;
-        let mut last_sequence = 0;
-        let mut log_number = 0;
-        let mut compact_pointers = vec![Vec::new(); max_levels];
-        let mut link_counter = 0;
-        let mut replication_cursor = 0;
+        let mut version = Version::new(NUM_LEVELS);
+        let mut counters = Counters::new(NUM_LEVELS);
         let mut reader = LogReader::open(storage.as_ref(), &manifest_name)?;
         reader.for_each(|record| {
             let edit = VersionEdit::decode(record)?;
-            if let Some(v) = edit.next_file_number {
-                next_file_number = v;
-            }
-            if let Some(v) = edit.last_sequence {
-                last_sequence = v;
-            }
-            if let Some(v) = edit.log_number {
-                log_number = v;
-            }
-            for (level, key) in &edit.compact_pointers {
-                if let Some(slot) = compact_pointers.get_mut(*level as usize) {
-                    *slot = key.clone();
-                }
-            }
-            for (_, link) in &edit.new_links {
-                link_counter = link_counter.max(link.link_seq + 1);
-            }
-            if let Some(v) = edit.replication_cursor {
-                replication_cursor = v;
-            }
+            counters.absorb(&edit, Adopt::Own);
             apply_edit(&mut version, &edit)
         })?;
         // A crash mid-`log_and_apply` leaves a torn final edit; the reader
         // stops at the clean prefix, which is exactly the last committed
         // version. Report the discarded bytes for the recovery summary.
-        let manifest_tail_bytes = reader.truncated_tail_bytes();
-        recompute_refcounts(&mut version);
-        version.check_invariants()?;
-        let manifest = LogWriter::new(Arc::clone(&storage), manifest_name, IoClass::ManifestWrite);
-        // Re-appending to the recovered manifest would corrupt record
-        // framing mid-block, so start a fresh manifest with a snapshot.
-        let mut vs = VersionSet {
-            storage,
-            manifest,
-            current: Arc::new(version),
-            next_file_number,
-            last_sequence,
-            log_number,
-            compact_pointers,
-            link_counter,
-            manifest_bytes: 0,
-            recovered_manifest_tail_bytes: manifest_tail_bytes,
-            replication_cursor,
-            shipper: None,
-        };
-        vs.write_snapshot_manifest()?;
-        Ok(vs)
+        let tail = reader.truncated_tail_bytes();
+        Self::with_fresh_manifest(storage, version, counters, tail)
     }
 
     /// Whether a database already exists in `storage`.
@@ -186,78 +167,42 @@ impl VersionSet {
     }
 
     /// Builds a fresh version set around an externally reconstructed
-    /// `version` — the final step of `repair_db`. Recomputes frozen
-    /// refcounts, checks invariants, then writes a brand-new snapshot
-    /// manifest and points `CURRENT` at it; nothing from any previous
-    /// manifest is reused.
+    /// `version` — the final step of `repair_db`. The link counter is
+    /// found the way recovery finds it: in the version's own snapshot edit.
     pub fn rebuild(
         storage: Arc<dyn StorageBackend>,
-        mut version: Version,
+        version: Version,
         last_sequence: SequenceNumber,
         next_file_number: u64,
     ) -> Result<VersionSet> {
-        recompute_refcounts(&mut version);
-        version.check_invariants()?;
-        let link_counter = version
-            .levels
-            .iter()
-            .flat_map(|files| files.iter())
-            .flat_map(|f| f.slices.iter())
-            .map(|s| s.link_seq + 1)
-            .max()
-            .unwrap_or(0);
-        let max_levels = version.num_levels();
-        // Placeholder writer (never appended to): `write_snapshot_manifest`
-        // installs the real manifest before returning.
-        let manifest = LogWriter::new(
-            Arc::clone(&storage),
-            manifest_file_name(0),
-            IoClass::ManifestWrite,
-        );
-        let mut vs = VersionSet {
-            storage,
-            manifest,
-            current: Arc::new(version),
+        let mut counters = Counters {
             next_file_number: next_file_number.max(2),
             last_sequence,
-            log_number: 0,
-            compact_pointers: vec![Vec::new(); max_levels],
-            link_counter,
-            manifest_bytes: 0,
-            recovered_manifest_tail_bytes: 0,
-            replication_cursor: 0,
-            shipper: None,
+            ..Counters::new(version.num_levels())
         };
-        vs.write_snapshot_manifest()?;
-        Ok(vs)
+        counters.absorb(&snapshot_edit(&version, &counters), Adopt::Own);
+        Self::with_fresh_manifest(storage, version, counters, 0)
     }
 
     /// Allocates a fresh file number.
     pub fn new_file_number(&mut self) -> u64 {
-        let n = self.next_file_number;
-        self.next_file_number += 1;
+        let n = self.counters.next_file_number;
+        self.counters.next_file_number += 1;
         n
     }
 
     /// Allocates a fresh link sequence.
     pub fn new_link_seq(&mut self) -> u64 {
-        let n = self.link_counter;
-        self.link_counter += 1;
+        let n = self.counters.link_counter;
+        self.counters.link_counter += 1;
         n
     }
 
     /// Logs `edit` to the manifest, then applies it to the current version.
     pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<()> {
-        edit.next_file_number = Some(self.next_file_number);
-        edit.last_sequence = Some(self.last_sequence);
-        for (level, key) in &edit.compact_pointers {
-            if let Some(slot) = self.compact_pointers.get_mut(*level as usize) {
-                *slot = key.clone();
-            }
-        }
-        if let Some(v) = edit.log_number {
-            self.log_number = v;
-        }
+        edit.next_file_number = Some(self.counters.next_file_number);
+        edit.last_sequence = Some(self.counters.last_sequence);
+        self.counters.absorb(&edit, Adopt::Own);
         self.commit(&edit, true)
     }
 
@@ -269,31 +214,12 @@ impl VersionSet {
     /// references.
     pub fn apply_remote_edit(&mut self, edit: &VersionEdit) -> Result<()> {
         // Counters travel inside the shipped edit (`log_and_apply` stamps
-        // them on the primary). Adopt by max: the follower allocates its
-        // own numbers for its WAL and manifest rollovers, which may run
-        // ahead of the primary's high-water mark.
-        if let Some(v) = edit.next_file_number {
-            self.next_file_number = self.next_file_number.max(v);
-        }
-        if let Some(v) = edit.last_sequence {
-            self.last_sequence = self.last_sequence.max(v);
-        }
-        if let Some(v) = edit.log_number {
-            self.log_number = self.log_number.max(v);
-        }
-        for (level, key) in &edit.compact_pointers {
-            if let Some(slot) = self.compact_pointers.get_mut(*level as usize) {
-                *slot = key.clone();
-            }
-        }
-        for (_, link) in &edit.new_links {
-            self.link_counter = self.link_counter.max(link.link_seq + 1);
-        }
-        self.replication_cursor += 1;
-        let mut record_edit = edit.clone();
-        record_edit.replication_cursor = Some(self.replication_cursor);
+        // them on the primary).
+        let mut record = edit.clone();
+        record.replication_cursor = Some(self.counters.replication_cursor + 1);
+        self.counters.absorb(&record, Adopt::Max);
         // An edit that arrived over a stream is not shipped onward.
-        self.commit(&record_edit, false)
+        self.commit(&record, false)
     }
 
     /// The tail both entry points share, once the counters are settled:
@@ -322,7 +248,8 @@ impl VersionSet {
         }
         if self.manifest_bytes > MANIFEST_ROLLOVER_BYTES {
             let old = self.manifest.name().to_string();
-            self.write_snapshot_manifest()?;
+            self.manifest = snapshot_manifest(&self.storage, &self.current, &mut self.counters)?;
+            self.manifest_bytes = 0;
             if self.storage.exists(&old) {
                 self.storage.delete(&old)?;
             }
@@ -353,46 +280,12 @@ impl VersionSet {
             .as_ref()
             .map(|s| (s.edits_shipped, s.files_shipped, s.bytes_shipped))
     }
-
-    /// Rolls the manifest: writes a new manifest containing one snapshot
-    /// edit of the entire current state, then points `CURRENT` at it.
-    fn write_snapshot_manifest(&mut self) -> Result<()> {
-        let manifest_number = self.new_file_number();
-        let name = manifest_file_name(manifest_number);
-        // A crashed incarnation may have left a torn, unreferenced manifest
-        // at a number this incarnation re-allocates (the edit consuming the
-        // number never became durable). Appending after its garbage would
-        // wreck the log framing, so start from scratch.
-        if self.storage.exists(&name) {
-            self.storage.delete(&name)?;
-        }
-        let mut writer = LogWriter::new(
-            Arc::clone(&self.storage),
-            name.clone(),
-            IoClass::ManifestWrite,
-        );
-        let edit = snapshot_edit(
-            &self.current,
-            self.next_file_number,
-            self.last_sequence,
-            self.log_number,
-            &self.compact_pointers,
-            self.replication_cursor,
-        );
-        writer.add_record(&edit.encode())?;
-        writer.sync()?;
-        self.storage
-            .write_file(CURRENT_FILE, name.as_bytes(), IoClass::ManifestWrite)?;
-        self.manifest = writer;
-        self.manifest_bytes = 0;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::meta::SliceLink;
-    use super::super::testutil::meta;
+    use super::super::tests::meta;
     use super::*;
     use crate::types::KeyRange;
     use ldc_ssd::{MemStorage, SsdConfig, SsdDevice};
@@ -405,8 +298,8 @@ mod tests {
     fn replication_cursor_survives_recovery() {
         let s = storage();
         {
-            let mut primary = VersionSet::create(storage(), 4).unwrap();
-            let mut follower = VersionSet::create(s.clone(), 4).unwrap();
+            let mut primary = VersionSet::create(storage()).unwrap();
+            let mut follower = VersionSet::create(s.clone()).unwrap();
             let f1 = primary.new_file_number();
             // Primary logs an edit; the follower materializes the file and
             // applies the same edit remotely.
@@ -416,22 +309,22 @@ mod tests {
             };
             primary.log_and_apply(edit.clone()).unwrap();
             let mut shipped = edit;
-            shipped.next_file_number = Some(primary.next_file_number);
-            shipped.last_sequence = Some(primary.last_sequence);
+            shipped.next_file_number = Some(primary.counters.next_file_number);
+            shipped.last_sequence = Some(primary.counters.last_sequence);
             follower.apply_remote_edit(&shipped).unwrap();
-            assert_eq!(follower.replication_cursor, 1);
+            assert_eq!(follower.counters.replication_cursor, 1);
             assert_eq!(follower.current.level_files(1), 1);
-            assert!(follower.next_file_number >= primary.next_file_number);
+            assert!(follower.counters.next_file_number >= primary.counters.next_file_number);
         }
-        let follower = VersionSet::recover(s, 4).unwrap();
-        assert_eq!(follower.replication_cursor, 1);
+        let follower = VersionSet::recover(s).unwrap();
+        assert_eq!(follower.counters.replication_cursor, 1);
         assert_eq!(follower.current.level_files(1), 1);
     }
 
     #[test]
     fn version_set_create_and_log() {
         let s = storage();
-        let mut vs = VersionSet::create(s.clone(), 4).unwrap();
+        let mut vs = VersionSet::create(s.clone()).unwrap();
         assert!(VersionSet::exists(s.as_ref()));
         let n1 = vs.new_file_number();
         let edit = VersionEdit {
@@ -446,11 +339,11 @@ mod tests {
     fn recovery_restores_full_state() {
         let s = storage();
         {
-            let mut vs = VersionSet::create(s.clone(), 4).unwrap();
+            let mut vs = VersionSet::create(s.clone()).unwrap();
             let f1 = vs.new_file_number();
             let f2 = vs.new_file_number();
             let f3 = vs.new_file_number();
-            vs.last_sequence = 555;
+            vs.counters.last_sequence = 555;
             vs.log_and_apply(VersionEdit {
                 new_files: vec![
                     (1, meta(f1, b"a", b"m")),
@@ -477,14 +370,14 @@ mod tests {
             })
             .unwrap();
         }
-        let vs = VersionSet::recover(s.clone(), 4).unwrap();
-        assert_eq!(vs.last_sequence, 555);
+        let vs = VersionSet::recover(s.clone()).unwrap();
+        assert_eq!(vs.counters.last_sequence, 555);
         assert_eq!(vs.current.level_files(1), 0);
         assert_eq!(vs.current.level_files(2), 2);
         assert_eq!(vs.current.frozen_files(), 1);
         assert_eq!(vs.current.total_slice_links(), 1);
-        assert_eq!(vs.compact_pointers[1], b"m".to_vec());
-        assert!(vs.link_counter >= 1);
+        assert_eq!(vs.counters.compact_pointers[1], b"m".to_vec());
+        assert!(vs.counters.link_counter >= 1);
         vs.current.check_invariants().unwrap();
         // The recovered frozen file's refcount was recomputed.
         let frozen = vs.current.frozen.values().next().unwrap();
@@ -495,7 +388,7 @@ mod tests {
     fn recovery_after_recovery_is_stable() {
         let s = storage();
         {
-            let mut vs = VersionSet::create(s.clone(), 4).unwrap();
+            let mut vs = VersionSet::create(s.clone()).unwrap();
             let f1 = vs.new_file_number();
             vs.log_and_apply(VersionEdit {
                 new_files: vec![(1, meta(f1, b"a", b"c"))],
@@ -504,10 +397,10 @@ mod tests {
             .unwrap();
         }
         {
-            let vs = VersionSet::recover(s.clone(), 4).unwrap();
+            let vs = VersionSet::recover(s.clone()).unwrap();
             assert_eq!(vs.current.level_files(1), 1);
         }
-        let vs = VersionSet::recover(s, 4).unwrap();
+        let vs = VersionSet::recover(s).unwrap();
         assert_eq!(vs.current.level_files(1), 1);
     }
 }

@@ -9,8 +9,11 @@ use std::sync::Arc;
 
 use ldc_ssd::{IoClass, StorageBackend};
 
+use crate::batch::WriteBatch;
 use crate::crc32c;
 use crate::error::{corruption, CorruptionInfo, Error, Result};
+use crate::memtable::MemTable;
+use crate::types::SequenceNumber;
 
 /// Log block size.
 pub const BLOCK_SIZE: usize = 32 * 1024;
@@ -288,6 +291,58 @@ impl LogReader {
 struct PhysicalRecord {
     record_type: u8,
     data: Vec<u8>,
+}
+
+/// What replaying one write-ahead log into a memtable found.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Replayed {
+    /// Batch entries applied.
+    pub(crate) entries: u64,
+    /// Highest sequence number applied; 0, which no entry carries, if
+    /// none was.
+    pub(crate) last_sequence: SequenceNumber,
+    /// A record before the tail failed its checksum, its framing or its
+    /// batch decode. Every record before it was applied; what the caller
+    /// does with the rest of the log is its own policy.
+    pub(crate) corrupt: bool,
+    /// Bytes of a torn final record (a crash mid-append), which is a clean
+    /// end of log and not corruption; zero when the log ends on a record.
+    pub(crate) torn_bytes: u64,
+    /// Where the log's complete records end: what to truncate a torn log
+    /// back to.
+    pub(crate) clean_prefix: u64,
+}
+
+/// Replays the log `name` into `mem`: every record is a [`WriteBatch`],
+/// applied at the sequence numbers it carries. Recovery and repair both
+/// start here. Mid-log corruption is an outcome, not an error; only a
+/// failure to read the file at all comes back as `Err`.
+pub(crate) fn replay_into(
+    storage: &dyn StorageBackend,
+    name: &str,
+    mem: &MemTable,
+) -> Result<Replayed> {
+    let mut reader = LogReader::open(storage, name)?;
+    let mut entries = 0u64;
+    let mut last_sequence = 0;
+    let outcome = reader.for_each(|record| {
+        let batch = WriteBatch::decode(record)?;
+        last_sequence = last_sequence.max(mem.apply(&batch)?.unwrap_or(0));
+        entries += u64::from(batch.count());
+        Ok(())
+    });
+    let corrupt = match outcome {
+        Ok(()) => false,
+        Err(Error::Corruption(_)) => true,
+        Err(e) => return Err(e),
+    };
+    Ok(Replayed {
+        entries,
+        last_sequence,
+        corrupt,
+        torn_bytes: reader.truncated_tail_bytes(),
+        clean_prefix: reader.clean_prefix(),
+    })
 }
 
 #[cfg(test)]

@@ -820,8 +820,7 @@ impl LdcServer {
     /// stream on idle ticks. Writes are answered with
     /// [`Status::ReadOnly`] before admission. A follower replicates one
     /// primary stream, so it always runs exactly one shard regardless of
-    /// `config.shards`; `config.options.max_levels` must match the
-    /// primary's.
+    /// `config.shards`.
     pub fn start_follower(
         config: ServerConfig,
         src: Arc<dyn StorageBackend>,

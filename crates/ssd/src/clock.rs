@@ -56,11 +56,6 @@ impl VirtualClock {
                 (t < cur).then_some(t)
             });
     }
-
-    /// Converts a span of virtual nanoseconds to floating-point seconds.
-    pub fn to_secs(nanos: Nanos) -> f64 {
-        nanos as f64 / 1e9
-    }
 }
 
 /// Categories used to reproduce the paper's Table I time breakdown.
@@ -216,11 +211,6 @@ mod tests {
         assert_eq!(b.now(), 100);
         b.advance_micros(1);
         assert_eq!(a.now(), 1_100);
-    }
-
-    #[test]
-    fn to_secs_converts() {
-        assert!((VirtualClock::to_secs(1_500_000_000) - 1.5).abs() < 1e-12);
     }
 
     #[test]

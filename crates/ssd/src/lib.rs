@@ -51,4 +51,4 @@ pub use disk::DiskStorage;
 pub use error::{SsdError, SsdResult};
 pub use ftl::{Ftl, FtlStats};
 pub use stats::{IoClass, IoStats, IoStatsSnapshot};
-pub use storage::{FileHandle, MemStorage, StorageBackend};
+pub use storage::{MemStorage, StorageBackend};

@@ -29,11 +29,6 @@ use crate::device::SsdDevice;
 use crate::error::{SsdError, SsdResult};
 use crate::stats::IoClass;
 
-/// Identifies an open file in backends that hand out handles. Currently a
-/// thin newtype over the file name; kept for API stability.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FileHandle(pub String);
-
 /// The storage API the engine uses.
 ///
 /// Semantics:

@@ -49,8 +49,7 @@ impl std::fmt::Debug for Follower {
 impl Follower {
     /// Bootstraps a follower of backup `name` on `src`: restores the base
     /// checkpoint plus the stream's clean prefix into `dst`, then opens
-    /// the store with `builder`'s configuration over `dst`. The builder's
-    /// `max_levels` must match the primary's.
+    /// the store with `builder`'s configuration over `dst`.
     pub fn bootstrap(
         src: &Arc<dyn StorageBackend>,
         name: &str,
@@ -58,7 +57,7 @@ impl Follower {
         dst: Arc<dyn StorageBackend>,
     ) -> Result<Follower> {
         let prefix = backup_prefix(name);
-        restore_backup(src, &prefix, &dst, builder.options_ref().max_levels)?;
+        restore_backup(src, &prefix, &dst)?;
         Self::reopen(src, name, builder, dst)
     }
 
@@ -144,11 +143,6 @@ impl Follower {
     /// The live follower store (serve reads from it).
     pub fn db(&self) -> &LdcDb {
         &self.db
-    }
-
-    /// Detaches the inner store (e.g. to promote the follower).
-    pub fn into_db(self) -> LdcDb {
-        self.db
     }
 }
 

@@ -45,8 +45,7 @@ fn value(k: u32, v: u32) -> Vec<u8> {
 fn builder(udc: bool, workers: usize) -> LdcDbBuilder {
     let b = LdcDb::builder()
         .options(tiny_options())
-        .background_workers(workers)
-        .max_subcompactions(4);
+        .background_workers(workers);
     if udc {
         b.udc_baseline()
     } else {
@@ -159,7 +158,7 @@ fn threaded_smoke_ldc() {
 }
 
 /// The subcompaction boundary contract: a store grown with split merges
-/// (workers + max_subcompactions) holds exactly the same logical contents
+/// (on the worker pool) holds exactly the same logical contents
 /// as one grown inline, where every merge is a single unsplit stream.
 fn split_matches_unsplit(udc: bool, rounds: u32, keys: u32) {
     let inline_db = build(udc, 0, None);

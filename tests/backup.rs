@@ -117,8 +117,7 @@ proptest! {
             prop_assert_eq!(&full_scan(&db), &model, "primary diverged ({:?})", mode);
 
             let dst = storage();
-            restore_backup(&src, &backup_prefix("prop"), &dst, tiny_options().max_levels)
-                .unwrap();
+            restore_backup(&src, &backup_prefix("prop"), &dst).unwrap();
             let restored = LdcDb::builder()
                 .options(tiny_options())
                 .mode(mode.clone())

@@ -142,6 +142,54 @@ fn fingerprint(builder: LdcDbBuilder) -> String {
     out
 }
 
+/// The manifest writer's other two outputs, which `fingerprint` does not
+/// reach: a backup's base manifest and `EDITS` stream, and a checkpoint's
+/// synthesized `MANIFEST-000001`. The stream is armed halfway through a
+/// shorter run of the same write mix, so it carries flush, merge and link
+/// edits; the checkpoint is cut at the end.
+fn durable_cuts(builder: LdcDbBuilder) -> String {
+    use std::fmt::Write as _;
+    let db = builder.build().expect("open");
+    let mut rng = SEED;
+    for op in 0..OPS / 4 {
+        if op == OPS / 8 {
+            db.drain_background();
+            db.backup_begin("golden").expect("backup_begin");
+        }
+        let r = next(&mut rng);
+        let key = format!("{:08x}", (r % KEYS).wrapping_mul(0x9e37_79b9)).into_bytes();
+        if (r >> 32).is_multiple_of(10) {
+            db.delete(&key).expect("delete");
+        } else {
+            let mut value = format!("v{op:06}").into_bytes();
+            value.resize(40 + (r >> 40) as usize % 160, b'.');
+            db.put(&key, &value).expect("put");
+        }
+    }
+    db.flush().expect("flush");
+    db.drain_background();
+    let (edits, files, bytes) = db.backup_end().expect("stream was armed");
+    db.checkpoint("golden").expect("checkpoint");
+
+    let mut out = String::new();
+    let _ = writeln!(out, "shipped edits={edits} files={files} bytes={bytes}");
+    let storage = db.storage();
+    for name in [
+        "backup-golden@MANIFEST-000001",
+        "backup-golden@EDITS",
+        "ckpt-golden@MANIFEST-000001",
+    ] {
+        let bytes = storage.read_all(name, IoClass::Other).expect(name);
+        let _ = writeln!(
+            out,
+            "{name} len={} crc32c={:08x}",
+            bytes.len(),
+            crc32c(&bytes)
+        );
+    }
+    out
+}
+
 fn inline() -> LdcDbBuilder {
     LdcDb::builder()
         .options(tiny_options())
@@ -226,4 +274,30 @@ fn inline_ldc_matches_golden() {
 #[test]
 fn inline_size_tiered_matches_golden() {
     assert_eq!(fingerprint(inline().size_tiered()), GOLDEN_SIZE_TIERED);
+}
+
+// Recorded at commit fc702ba (PR 18), before `version.rs` was split and its
+// three manifest writers folded into one.
+const GOLDEN_CUTS_UDC: &str = "\
+shipped edits=177 files=500 bytes=1967841\n\
+backup-golden@MANIFEST-000001 len=2155 crc32c=4aa2a0aa\n\
+backup-golden@EDITS len=28264 crc32c=fb0ab5c7\n\
+ckpt-golden@MANIFEST-000001 len=2214 crc32c=67a11f88\n\
+";
+
+const GOLDEN_CUTS_LDC: &str = "\
+shipped edits=269 files=202 bytes=701577\n\
+backup-golden@MANIFEST-000001 len=1887 crc32c=829c8d60\n\
+backup-golden@EDITS len=23819 crc32c=aa3014a5\n\
+ckpt-golden@MANIFEST-000001 len=3418 crc32c=31d9621d\n\
+";
+
+#[test]
+fn durable_cuts_udc_match_golden() {
+    assert_eq!(durable_cuts(inline().udc_baseline()), GOLDEN_CUTS_UDC);
+}
+
+#[test]
+fn durable_cuts_ldc_match_golden() {
+    assert_eq!(durable_cuts(inline()), GOLDEN_CUTS_LDC);
 }
