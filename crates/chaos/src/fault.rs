@@ -12,9 +12,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use ldc_obs::lockcheck::Mutex;
 use ldc_obs::{Event, EventKind, SharedSink};
 use ldc_ssd::{IoClass, SsdDevice, SsdError, SsdResult, StorageBackend};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,18 +69,21 @@ impl FaultStorage {
     pub fn new(inner: Arc<dyn StorageBackend>, plan: FaultPlan) -> Arc<Self> {
         Arc::new(Self {
             inner,
-            state: Mutex::new(FaultState {
-                rng: SmallRng::seed_from_u64(plan.seed),
-                armed_crash: plan.crash_after_ops,
-                io_error_prob: plan.io_error_prob,
-                ops: 0,
-                powered_off: false,
-                injected_errors: 0,
-                transient_seen: HashMap::new(),
-                log: Vec::new(),
-            }),
+            state: Mutex::new(
+                "chaos/fault::state",
+                FaultState {
+                    rng: SmallRng::seed_from_u64(plan.seed),
+                    armed_crash: plan.crash_after_ops,
+                    io_error_prob: plan.io_error_prob,
+                    ops: 0,
+                    powered_off: false,
+                    injected_errors: 0,
+                    transient_seen: HashMap::new(),
+                    log: Vec::new(),
+                },
+            ),
             plan,
-            sink: Mutex::new(None),
+            sink: Mutex::new("chaos/fault::sink", None),
         })
     }
 

@@ -109,17 +109,17 @@ fn metrics_registry_tracks_levels_and_latencies() {
 
     let metrics = db.metrics();
     let stats = db.stats();
-    assert_eq!(metrics.op_count(OpType::Get), stats.gets);
-    assert_eq!(metrics.op_count(OpType::Scan), stats.scans);
-    assert_eq!(metrics.op_count(OpType::Delete), 1);
-    assert!(metrics.op_count(OpType::Put) >= 4000);
+    assert_eq!(metrics.latency(OpType::Get).count(), stats.gets);
+    assert_eq!(metrics.latency(OpType::Scan).count(), stats.scans);
+    assert_eq!(metrics.latency(OpType::Delete).count(), 1);
+    assert!(metrics.latency(OpType::Put).count() >= 4000);
     assert!(
         metrics.latency(OpType::Get).percentile(99.0)
             >= metrics.latency(OpType::Get).percentile(50.0)
     );
     assert!(metrics.latency(OpType::Put).mean() > 0.0);
 
-    let gauges = metrics.level_gauges();
+    let gauges = db.level_gauges();
     assert_eq!(gauges.len(), db.engine_ref().version().num_levels());
     let version = db.engine_ref().version();
     for (level, g) in gauges.iter().enumerate() {
@@ -212,7 +212,7 @@ fn noop_sink_records_nothing_but_metrics_still_work() {
     }
     // No sink attached: events are never built, but the registry and the
     // report keep working.
-    assert!(db.metrics().op_count(OpType::Put) >= 2000);
+    assert!(db.metrics().latency(OpType::Put).count() >= 2000);
     assert!(db.stats_report().contains("Compactions:"));
     let cache = db.block_cache_counters();
     assert!(cache.hit_rate() >= 0.0 && cache.hit_rate() <= 1.0);

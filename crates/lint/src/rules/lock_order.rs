@@ -14,7 +14,9 @@
 //! 2. **Acquisition sites** — `.lock()`, `.read()`, `.write()` calls whose
 //!    receiver's last path segment names a known lock field. A guard bound
 //!    with `let` lives until its enclosing block closes or it is `drop`ped;
-//!    a temporary guard lives to the end of its statement.
+//!    a temporary guard lives to the end of its statement — including one
+//!    a `let` initializer reads through (`let v = m.lock().field;`), unless
+//!    the initializer borrows through it (`&m.lock().field`).
 //! 3. **May-hold-while-acquiring edges** — lock B acquired (directly, or
 //!    transitively through a call the workspace graph resolves) while a
 //!    guard on lock A is live adds edge A → B. Callees are resolved by
@@ -44,6 +46,9 @@ pub const TABLE_PATH: &str = "crates/lint/lock_order.toml";
 /// Files (or, ending in `/`, module directories) whose locks participate
 /// in the ordered hierarchy.
 pub const SCOPED_FILES: &[&str] = &[
+    "crates/chaos/src/fault.rs",
+    "crates/ssd/src/device.rs",
+    "crates/ssd/src/storage.rs",
     "crates/lsm/src/db.rs",
     "crates/lsm/src/db/",
     "crates/lsm/src/compaction/exec.rs",
@@ -422,14 +427,16 @@ fn acquisitions(
             }) else {
                 continue;
             };
-            if !m.1.trim_start().starts_with('(') {
+            let Some(args) = m.1.trim_start().strip_prefix('(') else {
                 continue;
-            }
+            };
             let lock_id = resolve_lock_id(path, body, at, ids);
             // Statement bounds.
             let stmt_start = body[..at].rfind(';').map(|p| p + 1).unwrap_or(0);
             let stmt_head = &body[stmt_start..at];
-            let bound = stmt_head.contains("let ");
+            let args = args.trim_start();
+            let after_call = args.strip_prefix(')').unwrap_or(args);
+            let bound = stmt_head.contains("let ") && !dies_with_statement(stmt_head, after_call);
             let live_until = if bound {
                 guard_scope_end(bytes, at).unwrap_or(body.len())
             } else {
@@ -507,6 +514,24 @@ fn resolve_lock_id(path: &str, body: &str, at: usize, ids: &[String]) -> String 
         return id.clone();
     }
     ids[0].clone()
+}
+
+/// Whether a guard taken inside a `let` statement is only a temporary of
+/// its initializer: `let v = m.lock().field;` and `let v =
+/// m.lock().get(k).cloned();` read through the guard, which drops at the
+/// `;`. Borrowing through it (`let r = &m.lock().field;`) extends the
+/// temporary to the binding's scope, and an `if let`/`while let`
+/// scrutinee's temporaries live through its block, so those stay bound.
+fn dies_with_statement(stmt_head: &str, after_call: &str) -> bool {
+    let head = stmt_head.rsplit(['{', '}']).next().unwrap_or(stmt_head);
+    let Some((_, init)) = head
+        .trim_start()
+        .strip_prefix("let ")
+        .and_then(|h| h.split_once('='))
+    else {
+        return false;
+    };
+    after_call.trim_start().starts_with('.') && !init.trim_start().starts_with('&')
 }
 
 /// For a `let`-bound guard acquired at `at`, the guard lives until the

@@ -132,6 +132,17 @@ fn lock_order_resolves_callees_by_qualifier() {
 }
 
 #[test]
+fn lock_order_lets_temporaries_die_with_their_statement() {
+    let diags = lock_order_run(include_str!("fixtures/lock_order_temporaries.rs"));
+    let lines: Vec<usize> = errors_of(&diags).iter().map(|d| d.line).collect();
+    assert_eq!(
+        lines,
+        [26],
+        "only the borrow-extended guard is re-taken while held: {diags:?}"
+    );
+}
+
+#[test]
 fn layering_fixture_fail() {
     let manifest = include_str!("fixtures/layering_fail.toml");
     let diags = layering::check_manifest("crates/ssd/Cargo.toml", manifest);

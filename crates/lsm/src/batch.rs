@@ -4,9 +4,7 @@
 //! record count, then per record a type byte followed by length-prefixed key
 //! (and value for puts).
 
-use crate::encoding::{
-    get_fixed32, get_fixed64, get_length_prefixed, put_fixed32, put_length_prefixed,
-};
+use crate::encoding::{get_fixed32, get_fixed64, get_length_prefixed, put_length_prefixed};
 use crate::error::{corruption, Result};
 use crate::types::{SequenceNumber, ValueType};
 
@@ -39,6 +37,14 @@ impl WriteBatch {
         self.bump_count();
         self.rep.push(ValueType::Deletion as u8);
         put_length_prefixed(&mut self.rep, key);
+    }
+
+    /// Appends `other`'s operations after this batch's: one copy of its
+    /// records and a count add (LevelDB's `WriteBatchInternal::Append`).
+    /// The bytes equal re-queuing each of its operations here.
+    pub(crate) fn append(&mut self, other: &WriteBatch) {
+        self.set_count(self.count() + other.count());
+        self.rep.extend_from_slice(&other.rep[HEADER..]);
     }
 
     /// Number of queued operations.
@@ -92,10 +98,11 @@ impl WriteBatch {
     }
 
     fn bump_count(&mut self) {
-        let c = self.count() + 1;
-        let mut buf = Vec::with_capacity(4);
-        put_fixed32(&mut buf, c);
-        self.rep[8..12].copy_from_slice(&buf);
+        self.set_count(self.count() + 1);
+    }
+
+    fn set_count(&mut self, count: u32) {
+        self.rep[8..HEADER].copy_from_slice(&count.to_le_bytes());
     }
 
     /// Sum of key+value payload bytes (the "user bytes" metric for write
@@ -188,6 +195,7 @@ impl<'a> Iterator for BatchIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn batch_roundtrip() {
@@ -245,5 +253,53 @@ mod tests {
         let mut bytes = b.encoded().to_vec();
         bytes[HEADER] = 99;
         assert!(WriteBatch::decode(&bytes).is_err());
+    }
+
+    /// `(key, Some(value))` is a put, `(key, None)` a delete.
+    type Ops = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+    fn queue(batch: &mut WriteBatch, ops: &Ops) {
+        for (key, value) in ops {
+            match value {
+                Some(v) => batch.put(key, v),
+                None => batch.delete(key),
+            }
+        }
+    }
+
+    fn ops() -> impl Strategy<Value = Ops> {
+        prop::collection::vec(
+            (
+                prop::collection::vec(any::<u8>(), 0..12),
+                prop::option::of(prop::collection::vec(any::<u8>(), 0..40)),
+            ),
+            0..20,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Group commit appends each follower batch as bytes; the result
+        /// must be the batch the leader would have built by re-queuing
+        /// every follower operation, byte for byte (the WAL record).
+        #[test]
+        fn append_equals_requeued_ops(
+            groups in prop::collection::vec(ops(), 1..5),
+            seq in any::<u64>(),
+        ) {
+            let mut appended = WriteBatch::new();
+            let mut requeued = WriteBatch::new();
+            for group in &groups {
+                let mut follower = WriteBatch::new();
+                queue(&mut follower, group);
+                appended.append(&follower);
+                queue(&mut requeued, group);
+            }
+            appended.set_sequence(seq);
+            requeued.set_sequence(seq);
+            prop_assert_eq!(appended.encoded(), requeued.encoded());
+            prop_assert_eq!(appended.iter().count(), appended.count() as usize);
+        }
     }
 }

@@ -483,10 +483,7 @@ impl TableCache {
         file_number: u64,
         open: impl FnOnce() -> Result<Arc<Table>>,
     ) -> Result<Arc<Table>> {
-        let hit = {
-            let mut tables = self.map.lock();
-            tables.touch(&file_number).cloned()
-        };
+        let hit = self.map.lock().touch(&file_number).cloned();
         if let Some(table) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(table);

@@ -635,7 +635,6 @@ impl Db {
                     .phases(elapsed - write, 0, write),
             );
         }
-        self.refresh_level_gauges(&core.versions.current);
         Ok(())
     }
 
@@ -694,7 +693,6 @@ impl Db {
                 ev.output_level = Some(0);
                 self.sink.record(ev);
             }
-            self.refresh_level_gauges(&core.versions.current);
         } else if log_number.is_some() {
             core.versions.log_and_apply(VersionEdit {
                 log_number,

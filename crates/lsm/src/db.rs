@@ -22,7 +22,7 @@
 //! | `read` | the pinned-view read envelope, gets, scans, `LevelIter`; LDC read semantics and responsible ranges |
 //! | `lane` | the inline driver: `BgLane`, the pump, its write gates, drain, deferred deletes |
 //! | `checkpoint` | `flush`, checkpoints, backup streams, replicated edits |
-//! | `report` | `stats_report`, `tail_report`, per-op tracing |
+//! | `report` | `stats_report`, `tail_report`, `level_gauges`, per-op tracing |
 //! | `crate::scheduler` | the pool driver: worker threads, claims, its write gates and drain |
 //! | `crate::compaction::exec` | plan → run → install, shared by both drivers |
 
@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use ldc_obs::lockcheck::{Mutex, RwLock};
-use ldc_obs::{Event, EventKind, LevelGauge, MetricsRegistry, SharedSink, TraceReservoir};
+use ldc_obs::{Event, EventKind, MetricsRegistry, SharedSink, TraceReservoir};
 use ldc_ssd::{IoClass, SsdDevice, StorageBackend};
 
 use crate::cache::{BlockCache, CacheCounters, TableCache};
@@ -290,7 +290,7 @@ pub struct Db {
     /// Where structured events go; [`NoopSink`] by default, in which case
     /// no event is ever built (`sink.enabled()` gates construction).
     pub(crate) sink: SharedSink,
-    /// Per-level gauges and per-op latency histograms.
+    /// Per-op latency histograms and blame totals, retry and scrub counts.
     metrics: Arc<MetricsRegistry>,
     /// Worst-K trace reservoir; `None` (the default) disables per-op
     /// tracing entirely — the op paths then never construct a
@@ -454,9 +454,10 @@ impl Db {
         self.sink = sink;
     }
 
-    /// The engine's metrics registry: per-level gauges plus per-op
-    /// latency histograms. Gauges refresh after every flush/compaction
-    /// and on [`Db::stats_report`].
+    /// The engine's metrics registry: per-op latency histograms and blame
+    /// totals, plus the transient-retry and scrub counters recorded below
+    /// the engine. Engine counters are [`Db::stats`]; per-level state is
+    /// [`Db::level_gauges`].
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.metrics)
     }
@@ -549,7 +550,6 @@ impl Db {
         self.block_cache.evict_file(number);
         let name = table_file_name(number);
         self.storage.rename(&name, &format!("{name}.quarantined"))?;
-        self.metrics.record_quarantine();
         if self.sink.enabled() {
             let now = self.device.clock().now();
             self.sink.record(
@@ -566,7 +566,6 @@ impl Db {
             smallest: meta.smallest_ukey().to_vec(),
             largest: meta.largest_ukey().to_vec(),
         });
-        self.refresh_level_gauges(&core.versions.current);
         Ok(true)
     }
 
@@ -626,21 +625,6 @@ impl Db {
         self.tables.remove(file_number);
         self.block_cache.evict_file(file_number);
         core.pending_deletes.push(file_number);
-    }
-}
-
-impl Db {
-    /// Recomputes the per-level gauges from `version`.
-    pub(crate) fn refresh_level_gauges(&self, version: &Version) {
-        let scores = crate::compaction::level_scores(version, &self.options);
-        let gauges = (0..version.num_levels())
-            .map(|level| LevelGauge {
-                files: version.level_files(level) as u64,
-                bytes: version.level_bytes(level),
-                score: scores[level],
-            })
-            .collect();
-        self.metrics.set_level_gauges(gauges);
     }
 }
 

@@ -77,15 +77,11 @@ impl Db {
     /// stream was armed. The stream stays on storage — restore still
     /// replays everything shipped so far.
     pub fn backup_end(&self) -> Option<(u64, u64, u64)> {
-        let mut core = self.core.lock();
-        let stats = core
+        self.core
+            .lock()
             .versions
             .disarm_shipper()
-            .map(|s| (s.edits_shipped, s.files_shipped, s.bytes_shipped));
-        if let Some((edits, _, _)) = stats {
-            self.metrics.set_edits_shipped(edits);
-        }
-        stats
+            .map(|s| (s.edits_shipped, s.files_shipped, s.bytes_shipped))
     }
 
     /// Whether an incremental backup stream is currently armed.
@@ -151,7 +147,6 @@ impl Db {
             }
         };
         self.core.lock().stats.checkpoints += 1;
-        self.metrics.record_checkpoint();
         if self.sink.enabled() {
             self.sink.record(
                 Event::span(EventKind::Checkpoint, t0, self.device.clock().now())
@@ -190,8 +185,6 @@ impl Db {
         core.stats.edits_applied += 1;
         self.publish_view(&core);
         self.reap_pending_deletes(&mut core);
-        self.refresh_level_gauges(&core.versions.current);
-        self.metrics.record_repl_apply();
         if self.sink.enabled() {
             self.sink.record(
                 Event::span(EventKind::ReplApply, t0, self.device.clock().now())

@@ -1,17 +1,38 @@
-//! What the engine says about itself: the text reports and per-op tracing.
+//! What the engine says about itself: the text reports, the per-level
+//! gauges and per-op tracing.
 
 use std::sync::Arc;
 
-use ldc_obs::{Blame, LatencyHistogram, OpType, Trace, TraceCtx, TraceReservoir};
+use ldc_obs::{Blame, LatencyHistogram, LevelGauge, OpType, Trace, TraceCtx, TraceReservoir};
 use ldc_ssd::Nanos;
 
 use super::Db;
+use crate::version::Version;
 
 impl Db {
+    /// Files, bytes and compaction score of every level of the current
+    /// version, L0 first — computed from the version when asked.
+    pub fn level_gauges(&self) -> Vec<LevelGauge> {
+        self.gauges_of(&self.version())
+    }
+
+    fn gauges_of(&self, version: &Version) -> Vec<LevelGauge> {
+        crate::compaction::level_scores(version, &self.options)
+            .into_iter()
+            .enumerate()
+            .map(|(level, score)| LevelGauge {
+                files: version.level_files(level) as u64,
+                bytes: version.level_bytes(level),
+                score,
+            })
+            .collect()
+    }
+
     /// A human-readable engine report in the spirit of LevelDB's
     /// `GetProperty("leveldb.stats")`: per-level table, compaction and
     /// write-gate counters, block cache, bloom, latency percentiles, and
-    /// the simulated SSD's GC/wear state.
+    /// the simulated SSD's GC/wear state. A pure read: each number comes
+    /// from the one place that keeps it.
     pub fn stats_report(&self) -> String {
         use std::fmt::Write as _;
         let (s, version, quarantined, ship, cursor) = {
@@ -24,7 +45,6 @@ impl Db {
                 core.versions.counters.replication_cursor,
             )
         };
-        self.refresh_level_gauges(&version);
         let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let mut out = String::new();
@@ -32,7 +52,7 @@ impl Db {
         let _ = writeln!(out, "                          Level summary");
         let _ = writeln!(out, "Level  Files  Size(MB)  Score");
         let _ = writeln!(out, "------------------------------");
-        for (level, g) in self.metrics.level_gauges().iter().enumerate() {
+        for (level, g) in self.gauges_of(&version).iter().enumerate() {
             if g.files == 0 && level > 0 {
                 continue;
             }
@@ -74,7 +94,6 @@ impl Db {
         // checkpoint/replicate emit byte-identical reports to older builds.
         if s.checkpoints + s.edits_applied + cursor > 0 || ship.is_some() {
             if let Some((edits, files, bytes)) = ship {
-                self.metrics.set_edits_shipped(edits);
                 let _ = writeln!(
                     out,
                     "Replication: {} checkpoints, {} edits shipped \
@@ -129,9 +148,7 @@ impl Db {
         );
 
         let d = self.metrics.degraded_counters();
-        if d.transient_retries + d.scrub_blocks_verified + d.files_quarantined > 0
-            || !quarantined.is_empty()
-        {
+        if d.transient_retries + d.scrub_blocks_verified > 0 || !quarantined.is_empty() {
             let _ = writeln!(
                 out,
                 "Degraded: {} transient retries, {} blocks scrubbed \
@@ -139,7 +156,7 @@ impl Db {
                 d.transient_retries,
                 d.scrub_blocks_verified,
                 d.scrub_corruptions,
-                d.files_quarantined
+                quarantined.len()
             );
             for q in &quarantined {
                 let _ = writeln!(

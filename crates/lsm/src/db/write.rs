@@ -20,7 +20,7 @@ use ldc_obs::{Blame, Event, EventKind, OpType, TraceCtx};
 use ldc_ssd::{IoClass, Nanos, StorageBackend, TimeCategory};
 
 use super::{Db, DbCore};
-use crate::batch::{BatchOp, WriteBatch};
+use crate::batch::WriteBatch;
 use crate::commit::{Role, Ticket};
 use crate::error::Result;
 use crate::memtable::MemTable;
@@ -229,14 +229,8 @@ impl Db {
         // engine, which is what keeps single-threaded runs deterministic.
         let group_size = batches.len();
         let mut batch = batches.remove(0);
-        for follower in batches {
-            for item in follower.iter() {
-                let (_, op) = item?;
-                match op {
-                    BatchOp::Put { key, value } => batch.put(key, value),
-                    BatchOp::Delete { key } => batch.delete(key),
-                }
-            }
+        for follower in &batches {
+            batch.append(follower);
         }
 
         // Foreground write: WAL + memtable. With `wal_sync` off (LevelDB's

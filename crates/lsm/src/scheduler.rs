@@ -590,9 +590,7 @@ impl Db {
                 return;
             }
         }
-        let st = self.scheduler.state.lock();
-        let gen = st.completed;
-        drop(st);
+        let gen = self.scheduler.state.lock().completed;
         let Some(task) = self.pick_task(&core, idle) else {
             let mut st = self.scheduler.state.lock();
             // Only latch idle if no job installed since the pick —
@@ -723,10 +721,7 @@ impl Db {
             let Some(u) = next else { break };
             self.post_unit(u.idx, self.run(planned, u.range.as_ref(), alloc));
         }
-        let mut st = self.scheduler.state.lock();
-        let batch = st.sub.take();
-        drop(st);
-        let Some(batch) = batch else {
+        let Some(batch) = self.scheduler.state.lock().sub.take() else {
             return Err(Error::InvalidState(
                 "split-merge batch vanished before its coordinator collected it".to_string(),
             ));

@@ -14,8 +14,10 @@
 //!   tracing is off), [`RingBufferSink`] (bounded, drop-oldest,
 //!   in-memory), and [`JsonlSink`] (line-delimited JSON for offline
 //!   analysis).
-//! * [`MetricsRegistry`] — per-level gauges (files, bytes, compaction
-//!   score) and log-linear latency histograms per operation type.
+//! * [`MetricsRegistry`] — log-linear latency histograms and blame totals
+//!   per operation type, plus the few counters recorded below the engine
+//!   (transient retries, scrub coverage); [`LevelGauge`] is the per-level
+//!   value (files, bytes, compaction score) the engine computes on request.
 //! * [`TraceCtx`] / [`Blame`] / [`TraceReservoir`] — per-request span
 //!   trees with a blame taxonomy attributing every nanosecond of an op's
 //!   latency to one bucket, plus the deterministic worst-K reservoir
@@ -37,10 +39,7 @@ mod sink;
 mod trace;
 
 pub use event::{Event, EventKind, Nanos};
-pub use metrics::{
-    DegradedCounters, LatencyHistogram, LevelGauge, MetricsRegistry, NetCounters, OpType,
-    ReplicationCounters,
-};
+pub use metrics::{DegradedCounters, LatencyHistogram, LevelGauge, MetricsRegistry, OpType};
 pub use sink::{parse_jsonl, JsonlSink, NoopSink, RingBufferSink, SharedSink};
 pub use trace::{Blame, Span, Trace, TraceCtx, TraceReservoir};
 

@@ -1,4 +1,5 @@
-//! Per-level gauges and per-operation latency histograms.
+//! Per-operation latency histograms, the registry that holds them, and
+//! the per-level gauge value `Db::level_gauges` builds on request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,7 +45,8 @@ impl OpType {
     }
 }
 
-/// Point-in-time state of one LSM level.
+/// Point-in-time state of one LSM level, computed from a `Version` when
+/// asked (nothing caches it).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LevelGauge {
     /// Live files in the level.
@@ -186,8 +188,10 @@ impl LatencyHistogram {
     }
 }
 
-/// Monotonic counters for the degraded-mode machinery: transient-read
-/// retries, scrub coverage, corruption findings, and quarantined files.
+/// Monotonic counters for the degraded-mode machinery that runs below
+/// the engine's own counters: transient-read retries at the storage
+/// boundary and the scrubber's coverage and findings. (Quarantined files
+/// are `Db::quarantined`.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradedCounters {
     /// Transient read errors that were retried at the storage boundary.
@@ -196,52 +200,17 @@ pub struct DegradedCounters {
     pub scrub_blocks_verified: u64,
     /// Corruption findings reported by the scrubber.
     pub scrub_corruptions: u64,
-    /// SSTables quarantined (renamed and dropped from the live version).
-    pub files_quarantined: u64,
 }
 
-/// Monotonic counters for the network service layer (`ldc-server`):
-/// admission decisions and wire traffic. All zero for embedded stores.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Requests admitted into a shard queue.
-    pub accepted: u64,
-    /// Requests rejected with retry-after because a shard queue was full.
-    pub rejected: u64,
-    /// Request bytes read off the wire (frame payloads).
-    pub bytes_in: u64,
-    /// Response bytes written to the wire (frame payloads).
-    pub bytes_out: u64,
-}
-
-/// Monotonic counters (plus one gauge) for the checkpoint/backup/
-/// replication machinery. All zero for stores that never checkpoint.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicationCounters {
-    /// Online checkpoints created.
-    pub checkpoints: u64,
-    /// Version edits shipped onto incremental backup streams.
-    pub edits_shipped: u64,
-    /// Version edits applied from a backup stream (follower side).
-    pub edits_applied: u64,
-    /// Gauge: stream records the primary has shipped but this follower
-    /// has not yet applied.
-    pub lag_edits: u64,
-}
-
-/// Shared registry: per-level gauges plus one latency histogram per
-/// operation type. All methods take `&self`; interior locking keeps the
+/// Shared registry for what no other owner can count: one latency
+/// histogram and one blame row per operation type, the retry-backoff
+/// total, and the degraded counters recorded by `RetryStorage` and the
+/// scrubber. All methods take `&self`; interior locking keeps the
 /// registry shareable behind an `Arc` across the whole engine.
 pub struct MetricsRegistry {
-    levels: Mutex<Vec<LevelGauge>>,
     latencies: [Mutex<LatencyHistogram>; 4],
-    ops: [AtomicU64; 4],
-    degraded: [AtomicU64; 4],
-    /// Net-layer counters: accepted, rejected, bytes in, bytes out.
-    net: [AtomicU64; 4],
-    /// Replication counters: checkpoints, edits shipped, edits applied,
-    /// lag gauge.
-    repl: [AtomicU64; 4],
+    /// Transient retries, scrubbed blocks, scrub corruptions.
+    degraded: [AtomicU64; 3],
     /// Per-op × per-blame attributed nanoseconds (fed by the tracing
     /// layer; all zero when tracing is off).
     blame: [[AtomicU64; Blame::COUNT]; 4],
@@ -268,14 +237,10 @@ impl MetricsRegistry {
     /// Empty registry.
     pub fn new() -> Self {
         Self {
-            levels: Mutex::new("obs/metrics::levels", Vec::new()),
             latencies: std::array::from_fn(|_| {
                 Mutex::new("obs/metrics::latencies", LatencyHistogram::new())
             }),
-            ops: std::array::from_fn(|_| AtomicU64::new(0)),
             degraded: std::array::from_fn(|_| AtomicU64::new(0)),
-            net: std::array::from_fn(|_| AtomicU64::new(0)),
-            repl: std::array::from_fn(|_| AtomicU64::new(0)),
             blame: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             retry_backoff_ns: AtomicU64::new(0),
         }
@@ -333,125 +298,32 @@ impl MetricsRegistry {
         self.degraded[2].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one quarantined SSTable.
-    pub fn record_quarantine(&self) {
-        self.degraded[3].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request admitted into a shard queue.
-    pub fn record_net_accept(&self) {
-        self.net[0].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request rejected by admission control (queue full).
-    pub fn record_net_reject(&self) {
-        self.net[1].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accumulates request bytes read off the wire.
-    pub fn record_net_bytes_in(&self, bytes: u64) {
-        self.net[2].fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Accumulates response bytes written to the wire.
-    pub fn record_net_bytes_out(&self, bytes: u64) {
-        self.net[3].fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the net-layer counters.
-    pub fn net_counters(&self) -> NetCounters {
-        NetCounters {
-            accepted: self.net[0].load(Ordering::Relaxed),
-            rejected: self.net[1].load(Ordering::Relaxed),
-            bytes_in: self.net[2].load(Ordering::Relaxed),
-            bytes_out: self.net[3].load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records one completed online checkpoint.
-    pub fn record_checkpoint(&self) {
-        self.repl[0].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets the total edits shipped onto backup streams. Set-style rather
-    /// than increment: the shipper owns the authoritative count and the
-    /// engine mirrors it here at report boundaries.
-    pub fn set_edits_shipped(&self, total: u64) {
-        self.repl[1].store(total, Ordering::Relaxed);
-    }
-
-    /// Records one version edit applied from a backup stream.
-    pub fn record_repl_apply(&self) {
-        self.repl[2].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets the replication-lag gauge (shipped-but-unapplied records).
-    pub fn set_repl_lag(&self, lag_edits: u64) {
-        self.repl[3].store(lag_edits, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the replication counters.
-    pub fn replication_counters(&self) -> ReplicationCounters {
-        ReplicationCounters {
-            checkpoints: self.repl[0].load(Ordering::Relaxed),
-            edits_shipped: self.repl[1].load(Ordering::Relaxed),
-            edits_applied: self.repl[2].load(Ordering::Relaxed),
-            lag_edits: self.repl[3].load(Ordering::Relaxed),
-        }
-    }
-
     /// Snapshot of the degraded-mode counters.
     pub fn degraded_counters(&self) -> DegradedCounters {
         DegradedCounters {
             transient_retries: self.degraded[0].load(Ordering::Relaxed),
             scrub_blocks_verified: self.degraded[1].load(Ordering::Relaxed),
             scrub_corruptions: self.degraded[2].load(Ordering::Relaxed),
-            files_quarantined: self.degraded[3].load(Ordering::Relaxed),
         }
-    }
-
-    /// Replaces the per-level gauges (one entry per level, L0 first).
-    pub fn set_level_gauges(&self, gauges: Vec<LevelGauge>) {
-        *self.levels.lock() = gauges;
-    }
-
-    /// Snapshot of the per-level gauges.
-    pub fn level_gauges(&self) -> Vec<LevelGauge> {
-        self.levels.lock().clone()
     }
 
     /// Records one operation latency.
     pub fn record_latency(&self, op: OpType, nanos: u64) {
         self.latencies[op.index()].lock().record(nanos);
-        self.ops[op.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot of one op type's latency histogram.
+    /// Snapshot of one op type's latency histogram; its
+    /// [`LatencyHistogram::count`] is the number of `op`s recorded.
     pub fn latency(&self, op: OpType) -> LatencyHistogram {
         self.latencies[op.index()].lock().clone()
     }
 
-    /// Total operations recorded for `op`.
-    pub fn op_count(&self, op: OpType) -> u64 {
-        self.ops[op.index()].load(Ordering::Relaxed)
-    }
-
-    /// Clears gauges and histograms.
+    /// Clears every histogram and counter.
     pub fn reset(&self) {
-        self.levels.lock().clear();
         for h in &self.latencies {
             *h.lock() = LatencyHistogram::new();
         }
-        for c in &self.ops {
-            c.store(0, Ordering::Relaxed);
-        }
         for c in &self.degraded {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.net {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.repl {
             c.store(0, Ordering::Relaxed);
         }
         for row in &self.blame {
@@ -468,32 +340,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gauge_snapshots_roundtrip() {
-        let reg = MetricsRegistry::new();
-        assert!(reg.level_gauges().is_empty());
-        reg.set_level_gauges(vec![
-            LevelGauge {
-                files: 4,
-                bytes: 4096,
-                score: 1.5,
-            },
-            LevelGauge {
-                files: 10,
-                bytes: 1 << 20,
-                score: 0.25,
-            },
-        ]);
-        let snap = reg.level_gauges();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].files, 4);
-        assert_eq!(snap[1].bytes, 1 << 20);
-        assert!((snap[0].score - 1.5).abs() < 1e-9);
-        // A new snapshot replaces, not appends.
-        reg.set_level_gauges(vec![LevelGauge::default()]);
-        assert_eq!(reg.level_gauges().len(), 1);
-    }
-
-    #[test]
     fn latencies_tracked_per_op() {
         let reg = MetricsRegistry::new();
         reg.record_latency(OpType::Get, 100);
@@ -502,8 +348,7 @@ mod tests {
         assert_eq!(reg.latency(OpType::Get).count(), 2);
         assert_eq!(reg.latency(OpType::Put).count(), 1);
         assert_eq!(reg.latency(OpType::Scan).count(), 0);
-        assert_eq!(reg.op_count(OpType::Get), 2);
-        assert_eq!(reg.op_count(OpType::Delete), 0);
+        assert_eq!(reg.latency(OpType::Delete).count(), 0);
         assert!((reg.latency(OpType::Get).mean() - 150.0).abs() < 1.0);
     }
 
@@ -511,12 +356,9 @@ mod tests {
     fn reset_clears_everything() {
         let reg = MetricsRegistry::new();
         reg.record_latency(OpType::Scan, 42);
-        reg.set_level_gauges(vec![LevelGauge::default()]);
         reg.record_transient_retry();
         reg.reset();
-        assert!(reg.level_gauges().is_empty());
         assert_eq!(reg.latency(OpType::Scan).count(), 0);
-        assert_eq!(reg.op_count(OpType::Scan), 0);
         assert_eq!(reg.degraded_counters(), DegradedCounters::default());
     }
 
@@ -528,17 +370,14 @@ mod tests {
         reg.record_scrub_blocks(10);
         reg.record_scrub_blocks(5);
         reg.record_scrub_corruption();
-        reg.record_quarantine();
         let c = reg.degraded_counters();
         assert_eq!(c.transient_retries, 2);
         assert_eq!(c.scrub_blocks_verified, 15);
         assert_eq!(c.scrub_corruptions, 1);
-        assert_eq!(c.files_quarantined, 1);
     }
 
     #[test]
-    fn histogram_layout_matches_workload_crate() {
-        // Same spot-checks as ldc-workload's tests: bounded relative error.
+    fn relative_error_is_bounded() {
         for magnitude in [5u64, 50, 500, 5_000, 50_000, 500_000, 5_000_000] {
             let mut h = LatencyHistogram::new();
             h.record(magnitude);
@@ -551,8 +390,11 @@ mod tests {
     #[test]
     fn histogram_edge_cases() {
         let h = LatencyHistogram::new();
-        assert_eq!(h.percentile(50.0), 0);
-        assert_eq!(h.min(), 0);
+        for p in [0.0, 0.1, 50.0, 99.99, 100.0] {
+            assert_eq!(h.percentile(p), 0, "p{p} of empty");
+        }
+        assert_eq!((h.count(), h.mean(), h.max()), (0, 0.0, 0));
+        assert_eq!(h.min(), 0, "empty min must not leak the u64::MAX sentinel");
         let mut h = LatencyHistogram::new();
         h.record(u64::MAX);
         assert_eq!(h.max(), u64::MAX);
@@ -562,29 +404,49 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), 1);
+        // Interior ranks stay inside the observed range, and the u128 sum
+        // keeps the mean finite.
+        let p999 = h.percentile(99.9);
+        assert!((h.min()..=h.max()).contains(&p999), "p99.9 = {p999}");
+        assert!(h.mean().is_finite() && h.mean() > 0.0);
     }
 
     #[test]
-    fn replication_counters_mix_monotonic_and_gauges() {
-        let reg = MetricsRegistry::new();
-        reg.record_checkpoint();
-        reg.record_repl_apply();
-        reg.record_repl_apply();
-        reg.set_edits_shipped(5);
-        reg.set_repl_lag(3);
-        let c = reg.replication_counters();
-        assert_eq!(c.checkpoints, 1);
-        assert_eq!(c.edits_shipped, 5);
-        assert_eq!(c.edits_applied, 2);
-        assert_eq!(c.lag_edits, 3);
-        // Set-style fields overwrite, not accumulate.
-        reg.set_edits_shipped(7);
-        reg.set_repl_lag(0);
-        let c = reg.replication_counters();
-        assert_eq!(c.edits_shipped, 7);
-        assert_eq!(c.lag_edits, 0);
-        reg.reset();
-        assert_eq!(reg.replication_counters(), ReplicationCounters::default());
+    fn percentiles_of_uniform_ramp() {
+        let mut h = LatencyHistogram::new();
+        for v in 1..=100_000u64 {
+            h.record(v);
+        }
+        for (p, expect) in [(50.0, 50_000u64), (90.0, 90_000), (99.0, 99_000)] {
+            let got = h.percentile(p);
+            let err = (got as f64 - expect as f64).abs() / expect as f64;
+            assert!(err < 0.05, "p{p}: got {got}, expect ~{expect}");
+        }
+        assert_eq!(h.percentile(100.0), 100_000);
+    }
+
+    #[test]
+    fn tail_is_captured() {
+        // 999 fast ops and one slow outlier: with nearest-rank semantics the
+        // outlier is the 1000th ordered sample, so p99.95 must surface it
+        // while p90 stays clean.
+        let mut h = LatencyHistogram::new();
+        for _ in 0..999 {
+            h.record(100);
+        }
+        h.record(1_000_000);
+        let tail = h.percentile(99.95);
+        assert!(tail > 900_000, "tail percentile missed the outlier: {tail}");
+        let p90 = h.percentile(90.0);
+        assert!(p90 <= 110, "p90 polluted by outlier: {p90}");
+    }
+
+    #[test]
+    fn zero_values_are_recorded() {
+        let mut h = LatencyHistogram::new();
+        h.record(0);
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.max(), 0);
     }
 
     #[test]
@@ -597,6 +459,8 @@ mod tests {
     fn percentile_bounds_p0_p100_single_sample() {
         let mut h = LatencyHistogram::new();
         h.record(12_345);
+        assert_eq!((h.count(), h.min(), h.max()), (1, 12_345, 12_345));
+        assert_eq!(h.mean(), 12_345.0);
         // A single sample dominates every rank, including the extremes.
         assert_eq!(h.percentile(100.0), 12_345, "p100 is the exact max");
         let p0 = h.percentile(0.0);

@@ -8,8 +8,8 @@
 //! (full ⇒ reject), which keeps overload tests and closed-loop reruns
 //! reproducible.
 //!
-//! Counters live in [`ShardState`] (lock-free atomics) and surface both
-//! through the wire `Stats` op and the server's `MetricsRegistry`.
+//! Counters live in [`ShardState`] (lock-free atomics) and nowhere else;
+//! they surface through the wire `Stats` op (`LdcServer::stats_snapshot`).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};

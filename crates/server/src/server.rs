@@ -255,10 +255,7 @@ impl ServerCtx {
 
     fn stats_snapshot(&self) -> ServerStats {
         let (follower, follower_lag, follower_cursor) = match &self.follower {
-            Some(f) => {
-                let repl = f.stats();
-                (true, repl.lag_edits, repl.cursor)
-            }
+            Some(f) => (true, f.lag(), f.db().replication_cursor()),
             None => (false, 0, 0),
         };
         ServerStats {
@@ -499,27 +496,19 @@ enum PartResult {
 fn admit_part(ctx: &ServerCtx, shard: usize, job: Job, agg: &Arc<Agg>) {
     // An out-of-range shard (impossible via the router) counts as a
     // rejection so the aggregate still finalizes.
-    let outcome = match ctx.queues.get(shard) {
-        Some(queue) => queue.try_admit(job),
-        None => Err(job),
-    };
-    match outcome {
-        Ok(()) => ctx.registry.record_net_accept(),
-        Err(_rejected) => {
-            ctx.registry.record_net_reject();
-            {
-                let mut st = agg.state.lock();
-                if st.error.is_none() {
-                    st.error = Some((
-                        Status::Overloaded,
-                        ResponseBody::RetryAfterMs(ctx.retry_after_ms),
-                    ));
-                }
-            }
-            if agg.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                finalize_agg(ctx, agg);
-            }
-        }
+    let admitted = ctx
+        .queues
+        .get(shard)
+        .is_some_and(|queue| queue.try_admit(job).is_ok());
+    if admitted {
+        return;
+    }
+    agg.state.lock().error.get_or_insert((
+        Status::Overloaded,
+        ResponseBody::RetryAfterMs(ctx.retry_after_ms),
+    ));
+    if agg.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+        finalize_agg(ctx, agg);
     }
 }
 
@@ -578,26 +567,22 @@ fn dispatch(
             };
             // The router only hands out in-range shards; a missing queue
             // is treated as a rejection rather than indexed blindly.
-            let outcome = match ctx.queues.get(shard) {
-                Some(queue) => queue.try_admit(job),
-                None => Err(job),
-            };
-            match outcome {
-                Ok(()) => ctx.registry.record_net_accept(),
-                Err(_rejected) => {
-                    ctx.registry.record_net_reject();
-                    send_response(
-                        reply,
-                        &Response {
-                            req_id,
-                            status: Status::Overloaded,
-                            shard: shard as u16,
-                            queue_ns: 0,
-                            service_ns: 0,
-                            body: ResponseBody::RetryAfterMs(ctx.retry_after_ms),
-                        },
-                    );
-                }
+            let admitted = ctx
+                .queues
+                .get(shard)
+                .is_some_and(|queue| queue.try_admit(job).is_ok());
+            if !admitted {
+                send_response(
+                    reply,
+                    &Response {
+                        req_id,
+                        status: Status::Overloaded,
+                        shard: shard as u16,
+                        queue_ns: 0,
+                        service_ns: 0,
+                        body: ResponseBody::RetryAfterMs(ctx.retry_after_ms),
+                    },
+                );
             }
         }
         Request::Scan { start, limit } => {
@@ -677,20 +662,13 @@ fn dispatch(
     }
 }
 
-fn writer_loop(ctx: Arc<ServerCtx>, stream: TcpStream, replies: Receiver<Vec<u8>>) {
+fn writer_loop(stream: TcpStream, replies: Receiver<Vec<u8>>) {
     let mut w = BufWriter::new(stream);
     while let Ok(body) = replies.recv() {
         let mut broken = write_frame(&mut w, &body).is_err();
-        if !broken {
-            ctx.registry.record_net_bytes_out(body.len() as u64 + 4);
-        }
         // Batch everything already queued into one flush.
         while let Ok(next) = replies.try_recv() {
-            if !broken && write_frame(&mut w, &next).is_ok() {
-                ctx.registry.record_net_bytes_out(next.len() as u64 + 4);
-            } else {
-                broken = true;
-            }
+            broken = broken || write_frame(&mut w, &next).is_err();
         }
         if !broken {
             let _ = w.flush();
@@ -715,8 +693,7 @@ fn serve_connection(ctx: Arc<ServerCtx>, stream: TcpStream) {
         Err(_) => return,
     };
     let (reply_tx, reply_rx) = channel::<Vec<u8>>();
-    let wctx = Arc::clone(&ctx);
-    let writer = std::thread::spawn(move || writer_loop(wctx, write_half, reply_rx));
+    let writer = std::thread::spawn(move || writer_loop(write_half, reply_rx));
     ctx.threads.lock().push(writer);
 
     let mut reader = BufReader::new(stream);
@@ -740,7 +717,6 @@ fn serve_connection(ctx: Arc<ServerCtx>, stream: TcpStream) {
             // Clean EOF, torn frame, or transport error: connection over.
             Err(_) => break,
         };
-        ctx.registry.record_net_bytes_in(body.len() as u64 + 4);
         let recv_ns = ctx.now_ns();
         match decode_request(&body) {
             // ldc-lint: allow(determinism_taint) — receive stamp is host-time metadata for latency spans
@@ -906,9 +882,9 @@ impl LdcServer {
         self.ctx.queues.len()
     }
 
-    /// The server's network metrics registry: accepted/rejected
-    /// counters, per-op latency histograms (host time), and the
-    /// `admission`/`net`/`engine` blame totals.
+    /// The server's network metrics registry: per-op latency histograms
+    /// (host time) and the `admission`/`net`/`engine` blame totals.
+    /// Admission counts are per shard, in [`LdcServer::stats_snapshot`].
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.ctx.registry)
     }

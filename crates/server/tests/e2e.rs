@@ -70,10 +70,6 @@ fn crud_round_trips_across_shards() {
     assert!(accepted > 200);
     assert_eq!(stats.shards.iter().map(|s| s.rejected).sum::<u64>(), 0);
     assert!(completed >= accepted - u64::from(stats.shards.iter().map(|s| s.depth).sum::<u32>()));
-
-    let net = server.metrics().net_counters();
-    assert!(net.accepted > 200 && net.rejected == 0);
-    assert!(net.bytes_in > 0 && net.bytes_out > 0);
     server.shutdown();
 }
 
@@ -227,8 +223,13 @@ fn overload_rejects_with_retry_after_and_recovers() {
 
     // Overload was observable, never fatal: counters add up and the
     // server keeps serving.
-    let net = server.metrics().net_counters();
-    assert_eq!(net.rejected, rejected as u64);
+    let shard_rejected: u64 = server
+        .stats_snapshot()
+        .shards
+        .iter()
+        .map(|s| s.rejected)
+        .sum();
+    assert_eq!(shard_rejected, rejected as u64);
     let (value, _) = probe.get(&keys[0]).unwrap();
     // keys[0] was the first send: admitted (queue was empty), so it
     // must have been persisted on release.

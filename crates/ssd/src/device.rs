@@ -10,8 +10,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ldc_obs::lockcheck::Mutex;
 use ldc_obs::{Event, EventKind, NoopSink, SharedSink};
-use parking_lot::Mutex;
 
 use crate::clock::{Nanos, TimeCategory, TimeLedger, VirtualClock};
 use crate::config::SsdConfig;
@@ -78,9 +78,9 @@ impl SsdDevice {
             cfg,
             clock: VirtualClock::new(),
             ledger: Arc::new(TimeLedger::new()),
-            ftl: Mutex::new(ftl),
+            ftl: Mutex::new("ssd/device::ftl", ftl),
             io: IoStats::new(),
-            sink: Mutex::new(Arc::new(NoopSink)),
+            sink: Mutex::new("ssd/device::sink", Arc::new(NoopSink)),
             sink_on: AtomicBool::new(false),
             gc_nanos: AtomicU64::new(0),
         })

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use ldc_obs::lockcheck::{Mutex, RwLock};
 
 use crate::device::SsdDevice;
 use crate::error::{SsdError, SsdResult};
@@ -222,12 +222,15 @@ impl MemStorage {
         let limit = device.logical_pages();
         Arc::new(Self {
             device,
-            files: RwLock::new(HashMap::new()),
-            alloc: Mutex::new(PageAllocator {
-                next: 0,
-                limit,
-                free: Vec::new(),
-            }),
+            files: RwLock::new("ssd/storage::files", HashMap::new()),
+            alloc: Mutex::new(
+                "ssd/storage::alloc",
+                PageAllocator {
+                    next: 0,
+                    limit,
+                    free: Vec::new(),
+                },
+            ),
         })
     }
 

@@ -11,8 +11,8 @@
 //!    through `Db::apply_remote_edit` (which stamps the advanced cursor
 //!    into the follower's own manifest, so a restarted follower resumes
 //!    exactly where it left off);
-//! 3. **lag** — `shipped - applied` records, surfaced as stats, the
-//!    `set_repl_lag` metrics gauge, and the server tier's stats report.
+//! 3. **lag** — `shipped - applied` records, surfaced by
+//!    [`Follower::lag`] and the server tier's wire `Stats` reply.
 //!
 //! Every step is idempotent under crash: a torn stream tail is a clean
 //! end, table copies skip files already present, and a crash between a

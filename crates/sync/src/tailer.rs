@@ -9,15 +9,11 @@ use ldc_core::ssd::{IoClass, StorageBackend};
 use ldc_core::{LdcDb, LdcDbBuilder};
 use ldc_obs::lockcheck::Mutex;
 
-/// Point-in-time replication state of a [`Follower`].
+/// Point-in-time tailing state of a [`Follower`]. What it applied is the
+/// store's own to count: `db().stats().edits_applied` (this process) and
+/// `db().replication_cursor()` (its lifetime, bootstrap included).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FollowerStats {
-    /// Stream records applied by this follower process (not counting the
-    /// records the bootstrap restore replayed).
-    pub edits_applied: u64,
-    /// The follower's replication cursor: total stream records applied
-    /// over its lifetime, including bootstrap and previous incarnations.
-    pub cursor: u64,
     /// Records the primary has shipped that this follower has not yet
     /// applied, as of the last [`Follower::poll`].
     pub lag_edits: u64,
@@ -72,16 +68,11 @@ impl Follower {
         dst: Arc<dyn StorageBackend>,
     ) -> Result<Follower> {
         let prefix = backup_prefix(name);
-        let db = builder.storage(Arc::clone(&dst)).build()?;
-        let stats = FollowerStats {
-            cursor: db.replication_cursor(),
-            ..Default::default()
-        };
         Ok(Follower {
-            db,
+            db: builder.storage(Arc::clone(&dst)).build()?,
             src: Arc::clone(src),
             prefix,
-            stats: Mutex::new("sync/tailer::stats", stats),
+            stats: Mutex::new("sync/tailer::stats", FollowerStats::default()),
         })
     }
 
@@ -112,20 +103,14 @@ impl Follower {
             newly += 1;
             Ok(())
         })?;
-        let cursor = self.db.replication_cursor();
-        let lag = total.saturating_sub(cursor);
-        {
-            let mut stats = self.stats.lock();
-            stats.edits_applied += newly;
-            stats.cursor = cursor;
-            stats.lag_edits = lag;
-            if newly > 0 {
-                stats.polls_with_progress += 1;
-            } else {
-                stats.polls_empty += 1;
-            }
+        let lag = total.saturating_sub(self.db.replication_cursor());
+        let mut stats = self.stats.lock();
+        stats.lag_edits = lag;
+        if newly > 0 {
+            stats.polls_with_progress += 1;
+        } else {
+            stats.polls_empty += 1;
         }
-        self.db.metrics().set_repl_lag(lag);
         Ok(newly)
     }
 
@@ -205,10 +190,8 @@ mod tests {
         for i in 0..400 {
             assert_eq!(follower.db().get(&key(i)).unwrap(), Some(value(i)), "{i}");
         }
-        let stats = follower.stats();
-        assert_eq!(stats.edits_applied, applied);
-        assert!(stats.cursor >= applied);
-        assert_eq!(follower.db().metrics().replication_counters().lag_edits, 0);
+        assert_eq!(follower.db().stats().edits_applied, applied);
+        assert!(follower.db().replication_cursor() >= applied);
     }
 
     #[test]
@@ -235,7 +218,7 @@ mod tests {
         )
         .unwrap();
         f1.poll().unwrap();
-        let cursor = f1.stats().cursor;
+        let cursor = f1.db().replication_cursor();
         assert!(cursor > 0);
         drop(f1);
 
@@ -247,7 +230,7 @@ mod tests {
             dst,
         )
         .unwrap();
-        assert_eq!(f2.stats().cursor, cursor);
+        assert_eq!(f2.db().replication_cursor(), cursor);
         assert_eq!(f2.poll().unwrap(), 0, "nothing new must re-apply");
         for i in 0..200 {
             assert_eq!(f2.db().get(&key(i)).unwrap(), Some(value(i)), "{i}");

@@ -22,15 +22,17 @@
 
 mod arrival;
 mod distribution;
-mod histogram;
 mod keys;
 mod runner;
 mod spec;
 
 pub use arrival::{ArrivalProcess, ArrivalSchedule};
 pub use distribution::{Distribution, Sampler};
-pub use histogram::Histogram;
 pub use keys::KeyCodec;
+/// Latency histogram over u64 nanoseconds: the workspace's one
+/// implementation, `ldc-obs`'s, under this crate's historical name, so
+/// benchmark-side and engine-side percentiles come out of the same buckets.
+pub use ldc_obs::LatencyHistogram as Histogram;
 pub use runner::{
     preload_workload, run_measured, run_workload, KvInterface, RunReport, SecondSample,
 };

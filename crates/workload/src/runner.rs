@@ -7,8 +7,8 @@ use rand::{Rng, SeedableRng};
 use ldc_ssd::VirtualClock;
 
 use crate::distribution::Sampler;
-use crate::histogram::Histogram;
 use crate::spec::{ReadKind, WorkloadSpec};
+use crate::Histogram;
 
 /// The store interface the runner drives. Implemented by thin adapters in
 /// the benchmark crate (and by an in-memory model in tests).
