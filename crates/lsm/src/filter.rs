@@ -16,18 +16,30 @@ impl BloomFilter {
     /// Builds a filter for `keys` at `bits_per_key` (0 disables filtering:
     /// every query answers "maybe").
     pub fn build<K: AsRef<[u8]>>(keys: &[K], bits_per_key: usize) -> Self {
-        if bits_per_key == 0 || keys.is_empty() {
-            return Self { data: Vec::new() };
+        Self::from_hashes(keys.iter().map(|k| bloom_hash(k.as_ref())), bits_per_key)
+    }
+
+    /// [`BloomFilter::build`] from the keys' [`bloom_hash`]es, which a table
+    /// builder collects as its keys arrive. A filter that would need more
+    /// than `u32::MAX` bits is built disabled, like one at 0 bits per key.
+    pub(crate) fn from_hashes(
+        hashes: impl ExactSizeIterator<Item = u32>,
+        bits_per_key: usize,
+    ) -> Self {
+        let disabled = Self { data: Vec::new() };
+        if bits_per_key == 0 || hashes.len() == 0 {
+            return disabled;
         }
         // k = bits_per_key * ln2, clamped like LevelDB.
         let k = ((bits_per_key as f64 * 0.69) as usize).clamp(1, 30);
-        let bits = (keys.len() * bits_per_key).max(64);
-        let bytes = bits.div_ceil(8);
-        let bits = bytes * 8;
+        let bytes = (hashes.len() * bits_per_key).max(64).div_ceil(8);
+        let Ok(bits) = u32::try_from(bytes * 8) else {
+            return disabled;
+        };
         let mut data = vec![0u8; bytes + 1];
         data[bytes] = k as u8;
-        for key in keys {
-            for bit in probe_bits(bloom_hash(key.as_ref()), k, bits) {
+        for hash in hashes {
+            for bit in probe_bits(hash, k, bits) {
                 data[bit / 8] |= 1 << (bit % 8);
             }
         }
@@ -61,11 +73,13 @@ impl BloomFilter {
             return true; // empty/disabled filter never excludes
         }
         let bytes = self.data.len() - 1;
-        let bits = bytes * 8;
         let k = self.data[bytes] as usize;
         if k > 30 {
             return true; // reserved for future encodings
         }
+        let Ok(bits) = u32::try_from(bytes * 8) else {
+            return true; // no filter this engine builds is this large
+        };
         probe_bits(hash, k, bits).all(|bit| self.data[bit / 8] & (1 << (bit % 8)) != 0)
     }
 }
@@ -73,12 +87,14 @@ impl BloomFilter {
 /// The `probes` bit positions, each below `bits`, that a key with
 /// [`bloom_hash`] `hash` sets and tests: double hashing, `h, h + d, h + 2d, …`
 /// with `d` a rotation of `h`. The table filters and the memtable's key
-/// filter ([`crate::skiplist`]) share it.
-pub(crate) fn probe_bits(hash: u32, probes: usize, bits: usize) -> impl Iterator<Item = usize> {
+/// filter ([`crate::skiplist`]) share it. `h` is a `u32`, so its remainder
+/// by a `u32` bit count is the position a `usize` remainder gives, at the
+/// cost of a 32-bit division rather than a 64-bit one.
+pub(crate) fn probe_bits(hash: u32, probes: usize, bits: u32) -> impl Iterator<Item = usize> {
     let delta = hash.rotate_right(17);
     let mut h = hash;
     (0..probes).map(move |_| {
-        let bit = (h as usize) % bits;
+        let bit = (h % bits) as usize;
         h = h.wrapping_add(delta);
         bit
     })
@@ -124,6 +140,7 @@ pub(crate) fn bloom_hash(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn keys(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("key{i:08}").into_bytes()).collect()
@@ -180,6 +197,35 @@ mod tests {
     fn empty_key_set() {
         let f = BloomFilter::build::<Vec<u8>>(&[], 10);
         assert!(f.may_contain(b"x"));
+    }
+
+    #[test]
+    fn filter_too_large_for_u32_bit_positions_is_disabled() {
+        // 2^32 - 1 keys at 10 bits each: the filter is refused before any
+        // hash is read, and a disabled filter answers "maybe".
+        let f = BloomFilter::from_hashes(0..u32::MAX, 10);
+        assert_eq!(f.size_bytes(), 0);
+        assert!(f.may_contain(b"anything"));
+    }
+
+    proptest! {
+        /// The 32-bit remainder sets and tests the bits the `usize` formula
+        /// did: the bit positions are the on-disk format.
+        #[test]
+        fn probe_bits_equal_the_usize_formula(
+            hash in any::<u32>(),
+            large in 1u32..u32::MAX,
+            small in 1u32..1 << 16,
+            probes in 1usize..31,
+        ) {
+            let delta = hash.rotate_right(17);
+            for bits in [large, small] {
+                let want: Vec<usize> = (0..probes as u32)
+                    .map(|i| (hash.wrapping_add(delta.wrapping_mul(i)) as usize) % bits as usize)
+                    .collect();
+                prop_assert_eq!(probe_bits(hash, probes, bits).collect::<Vec<_>>(), want);
+            }
+        }
     }
 
     #[test]

@@ -131,74 +131,105 @@ impl InternalIterator for VecIterator {
 /// Children may contain the same user key at different sequences (or even
 /// byte-identical internal keys from pathological inputs); merge order is by
 /// internal key with child index as the tiebreak, so output is
-/// deterministic. The child count is small (a handful of levels plus L0
-/// files plus slices), so a linear minimum scan beats a heap in practice.
+/// deterministic. The valid children sit in a binary min-heap on that
+/// order, so `next` costs at most `2 log2 K` key compares and usually
+/// fewer, where a linear minimum scan cost `K - 1` compares and `K` calls
+/// to `valid`. Compactions merge one file with up to about ten it overlaps
+/// and scans merge about ten children. Measured against that scan with
+/// everything else equal (8 alternating pairs each, benchmark scale 0.25,
+/// 2-vCPU Xeon 2.1 GHz), the heap raised `fill-udc` throughput 4.8 % and
+/// `scan-rh` 4.0 %, winning every pair. The order is total, so the
+/// children advance — and their blocks load and enter the block cache —
+/// exactly as they did under the scan.
 pub struct MergingIterator<'a> {
     children: Vec<Box<dyn InternalIterator + 'a>>,
-    current: Option<usize>,
+    /// Indices of the valid children; `heap[0]` is the current one.
+    heap: Vec<usize>,
 }
 
 impl<'a> MergingIterator<'a> {
     /// Builds a merge over `children` (unpositioned).
     pub fn new(children: Vec<Box<dyn InternalIterator + 'a>>) -> Self {
-        Self {
-            children,
-            current: None,
+        let heap = Vec::with_capacity(children.len());
+        Self { children, heap }
+    }
+
+    /// Whether child `a` is ahead of child `b` in merge order.
+    fn before(&self, a: usize, b: usize) -> bool {
+        compare_internal_keys(self.children[a].key(), self.children[b].key())
+            .then(a.cmp(&b))
+            .is_lt()
+    }
+
+    /// Restores the heap order below `pos`, whose child may have moved back.
+    fn sift_down(&mut self, mut pos: usize) {
+        loop {
+            let left = 2 * pos + 1;
+            if left >= self.heap.len() {
+                return;
+            }
+            let right = left + 1;
+            let mut child = left;
+            if right < self.heap.len() && self.before(self.heap[right], self.heap[left]) {
+                child = right;
+            }
+            if !self.before(self.heap[child], self.heap[pos]) {
+                return;
+            }
+            self.heap.swap(pos, child);
+            pos = child;
         }
     }
 
-    fn find_smallest(&mut self) {
-        let mut smallest: Option<usize> = None;
-        for (i, child) in self.children.iter().enumerate() {
-            if !child.valid() {
-                continue;
-            }
-            smallest = match smallest {
-                None => Some(i),
-                Some(s) => {
-                    if compare_internal_keys(child.key(), self.children[s].key()).is_lt() {
-                        Some(i)
-                    } else {
-                        Some(s)
-                    }
-                }
-            };
+    /// Rebuilds the heap from every valid child, after they were all moved.
+    fn rebuild(&mut self) {
+        self.heap.clear();
+        self.heap
+            .extend((0..self.children.len()).filter(|&i| self.children[i].valid()));
+        for pos in (0..self.heap.len() / 2).rev() {
+            self.sift_down(pos);
         }
-        self.current = smallest;
+    }
+
+    fn current(&self) -> &(dyn InternalIterator + 'a) {
+        self.children[*self.heap.first().expect("valid")].as_ref()
     }
 }
 
 impl InternalIterator for MergingIterator<'_> {
     fn valid(&self) -> bool {
-        self.current.is_some()
+        !self.heap.is_empty()
     }
 
     fn seek_to_first(&mut self) {
         for child in &mut self.children {
             child.seek_to_first();
         }
-        self.find_smallest();
+        self.rebuild();
     }
 
     fn seek(&mut self, target: &[u8]) {
         for child in &mut self.children {
             child.seek(target);
         }
-        self.find_smallest();
+        self.rebuild();
     }
 
     fn next(&mut self) {
-        let cur = self.current.expect("next on invalid merging iterator");
+        let cur = *self.heap.first().expect("next on invalid merging iterator");
         self.children[cur].next();
-        self.find_smallest();
+        if !self.children[cur].valid() {
+            self.heap.swap_remove(0);
+        }
+        self.sift_down(0);
     }
 
     fn key(&self) -> &[u8] {
-        self.children[self.current.expect("valid")].key()
+        self.current().key()
     }
 
     fn value(&self) -> &[u8] {
-        self.children[self.current.expect("valid")].value()
+        self.current().value()
     }
 
     fn status(&self) -> Result<()> {
@@ -213,6 +244,7 @@ impl InternalIterator for MergingIterator<'_> {
 mod tests {
     use super::*;
     use crate::types::{encode_internal_key, user_key, ValueType};
+    use proptest::prelude::*;
 
     fn ik(key: &[u8], seq: u64) -> Vec<u8> {
         encode_internal_key(key, seq, ValueType::Value)
@@ -304,5 +336,80 @@ mod tests {
         let mut m = MergingIterator::new(Vec::new());
         m.seek_to_first();
         assert!(!m.valid());
+    }
+
+    /// Internal keys over four user keys and four sequences, so children
+    /// share user keys and often hold byte-identical internal keys.
+    fn small_ikey((ukey, seq, deletion): (u8, u64, bool)) -> Vec<u8> {
+        let vt = if deletion {
+            ValueType::Deletion
+        } else {
+            ValueType::Value
+        };
+        encode_internal_key(&[b'a' + ukey], seq, vt)
+    }
+
+    proptest! {
+        /// The merge yields exactly the children's entries sorted by
+        /// (internal key, child index), from `seek_to_first` and from any
+        /// `seek`, and keeps that order across `next`s that follow a seek.
+        #[test]
+        fn merge_equals_sort_by_key_then_child(
+            raw in prop::collection::vec(
+                prop::collection::vec((0u8..4, 0u64..4, any::<bool>()), 0..12),
+                0..9,
+            ),
+            targets in prop::collection::vec((0u8..5, 0u64..5, any::<bool>()), 1..6),
+        ) {
+            let runs: Vec<Vec<Vec<u8>>> = raw
+                .into_iter()
+                .map(|run| {
+                    let mut keys: Vec<Vec<u8>> = run.into_iter().map(small_ikey).collect();
+                    keys.sort_by(|a, b| compare_internal_keys(a, b));
+                    keys.dedup();
+                    keys
+                })
+                .collect();
+            let mut oracle: Vec<(Vec<u8>, usize, Vec<u8>)> = Vec::new();
+            for (child, run) in runs.iter().enumerate() {
+                for (pos, k) in run.iter().enumerate() {
+                    oracle.push((k.clone(), child, format!("{child}:{pos}").into_bytes()));
+                }
+            }
+            oracle.sort_by(|a, b| compare_internal_keys(&a.0, &b.0).then(a.1.cmp(&b.1)));
+            let children: Vec<Box<dyn InternalIterator>> = runs
+                .iter()
+                .enumerate()
+                .map(|(child, run)| {
+                    let entries = run
+                        .iter()
+                        .enumerate()
+                        .map(|(pos, k)| (k.clone(), format!("{child}:{pos}").into_bytes()))
+                        .collect();
+                    Box::new(VecIterator::new(entries)) as Box<dyn InternalIterator>
+                })
+                .collect();
+            let mut m = MergingIterator::new(children);
+            let drain = |m: &mut MergingIterator<'_>| {
+                let mut seen = Vec::new();
+                while m.valid() {
+                    seen.push((m.key().to_vec(), m.value().to_vec()));
+                    m.next();
+                }
+                seen
+            };
+            let want = |from: usize| -> Vec<(Vec<u8>, Vec<u8>)> {
+                oracle[from..].iter().map(|(k, _, v)| (k.clone(), v.clone())).collect()
+            };
+            m.seek_to_first();
+            prop_assert_eq!(drain(&mut m), want(0));
+            for target in targets {
+                let target = small_ikey(target);
+                let from = oracle.partition_point(|e| compare_internal_keys(&e.0, &target).is_lt());
+                m.seek(&target);
+                prop_assert_eq!(drain(&mut m), want(from));
+            }
+            m.status().unwrap();
+        }
     }
 }

@@ -70,7 +70,7 @@ pub struct SkipList {
 /// The filter positions of a user key with Bloom hash `hash`, as (word,
 /// mask) pairs.
 fn filter_probes(hash: u32) -> impl Iterator<Item = (usize, u64)> {
-    probe_bits(hash, FILTER_PROBES, FILTER_BITS).map(|bit| (bit / 64, 1u64 << (bit % 64)))
+    probe_bits(hash, FILTER_PROBES, FILTER_BITS as u32).map(|bit| (bit / 64, 1u64 << (bit % 64)))
 }
 
 impl SkipList {

@@ -2,7 +2,7 @@
 
 use crate::block::BlockBuilder;
 use crate::crc32c;
-use crate::filter::BloomFilter;
+use crate::filter::{bloom_hash, BloomFilter};
 use crate::table::{encode_footer, BlockHandle};
 use crate::types::{compare_internal_keys, user_key};
 
@@ -30,7 +30,8 @@ pub struct TableBuilder {
     data: Vec<u8>,
     block: BlockBuilder,
     index: BlockBuilder,
-    filter_keys: Vec<Vec<u8>>,
+    /// [`bloom_hash`] of each distinct user key, in order.
+    filter_hashes: Vec<u32>,
     smallest: Option<Vec<u8>>,
     largest: Vec<u8>,
     entries: u64,
@@ -63,7 +64,7 @@ impl TableBuilder {
             data: Vec::with_capacity(file_bytes),
             block: BlockBuilder::new(restart_interval),
             index: BlockBuilder::new(1),
-            filter_keys: Vec::new(),
+            filter_hashes: Vec::new(),
             smallest: None,
             largest: Vec::new(),
             entries: 0,
@@ -81,16 +82,16 @@ impl TableBuilder {
         if self.smallest.is_none() {
             self.smallest = Some(ikey.to_vec());
         }
+        // Filter on user keys, hashed as they arrive; skip consecutive
+        // duplicates (multiple versions of one key share a filter probe).
+        let ukey = user_key(ikey);
+        if self.entries == 0 || user_key(&self.last_key) != ukey {
+            self.filter_hashes.push(bloom_hash(ukey));
+        }
         self.largest.clear();
         self.largest.extend_from_slice(ikey);
         self.last_key.clear();
         self.last_key.extend_from_slice(ikey);
-        // Filter on user keys; skip consecutive duplicates (multiple
-        // versions of one key share a filter probe).
-        let ukey = user_key(ikey);
-        if self.filter_keys.last().map(Vec::as_slice) != Some(ukey) {
-            self.filter_keys.push(ukey.to_vec());
-        }
         self.block.add(ikey, value);
         self.entries += 1;
         if self.block.size_estimate() >= self.block_bytes {
@@ -122,7 +123,8 @@ impl TableBuilder {
             self.flush_data_block();
         }
         // Filter block.
-        let filter = BloomFilter::build(&self.filter_keys, self.bits_per_key);
+        let filter =
+            BloomFilter::from_hashes(self.filter_hashes.iter().copied(), self.bits_per_key);
         let filter_handle = seal_block(&mut self.data, |out| {
             out.extend_from_slice(filter.as_bytes());
         });
@@ -150,15 +152,16 @@ impl TableBuilder {
 }
 
 /// Makes one block of whatever `write` appends to the table image `data`:
-/// checksums the appended bytes where they lie, adds the type+crc trailer
-/// and returns the block's handle.
+/// adds the type byte, checksums the appended bytes and the type byte in
+/// one pass where they lie, appends the crc and returns the block's handle.
 fn seal_block(data: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> BlockHandle {
     let offset = data.len();
     write(data);
     let size = data.len() - offset;
+    // Compression type: none.
+    data.push(0);
     // ldc-lint: allow(panic_safety) — `offset` was the image's length before `write`, which only appends
-    let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(&data[offset..]), &[0u8]));
-    data.push(0); // compression type: none
+    let crc = crc32c::mask(crc32c::crc32c(&data[offset..]));
     data.extend_from_slice(&crc.to_le_bytes());
     BlockHandle {
         offset: offset as u64,

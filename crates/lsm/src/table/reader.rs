@@ -307,12 +307,15 @@ fn read_block_bytes(
             format!("short block read: got {} of {len} bytes", raw.len()),
         ));
     }
-    let (payload, trailer) = raw.split_at(handle.size as usize);
-    let stored_bytes: [u8; 4] = trailer
-        .get(1..5)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| corruption_at(name, handle.offset, "truncated block trailer"))?;
-    let compression = trailer[0]; // ldc-lint: allow(panic_safety) — length proven >= trailer size above
+    // The crc covers the payload and the type byte after it: one pass.
+    let (covered, crc_bytes) = raw.split_at(handle.size as usize + 1);
+    let (&[.., compression], Some(stored_bytes)) = (covered, crc_bytes.first_chunk::<4>()) else {
+        return Err(corruption_at(
+            name,
+            handle.offset,
+            "truncated block trailer",
+        ));
+    };
     if compression != 0 {
         return Err(corruption_at(
             name,
@@ -320,9 +323,8 @@ fn read_block_bytes(
             format!("unsupported compression tag {compression}"),
         ));
     }
-    let stored = u32::from_le_bytes(stored_bytes);
-    let actual = crc32c::extend(crc32c::crc32c(payload), &[compression]);
-    if crc32c::unmask(stored) != actual {
+    let stored = u32::from_le_bytes(*stored_bytes);
+    if crc32c::unmask(stored) != crc32c::crc32c(covered) {
         return Err(corruption_at(name, handle.offset, "block crc mismatch"));
     }
     Ok(raw.slice(0..handle.size as usize))

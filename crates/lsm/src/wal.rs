@@ -91,11 +91,14 @@ impl LogWriter {
 
     fn emit(&mut self, record_type: u8, data: &[u8]) -> Result<()> {
         let mut buf = Vec::with_capacity(HEADER_SIZE + data.len());
-        let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(&[record_type]), data));
-        buf.extend_from_slice(&crc.to_le_bytes());
+        buf.extend_from_slice(&[0; 4]); // the crc, once what it covers is in place
         buf.extend_from_slice(&(data.len() as u16).to_le_bytes());
         buf.push(record_type);
         buf.extend_from_slice(data);
+        // The crc covers the type byte and the payload after it: one pass.
+        let (head, covered) = buf.split_at_mut(HEADER_SIZE - 1);
+        let crc = crc32c::mask(crc32c::crc32c(covered));
+        head.split_at_mut(4).0.copy_from_slice(&crc.to_le_bytes());
         self.storage.append(&self.name, &buf, self.class)?;
         self.block_offset += buf.len();
         debug_assert!(self.block_offset <= BLOCK_SIZE);
@@ -257,13 +260,13 @@ impl LogReader {
                 self.torn = true; // torn record at tail
                 return Ok(None);
             }
-            let Some(data) = self.data.get(data_start..data_end) else {
+            // The crc covers the type byte and the payload after it: one pass.
+            let Some(covered @ [_, data @ ..]) = self.data.get(data_start - 1..data_end) else {
                 // Unreachable: data_end was checked against len above.
                 self.torn = true;
                 return Ok(None);
             };
-            let actual = crc32c::extend(crc32c::crc32c(&[record_type]), data);
-            if crc32c::unmask(stored_crc) != actual {
+            if crc32c::unmask(stored_crc) != crc32c::crc32c(covered) {
                 // A bad checksum on the very last record is indistinguishable
                 // from a torn sector write: treat it as end-of-log so a crash
                 // mid-append never blocks recovery. Anywhere earlier it is
