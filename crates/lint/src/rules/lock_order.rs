@@ -10,7 +10,11 @@
 //!
 //! 1. **Lock discovery** — every `Mutex<...>`/`RwLock<...>` field declared
 //!    in the scoped files becomes a lock named `<crate>/<file-stem>::<field>`
-//!    (e.g. `lsm/db::core`).
+//!    (e.g. `lsm/db::core`). A lock that lives in no field (one per map
+//!    entry) is found at its constructor instead, when that names a
+//!    declared id of its own file; guards on it are tracked under the id's
+//!    last segment as the receiver name (`file.lock()` for
+//!    `ssd/storage::file`).
 //! 2. **Acquisition sites** — `.lock()`, `.read()`, `.write()` calls whose
 //!    receiver's last path segment names a known lock field. A guard bound
 //!    with `let` lives until its enclosing block closes or it is `drop`ped;
@@ -143,6 +147,18 @@ pub fn check(ws: &Workspace, files: &[(String, SourceView)], table_text: &str) -
         .filter(|d| d.sharded)
         .map(|d| d.id.as_str())
         .collect();
+    // A lock that is no struct field (one per map entry, say) is found at
+    // its constructor, when that names a declared id of its own file.
+    for (path, view) in &scoped {
+        let key = lock_file_key(path);
+        for (_, line, id) in ctor_ids(view) {
+            if let Some(id) = id.filter(|id| {
+                rank.contains_key(id.as_str()) && id.split("::").next() == Some(key.as_str())
+            }) {
+                locks.entry(id).or_insert_with(|| (path.clone(), line));
+            }
+        }
+    }
     for (lock, (file, line)) in &locks {
         if !rank.contains_key(lock.as_str()) && !declared.is_empty() {
             out.push(Diagnostic::error(
@@ -776,6 +792,38 @@ mod tests {
         let cache = "struct C { inner: Mutex<u32> }\nimpl C {\n  fn merge(&self, o: &C) {\n    let a = self.inner.lock();\n    let b = o.inner.lock();\n  }\n}\n";
         let d = run(DB_OK, cache);
         assert!(d.iter().all(|d| !d.message.contains("re-entrant")), "{d:?}");
+    }
+
+    #[test]
+    fn lock_without_a_field_is_found_at_its_constructor() {
+        // One lock per map entry: no `Mutex<..>` field declares it, its
+        // constructor names it, and guards on it are tracked by receiver.
+        let order =
+            format!("{ORDER}\n[[lock]]\nid = \"lsm/cache::entry\"\nrank = 30\nsharded = true\n");
+        let run_cache = |cache: &str| {
+            let files = vec![
+                ("crates/lsm/src/db.rs".to_string(), SourceView::new(DB_OK)),
+                (
+                    "crates/lsm/src/cache.rs".to_string(),
+                    SourceView::new(cache),
+                ),
+            ];
+            check(&Workspace::build(&files), &files, &order)
+        };
+        let head = "struct C { inner: Mutex<u32>, map: HashMap<u32, Arc<Mutex<u32>>> }\nimpl C {\n  fn add(&self) -> Arc<Mutex<u32>> { Arc::new(Mutex::new(\"lsm/cache::entry\", 0)) }\n";
+        let d = run_cache(&format!("{head}}}\n"));
+        assert!(d.iter().all(|d| !d.message.contains("entry")), "{d:?}");
+        // Holding an entry (rank 30) while taking a shard (rank 20).
+        let bad = format!(
+            "{head}  fn bad(&self) {{\n    let entry = self.map.get(&1).cloned().unwrap();\n    let e = entry.lock();\n    let i = self.inner.lock();\n  }}\n}}\n"
+        );
+        let d = run_cache(&bad);
+        assert!(
+            d.iter().any(|d| d
+                .message
+                .contains("`lsm/cache::inner` acquired while holding `lsm/cache::entry`")),
+            "{d:?}"
+        );
     }
 
     #[test]

@@ -495,10 +495,12 @@ impl Db {
         Ok(())
     }
 
-    /// Streams a sealed table out in bounded `append` chunks followed by
-    /// one `sync`. Each chunk holds the storage map's write lock only
-    /// briefly, so foreground reads interleave with flush/compaction
-    /// output — the main reason worker mode improves the read tail.
+    /// Streams a table out in bounded `append` chunks followed by one
+    /// `sync`. Storage locks each file on its own, so no chunk holds up a
+    /// read or a WAL append of another file; the chunks and the yield
+    /// between them bound how long a worker runs uninterrupted. The table
+    /// stays an appended file (read by copy, not slice) until DESIGN.md
+    /// §10's stale-block case for sealed pool-written tables is bounded.
     fn write_table_chunked(&self, name: &str, bytes: &[u8], class: IoClass) -> Result<()> {
         const CHUNK: usize = 256 << 10;
         // A crashed predecessor may have left an orphan at a re-allocated
@@ -508,10 +510,9 @@ impl Db {
         }
         for chunk in bytes.chunks(CHUNK) {
             self.storage.append(name, chunk, class)?;
-            // Hand the CPU to any foreground thread parked on the storage
-            // lock (or starved for a core) between chunks: on oversubscribed
-            // hosts the reader tail is bounded by how long a worker runs
-            // uninterrupted, not by the chunk size alone.
+            // Hand the CPU to any foreground thread starved for a core
+            // between chunks: on oversubscribed hosts the reader tail is
+            // bounded by how long a worker runs uninterrupted.
             std::thread::yield_now();
         }
         self.storage.sync(name)?;

@@ -18,6 +18,23 @@
 //! built by [`StorageBackend::append`] (WAL, MANIFEST, chunk-streamed
 //! tables) is a growable buffer and each read copies its range out;
 //! appending to or truncating a sealed file turns it into one, by one copy.
+//!
+//! Every file has its own lock, as every `FileState` has in LevelDB's
+//! in-memory `Env`: the file table's lock guards only the name → file map
+//! and is held just long enough to find, insert or remove a name — never
+//! while bytes are copied, pages allocated or the device charged. So the
+//! WAL append, a worker's table chunk and a reader's block read, each on
+//! its own file, never wait on each other; a sealed image is built before
+//! any lock is taken. Inside each call the device charges keep a fixed
+//! order (for `write_file`: trims of the file it replaces, `fs_op`, the
+//! transfer, page allocation, page programs), which
+//! `tests/storage_golden.rs` pins, so a
+//! single-threaded run's clock and FTL counters do not depend on the
+//! locking. A caller that found a file keeps
+//! it across a concurrent delete, rename-over or replace, like an unlinked
+//! open file: its bytes stay readable, its pages were trimmed at the
+//! unlink, and anything written to it afterwards is charged but never
+//! programmed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -174,6 +191,18 @@ struct MemFile {
     /// `write_file`, whose outputs are sealed). A simulated power cut may
     /// discard anything beyond it.
     synced_len: u64,
+    /// Set when the name stopped naming this file (delete, rename-over,
+    /// replace, failed write). Its pages went back to the device then; it
+    /// never gets new ones.
+    unlinked: bool,
+}
+
+/// A file and its lock, shared by the table and every caller that looked
+/// the name up.
+type Slot = Arc<Mutex<MemFile>>;
+
+fn slot(file: MemFile) -> Slot {
+    Arc::new(Mutex::new("ssd/storage::file", file))
 }
 
 #[derive(Debug)]
@@ -205,7 +234,7 @@ impl PageAllocator {
 /// In-memory storage backend charging all traffic to a simulated SSD.
 pub struct MemStorage {
     device: Arc<SsdDevice>,
-    files: RwLock<HashMap<String, MemFile>>,
+    files: RwLock<HashMap<String, Slot>>,
     alloc: Mutex<PageAllocator>,
 }
 
@@ -239,23 +268,26 @@ impl MemStorage {
         Self::new(SsdDevice::with_defaults())
     }
 
-    /// Sum of all file sizes — the "consumed storage space" metric of the
-    /// paper's Fig 15.
-    pub fn total_file_bytes(&self) -> u64 {
-        self.files
-            .read()
-            .values()
-            .map(|f| f.data.len() as u64)
-            .sum()
-    }
-
     fn page_bytes(&self) -> u64 {
         self.device.config().page_bytes
     }
 
+    /// The file `name` names now.
+    fn file(&self, name: &str) -> SsdResult<Slot> {
+        self.files
+            .read()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| SsdError::NotFound(name.to_string()))
+    }
+
     /// Flushes complete pages of `file` into the FTL; with `seal` also
-    /// flushes a partial tail page. Returns lpns programmed this call.
+    /// flushes a partial tail page. Returns lpns programmed this call —
+    /// none for an unlinked file.
     fn flush_pages(&self, file: &mut MemFile, seal: bool) -> SsdResult<Vec<u64>> {
+        if file.unlinked {
+            return Ok(Vec::new());
+        }
         let page = self.page_bytes();
         let complete = file.data.len() as u64 / page;
         let mut programmed = Vec::new();
@@ -290,10 +322,8 @@ impl MemStorage {
         class: IoClass,
         sequential: bool,
     ) -> SsdResult<Bytes> {
-        let files = self.files.read();
-        let file = files
-            .get(name)
-            .ok_or_else(|| SsdError::NotFound(name.to_string()))?;
+        let file = self.file(name)?;
+        let file = file.lock();
         let size = file.data.len() as u64;
         if offset.checked_add(len).is_none_or(|end| end > size) {
             return Err(SsdError::OutOfRange {
@@ -315,11 +345,11 @@ impl MemStorage {
         })
     }
 
-    fn release_file(&self, file: MemFile) {
-        let mut lpns = file.pages;
-        if let Some(tail) = file.tail_lpn {
-            lpns.push(tail);
-        }
+    /// Trims `file`'s pages and frees them; the name no longer leads here.
+    fn unlink(&self, file: &mut MemFile) {
+        file.unlinked = true;
+        let mut lpns = std::mem::take(&mut file.pages);
+        lpns.extend(file.tail_lpn.take());
         self.device.trim_pages(&lpns);
         self.alloc.lock().release(lpns);
     }
@@ -327,44 +357,62 @@ impl MemStorage {
 
 impl StorageBackend for MemStorage {
     fn write_file(&self, name: &str, data: &[u8], class: IoClass) -> SsdResult<()> {
-        let mut files = self.files.write();
-        if let Some(old) = files.remove(name) {
-            self.release_file(old);
-        }
-        self.device.fs_op();
-        let mut file = MemFile {
+        // The name leads to the whole new image at once; the old file's
+        // pages are trimmed before the new ones are allocated.
+        let file = slot(MemFile {
             data: Contents::Sealed(Bytes::copy_from_slice(data)),
-            pages: Vec::new(),
-            tail_lpn: None,
             // Sealed files are written atomically and durably (the engine
             // only links them into a version after the write succeeds).
             synced_len: data.len() as u64,
-        };
+            ..MemFile::default()
+        });
+        let old = self
+            .files
+            .write()
+            .insert(name.to_string(), Arc::clone(&file));
+        if let Some(old) = old {
+            self.unlink(&mut old.lock());
+        }
+        self.device.fs_op();
         self.device.charge_write(data.len() as u64, class);
-        match self.flush_pages(&mut file, true) {
+        let mut guard = file.lock();
+        match self.flush_pages(&mut guard, true) {
             Ok(programmed) => {
                 self.device.program_pages(&programmed);
-                files.insert(name.to_string(), file);
                 Ok(())
             }
             Err(e) => {
-                // Return any pages allocated before the failure.
-                self.release_file(file);
+                // Return any pages allocated before the failure, then the
+                // name, unless a later write has taken it since.
+                self.unlink(&mut guard);
+                drop(guard);
+                let mut files = self.files.write();
+                if files.get(name).is_some_and(|f| Arc::ptr_eq(f, &file)) {
+                    files.remove(name);
+                }
                 Err(e)
             }
         }
     }
 
     fn append(&self, name: &str, data: &[u8], class: IoClass) -> SsdResult<()> {
-        let mut files = self.files.write();
-        if !files.contains_key(name) {
+        let mut created = false;
+        let file = self.file(name).unwrap_or_else(|_| {
+            let mut files = self.files.write();
+            let file = files.entry(name.to_string()).or_insert_with(|| {
+                created = true;
+                slot(MemFile::default())
+            });
+            Arc::clone(file)
+        });
+        if created {
             self.device.fs_op();
-            files.insert(name.to_string(), MemFile::default());
         }
-        let file = files.get_mut(name).expect("just inserted");
+        // The table is released: the copy below holds only this file.
+        let mut file = file.lock();
         file.data.edit(|buf| buf.extend_from_slice(data));
         self.device.charge_write(data.len() as u64, class);
-        let programmed = self.flush_pages(file, false)?;
+        let programmed = self.flush_pages(&mut file, false)?;
         self.device.program_pages(&programmed);
         Ok(())
     }
@@ -384,11 +432,7 @@ impl StorageBackend for MemStorage {
     }
 
     fn size(&self, name: &str) -> SsdResult<u64> {
-        self.files
-            .read()
-            .get(name)
-            .map(|f| f.data.len() as u64)
-            .ok_or_else(|| SsdError::NotFound(name.to_string()))
+        Ok(self.file(name)?.lock().data.len() as u64)
     }
 
     fn exists(&self, name: &str) -> bool {
@@ -396,52 +440,48 @@ impl StorageBackend for MemStorage {
     }
 
     fn delete(&self, name: &str) -> SsdResult<()> {
-        let mut files = self.files.write();
-        let file = files
+        let file = self
+            .files
+            .write()
             .remove(name)
             .ok_or_else(|| SsdError::NotFound(name.to_string()))?;
         self.device.fs_op();
-        self.release_file(file);
+        self.unlink(&mut file.lock());
         Ok(())
     }
 
     fn rename(&self, from: &str, to: &str) -> SsdResult<()> {
-        let mut files = self.files.write();
-        let file = files
-            .remove(from)
-            .ok_or_else(|| SsdError::NotFound(from.to_string()))?;
-        if let Some(old) = files.insert(to.to_string(), file) {
-            self.release_file(old);
+        let old = {
+            let mut files = self.files.write();
+            let file = files
+                .remove(from)
+                .ok_or_else(|| SsdError::NotFound(from.to_string()))?;
+            files.insert(to.to_string(), file)
+        };
+        if let Some(old) = old {
+            self.unlink(&mut old.lock());
         }
         self.device.fs_op();
         Ok(())
     }
 
     fn sync(&self, name: &str) -> SsdResult<()> {
-        let mut files = self.files.write();
-        let file = files
-            .get_mut(name)
-            .ok_or_else(|| SsdError::NotFound(name.to_string()))?;
+        let file = self.file(name)?;
+        let mut file = file.lock();
         self.device.fs_op();
-        let programmed = self.flush_pages(file, true)?;
+        let programmed = self.flush_pages(&mut file, true)?;
         self.device.program_pages(&programmed);
         file.synced_len = file.data.len() as u64;
         Ok(())
     }
 
     fn synced_len(&self, name: &str) -> SsdResult<u64> {
-        self.files
-            .read()
-            .get(name)
-            .map(|f| f.synced_len)
-            .ok_or_else(|| SsdError::NotFound(name.to_string()))
+        Ok(self.file(name)?.lock().synced_len)
     }
 
     fn truncate(&self, name: &str, len: u64) -> SsdResult<()> {
-        let mut files = self.files.write();
-        let file = files
-            .get_mut(name)
-            .ok_or_else(|| SsdError::NotFound(name.to_string()))?;
+        let file = self.file(name)?;
+        let mut file = file.lock();
         if len >= file.data.len() as u64 {
             return Ok(());
         }
@@ -450,8 +490,8 @@ impl StorageBackend for MemStorage {
         // Release pages past the new end; a mid-page cut also invalidates
         // the flushed partial tail (its content changed).
         let page = self.page_bytes();
-        let keep = (len / page) as usize;
-        let mut released: Vec<u64> = file.pages.split_off(keep.min(file.pages.len()));
+        let keep = ((len / page) as usize).min(file.pages.len());
+        let mut released: Vec<u64> = file.pages.split_off(keep);
         if let Some(tail) = file.tail_lpn.take() {
             released.push(tail);
         }
@@ -472,12 +512,23 @@ impl StorageBackend for MemStorage {
     fn device(&self) -> Arc<SsdDevice> {
         Arc::clone(&self.device)
     }
+
+    /// One walk of the file table; each size is read with the table
+    /// released.
+    fn total_bytes(&self) -> u64 {
+        let files: Vec<Slot> = self.files.read().values().cloned().collect();
+        files.iter().map(|f| f.lock().data.len() as u64).sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SsdConfig;
+    use std::collections::HashSet;
+    use std::sync::{mpsc, Barrier};
+    use std::thread;
+    use std::time::Duration;
 
     fn storage() -> Arc<MemStorage> {
         MemStorage::new(SsdDevice::new(SsdConfig::tiny_for_tests()))
@@ -553,7 +604,7 @@ mod tests {
         s.delete("f").unwrap();
         assert!(!s.exists("f"));
         assert!(s.delete("f").is_err());
-        assert_eq!(s.total_file_bytes(), 0);
+        assert_eq!(s.total_bytes(), 0);
         // Freed pages must be reusable.
         s.write_file("g", &vec![0u8; page * 8], IoClass::FlushWrite)
             .unwrap();
@@ -691,13 +742,13 @@ mod tests {
     }
 
     #[test]
-    fn total_file_bytes_tracks_live_data() {
+    fn total_bytes_tracks_live_data() {
         let s = storage();
         s.write_file("a", &vec![0u8; 1000], IoClass::Other).unwrap();
         s.append("b", &vec![0u8; 500], IoClass::Other).unwrap();
-        assert_eq!(s.total_file_bytes(), 1500);
+        assert_eq!(s.total_bytes(), 1500);
         s.delete("a").unwrap();
-        assert_eq!(s.total_file_bytes(), 500);
+        assert_eq!(s.total_bytes(), 500);
     }
 
     /// The same bytes as a sealed file and as a file built by appends.
@@ -814,6 +865,204 @@ mod tests {
         let linked = s.read("ckpt@t", 6, 5, IoClass::UserRead).unwrap();
         assert_eq!(linked.as_ref(), b"image");
         assert_ne!(linked.as_ptr(), held.as_ptr());
-        assert_eq!(s.total_file_bytes(), 11);
+        assert_eq!(s.total_bytes(), 11);
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every page below the allocator's high-water mark is owned by exactly
+    /// one live file or is free, and each live file owns exactly its
+    /// complete pages plus at most one tail.
+    fn assert_pages_accounted(s: &MemStorage) {
+        let page = s.page_bytes();
+        let mut seen = HashSet::new();
+        let files: Vec<Slot> = s.files.read().values().cloned().collect();
+        for file in &files {
+            let file = file.lock();
+            assert_eq!(file.pages.len() as u64, file.data.len() as u64 / page);
+            for &lpn in file.pages.iter().chain(&file.tail_lpn) {
+                assert!(seen.insert(lpn), "page {lpn} owned by two files");
+            }
+        }
+        let alloc = s.alloc.lock();
+        assert_eq!(
+            seen.len() as u64,
+            alloc.next - alloc.free.len() as u64,
+            "pages in use by no live file"
+        );
+        for &lpn in &alloc.free {
+            assert!(seen.insert(lpn), "page {lpn} both free and owned");
+        }
+    }
+
+    /// Runs `work` on another thread while this one holds `name`'s lock;
+    /// fails, instead of hanging, if `work` cannot finish meanwhile.
+    fn completes_while_held(s: &MemStorage, name: &str, work: impl FnOnce() + Send) {
+        let file = s.file(name).unwrap();
+        let held = file.lock();
+        let start = Barrier::new(2);
+        let (done_tx, done) = mpsc::channel();
+        thread::scope(|scope| {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                work();
+                done_tx.send(()).unwrap();
+            });
+            start.wait();
+            let finished = done.recv_timeout(Duration::from_secs(30));
+            drop(held);
+            assert!(finished.is_ok(), "a call on another file waited for {name}");
+        });
+    }
+
+    #[test]
+    fn concurrent_calls_pass_a_held_file() {
+        let s = storage();
+        s.write_file("000005.sst", b"held", IoClass::FlushWrite)
+            .unwrap();
+        s.write_file("000007.sst", b"0123456789", IoClass::FlushWrite)
+            .unwrap();
+        s.append("000003.log", b"abc", IoClass::WalWrite).unwrap();
+        completes_while_held(&s, "000005.sst", || {
+            s.append("000003.log", b"def", IoClass::WalWrite).unwrap();
+            s.append("000004.log", b"new", IoClass::WalWrite).unwrap();
+            let sealed = s.read("000007.sst", 2, 3, IoClass::UserRead).unwrap();
+            assert_eq!(sealed.as_ref(), b"234");
+            let growing = s.read("000003.log", 1, 4, IoClass::UserRead).unwrap();
+            assert_eq!(growing.as_ref(), b"bcde");
+            s.sync("000003.log").unwrap();
+            assert_eq!(s.size("000003.log").unwrap(), 6);
+            assert_eq!(s.synced_len("000003.log").unwrap(), 6);
+            s.delete("000007.sst").unwrap();
+            s.write_file("000008.sst", b"out", IoClass::CompactionWrite)
+                .unwrap();
+            assert!(s.exists("000005.sst"));
+        });
+        assert_eq!(s.total_bytes(), 4 + 6 + 3 + 3);
+        assert_eq!(
+            s.read_all("000005.sst", IoClass::Other).unwrap().as_ref(),
+            b"held"
+        );
+        assert_pages_accounted(&s);
+    }
+
+    #[test]
+    fn a_held_file_outlives_its_name_but_gets_no_pages() {
+        let s = storage();
+        let page = s.page_bytes() as usize;
+        s.append("wal", &vec![1u8; page + 10], IoClass::WalWrite)
+            .unwrap();
+        s.sync("wal").unwrap();
+        let file = s.file("wal").unwrap();
+        let trimmed = s.device().ftl_stats().pages_trimmed;
+        s.delete("wal").unwrap();
+        assert_eq!(s.device().ftl_stats().pages_trimmed, trimmed + 2);
+        let mut file = file.lock();
+        // Readable like an unlinked open file; an append that looked the
+        // name up before the delete and lands after it programs nothing.
+        assert_eq!(file.data.len(), page + 10);
+        file.data
+            .edit(|buf| buf.extend_from_slice(&vec![2u8; page]));
+        assert!(s.flush_pages(&mut file, true).unwrap().is_empty());
+        assert!(file.pages.is_empty() && file.tail_lpn.is_none());
+        drop(file);
+        assert_pages_accounted(&s);
+    }
+
+    #[test]
+    fn concurrent_four_threads_keep_every_file_and_page() {
+        const THREADS: u64 = 4;
+        let s = storage();
+        let shared: Vec<u8> = (0..30_000u32).map(|i| (i % 251) as u8).collect();
+        s.write_file("shared.sst", &shared, IoClass::FlushWrite)
+            .unwrap();
+        let start = Barrier::new(THREADS as usize);
+        // Per thread: name -> (contents, synced_len).
+        let models: Vec<HashMap<String, (Vec<u8>, u64)>> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (s, start, shared) = (&s, &start, &shared);
+                    scope.spawn(move || {
+                        let mut rng = 0x5EED_0000 + t;
+                        let mut model: HashMap<String, (Vec<u8>, u64)> = HashMap::new();
+                        start.wait();
+                        for _ in 0..300 {
+                            let r = splitmix(&mut rng);
+                            let name = format!("t{t}-{}", r % 3);
+                            let len = (r >> 16) as usize % 6_000;
+                            let bytes: Vec<u8> =
+                                (0..len).map(|i| (r >> 8) as u8 ^ i as u8).collect();
+                            match (r >> 8) % 6 {
+                                0 | 1 => {
+                                    s.append(&name, &bytes, IoClass::WalWrite).unwrap();
+                                    model.entry(name).or_default().0.extend(&bytes);
+                                }
+                                2 => {
+                                    s.write_file(&name, &bytes, IoClass::CompactionWrite)
+                                        .unwrap();
+                                    model.insert(name, (bytes, len as u64));
+                                }
+                                3 => match model.get_mut(&name) {
+                                    Some((data, synced)) => {
+                                        s.sync(&name).unwrap();
+                                        *synced = data.len() as u64;
+                                    }
+                                    None => assert!(s.sync(&name).is_err()),
+                                },
+                                4 => match model.remove(&name) {
+                                    Some(_) => s.delete(&name).unwrap(),
+                                    None => assert!(s.delete(&name).is_err()),
+                                },
+                                _ => {
+                                    if let Some((data, _)) = model.get(&name) {
+                                        let at = (r >> 40) as usize % (data.len() + 1);
+                                        let got = s
+                                            .read(
+                                                &name,
+                                                at as u64,
+                                                (data.len() - at) as u64,
+                                                IoClass::UserRead,
+                                            )
+                                            .unwrap();
+                                        assert_eq!(got.as_ref(), &data[at..]);
+                                    }
+                                }
+                            }
+                            let at = (r >> 32) as usize % shared.len();
+                            let got = s
+                                .read_sequential(
+                                    "shared.sst",
+                                    at as u64,
+                                    (shared.len() - at).min(4096) as u64,
+                                    IoClass::UserRead,
+                                )
+                                .unwrap();
+                            assert_eq!(got.as_ref(), &shared[at..at + got.len()]);
+                        }
+                        model
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut names = vec!["shared.sst".to_string()];
+        for (name, (data, synced)) in models.iter().flatten() {
+            assert_eq!(
+                s.read_all(name, IoClass::Other).unwrap().as_ref(),
+                &data[..]
+            );
+            assert_eq!(s.synced_len(name).unwrap(), *synced, "{name}");
+            names.push(name.clone());
+        }
+        names.sort();
+        assert_eq!(s.list(), names);
+        assert_pages_accounted(&s);
     }
 }
