@@ -1,6 +1,7 @@
-//! Minimal argument parsing shared by the experiment binaries.
+//! Minimal argument parsing and table printing shared by the `ldc-bench`
+//! subcommands.
 //!
-//! Every figure binary accepts:
+//! `ldc-bench paper` and the other subcommands accept:
 //!
 //! * `--ops N` — measured operations (default: a laptop-friendly scale).
 //! * `--scale F` — multiply the default op count by `F`.
@@ -9,6 +10,8 @@
 //! * `--csv` — machine-readable output instead of markdown tables.
 //!
 //! Paper-scale runs are `--ops 10000000` (and patience).
+
+use std::io::{self, Write};
 
 /// Parsed common flags.
 #[derive(Debug, Clone)]
@@ -24,11 +27,6 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Parses `std::env::args`, using `default_ops` as the base op count.
-    pub fn parse(default_ops: u64) -> Self {
-        Self::from_iter(default_ops, std::env::args().skip(1))
-    }
-
     /// Parses from an explicit iterator (testable).
     pub fn from_iter(default_ops: u64, args: impl IntoIterator<Item = String>) -> Self {
         let mut out = CommonArgs {
@@ -69,11 +67,17 @@ impl CommonArgs {
     pub fn codec(&self) -> ldc_workload::KeyCodec {
         ldc_workload::KeyCodec::new(16, self.value_bytes)
     }
+
+    /// `spec` with these args' key codec and seed.
+    pub(crate) fn workload(&self, spec: ldc_workload::WorkloadSpec) -> ldc_workload::WorkloadSpec {
+        spec.with_codec(self.codec()).with_seed(self.seed)
+    }
 }
 
 /// A subcommand's arguments. Each extractor removes what it matched, and
 /// [`Flags::common`] hands the remainder to [`CommonArgs::from_iter`], so
 /// a flag nobody extracted is still fatal.
+#[derive(Clone)]
 pub struct Flags(Vec<String>);
 
 impl Flags {
@@ -101,35 +105,36 @@ impl Flags {
     }
 }
 
-/// Prints a markdown table (or CSV when `csv` is set).
-pub fn print_table(csv: bool, title: &str, headers: &[&str], rows: &[Vec<String>]) {
+/// Writes a markdown table (or CSV when `csv` is set) to `out`. `headers`
+/// is the markdown header row without its outer bars: `"a | b | c"`.
+pub fn print_table(
+    out: &mut dyn Write,
+    csv: bool,
+    title: &str,
+    headers: &str,
+    rows: &[Vec<String>],
+) -> io::Result<()> {
     if csv {
-        println!("# {title}");
-        println!("{}", headers.join(","));
+        writeln!(out, "# {title}")?;
+        writeln!(out, "{}", headers.replace(" | ", ","))?;
         for row in rows {
-            println!("{}", row.join(","));
+            writeln!(out, "{}", row.join(","))?;
         }
-        return;
+        return Ok(());
     }
-    println!("\n## {title}\n");
-    println!("| {} |", headers.join(" | "));
-    println!(
-        "|{}|",
-        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
+    writeln!(out, "\n## {title}\n")?;
+    writeln!(out, "| {headers} |")?;
+    let columns = headers.split(" | ").count();
+    writeln!(out, "|{}|", vec!["---"; columns].join("|"))?;
     for row in rows {
-        println!("| {} |", row.join(" | "));
+        writeln!(out, "| {} |", row.join(" | "))?;
     }
+    Ok(())
 }
 
 /// Formats bytes as mebibytes with two decimals.
 pub fn mib(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Formats a ratio as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 #[cfg(test)]
@@ -205,6 +210,12 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(mib(2 * 1024 * 1024), "2.00");
-        assert_eq!(pct(0.1234), "12.3%");
+        let rows = [vec!["a".to_string(), "1".to_string()]];
+        let mut md = Vec::new();
+        print_table(&mut md, false, "T", "x | y", &rows).unwrap();
+        assert_eq!(md, b"\n## T\n\n| x | y |\n|---|---|\n| a | 1 |\n");
+        let mut csv = Vec::new();
+        print_table(&mut csv, true, "T", "x | y", &rows).unwrap();
+        assert_eq!(csv, b"# T\nx,y\na,1\n");
     }
 }

@@ -7,48 +7,32 @@ use ldc_core::{CompactionMode, LdcConfig, LdcDb};
 use ldc_lsm::db::DbStats;
 use ldc_lsm::Options;
 use ldc_obs::{Event, RingBufferSink};
-use ldc_ssd::{DeviceSnapshot, IoStatsSnapshot, SsdConfig, TimeCategory};
+use ldc_ssd::{IoStatsSnapshot, TimeCategory};
 use ldc_workload::{preload_workload, run_measured, RunReport, WorkloadSpec};
 
 use crate::adapter::DbAdapter;
 
-/// Which compaction mechanism to benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum System {
-    /// The paper's mechanism.
-    Ldc,
-    /// The LevelDB baseline.
-    Udc,
-}
-
-impl System {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            System::Ldc => "LDC",
-            System::Udc => "UDC",
-        }
-    }
-}
-
-/// Store configuration for one experiment run.
+/// Store configuration for one experiment run, on a fresh default-profile
+/// SSD.
 #[derive(Clone)]
 pub struct StoreConfig {
-    /// LDC or UDC.
-    pub system: System,
+    /// Compaction mechanism; LDC's threshold, adaptation and frozen-region
+    /// budget live in its [`LdcConfig`].
+    pub mode: CompactionMode,
     /// Engine options.
     pub options: Options,
-    /// Simulated-SSD profile.
-    pub ssd: SsdConfig,
-    /// Fixed SliceLink threshold (None = fan-out); LDC only.
-    pub slice_link_threshold: Option<usize>,
-    /// Self-adaptive threshold controller; LDC only.
-    pub adaptive_threshold: bool,
-    /// Frozen-region GC budget override; LDC only.
-    pub space_gc_ratio: Option<f64>,
     /// Attach a ring-buffer event sink and export the measured window's
     /// compaction/stall timeline in [`ExperimentResult::events`].
     pub trace_events: bool,
+}
+
+/// The label tables print for `mode`: "LDC", "UDC" or "size-tiered".
+pub(crate) fn mode_label(mode: &CompactionMode) -> &'static str {
+    match mode {
+        CompactionMode::Ldc(_) => "LDC",
+        CompactionMode::Udc => "UDC",
+        CompactionMode::SizeTiered => "size-tiered",
+    }
 }
 
 /// Ring capacity when [`StoreConfig::trace_events`] is on — generous enough
@@ -74,38 +58,24 @@ pub fn paper_scaled_options() -> Options {
 }
 
 impl StoreConfig {
-    /// Paper-shaped (scaled) configuration for `system`.
-    pub fn new(system: System) -> Self {
+    /// Paper-shaped (scaled) configuration for `mode`.
+    pub fn new(mode: CompactionMode) -> Self {
         Self {
-            system,
+            mode,
             options: paper_scaled_options(),
-            ssd: SsdConfig::default(),
-            slice_link_threshold: None,
-            adaptive_threshold: false,
-            space_gc_ratio: None,
             trace_events: false,
         }
     }
 
-    fn build(&self) -> (LdcDb, Option<Arc<RingBufferSink>>) {
-        let mode = match self.system {
-            System::Udc => CompactionMode::Udc,
-            System::Ldc => {
-                let mut config = LdcConfig {
-                    slice_link_threshold: self.slice_link_threshold,
-                    adaptive: self.adaptive_threshold,
-                    ..LdcConfig::default()
-                };
-                if let Some(ratio) = self.space_gc_ratio {
-                    config.space_gc_ratio = ratio;
-                }
-                CompactionMode::Ldc(config)
-            }
+    /// Opens the store, with the event ring when [`Self::trace_events`] is
+    /// set. Size-tiered raises the L0 gates over [`Self::options`] the way
+    /// [`ldc_core::LdcDbBuilder::size_tiered`] does.
+    pub(crate) fn build(&self) -> (LdcDb, Option<Arc<RingBufferSink>>) {
+        let builder = LdcDb::builder().options(self.options.clone());
+        let mut builder = match &self.mode {
+            CompactionMode::SizeTiered => builder.size_tiered(),
+            mode => builder.mode(mode.clone()),
         };
-        let mut builder = LdcDb::builder()
-            .options(self.options.clone())
-            .ssd_config(self.ssd.clone())
-            .mode(mode);
         let sink = self
             .trace_events
             .then(|| Arc::new(RingBufferSink::new(EVENT_RING_CAPACITY)));
@@ -118,22 +88,18 @@ impl StoreConfig {
 
 /// Everything measured over one run's measured window.
 pub struct ExperimentResult {
-    /// Which system ran.
-    pub system: System,
+    /// Which mechanism ran.
+    pub mode: CompactionMode,
     /// Latency/throughput report from the runner.
     pub report: RunReport,
     /// Device traffic during the measured window only.
     pub io: IoStatsSnapshot,
     /// Device traffic including preload.
     pub total_io: IoStatsSnapshot,
-    /// Device state at the end (wear, FTL counters).
-    pub device: DeviceSnapshot,
     /// Engine counters.
     pub db_stats: DbStats,
     /// Live file bytes at the end (Fig 15).
     pub space_bytes: u64,
-    /// Bytes in active level files at the end.
-    pub level_bytes: u64,
     /// Bytes pinned in the frozen region at the end (LDC only).
     pub frozen_bytes: u64,
     /// Data-block reads from the device during the measured window (Fig 13).
@@ -192,17 +158,12 @@ pub fn run_experiment(config: &StoreConfig, spec: &WorkloadSpec) -> ExperimentRe
     }
 
     ExperimentResult {
-        system: config.system,
+        mode: config.mode.clone(),
         report,
         io: io_after.delta_since(&io_before),
         total_io: io_after,
-        device: device.snapshot(),
         db_stats: adapter.db().stats(),
         space_bytes: adapter.db().space_bytes(),
-        level_bytes: {
-            let v = adapter.db().engine_ref().version();
-            (0..v.num_levels()).map(|l| v.level_bytes(l)).sum()
-        },
         frozen_bytes: adapter.db().engine_ref().version().frozen_bytes(),
         block_reads: misses_after - misses_before,
         time_breakdown,
@@ -217,19 +178,20 @@ pub fn run_experiment(config: &StoreConfig, spec: &WorkloadSpec) -> ExperimentRe
     }
 }
 
-/// Runs the same spec on both systems (UDC first), for side-by-side tables.
-pub fn run_both(
-    options: &Options,
-    ssd: &SsdConfig,
-    spec: &WorkloadSpec,
-) -> (ExperimentResult, ExperimentResult) {
-    let mut udc = StoreConfig::new(System::Udc);
-    udc.options = options.clone();
-    udc.ssd = ssd.clone();
-    let mut ldc = StoreConfig::new(System::Ldc);
-    ldc.options = options.clone();
-    ldc.ssd = ssd.clone();
-    (run_experiment(&udc, spec), run_experiment(&ldc, spec))
+/// Runs the same spec on UDC, then on LDC with the paper's settings, for
+/// side-by-side tables.
+pub fn run_both(options: &Options, spec: &WorkloadSpec) -> (ExperimentResult, ExperimentResult) {
+    let run = |mode| {
+        let config = StoreConfig {
+            options: options.clone(),
+            ..StoreConfig::new(mode)
+        };
+        run_experiment(&config, spec)
+    };
+    (
+        run(CompactionMode::Udc),
+        run(CompactionMode::Ldc(LdcConfig::default())),
+    )
 }
 
 #[cfg(test)]
@@ -248,7 +210,7 @@ mod tests {
 
     #[test]
     fn experiment_collects_all_metrics() {
-        let mut config = StoreConfig::new(System::Ldc);
+        let mut config = StoreConfig::new(CompactionMode::Ldc(LdcConfig::default()));
         config.options = quick_options();
         let result = run_experiment(&config, &quick_spec());
         assert_eq!(result.report.ops, 2000);
@@ -261,7 +223,7 @@ mod tests {
 
     #[test]
     fn measured_window_excludes_preload_io() {
-        let mut config = StoreConfig::new(System::Udc);
+        let mut config = StoreConfig::new(CompactionMode::Udc);
         config.options = quick_options();
         let result = run_experiment(&config, &quick_spec());
         assert!(
@@ -272,7 +234,7 @@ mod tests {
 
     #[test]
     fn traced_run_exports_measured_window_events() {
-        let mut config = StoreConfig::new(System::Ldc);
+        let mut config = StoreConfig::new(CompactionMode::Ldc(LdcConfig::default()));
         config.options = quick_options();
         config.trace_events = true;
         let result = run_experiment(&config, &quick_spec());
@@ -299,10 +261,25 @@ mod tests {
     }
 
     #[test]
+    fn size_tiered_store_keeps_its_raised_l0_gates() {
+        let (db, _) = StoreConfig::new(CompactionMode::SizeTiered).build();
+        let o = db.options();
+        assert_eq!(
+            (
+                o.l0_compaction_trigger,
+                o.l0_slowdown_threshold,
+                o.l0_stop_threshold
+            ),
+            (4, 60, 100)
+        );
+        assert_eq!(o.memtable_bytes, paper_scaled_options().memtable_bytes);
+    }
+
+    #[test]
     fn run_both_returns_matching_workloads() {
-        let (udc, ldc) = run_both(&quick_options(), &SsdConfig::default(), &quick_spec());
-        assert_eq!(udc.system, System::Udc);
-        assert_eq!(ldc.system, System::Ldc);
+        let (udc, ldc) = run_both(&quick_options(), &quick_spec());
+        assert_eq!(udc.mode, CompactionMode::Udc);
+        assert_eq!(ldc.mode, CompactionMode::Ldc(LdcConfig::default()));
         assert_eq!(udc.report.ops, ldc.report.ops);
         assert!(udc.db_stats.links == 0);
     }

@@ -1,13 +1,15 @@
 //! # ldc-bench — the paper's evaluation, regenerated
 //!
-//! One binary per table/figure of the LDC paper's §IV (see DESIGN.md for
-//! the full index). Each binary builds fresh stores on the simulated SSD,
-//! drives them with the same deterministic YCSB-style workloads, and prints
-//! the measured series next to the paper's reported numbers.
+//! [`paper::FIGURES`] holds one entry per table/figure of the LDC paper's
+//! §IV, plus four ablations (see DESIGN.md for the full index). Each entry
+//! builds fresh stores on the simulated SSD, drives them with the same
+//! deterministic YCSB-style workloads, and prints the measured series next
+//! to the paper's reported numbers.
 //!
 //! ```text
-//! cargo run --release -p ldc-bench --bin fig08_tail_latency
-//! cargo run --release -p ldc-bench --bin fig10a_throughput_get -- --ops 200000
+//! cargo run --release -p ldc-bench -- paper
+//! cargo run --release -p ldc-bench -- paper --only fig08_tail_latency
+//! cargo run --release -p ldc-bench -- paper --only fig10a_throughput_get --ops 200000
 //! ```
 //!
 //! Defaults are laptop-scale (tens of thousands of ops); pass `--ops` (or
@@ -18,25 +20,13 @@
 pub mod adapter;
 pub mod cli;
 pub mod experiment;
+pub mod paper;
 pub mod ycsb_net;
 
 pub use adapter::DbAdapter;
-pub use cli::{mib, pct, print_table, CommonArgs};
+pub use cli::{mib, print_table, CommonArgs, Flags};
 pub use experiment::{
-    paper_scaled_options, run_both, run_experiment, ExperimentResult, StoreConfig, System,
+    paper_scaled_options, run_both, run_experiment, ExperimentResult, StoreConfig,
 };
+pub use paper::{run_paper, FIGURES};
 pub use ycsb_net::{run_ycsb_net, NetBenchArgs};
-
-/// Convenience re-exports for the figure binaries.
-pub mod prelude {
-    pub use crate::adapter::DbAdapter;
-    pub use crate::cli::{mib, pct, print_table, CommonArgs};
-    pub use crate::experiment::{
-        paper_scaled_options, run_both, run_experiment, ExperimentResult, StoreConfig, System,
-    };
-    pub use ldc_core::{LdcDb, LdcPolicy};
-    pub use ldc_lsm::Options;
-    pub use ldc_obs::{Event, EventKind, RingBufferSink};
-    pub use ldc_ssd::{IoClass, SsdConfig};
-    pub use ldc_workload::{Distribution, KeyCodec, WorkloadSpec};
-}

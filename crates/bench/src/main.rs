@@ -1,11 +1,11 @@
 //! `ldc-bench` — multi-tool entry point.
 //!
-//! The figure/table reproductions live in `src/bin/` (one binary each;
-//! `cargo run -p ldc-bench --bin fig08_tail_latency`). This default binary
-//! hosts the deterministic operational subcommands that exercise the
-//! engine end to end:
+//! `paper` regenerates the paper's figures and tables (one entry each in
+//! `ldc_bench::paper::FIGURES`; `--only ID` picks one). The other
+//! subcommands exercise the engine end to end:
 //!
 //! ```text
+//! cargo run --release -p ldc-bench -- paper --only fig08_tail_latency
 //! cargo run -p ldc-bench -- repair --seed 7
 //! cargo run -p ldc-bench -- tail --quick --seed 7
 //! ```
@@ -18,23 +18,26 @@
 //! heal-after-N read failures. Exits non-zero on any verification failure,
 //! printing the `(seed, plan)` replay recipe.
 //!
-//! Nothing here reads the host clock: `tail`, `trace-report` and
+//! Nothing here reads the host clock: `paper`, `tail`, `trace-report` and
 //! `compaction-backlog` are single-threaded replays stamped off the virtual
 //! clock, so same-seed outputs are byte-identical and CI compares them with
-//! the files under `crates/bench/golden/`. Host time — throughput, host
-//! latency percentiles, threads racing the worker pool — is measured only
-//! by the repository benchmark (`benchmark/`, workload `rww-threaded`).
+//! the files under `crates/bench/golden/` (`paper` with `golden/paper/`).
+//! Host time — throughput, host latency percentiles, threads racing the
+//! worker pool — is measured only by the repository benchmark
+//! (`benchmark/`, workload `rww-threaded`).
 
-use ldc_bench::cli::{CommonArgs, Flags};
-use ldc_bench::prelude::*;
+use ldc_bench::{paper_scaled_options, CommonArgs, Flags};
 use ldc_chaos::{ChaosConfig, ChaosHarness};
-use ldc_core::CompactionMode;
-use ldc_core::LdcConfig;
+use ldc_core::{CompactionMode, LdcConfig, LdcDb};
 
 fn usage() -> ! {
+    let ids: Vec<&str> = ldc_bench::FIGURES.iter().map(|f| f.id).collect();
     eprintln!("usage: ldc-bench <subcommand> [flags]");
     eprintln!();
     eprintln!("subcommands:");
+    eprintln!("  paper             the paper's figures and tables, one after another, each at");
+    eprintln!("                    its own default op count [--only ID] + common flags");
+    eprintln!("                    (ids: {})", ids.join(" "));
     eprintln!(
         "  repair            degraded-mode pipeline: scrub -> quarantine -> repair -> verify"
     );
@@ -53,8 +56,6 @@ fn usage() -> ! {
     eprintln!("                    LDC, closed + open loop -> BENCH_net.json");
     eprintln!("                    [--shards N] [--queue-capacity N] [--rate R]");
     eprintln!("                    [--closed-only] [--quick] [--out PATH] + common flags");
-    eprintln!();
-    eprintln!("figure binaries live under --bin (e.g. --bin fig08_tail_latency)");
     std::process::exit(2);
 }
 
@@ -411,6 +412,10 @@ fn main() {
     // to `CommonArgs`, which rejects anything it does not know.
     let mut flags = Flags::new(args);
     let result = match sub.as_str() {
+        "paper" => {
+            let only: Option<String> = flags.value("--only");
+            ldc_bench::run_paper(only.as_deref(), &flags, &mut std::io::stdout().lock())
+        }
         "repair" => run_repair(flags.common(400)),
         "backup" => run_backup(flags.common(300)),
         "compaction-backlog" => {

@@ -6,7 +6,10 @@
 
 use std::sync::Arc;
 
-use ldc_bench::prelude::*;
+use ldc_bench::DbAdapter;
+use ldc_core::{CompactionMode, LdcConfig, LdcDb};
+use ldc_lsm::Options;
+use ldc_obs::{Event, EventKind, RingBufferSink};
 use ldc_workload::KvInterface;
 
 const BUCKET_NS: u64 = 10_000_000; // 10 ms (test scale: smaller memtables)
@@ -22,15 +25,14 @@ fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
 
 /// Drives fig01's 70/30 write-heavy mix, returning the recorded events and
 /// the spikiest bucket's `[start, end)` window of virtual time.
-fn spike_window(system: System) -> (Vec<Event>, u64, u64) {
+fn spike_window(mode: CompactionMode) -> (Vec<Event>, u64, u64) {
     let sink = Arc::new(RingBufferSink::new(1 << 20));
-    let mut builder = LdcDb::builder()
+    let db = LdcDb::builder()
         .options(Options::small_for_tests())
-        .event_sink(sink.clone());
-    if system == System::Udc {
-        builder = builder.udc_baseline();
-    }
-    let db = builder.build().unwrap();
+        .mode(mode)
+        .event_sink(sink.clone())
+        .build()
+        .unwrap();
     let clock = db.device().clock().clone();
     let mut adapter = DbAdapter::new(db);
 
@@ -65,7 +67,7 @@ fn spike_window(system: System) -> (Vec<Event>, u64, u64) {
 
 #[test]
 fn udc_spike_window_overlaps_a_merge_event() {
-    let (events, lo, hi) = spike_window(System::Udc);
+    let (events, lo, hi) = spike_window(CompactionMode::Udc);
     assert!(
         events
             .iter()
@@ -76,7 +78,7 @@ fn udc_spike_window_overlaps_a_merge_event() {
 
 #[test]
 fn ldc_spike_window_overlaps_a_merge_event() {
-    let (events, lo, hi) = spike_window(System::Ldc);
+    let (events, lo, hi) = spike_window(CompactionMode::Ldc(LdcConfig::default()));
     assert!(
         events
             .iter()
