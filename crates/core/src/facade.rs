@@ -103,15 +103,6 @@ impl LdcDbBuilder {
         self
     }
 
-    /// Fixes the SliceLink threshold (implies LDC mode).
-    pub fn slice_link_threshold(mut self, threshold: usize) -> Self {
-        self.mode = CompactionMode::Ldc(LdcConfig {
-            slice_link_threshold: Some(threshold),
-            ..LdcConfig::default()
-        });
-        self
-    }
-
     /// Enables the self-adaptive threshold controller (implies LDC mode).
     pub fn adaptive_threshold(mut self) -> Self {
         self.mode = CompactionMode::Ldc(LdcConfig {

@@ -104,22 +104,6 @@ impl LdcPolicy {
         Self::with_config(LdcConfig::default())
     }
 
-    /// Policy with a fixed threshold (Fig 12a/d sweeps).
-    pub fn with_threshold(threshold: usize) -> Self {
-        Self::with_config(LdcConfig {
-            slice_link_threshold: Some(threshold),
-            ..LdcConfig::default()
-        })
-    }
-
-    /// Policy with the self-adaptive controller enabled.
-    pub fn adaptive() -> Self {
-        Self::with_config(LdcConfig {
-            adaptive: true,
-            ..LdcConfig::default()
-        })
-    }
-
     /// The currently effective SliceLink threshold (for introspection).
     pub fn current_threshold(&self, fan_out: u64) -> usize {
         if let Some(a) = &self.adaptive {
@@ -374,7 +358,10 @@ mod tests {
         let pointers = vec![Vec::new(); 4];
         let _ = policy.pick(&ctx(&v, &options, &pointers));
         assert_eq!(policy.current_threshold(options.fan_out), 10);
-        let fixed = LdcPolicy::with_threshold(5);
+        let fixed = LdcPolicy::with_config(LdcConfig {
+            slice_link_threshold: Some(5),
+            ..LdcConfig::default()
+        });
         assert_eq!(fixed.current_threshold(10), 5);
     }
 

@@ -35,7 +35,6 @@ use crate::db::{Db, DbCore, DbStats};
 use crate::error::{Error, Result};
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::MemTable;
-use crate::scheduler::split_merge_ranges;
 use crate::table::{FinishedTable, TableBuilder, BLOCK_RESTART_INTERVAL};
 use crate::types::{parse_trailer, user_key, KeyRange, SequenceNumber, ValueType};
 use crate::version::{table_file_name, FileMeta, SliceLink, Version, VersionEdit};
@@ -120,22 +119,12 @@ impl Planned {
             _ => self.inputs.iter().all(|&n| version.find_file(n).is_some()),
         }
     }
-
-    /// Subcompaction ranges for up to `max` parallel units. Only a
-    /// classic merge splits: an `LdcMerge` already covers exactly one
-    /// responsible range and a tiered merge emits a single run.
-    pub(crate) fn unit_ranges(&self, max: usize) -> Vec<Option<KeyRange>> {
-        match &self.shape {
-            Shape::Merge { upper, lower } => split_merge_ranges(upper, lower, max),
-            _ => vec![None],
-        }
-    }
 }
 
-/// What one run unit produced; the units of a job are merged, in range
-/// order, into the job's single `VersionEdit`.
+/// What one run of a task (or a flush) wrote; its install turns it into
+/// the task's single `VersionEdit`.
 #[derive(Debug, Default)]
-pub(crate) struct UnitOutput {
+pub(crate) struct RunOutput {
     pub(crate) metas: Vec<FileMeta>,
     /// Virtual time spent writing output tables (Table I's write phase).
     pub(crate) write_nanos: Nanos,
@@ -338,20 +327,18 @@ impl Db {
         );
     }
 
-    /// Stage 2. Merges the planned inputs, restricted to `range` (`None` =
-    /// everything; only a `Shape::Merge` is ever given one), into output
-    /// tables numbered by `alloc`. Touches no engine state: the caller may
-    /// or may not hold the core lock, and says so through `alloc`.
+    /// Stage 2. Merges the planned inputs into output tables numbered by
+    /// `alloc`. Touches no engine state: the caller may or may not hold
+    /// the core lock, and says so through `alloc`.
     pub(crate) fn run(
         &self,
         planned: &Planned,
-        range: Option<&KeyRange>,
         alloc: &mut dyn FnMut() -> u64,
-    ) -> Result<UnitOutput> {
+    ) -> Result<RunOutput> {
         let class = IoClass::CompactionRead;
         let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
         match &planned.shape {
-            Shape::TrivialMove { .. } | Shape::Link { .. } => return Ok(UnitOutput::default()),
+            Shape::TrivialMove { .. } | Shape::Link { .. } => return Ok(RunOutput::default()),
             Shape::Ldc { file } => {
                 inputs.push(Box::new(self.table(file.number)?.iter(class)));
                 for slice in &file.slices {
@@ -361,15 +348,11 @@ impl Db {
             }
             Shape::Merge { .. } | Shape::Tiered { .. } => {
                 for &n in &planned.inputs {
-                    let table = self.table(n)?;
-                    inputs.push(match range {
-                        Some(r) => Box::new(table.range_iter(r.clone(), class)),
-                        None => Box::new(table.iter(class)),
-                    });
+                    inputs.push(Box::new(self.table(n)?.iter(class)));
                 }
             }
         }
-        let mut out = UnitOutput::default();
+        let mut out = RunOutput::default();
         self.merge_entries(inputs, planned, &mut |finished| {
             self.write_table(finished, IoClass::CompactionWrite, alloc, &mut out)
         })?;
@@ -379,11 +362,9 @@ impl Db {
     /// The merge loop proper: merge-sorts `inputs`, deduplicates by user
     /// key (newest wins), and emits output tables cut at the target file
     /// size — only at user-key boundaries, so level files never share a
-    /// user key. Within one key range the kept-entry decisions depend only
-    /// on the input stream and `smallest_snapshot` (the shadowing state
-    /// `last_kept_seq` resets at every user-key boundary and file cuts
-    /// happen only there), which is what makes per-range subcompactions
-    /// exactly equivalent to an unsplit merge.
+    /// user key. The kept-entry decisions depend only on the input stream
+    /// and `smallest_snapshot`: the shadowing state `last_kept_seq` resets
+    /// at every user-key boundary, and file cuts happen only there.
     fn merge_entries(
         &self,
         inputs: Vec<Box<dyn InternalIterator>>,
@@ -472,7 +453,7 @@ impl Db {
         finished: FinishedTable,
         class: IoClass,
         alloc: &mut dyn FnMut() -> u64,
-        out: &mut UnitOutput,
+        out: &mut RunOutput,
     ) -> Result<()> {
         let number = alloc();
         let name = table_file_name(number);
@@ -534,10 +515,9 @@ impl Db {
         &self,
         core: &mut DbCore,
         planned: &Planned,
-        outs: &[UnitOutput],
+        out: RunOutput,
         clock: TaskClock,
     ) -> Result<()> {
-        let outputs = || outs.iter().flat_map(|u| &u.metas);
         let level = planned.level as u32;
         let mut edit = VersionEdit::default();
         let mut dropped: Vec<u64> = Vec::new();
@@ -550,20 +530,22 @@ impl Db {
                 edit.deleted_files
                     .extend(deleted.chain(lower.iter().map(|m| (level + 1, m.number))));
                 edit.new_files
-                    .extend(outputs().map(|m| (level + 1, m.clone())));
+                    .extend(out.metas.iter().map(|m| (level + 1, m.clone())));
                 dropped.extend(upper.iter().chain(lower).map(|m| m.number));
                 (|s| &mut s.merges, upper)
             }
             Shape::Tiered { files } => {
                 edit.deleted_files
                     .extend(files.iter().map(|m| (0, m.number)));
-                edit.new_files.extend(outputs().map(|m| (0, m.clone())));
+                edit.new_files
+                    .extend(out.metas.iter().map(|m| (0, m.clone())));
                 dropped.extend(files.iter().map(|m| m.number));
                 (|s| &mut s.merges, &[])
             }
             Shape::Ldc { file } => {
                 edit.deleted_files.push((level, file.number));
-                edit.new_files.extend(outputs().map(|m| (level, m.clone())));
+                edit.new_files
+                    .extend(out.metas.iter().map(|m| (level, m.clone())));
                 // Reference counting against the refcounts current at
                 // install time: sources whose last live link was on this
                 // file are reclaimed (Algorithm 1, lines 18-22).
@@ -626,8 +608,11 @@ impl Db {
             // The in-memory merge does not advance the virtual clock, so
             // its phase is 0; everything that is not output writing is
             // input reading (plus metadata, which is negligible).
-            let write = outs.iter().map(|u| u.write_nanos).sum::<u64>().min(elapsed);
-            let (files, bytes) = outputs().fold((0, 0), |(f, b), m| (f + 1, b + m.size));
+            let write = out.write_nanos.min(elapsed);
+            let (files, bytes) = out
+                .metas
+                .iter()
+                .fold((0, 0), |(f, b), m| (f + 1, b + m.size));
             self.sink.record(
                 Event::span(desc.kind, clock.t0, end)
                     .levels(level, desc.output_level as u32)
@@ -645,8 +630,8 @@ impl Db {
         &self,
         mem: &MemTable,
         alloc: &mut dyn FnMut() -> u64,
-    ) -> Result<UnitOutput> {
-        let mut out = UnitOutput::default();
+    ) -> Result<RunOutput> {
+        let mut out = RunOutput::default();
         if mem.is_empty() {
             return Ok(out);
         }
@@ -673,7 +658,7 @@ impl Db {
         &self,
         core: &mut DbCore,
         mem: &MemTable,
-        out: UnitOutput,
+        out: RunOutput,
         log_number: Option<u64>,
         clock: TaskClock,
     ) -> Result<()> {

@@ -19,7 +19,6 @@
 //! worker pool (`crate::scheduler`, DESIGN.md §15).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use ldc_obs::TraceCtx;
 use ldc_ssd::{Nanos, VirtualClock};
@@ -237,13 +236,12 @@ impl Db {
         let planned = self
             .plan_task(core, task)
             .map_err(|Stale(why)| Error::InvalidState(why))?;
-        // One unit: the deterministic mode never splits a merge.
-        let out = self.run(&planned, None, &mut || core.versions.new_file_number())?;
-        self.install(core, &planned, &[out], clock)
+        let out = self.run(&planned, &mut || core.versions.new_file_number())?;
+        self.install(core, &planned, out, clock)
     }
 
     /// Stage 1 against the core's current version and snapshot floor.
-    pub(crate) fn plan_task(&self, core: &DbCore, task: &CompactionTask) -> Planning<Arc<Planned>> {
+    pub(crate) fn plan_task(&self, core: &DbCore, task: &CompactionTask) -> Planning<Planned> {
         // The oldest sequence any live snapshot can observe (or the
         // current sequence when none is held). Captured at plan time, this
         // stays a safe lower bound for the whole job: new snapshots always
@@ -254,7 +252,7 @@ impl Db {
             .next()
             .copied()
             .unwrap_or(core.versions.counters.last_sequence);
-        plan(&core.versions.current, task, smallest_snapshot).map(Arc::new)
+        plan(&core.versions.current, task, smallest_snapshot)
     }
 
     /// A task failed before it installed. Its device time still counts as

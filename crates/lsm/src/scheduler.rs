@@ -7,9 +7,9 @@
 //! (`crate::compaction::exec`: plan → run → install) — planning and
 //! claiming one job at a time under the core lock, running its
 //! reads/merge/writes without any engine lock held, and installing the
-//! result under the core lock as one atomic `VersionEdit`. Large merges
-//! are carved into range-partitioned subcompactions (at most
-//! [`MAX_SUBCOMPACTIONS`]) that idle workers run in parallel.
+//! result under the core lock as one atomic `VersionEdit`. A job is one
+//! run of the executor, exactly as inline; the pool's parallelism is
+//! across jobs on disjoint key ranges, never inside one.
 //!
 //! This module is the whole pool driver: the state it synchronizes on
 //! (private — nothing outside reads a field or touches a condvar), the
@@ -29,7 +29,7 @@
 //! taken on a hint is offered `pick` alone, and the idle tier is offered
 //! in exactly two situations: a worker's park on `work_cv` ran a whole
 //! `GATE_RECHECK` without one commit signalled, with no writer parked at
-//! a stall gate and no hint or unit pending (the foreground is quiet), or
+//! a stall gate and no hint pending (the foreground is quiet), or
 //! `drain_background_threaded` is waiting, which makes the background idle
 //! by definition and must not return while either tier has work, so that
 //! "drained" names the same tree as the inline driver's drain. Once both
@@ -65,11 +65,11 @@
 //!   the core; waking from `work_cv` and then planning a job re-acquires
 //!   core first, state second.
 //!
-//! Condvar pairing: `work_cv` and `subs_cv` pair with `state`; `done_cv`
+//! Condvar pairing: `work_cv` pairs with `state`; `done_cv`
 //! pairs with the **core** mutex — foreground stall gates wait on it via
 //! `MutexGuard::wait_timeout` so workers can take the core and install.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -79,11 +79,9 @@ use ldc_obs::lockcheck::{Condvar, Mutex, MutexGuard};
 use ldc_obs::TraceCtx;
 use ldc_ssd::Nanos;
 
-use crate::compaction::exec::{Planned, TaskClock, UnitOutput};
+use crate::compaction::exec::{RunOutput, TaskClock};
 use crate::db::{Db, DbCore, Gate, L0_SLOWDOWN_DELAY_NS};
-use crate::error::{Error, Result};
-use crate::types::KeyRange;
-use crate::version::FileMeta;
+use crate::error::Result;
 
 /// A user-key interval claimed at `level` by running job `job`.
 #[derive(Debug, Clone)]
@@ -92,74 +90,6 @@ struct RangeClaim {
     level: usize,
     lo: Vec<u8>,
     hi: Vec<u8>,
-}
-
-/// One queued subcompaction unit; `range == None` means the full key
-/// space (the unsplit case and the first unit of a split).
-#[derive(Debug)]
-struct SubUnit {
-    idx: usize,
-    range: Option<KeyRange>,
-}
-
-/// The in-flight split merge (at most one at a time; a second split-able
-/// job runs its units sequentially on its own coordinator instead).
-struct SubBatch {
-    /// The split job's plan: every unit opens the same input tables,
-    /// restricted to its own key range.
-    planned: Arc<Planned>,
-    /// Units not yet posted to `results`.
-    remaining: usize,
-    results: Vec<(usize, Result<UnitOutput>)>,
-}
-
-/// Carves a merge's key space into up to `max` disjoint subcompaction
-/// ranges, cutting only at input-table smallest-key boundaries. Every
-/// input entry falls in exactly one range, and because the merge loop's
-/// shadowing state resets at user-key boundaries (and smallest keys *are*
-/// user-key boundaries), merging the ranges independently keeps exactly
-/// the entries an unsplit merge would. Returns `vec![None]` (one
-/// unrestricted unit) when there is nothing to split on.
-pub(crate) fn split_merge_ranges(
-    upper: &[FileMeta],
-    lower: &[FileMeta],
-    max: usize,
-) -> Vec<Option<KeyRange>> {
-    let mut bounds: Vec<Vec<u8>> = upper
-        .iter()
-        .chain(lower)
-        .map(|m| m.smallest_ukey().to_vec())
-        .collect();
-    bounds.sort();
-    bounds.dedup();
-    // The global minimum is not a cut — everything below the first cut
-    // already belongs to unit 0.
-    if !bounds.is_empty() {
-        bounds.remove(0);
-    }
-    let units = max.min(bounds.len() + 1);
-    if units <= 1 {
-        return vec![None];
-    }
-    let mut cuts: Vec<Vec<u8>> = Vec::with_capacity(units - 1);
-    for i in 1..units {
-        // Evenly spread, strictly increasing because `bounds` is strictly
-        // sorted and `i * len / units` is strictly monotone for len >= units-1.
-        if let Some(cut) = bounds.get(i * bounds.len() / units) {
-            cuts.push(cut.clone());
-        }
-    }
-    let mut ranges = Vec::with_capacity(units);
-    let mut lo: Vec<u8> = Vec::new(); // empty = -inf
-    for cut in &cuts {
-        ranges.push(Some(KeyRange {
-            lo: std::mem::take(&mut lo),
-            hi: Some(cut.clone()),
-        }));
-        lo = cut.clone();
-    }
-    ranges.push(Some(KeyRange { lo, hi: None }));
-    ranges
 }
 
 /// How much of the policy is known to have no task against the version
@@ -211,10 +141,6 @@ struct SchedState {
     completed: u64,
     /// Next job id.
     next_job: u64,
-    /// Queued subcompaction units of `sub`.
-    subqueue: VecDeque<SubUnit>,
-    /// The active split merge, if any.
-    sub: Option<SubBatch>,
 }
 
 impl SchedState {
@@ -223,12 +149,9 @@ impl SchedState {
         self.next_job
     }
 
-    /// Any job claimed or unit outstanding?
+    /// Is a flush or a compaction claimed?
     fn busy(&self) -> bool {
-        self.flush_inflight
-            || self.compactions_inflight > 0
-            || self.sub.is_some()
-            || !self.subqueue.is_empty()
+        self.flush_inflight || self.compactions_inflight > 0
     }
 
     /// Would a job over `inputs` with per-level `ranges` overlap a
@@ -286,9 +209,6 @@ pub struct CompactionScheduler {
     state: Mutex<SchedState>,
     /// Workers park here for job signals (paired with `state`).
     work_cv: Condvar,
-    /// A split-merge coordinator parks here for unit results (paired with
-    /// `state`).
-    subs_cv: Condvar,
     /// Foreground stall gates park here for job installs (paired with the
     /// `lsm/db::core` mutex, *not* `state`).
     done_cv: Condvar,
@@ -301,10 +221,6 @@ pub struct CompactionScheduler {
 /// normal path wakes immediately.
 const GATE_RECHECK: Duration = Duration::from_millis(2);
 
-/// Most range-partitioned subcompactions one picked merge is split into.
-/// The inline driver never splits.
-const MAX_SUBCOMPACTIONS: usize = 4;
-
 impl CompactionScheduler {
     pub(crate) fn new(workers: usize) -> CompactionScheduler {
         CompactionScheduler {
@@ -313,7 +229,6 @@ impl CompactionScheduler {
             shutdown: AtomicBool::new(false),
             state: Mutex::new("lsm/scheduler::state", SchedState::default()),
             work_cv: Condvar::new(),
-            subs_cv: Condvar::new(),
             done_cv: Condvar::new(),
             threads: Mutex::new("lsm/scheduler::threads", Vec::new()),
         }
@@ -334,9 +249,8 @@ impl CompactionScheduler {
     }
 
     /// Marks work pending, wakes every worker, and reports whether the
-    /// pool is out of work: nothing running, nothing queued, and the
-    /// policy had no task for the current version — so waiting on it
-    /// cannot help. A stalled writer waits only for work the tree needs;
+    /// pool is out of work: nothing running and the policy had no task
+    /// for the current version — so waiting on it cannot help. A stalled writer waits only for work the tree needs;
     /// `through_idle_tier` (the drain) also waits out the idle tier.
     fn wake_all(&self, through_idle_tier: bool) -> bool {
         let mut st = self.state.lock();
@@ -356,7 +270,6 @@ impl CompactionScheduler {
         self.shutdown.store(true, Ordering::SeqCst);
         let st = self.state.lock();
         self.work_cv.notify_all();
-        self.subs_cv.notify_all();
         drop(st);
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for h in handles {
@@ -476,9 +389,9 @@ impl Db {
         core
     }
 
-    /// The pool's drain: signal it and wait until nothing is claimed,
-    /// nothing is queued, the `imm` slot is clear, and the policy reported
-    /// no further work in *either* tier — or the engine latched an error.
+    /// The pool's drain: signal it and wait until nothing is claimed, the
+    /// `imm` slot is clear, and the policy reported no further work in
+    /// *either* tier — or the engine latched an error.
     /// While it waits the workers treat the background as idle, so
     /// "drained" names the same tree here as in the inline driver, whose
     /// drain pumps `pick` and `pick_idle` dry.
@@ -495,8 +408,8 @@ impl Db {
         self.device.clock().now().saturating_sub(t0)
     }
 
-    /// A worker thread's main loop: park on `work_cv`, then either run a
-    /// queued subcompaction unit or take one whole job through the stages.
+    /// A worker thread's main loop: park on `work_cv`, then take one
+    /// whole job through the stages.
     ///
     /// A job taken on a hint is work somebody asked for, and is offered
     /// the policy's idle tier only while a drain is waiting. A worker
@@ -506,35 +419,22 @@ impl Db {
     /// a job with the idle tier on offer: the foreground is quiet, so the
     /// time is nobody else's.
     fn worker_main(&self) {
-        enum Next {
-            Exit,
-            Job { idle: bool },
-            Unit(SubUnit, Arc<Planned>),
-        }
         loop {
-            let next = {
+            let idle = {
                 let mut st = self.scheduler.state.lock();
                 let mut quiet = false;
                 loop {
                     if self.scheduler.shutdown.load(Ordering::SeqCst) {
-                        break Next::Exit;
-                    }
-                    if let Some(u) = st.subqueue.pop_front() {
-                        match st.sub.as_ref().map(|b| Arc::clone(&b.planned)) {
-                            Some(planned) => break Next::Unit(u, planned),
-                            None => continue, // stale unit of a torn-down batch
-                        }
+                        return;
                     }
                     if st.work_hint {
                         st.work_hint = false;
-                        break Next::Job {
-                            idle: st.draining > 0,
-                        };
+                        break st.draining > 0;
                     }
                     if st.policy_empty == PolicyEmpty::BothTiers {
                         st = st.wait(&self.scheduler.work_cv);
                     } else if quiet {
-                        break Next::Job { idle: true };
+                        break true;
                     } else {
                         let seen = st.signals;
                         (st, quiet) = st.wait_timeout(&self.scheduler.work_cv, GATE_RECHECK);
@@ -542,14 +442,7 @@ impl Db {
                     }
                 }
             };
-            match next {
-                Next::Exit => return,
-                Next::Job { idle } => self.run_one_job(idle),
-                Next::Unit(unit, planned) => {
-                    let alloc = &mut || self.locked_file_number();
-                    self.post_unit(unit.idx, self.run(&planned, unit.range.as_ref(), alloc));
-                }
-            }
+            self.run_one_job(idle);
             // One scheduling point per job keeps a busy pool from
             // monopolizing a small machine between back-to-back picks.
             std::thread::yield_now();
@@ -630,7 +523,7 @@ impl Db {
         }
         if planned.metadata_only() {
             drop(st);
-            let result = self.install(&mut core, &planned, &[], clock);
+            let result = self.install(&mut core, &planned, RunOutput::default(), clock);
             self.finish_job(&mut core, result, clock, None, false);
             return;
         }
@@ -638,13 +531,13 @@ impl Db {
         let job = st.claim(&planned.inputs, planned.claims.clone());
         drop(st);
         drop(core);
-        let outs = self.run_units(&planned, &mut || self.locked_file_number());
+        let out = self.run(&planned, &mut || self.locked_file_number());
         let mut core = self.core.lock();
-        let result = outs.and_then(|outs| {
+        let result = out.and_then(|out| {
             // If an input vanished mid-run (quarantine), the job aborts
             // and its outputs stay as orphans for `repair_db`.
             if planned.inputs_live(&core.versions.current) {
-                self.install(&mut core, &planned, &outs, clock)
+                self.install(&mut core, &planned, out, clock)
             } else {
                 Ok(())
             }
@@ -661,85 +554,6 @@ impl Db {
     /// The file-number allocator for run stages that do not hold the core.
     fn locked_file_number(&self) -> u64 {
         self.core.lock().versions.new_file_number()
-    }
-
-    /// The run stage of a whole task on the pool: one unit per
-    /// subcompaction range, results in range order so the installed file
-    /// sequence matches an unsplit merge's. Units 1.. are queued for idle
-    /// workers (when the single split slot is free) while this thread
-    /// runs unit 0 and then helps drain the queue until every unit
-    /// posted. `alloc` numbers the outputs of the units this thread runs.
-    fn run_units(
-        &self,
-        planned: &Arc<Planned>,
-        alloc: &mut dyn FnMut() -> u64,
-    ) -> Result<Vec<UnitOutput>> {
-        let ranges = planned.unit_ranges(MAX_SUBCOMPACTIONS);
-        let k = ranges.len();
-        let queued = k > 1 && {
-            let mut st = self.scheduler.state.lock();
-            let free = st.sub.is_none();
-            if free {
-                st.sub = Some(SubBatch {
-                    planned: Arc::clone(planned),
-                    remaining: k,
-                    results: Vec::new(),
-                });
-                for (i, r) in ranges.iter().enumerate().skip(1) {
-                    st.subqueue.push_back(SubUnit {
-                        idx: i,
-                        range: r.clone(),
-                    });
-                }
-                self.scheduler.work_cv.notify_all();
-            }
-            free
-        };
-        if !queued {
-            // Unsplit, or another split merge holds the slot: run the
-            // units sequentially.
-            return ranges
-                .iter()
-                .map(|r| self.run(planned, r.as_ref(), alloc))
-                .collect();
-        }
-        let first = ranges.first().and_then(|r| r.as_ref());
-        self.post_unit(0, self.run(planned, first, alloc));
-        loop {
-            let next = {
-                let mut st = self.scheduler.state.lock();
-                loop {
-                    if st.sub.as_ref().is_none_or(|b| b.remaining == 0) {
-                        break None;
-                    }
-                    match st.subqueue.pop_front() {
-                        Some(u) => break Some(u),
-                        None => st = st.wait(&self.scheduler.subs_cv),
-                    }
-                }
-            };
-            let Some(u) = next else { break };
-            self.post_unit(u.idx, self.run(planned, u.range.as_ref(), alloc));
-        }
-        let Some(batch) = self.scheduler.state.lock().sub.take() else {
-            return Err(Error::InvalidState(
-                "split-merge batch vanished before its coordinator collected it".to_string(),
-            ));
-        };
-        let mut results = batch.results;
-        results.sort_by_key(|(i, _)| *i);
-        results.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Posts one subcompaction unit's result to the active split batch
-    /// and wakes its coordinator.
-    fn post_unit(&self, idx: usize, result: Result<UnitOutput>) {
-        let mut st = self.scheduler.state.lock();
-        if let Some(b) = st.sub.as_mut() {
-            b.remaining -= 1;
-            b.results.push((idx, result));
-        }
-        self.scheduler.subs_cv.notify_all();
     }
 
     /// The end of a worker's job, under the core lock it installed with:

@@ -1,8 +1,8 @@
 //! Threaded background execution: the `background_workers >= 1` pool must
 //! preserve every logical guarantee of the inline pump — same store
-//! contents as an unsplit inline run (subcompactions are invisible),
-//! checkpoint/scrub safety under concurrent installs, and clean recovery
-//! from crashes that tear mid-subcompaction output files.
+//! contents as an inline run, checkpoint/scrub safety under concurrent
+//! installs, and clean recovery from crashes that tear a worker's output
+//! files mid-run.
 //!
 //! Threaded runs promise linearizability, not timing reproducibility
 //! (DESIGN.md §10/§15), so these tests assert values and invariants,
@@ -31,8 +31,8 @@ fn tiny_options() -> Options {
 }
 
 fn key(k: u32) -> Vec<u8> {
-    // Hash-spread so upper files overlap several lower files and merges
-    // have real split boundaries.
+    // Hash-spread so upper files overlap several lower files and every
+    // merge reads many inputs.
     format!("{:08x}", (k as u64).wrapping_mul(0x9e37_79b9)).into_bytes()
 }
 
@@ -157,10 +157,10 @@ fn threaded_smoke_ldc() {
     threaded_smoke(false);
 }
 
-/// The subcompaction boundary contract: a store grown with split merges
-/// (on the worker pool) holds exactly the same logical contents
-/// as one grown inline, where every merge is a single unsplit stream.
-fn split_matches_unsplit(udc: bool, rounds: u32, keys: u32) {
+/// The two drivers' contract: a store grown on the worker pool, where
+/// jobs on disjoint key ranges run concurrently, holds exactly the same
+/// logical contents as one grown inline.
+fn pool_matches_inline(udc: bool, rounds: u32, keys: u32) {
     let inline_db = build(udc, 0, None);
     let threaded_db = build(udc, 3, None);
     let model = apply_workload(&inline_db, rounds, keys);
@@ -183,13 +183,13 @@ fn split_matches_unsplit(udc: bool, rounds: u32, keys: u32) {
 }
 
 #[test]
-fn subcompactions_match_inline_udc() {
-    split_matches_unsplit(true, 8, 900);
+fn pool_matches_inline_udc() {
+    pool_matches_inline(true, 8, 900);
 }
 
 #[test]
-fn subcompactions_match_inline_ldc() {
-    split_matches_unsplit(false, 8, 900);
+fn pool_matches_inline_ldc() {
+    pool_matches_inline(false, 8, 900);
 }
 
 /// `LdcDb::set_event_sink` parks the pool to swap the sink and restarts
@@ -420,15 +420,15 @@ fn idle_tier_is_not_offered_per_commit() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Property form of the boundary contract over random workload shapes,
-    /// in both compaction modes.
+    /// Property form of the pool/inline contract over random workload
+    /// shapes, in both compaction modes.
     #[test]
-    fn split_merge_equivalence(
+    fn pool_inline_equivalence(
         udc in any::<bool>(),
         rounds in 2u32..6,
         keys in 200u32..700,
     ) {
-        split_matches_unsplit(udc, rounds, keys);
+        pool_matches_inline(udc, rounds, keys);
     }
 }
 
@@ -500,7 +500,7 @@ fn scrub_races_threaded_compaction() {
     assert!(report.tables_scanned > 0);
 }
 
-/// Crash mid-run (including mid-subcompaction chunked writes): after a
+/// Crash mid-run (including mid-table chunked writes): after a
 /// power cycle and repair, the reopened store must be consistent — no
 /// SSTable referenced twice, no orphan files left behind, and every
 /// surviving key maps to a value that was actually written.
@@ -560,14 +560,14 @@ fn crash_sweep_point(udc: bool, crash_op: u64, seed: u64) {
 }
 
 #[test]
-fn crash_mid_subcompaction_sweep_udc() {
+fn crash_mid_pool_run_sweep_udc() {
     for (i, crash_op) in [120u64, 600, 1800, 4200].into_iter().enumerate() {
         crash_sweep_point(true, crash_op, 0x0BAD_5EED + i as u64);
     }
 }
 
 #[test]
-fn crash_mid_subcompaction_sweep_ldc() {
+fn crash_mid_pool_run_sweep_ldc() {
     for (i, crash_op) in [120u64, 600, 1800, 4200].into_iter().enumerate() {
         crash_sweep_point(false, crash_op, 0xFEED_BEEF + i as u64);
     }
