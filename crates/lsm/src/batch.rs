@@ -4,7 +4,9 @@
 //! record count, then per record a type byte followed by length-prefixed key
 //! (and value for puts).
 
-use crate::encoding::{get_fixed32, get_fixed64, get_length_prefixed, put_length_prefixed};
+use crate::encoding::{
+    get_fixed32, get_fixed64, get_length_prefixed, length_prefixed_len, put_length_prefixed,
+};
 use crate::error::{corruption, Result};
 use crate::types::{SequenceNumber, ValueType};
 
@@ -22,6 +24,28 @@ impl WriteBatch {
         Self {
             rep: vec![0; HEADER],
         }
+    }
+
+    /// A batch of one put, allocated once at its encoded size.
+    pub(crate) fn single_put(key: &[u8], value: &[u8]) -> Self {
+        let mut batch =
+            Self::with_op_bytes(1 + length_prefixed_len(key) + length_prefixed_len(value));
+        batch.put(key, value);
+        batch
+    }
+
+    /// A batch of one delete, allocated once at its encoded size.
+    pub(crate) fn single_delete(key: &[u8]) -> Self {
+        let mut batch = Self::with_op_bytes(1 + length_prefixed_len(key));
+        batch.delete(key);
+        batch
+    }
+
+    /// An empty batch with room for `op_bytes` of encoded operations.
+    fn with_op_bytes(op_bytes: usize) -> Self {
+        let mut rep = Vec::with_capacity(HEADER + op_bytes);
+        rep.resize(HEADER, 0);
+        Self { rep }
     }
 
     /// Queues a put.
@@ -223,6 +247,25 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn single_op_batches_are_built_at_their_final_size() {
+        for len in [0usize, 1, 127, 128, 1024, 16_384, 70_000] {
+            let value = vec![b'v'; len];
+            let key = vec![b'k'; len % 300];
+            let put = WriteBatch::single_put(&key, &value);
+            let mut queued = WriteBatch::new();
+            queued.put(&key, &value);
+            assert_eq!(put, queued);
+            assert_eq!(put.rep.capacity(), put.rep.len(), "put of {len} bytes");
+
+            let delete = WriteBatch::single_delete(&key);
+            let mut queued = WriteBatch::new();
+            queued.delete(&key);
+            assert_eq!(delete, queued);
+            assert_eq!(delete.rep.capacity(), delete.rep.len(), "delete");
+        }
     }
 
     #[test]

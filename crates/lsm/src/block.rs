@@ -24,14 +24,12 @@ use crate::encoding::{get_fixed32, get_varint32, put_fixed32, put_varint32};
 use crate::error::{corruption, Result};
 use crate::types::compare_internal_keys;
 
-/// Builds one block. Keys must be appended in sorted order.
+/// Builds one block in a buffer it owns. Keys must be appended in sorted
+/// order.
 pub struct BlockBuilder {
     buf: Vec<u8>,
-    restarts: Vec<u32>,
-    counter: usize,
-    restart_interval: usize,
+    writer: BlockWriter,
     last_key: Vec<u8>,
-    entries: usize,
 }
 
 impl BlockBuilder {
@@ -40,73 +38,122 @@ impl BlockBuilder {
     pub fn new(restart_interval: usize) -> Self {
         Self {
             buf: Vec::new(),
-            restarts: vec![0],
-            counter: 0,
-            restart_interval: restart_interval.max(1),
+            writer: BlockWriter::new(restart_interval),
             last_key: Vec::new(),
-            entries: 0,
         }
     }
 
     /// Appends an entry. `key` must sort after every previously added key.
     pub fn add(&mut self, key: &[u8], value: &[u8]) {
-        debug_assert!(
-            self.entries == 0 || compare_internal_keys(&self.last_key, key) == Ordering::Less,
-            "block keys must be added in strictly increasing order"
-        );
-        let shared = if self.counter < self.restart_interval {
-            common_prefix_len(&self.last_key, key)
-        } else {
-            self.restarts.push(self.buf.len() as u32);
-            self.counter = 0;
-            0
-        };
-        let non_shared = key.len() - shared;
-        put_varint32(&mut self.buf, shared as u32);
-        put_varint32(&mut self.buf, non_shared as u32);
-        put_varint32(&mut self.buf, value.len() as u32);
-        self.buf.extend_from_slice(&key[shared..]);
-        self.buf.extend_from_slice(value);
+        self.writer
+            .add(&mut self.buf, 0, &self.last_key, key, value);
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
-        self.counter += 1;
-        self.entries += 1;
     }
 
     /// Bytes the finished block will occupy (approximately, pre-trailer).
     pub fn size_estimate(&self) -> usize {
-        self.buf.len() + self.restarts.len() * 4 + 4
+        self.buf.len() + self.writer.trailer_bytes()
     }
 
     /// Number of entries added.
     pub fn entries(&self) -> usize {
-        self.entries
+        self.writer.entries
     }
 
     /// Whether nothing has been added.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.writer.entries == 0
     }
 
     /// Serializes the block and resets the builder, handing out its buffer.
     pub fn finish(&mut self) -> Vec<u8> {
         let mut out = std::mem::take(&mut self.buf);
-        self.finish_trailer(&mut out);
+        self.writer.finish(&mut out);
+        self.last_key.clear();
         out
     }
 
     /// Appends the serialized block to `out` and resets the builder, which
-    /// keeps its buffers: the next block of a table is built in the capacity
-    /// this one grew.
+    /// keeps its buffers: the next block is built in the capacity this one
+    /// grew. A table's index block is sealed this way.
     pub fn finish_into(&mut self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.buf);
         self.buf.clear();
-        self.finish_trailer(out);
+        self.writer.finish(out);
+        self.last_key.clear();
+    }
+}
+
+/// The restart bookkeeping of one block whose entries go into a buffer the
+/// caller owns, from offset `start` on: [`BlockBuilder`]'s own buffer, or
+/// the table image a table builder writes its data blocks straight into.
+#[derive(Debug)]
+pub(crate) struct BlockWriter {
+    restarts: Vec<u32>,
+    counter: usize,
+    restart_interval: usize,
+    entries: usize,
+}
+
+impl BlockWriter {
+    /// A writer storing a whole key every `restart_interval` entries.
+    pub(crate) fn new(restart_interval: usize) -> Self {
+        Self {
+            restarts: vec![0],
+            counter: 0,
+            restart_interval: restart_interval.max(1),
+            entries: 0,
+        }
     }
 
-    /// Appends the restart array and its count to `out`, which already holds
-    /// the entries, and resets everything but the entry buffer.
-    fn finish_trailer(&mut self, out: &mut Vec<u8>) {
+    /// Appends an entry to `out`, whose block begins at `start`. `prev` is
+    /// the key added before this one (ignored for a block's first entry);
+    /// `key` must sort after it.
+    pub(crate) fn add(
+        &mut self,
+        out: &mut Vec<u8>,
+        start: usize,
+        prev: &[u8],
+        key: &[u8],
+        value: &[u8],
+    ) {
+        debug_assert!(
+            self.entries == 0 || compare_internal_keys(prev, key) == Ordering::Less,
+            "block keys must be added in strictly increasing order"
+        );
+        let shared = if self.counter >= self.restart_interval {
+            self.restarts.push((out.len() - start) as u32);
+            self.counter = 0;
+            0
+        } else if self.entries == 0 {
+            0
+        } else {
+            common_prefix_len(prev, key)
+        };
+        let non_shared = key.len() - shared;
+        put_varint32(out, shared as u32);
+        put_varint32(out, non_shared as u32);
+        put_varint32(out, value.len() as u32);
+        out.extend_from_slice(&key[shared..]);
+        out.extend_from_slice(value);
+        self.counter += 1;
+        self.entries += 1;
+    }
+
+    /// Bytes the restart trailer will add after the entries.
+    pub(crate) fn trailer_bytes(&self) -> usize {
+        self.restarts.len() * 4 + 4
+    }
+
+    /// Entries added to the block being built.
+    pub(crate) fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Appends the restart array and its count to `out`, which already
+    /// holds the entries, and resets for the next block.
+    pub(crate) fn finish(&mut self, out: &mut Vec<u8>) {
         for &r in &self.restarts {
             put_fixed32(out, r);
         }
@@ -114,7 +161,6 @@ impl BlockBuilder {
         self.restarts.clear();
         self.restarts.push(0);
         self.counter = 0;
-        self.last_key.clear();
         self.entries = 0;
     }
 }

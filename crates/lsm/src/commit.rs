@@ -110,18 +110,29 @@ impl CommitQueue {
 
     /// Posts the group's results, steps down as leader, and wakes every
     /// waiter there is (followers collect results; one of the rest is
-    /// elected the next leader). Returns the leader's own result (ticket
-    /// `own`).
-    pub(crate) fn finish(&self, own: Ticket, results: Vec<(Ticket, Result<()>)>) -> Result<()> {
+    /// elected the next leader). `result_of` tells each batch its result,
+    /// in ticket order; the leader's own (ticket `own`) is returned. The
+    /// drained `group` vector becomes the queue again when nobody queued
+    /// behind the leader, so a lone writer's next enqueue does not allocate.
+    pub(crate) fn finish(
+        &self,
+        own: Ticket,
+        mut group: Vec<(Ticket, WriteBatch)>,
+        result_of: impl Fn(&WriteBatch) -> Result<()>,
+    ) -> Result<()> {
         let mut own_result = Ok(());
         let waiters = {
             let mut st = self.lock();
-            for (ticket, result) in results {
+            for (ticket, batch) in group.drain(..) {
+                let result = result_of(&batch);
                 if ticket == own {
                     own_result = result;
                 } else {
                     st.results.insert(ticket, result);
                 }
+            }
+            if st.queue.is_empty() {
+                st.queue = group;
             }
             st.leader_active = false;
             st.parked
@@ -151,11 +162,13 @@ mod tests {
             Role::Leader(group) => {
                 assert_eq!(group.len(), 1);
                 assert_eq!(group[0].0, t);
-                assert!(q.finish(t, vec![(t, Ok(()))]).is_ok());
+                assert!(q.finish(t, group, |_| Ok(())).is_ok());
             }
             Role::Done(_) => panic!("first writer must lead"),
         }
-        // The queue is reusable after the leader steps down.
+        // The queue is reusable after the leader steps down, and it is the
+        // leader's group vector: the second enqueue does not regrow it.
+        assert!(q.lock().queue.capacity() >= 1);
         let t2 = q.enqueue(batch(b"b"));
         assert!(matches!(q.wait(t2), Role::Leader(_)));
     }
@@ -170,14 +183,34 @@ mod tests {
             Role::Leader(group) => {
                 let tickets: Vec<Ticket> = group.iter().map(|(t, _)| *t).collect();
                 assert_eq!(tickets, vec![t1, t2, t3]);
-                q.finish(t1, tickets.iter().map(|t| (*t, Ok(()))).collect::<Vec<_>>())
-                    .unwrap();
+                q.finish(t1, group, |_| Ok(())).unwrap();
             }
             Role::Done(_) => panic!("must lead"),
         }
         // Followers find their results without leading.
         assert!(matches!(q.wait(t2), Role::Done(Ok(()))));
         assert!(matches!(q.wait(t3), Role::Done(Ok(()))));
+    }
+
+    #[test]
+    fn finish_posts_each_batch_its_own_result() {
+        let q = CommitQueue::new();
+        let lead = q.enqueue(batch(b"a"));
+        let empty = q.enqueue(WriteBatch::new());
+        let full = q.enqueue(batch(b"b"));
+        let Role::Leader(group) = q.wait(lead) else {
+            panic!("first writer must lead");
+        };
+        let own = q.finish(lead, group, |b| {
+            if b.is_empty() {
+                Ok(())
+            } else {
+                Err(crate::error::Error::InvalidState("refused".into()))
+            }
+        });
+        assert!(own.is_err());
+        assert!(matches!(q.wait(empty), Role::Done(Ok(()))));
+        assert!(matches!(q.wait(full), Role::Done(Err(_))));
     }
 
     #[test]
@@ -196,8 +229,7 @@ mod tests {
                         Role::Done(r) => r.unwrap(),
                         Role::Leader(group) => {
                             committed.fetch_add(group.len() as u64, Ordering::SeqCst);
-                            let results = group.iter().map(|(t, _)| (*t, Ok(()))).collect();
-                            q.finish(t, results).unwrap();
+                            q.finish(t, group, |_| Ok(())).unwrap();
                         }
                     }
                 });
@@ -210,7 +242,9 @@ mod tests {
     fn finish_wakes_a_parked_follower() {
         let q = CommitQueue::new();
         let lead = q.enqueue(batch(b"a"));
-        assert!(matches!(q.wait(lead), Role::Leader(_)));
+        let Role::Leader(group) = q.wait(lead) else {
+            panic!("first writer must lead");
+        };
         // Nobody is parked: this is the commit that skips the notify.
         assert_eq!(q.lock().parked, 0);
         std::thread::scope(|s| {
@@ -224,7 +258,7 @@ mod tests {
             while q.lock().parked == 0 {
                 std::thread::yield_now();
             }
-            q.finish(lead, vec![(lead, Ok(()))]).unwrap();
+            q.finish(lead, group, |_| Ok(())).unwrap();
             // Its batch came after the leader's drain: woken, it finds no
             // result and no leader, and leads its own group.
             match follower.join().unwrap() {

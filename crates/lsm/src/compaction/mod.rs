@@ -117,27 +117,36 @@ pub trait CompactionPolicy: Send {
 /// the trigger; deeper levels by byte size relative to capacity. The last
 /// level never triggers (nothing below it).
 pub fn level_scores(version: &Version, options: &Options) -> Vec<f64> {
-    let n = version.num_levels();
-    let mut scores = vec![0.0; n];
-    scores[0] = version.level_files(0) as f64 / options.l0_compaction_trigger as f64;
-    for (level, score) in scores.iter_mut().enumerate().take(n - 1).skip(1) {
-        *score = version.level_bytes(level) as f64 / options.level_capacity_bytes(level) as f64;
-    }
-    scores
+    (0..version.num_levels())
+        .map(|level| level_score(version, options, level))
+        .collect()
 }
 
-/// The level most in need of compaction, if any score reaches 1.0.
-pub fn pick_overfull_level(version: &Version, options: &Options) -> Option<usize> {
-    let scores = level_scores(version, options);
-    let (level, &score) = scores
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("scores are finite"))?;
-    if score >= 1.0 {
-        Some(level)
+/// One level's entry of [`level_scores`].
+fn level_score(version: &Version, options: &Options, level: usize) -> f64 {
+    if level == 0 {
+        version.level_files(0) as f64 / options.l0_compaction_trigger as f64
+    } else if level + 1 < version.num_levels() {
+        version.level_bytes(level) as f64 / options.level_capacity_bytes(level) as f64
     } else {
-        None
+        0.0
     }
+}
+
+/// The level most in need of compaction, if any score reaches 1.0. Of
+/// equal scores the deepest wins (`Iterator::max_by`'s rule), and nothing
+/// is allocated: this is asked after every write.
+pub fn pick_overfull_level(version: &Version, options: &Options) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for level in 0..version.num_levels() {
+        let score = level_score(version, options, level);
+        debug_assert!(score.is_finite(), "scores are finite");
+        if best.is_none_or(|(_, top)| score >= top) {
+            best = Some((level, score));
+        }
+    }
+    best.filter(|&(_, score)| score >= 1.0)
+        .map(|(level, _)| level)
 }
 
 #[cfg(test)]
@@ -180,6 +189,26 @@ mod tests {
         v.levels[0].push(meta(1, b"a", b"z", 1000));
         v.levels[1].push(meta(2, b"a", b"z", 1000));
         assert_eq!(pick_overfull_level(&v, &options), None);
+    }
+
+    #[test]
+    fn ties_go_to_the_deepest_level_as_max_by_does() {
+        let options = Options::default();
+        let mut v = Version::new(4);
+        for i in 0..options.l0_compaction_trigger as u64 * 2 {
+            v.levels[0].push(meta(i + 1, b"a", b"z", 1000));
+        }
+        v.levels[1].push(meta(100, b"a", b"m", options.level_capacity_bytes(1) * 2));
+        v.levels[2].push(meta(101, b"a", b"m", options.level_capacity_bytes(2) * 2));
+        let scores = level_scores(&v, &options);
+        assert_eq!((scores[0], scores[1], scores[2]), (2.0, 2.0, 2.0));
+        let by_max_by = scores
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .map(|(level, _)| level);
+        assert_eq!(by_max_by, Some(2));
+        assert_eq!(pick_overfull_level(&v, &options), Some(2));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use super::*;
 use crate::batch::WriteBatch;
+use crate::commit::{Role, Ticket};
 use crate::compaction::UdcPolicy;
 use ldc_ssd::{MemStorage, SsdConfig, TimeCategory};
 
@@ -306,6 +307,74 @@ fn empty_batch_is_a_noop() {
     let before = db.core.lock().versions.counters.last_sequence;
     db.write(WriteBatch::new()).unwrap();
     assert_eq!(db.core.lock().versions.counters.last_sequence, before);
+}
+
+/// Queues the group `[empty, put a, empty, put b]` and lets its first
+/// (empty) ticket take the lead: the group the leader drains is exactly it.
+fn hand_built_group(db: &Db, a: &[u8], b: &[u8]) -> (Vec<Ticket>, Vec<(Ticket, WriteBatch)>) {
+    let put = |key: &[u8]| {
+        let mut batch = WriteBatch::new();
+        batch.put(key, b"v");
+        batch
+    };
+    let tickets: Vec<Ticket> = [WriteBatch::new(), put(a), WriteBatch::new(), put(b)]
+        .into_iter()
+        .map(|batch| db.commit.enqueue(batch))
+        .collect();
+    let Role::Leader(group) = db.commit.wait(tickets[0]) else {
+        panic!("the first ticket leads");
+    };
+    let drained: Vec<Ticket> = group.iter().map(|(t, _)| *t).collect();
+    assert_eq!(drained, tickets);
+    (tickets, group)
+}
+
+#[test]
+fn group_commit_answers_every_ticket_in_order() {
+    let db = open_db();
+    let before = db.core.lock().versions.counters.last_sequence;
+    let stats = db.stats();
+
+    // Both puts commit as one group at consecutive sequences, in ticket
+    // order; every ticket, the empty ones included, is told `Ok`.
+    let (tickets, group) = hand_built_group(&db, b"a", b"b");
+    db.lead(tickets[0], group, None).unwrap();
+    for &t in &tickets[1..] {
+        assert!(matches!(db.commit.wait(t), Role::Done(Ok(()))));
+    }
+    {
+        let core = db.core.lock();
+        assert_eq!(core.versions.counters.last_sequence, before + 2);
+        let mut it = core.mem.iter();
+        it.seek_to_first();
+        let mut entries = Vec::new();
+        while it.valid() {
+            let (seq, _) = crate::types::parse_trailer(it.key());
+            entries.push((crate::types::user_key(it.key()).to_vec(), seq));
+            it.next();
+        }
+        assert_eq!(
+            entries,
+            vec![(b"a".to_vec(), before + 1), (b"b".to_vec(), before + 2)]
+        );
+    }
+    assert_eq!(db.stats().write_groups, stats.write_groups + 1);
+    assert_eq!(db.stats().grouped_batches, stats.grouped_batches + 2);
+    assert_eq!(db.stats().writes, stats.writes + 2);
+
+    // With a background error latched, every ticket gets the error, the
+    // empty ones included, and nothing is applied.
+    db.core
+        .lock()
+        .latch(Error::InvalidState("latched for the test".into()));
+    let (tickets, group) = hand_built_group(&db, b"c", b"d");
+    assert!(db.lead(tickets[0], group, None).is_err());
+    for &t in &tickets[1..] {
+        assert!(matches!(db.commit.wait(t), Role::Done(Err(_))));
+    }
+    assert_eq!(db.core.lock().versions.counters.last_sequence, before + 2);
+    assert_eq!(db.get(b"c").unwrap(), None);
+    assert_eq!(db.get(b"b").unwrap(), Some(b"v".to_vec()));
 }
 
 #[test]

@@ -22,7 +22,7 @@ use ldc_ssd::{IoClass, Nanos, StorageBackend, TimeCategory};
 use super::{Db, DbCore};
 use crate::batch::WriteBatch;
 use crate::commit::{Role, Ticket};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::memtable::MemTable;
 use crate::version::{log_file_name, VersionSet};
 use crate::wal::LogWriter;
@@ -38,6 +38,26 @@ pub(crate) enum Gate {
     RotationWait,
     /// Either stall, waited out on the worker pool's completion condvar.
     WorkerQueue,
+}
+
+/// What a leader tells each ticket of its group.
+enum GroupOutcome {
+    /// A latched background error: every ticket gets it, empty batches
+    /// included.
+    Refused(Error),
+    /// The non-empty batches were committed as one, with this result;
+    /// empty batches succeed.
+    Committed(Result<()>),
+}
+
+impl GroupOutcome {
+    fn for_batch(&self, batch: &WriteBatch) -> Result<()> {
+        match self {
+            GroupOutcome::Refused(e) => Err(e.clone()),
+            GroupOutcome::Committed(_) if batch.is_empty() => Ok(()),
+            GroupOutcome::Committed(outcome) => outcome.clone(),
+        }
+    }
 }
 
 /// What one write pays while Level 0 sits in the slowdown band: 1 ms,
@@ -69,16 +89,12 @@ pub(super) fn fresh_wal(
 impl Db {
     /// Inserts or overwrites `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::new();
-        batch.put(key, value);
-        self.write_op(OpType::Put, batch)
+        self.write_op(OpType::Put, WriteBatch::single_put(key, value))
     }
 
     /// Deletes `key` (writes a tombstone).
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::new();
-        batch.delete(key);
-        self.write_op(OpType::Delete, batch)
+        self.write_op(OpType::Delete, WriteBatch::single_delete(key))
     }
 
     /// The envelope of a single-key foreground write: trace, commit,
@@ -114,7 +130,7 @@ impl Db {
     /// [`Db::write`] with an optional trace context. A follower's entire
     /// wait is one [`Blame::GroupCommitWait`] span (the leader advanced the
     /// clock on its behalf); a leader's commit is broken down inside
-    /// [`Db::commit_batches`].
+    /// [`Db::commit_batch`].
     fn write_traced(&self, batch: WriteBatch, mut trace: Option<&mut TraceCtx>) -> Result<()> {
         let wait_t0 = if trace.is_some() {
             self.device.clock().now()
@@ -132,87 +148,90 @@ impl Db {
                 }
                 result
             }
-            Role::Leader(group) => {
-                let mut core = self.core.lock();
-                let pooled = self.scheduler.active();
-                if pooled {
-                    // The pool's write gates are condvar waits on job
-                    // completion (they must release the core so workers
-                    // can install), so they run here where the guard is
-                    // owned, before the commit proper.
-                    core = self.threaded_write_gates(core, trace.as_deref_mut());
-                }
-                let results = self.commit_group(&mut core, group, trace, pooled);
-                self.publish_view(&core);
-                self.reap_pending_deletes(&mut core);
-                drop(core);
-                self.commit.finish(ticket, results)
-            }
+            Role::Leader(group) => self.lead(ticket, group, trace),
         }
     }
 
-    /// Commits one leader-drained group of batches under the core lock and
-    /// returns the per-ticket results. Empty batches succeed without side
-    /// effects (not even a policy op observation), exactly like the
-    /// ungrouped path; the non-empty ones are merged, in ticket order,
-    /// into one atomically-committed batch and share one outcome.
-    fn commit_group(
+    /// A leader's turn: commits `group` (its own batch, ticket `own`,
+    /// among them) under the core lock, republishes the view, and posts
+    /// every ticket's result.
+    pub(super) fn lead(
+        &self,
+        own: Ticket,
+        mut group: Vec<(Ticket, WriteBatch)>,
+        mut trace: Option<&mut TraceCtx>,
+    ) -> Result<()> {
+        let mut core = self.core.lock();
+        let pooled = self.scheduler.active();
+        if pooled {
+            // The pool's write gates are condvar waits on job completion
+            // (they must release the core so workers can install), so they
+            // run here where the guard is owned, before the commit proper.
+            core = self.threaded_write_gates(core, trace.as_deref_mut());
+        }
+        let batches = group.iter_mut().map(|(_, batch)| batch);
+        let outcome = self.commit_group(&mut core, batches, trace, pooled);
+        self.publish_view(&core);
+        self.reap_pending_deletes(&mut core);
+        drop(core);
+        self.commit
+            .finish(own, group, |batch| outcome.for_batch(batch))
+    }
+
+    /// Commits the batches of one leader-drained group, in ticket order,
+    /// under the core lock. The non-empty ones are merged in place into the
+    /// first of them, committed atomically, and share one outcome. Empty
+    /// batches succeed without side effects (not even a policy op
+    /// observation), exactly like the ungrouped path.
+    fn commit_group<'g>(
         &self,
         core: &mut DbCore,
-        group: Vec<(Ticket, WriteBatch)>,
+        batches: impl Iterator<Item = &'g mut WriteBatch>,
         trace: Option<&mut TraceCtx>,
         pooled: bool,
-    ) -> Vec<(Ticket, Result<()>)> {
+    ) -> GroupOutcome {
         if let Some(e) = &core.bg_error {
-            let e = e.clone();
-            return group
-                .into_iter()
-                .map(|(t, _)| (t, Err(e.clone())))
-                .collect();
+            return GroupOutcome::Refused(e.clone());
         }
-        let mut results: Vec<(Ticket, Result<()>)> = Vec::with_capacity(group.len());
-        let mut tickets: Vec<Ticket> = Vec::new();
-        let mut batches: Vec<WriteBatch> = Vec::new();
-        for (ticket, batch) in group {
-            if batch.is_empty() {
-                results.push((ticket, Ok(())));
-            } else {
-                tickets.push(ticket);
-                batches.push(batch);
-            }
+        let mut batches = batches.filter(|batch| !batch.is_empty());
+        let Some(batch) = batches.next() else {
+            return GroupOutcome::Committed(Ok(()));
+        };
+        // A group of one is committed as-is — byte-identical WAL framing
+        // to the ungrouped engine, which is what keeps single-threaded runs
+        // deterministic.
+        let mut group_size = 1;
+        for follower in batches {
+            batch.append(follower);
+            group_size += 1;
         }
-        if batches.is_empty() {
-            return results;
-        }
-        let outcome = self.commit_batches(core, batches, trace, pooled);
+        let outcome = self.commit_batch(core, batch, group_size, trace, pooled);
         if let Err(e) = &outcome {
             // Fail-stop: a failed WAL/manifest append leaves that log's
             // record framing unknown, and appending more records after it
             // would make the file unrecoverable. Reads keep working.
             core.latch(e.clone());
         }
-        for ticket in tickets {
-            results.push((ticket, outcome.clone()));
-        }
-        results
+        GroupOutcome::Committed(outcome)
     }
 
     /// The grouped write path: gates, one WAL append, memtable inserts,
-    /// and rotation, all in virtual time. `batches` is non-empty and every
-    /// batch in it is non-empty.
+    /// and rotation, all in virtual time. `batch` is non-empty and holds
+    /// the records of `group_size` coalesced batches.
     ///
     /// This is where the paper's tail latency comes from: a write normally
     /// costs only the WAL append and memtable insert, but when background
     /// flush/compaction lags it absorbs the driver's brakes.
-    fn commit_batches(
+    fn commit_batch(
         &self,
         core: &mut DbCore,
-        mut batches: Vec<WriteBatch>,
+        batch: &mut WriteBatch,
+        group_size: usize,
         mut trace: Option<&mut TraceCtx>,
         pooled: bool,
     ) -> Result<()> {
         let mut policy = self.policy.lock();
-        for _ in 0..batches.len() {
+        for _ in 0..group_size {
             policy.observe_op(true);
         }
         drop(policy);
@@ -222,15 +241,6 @@ impl Db {
             self.scheduler.signal();
         } else {
             self.inline_entry_gates(core, trace.as_deref_mut())?;
-        }
-
-        // Coalesce the group into the leader's batch. A group of one is
-        // committed as-is — byte-identical WAL framing to the ungrouped
-        // engine, which is what keeps single-threaded runs deterministic.
-        let group_size = batches.len();
-        let mut batch = batches.remove(0);
-        for follower in &batches {
-            batch.append(follower);
         }
 
         // Foreground write: WAL + memtable. With `wal_sync` off (LevelDB's
@@ -296,7 +306,7 @@ impl Db {
         } else {
             0
         };
-        core.mem.apply(&batch)?;
+        core.mem.apply(batch)?;
         self.device.clock().advance(MEMTABLE_WRITE_NS * count);
         if let Some(t) = trace.as_deref_mut() {
             t.span(

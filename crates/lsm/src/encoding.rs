@@ -36,6 +36,11 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut v: u64) {
     dst.push(v as u8);
 }
 
+/// Bytes [`put_varint64`] spends on `v`.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Decodes a varint u64 from the front of `src`, returning the value and the
 /// number of bytes consumed, or `None` if `src` is truncated or overlong.
 pub fn get_varint64(src: &[u8]) -> Option<(u64, usize)> {
@@ -59,6 +64,11 @@ pub fn get_varint32(src: &[u8]) -> Option<(u32, usize)> {
 pub fn put_length_prefixed(dst: &mut Vec<u8>, slice: &[u8]) {
     put_varint32(dst, slice.len() as u32);
     dst.extend_from_slice(slice);
+}
+
+/// Bytes [`put_length_prefixed`] spends on `slice`.
+pub fn length_prefixed_len(slice: &[u8]) -> usize {
+    varint_len(slice.len() as u64) + slice.len()
 }
 
 /// Reads a length-prefixed slice from the front of `src`, returning the
@@ -103,6 +113,7 @@ mod tests {
             let (decoded, n) = get_varint64(&buf).unwrap();
             assert_eq!(decoded, v);
             assert_eq!(n, buf.len());
+            assert_eq!(varint_len(v), buf.len());
         }
     }
 

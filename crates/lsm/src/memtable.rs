@@ -23,8 +23,8 @@ use crate::error::Result;
 use crate::filter::bloom_hash;
 use crate::skiplist::SkipList;
 use crate::types::{
-    compare_internal_keys, encode_internal_key, parse_trailer, user_key, SequenceNumber, ValueType,
-    TYPE_FOR_SEEK,
+    append_internal_key, compare_internal_keys, encode_internal_key, parse_trailer, user_key,
+    SequenceNumber, ValueType, TYPE_FOR_SEEK,
 };
 
 /// Sentinel "null pointer" for the iterator cursor (mirrors the skiplist's
@@ -72,8 +72,12 @@ impl MemTable {
 
     /// Records a put or delete at sequence `seq`.
     pub fn add(&self, seq: SequenceNumber, vt: ValueType, key: &[u8], value: &[u8]) {
-        let ikey = encode_internal_key(key, seq, vt);
-        self.list.write().insert(ikey, value.to_vec());
+        // The skiplist node's one buffer: the internal key, then the value.
+        let key_len = key.len() + 8;
+        let mut entry = Vec::with_capacity(key_len + value.len());
+        append_internal_key(&mut entry, key, seq, vt);
+        entry.extend_from_slice(value);
+        self.list.write().insert(entry.into_boxed_slice(), key_len);
     }
 
     /// Inserts every op of `batch`, the i-th at sequence

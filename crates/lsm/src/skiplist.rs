@@ -10,10 +10,15 @@
 //! below the target?" and "who is next at this height?". Both answers sit in
 //! the node itself: `word` is the first eight user-key bytes as a big-endian
 //! integer (`types::user_key_word`), which decides most comparisons without
-//! touching the key's heap buffer, and `next` is the whole tower inline
+//! touching the entry's heap buffer, and `next` is the whole tower inline
 //! (`[u32; MAX_HEIGHT]`, unused heights `NIL`). A step therefore reads one
-//! arena slot; the key buffer is followed only when two words tie, and
+//! arena slot; the entry buffer is followed only when two words tie, and
 //! `insert` makes no allocation for the tower.
+//!
+//! A node owns one heap buffer, the entry: its internal key, then its
+//! value, split at `key_len`. The memtable builds that buffer once per put
+//! and hands it over, so an insert costs one allocation (and the arena's
+//! occasional doubling).
 //!
 //! ## The key filter
 //!
@@ -47,13 +52,26 @@ const FILTER_WORDS: usize = FILTER_BITS / 64;
 const FILTER_PROBES: usize = 4;
 
 struct Node {
-    /// [`user_key_word`] of `key`.
+    /// [`user_key_word`] of the key.
     word: u64,
-    key: Vec<u8>,
-    value: Vec<u8>,
+    /// The internal key, then the value.
+    entry: Box<[u8]>,
+    /// Where the key ends in `entry`.
+    key_len: u32,
     /// next[h] = arena index of the successor at height h; `NIL` at and
     /// above the node's own height.
     next: [u32; MAX_HEIGHT],
+}
+
+impl Node {
+    /// The internal key and the value.
+    fn parts(&self) -> (&[u8], &[u8]) {
+        self.entry.split_at(self.key_len as usize)
+    }
+
+    fn key(&self) -> &[u8] {
+        self.parts().0
+    }
 }
 
 /// Insert-only skiplist ordered by [`compare_internal_keys`].
@@ -78,8 +96,8 @@ impl SkipList {
     pub fn new(seed: u64) -> Self {
         let head = Node {
             word: 0,
-            key: Vec::new(),
-            value: Vec::new(),
+            entry: Box::default(),
+            key_len: 0,
             next: [NIL; MAX_HEIGHT],
         };
         let filter = vec![0u64; FILTER_WORDS].into_boxed_slice();
@@ -140,7 +158,7 @@ impl SkipList {
         match node.word.cmp(&word) {
             Ordering::Less => true,
             Ordering::Greater => false,
-            Ordering::Equal => compare_internal_keys(&node.key, key) == Ordering::Less,
+            Ordering::Equal => compare_internal_keys(node.key(), key) == Ordering::Less,
         }
     }
 
@@ -166,32 +184,36 @@ impl SkipList {
         }
     }
 
-    /// Inserts `key -> value`. Keys must be unique (internal keys carry a
-    /// unique sequence number, so the memtable guarantees this).
-    pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
+    /// Inserts an entry: `entry` holds its internal key in the first
+    /// `key_len` bytes and its value after them. Keys must be unique
+    /// (internal keys carry a unique sequence number, so the memtable
+    /// guarantees this).
+    pub fn insert(&mut self, entry: Box<[u8]>, key_len: usize) {
+        let key = entry.split_at(key_len).0;
         // Every height starts at the head, so raising `self.height` below
         // needs no fix-up.
         let mut prev = [0u32; MAX_HEIGHT];
-        let found = self.find_greater_or_equal(&key, Some(&mut prev));
+        let found = self.find_greater_or_equal(key, Some(&mut prev));
         debug_assert!(
-            found == NIL || compare_internal_keys(&self.node(found).key, &key) != Ordering::Equal,
+            found == NIL || compare_internal_keys(self.node(found).key(), key) != Ordering::Equal,
             "duplicate internal key inserted"
         );
         let height = self.random_height();
         self.height = self.height.max(height);
-        self.approximate_bytes += key.len() + value.len() + 32;
-        for (word, mask) in filter_probes(bloom_hash(user_key(&key))) {
+        self.approximate_bytes += entry.len() + 32;
+        for (word, mask) in filter_probes(bloom_hash(user_key(key))) {
             self.filter[word] |= mask;
         }
+        let word = user_key_word(key);
         let idx = self.arena.len() as u32;
         let mut next = [NIL; MAX_HEIGHT];
         for (h, (slot, &p)) in next.iter_mut().zip(&prev).enumerate().take(height) {
             *slot = std::mem::replace(&mut self.node_mut(p).next[h], idx);
         }
         self.arena.push(Node {
-            word: user_key_word(&key),
-            key,
-            value,
+            word,
+            entry,
+            key_len: key_len as u32,
             next,
         });
         self.len += 1;
@@ -229,13 +251,13 @@ impl SkipList {
     /// Internal key stored at `node` (which must be valid).
     pub fn node_key(&self, node: u32) -> &[u8] {
         debug_assert!(node != NIL);
-        &self.node(node).key
+        self.node(node).key()
     }
 
     /// Value stored at `node` (which must be valid).
     pub fn node_value(&self, node: u32) -> &[u8] {
         debug_assert!(node != NIL);
-        &self.node(node).value
+        self.node(node).parts().1
     }
 }
 
@@ -292,6 +314,14 @@ mod tests {
         encode_internal_key(key, seq, ValueType::Value)
     }
 
+    /// Inserts `ikey -> value` as one entry buffer.
+    fn insert(list: &mut SkipList, ikey: Vec<u8>, value: &[u8]) {
+        let key_len = ikey.len();
+        let mut entry = ikey;
+        entry.extend_from_slice(value);
+        list.insert(entry.into_boxed_slice(), key_len);
+    }
+
     #[test]
     fn empty_list() {
         let list = SkipList::new(7);
@@ -309,7 +339,7 @@ mod tests {
         let mut list = SkipList::new(7);
         // Insert in shuffled order; iteration must be sorted.
         for (i, k) in [b"d", b"a", b"c", b"e", b"b"].iter().enumerate() {
-            list.insert(ik(*k, i as u64 + 1), k.to_vec());
+            insert(&mut list, ik(*k, i as u64 + 1), *k);
         }
         assert_eq!(list.len(), 5);
         let mut it = list.iter();
@@ -334,9 +364,9 @@ mod tests {
     #[test]
     fn same_user_key_orders_by_descending_sequence() {
         let mut list = SkipList::new(7);
-        list.insert(ik(b"k", 1), b"old".to_vec());
-        list.insert(ik(b"k", 9), b"new".to_vec());
-        list.insert(ik(b"k", 5), b"mid".to_vec());
+        insert(&mut list, ik(b"k", 1), b"old");
+        insert(&mut list, ik(b"k", 9), b"new");
+        insert(&mut list, ik(b"k", 5), b"mid");
         let mut it = list.iter();
         it.seek_to_first();
         assert_eq!(it.value(), b"new");
@@ -350,7 +380,7 @@ mod tests {
     fn seek_finds_first_at_or_after() {
         let mut list = SkipList::new(7);
         for k in [b"b", b"d", b"f"] {
-            list.insert(ik(k, 1), vec![]);
+            insert(&mut list, ik(k, 1), &[]);
         }
         let mut it = list.iter();
         // Seek with a high sequence number: positions at (b,1) because higher
@@ -371,7 +401,7 @@ mod tests {
         // Deterministic shuffle via multiplication by an odd constant.
         keys.sort_by_key(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         for (seq, k) in keys.iter().enumerate() {
-            list.insert(ik(&k.to_be_bytes(), seq as u64 + 1), vec![0u8; 8]);
+            insert(&mut list, ik(&k.to_be_bytes(), seq as u64 + 1), &[0u8; 8]);
         }
         assert_eq!(list.len(), 2000);
         let mut it = list.iter();
@@ -427,7 +457,7 @@ mod tests {
             for (i, ukey) in inserts.iter().enumerate() {
                 let seq = i as u64 + 1;
                 let value = seq.to_le_bytes().to_vec();
-                list.insert(ik(ukey, seq), value.clone());
+                insert(&mut list, ik(ukey, seq), &value);
                 oracle.insert((ukey.clone(), Reverse(seq)), value);
                 prop_assert_eq!(list.len(), oracle.len());
                 prop_assert!(list.may_contain_hash(bloom_hash(ukey)));

@@ -49,11 +49,21 @@ pub const TYPE_FOR_SEEK: ValueType = ValueType::Value;
 
 /// Builds an internal key: `user_key . fixed64(seq << 8 | type)`.
 pub fn encode_internal_key(user_key: &[u8], seq: SequenceNumber, vt: ValueType) -> Vec<u8> {
-    debug_assert!(seq <= MAX_SEQUENCE);
     let mut out = Vec::with_capacity(user_key.len() + 8);
+    append_internal_key(&mut out, user_key, seq, vt);
+    out
+}
+
+/// Appends the internal key `(user_key, seq, vt)` to `out`.
+pub(crate) fn append_internal_key(
+    out: &mut Vec<u8>,
+    user_key: &[u8],
+    seq: SequenceNumber,
+    vt: ValueType,
+) {
+    debug_assert!(seq <= MAX_SEQUENCE);
     out.extend_from_slice(user_key);
     out.extend_from_slice(&((seq << 8) | vt as u64).to_le_bytes());
-    out
 }
 
 /// The user-key prefix of an internal key.

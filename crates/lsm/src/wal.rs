@@ -25,12 +25,18 @@ const FIRST: u8 = 2;
 const MIDDLE: u8 = 3;
 const LAST: u8 = 4;
 
+/// A block tail too short for a header is zero-filled from here.
+static PADDING: [u8; HEADER_SIZE] = [0; HEADER_SIZE];
+
 /// Appends length-prefixed, checksummed records to a log file.
 pub struct LogWriter {
     storage: Arc<dyn StorageBackend>,
     name: String,
     class: IoClass,
     block_offset: usize,
+    /// One physical record (header and fragment), rebuilt in place for
+    /// every fragment.
+    record: Vec<u8>,
 }
 
 impl LogWriter {
@@ -42,6 +48,7 @@ impl LogWriter {
             name: name.into(),
             class,
             block_offset: 0,
+            record: Vec::new(),
         }
     }
 
@@ -59,8 +66,8 @@ impl LogWriter {
             let leftover = BLOCK_SIZE - self.block_offset;
             if leftover < HEADER_SIZE {
                 if leftover > 0 {
-                    let zeros = vec![0u8; leftover];
-                    self.storage.append(&self.name, &zeros, self.class)?;
+                    let (zeros, _) = PADDING.split_at(leftover);
+                    self.storage.append(&self.name, zeros, self.class)?;
                 }
                 self.block_offset = 0;
             }
@@ -90,7 +97,8 @@ impl LogWriter {
     }
 
     fn emit(&mut self, record_type: u8, data: &[u8]) -> Result<()> {
-        let mut buf = Vec::with_capacity(HEADER_SIZE + data.len());
+        let buf = &mut self.record;
+        buf.clear();
         buf.extend_from_slice(&[0; 4]); // the crc, once what it covers is in place
         buf.extend_from_slice(&(data.len() as u16).to_le_bytes());
         buf.push(record_type);
@@ -99,7 +107,7 @@ impl LogWriter {
         let (head, covered) = buf.split_at_mut(HEADER_SIZE - 1);
         let crc = crc32c::mask(crc32c::crc32c(covered));
         head.split_at_mut(4).0.copy_from_slice(&crc.to_le_bytes());
-        self.storage.append(&self.name, &buf, self.class)?;
+        self.storage.append(&self.name, buf, self.class)?;
         self.block_offset += buf.len();
         debug_assert!(self.block_offset <= BLOCK_SIZE);
         if self.block_offset == BLOCK_SIZE {

@@ -195,6 +195,9 @@ struct MemFile {
     /// replace, failed write). Its pages went back to the device then; it
     /// never gets new ones.
     unlinked: bool,
+    /// The lpns the last flush programmed, refilled by every flush so an
+    /// append that completes a page does not allocate a list for it.
+    programmed: Vec<u64>,
 }
 
 /// A file and its lock, shared by the table and every caller that looked
@@ -283,14 +286,14 @@ impl MemStorage {
 
     /// Flushes complete pages of `file` into the FTL; with `seal` also
     /// flushes a partial tail page. Returns lpns programmed this call —
-    /// none for an unlinked file.
-    fn flush_pages(&self, file: &mut MemFile, seal: bool) -> SsdResult<Vec<u64>> {
+    /// none for an unlinked file — in the file's reusable list.
+    fn flush_pages<'f>(&self, file: &'f mut MemFile, seal: bool) -> SsdResult<&'f [u64]> {
+        file.programmed.clear();
         if file.unlinked {
-            return Ok(Vec::new());
+            return Ok(&file.programmed);
         }
         let page = self.page_bytes();
         let complete = file.data.len() as u64 / page;
-        let mut programmed = Vec::new();
         while (file.pages.len() as u64) < complete {
             // A previously flushed partial tail becomes this complete page.
             let lpn = match file.tail_lpn.take() {
@@ -298,7 +301,7 @@ impl MemStorage {
                 None => self.alloc.lock().alloc()?,
             };
             file.pages.push(lpn);
-            programmed.push(lpn);
+            file.programmed.push(lpn);
         }
         if seal && !(file.data.len() as u64).is_multiple_of(page) {
             let lpn = match file.tail_lpn {
@@ -309,9 +312,9 @@ impl MemStorage {
                     lpn
                 }
             };
-            programmed.push(lpn);
+            file.programmed.push(lpn);
         }
-        Ok(programmed)
+        Ok(&file.programmed)
     }
 
     fn read_impl(
@@ -378,7 +381,9 @@ impl StorageBackend for MemStorage {
         let mut guard = file.lock();
         match self.flush_pages(&mut guard, true) {
             Ok(programmed) => {
-                self.device.program_pages(&programmed);
+                self.device.program_pages(programmed);
+                // A sealed image takes no appends: free its list now.
+                guard.programmed = Vec::new();
                 Ok(())
             }
             Err(e) => {
@@ -413,7 +418,7 @@ impl StorageBackend for MemStorage {
         file.data.edit(|buf| buf.extend_from_slice(data));
         self.device.charge_write(data.len() as u64, class);
         let programmed = self.flush_pages(&mut file, false)?;
-        self.device.program_pages(&programmed);
+        self.device.program_pages(programmed);
         Ok(())
     }
 
@@ -470,7 +475,7 @@ impl StorageBackend for MemStorage {
         let mut file = file.lock();
         self.device.fs_op();
         let programmed = self.flush_pages(&mut file, true)?;
-        self.device.program_pages(&programmed);
+        self.device.program_pages(programmed);
         file.synced_len = file.data.len() as u64;
         Ok(())
     }

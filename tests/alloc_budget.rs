@@ -1,4 +1,5 @@
-//! Tier-1 budget for heap allocations on the cached read path.
+//! Tier-1 budgets for heap allocations on the cached read path and on the
+//! put path.
 //!
 //! A point read served entirely from the table cache and the block cache
 //! does no I/O, so what is left of its cost is CPU — and the allocator was
@@ -6,14 +7,25 @@
 //! 14.2 allocations, nine of them one `Vec` per binary-search step of a
 //! block seek. The budget below is what the path needs today: one probe key
 //! for the whole get, the owned value `get` returns, and the key buffer of a
-//! data-block iterator that has to undo prefix compression. Lower a constant
-//! when a change earns it; raising one needs a reason in CHANGES.md.
+//! data-block iterator that has to undo prefix compression.
 //!
-//! One test only: the counter is process-wide, and a second test running on
-//! another thread would be counted too.
+//! A put into a fresh store made 12.3 allocations at commit 630665c: four
+//! for a batch that regrew three times, four for the commit queue's group
+//! and its per-ticket result vectors, one for the WAL record, two for the
+//! memtable node's key and value, and one for the level scores of every
+//! compaction pick. It now makes two: the batch, built at its final size,
+//! and the memtable entry, one buffer holding the internal key and the
+//! value. What is left above two is the skiplist arena doubling and the
+//! first put's buffers. Lower a constant when a change earns it; raising
+//! one needs a reason in CHANGES.md.
+//!
+//! The counter is process-wide, so every test here holds `SERIAL` while it
+//! counts: a test running on another thread would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use ldc_core::LdcDb;
 use ldc_lsm::Options;
@@ -33,6 +45,11 @@ const PER_GET: u64 = 2;
 /// three times.
 const PER_TABLE: u64 = 1;
 
+/// Mean allocations of a 1 KiB put into a fresh inline store: the batch
+/// and the memtable entry, plus the amortised arena growth.
+const PUT_MEAN: f64 = 2.05;
+const PUTS: u64 = 1_000;
+
 const PRELOAD: u64 = 8_000;
 const HOT: u64 = 500;
 const PASSES: u64 = 4;
@@ -40,6 +57,9 @@ const PASSES: u64 = 4;
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by each test for as long as it counts.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the only addition is a relaxed counter
@@ -81,6 +101,7 @@ fn key(k: u64) -> [u8; 16] {
 
 #[test]
 fn cached_get_stays_inside_its_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let db = LdcDb::builder()
         .options(Options::default())
         .background_workers(0)
@@ -132,5 +153,33 @@ fn cached_get_stays_inside_its_allocation_budget() {
         "allocations per cached get: mean {:.2}, worst {worst}; tables searched per get {:.3}",
         total as f64 / gets as f64,
         searched as f64 / gets as f64
+    );
+}
+
+#[test]
+fn put_allocates_the_batch_and_the_memtable_entry() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = LdcDb::builder()
+        .options(Options::default())
+        .background_workers(0)
+        .build()
+        .expect("open");
+    let value = vec![b'v'; 1024];
+    // Allocations per put -> puts that made that many.
+    let mut histogram: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut total = 0u64;
+    for k in 0..PUTS {
+        let key = key(k);
+        let a0 = ALLOCATIONS.load(Ordering::Relaxed);
+        db.put(&key, &value).expect("put");
+        let spent = ALLOCATIONS.load(Ordering::Relaxed) - a0;
+        *histogram.entry(spent).or_default() += 1;
+        total += spent;
+    }
+    let mean = total as f64 / PUTS as f64;
+    println!("allocations per 1 KiB put: mean {mean:.3}; allocations -> puts {histogram:?}");
+    assert!(
+        mean <= PUT_MEAN,
+        "a put allocated {mean:.3} times on average (budget {PUT_MEAN}): {histogram:?}"
     );
 }
