@@ -14,11 +14,11 @@
 //! bytes per upper-level byte instead of O(k) — Theorems 3.1/2.1.
 //!
 //! Picking order ([`CompactionPolicy::pick`] — work the tree needs):
-//! 1. the most overfull level links one file down (`Link`), or trivially
-//!    moves it if the next level is empty; liveness guard: if every
-//!    candidate in that level already carries slices (so it cannot be
-//!    frozen), force-merge its most-linked file even below the threshold;
-//! 2. otherwise, any file at or past the threshold → `LdcMerge`
+//! 1. the most overfull level links one file down: the leveled step UDC
+//!    shares, [`pick_leveled`] with [`Movement::Link`], which also owns the
+//!    trivial move, the liveness force-merge and Level 0's oldest-first
+//!    rule;
+//! 2. otherwise, any file at or past the threshold `T_s` → `LdcMerge`
 //!    (most-linked first).
 //!
 //! And, only on background time nothing else wants
@@ -26,12 +26,9 @@
 //! 3. space reclamation — once the frozen region exceeds its budget, merge
 //!    the lower file that releases the most frozen bytes. The driver says
 //!    when the background is idle; the policy only says what it would do.
-//!
-//! Level-0 files are always frozen **oldest first** — the engine's read
-//! path relies on frozen L0 data being older than any active L0 file.
 
-use ldc_lsm::compaction::{pick_overfull_level, CompactionPolicy, CompactionTask, PickContext};
-use ldc_lsm::version::{FileMeta, Version};
+use ldc_lsm::compaction::{pick_leveled, CompactionPolicy, CompactionTask, Movement, PickContext};
+use ldc_lsm::version::Version;
 use ldc_obs::{Event, EventKind, SharedSink};
 use ldc_ssd::VirtualClock;
 
@@ -43,10 +40,9 @@ pub struct LdcConfig {
     /// SliceLink threshold `T_s`; `None` derives it from the fan-out (the
     /// paper's best setting, §IV-F).
     pub slice_link_threshold: Option<usize>,
-    /// Enable workload-driven self-adaptation of `T_s` (§III-B4).
+    /// Enable workload-driven self-adaptation of `T_s` (§III-B4), over
+    /// windows of 10 000 observed ops.
     pub adaptive: bool,
-    /// Window size (in observed ops) for the adaptive controller.
-    pub adaptive_window: u64,
     /// Space-reclamation budget for the delayed garbage collection of
     /// frozen files (§III-D, §IV-J): when the *useless* frozen bytes
     /// (already-merged slices still pinned by their files' remaining live
@@ -61,18 +57,18 @@ impl Default for LdcConfig {
         Self {
             slice_link_threshold: None,
             adaptive: false,
-            adaptive_window: 10_000,
             space_gc_ratio: 0.25,
         }
     }
 }
 
+/// Ops per window of the adaptive `T_s` controller.
+const ADAPTIVE_WINDOW: u64 = 10_000;
+
 /// Lower-level driven compaction.
 pub struct LdcPolicy {
     config: LdcConfig,
     adaptive: Option<AdaptiveThreshold>,
-    /// Resolved threshold once the fan-out is known.
-    resolved_threshold: Option<usize>,
     /// Sink + clock for `ThresholdAdapt` events; unset by default (no
     /// event is ever built then).
     trace: Option<(SharedSink, VirtualClock)>,
@@ -83,7 +79,6 @@ impl LdcPolicy {
     pub fn with_config(config: LdcConfig) -> Self {
         Self {
             adaptive: None,
-            resolved_threshold: config.slice_link_threshold,
             config,
             trace: None,
         }
@@ -104,26 +99,18 @@ impl LdcPolicy {
         Self::with_config(LdcConfig::default())
     }
 
-    /// The currently effective SliceLink threshold (for introspection).
-    pub fn current_threshold(&self, fan_out: u64) -> usize {
-        if let Some(a) = &self.adaptive {
-            return a.threshold();
-        }
-        self.resolved_threshold
-            .unwrap_or_else(|| fan_out.max(1) as usize)
-    }
-
-    fn threshold(&mut self, ctx: &PickContext<'_>) -> usize {
-        let fan_out = ctx.options.fan_out;
+    /// The effective SliceLink threshold `T_s`. The adaptive controller is
+    /// built on the first pick, once the fan-out is known.
+    fn threshold(&mut self, fan_out: u64) -> usize {
         if self.config.adaptive {
-            let a = self.adaptive.get_or_insert_with(|| {
-                AdaptiveThreshold::new(fan_out, self.config.adaptive_window)
-            });
-            return a.threshold();
+            return self
+                .adaptive
+                .get_or_insert_with(|| AdaptiveThreshold::new(fan_out, ADAPTIVE_WINDOW))
+                .threshold();
         }
-        *self
-            .resolved_threshold
-            .get_or_insert(fan_out.max(1) as usize)
+        self.config
+            .slice_link_threshold
+            .unwrap_or(fan_out.max(1) as usize)
     }
 }
 
@@ -139,14 +126,13 @@ impl CompactionPolicy for LdcPolicy {
     }
 
     fn pick(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        let threshold = self.threshold(ctx);
-        let version = ctx.version;
+        let threshold = self.threshold(ctx.options.fan_out);
 
         // Relieve overfull levels first: links are metadata-only and keep
         // Level 0 from ever hitting the write gates (that cheapness is the
         // whole point of the link phase). Threshold-triggered merges run
         // right after, in the gaps.
-        if let Some(task) = self.pick_for_overfull_level(ctx) {
+        if let Some(task) = pick_leveled(ctx, Movement::Link) {
             return Some(task);
         }
 
@@ -157,86 +143,19 @@ impl CompactionPolicy for LdcPolicy {
         // `T_s` is the steady-state proxy.
         let byte_threshold = (threshold as u64).saturating_mul(ctx.options.sstable_bytes as u64)
             / ctx.options.fan_out.max(1);
-        most_linked_file(version, threshold, byte_threshold)
+        most_linked_file(ctx.version, threshold, byte_threshold)
             .map(|(level, file)| CompactionTask::LdcMerge { level, file })
     }
 
-    /// Space reclamation (§III-D): frozen files whose slices are mostly
-    /// merged already still pin their full size. When that dead weight
-    /// exceeds the budget, idle background time goes to merging the lower
-    /// file that releases the most frozen bytes.
+    /// Space reclamation (§III-D), the delayed GC of the frozen region:
+    /// frozen files whose slices are mostly merged already still pin their
+    /// full size. Once the frozen region exceeds `space_gc_ratio` of the
+    /// live level bytes, idle background time goes to merging the lower
+    /// file whose slices *expect* to release the most frozen bytes. A
+    /// frozen source referenced by `r` files contributes `size / r` per
+    /// merged reference, so repeated reclamation merges drain even widely
+    /// shared sources.
     fn pick_idle(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        self.pick_space_reclamation(ctx)
-    }
-
-    fn observe_op(&mut self, is_write: bool) {
-        if let Some(a) = &mut self.adaptive {
-            if let Some((old, new)) = a.observe(is_write) {
-                if let Some((sink, clock)) = &self.trace {
-                    // Instantaneous event; old/new thresholds ride in the
-                    // input/output byte fields (see `Event` docs).
-                    let now = clock.now();
-                    sink.record(
-                        Event::span(EventKind::ThresholdAdapt, now, now)
-                            .bytes(old as u64, new as u64),
-                    );
-                }
-            }
-        }
-    }
-}
-
-impl LdcPolicy {
-    /// Link (or, when blocked, force-merge) one file out of the most
-    /// overfull level, if any.
-    fn pick_for_overfull_level(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        let version = ctx.version;
-        let level = pick_overfull_level(version, ctx.options)?;
-        let files = &version.levels[level];
-
-        if version.levels[level + 1].is_empty() {
-            // Nothing below to link against: move the pick down. Level 0
-            // must move its oldest file to preserve read ordering, and a
-            // file carrying slices cannot move (its slices' data belongs at
-            // this level) — fall through to the force-merge guard instead.
-            let file = if level == 0 {
-                files.iter().find(|f| f.slices.is_empty()).map(|f| f.number)
-            } else {
-                round_robin_pick(files, &ctx.compact_pointers[level], |f| f.slices.is_empty())
-            };
-            if let Some(file) = file {
-                return Some(CompactionTask::TrivialMove { level, file });
-            }
-        } else {
-            // Link a slice-free file (a file with SliceLinks cannot be
-            // chosen, §III-D). Level 0: oldest first (read-path contract).
-            let linkable = if level == 0 {
-                files.iter().find(|f| f.slices.is_empty()).map(|f| f.number)
-            } else {
-                round_robin_pick(files, &ctx.compact_pointers[level], |f| f.slices.is_empty())
-            };
-            if let Some(file) = linkable {
-                return Some(CompactionTask::Link { level, file });
-            }
-        }
-
-        // Phase 3 (liveness): every candidate carries slices; force-merge
-        // the most-linked one so a slice-free file appears next round.
-        let forced = files
-            .iter()
-            .max_by_key(|f| (f.slices.len(), std::cmp::Reverse(f.number)))?;
-        Some(CompactionTask::LdcMerge {
-            level,
-            file: forced.number,
-        })
-    }
-
-    /// Delayed GC of the frozen region: once the frozen region exceeds
-    /// `space_gc_ratio` of the live level bytes, merge the lower file whose
-    /// slices *expect* to release the most frozen bytes. A frozen source
-    /// referenced by `r` files contributes `size / r` per merged reference,
-    /// so repeated reclamation merges drain even widely shared sources.
-    fn pick_space_reclamation(&self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
         if self.config.space_gc_ratio >= 1.0 {
             return None;
         }
@@ -272,6 +191,22 @@ impl LdcPolicy {
         }
         best.map(|(_, level, file)| CompactionTask::LdcMerge { level, file })
     }
+
+    fn observe_op(&mut self, is_write: bool) {
+        if let Some(a) = &mut self.adaptive {
+            if let Some((old, new)) = a.observe(is_write) {
+                if let Some((sink, clock)) = &self.trace {
+                    // Instantaneous event; old/new thresholds ride in the
+                    // input/output byte fields (see `Event` docs).
+                    let now = clock.now();
+                    sink.record(
+                        Event::span(EventKind::ThresholdAdapt, now, now)
+                            .bytes(old as u64, new as u64),
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The file with the most linked data at or past either trigger (slice
@@ -296,25 +231,11 @@ fn most_linked_file(
     best.map(|(_, level, file)| (level, file))
 }
 
-/// LevelDB-style round-robin: the first eligible file whose largest key is
-/// past the cursor, wrapping to the first eligible file.
-fn round_robin_pick(
-    files: &[FileMeta],
-    cursor: &[u8],
-    eligible: impl Fn(&FileMeta) -> bool,
-) -> Option<u64> {
-    files
-        .iter()
-        .find(|f| eligible(f) && (cursor.is_empty() || f.largest_ukey() > cursor))
-        .or_else(|| files.iter().find(|f| eligible(f)))
-        .map(|f| f.number)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ldc_lsm::types::{encode_internal_key, KeyRange, ValueType};
-    use ldc_lsm::version::{FrozenMeta, SliceLink};
+    use ldc_lsm::version::{FileMeta, FrozenMeta, SliceLink};
     use ldc_lsm::Options;
 
     fn meta(number: u64, lo: &[u8], hi: &[u8], size: u64) -> FileMeta {
@@ -350,19 +271,31 @@ mod tests {
         }
     }
 
+    /// A healthy tree whose one L1 file carries `n` steady-state slices.
+    fn linked(n: u64) -> Version {
+        let mut v = Version::new(4);
+        let mut f = meta(10, b"a", b"m", 1000);
+        for i in 0..n {
+            f.slices.push(link(100 + i, i));
+        }
+        v.levels[1].push(f);
+        v
+    }
+
     #[test]
     fn threshold_defaults_to_fan_out() {
-        let mut policy = LdcPolicy::new();
         let options = Options::default();
-        let v = Version::new(4);
         let pointers = vec![Vec::new(); 4];
-        let _ = policy.pick(&ctx(&v, &options, &pointers));
-        assert_eq!(policy.current_threshold(options.fan_out), 10);
-        let fixed = LdcPolicy::with_config(LdcConfig {
+        let merge = Some(CompactionTask::LdcMerge { level: 1, file: 10 });
+        let mut policy = LdcPolicy::new();
+        assert_eq!(policy.pick(&ctx(&linked(9), &options, &pointers)), None);
+        assert_eq!(policy.pick(&ctx(&linked(10), &options, &pointers)), merge);
+        let mut fixed = LdcPolicy::with_config(LdcConfig {
             slice_link_threshold: Some(5),
             ..LdcConfig::default()
         });
-        assert_eq!(fixed.current_threshold(10), 5);
+        assert_eq!(fixed.pick(&ctx(&linked(4), &options, &pointers)), None);
+        assert_eq!(fixed.pick(&ctx(&linked(5), &options, &pointers)), merge);
     }
 
     #[test]
@@ -393,21 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_reach_triggers_ldc_merge() {
-        let options = Options::default();
-        let pointers = vec![Vec::new(); 4];
-        let mut v = Version::new(4);
-        let mut f = meta(10, b"a", b"m", 1000);
-        for i in 0..10 {
-            f.slices.push(link(100 + i, i));
-        }
-        v.levels[1].push(f);
-        let mut policy = LdcPolicy::new();
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
-        assert_eq!(task, CompactionTask::LdcMerge { level: 1, file: 10 });
-    }
-
-    #[test]
     fn overfull_level_relief_precedes_threshold_merges() {
         // Links are metadata-only, so draining an overfull L0 always comes
         // before threshold-triggered merges — that keeps writers away from
@@ -426,20 +344,6 @@ mod tests {
         let mut policy = LdcPolicy::new();
         let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
         assert_eq!(task, CompactionTask::Link { level: 0, file: 1 });
-    }
-
-    #[test]
-    fn below_threshold_does_not_merge() {
-        let options = Options::default();
-        let pointers = vec![Vec::new(); 4];
-        let mut v = Version::new(4);
-        let mut f = meta(10, b"a", b"m", 1000);
-        for i in 0..9 {
-            f.slices.push(link(100 + i, i));
-        }
-        v.levels[1].push(f);
-        let mut policy = LdcPolicy::new();
-        assert!(policy.pick(&ctx(&v, &options, &pointers)).is_none());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Compaction framework: task vocabulary and the policy interface.
+//! Compaction framework: task vocabulary, the policy interface, and the
+//! leveled pick both leveled policies share.
 //!
 //! The engine separates *decision* from *execution*. A
 //! [`CompactionPolicy`] inspects the current [`Version`] and proposes one
@@ -26,6 +27,13 @@
 //!   phases of lower-level driven compaction (LDC, Algorithm 1). `Link` is
 //!   metadata-only; `LdcMerge` performs the actual I/O, driven by the lower
 //!   file once it has accumulated enough slices.
+//!
+//! UDC and LDC share the trigger (a level over its capacity) and the
+//! granularity (one file, round-robin; all of Level 0 for a merge). They
+//! differ only in what the overfull level does with the file it gives up,
+//! its [`Movement`], so [`pick_leveled`] writes that step once and each
+//! policy names its movement. LDC adds its own merge trigger (`T_s`) on
+//! top, in `ldc-core`.
 
 pub(crate) mod exec;
 mod size_tiered;
@@ -34,8 +42,10 @@ mod udc;
 pub use size_tiered::SizeTieredPolicy;
 pub use udc::UdcPolicy;
 
+use std::cmp::Reverse;
+
 use crate::options::Options;
-use crate::version::Version;
+use crate::version::{FileMeta, Version};
 
 /// One unit of compaction work proposed by a policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,11 +159,88 @@ pub fn pick_overfull_level(version: &Version, options: &Options) -> Option<usize
         .map(|(level, _)| level)
 }
 
+/// What an overfull level does with the file it gives up: the one step in
+/// which UDC and LDC differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Movement {
+    /// UDC: merge the file into the files it overlaps one level down.
+    MergeDown,
+    /// LDC: freeze the file and link a slice of it onto each lower file
+    /// whose responsible range it meets.
+    Link,
+}
+
+/// The leveled step, written once: the most overfull level gives up one
+/// slice-free file by `movement`. At Level 0 that is the oldest file (the
+/// read path relies on frozen L0 data being older than any active L0 file),
+/// deeper the first past the round-robin cursor. If every file carries
+/// slices, the most-linked one is merged with them instead (liveness). The
+/// file moves trivially when nothing below takes it: a link needs an empty
+/// next level (a non-empty level's responsible ranges always give a target),
+/// a merge no overlapping lower file. A merge takes all of Level 0, and
+/// first `LdcMerge`s any lower file whose responsible range it meets and
+/// that carries slices, as a store an LDC session wrote can hold: a classic
+/// merge can neither consume such a file nor shrink its range.
+pub fn pick_leveled(ctx: &PickContext<'_>, movement: Movement) -> Option<CompactionTask> {
+    use CompactionTask::{LdcMerge, Link, Merge, TrivialMove};
+    let version = ctx.version;
+    let level = pick_overfull_level(version, ctx.options)?;
+    let (files, below) = (&version.levels[level], &version.levels[level + 1]);
+    let cursor = ctx.compact_pointers[level].as_slice();
+    let free = |f: &&FileMeta| f.slices.is_empty();
+    let past = |f: &&FileMeta| level == 0 || cursor.is_empty() || f.largest_ukey() > cursor;
+    let chosen = files.iter().filter(free).find(past);
+    let Some(file) = chosen.or_else(|| files.iter().find(free)).map(|f| f.number) else {
+        let forced = files
+            .iter()
+            .max_by_key(|f| (f.slices.len(), Reverse(f.number)));
+        return forced.map(|f| LdcMerge {
+            level,
+            file: f.number,
+        });
+    };
+    match movement {
+        Movement::Link if below.is_empty() => return Some(TrivialMove { level, file }),
+        Movement::Link => return Some(Link { level, file }),
+        Movement::MergeDown => {}
+    }
+    let upper: Vec<&FileMeta> = files
+        .iter()
+        .filter(|f| level == 0 || f.number == file)
+        .collect();
+    let lo = upper.iter().map(|f| f.smallest_ukey()).min()?;
+    let hi = upper.iter().map(|f| f.largest_ukey()).max()?;
+    // File j below owns keys past file j-1's largest up to its own; the
+    // last file owns everything past that.
+    let last = below.len().saturating_sub(1);
+    let owner = |key| below.partition_point(|f| f.largest_ukey() < key).min(last);
+    let owners = below.get(owner(lo)..=owner(hi)).unwrap_or_default();
+    if let Some(linked) = owners.iter().find(|f| !f.slices.is_empty()) {
+        return Some(LdcMerge {
+            level: level + 1,
+            file: linked.number,
+        });
+    }
+    let lower: Vec<u64> = owners
+        .iter()
+        .filter(|f| f.overlaps_ukeys(lo, hi))
+        .map(|f| f.number)
+        .collect();
+    if lower.is_empty() && upper.len() == 1 {
+        return Some(TrivialMove { level, file });
+    }
+    let upper = upper.iter().map(|f| f.number).collect();
+    Some(Merge {
+        level,
+        upper,
+        lower,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::{encode_internal_key, ValueType};
-    use crate::version::FileMeta;
 
     fn meta(number: u64, lo: &[u8], hi: &[u8], size: u64) -> FileMeta {
         FileMeta {
@@ -224,5 +311,75 @@ mod tests {
             (options.level_capacity_bytes(2) * 3) / 2,
         ));
         assert_eq!(pick_overfull_level(&v, &options), Some(1));
+    }
+
+    /// An overfull L1 holding `upper` above an L2 of `below`; the L2 files
+    /// listed in `linked` carry one slice each.
+    fn merge_down(upper: FileMeta, below: Vec<FileMeta>, linked: &[u64]) -> Option<CompactionTask> {
+        let options = Options {
+            l1_capacity_bytes: 1000,
+            ..Options::default()
+        };
+        let mut v = Version::new(4);
+        v.levels[1].push(upper);
+        v.levels[2] = below;
+        for f in v.levels[2]
+            .iter_mut()
+            .filter(|f| linked.contains(&f.number))
+        {
+            f.slices.push(crate::version::SliceLink {
+                source_file: 100 + f.number,
+                range: crate::types::KeyRange::all(),
+                link_seq: 1,
+                approx_bytes: 10,
+            });
+        }
+        let pointers = vec![Vec::new(); 4];
+        let ctx = PickContext {
+            version: &v,
+            options: &options,
+            compact_pointers: &pointers,
+        };
+        pick_leveled(&ctx, Movement::MergeDown)
+    }
+
+    #[test]
+    fn merge_down_first_merges_a_linked_overlap() {
+        let below = || vec![meta(20, b"a", b"c", 10), meta(21, b"d", b"f", 10)];
+        let upper = || meta(1, b"b", b"e", 2000);
+        assert_eq!(
+            merge_down(upper(), below(), &[21]),
+            Some(CompactionTask::LdcMerge { level: 2, file: 21 })
+        );
+        assert_eq!(
+            merge_down(upper(), below(), &[]),
+            Some(CompactionTask::Merge {
+                level: 1,
+                upper: vec![1],
+                lower: vec![20, 21],
+            })
+        );
+    }
+
+    #[test]
+    fn merge_down_into_a_gap_respects_the_next_files_range() {
+        // File 1 falls between files 20 and 21, inside 21's responsible
+        // range: moving it there would hide 21's slices over those keys.
+        let below = || vec![meta(20, b"a", b"b", 10), meta(21, b"x", b"z", 10)];
+        let upper = || meta(1, b"m", b"n", 2000);
+        assert_eq!(
+            merge_down(upper(), below(), &[21]),
+            Some(CompactionTask::LdcMerge { level: 2, file: 21 })
+        );
+        assert_eq!(
+            merge_down(upper(), below(), &[20]),
+            Some(CompactionTask::TrivialMove { level: 1, file: 1 })
+        );
+        // Past the last file, the last file's range (to +inf) is the one.
+        let past = meta(1, b"zz", b"zzz", 2000);
+        assert_eq!(
+            merge_down(past, below(), &[21]),
+            Some(CompactionTask::LdcMerge { level: 2, file: 21 })
+        );
     }
 }

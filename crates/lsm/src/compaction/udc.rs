@@ -4,9 +4,10 @@
 //! When a level exceeds its capacity target, a file from that level is
 //! chosen round-robin and merged *down*, dragging in every overlapping file
 //! of the next level — on average `k` (the fan-out) of them, which is the
-//! write-amplification source the paper's Theorem 2.1 formalizes.
+//! write-amplification source the paper's Theorem 2.1 formalizes. The whole
+//! step is [`pick_leveled`] with [`Movement::MergeDown`].
 
-use crate::compaction::{pick_overfull_level, CompactionPolicy, CompactionTask, PickContext};
+use crate::compaction::{pick_leveled, CompactionPolicy, CompactionTask, Movement, PickContext};
 
 /// Upper-level driven compaction policy.
 #[derive(Debug, Default)]
@@ -25,71 +26,8 @@ impl CompactionPolicy for UdcPolicy {
     }
 
     fn pick(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        let version = ctx.version;
-        let level = pick_overfull_level(version, ctx.options)?;
-        debug_assert!(level + 1 < version.num_levels());
-
-        // Upper inputs.
-        let upper: Vec<u64> = if level == 0 {
-            // Level-0 files overlap each other; compact them together so the
-            // newest-version-wins semantics survive the merge.
-            version.levels[0].iter().map(|f| f.number).collect()
-        } else {
-            // Round-robin: first file starting after the cursor.
-            let cursor = &ctx.compact_pointers[level];
-            let files = &version.levels[level];
-            let file = files
-                .iter()
-                .find(|f| cursor.is_empty() || f.largest_ukey() > cursor.as_slice())
-                .or_else(|| files.first())?;
-            vec![file.number]
-        };
-        if upper.is_empty() {
-            return None;
-        }
-
-        // Overlapping lower inputs.
-        let (lo, hi) = input_ukey_span(version, level, &upper);
-        let lower: Vec<u64> = version
-            .overlapping_files(level + 1, &lo, &hi)
-            .iter()
-            .map(|f| f.number)
-            .collect();
-
-        if lower.is_empty() && upper.len() == 1 {
-            return Some(CompactionTask::TrivialMove {
-                level,
-                file: upper[0],
-            });
-        }
-        Some(CompactionTask::Merge {
-            level,
-            upper,
-            lower,
-        })
+        pick_leveled(ctx, Movement::MergeDown)
     }
-}
-
-/// Smallest/largest user keys across the given upper input files.
-fn input_ukey_span(
-    version: &crate::version::Version,
-    level: usize,
-    upper: &[u64],
-) -> (Vec<u8>, Vec<u8>) {
-    let mut lo: Option<Vec<u8>> = None;
-    let mut hi: Option<Vec<u8>> = None;
-    for f in &version.levels[level] {
-        if upper.contains(&f.number) {
-            let (s, l) = (f.smallest_ukey(), f.largest_ukey());
-            if lo.as_deref().is_none_or(|cur| s < cur) {
-                lo = Some(s.to_vec());
-            }
-            if hi.as_deref().is_none_or(|cur| l > cur) {
-                hi = Some(l.to_vec());
-            }
-        }
-    }
-    (lo.unwrap_or_default(), hi.unwrap_or_default())
 }
 
 #[cfg(test)]

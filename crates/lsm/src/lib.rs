@@ -7,10 +7,14 @@
 //!
 //! The engine natively understands the two *metadata* primitives LDC needs —
 //! **frozen files** and **slice links** (see [`version`]) — and exposes the
-//! execution of `Link` / `LdcMerge` tasks alongside classic merges; the
-//! baseline [`compaction::UdcPolicy`] never uses them, so the baseline is
-//! exactly upper-level driven LevelDB compaction. The LDC policy itself
-//! lives in the `ldc-core` crate.
+//! execution of `Link` / `LdcMerge` tasks alongside classic merges. It also
+//! owns the leveled pick UDC and LDC share, [`compaction::pick_leveled`]:
+//! the two differ only in what an overfull level does with the file it
+//! gives up. The baseline [`compaction::UdcPolicy`] merges it down and never
+//! links, so on a store it wrote itself it is exactly upper-level driven
+//! LevelDB compaction (on one an LDC session left slices in, it merges
+//! those files with their slices first). The LDC policy itself lives in
+//! the `ldc-core` crate.
 //!
 //! All I/O goes through [`ldc_ssd::StorageBackend`], so every run is charged
 //! to the simulated SSD's virtual clock and traffic counters.
