@@ -171,15 +171,15 @@ fn reports(mode: CompactionMode) -> String {
 }
 
 const GOLDEN_UDC: &str = "\
-primary.stats_report len=1800 crc32c=08a05a3b\n\
+primary.stats_report len=1776 crc32c=88485460\n\
 primary.tail_report len=3352 crc32c=9447f7ad\n\
-follower.stats_report len=1071 crc32c=8eee8046\n\
+follower.stats_report len=1049 crc32c=c1ce2c6a\n\
 ";
 
 const GOLDEN_LDC: &str = "\
-primary.stats_report len=1802 crc32c=0d4ed873\n\
+primary.stats_report len=1778 crc32c=1bcd17a1\n\
 primary.tail_report len=3368 crc32c=3107e3b8\n\
-follower.stats_report len=1073 crc32c=d4354c96\n\
+follower.stats_report len=1051 crc32c=f9840f7f\n\
 ";
 
 #[test]
