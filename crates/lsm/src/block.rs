@@ -243,8 +243,14 @@ impl Block {
         get_fixed32(&self.data, self.restarts_offset + 4 * i) as usize
     }
 
-    /// The key of restart entry `i`, borrowed from the block.
-    fn restart_key(&self, i: usize) -> &[u8] {
+    /// Number of restart points: every entry of a table's index block.
+    pub(crate) fn num_restarts(&self) -> usize {
+        self.num_restarts
+    }
+
+    /// The key of restart entry `i` (`i < num_restarts`), borrowed from the
+    /// block.
+    pub(crate) fn restart_key(&self, i: usize) -> &[u8] {
         let mut offset = self.restart_point(i);
         let data = &self.data[..self.restarts_offset];
         // Infallible: every restart entry was validated by `Block::new`
@@ -360,11 +366,19 @@ impl BlockIter {
                 hi = mid - 1;
             }
         }
-        if self.block.num_restarts == 0 {
+        self.seek_from_restart(lo, target);
+    }
+
+    /// Positions at the first entry with key >= `target`, scanning forward
+    /// from restart `restart`: the last restart whose key is below
+    /// `target`, or restart 0 when none is. [`BlockIter::seek`] finds it by
+    /// binary search; a table's index finds it from its key prefixes.
+    pub(crate) fn seek_from_restart(&mut self, restart: usize, target: &[u8]) {
+        if restart >= self.block.num_restarts {
             self.valid = false;
             return;
         }
-        self.rewind_to(self.block.restart_point(lo));
+        self.rewind_to(self.block.restart_point(restart));
         loop {
             if !self.parse_next() {
                 return;

@@ -1,4 +1,4 @@
-//! Block cache and table cache.
+//! Block cache and the open-table sets.
 //!
 //! An LRU cache of decoded data blocks keyed by `(file number, offset)`,
 //! bounded by a byte budget. The paper assumes "the cached indexes and Bloom
@@ -18,31 +18,34 @@
 //! block or a value handed to a caller then keeps alive until it is dropped
 //! ([`BlockCache::evict_file`] drops the cache's share when the file goes).
 //!
-//! [`TableCache`] bounds the set of open SSTable handles the same way and
-//! lives in the cache layer so the pinned index/filter bytes of every open
-//! table are charged to the block cache budget instead of being invisible
-//! free memory.
+//! [`TableSet`] holds the open SSTable handles of one installed version.
+//! It lives in the cache layer so the pinned index/filter bytes of every
+//! open table are charged to the block cache budget instead of being
+//! invisible free memory. Handles are not evicted: a table opens once and
+//! stays open while its file is live or frozen.
 //!
-//! Both caches keep their order in one private [`Lru`]: a slab of nodes on
+//! Each shard keeps its order in one private [`Lru`]: a slab of nodes on
 //! an intrusive doubly linked list plus a map from key to slot. Every
 //! operation is O(1) and the order is **strictly** least-recently-used —
 //! a hit moves the entry to the front, an insert lands at the front, the
-//! victim is always the back — so which block or handle goes, and with it
-//! every later miss, device read and virtual nanosecond, is a function of
-//! the access sequence alone. `tests/cache_golden.rs` pins that order end
-//! to end; the proptest below pins it against the tick-ordered B-tree pair
+//! victim is always the back — so which block goes, and with it every
+//! later miss, device read and virtual nanosecond, is a function of the
+//! access sequence alone. `tests/cache_golden.rs` pins that order end to
+//! end; the proptest below pins it against the tick-ordered B-tree pair
 //! this list replaced.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use ldc_obs::lockcheck::Mutex;
+use ldc_ssd::StorageBackend;
 
 use crate::block::Block;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::table::Table;
+use crate::version::{table_file_name, Version};
 
 /// Cache key: file number + block offset within the file.
 pub type BlockKey = (u64, u64);
@@ -452,90 +455,172 @@ impl BlockCache {
     }
 }
 
-/// Entry-bounded LRU cache of open SSTable handles. Each resident table's
-/// decoded index block and Bloom filter are charged to the shared
-/// [`BlockCache`] budget as pinned bytes, so "open table" memory and
-/// "cached block" memory come out of one pool.
-pub struct TableCache {
-    capacity: usize,
-    block_cache: Arc<BlockCache>,
-    map: Mutex<Lru<u64, Arc<Table>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// The open-table handles of one installed version: one slot per live or
+/// frozen file, filled the first time a read, a compaction, a scrub or an
+/// integrity check asks for the file through a set that holds it. Each
+/// install builds the next version's set from this one ([`TableSet::successor`]),
+/// so a file keeps its slot, and with it its one open handle, for as long as
+/// it is live or frozen. Readers resolve a file with a hash probe and an
+/// atomic load: no lock, no LRU, no reference count.
+///
+/// A table's decoded index block and Bloom filter are charged to the
+/// [`BlockCache`] budget as pinned bytes when it opens and released when
+/// its file leaves the version, so open-table memory and cached-block memory
+/// come out of one pool.
+pub(crate) struct TableSet {
+    source: Arc<TableSource>,
+    slots: HashMap<u64, Arc<TableSlot>, BuildHasherDefault<KeyHasher>>,
 }
 
-impl TableCache {
-    /// Creates a table cache bounded to `capacity` open handles (minimum
-    /// 1), charging pinned bytes to `block_cache`.
-    pub fn new(capacity: usize, block_cache: Arc<BlockCache>) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            block_cache,
-            map: Mutex::new("lsm/cache::map", Lru::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+/// What every table set of one store shares: where tables open from, the
+/// cache their pinned bytes are charged to, and the count of opens.
+struct TableSource {
+    storage: Arc<dyn StorageBackend>,
+    cache: Arc<BlockCache>,
+    opened: AtomicU64,
+}
+
+/// A slot's charge state: the handle's pinned bytes are not charged yet,
+/// are charged, or the file has left the version and nothing may be
+/// charged for it any more. An opener moves it `UNCHARGED → CHARGED` and
+/// retirement swaps in `RETIRED`, each in one read-modify-write, so
+/// whichever comes second sees the other's move and exactly one of them
+/// releases a charge that was made.
+const UNCHARGED: u8 = 0;
+const CHARGED: u8 = 1;
+const RETIRED: u8 = 2;
+
+/// One file's handle, shared by every set whose version holds the file.
+#[derive(Default)]
+struct TableSlot {
+    table: OnceLock<Arc<Table>>,
+    charge: AtomicU8,
+}
+
+impl TableSet {
+    /// The set of `version` for a store that opens tables from `storage`
+    /// and charges them to `cache`; every slot starts empty.
+    pub(crate) fn new(
+        storage: Arc<dyn StorageBackend>,
+        cache: Arc<BlockCache>,
+        version: &Version,
+    ) -> TableSet {
+        let source = Arc::new(TableSource {
+            storage,
+            cache,
+            opened: AtomicU64::new(0),
+        });
+        let empty = TableSet {
+            source,
+            slots: HashMap::default(),
+        };
+        empty.successor(version)
+    }
+
+    /// The set of `version`, the version installed after this set's.
+    /// Files still in it keep their slots; new files get empty ones. Files
+    /// that left are retired: their pinned bytes are released, and a stale
+    /// reader that opens one later charges nothing.
+    pub(crate) fn successor(&self, version: &Version) -> TableSet {
+        let numbers = version.levels.iter().flatten().map(|f| &f.number);
+        let mut slots = HashMap::with_capacity_and_hasher(self.slots.len(), Default::default());
+        for &number in numbers.chain(version.frozen.keys()) {
+            let slot = self.slots.get(&number).cloned().unwrap_or_default();
+            slots.insert(number, slot);
+        }
+        // In map order: a release only lowers its shard's pinned count.
+        for (&number, slot) in &self.slots {
+            if !slots.contains_key(&number) {
+                slot.retire(&self.source.cache, number);
+            }
+        }
+        TableSet {
+            source: Arc::clone(&self.source),
+            slots,
         }
     }
 
-    /// Fetches the open handle for `file_number`, calling `open` on a miss.
-    pub fn get_or_open(
-        &self,
-        file_number: u64,
-        open: impl FnOnce() -> Result<Arc<Table>>,
-    ) -> Result<Arc<Table>> {
-        let hit = self.map.lock().touch(&file_number).cloned();
-        if let Some(table) = hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(table);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Open outside the map lock (footer/index/filter reads hit the
-        // device). Two racing opens resolve to whichever inserted first.
-        let table = open()?;
-        let mut tables = self.map.lock();
-        if let Some(existing) = tables.touch(&file_number) {
-            return Ok(Arc::clone(existing));
-        }
-        self.block_cache
-            .charge_pinned(file_number, table.pinned_bytes());
-        tables.insert(file_number, Arc::clone(&table));
-        while tables.len() > self.capacity {
-            let Some((oldest_file, oldest)) = tables.pop_lru() else {
-                break;
-            };
-            self.block_cache
-                .release_pinned(oldest_file, oldest.pinned_bytes());
-        }
-        Ok(table)
-    }
-
-    /// Drops the handle for a deleted file (its blocks are evicted by the
-    /// caller via [`BlockCache::evict_file`]).
-    pub fn remove(&self, file_number: u64) {
-        if let Some(table) = self.map.lock().remove(&file_number) {
-            self.block_cache
-                .release_pinned(file_number, table.pinned_bytes());
+    /// The open handle of `number`, opening the table on first use (a
+    /// metadata read of its footer, index and filter, like a real
+    /// `open()`). Fails if the file is not in this set's version.
+    pub(crate) fn table(&self, number: u64) -> Result<&Arc<Table>> {
+        let slot = self.slots.get(&number).ok_or_else(|| {
+            Error::InvalidState(format!("table {number} is not in the pinned version"))
+        })?;
+        match slot.table.get() {
+            Some(table) => Ok(table),
+            None => self.open(number, slot),
         }
     }
 
-    /// Open handles currently resident.
-    pub fn len(&self) -> usize {
-        self.map.lock().len()
+    #[cold]
+    fn open<'s>(&self, number: u64, slot: &'s TableSlot) -> Result<&'s Arc<Table>> {
+        let source = &self.source;
+        // Open outside any lock; two racing opens keep whichever filled
+        // the slot first, and only that one is charged.
+        let table = Table::open(
+            Arc::clone(&source.storage),
+            table_file_name(number),
+            number,
+            Arc::clone(&source.cache),
+        )?;
+        source.opened.fetch_add(1, Ordering::Relaxed);
+        let mut filled = false;
+        let kept = slot.table.get_or_init(|| {
+            filled = true;
+            table
+        });
+        if filled {
+            slot.charge(&source.cache, number, kept.pinned_bytes());
+        }
+        Ok(kept)
     }
 
-    /// True when no handles are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The handles open in this set, in no particular order.
+    pub(crate) fn handles(&self) -> impl Iterator<Item = &Arc<Table>> {
+        // ldc-lint: allow(determinism) — callers count or sum the handles
+        self.slots.values().filter_map(|slot| slot.table.get())
     }
 
-    /// Table-handle cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+    /// Tables opened so far by this store, across every set.
+    pub(crate) fn opened(&self) -> u64 {
+        self.source.opened.load(Ordering::Relaxed)
+    }
+}
+
+impl TableSlot {
+    /// Charges a freshly filled handle's pinned bytes, unless the file has
+    /// already left the version.
+    fn charge(&self, cache: &BlockCache, number: u64, bytes: usize) {
+        if self.charge.load(Ordering::Acquire) == RETIRED {
+            return;
+        }
+        cache.charge_pinned(number, bytes);
+        let charged =
+            self.charge
+                .compare_exchange(UNCHARGED, CHARGED, Ordering::AcqRel, Ordering::Acquire);
+        if charged.is_err() {
+            // Retired between the check and the charge.
+            cache.release_pinned(number, bytes);
+        }
     }
 
-    /// Table-handle cache misses (each one re-read footer+index+filter).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    /// Marks the file gone and releases its charge, if it was made.
+    fn retire(&self, cache: &BlockCache, number: u64) {
+        if self.charge.swap(RETIRED, Ordering::AcqRel) == CHARGED {
+            if let Some(table) = self.table.get() {
+                cache.release_pinned(number, table.pinned_bytes());
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for TableSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TableSet")
+            .field("files", &self.slots.len())
+            .field("open", &self.handles().count())
+            .finish()
     }
 }
 
@@ -545,15 +630,6 @@ impl std::fmt::Debug for BlockCache {
             .field("capacity_bytes", &self.capacity_bytes)
             .field("shards", &self.shards.len())
             .field("counters", &self.counters())
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for TableCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TableCache")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
             .finish()
     }
 }

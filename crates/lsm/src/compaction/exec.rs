@@ -26,10 +26,12 @@
 //! around these calls; see DESIGN.md §15.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ldc_obs::{Event, EventKind};
 use ldc_ssd::{IoClass, Nanos, TimeCategory};
 
+use crate::cache::TableSet;
 use crate::compaction::CompactionTask;
 use crate::db::{Db, DbCore, DbStats};
 use crate::error::{Error, Result};
@@ -83,6 +85,9 @@ pub(crate) enum Shape {
 #[derive(Debug)]
 pub(crate) struct Planned {
     shape: Shape,
+    /// The open tables of the version the task was planned against; the
+    /// run stage opens its inputs through them.
+    tables: Arc<TableSet>,
     /// The task's (upper) input level.
     pub(crate) level: usize,
     desc: TaskDescriptor,
@@ -162,10 +167,12 @@ fn inputs(version: &Version, numbers: &[u64], level: usize) -> Planning<Vec<File
         .collect()
 }
 
-/// Stage 1. Resolves `task` against `version`; see the module docs.
-/// `smallest_snapshot` is the oldest sequence a live snapshot can observe.
+/// Stage 1. Resolves `task` against `version`, whose open tables are
+/// `tables`; see the module docs. `smallest_snapshot` is the oldest
+/// sequence a live snapshot can observe.
 pub(crate) fn plan(
     version: &Version,
+    tables: &Arc<TableSet>,
     task: &CompactionTask,
     smallest_snapshot: SequenceNumber,
 ) -> Planning<Planned> {
@@ -195,6 +202,7 @@ pub(crate) fn plan(
                 drop_tombstones: level + 1 == last_level,
                 split_outputs: true,
                 smallest_snapshot,
+                tables: Arc::clone(tables),
                 shape: Shape::Merge { upper, lower },
             }
         }
@@ -213,6 +221,7 @@ pub(crate) fn plan(
                 drop_tombstones: false,
                 split_outputs: false,
                 smallest_snapshot,
+                tables: Arc::clone(tables),
                 shape: Shape::Tiered { files },
             }
         }
@@ -237,6 +246,7 @@ pub(crate) fn plan(
                 drop_tombstones: level == last_level,
                 split_outputs: true,
                 smallest_snapshot,
+                tables: Arc::clone(tables),
                 shape: Shape::Ldc { file },
             }
         }
@@ -258,6 +268,7 @@ pub(crate) fn plan(
                 drop_tombstones: false,
                 split_outputs: true,
                 smallest_snapshot,
+                tables: Arc::clone(tables),
                 // A link with nothing to link against degenerates to a
                 // trivial move (still reported as a link event).
                 shape: if targets.is_empty() {
@@ -336,19 +347,20 @@ impl Db {
         alloc: &mut dyn FnMut() -> u64,
     ) -> Result<RunOutput> {
         let class = IoClass::CompactionRead;
+        let tables = &planned.tables;
         let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
         match &planned.shape {
             Shape::TrivialMove { .. } | Shape::Link { .. } => return Ok(RunOutput::default()),
             Shape::Ldc { file } => {
-                inputs.push(Box::new(self.table(file.number)?.iter(class)));
+                inputs.push(Box::new(tables.table(file.number)?.iter(class)));
                 for slice in &file.slices {
-                    let frozen = self.table(slice.source_file)?;
+                    let frozen = tables.table(slice.source_file)?;
                     inputs.push(Box::new(frozen.range_iter(slice.range.clone(), class)));
                 }
             }
             Shape::Merge { .. } | Shape::Tiered { .. } => {
                 for &n in &planned.inputs {
-                    inputs.push(Box::new(self.table(n)?.iter(class)));
+                    inputs.push(Box::new(tables.table(n)?.iter(class)));
                 }
             }
         }
@@ -595,7 +607,7 @@ impl Db {
         if let (true, Some(hi)) = (level >= 1, moved.iter().map(|m| m.largest_ukey()).max()) {
             edit.compact_pointers.push((level, hi.to_vec()));
         }
-        core.versions.log_and_apply(edit)?;
+        core.log_and_apply(edit)?;
         for n in dropped {
             self.drop_table_file(core, n);
         }
@@ -664,7 +676,7 @@ impl Db {
     ) -> Result<()> {
         if let Some(meta) = out.metas.into_iter().next() {
             let output_bytes = meta.size;
-            core.versions.log_and_apply(VersionEdit {
+            core.log_and_apply(VersionEdit {
                 log_number,
                 new_files: vec![(0, meta)],
                 ..Default::default()
@@ -680,7 +692,7 @@ impl Db {
                 self.sink.record(ev);
             }
         } else if log_number.is_some() {
-            core.versions.log_and_apply(VersionEdit {
+            core.log_and_apply(VersionEdit {
                 log_number,
                 ..Default::default()
             })?;

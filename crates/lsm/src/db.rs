@@ -12,14 +12,14 @@
 //! `Db` / `DbCore` / `ReadView` and the constructor that names their lock
 //! ids (`crates/lint/lock_order.toml` keys a lock by its file stem, so
 //! `lsm/db::{core,policy,view}` must be built here), accessors,
-//! snapshots, view publication, the table cache front and the corruption
+//! snapshots, view publication, the open-table sets and the corruption
 //! quarantine. The `impl Db` blocks live with their concern:
 //!
 //! | module | owns |
 //! |---|---|
 //! | `open` | manifest recovery, WAL replay, the first flush |
 //! | `write` | group commit, WAL + memtable, rotation, write-gate booking; asks once per commit which driver runs |
-//! | `read` | the pinned-view read envelope, gets, scans, `LevelIter`; LDC read semantics and responsible ranges |
+//! | `read` | the pinned-view read envelope, gets, scans, `LevelIter`; LDC read semantics and responsible ranges; the policy lock, which shows the policy the reads it has not seen |
 //! | `lane` | the inline driver: `BgLane`, the pump, its write gates, drain, deferred deletes |
 //! | `checkpoint` | `flush`, checkpoints, backup streams, replicated edits |
 //! | `report` | `stats_report`, `tail_report`, `level_gauges`, per-op tracing |
@@ -32,16 +32,15 @@ use std::sync::Arc;
 use bytes::Bytes;
 use ldc_obs::lockcheck::{Mutex, RwLock};
 use ldc_obs::{Event, EventKind, MetricsRegistry, SharedSink, TraceReservoir};
-use ldc_ssd::{IoClass, SsdDevice, StorageBackend};
+use ldc_ssd::{SsdDevice, StorageBackend};
 
-use crate::cache::{BlockCache, CacheCounters, TableCache};
+use crate::cache::{BlockCache, CacheCounters, TableSet};
 use crate::commit::CommitQueue;
 use crate::compaction::CompactionPolicy;
 use crate::error::{CorruptionInfo, Error, Result};
 use crate::memtable::MemTable;
 use crate::options::{CorruptionPolicy, Options};
 use crate::scheduler::CompactionScheduler;
-use crate::table::Table;
 use crate::types::SequenceNumber;
 use crate::version::{table_file_name, Version, VersionEdit, VersionSet};
 use crate::wal::LogWriter;
@@ -166,14 +165,16 @@ impl AsRef<[u8]> for PinnedValue {
     }
 }
 
-/// The state a read operation pins at entry: `Arc`s to the version and
-/// memtables current at some commit boundary, plus the sequence number
-/// published with them. Cloning is a few refcount bumps; everything
-/// reachable from a view is immutable except the live memtable, whose
-/// entries newer than `seq` are invisible to the read (MVCC by sequence).
+/// The state a read operation pins at entry: `Arc`s to the version, its
+/// open tables and the memtables current at some commit boundary, plus the
+/// sequence number published with them. Cloning is a few refcount bumps;
+/// everything reachable from a view is immutable except the live memtable,
+/// whose entries newer than `seq` are invisible to the read (MVCC by
+/// sequence), and the table slots, which fill once.
 #[derive(Clone)]
 struct ReadView {
     version: Arc<Version>,
+    tables: Arc<TableSet>,
     mem: Arc<MemTable>,
     imm: Option<Arc<MemTable>>,
     seq: SequenceNumber,
@@ -184,6 +185,7 @@ impl ReadView {
     fn of(core: &DbCore) -> ReadView {
         ReadView {
             version: Arc::clone(&core.versions.current),
+            tables: Arc::clone(&core.tables),
             mem: Arc::clone(&core.mem),
             imm: core.imm.clone(),
             seq: core.versions.counters.last_sequence,
@@ -196,6 +198,9 @@ impl ReadView {
 /// readers never take it — they go through the published [`ReadView`].
 pub(crate) struct DbCore {
     pub(crate) versions: VersionSet,
+    /// The open tables of `versions.current`, rebuilt by every
+    /// [`DbCore::log_and_apply`].
+    pub(crate) tables: Arc<TableSet>,
     pub(crate) mem: Arc<MemTable>,
     /// Immutable memtable awaiting its background flush.
     pub(crate) imm: Option<Arc<MemTable>>,
@@ -223,9 +228,10 @@ pub(crate) struct DbCore {
 }
 
 impl DbCore {
-    fn new(versions: VersionSet, mem: Arc<MemTable>, wal: LogWriter) -> DbCore {
+    fn new(versions: VersionSet, tables: TableSet, mem: Arc<MemTable>, wal: LogWriter) -> DbCore {
         DbCore {
             versions,
+            tables: Arc::new(tables),
             mem,
             imm: None,
             imm_wal_to_delete: None,
@@ -249,6 +255,16 @@ impl DbCore {
     /// Whether an error is latched (writes are refused).
     pub(crate) fn failed(&self) -> bool {
         self.bg_error.is_some()
+    }
+
+    /// Logs `edit` to the manifest, applies it, and moves the open tables
+    /// over to the new version (see [`TableSet::successor`]).
+    pub(crate) fn log_and_apply(&mut self, edit: VersionEdit) -> Result<()> {
+        let applied = self.versions.log_and_apply(edit);
+        // Rebuilt whatever the outcome: a failed ship or rollover comes
+        // after the new version was installed.
+        self.tables = Arc::new(self.tables.successor(&self.versions.current));
+        applied
     }
 
     /// Level-0 file count, what both drivers' stop and slowdown gates test.
@@ -281,11 +297,11 @@ pub struct Db {
     pub(crate) options: Options,
     pub(crate) storage: Arc<dyn StorageBackend>,
     pub(crate) device: Arc<SsdDevice>,
+    /// Taken by commits and picks only, see [`Db::policy`].
     policy: Mutex<Box<dyn CompactionPolicy>>,
-    /// Open-table handles (pinned index + Bloom filter each), LRU-bounded
-    /// by `options.table_cache_entries`; pinned bytes are charged to the
-    /// block cache so table metadata and data blocks share one budget.
-    tables: TableCache,
+    /// Reads (`gets` + `scans`) the policy has been shown; written under
+    /// the policy lock.
+    reads_observed: AtomicU64,
     block_cache: Arc<BlockCache>,
     /// Where structured events go; [`NoopSink`] by default, in which case
     /// no event is ever built (`sink.enabled()` gates construction).
@@ -355,13 +371,11 @@ impl Db {
         policy: Box<dyn CompactionPolicy>,
         sink: SharedSink,
         metrics: Arc<MetricsRegistry>,
-        core: DbCore,
+        (core, block_cache): (DbCore, Arc<BlockCache>),
         recovery: RecoverySummary,
     ) -> Db {
         let device = storage.device();
         device.set_event_sink(Arc::clone(&sink));
-        let block_cache = Arc::new(BlockCache::new(options.block_cache_bytes));
-        let tables = TableCache::new(options.table_cache_entries, Arc::clone(&block_cache));
         let view = ReadView::of(&core);
         let scheduler = CompactionScheduler::new(options.background_workers);
         Db {
@@ -369,7 +383,7 @@ impl Db {
             storage,
             device,
             policy: Mutex::new("lsm/db::policy", policy),
-            tables,
+            reads_observed: AtomicU64::new(0),
             block_cache,
             sink,
             metrics,
@@ -419,7 +433,7 @@ impl Db {
 
     /// The compaction policy's name.
     pub fn policy_name(&self) -> String {
-        self.policy.lock().name().to_string()
+        self.policy().name().to_string()
     }
 
     /// Engine counters.
@@ -474,25 +488,6 @@ impl Db {
         self.storage.total_bytes()
     }
 
-    /// Integrity check over every live and frozen SSTable: verifies all
-    /// block checksums and key ordering. Returns the total entries scanned.
-    pub fn verify_integrity(&self) -> Result<u64> {
-        let version = self.version();
-        let numbers: Vec<u64> = version
-            .levels
-            .iter()
-            .flatten()
-            .map(|f| f.number)
-            .chain(version.frozen.keys().copied())
-            .collect();
-        let mut total = 0u64;
-        for number in numbers {
-            let table = self.table(number)?;
-            total += table.verify(IoClass::Other)?;
-        }
-        Ok(total)
-    }
-
     /// SSTables set aside by the [`CorruptionPolicy::Quarantine`] policy
     /// since this handle was opened, oldest first.
     pub fn quarantined(&self) -> Vec<QuarantinedFile> {
@@ -542,11 +537,10 @@ impl Db {
         // they referenced stay in the frozen set at refcount 0 (retained on
         // purpose — repair prefers an LDC frozen predecessor over losing
         // the linked data outright).
-        core.versions.log_and_apply(VersionEdit {
+        core.log_and_apply(VersionEdit {
             deleted_files: vec![(level as u32, number)],
             ..Default::default()
         })?;
-        self.tables.remove(number);
         self.block_cache.evict_file(number);
         let name = table_file_name(number);
         self.storage.rename(&name, &format!("{name}.quarantined"))?;
@@ -604,25 +598,11 @@ impl Db {
         ReadPin::new(&self.read_pins)
     }
 
-    /// Opens (or fetches from cache) the table for `file_number`.
-    pub(crate) fn table(&self, file_number: u64) -> Result<Arc<Table>> {
-        self.tables.get_or_open(file_number, || {
-            // Opening a handle reads the footer/index/filter — charge a
-            // metadata op like a real `open()`.
-            crate::table::open_table(
-                Arc::clone(&self.storage),
-                table_file_name(file_number),
-                file_number,
-                Arc::clone(&self.block_cache),
-            )
-        })
-    }
-
-    /// Drops a table file from the caches and schedules its physical
-    /// delete for the next reap point (a concurrent reader's pinned view
-    /// may still reference it until then).
+    /// Drops a table file's blocks from the cache and schedules its
+    /// physical delete for the next reap point (a concurrent reader's
+    /// pinned view may still reference it until then). The edit that
+    /// removed the file already released its handle's charge.
     pub(crate) fn drop_table_file(&self, core: &mut DbCore, file_number: u64) {
-        self.tables.remove(file_number);
         self.block_cache.evict_file(file_number);
         core.pending_deletes.push(file_number);
     }

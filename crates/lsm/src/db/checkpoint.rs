@@ -167,7 +167,9 @@ impl Db {
         if let Some(e) = &core.bg_error {
             return Err(e.clone());
         }
-        if let Err(e) = core.versions.apply_remote_edit(edit) {
+        let applied = core.versions.apply_remote_edit(edit);
+        core.tables = Arc::new(core.tables.successor(&core.versions.current));
+        if let Err(e) = applied {
             core.latch(e.clone());
             return Err(e);
         }

@@ -217,7 +217,7 @@ impl Db {
             options: &self.options,
             compact_pointers: &core.versions.counters.compact_pointers,
         };
-        let mut policy = self.policy.lock();
+        let mut policy = self.policy();
         let needed = policy.pick(&ctx);
         if needed.is_some() || !idle {
             return needed;
@@ -252,7 +252,12 @@ impl Db {
             .next()
             .copied()
             .unwrap_or(core.versions.counters.last_sequence);
-        plan(&core.versions.current, task, smallest_snapshot)
+        plan(
+            &core.versions.current,
+            &core.tables,
+            task,
+            smallest_snapshot,
+        )
     }
 
     /// A task failed before it installed. Its device time still counts as
@@ -321,7 +326,8 @@ impl Db {
         let t0 = self.device.clock().now();
         let pending = std::mem::take(&mut core.pending_deletes);
         for number in pending {
-            self.tables.remove(number);
+            // A stale view may have read the file again since it was
+            // dropped: its blocks go once more.
             self.block_cache.evict_file(number);
             let name = table_file_name(number);
             if self.storage.exists(&name) {

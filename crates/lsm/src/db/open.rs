@@ -7,6 +7,7 @@ use ldc_ssd::StorageBackend;
 
 use super::write::fresh_wal;
 use super::{Db, DbCore, RecoverySummary};
+use crate::cache::{BlockCache, TableSet};
 use crate::compaction::CompactionPolicy;
 use crate::error::Result;
 use crate::memtable::MemTable;
@@ -113,8 +114,15 @@ impl Db {
         // Fresh WAL for new writes.
         let (new_log_number, wal) = fresh_wal(&mut versions, &storage);
 
-        let core = DbCore::new(versions, Arc::new(mem), wal);
-        let db = Db::assemble(options, storage, policy, sink, metrics, core, recovery);
+        let block_cache = Arc::new(BlockCache::new(options.block_cache_bytes));
+        let tables = TableSet::new(
+            Arc::clone(&storage),
+            Arc::clone(&block_cache),
+            &versions.current,
+        );
+        let core = DbCore::new(versions, tables, Arc::new(mem), wal);
+        let parts = (core, block_cache);
+        let db = Db::assemble(options, storage, policy, sink, metrics, parts, recovery);
 
         // Persist the replayed data so the old WALs can be dropped, then
         // record the new WAL number.
@@ -123,7 +131,7 @@ impl Db {
             let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(db.options.seed)));
             db.flush_memtable(&mut core, &full, Some(new_log_number))?;
         } else {
-            core.versions.log_and_apply(VersionEdit {
+            core.log_and_apply(VersionEdit {
                 log_number: Some(new_log_number),
                 ..Default::default()
             })?;

@@ -2,7 +2,8 @@ use super::*;
 use crate::batch::WriteBatch;
 use crate::commit::{Role, Ticket};
 use crate::compaction::UdcPolicy;
-use ldc_ssd::{MemStorage, SsdConfig, TimeCategory};
+use crate::version::FileMeta;
+use ldc_ssd::{IoClass, MemStorage, SsdConfig, TimeCategory};
 
 fn open_db() -> Db {
     let device = ldc_ssd::SsdDevice::new(SsdConfig::default());
@@ -280,25 +281,127 @@ fn released_snapshots_unpin() {
     assert!(db.core.lock().snapshots.is_empty());
 }
 
+/// Counts the footer reads of every table file: one per open.
+struct FooterReads {
+    inner: Arc<MemStorage>,
+    opens: std::sync::Mutex<std::collections::HashMap<String, u32>>,
+}
+
+impl StorageBackend for FooterReads {
+    fn write_file(&self, name: &str, data: &[u8], class: IoClass) -> ldc_ssd::SsdResult<()> {
+        self.inner.write_file(name, data, class)
+    }
+    fn append(&self, name: &str, data: &[u8], class: IoClass) -> ldc_ssd::SsdResult<()> {
+        self.inner.append(name, data, class)
+    }
+    fn read(&self, name: &str, offset: u64, len: u64, class: IoClass) -> ldc_ssd::SsdResult<Bytes> {
+        if class == IoClass::Other && len == crate::table::FOOTER_SIZE as u64 {
+            let mut opens = self.opens.lock().unwrap_or_else(|e| e.into_inner());
+            *opens.entry(name.to_string()).or_default() += 1;
+        }
+        self.inner.read(name, offset, len, class)
+    }
+    fn read_sequential(
+        &self,
+        name: &str,
+        offset: u64,
+        len: u64,
+        class: IoClass,
+    ) -> ldc_ssd::SsdResult<Bytes> {
+        self.inner.read_sequential(name, offset, len, class)
+    }
+    fn size(&self, name: &str) -> ldc_ssd::SsdResult<u64> {
+        self.inner.size(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn delete(&self, name: &str) -> ldc_ssd::SsdResult<()> {
+        self.inner.delete(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> ldc_ssd::SsdResult<()> {
+        self.inner.rename(from, to)
+    }
+    fn sync(&self, name: &str) -> ldc_ssd::SsdResult<()> {
+        self.inner.sync(name)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn device(&self) -> Arc<ldc_ssd::SsdDevice> {
+        self.inner.device()
+    }
+}
+
+/// A version's open tables live exactly as long as their files: a stale
+/// view still reads the files compactions dropped under it, every charge
+/// is released once the files go, and no table opens twice.
 #[test]
-fn table_cache_is_bounded() {
-    let device = ldc_ssd::SsdDevice::new(SsdConfig::default());
-    let storage = MemStorage::new(device);
-    let mut options = Options::small_for_tests();
-    options.table_cache_entries = 4;
-    let db = Db::open(storage, options, Box::new(UdcPolicy::new())).unwrap();
+fn table_handles_open_once_and_release_with_their_file() {
+    let storage = Arc::new(FooterReads {
+        inner: MemStorage::new(ldc_ssd::SsdDevice::new(SsdConfig::default())),
+        opens: Default::default(),
+    });
+    let options = Options::small_for_tests();
+    let backend: Arc<dyn StorageBackend> = storage.clone();
+    let db = Db::open(backend, options, Box::new(UdcPolicy::new())).unwrap();
     for i in 0..3000u64 {
         let (k, v) = kv(i);
         db.put(&k, &v).unwrap();
     }
     db.drain_background();
-    // Touch many files via scattered reads; the handle cache must stay
-    // within its bound while reads keep working.
-    for i in (0..3000).step_by(17) {
+    for i in (0..3000).step_by(7) {
         let (k, v) = kv(i);
         assert_eq!(db.get(&k).unwrap(), Some(v));
-        assert!(db.tables.len() <= 4);
     }
+
+    // A reader pins the view, and with it its files, across compactions
+    // that rewrite every key.
+    let stale = db.view.read().clone();
+    let pin = db.pin_reads();
+    for i in 0..3000u64 {
+        db.put(&kv(i).0, b"rewritten").unwrap();
+    }
+    db.drain_background();
+    let current = db.version();
+    let dropped: Vec<&FileMeta> = stale
+        .version
+        .levels
+        .iter()
+        .flatten()
+        .filter(|f| current.find_file(f.number).is_none())
+        .collect();
+    assert!(!dropped.is_empty(), "the rewrite must drop files");
+    for meta in &dropped {
+        let key = meta.smallest_ukey();
+        let table = stale.tables.table(meta.number).unwrap();
+        let (_, _, value) = table
+            .get(key, stale.seq, IoClass::UserRead)
+            .unwrap()
+            .expect("a dropped file still holds its keys");
+        assert!(value.starts_with(b"value-"));
+        let got = db.get_internal(&stale, key, stale.seq, None).unwrap();
+        assert!(got.unwrap().as_slice().starts_with(b"value-"));
+    }
+    assert!(db.current_tables().1.table(dropped[0].number).is_err());
+
+    drop((stale, pin));
+    db.drain_background();
+    assert!(db.core.lock().pending_deletes.is_empty(), "deletes reaped");
+    for i in (0..3000).step_by(7) {
+        assert_eq!(db.get(&kv(i).0).unwrap(), Some(b"rewritten".to_vec()));
+    }
+    let tables = db.current_tables().1;
+    let held: usize = tables.handles().map(|t| t.pinned_bytes()).sum();
+    assert!(held > 0);
+    assert_eq!(db.block_cache().pinned_bytes(), held);
+
+    let opens = storage.opens.lock().unwrap();
+    assert!(
+        opens.values().all(|&n| n == 1),
+        "a table opened twice: {opens:?}"
+    );
+    assert_eq!(opens.len() as u64, tables.opened());
 }
 
 #[test]

@@ -230,7 +230,7 @@ impl Db {
         mut trace: Option<&mut TraceCtx>,
         pooled: bool,
     ) -> Result<()> {
-        let mut policy = self.policy.lock();
+        let mut policy = self.policy();
         for _ in 0..group_size {
             policy.observe_op(true);
         }

@@ -16,12 +16,19 @@
 //! is quarantined on the spot, so one scrub pass leaves the store serving
 //! only verified data (minus the keys that lived in the corrupt files —
 //! `repair_db` gets those back where possible).
+//!
+//! [`Db::verify_integrity`], the plain check that stops at the first
+//! damage, walks the same tables through the same pinned version.
+
+use std::sync::Arc;
 
 use ldc_obs::{Event, EventKind};
 use ldc_ssd::IoClass;
 
+use crate::cache::TableSet;
 use crate::db::Db;
 use crate::error::{CorruptionInfo, Error, Result};
+use crate::version::Version;
 
 /// What one [`Db::scrub`] pass verified and found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,6 +58,31 @@ impl ScrubReport {
 }
 
 impl Db {
+    /// The current version and its open tables, for a pass that walks
+    /// every file without holding the core lock.
+    pub(crate) fn current_tables(&self) -> (Arc<Version>, Arc<TableSet>) {
+        let core = self.core.lock();
+        (Arc::clone(&core.versions.current), Arc::clone(&core.tables))
+    }
+
+    /// Integrity check over every live and frozen SSTable: verifies all
+    /// block checksums and key ordering. Returns the total entries scanned.
+    pub fn verify_integrity(&self) -> Result<u64> {
+        let (version, tables) = self.current_tables();
+        let numbers: Vec<u64> = version
+            .levels
+            .iter()
+            .flatten()
+            .map(|f| f.number)
+            .chain(version.frozen.keys().copied())
+            .collect();
+        let mut total = 0u64;
+        for number in numbers {
+            total += tables.table(number)?.verify(IoClass::Other)?;
+        }
+        Ok(total)
+    }
+
     /// Re-verifies every SSTable reachable from the current version: all
     /// block CRCs, key ordering, index/footer consistency, and
     /// filter-vs-key agreement. Live levels are walked top-down, then the
@@ -65,13 +97,14 @@ impl Db {
         // pass: with background workers, an install could otherwise reap a
         // file between target collection and its verify.
         let _pin = self.pin_reads();
+        let (version, tables) = self.current_tables();
         let mut targets: Vec<(Option<u32>, u64)> = Vec::new();
-        for (level, files) in self.version().levels.iter().enumerate() {
+        for (level, files) in version.levels.iter().enumerate() {
             for f in files {
                 targets.push((Some(level as u32), f.number));
             }
         }
-        for number in self.version().frozen.keys() {
+        for number in version.frozen.keys() {
             targets.push((None, *number));
         }
 
@@ -79,7 +112,7 @@ impl Db {
         let mut report = ScrubReport::default();
         for (level, number) in targets {
             let t0 = self.device().clock().now();
-            let outcome = self
+            let outcome = tables
                 .table(number)
                 .and_then(|t| t.verify_deep(IoClass::Other));
             let t1 = self.device().clock().now();

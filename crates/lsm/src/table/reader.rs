@@ -1,5 +1,13 @@
 //! SSTable reading.
+//!
+//! A point read does no heap allocation of its own once the blocks it needs
+//! are cached: the index entry is found by a binary search over integers
+//! ([`IndexPrefix`]), the index block serves its keys in place, and the
+//! data block's iterator rebuilds prefix-compressed keys in one buffer per
+//! thread. The value comes back as a slice of the cached block.
 
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -12,9 +20,15 @@ use crate::error::{corruption_at, corruption_in, Error, Result};
 use crate::filter::BloomFilter;
 use crate::table::{decode_footer, BlockHandle, BLOCK_TRAILER_SIZE, FOOTER_SIZE};
 use crate::types::{
-    encode_internal_key, parse_trailer, user_key, KeyRange, SequenceNumber, ValueType,
-    MAX_SEQUENCE, TYPE_FOR_SEEK,
+    compare_internal_keys, encode_internal_key, parse_trailer, user_key, KeyRange, SequenceNumber,
+    ValueType, MAX_SEQUENCE, TYPE_FOR_SEEK,
 };
+
+thread_local! {
+    /// The key buffer of this thread's point-read data-block seeks: an
+    /// entry that shares a prefix with its predecessor is rebuilt here.
+    static SEEK_KEY: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// An open SSTable: pinned index + Bloom filter, data blocks via the cache.
 pub struct Table {
@@ -23,8 +37,92 @@ pub struct Table {
     file_number: u64,
     size: u64,
     index: Block,
+    /// Not charged to the cache: 8 bytes per data block, next to an index
+    /// entry's key and handle.
+    prefix: IndexPrefix,
     filter: BloomFilter,
     cache: Arc<BlockCache>,
+}
+
+/// The index block's restart keys as integers: for each, the 8 user-key
+/// bytes that follow the prefix all of them share, zero-padded and read
+/// big-endian. Codes sort like the keys they come from, except that keys
+/// agreeing in those 8 bytes tie. So the index entry a probe seeks is found
+/// by a binary search over the codes, and whole keys are compared only
+/// within a run of ties — none, when the table's keys differ within 8 bytes
+/// of their shared prefix, as hashed and counter keys do.
+struct IndexPrefix {
+    /// The user-key prefix every index key shares.
+    shared: Vec<u8>,
+    /// One code per restart of the index block.
+    codes: Vec<u64>,
+}
+
+impl IndexPrefix {
+    fn of(index: &Block) -> IndexPrefix {
+        let n = index.num_restarts();
+        // The keys are sorted, so what the first and last share, all share.
+        let shared = match n {
+            0 => Vec::new(),
+            _ => {
+                let (first, last) = (
+                    user_key(index.restart_key(0)),
+                    user_key(index.restart_key(n - 1)),
+                );
+                let len = first.iter().zip(last).take_while(|(a, b)| a == b).count();
+                first.get(..len).unwrap_or_default().to_vec()
+            }
+        };
+        let codes = (0..n)
+            .map(|i| {
+                code(
+                    user_key(index.restart_key(i))
+                        .get(shared.len()..)
+                        .unwrap_or_default(),
+                )
+            })
+            .collect();
+        IndexPrefix { shared, codes }
+    }
+
+    /// The first restart of `index` (the block this was built from) whose
+    /// key is at or after `probe`; the restart count when there is none.
+    fn seek(&self, index: &Block, probe: &[u8]) -> usize {
+        let ukey = user_key(probe);
+        let Some(rest) = ukey.strip_prefix(self.shared.as_slice()) else {
+            // Outside the shared prefix: before every key or after all.
+            return match ukey.cmp(&self.shared) {
+                Ordering::Less => 0,
+                _ => self.codes.len(),
+            };
+        };
+        let probe_code = code(rest);
+        let lo = self.codes.partition_point(|&c| c < probe_code);
+        let ties = self
+            .codes
+            .get(lo..)
+            .map_or(0, |after| after.partition_point(|&c| c == probe_code));
+        let (mut lo, mut hi) = (lo, lo + ties);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if compare_internal_keys(index.restart_key(mid), probe) == Ordering::Less {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// The first 8 bytes of `rest`, zero-padded, as a big-endian integer. A
+/// smaller code means a smaller key; equal codes decide nothing.
+fn code(rest: &[u8]) -> u64 {
+    let mut bytes = [0u8; 8];
+    for (to, from) in bytes.iter_mut().zip(rest) {
+        *to = *from;
+    }
+    u64::from_be_bytes(bytes)
 }
 
 impl Table {
@@ -61,6 +159,7 @@ impl Table {
             name,
             file_number,
             size,
+            prefix: IndexPrefix::of(&index),
             index,
             filter,
             cache,
@@ -90,8 +189,9 @@ impl Table {
     }
 
     /// Bytes this open handle pins in memory (decoded index block plus
-    /// Bloom filter) — charged against the block-cache budget by the table
-    /// cache so open-table memory and cached-block memory share one pool.
+    /// Bloom filter) — charged against the block-cache budget by the
+    /// engine's open-table sets so open-table memory and cached-block
+    /// memory share one pool.
     pub fn pinned_bytes(&self) -> usize {
         self.index.size() + self.filter.size_bytes()
     }
@@ -123,20 +223,24 @@ impl Table {
         probe: &[u8],
         class: IoClass,
     ) -> Result<Option<(SequenceNumber, ValueType, Bytes)>> {
+        // The restart before the first one at or after `probe` holds a key
+        // below it (or is restart 0): the seek starts there.
+        let first_at_or_after = self.prefix.seek(&self.index, probe);
         let mut index_iter = self.index.iter();
-        index_iter.seek(probe);
+        index_iter.seek_from_restart(first_at_or_after.saturating_sub(1), probe);
         if !index_iter.valid() {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
         let block = self.read_data_block(handle, class)?;
-        let mut it = block.iter();
+        let mut it = block.iter_with_buffer(SEEK_KEY.take());
         it.seek(probe);
-        if it.valid() && user_key(it.key()) == user_key(probe) {
+        let hit = (it.valid() && user_key(it.key()) == user_key(probe)).then(|| {
             let (seq, vt) = parse_trailer(it.key());
-            return Ok(Some((seq, vt, it.value_bytes())));
-        }
-        Ok(None)
+            (seq, vt, it.value_bytes())
+        });
+        SEEK_KEY.set(it.into_buffer());
+        Ok(hit)
     }
 
     /// Iterator over the whole table.
@@ -491,6 +595,7 @@ mod tests {
     use super::*;
     use crate::table::builder::TableBuilder;
     use ldc_ssd::{MemStorage, SsdConfig, SsdDevice};
+    use proptest::prelude::*;
 
     fn ik(key: &[u8], seq: u64) -> Vec<u8> {
         encode_internal_key(key, seq, ValueType::Value)
@@ -656,6 +761,107 @@ mod tests {
         let table = Table::open(storage, "bad.sst", 1, Arc::new(BlockCache::new(0))).unwrap();
         let err = table.get(b"k000", MAX_SEQUENCE, IoClass::UserRead);
         assert!(matches!(err, Err(Error::Corruption(_))));
+    }
+
+    /// Bytes keys are built from: `0x00` makes a key and its zero-padded
+    /// code agree, `0xff` sorts last, and a small alphabet makes long shared
+    /// prefixes and equal codes likely.
+    const ALPHABET: [u8; 4] = [0x00, b'a', b'b', 0xff];
+
+    /// A user key of 0–24 bytes: `keep` bytes of `shared`, then `tail`.
+    fn user_key_of(shared: &[u8], keep: usize, tail: &[usize]) -> Vec<u8> {
+        let mut key: Vec<u8> = shared.iter().take(keep).copied().collect();
+        key.extend(tail.iter().map(|&i| ALPHABET[i]));
+        key.truncate(24);
+        key
+    }
+
+    /// `(keep, tail)` of one generated key; see [`user_key_of`].
+    fn key_parts() -> impl Strategy<Value = (usize, Vec<usize>)> {
+        (0..17usize, prop::collection::vec(0..4usize, 0..14))
+    }
+
+    /// The index entry `BlockIter::seek` lands on, and the one the
+    /// prefix search's restart leads to, as `(key, handle)`.
+    fn index_entries(table: &Table, probe: &[u8]) -> [Option<(Vec<u8>, Vec<u8>)>; 2] {
+        let entry = |it: &BlockIter| it.valid().then(|| (it.key().to_vec(), it.value().to_vec()));
+        let mut by_block = table.index.iter();
+        by_block.seek(probe);
+        let mut by_prefix = table.index.iter();
+        let restart = table.prefix.seek(&table.index, probe);
+        by_prefix.seek_from_restart(restart.saturating_sub(1), probe);
+        [entry(&by_block), entry(&by_prefix)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Over tables whose keys share long prefixes, are shorter than 8
+        /// bytes or end in zero bytes, and carry several versions each,
+        /// the prefix search picks the index restart a linear scan picks,
+        /// and the entry it leads to is the one `BlockIter::seek` finds:
+        /// for every separator at three sequences around its own, for
+        /// random keys, and for keys before, after and outside the
+        /// table's shared prefix.
+        #[test]
+        fn prefix_search_lands_where_the_block_search_does(
+            shared in prop::collection::vec(0..4usize, 0..16),
+            parts in prop::collection::vec(key_parts(), 1..120),
+            versions in prop::collection::vec(1..5u64, 120..121),
+            block_bytes in 24..200usize,
+            probes in prop::collection::vec((key_parts(), 0..12u64), 0..40),
+        ) {
+            let shared: Vec<u8> = shared.iter().map(|&i| ALPHABET[i]).collect();
+            let mut ukeys: Vec<Vec<u8>> = parts
+                .iter()
+                .map(|(keep, tail)| user_key_of(&shared, *keep, tail))
+                .collect();
+            ukeys.sort();
+            ukeys.dedup();
+            let mut builder = TableBuilder::new(block_bytes, 4, 10);
+            for (ukey, &n) in ukeys.iter().zip(&versions) {
+                // Newest first: sequences 10, 8, 6, ... for `n` versions.
+                for v in 0..n {
+                    builder.add(&ik(ukey, 10 - 2 * v), b"value");
+                }
+            }
+            let storage = MemStorage::new(SsdDevice::new(SsdConfig::tiny_for_tests()));
+            storage
+                .write_file("p.sst", &builder.finish().bytes, IoClass::FlushWrite)
+                .unwrap();
+            let cache = Arc::new(BlockCache::new(1 << 20));
+            let table = Table::open(storage, "p.sst", 1, cache).unwrap();
+
+            let n = table.index.num_restarts();
+            let mut targets: Vec<Vec<u8>> = Vec::new();
+            for i in 0..n {
+                let separator = table.index.restart_key(i);
+                let (seq, _) = parse_trailer(separator);
+                for seq in [seq + 1, seq, seq.saturating_sub(1)] {
+                    targets.push(ik(user_key(separator), seq));
+                }
+            }
+            for ((keep, tail), seq) in &probes {
+                targets.push(ik(&user_key_of(&shared, *keep, tail), *seq));
+            }
+            let mut outside = shared.clone();
+            if let Some(last) = outside.last_mut() {
+                *last = if *last == 0xff { b'a' } else { 0xff };
+            }
+            for ukey in [&b""[..], &[0xff; 25][..], &outside, &shared] {
+                targets.push(ik(ukey, MAX_SEQUENCE));
+                targets.push(ik(ukey, 0));
+            }
+
+            for probe in &targets {
+                let linear = (0..n)
+                    .position(|i| compare_internal_keys(table.index.restart_key(i), probe).is_ge())
+                    .unwrap_or(n);
+                prop_assert_eq!(table.prefix.seek(&table.index, probe), linear, "probe {:?}", probe);
+                let [by_block, by_prefix] = index_entries(&table, probe);
+                prop_assert_eq!(by_block, by_prefix, "probe {:?}", probe);
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,43 @@ pub fn encode_internal_key(user_key: &[u8], seq: SequenceNumber, vt: ValueType) 
     out
 }
 
+/// The seek key `(user_key, seq, TYPE_FOR_SEEK)` of a point read, built on
+/// the stack when it fits in [`SeekKey::INLINE`] bytes and on the heap
+/// beyond that.
+pub(crate) enum SeekKey {
+    Inline([u8; SeekKey::INLINE], usize),
+    Heap(Vec<u8>),
+}
+
+impl SeekKey {
+    /// Longest seek key kept on the stack: user keys of up to 56 bytes.
+    pub(crate) const INLINE: usize = 64;
+
+    pub(crate) fn new(user_key: &[u8], seq: SequenceNumber) -> SeekKey {
+        debug_assert!(seq <= MAX_SEQUENCE);
+        let len = user_key.len() + 8;
+        let mut buf = [0u8; SeekKey::INLINE];
+        match buf
+            .get_mut(..len)
+            .map(|key| key.split_at_mut(user_key.len()))
+        {
+            Some((ukey, trailer)) => {
+                ukey.copy_from_slice(user_key);
+                trailer.copy_from_slice(&((seq << 8) | TYPE_FOR_SEEK as u64).to_le_bytes());
+                SeekKey::Inline(buf, len)
+            }
+            None => SeekKey::Heap(encode_internal_key(user_key, seq, TYPE_FOR_SEEK)),
+        }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        match self {
+            SeekKey::Inline(buf, len) => buf.get(..*len).unwrap_or_default(),
+            SeekKey::Heap(key) => key,
+        }
+    }
+}
+
 /// Appends the internal key `(user_key, seq, vt)` to `out`.
 pub(crate) fn append_internal_key(
     out: &mut Vec<u8>,

@@ -728,10 +728,10 @@ mod tests {
         }
 
         fn ordered_pair() -> (Mutex<u32>, Mutex<u32>) {
-            // core (rank 60) then cache::map (rank 100): forward order.
+            // core (rank 60) then memtable::list (rank 90): forward order.
             (
                 Mutex::new("lsm/db::core", 0),
-                Mutex::new("lsm/cache::map", 0),
+                Mutex::new("lsm/memtable::list", 0),
             )
         }
 
@@ -756,13 +756,13 @@ mod tests {
             let (a, b) = ordered_pair();
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _gb = b.lock();
-                let _ga = a.lock(); // rank 60 while holding rank 100
+                let _ga = a.lock(); // rank 60 while holding rank 90
             }))
             .expect_err("inversion must panic");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("lock-order inversion"), "{msg}");
             assert!(msg.contains("lsm/db::core"), "{msg}");
-            assert!(msg.contains("lsm/cache::map"), "{msg}");
+            assert!(msg.contains("lsm/memtable::list"), "{msg}");
             assert!(msg.contains("declared order"), "{msg}");
             assert_eq!(held_depth(), 0, "unwound stack must drain");
             disable();

@@ -1,13 +1,15 @@
 //! Tier-1 budgets for heap allocations on the cached read path and on the
 //! put path.
 //!
-//! A point read served entirely from the table cache and the block cache
-//! does no I/O, so what is left of its cost is CPU — and the allocator was
-//! the largest avoidable part of it: at commit 945820e a cached `get` made
-//! 14.2 allocations, nine of them one `Vec` per binary-search step of a
-//! block seek. The budget below is what the path needs today: one probe key
-//! for the whole get, the owned value `get` returns, and the key buffer of a
-//! data-block iterator that has to undo prefix compression.
+//! A point read served entirely from open tables and the block cache does
+//! no I/O, so what is left of its cost is CPU — and the allocator was the
+//! largest avoidable part of it: at commit 945820e a cached `get` made 14.2
+//! allocations, nine of them one `Vec` per binary-search step of a block
+//! seek, and at commit d9f7da3 it still made two or three: a probe key for
+//! the whole get, the key buffer of every data-block iterator that had to
+//! undo prefix compression, and the owned value. The budget below is what
+//! the path needs today: the owned value `get` returns, and nothing per
+//! table searched.
 //!
 //! A put into a fresh store made 12.3 allocations at commit 630665c: four
 //! for a batch that regrew three times, four for the commit queue's group
@@ -31,19 +33,19 @@ use ldc_core::LdcDb;
 use ldc_lsm::Options;
 
 /// Allocations of a fully cached `get` that do not depend on how many
-/// tables it searches: the probe key `(key, snapshot, TYPE_FOR_SEEK)`, which
-/// the memtables and every table are searched with, and the owned value.
-/// (The memtable allocates nothing: its key filter answers for a key it
-/// never held, and a seek borrows the probe.)
-const PER_GET: u64 = 2;
+/// tables it searches: the owned value. The probe key `(key, snapshot,
+/// TYPE_FOR_SEEK)`, which the memtables and every table are searched with,
+/// is built on the stack. (The memtable allocates nothing: its key filter
+/// answers for a key it never held, and a seek borrows the probe.)
+const PER_GET: u64 = 1;
 /// Allocations per table searched (one whose Bloom filter does not rule the
-/// key out). The index block restarts at every entry, so its iterator serves
-/// each key from the block and allocates nothing; the data block's iterator
-/// allocates its one key buffer unless the seek ends on the block's first
-/// entry. A get that finds its key in the first table it searches — all but
-/// the Bloom false positives, a few percent — therefore allocates two or
-/// three times.
-const PER_TABLE: u64 = 1;
+/// key out). A table resolves through the pinned version's open tables
+/// without a lock or a reference count; the index block restarts at every
+/// entry, so its iterator serves each key from the block; and the data
+/// block's iterator rebuilds keys in one buffer per thread, which stops
+/// growing once it holds the longest key. So a get allocates once, however
+/// many tables it searches.
+const PER_TABLE: u64 = 0;
 
 /// Mean allocations of a 1 KiB put into a fresh inline store: the batch
 /// and the memtable entry, plus the amortised arena growth.
