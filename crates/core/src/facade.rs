@@ -179,13 +179,7 @@ impl LdcDbBuilder {
             }
         };
         let policy: Box<dyn CompactionPolicy> = match &self.mode {
-            CompactionMode::Ldc(config) => {
-                let mut policy = LdcPolicy::with_config(config.clone());
-                if let Some(sink) = &self.sink {
-                    policy.set_event_trace(Arc::clone(sink), storage.device().clock().clone());
-                }
-                Box::new(policy)
-            }
+            CompactionMode::Ldc(config) => Box::new(LdcPolicy::with_config(config.clone())),
             CompactionMode::Udc => Box::new(UdcPolicy::new()),
             CompactionMode::SizeTiered => Box::new(ldc_lsm::compaction::SizeTieredPolicy::new()),
         };
@@ -263,8 +257,7 @@ impl LdcDb {
     }
 
     /// Routes structured events to `sink` from now on (equivalent to the
-    /// builder's [`LdcDbBuilder::event_sink`], minus policy adaptation
-    /// events, which need the sink at build time).
+    /// builder's [`LdcDbBuilder::event_sink`]).
     pub fn set_event_sink(&mut self, sink: SharedSink) {
         // The workers each hold an engine handle; park them so the `Arc`
         // is briefly unique, swap the sink, then restart the pool.

@@ -29,8 +29,7 @@
 
 use ldc_lsm::compaction::{pick_leveled, CompactionPolicy, CompactionTask, Movement, PickContext};
 use ldc_lsm::version::Version;
-use ldc_obs::{Event, EventKind, SharedSink};
-use ldc_ssd::VirtualClock;
+use ldc_obs::{Event, EventKind};
 
 use crate::adaptive::AdaptiveThreshold;
 
@@ -41,7 +40,7 @@ pub struct LdcConfig {
     /// paper's best setting, §IV-F).
     pub slice_link_threshold: Option<usize>,
     /// Enable workload-driven self-adaptation of `T_s` (§III-B4), over
-    /// windows of 10 000 observed ops.
+    /// windows of at least 10 000 foreground ops, judged at picks.
     pub adaptive: bool,
     /// Space-reclamation budget for the delayed garbage collection of
     /// frozen files (§III-D, §IV-J): when the *useless* frozen bytes
@@ -66,12 +65,10 @@ impl Default for LdcConfig {
 const ADAPTIVE_WINDOW: u64 = 10_000;
 
 /// Lower-level driven compaction.
+#[derive(Default)]
 pub struct LdcPolicy {
     config: LdcConfig,
     adaptive: Option<AdaptiveThreshold>,
-    /// Sink + clock for `ThresholdAdapt` events; unset by default (no
-    /// event is ever built then).
-    trace: Option<(SharedSink, VirtualClock)>,
 }
 
 impl LdcPolicy {
@@ -80,18 +77,7 @@ impl LdcPolicy {
         Self {
             adaptive: None,
             config,
-            trace: None,
         }
-    }
-
-    /// Routes `ThresholdAdapt` events (adaptive `T_s` changes) to `sink`,
-    /// timestamped with `clock`.
-    pub fn set_event_trace(&mut self, sink: SharedSink, clock: VirtualClock) {
-        self.trace = if sink.enabled() {
-            Some((sink, clock))
-        } else {
-            None
-        };
     }
 
     /// Policy with the paper's default threshold (`T_s = fan-out`).
@@ -100,23 +86,26 @@ impl LdcPolicy {
     }
 
     /// The effective SliceLink threshold `T_s`. The adaptive controller is
-    /// built on the first pick, once the fan-out is known.
-    fn threshold(&mut self, fan_out: u64) -> usize {
-        if self.config.adaptive {
-            return self
-                .adaptive
-                .get_or_insert_with(|| AdaptiveThreshold::new(fan_out, ADAPTIVE_WINDOW))
-                .threshold();
+    /// built on the first pick, once the fan-out is known, and judges the
+    /// op mix in `ctx` at every pick: one `ThresholdAdapt` event per step.
+    fn threshold(&mut self, ctx: &PickContext<'_>) -> usize {
+        let fan_out = ctx.options.fan_out;
+        if !self.config.adaptive {
+            let fixed = self.config.slice_link_threshold;
+            return fixed.unwrap_or(fan_out.max(1) as usize);
         }
-        self.config
-            .slice_link_threshold
-            .unwrap_or(fan_out.max(1) as usize)
-    }
-}
-
-impl Default for LdcPolicy {
-    fn default() -> Self {
-        Self::new()
+        let adaptive = self
+            .adaptive
+            .get_or_insert_with(|| AdaptiveThreshold::new(fan_out, ADAPTIVE_WINDOW));
+        for (old, new) in adaptive.update(ctx.writes, ctx.reads) {
+            if ctx.sink.enabled() {
+                // Instantaneous; old/new thresholds ride in the input/output
+                // byte fields (see `Event` docs).
+                let event = Event::span(EventKind::ThresholdAdapt, ctx.now, ctx.now);
+                ctx.sink.record(event.bytes(old as u64, new as u64));
+            }
+        }
+        adaptive.threshold()
     }
 }
 
@@ -126,7 +115,7 @@ impl CompactionPolicy for LdcPolicy {
     }
 
     fn pick(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        let threshold = self.threshold(ctx.options.fan_out);
+        let threshold = self.threshold(ctx);
 
         // Relieve overfull levels first: links are metadata-only and keep
         // Level 0 from ever hitting the write gates (that cheapness is the
@@ -191,22 +180,6 @@ impl CompactionPolicy for LdcPolicy {
         }
         best.map(|(_, level, file)| CompactionTask::LdcMerge { level, file })
     }
-
-    fn observe_op(&mut self, is_write: bool) {
-        if let Some(a) = &mut self.adaptive {
-            if let Some((old, new)) = a.observe(is_write) {
-                if let Some((sink, clock)) = &self.trace {
-                    // Instantaneous event; old/new thresholds ride in the
-                    // input/output byte fields (see `Event` docs).
-                    let now = clock.now();
-                    sink.record(
-                        Event::span(EventKind::ThresholdAdapt, now, now)
-                            .bytes(old as u64, new as u64),
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// The file with the most linked data at or past either trigger (slice
@@ -259,18 +232,6 @@ mod tests {
         }
     }
 
-    fn ctx<'a>(
-        version: &'a Version,
-        options: &'a Options,
-        pointers: &'a [Vec<u8>],
-    ) -> PickContext<'a> {
-        PickContext {
-            version,
-            options,
-            compact_pointers: pointers,
-        }
-    }
-
     /// A healthy tree whose one L1 file carries `n` steady-state slices.
     fn linked(n: u64) -> Version {
         let mut v = Version::new(4);
@@ -288,14 +249,60 @@ mod tests {
         let pointers = vec![Vec::new(); 4];
         let merge = Some(CompactionTask::LdcMerge { level: 1, file: 10 });
         let mut policy = LdcPolicy::new();
-        assert_eq!(policy.pick(&ctx(&linked(9), &options, &pointers)), None);
-        assert_eq!(policy.pick(&ctx(&linked(10), &options, &pointers)), merge);
+        assert_eq!(
+            policy.pick(&PickContext::new(&linked(9), &options, &pointers)),
+            None
+        );
+        assert_eq!(
+            policy.pick(&PickContext::new(&linked(10), &options, &pointers)),
+            merge
+        );
         let mut fixed = LdcPolicy::with_config(LdcConfig {
             slice_link_threshold: Some(5),
             ..LdcConfig::default()
         });
-        assert_eq!(fixed.pick(&ctx(&linked(4), &options, &pointers)), None);
-        assert_eq!(fixed.pick(&ctx(&linked(5), &options, &pointers)), merge);
+        assert_eq!(
+            fixed.pick(&PickContext::new(&linked(4), &options, &pointers)),
+            None
+        );
+        assert_eq!(
+            fixed.pick(&PickContext::new(&linked(5), &options, &pointers)),
+            merge
+        );
+    }
+
+    #[test]
+    fn write_only_totals_raise_the_adaptive_threshold_past_fan_out() {
+        // A file with k slices merges at the default `T_s = k`. Shown three
+        // windows of writes at one pick, the adaptive policy raises `T_s`
+        // three steps, one event each, and the same file no longer merges.
+        let options = Options::default();
+        let pointers = vec![Vec::new(); 4];
+        let v = linked(options.fan_out);
+        let merge = Some(CompactionTask::LdcMerge { level: 1, file: 10 });
+        let mut policy = LdcPolicy::with_config(LdcConfig {
+            adaptive: true,
+            ..LdcConfig::default()
+        });
+        assert_eq!(
+            policy.pick(&PickContext::new(&v, &options, &pointers)),
+            merge
+        );
+        let sink = ldc_obs::RingBufferSink::new(8);
+        let writes = PickContext {
+            writes: 3 * ADAPTIVE_WINDOW,
+            sink: &sink,
+            now: 7,
+            ..PickContext::new(&v, &options, &pointers)
+        };
+        assert_eq!(policy.pick(&writes), None);
+        let steps: Vec<_> = sink
+            .events()
+            .iter()
+            .map(|e| (e.kind, e.start_nanos, e.input_bytes, e.output_bytes))
+            .collect();
+        let adapt = |from, to| (EventKind::ThresholdAdapt, 7, from, to);
+        assert_eq!(steps, [adapt(10, 11), adapt(11, 12), adapt(12, 13)]);
     }
 
     #[test]
@@ -308,7 +315,9 @@ mod tests {
         }
         v.levels[1].push(meta(10, b"a", b"z", 1000));
         let mut policy = LdcPolicy::new();
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(task, CompactionTask::Link { level: 0, file: 1 });
     }
 
@@ -321,7 +330,9 @@ mod tests {
             v.levels[0].push(meta(i, b"a", b"z", 1000));
         }
         let mut policy = LdcPolicy::new();
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(task, CompactionTask::TrivialMove { level: 0, file: 1 });
     }
 
@@ -342,7 +353,9 @@ mod tests {
             v.levels[0].push(meta(i, b"a", b"z", 1000));
         }
         let mut policy = LdcPolicy::new();
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(task, CompactionTask::Link { level: 0, file: 1 });
     }
 
@@ -364,7 +377,9 @@ mod tests {
         v.levels[2].push(meta(20, b"a", b"z", 1000));
         let mut policy = LdcPolicy::new();
         // No slice-free file at L1 -> force LdcMerge of the most linked (11).
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(task, CompactionTask::LdcMerge { level: 1, file: 11 });
     }
 
@@ -381,7 +396,9 @@ mod tests {
         v.levels[1].push(meta(2, b"dd", b"ee", 2000));
         v.levels[2].push(meta(20, b"a", b"z", 1000));
         let mut policy = LdcPolicy::new();
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(task, CompactionTask::Link { level: 1, file: 2 });
     }
 
@@ -391,8 +408,12 @@ mod tests {
         let pointers = vec![Vec::new(); 4];
         let v = Version::new(4);
         let mut policy = LdcPolicy::new();
-        assert!(policy.pick(&ctx(&v, &options, &pointers)).is_none());
-        assert!(policy.pick_idle(&ctx(&v, &options, &pointers)).is_none());
+        assert!(policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .is_none());
+        assert!(policy
+            .pick_idle(&PickContext::new(&v, &options, &pointers))
+            .is_none());
     }
 
     fn frozen(number: u64, size: u64, refcount: u32) -> FrozenMeta {
@@ -434,10 +455,13 @@ mod tests {
         let v = over_budget_only();
         let mut policy = LdcPolicy::new();
         for _ in 0..3 {
-            assert_eq!(policy.pick(&ctx(&v, &options, &pointers)), None);
+            assert_eq!(
+                policy.pick(&PickContext::new(&v, &options, &pointers)),
+                None
+            );
         }
         assert_eq!(
-            policy.pick_idle(&ctx(&v, &options, &pointers)),
+            policy.pick_idle(&PickContext::new(&v, &options, &pointers)),
             Some(CompactionTask::LdcMerge { level: 1, file: 11 }),
             "the file whose slices release the most frozen bytes"
         );
@@ -452,14 +476,17 @@ mod tests {
         // more than a quarter of them.
         v.levels[2].push(meta(20, b"a", b"z", 8000));
         let mut policy = LdcPolicy::new();
-        assert_eq!(policy.pick_idle(&ctx(&v, &options, &pointers)), None);
+        assert_eq!(
+            policy.pick_idle(&PickContext::new(&v, &options, &pointers)),
+            None
+        );
         // A tighter budget brings it back; `1.0` turns the tier off.
         let mut tight = LdcPolicy::with_config(LdcConfig {
             space_gc_ratio: 0.10,
             ..LdcConfig::default()
         });
         assert_eq!(
-            tight.pick_idle(&ctx(&v, &options, &pointers)),
+            tight.pick_idle(&PickContext::new(&v, &options, &pointers)),
             Some(CompactionTask::LdcMerge { level: 1, file: 11 })
         );
         let mut off = LdcPolicy::with_config(LdcConfig {
@@ -467,7 +494,10 @@ mod tests {
             ..LdcConfig::default()
         });
         let v = over_budget_only();
-        assert_eq!(off.pick_idle(&ctx(&v, &options, &pointers)), None);
+        assert_eq!(
+            off.pick_idle(&PickContext::new(&v, &options, &pointers)),
+            None
+        );
     }
 
     #[test]
@@ -486,7 +516,12 @@ mod tests {
             v.levels[0].push(meta(i, b"a", b"z", 1000));
         }
         let mut policy = LdcPolicy::new();
-        assert!(policy.pick(&ctx(&v, &options, &pointers)).is_some());
-        assert_eq!(policy.pick_idle(&ctx(&v, &options, &pointers)), None);
+        assert!(policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .is_some());
+        assert_eq!(
+            policy.pick_idle(&PickContext::new(&v, &options, &pointers)),
+            None
+        );
     }
 }

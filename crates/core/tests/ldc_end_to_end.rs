@@ -276,11 +276,7 @@ fn policy_contract_l0_links_oldest_first() {
     });
     let mut policy = LdcPolicy::new();
     let task = policy
-        .pick(&PickContext {
-            version: &v,
-            options: &options,
-            compact_pointers: &pointers,
-        })
+        .pick(&PickContext::new(&v, &options, &pointers))
         .unwrap();
     assert_eq!(task, CompactionTask::Link { level: 0, file: 3 });
 }

@@ -169,16 +169,9 @@ fn stats_report_reads_like_leveldb() {
     assert!(quiet.contains("Virtual time:"));
 }
 
-#[test]
-fn adaptive_threshold_changes_are_traced() {
-    let sink = Arc::new(RingBufferSink::new(4096));
-    let db = LdcDb::builder()
-        .options(Options::small_for_tests())
-        .adaptive_threshold()
-        .event_sink(sink.clone())
-        .build()
-        .unwrap();
-    // An all-write workload must pull T_s upward, one step per window.
+/// Runs an all-write workload, which must pull `T_s` upward one step per
+/// window, and checks that `sink` saw each step.
+fn assert_adaptation_traced(db: &LdcDb, sink: &RingBufferSink) {
     for i in 0..30_000u64 {
         let (k, v) = kv(i);
         db.put(&k, &v).unwrap();
@@ -198,6 +191,27 @@ fn adaptive_threshold_changes_are_traced() {
         let delta = e.output_bytes.abs_diff(e.input_bytes);
         assert_eq!(delta, 1, "adaptation must move one step: {e:?}");
     }
+}
+
+fn adaptive_builder() -> LdcDbBuilder {
+    LdcDb::builder()
+        .options(Options::small_for_tests())
+        .adaptive_threshold()
+}
+
+#[test]
+fn adaptive_threshold_changes_are_traced() {
+    let sink = Arc::new(RingBufferSink::new(4096));
+    let db = adaptive_builder().event_sink(sink.clone()).build().unwrap();
+    assert_adaptation_traced(&db, &sink);
+}
+
+#[test]
+fn a_sink_attached_after_build_sees_threshold_changes() {
+    let mut db = adaptive_builder().build().unwrap();
+    let sink = Arc::new(RingBufferSink::new(4096));
+    db.set_event_sink(sink.clone());
+    assert_adaptation_traced(&db, &sink);
 }
 
 #[test]

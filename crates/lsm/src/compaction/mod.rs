@@ -44,6 +44,8 @@ pub use udc::UdcPolicy;
 
 use std::cmp::Reverse;
 
+use ldc_obs::{EventSink, NoopSink};
+
 use crate::options::Options;
 use crate::version::{FileMeta, Version};
 
@@ -93,7 +95,7 @@ pub enum CompactionTask {
     },
 }
 
-/// Read-only state handed to [`CompactionPolicy::pick`].
+/// Read-only state handed to a pick: the tree and the foreground's ops.
 pub struct PickContext<'a> {
     /// Current file/frozen/link state.
     pub version: &'a Version,
@@ -101,6 +103,29 @@ pub struct PickContext<'a> {
     pub options: &'a Options,
     /// Per-level round-robin cursors (largest user key compacted so far).
     pub compact_pointers: &'a [Vec<u8>],
+    /// Foreground writes so far (`DbStats::writes`).
+    pub writes: u64,
+    /// Foreground reads so far (`DbStats::gets` + `DbStats::scans`).
+    pub reads: u64,
+    /// The engine's sink, for what a policy decides (`ThresholdAdapt`).
+    pub sink: &'a dyn EventSink,
+    /// Virtual time of the pick.
+    pub now: u64,
+}
+
+impl<'a> PickContext<'a> {
+    /// A context for a hand-built version: no foreground ops yet, no sink.
+    pub fn new(version: &'a Version, options: &'a Options, pointers: &'a [Vec<u8>]) -> Self {
+        PickContext {
+            version,
+            options,
+            compact_pointers: pointers,
+            writes: 0,
+            reads: 0,
+            sink: &NoopSink,
+            now: 0,
+        }
+    }
 }
 
 /// Chooses what to compact next.
@@ -118,9 +143,6 @@ pub trait CompactionPolicy: Send {
     fn pick_idle(&mut self, _ctx: &PickContext<'_>) -> Option<CompactionTask> {
         None
     }
-
-    /// Lets adaptive policies observe the foreground workload mix.
-    fn observe_op(&mut self, _is_write: bool) {}
 }
 
 /// LevelDB-style health scores: level 0 scores by file count relative to
@@ -335,12 +357,10 @@ mod tests {
             });
         }
         let pointers = vec![Vec::new(); 4];
-        let ctx = PickContext {
-            version: &v,
-            options: &options,
-            compact_pointers: &pointers,
-        };
-        pick_leveled(&ctx, Movement::MergeDown)
+        pick_leveled(
+            &PickContext::new(&v, &options, &pointers),
+            Movement::MergeDown,
+        )
     }
 
     #[test]

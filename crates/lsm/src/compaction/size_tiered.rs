@@ -102,11 +102,7 @@ mod tests {
     fn pick(policy: &mut SizeTieredPolicy, v: &Version) -> Option<CompactionTask> {
         let options = Options::default();
         let pointers = vec![Vec::new(); v.num_levels()];
-        policy.pick(&PickContext {
-            version: v,
-            options: &options,
-            compact_pointers: &pointers,
-        })
+        policy.pick(&PickContext::new(v, &options, &pointers))
     }
 
     #[test]

@@ -47,18 +47,6 @@ mod tests {
         }
     }
 
-    fn ctx<'a>(
-        version: &'a Version,
-        options: &'a Options,
-        pointers: &'a [Vec<u8>],
-    ) -> PickContext<'a> {
-        PickContext {
-            version,
-            options,
-            compact_pointers: pointers,
-        }
-    }
-
     #[test]
     fn l0_compaction_takes_all_l0_files() {
         let options = Options::default();
@@ -70,7 +58,9 @@ mod tests {
         v.levels[1].push(meta(10, b"a", b"m", 1000));
         v.levels[1].push(meta(11, b"x", b"z", 1000));
         let mut policy = UdcPolicy::new();
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(
             task,
             CompactionTask::Merge {
@@ -95,7 +85,9 @@ mod tests {
         v.levels[2].push(meta(10, b"da", b"dz", 1000));
         let mut policy = UdcPolicy::new();
         // Cursor "cc" skips file 1 and picks file 2, which overlaps file 10.
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(
             task,
             CompactionTask::Merge {
@@ -107,7 +99,9 @@ mod tests {
         // Cursor past every file wraps to the first, which has no level-2
         // overlap -> trivial move.
         pointers[1] = b"zz".to_vec();
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(task, CompactionTask::TrivialMove { level: 1, file: 1 });
     }
 
@@ -122,7 +116,9 @@ mod tests {
         v.levels[1].push(meta(1, b"aa", b"bb", 2000));
         v.levels[2].push(meta(10, b"x", b"z", 1000));
         let mut policy = UdcPolicy::new();
-        let task = policy.pick(&ctx(&v, &options, &pointers)).unwrap();
+        let task = policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .unwrap();
         assert_eq!(task, CompactionTask::TrivialMove { level: 1, file: 1 });
     }
 
@@ -133,6 +129,8 @@ mod tests {
         let mut v = Version::new(4);
         v.levels[0].push(meta(1, b"a", b"z", 1000));
         let mut policy = UdcPolicy::new();
-        assert!(policy.pick(&ctx(&v, &options, &pointers)).is_none());
+        assert!(policy
+            .pick(&PickContext::new(&v, &options, &pointers))
+            .is_none());
     }
 }

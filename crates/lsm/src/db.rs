@@ -11,15 +11,15 @@
 //! This file holds what every concern shares: the public value types,
 //! `Db` / `DbCore` / `ReadView` and the constructor that names their lock
 //! ids (`crates/lint/lock_order.toml` keys a lock by its file stem, so
-//! `lsm/db::{core,policy,view}` must be built here), accessors,
+//! `lsm/db::{core,view}` must be built here), accessors,
 //! snapshots, view publication, the open-table sets and the corruption
 //! quarantine. The `impl Db` blocks live with their concern:
 //!
 //! | module | owns |
 //! |---|---|
-//! | `open` | manifest recovery, WAL replay, the first flush |
+//! | `open` | manifest recovery, WAL replay, building the `DbCore`, the first flush |
 //! | `write` | group commit, WAL + memtable, rotation, write-gate booking; asks once per commit which driver runs |
-//! | `read` | the pinned-view read envelope, gets, scans, `LevelIter`; LDC read semantics and responsible ranges; the policy lock, which shows the policy the reads it has not seen |
+//! | `read` | the pinned-view read envelope, gets, scans, `LevelIter`; LDC read semantics and responsible ranges |
 //! | `lane` | the inline driver: `BgLane`, the pump, its write gates, drain, deferred deletes |
 //! | `checkpoint` | `flush`, checkpoints, backup streams, replicated edits |
 //! | `report` | `stats_report`, `tail_report`, `level_gauges`, per-op tracing |
@@ -204,6 +204,8 @@ pub(crate) struct DbCore {
     pub(crate) mem: Arc<MemTable>,
     /// Immutable memtable awaiting its background flush.
     pub(crate) imm: Option<Arc<MemTable>>,
+    /// Decides what to compact; asked by both drivers under this lock.
+    pub(crate) policy: Box<dyn CompactionPolicy>,
     /// WAL file to delete once `imm` is flushed.
     imm_wal_to_delete: Option<String>,
     wal: LogWriter,
@@ -228,22 +230,6 @@ pub(crate) struct DbCore {
 }
 
 impl DbCore {
-    fn new(versions: VersionSet, tables: TableSet, mem: Arc<MemTable>, wal: LogWriter) -> DbCore {
-        DbCore {
-            versions,
-            tables: Arc::new(tables),
-            mem,
-            imm: None,
-            imm_wal_to_delete: None,
-            wal,
-            stats: DbStats::default(),
-            snapshots: std::collections::BTreeMap::new(),
-            bg_error: None,
-            quarantined: Vec::new(),
-            pending_deletes: Vec::new(),
-        }
-    }
-
     /// Latches `e` as the background error unless one is already set: the
     /// first failure is the one worth reporting.
     pub(crate) fn latch(&mut self, e: Error) {
@@ -297,11 +283,6 @@ pub struct Db {
     pub(crate) options: Options,
     pub(crate) storage: Arc<dyn StorageBackend>,
     pub(crate) device: Arc<SsdDevice>,
-    /// Taken by commits and picks only, see [`Db::policy`].
-    policy: Mutex<Box<dyn CompactionPolicy>>,
-    /// Reads (`gets` + `scans`) the policy has been shown; written under
-    /// the policy lock.
-    reads_observed: AtomicU64,
     block_cache: Arc<BlockCache>,
     /// Where structured events go; [`NoopSink`] by default, in which case
     /// no event is ever built (`sink.enabled()` gates construction).
@@ -368,7 +349,6 @@ impl Db {
     fn assemble(
         options: Options,
         storage: Arc<dyn StorageBackend>,
-        policy: Box<dyn CompactionPolicy>,
         sink: SharedSink,
         metrics: Arc<MetricsRegistry>,
         (core, block_cache): (DbCore, Arc<BlockCache>),
@@ -382,8 +362,6 @@ impl Db {
             options,
             storage,
             device,
-            policy: Mutex::new("lsm/db::policy", policy),
-            reads_observed: AtomicU64::new(0),
             block_cache,
             sink,
             metrics,
@@ -433,7 +411,7 @@ impl Db {
 
     /// The compaction policy's name.
     pub fn policy_name(&self) -> String {
-        self.policy().name().to_string()
+        self.core.lock().policy.name().to_string()
     }
 
     /// Engine counters.

@@ -210,19 +210,23 @@ impl Db {
     /// work the tree needs first and, when the caller's background is
     /// `idle`, work that only pays on idle time. The inline lane is idle
     /// in virtual time whenever it asks (`pump_background` returns early
-    /// otherwise), so this driver always passes `true`.
-    pub(crate) fn pick_task(&self, core: &DbCore, idle: bool) -> Option<CompactionTask> {
+    /// otherwise), so this driver always passes `true`. The policy also
+    /// sees the foreground op totals, each read from its one home.
+    pub(crate) fn pick_task(&self, core: &mut DbCore, idle: bool) -> Option<CompactionTask> {
         let ctx = PickContext {
             version: &core.versions.current,
             options: &self.options,
             compact_pointers: &core.versions.counters.compact_pointers,
+            writes: core.stats.writes,
+            reads: self.gets.load(Ordering::Relaxed) + self.scans.load(Ordering::Relaxed),
+            sink: &*self.sink,
+            now: self.device.clock().now(),
         };
-        let mut policy = self.policy();
-        let needed = policy.pick(&ctx);
+        let needed = core.policy.pick(&ctx);
         if needed.is_some() || !idle {
             return needed;
         }
-        policy.pick_idle(&ctx)
+        core.policy.pick_idle(&ctx)
     }
 
     /// The inline executor: all three stages on the caller's thread, which

@@ -1,12 +1,13 @@
 //! Opening a store: manifest recovery, WAL replay, the first flush.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ldc_obs::{Event, EventKind, MetricsRegistry, NoopSink, SharedSink};
 use ldc_ssd::StorageBackend;
 
 use super::write::fresh_wal;
-use super::{Db, DbCore, RecoverySummary};
+use super::{Db, DbCore, DbStats, RecoverySummary};
 use crate::cache::{BlockCache, TableSet};
 use crate::compaction::CompactionPolicy;
 use crate::error::Result;
@@ -120,9 +121,22 @@ impl Db {
             Arc::clone(&block_cache),
             &versions.current,
         );
-        let core = DbCore::new(versions, tables, Arc::new(mem), wal);
+        let core = DbCore {
+            versions,
+            tables: Arc::new(tables),
+            mem: Arc::new(mem),
+            imm: None,
+            policy,
+            imm_wal_to_delete: None,
+            wal,
+            stats: DbStats::default(),
+            snapshots: BTreeMap::new(),
+            bg_error: None,
+            quarantined: Vec::new(),
+            pending_deletes: Vec::new(),
+        };
         let parts = (core, block_cache);
-        let db = Db::assemble(options, storage, policy, sink, metrics, parts, recovery);
+        let db = Db::assemble(options, storage, sink, metrics, parts, recovery);
 
         // Persist the replayed data so the old WALs can be dropped, then
         // record the new WAL number.

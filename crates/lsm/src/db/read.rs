@@ -30,13 +30,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use ldc_obs::lockcheck::MutexGuard;
 use ldc_obs::{Blame, OpType, TraceCtx};
 use ldc_ssd::{IoClass, TimeCategory};
 
 use super::{Db, PinnedValue, ReadPin, ReadView, Snapshot};
 use crate::cache::TableSet;
-use crate::compaction::CompactionPolicy;
 use crate::error::{Error, Result};
 use crate::filter::bloom_hash;
 use crate::iterator::{InternalIterator, MergingIterator};
@@ -87,7 +85,7 @@ impl Db {
     }
 
     /// The envelope every foreground read runs in: op counter (which the
-    /// policy is shown later, see [`Db::policy`]), trace, read pin, the
+    /// next pick reads, see [`Db::pick_task`]), trace, read pin, the
     /// read-contention charge, the Table-I `ForegroundRead` ledger entry
     /// and the op's virtual latency. `body` is one attempt against a
     /// pinned view; a failed read is charged and recorded like a
@@ -144,20 +142,6 @@ impl Db {
         self.metrics.record_latency(op, elapsed);
         self.trace_finish(ctx, end);
         result
-    }
-
-    /// Locks the policy. Reads leave the lock alone and only count
-    /// themselves in `gets` and `scans`; whoever takes it next — a commit
-    /// or a pick — first shows the policy the reads it has not seen, so an
-    /// inline run observes the same sequence as if each read had.
-    pub(crate) fn policy(&self) -> MutexGuard<'_, Box<dyn CompactionPolicy>> {
-        let mut policy = self.policy.lock();
-        let reads = self.gets.load(Ordering::Relaxed) + self.scans.load(Ordering::Relaxed);
-        let seen = self.reads_observed.swap(reads, Ordering::Relaxed);
-        for _ in seen..reads {
-            policy.observe_op(false);
-        }
-        policy
     }
 
     /// One attempt of a point read against a pinned view. The seek key (on

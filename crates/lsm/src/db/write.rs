@@ -181,8 +181,8 @@ impl Db {
     /// Commits the batches of one leader-drained group, in ticket order,
     /// under the core lock. The non-empty ones are merged in place into the
     /// first of them, committed atomically, and share one outcome. Empty
-    /// batches succeed without side effects (not even a policy op
-    /// observation), exactly like the ungrouped path.
+    /// batches succeed without side effects, exactly like the ungrouped
+    /// path.
     fn commit_group<'g>(
         &self,
         core: &mut DbCore,
@@ -230,11 +230,6 @@ impl Db {
         mut trace: Option<&mut TraceCtx>,
         pooled: bool,
     ) -> Result<()> {
-        let mut policy = self.policy();
-        for _ in 0..group_size {
-            policy.observe_op(true);
-        }
-        drop(policy);
         if pooled {
             // The gates already ran in `threaded_write_gates`; just make
             // sure the pool knows there is work.

@@ -484,7 +484,7 @@ impl Db {
             }
         }
         let gen = self.scheduler.state.lock().completed;
-        let Some(task) = self.pick_task(&core, idle) else {
+        let Some(task) = self.pick_task(&mut core, idle) else {
             let mut st = self.scheduler.state.lock();
             // Only latch idle if no job installed since the pick —
             // an install changes the version the policy judged.

@@ -286,11 +286,7 @@ fn zero_budget_ldc() -> LdcPolicy {
 fn picks_now(db: &Db) -> (Option<CompactionTask>, Option<CompactionTask>) {
     let version = db.version();
     let pointers = vec![Vec::new(); version.num_levels()];
-    let ctx = PickContext {
-        version: &version,
-        options: db.options(),
-        compact_pointers: &pointers,
-    };
+    let ctx = PickContext::new(&version, db.options(), &pointers);
     let mut policy = zero_budget_ldc();
     (policy.pick(&ctx), policy.pick_idle(&ctx))
 }

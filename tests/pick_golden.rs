@@ -205,11 +205,7 @@ fn row(name: &str, v: &Version, cursors: &[Vec<u8>]) -> String {
     v.check_invariants()
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let options = options();
-    let ctx = PickContext {
-        version: v,
-        options: &options,
-        compact_pointers: cursors,
-    };
+    let ctx = PickContext::new(v, &options, cursors);
     let udc = if v.total_slice_links() == 0 {
         show(UdcPolicy::new().pick(&ctx))
     } else {
