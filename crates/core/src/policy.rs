@@ -13,19 +13,16 @@
 //! data has accumulated, each round of compaction rewrites O(1) lower-level
 //! bytes per upper-level byte instead of O(k) — Theorems 3.1/2.1.
 //!
-//! Picking order ([`CompactionPolicy::pick`] — work the tree needs):
+//! Picking order ([`CompactionPolicy::pick`]):
 //! 1. the most overfull level links one file down: the leveled step UDC
 //!    shares, [`pick_leveled`] with [`Movement::Link`], which also owns the
 //!    trivial move, the liveness force-merge and Level 0's oldest-first
 //!    rule;
 //! 2. otherwise, any file at or past the threshold `T_s` → `LdcMerge`
-//!    (most-linked first).
-//!
-//! And, only on background time nothing else wants
-//! ([`CompactionPolicy::pick_idle`]):
-//! 3. space reclamation — once the frozen region exceeds its budget, merge
-//!    the lower file that releases the most frozen bytes. The driver says
-//!    when the background is idle; the policy only says what it would do.
+//!    (most-linked first);
+//! 3. otherwise, space reclamation (§III-D) — once the frozen region
+//!    exceeds its budget, merge the lower file that releases the most
+//!    frozen bytes.
 
 use ldc_lsm::compaction::{pick_leveled, CompactionPolicy, CompactionTask, Movement, PickContext};
 use ldc_lsm::version::Version;
@@ -45,9 +42,9 @@ pub struct LdcConfig {
     /// Space-reclamation budget for the delayed garbage collection of
     /// frozen files (§III-D, §IV-J): when the *useless* frozen bytes
     /// (already-merged slices still pinned by their files' remaining live
-    /// slices) exceed this fraction of the store, the policy spends idle
-    /// background time merging the lower files that release the most
-    /// frozen data. `1.0` disables reclamation.
+    /// slices) exceed this fraction of the store, the policy merges the
+    /// lower files that release the most frozen data whenever the tree
+    /// needs nothing else. `1.0` disables reclamation.
     pub space_gc_ratio: f64,
 }
 
@@ -133,53 +130,53 @@ impl CompactionPolicy for LdcPolicy {
         let byte_threshold = (threshold as u64).saturating_mul(ctx.options.sstable_bytes as u64)
             / ctx.options.fan_out.max(1);
         most_linked_file(ctx.version, threshold, byte_threshold)
+            // With nothing else to do, reclaim the frozen region (§III-D).
+            .or_else(|| most_reclaiming_file(ctx.version, self.config.space_gc_ratio))
             .map(|(level, file)| CompactionTask::LdcMerge { level, file })
     }
+}
 
-    /// Space reclamation (§III-D), the delayed GC of the frozen region:
-    /// frozen files whose slices are mostly merged already still pin their
-    /// full size. Once the frozen region exceeds `space_gc_ratio` of the
-    /// live level bytes, idle background time goes to merging the lower
-    /// file whose slices *expect* to release the most frozen bytes. A
-    /// frozen source referenced by `r` files contributes `size / r` per
-    /// merged reference, so repeated reclamation merges drain even widely
-    /// shared sources.
-    fn pick_idle(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        if self.config.space_gc_ratio >= 1.0 {
-            return None;
-        }
-        let version = ctx.version;
-        let frozen_bytes = version.frozen_bytes();
-        if frozen_bytes == 0 {
-            return None;
-        }
-        let level_bytes: u64 = (0..version.num_levels())
-            .map(|l| version.level_bytes(l))
-            .sum();
-        if frozen_bytes <= (self.config.space_gc_ratio * level_bytes as f64) as u64 {
-            return None;
-        }
-        let mut best: Option<(u64, usize, u64)> = None; // (score, level, file)
-        for (level, files) in version.levels.iter().enumerate() {
-            for f in files {
-                if f.slices.is_empty() {
-                    continue;
-                }
-                let score: u64 = f
-                    .slices
-                    .iter()
-                    .filter_map(|s| {
-                        let frozen = version.frozen.get(&s.source_file)?;
-                        Some(frozen.size / u64::from(frozen.refcount.max(1)))
-                    })
-                    .sum();
-                if score > 0 && best.is_none_or(|(b, _, _)| score > b) {
-                    best = Some((score, level, f.number));
-                }
+/// Space reclamation, the delayed GC of the frozen region: frozen files
+/// whose slices are mostly merged already still pin their full size. Once
+/// the frozen region exceeds `space_gc_ratio` of the live level bytes,
+/// this is the file whose slices *expect* to release the most frozen
+/// bytes. A frozen source referenced by `r` files contributes `size / r`
+/// per merged reference, so repeated reclamation merges drain even widely
+/// shared sources.
+fn most_reclaiming_file(version: &Version, space_gc_ratio: f64) -> Option<(usize, u64)> {
+    if space_gc_ratio >= 1.0 {
+        return None;
+    }
+    let frozen_bytes = version.frozen_bytes();
+    if frozen_bytes == 0 {
+        return None;
+    }
+    let level_bytes: u64 = (0..version.num_levels())
+        .map(|l| version.level_bytes(l))
+        .sum();
+    if frozen_bytes <= (space_gc_ratio * level_bytes as f64) as u64 {
+        return None;
+    }
+    let mut best: Option<(u64, usize, u64)> = None; // (score, level, file)
+    for (level, files) in version.levels.iter().enumerate() {
+        for f in files {
+            if f.slices.is_empty() {
+                continue;
+            }
+            let score: u64 = f
+                .slices
+                .iter()
+                .filter_map(|s| {
+                    let frozen = version.frozen.get(&s.source_file)?;
+                    Some(frozen.size / u64::from(frozen.refcount.max(1)))
+                })
+                .sum();
+            if score > 0 && best.is_none_or(|(b, _, _)| score > b) {
+                best = Some((score, level, f.number));
             }
         }
-        best.map(|(_, level, file)| CompactionTask::LdcMerge { level, file })
     }
+    best.map(|(_, level, file)| (level, file))
 }
 
 /// The file with the most linked data at or past either trigger (slice
@@ -411,9 +408,6 @@ mod tests {
         assert!(policy
             .pick(&PickContext::new(&v, &options, &pointers))
             .is_none());
-        assert!(policy
-            .pick_idle(&PickContext::new(&v, &options, &pointers))
-            .is_none());
     }
 
     fn frozen(number: u64, size: u64, refcount: u32) -> FrozenMeta {
@@ -446,22 +440,15 @@ mod tests {
     }
 
     #[test]
-    fn reclamation_is_idle_work_only() {
-        // Only the reclamation budget is exceeded: the tree needs nothing,
-        // so `pick` stays quiet however often it is asked, and the merge
-        // `pick` used to fall through to is what `pick_idle` offers.
+    fn reclamation_is_the_last_step_of_pick() {
+        // Only the reclamation budget is exceeded: nothing is overfull and
+        // no file is near `T_s`, so `pick` falls through to reclamation.
         let options = Options::default();
         let pointers = vec![Vec::new(); 4];
         let v = over_budget_only();
         let mut policy = LdcPolicy::new();
-        for _ in 0..3 {
-            assert_eq!(
-                policy.pick(&PickContext::new(&v, &options, &pointers)),
-                None
-            );
-        }
         assert_eq!(
-            policy.pick_idle(&PickContext::new(&v, &options, &pointers)),
+            policy.pick(&PickContext::new(&v, &options, &pointers)),
             Some(CompactionTask::LdcMerge { level: 1, file: 11 }),
             "the file whose slices release the most frozen bytes"
         );
@@ -477,16 +464,16 @@ mod tests {
         v.levels[2].push(meta(20, b"a", b"z", 8000));
         let mut policy = LdcPolicy::new();
         assert_eq!(
-            policy.pick_idle(&PickContext::new(&v, &options, &pointers)),
+            policy.pick(&PickContext::new(&v, &options, &pointers)),
             None
         );
-        // A tighter budget brings it back; `1.0` turns the tier off.
+        // A tighter budget brings it back; `1.0` turns reclamation off.
         let mut tight = LdcPolicy::with_config(LdcConfig {
             space_gc_ratio: 0.10,
             ..LdcConfig::default()
         });
         assert_eq!(
-            tight.pick_idle(&PickContext::new(&v, &options, &pointers)),
+            tight.pick(&PickContext::new(&v, &options, &pointers)),
             Some(CompactionTask::LdcMerge { level: 1, file: 11 })
         );
         let mut off = LdcPolicy::with_config(LdcConfig {
@@ -494,34 +481,23 @@ mod tests {
             ..LdcConfig::default()
         });
         let v = over_budget_only();
-        assert_eq!(
-            off.pick_idle(&PickContext::new(&v, &options, &pointers)),
-            None
-        );
+        assert_eq!(off.pick(&PickContext::new(&v, &options, &pointers)), None);
     }
 
     #[test]
-    fn needed_work_is_never_offered_as_idle_work() {
-        // An overfull level and a file at the threshold are `pick`'s; with
-        // nothing frozen to reclaim `pick_idle` has nothing.
+    fn overfull_level_relief_precedes_reclamation() {
+        // Over the reclamation budget *and* with an overfull L0: the link
+        // that keeps writers off the L0 gates comes first.
         let options = Options::default();
         let pointers = vec![Vec::new(); 4];
-        let mut v = Version::new(4);
-        let mut f = meta(10, b"a", b"m", 1000);
-        for i in 0..10 {
-            f.slices.push(link(100 + i, i));
-        }
-        v.levels[1].push(f);
+        let mut v = over_budget_only();
         for i in 1..=4 {
             v.levels[0].push(meta(i, b"a", b"z", 1000));
         }
         let mut policy = LdcPolicy::new();
-        assert!(policy
-            .pick(&PickContext::new(&v, &options, &pointers))
-            .is_some());
         assert_eq!(
-            policy.pick_idle(&PickContext::new(&v, &options, &pointers)),
-            None
+            policy.pick(&PickContext::new(&v, &options, &pointers)),
+            Some(CompactionTask::Link { level: 0, file: 1 })
         );
     }
 }

@@ -7,17 +7,11 @@
 //! stages (`exec`: plan → run → install — all the I/O, one version edit)
 //! and asks again until the tree is healthy.
 //!
-//! A policy answers two questions. [`CompactionPolicy::pick`] is work the
-//! tree *needs* — an overfull level, a merge whose trigger fired — and a
-//! driver runs it whenever it has a lane or a worker free.
-//! [`CompactionPolicy::pick_idle`] is work that only pays when the
-//! background has nothing better to do (LDC's frozen-region reclamation).
-//! What "idle" means is the driver's to say, because only the driver knows
-//! whose time it is spending: the inline driver's lane is idle in virtual
-//! time whenever it asks, so it simply falls through from one to the other;
-//! the worker pool asks only when the foreground has gone quiet or a drain
-//! is waiting (`crate::scheduler`), so that how much the tree is rewritten
-//! does not depend on how fast the host's threads happen to be.
+//! A policy answers one question, [`CompactionPolicy::pick`]: the next
+//! task for the current tree, in the policy's own order — relief of an
+//! overfull level first, then whatever merges its triggers fired, and for
+//! LDC last of all the reclamation of its frozen region. Both drivers ask
+//! whenever they have a lane or a worker free.
 //!
 //! The task vocabulary covers both compaction styles in the paper:
 //!
@@ -135,14 +129,6 @@ pub trait CompactionPolicy: Send {
 
     /// Proposes the next task, or `None` when the tree is healthy.
     fn pick(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask>;
-
-    /// Proposes a task worth running only on background time nothing else
-    /// wants, or `None`. Drivers ask after [`CompactionPolicy::pick`] came
-    /// back empty, and each decides for itself when the background counts
-    /// as idle (see the module docs).
-    fn pick_idle(&mut self, _ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        None
-    }
 }
 
 /// LevelDB-style health scores: level 0 scores by file count relative to

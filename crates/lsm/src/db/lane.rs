@@ -134,7 +134,7 @@ impl Db {
         if core.imm.is_some() {
             self.flush_imm(core, None)?;
         } else {
-            let Some(task) = self.pick_task(core, true) else {
+            let Some(task) = self.pick_task(core) else {
                 return Ok(()); // nothing to do
             };
             let clock = self.task_clock();
@@ -206,13 +206,10 @@ impl Db {
         self.pump_background(core) // start the flush if the lane is idle
     }
 
-    /// Asks the policy for the next task against the current version:
-    /// work the tree needs first and, when the caller's background is
-    /// `idle`, work that only pays on idle time. The inline lane is idle
-    /// in virtual time whenever it asks (`pump_background` returns early
-    /// otherwise), so this driver always passes `true`. The policy also
-    /// sees the foreground op totals, each read from its one home.
-    pub(crate) fn pick_task(&self, core: &mut DbCore, idle: bool) -> Option<CompactionTask> {
+    /// Asks the policy for the next task against the current version. The
+    /// policy also sees the foreground op totals, each read from its one
+    /// home.
+    pub(crate) fn pick_task(&self, core: &mut DbCore) -> Option<CompactionTask> {
         let ctx = PickContext {
             version: &core.versions.current,
             options: &self.options,
@@ -222,11 +219,7 @@ impl Db {
             sink: &*self.sink,
             now: self.device.clock().now(),
         };
-        let needed = core.policy.pick(&ctx);
-        if needed.is_some() || !idle {
-            return needed;
-        }
-        core.policy.pick_idle(&ctx)
+        core.policy.pick(&ctx)
     }
 
     /// The inline executor: all three stages on the caller's thread, which

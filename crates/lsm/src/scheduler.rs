@@ -17,25 +17,9 @@
 //! uses six verbs: `active` (which driver?), `signal`,
 //! `threaded_write_gates`, `wait_flush_job`, `drain_background_threaded`,
 //! and `start_workers` / `shutdown_workers`. The stages themselves are
-//! shared with the inline driver.
-//!
-//! # Needed work and idle work
-//!
-//! A policy proposes two kinds of task (`crate::compaction`): what the
-//! tree needs (`pick`) and what only pays on time nobody else wants
-//! (`pick_idle` — LDC's frozen-region reclamation). A worker that is awake
-//! is not evidence of such time: every commit signals the pool, and a free
-//! *host* thread says nothing about the device or the foreground. So a job
-//! taken on a hint is offered `pick` alone, and the idle tier is offered
-//! in exactly two situations: a worker's park on `work_cv` ran a whole
-//! `GATE_RECHECK` without one commit signalled, with no writer parked at
-//! a stall gate and no hint pending (the foreground is quiet), or
-//! `drain_background_threaded` is waiting, which makes the background idle
-//! by definition and must not return while either tier has work, so that
-//! "drained" names the same tree as the inline driver's drain. Once both
-//! tiers came back empty for the current version the workers park without
-//! a timeout until the next signal or install. The write gates wait for
-//! needed work only.
+//! shared with the inline driver. A worker parks on `work_cv` until a work
+//! hint — a commit, a stall gate, a drain, an install, or the start of the
+//! pool — and then takes one job of whatever the policy picks.
 //!
 //! # Conflict tracking
 //!
@@ -92,36 +76,12 @@ struct RangeClaim {
     hi: Vec<u8>,
 }
 
-/// How much of the policy is known to have no task against the version
-/// current at `SchedState::completed`. Ordered: an empty idle tier was
-/// only ever asked after `pick` came back empty.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum PolicyEmpty {
-    /// Not asked since the last install (or it had a task).
-    #[default]
-    Unknown,
-    /// `pick` returned nothing: the tree needs no work.
-    Needed,
-    /// `pick_idle` returned nothing either.
-    BothTiers,
-}
-
 /// Everything the pool synchronizes on, guarded by `lsm/scheduler::state`.
 #[derive(Default)]
 struct SchedState {
     /// Set by foreground signals and job installs; consumed (one plan
     /// attempt) per worker wakeup.
     work_hint: bool,
-    /// Commits signalled so far ([`CompactionScheduler::signal`]; installs
-    /// do not count). A worker whose park timed out without this moving
-    /// knows no write arrived for a whole `GATE_RECHECK`.
-    signals: u64,
-    /// `drain_background_threaded` callers currently waiting. While any
-    /// is, the background is idle by definition: there is no foreground.
-    draining: usize,
-    /// Writers currently parked at a stall gate: a foreground that sends
-    /// no commits because it is blocked on the pool is not a quiet one.
-    stalled: usize,
     /// A worker owns the pending immutable-memtable flush.
     flush_inflight: bool,
     /// Compaction jobs currently claimed (planned but not yet installed).
@@ -131,12 +91,10 @@ struct SchedState {
     inflight_inputs: HashSet<u64>,
     /// Per-level output/input range claims of running jobs.
     claims: Vec<RangeClaim>,
-    /// What the policy last said against the version current at
-    /// `completed`; reset by every install. Stall gates break on `Needed`
-    /// ("no progress possible", the inline pump's break condition); a
-    /// drain is done only at `BothTiers`, and workers stop polling for a
-    /// quiet foreground once it is reached.
-    policy_empty: PolicyEmpty,
+    /// The policy had no task against the version current at `completed`;
+    /// reset by every claim and install. Stall gates and the drain break
+    /// on it ("no progress possible", the inline pump's break condition).
+    policy_empty: bool,
     /// Monotone count of installed (or aborted) jobs.
     completed: u64,
     /// Next job id.
@@ -216,9 +174,9 @@ pub struct CompactionScheduler {
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// The stall gates' wait on `done_cv`. The timeout is a lost-wakeup /
-/// progress backstop; installs notify while holding the core, so the
-/// normal path wakes immediately.
+/// The foreground's waits on `done_cv` (stall gates, flush wait, drain).
+/// The timeout is a lost-wakeup / progress backstop; installs notify
+/// while holding the core, so the normal path wakes immediately.
 const GATE_RECHECK: Duration = Duration::from_millis(2);
 
 impl CompactionScheduler {
@@ -244,24 +202,17 @@ impl CompactionScheduler {
     pub(crate) fn signal(&self) {
         let mut st = self.state.lock();
         st.work_hint = true;
-        st.signals += 1;
         self.work_cv.notify_one();
     }
 
     /// Marks work pending, wakes every worker, and reports whether the
     /// pool is out of work: nothing running and the policy had no task
-    /// for the current version — so waiting on it cannot help. A stalled writer waits only for work the tree needs;
-    /// `through_idle_tier` (the drain) also waits out the idle tier.
-    fn wake_all(&self, through_idle_tier: bool) -> bool {
+    /// for the current version — so waiting on it cannot help.
+    fn wake_all(&self) -> bool {
         let mut st = self.state.lock();
         st.work_hint = true;
         self.work_cv.notify_all();
-        let wanted = if through_idle_tier {
-            PolicyEmpty::BothTiers
-        } else {
-            PolicyEmpty::Needed
-        };
-        st.policy_empty >= wanted && !st.busy()
+        st.policy_empty && !st.busy()
     }
 
     /// Asks every worker to exit, wakes them, and joins. Idempotent; safe
@@ -290,7 +241,9 @@ impl Db {
     /// linearizable but not timing-reproducible. Call
     /// [`Db::shutdown_workers`] before dropping the last handle you plan
     /// to reopen from quickly — otherwise parked threads keep the `Arc`
-    /// (and the store) alive until process exit.
+    /// (and the store) alive until process exit. The pool starts with one
+    /// work hint armed, so a tree opened with work pending gets it done
+    /// without waiting for a write.
     pub fn start_workers(self: &Arc<Self>) {
         if self.scheduler.workers == 0 || self.scheduler.active() {
             return;
@@ -311,7 +264,9 @@ impl Db {
                 .expect("spawn background worker");
             threads.push(handle);
         }
+        drop(threads);
         self.scheduler.started.store(true, Ordering::SeqCst);
+        self.scheduler.signal();
     }
 
     /// Stops and joins the worker pool. Idempotent. Pending background
@@ -350,17 +305,13 @@ impl Db {
             if !over_stop && !rot_blocked {
                 break;
             }
-            if self.scheduler.wake_all(false) && core.imm.is_none() {
+            if self.scheduler.wake_all() && core.imm.is_none() {
                 break;
             }
-            if stall_t0.is_none() {
-                stall_t0 = Some(clock.now());
-                self.scheduler.state.lock().stalled += 1;
-            }
+            stall_t0.get_or_insert_with(|| clock.now());
             (core, _) = core.wait_timeout(&self.scheduler.done_cv, GATE_RECHECK);
         }
         if let Some(t0) = stall_t0 {
-            self.scheduler.state.lock().stalled -= 1;
             self.record_gate(&mut core, trace, Gate::WorkerQueue, t0, clock.now());
         } else if !core.failed() && core.l0_files() >= self.options.l0_slowdown_threshold {
             // Soft brake: a real host-time pause (bounded by the slowdown
@@ -390,59 +341,36 @@ impl Db {
     }
 
     /// The pool's drain: signal it and wait until nothing is claimed, the
-    /// `imm` slot is clear, and the policy reported no further work in
-    /// *either* tier — or the engine latched an error.
-    /// While it waits the workers treat the background as idle, so
-    /// "drained" names the same tree here as in the inline driver, whose
-    /// drain pumps `pick` and `pick_idle` dry.
+    /// `imm` slot is clear, and the policy reported no further work — or
+    /// the engine latched an error. "Drained" names the same tree here as
+    /// in the inline driver, whose drain pumps `pick` dry.
     pub(crate) fn drain_background_threaded(&self) -> Nanos {
         let t0 = self.device.clock().now();
         let mut core = self.core.lock();
-        self.scheduler.state.lock().draining += 1;
-        while !(core.failed() || (self.scheduler.wake_all(true) && core.imm.is_none())) {
+        while !(core.failed() || (self.scheduler.wake_all() && core.imm.is_none())) {
             (core, _) = core.wait_timeout(&self.scheduler.done_cv, GATE_RECHECK);
         }
-        self.scheduler.state.lock().draining -= 1;
         self.publish_view(&core);
         self.reap_pending_deletes(&mut core);
         self.device.clock().now().saturating_sub(t0)
     }
 
-    /// A worker thread's main loop: park on `work_cv`, then take one
-    /// whole job through the stages.
-    ///
-    /// A job taken on a hint is work somebody asked for, and is offered
-    /// the policy's idle tier only while a drain is waiting. A worker
-    /// nobody asked for anything parks for a `GATE_RECHECK` at a time
-    /// (indefinitely once the idle tier is known to be empty), and when a
-    /// whole interval passes with no commit and no stalled writer it takes
-    /// a job with the idle tier on offer: the foreground is quiet, so the
-    /// time is nobody else's.
+    /// A worker thread's main loop: park on `work_cv` until a work hint,
+    /// then take one whole job through the stages.
     fn worker_main(&self) {
         loop {
-            let idle = {
-                let mut st = self.scheduler.state.lock();
-                let mut quiet = false;
-                loop {
-                    if self.scheduler.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if st.work_hint {
-                        st.work_hint = false;
-                        break st.draining > 0;
-                    }
-                    if st.policy_empty == PolicyEmpty::BothTiers {
-                        st = st.wait(&self.scheduler.work_cv);
-                    } else if quiet {
-                        break true;
-                    } else {
-                        let seen = st.signals;
-                        (st, quiet) = st.wait_timeout(&self.scheduler.work_cv, GATE_RECHECK);
-                        quiet = quiet && st.signals == seen && st.stalled == 0;
-                    }
+            let mut st = self.scheduler.state.lock();
+            loop {
+                if self.scheduler.shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
-            };
-            self.run_one_job(idle);
+                if std::mem::take(&mut st.work_hint) {
+                    break;
+                }
+                st = st.wait(&self.scheduler.work_cv);
+            }
+            drop(st);
+            self.run_one_job();
             // One scheduling point per job keeps a busy pool from
             // monopolizing a small machine between back-to-back picks.
             std::thread::yield_now();
@@ -453,9 +381,8 @@ impl Db {
     /// run without it, re-lock and install. Flush has priority (mirroring
     /// the inline pump); metadata-only tasks (trivial move, link) have
     /// nothing to run and install under the same lock hold that planned
-    /// them. `idle` offers the policy's idle tier when it has nothing the
-    /// tree needs.
-    fn run_one_job(&self, idle: bool) {
+    /// them.
+    fn run_one_job(&self) {
         let mut core = self.core.lock();
         if core.failed() {
             return;
@@ -465,7 +392,7 @@ impl Db {
             let claimed = !st.flush_inflight;
             if claimed {
                 st.flush_inflight = true;
-                st.policy_empty = PolicyEmpty::Unknown;
+                st.policy_empty = false;
             }
             drop(st);
             if claimed {
@@ -484,16 +411,12 @@ impl Db {
             }
         }
         let gen = self.scheduler.state.lock().completed;
-        let Some(task) = self.pick_task(&mut core, idle) else {
+        let Some(task) = self.pick_task(&mut core) else {
             let mut st = self.scheduler.state.lock();
-            // Only latch idle if no job installed since the pick —
+            // Only latch empty if no job installed since the pick —
             // an install changes the version the policy judged.
             if st.completed == gen {
-                st.policy_empty = st.policy_empty.max(if idle {
-                    PolicyEmpty::BothTiers
-                } else {
-                    PolicyEmpty::Needed
-                });
+                st.policy_empty = true;
             }
             drop(st);
             // Stalled writers re-check `policy_empty` under the core lock
@@ -527,7 +450,7 @@ impl Db {
             self.finish_job(&mut core, result, clock, None, false);
             return;
         }
-        st.policy_empty = PolicyEmpty::Unknown;
+        st.policy_empty = false;
         let job = st.claim(&planned.inputs, planned.claims.clone());
         drop(st);
         drop(core);
@@ -585,7 +508,7 @@ impl Db {
             st.release(job, inputs);
         }
         st.completed += 1;
-        st.policy_empty = PolicyEmpty::Unknown;
+        st.policy_empty = false;
         st.work_hint = true;
         self.scheduler.work_cv.notify_all();
         drop(st);
@@ -626,19 +549,13 @@ mod tests {
     }
 
     #[test]
-    fn a_gate_waits_for_needed_work_and_a_drain_for_both_tiers() {
+    fn gates_and_drains_wait_until_the_policy_is_empty_and_nothing_runs() {
         let s = CompactionScheduler::new(2);
-        assert!(!s.wake_all(false), "nothing known about the policy yet");
-        s.state.lock().policy_empty = PolicyEmpty::Needed;
-        assert!(
-            s.wake_all(false),
-            "a stalled writer has nothing to wait for"
-        );
-        assert!(!s.wake_all(true), "a drain still has the idle tier to run");
-        s.state.lock().policy_empty = PolicyEmpty::BothTiers;
-        assert!(s.wake_all(true));
+        assert!(!s.wake_all(), "nothing known about the policy yet");
+        s.state.lock().policy_empty = true;
+        assert!(s.wake_all(), "nothing left to wait for");
         s.state.lock().claim(&[1], vec![]);
-        assert!(!s.wake_all(true), "a claimed job is work in either case");
+        assert!(!s.wake_all(), "a claimed job is work");
         assert!(s.state.lock().work_hint);
     }
 

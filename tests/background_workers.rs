@@ -214,15 +214,10 @@ fn pool_restarts_after_set_event_sink() {
     assert!(sink.events().iter().any(|e| e.kind == EventKind::Flush));
 }
 
-/// A policy that counts what the driver asks of its idle tier. With an
-/// inner [`LdcPolicy`] it is LDC, observed; without one it never has work
-/// in either tier.
+/// LDC, observed: counts the `LdcMerge`s its `pick` returns.
 struct CountingPolicy {
-    inner: Option<LdcPolicy>,
-    /// `pick_idle` calls.
-    idle_asked: Arc<AtomicU64>,
-    /// `pick_idle` calls that came back with a task.
-    idle_offered: Arc<AtomicU64>,
+    inner: LdcPolicy,
+    ldc_merges: Arc<AtomicU64>,
 }
 
 impl CompactionPolicy for CountingPolicy {
@@ -231,84 +226,52 @@ impl CompactionPolicy for CountingPolicy {
     }
 
     fn pick(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        self.inner.as_mut()?.pick(ctx)
-    }
-
-    fn pick_idle(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
-        self.idle_asked.fetch_add(1, Ordering::Relaxed);
-        let task = self.inner.as_mut()?.pick_idle(ctx)?;
-        self.idle_offered.fetch_add(1, Ordering::Relaxed);
+        let task = self.inner.pick(ctx)?;
+        if let CompactionTask::LdcMerge { .. } = task {
+            self.ldc_merges.fetch_add(1, Ordering::Relaxed);
+        }
         Some(task)
     }
-}
-
-/// Opens `storage` on a two-worker pool under a [`CountingPolicy`] and
-/// returns it with the policy's two counters (`idle_asked`,
-/// `idle_offered`). The caller owns the pool: `shutdown_workers` before
-/// dropping.
-fn counting_pool(
-    storage: Arc<dyn StorageBackend>,
-    options: Options,
-    inner: Option<LdcPolicy>,
-) -> (Arc<Db>, Arc<AtomicU64>, Arc<AtomicU64>) {
-    let (asked, offered) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-    let policy = CountingPolicy {
-        inner,
-        idle_asked: Arc::clone(&asked),
-        idle_offered: Arc::clone(&offered),
-    };
-    let options = Options {
-        background_workers: 2,
-        ..options
-    };
-    let db = Arc::new(Db::open(storage, options, Box::new(policy)).expect("open"));
-    db.start_workers();
-    assert!(db.workers_active());
-    (db, asked, offered)
 }
 
 fn mem_storage() -> Arc<dyn StorageBackend> {
     MemStorage::new(SsdDevice::new(SsdConfig::default()))
 }
 
-/// LDC with a frozen-region budget of zero: any frozen byte a slice still
-/// references is over budget, so the idle tier has work until the frozen
-/// region is empty.
-fn zero_budget_ldc() -> LdcPolicy {
+/// LDC with a frozen-region budget of `space_gc_ratio`: at `0.0` any
+/// frozen byte a slice still references is over budget, so `pick` has
+/// work until the frozen region is empty; at `1.0` reclamation is off.
+fn ldc(space_gc_ratio: f64) -> LdcPolicy {
     LdcPolicy::with_config(LdcConfig {
-        space_gc_ratio: 0.0,
+        space_gc_ratio,
         ..LdcConfig::default()
     })
 }
 
-/// What a fresh [`zero_budget_ldc`] makes of the store's current version:
-/// the task the tree needs, and the task idle time would go to.
-fn picks_now(db: &Db) -> (Option<CompactionTask>, Option<CompactionTask>) {
+/// What a fresh [`ldc`]`(space_gc_ratio)` picks against the store's
+/// current version.
+fn picks_now(db: &Db, space_gc_ratio: f64) -> Option<CompactionTask> {
     let version = db.version();
     let pointers = vec![Vec::new(); version.num_levels()];
-    let ctx = PickContext::new(&version, db.options(), &pointers);
-    let mut policy = zero_budget_ldc();
-    (policy.pick(&ctx), policy.pick_idle(&ctx))
+    ldc(space_gc_ratio).pick(&PickContext::new(&version, db.options(), &pointers))
 }
 
-/// A store whose frozen region is over budget with `pick` dry, reopened on
-/// the pool under [`zero_budget_ldc`]; returns it with the count of idle
-/// tasks the policy has offered.
+/// A store whose frozen region is over budget with nothing else to do,
+/// reopened on a two-worker pool under a [`CountingPolicy`] around
+/// [`ldc`]`(0.0)`; returns it with the count of `LdcMerge`s the policy has
+/// picked — on this tree every one of them is a reclamation. The caller
+/// owns the pool: `shutdown_workers` before dropping.
 ///
 /// The tree is built inline — deterministically — by an LDC policy with
 /// reclamation switched off, and drained: three levels, two dozen lower
 /// files, a dozen frozen files still pinned by links below `T_s`. Nothing
-/// but the idle tier will free them (a dozen reclamation merges).
+/// but reclamation will free them (a dozen reclamation merges).
 fn over_budget_pool() -> (Arc<Db>, Arc<AtomicU64>) {
     let storage = mem_storage();
-    let no_reclamation = LdcPolicy::with_config(LdcConfig {
-        space_gc_ratio: 1.0,
-        ..LdcConfig::default()
-    });
     let db = Db::open(
         Arc::clone(&storage),
         Options::small_for_tests(),
-        Box::new(no_reclamation),
+        Box::new(ldc(1.0)),
     )
     .expect("open");
     for r in 0..4u32 {
@@ -323,48 +286,52 @@ fn over_budget_pool() -> (Arc<Db>, Arc<AtomicU64>) {
     db.flush().unwrap();
     db.drain_background();
     drop(db);
-    let (db, _, offered) =
-        counting_pool(storage, Options::small_for_tests(), Some(zero_budget_ldc()));
-    let (needed, idle) = picks_now(&db);
+    let ldc_merges = Arc::new(AtomicU64::new(0));
+    let policy = CountingPolicy {
+        inner: ldc(0.0),
+        ldc_merges: Arc::clone(&ldc_merges),
+    };
+    let options = Options {
+        background_workers: 2,
+        ..Options::small_for_tests()
+    };
+    let db = Arc::new(Db::open(storage, options, Box::new(policy)).expect("open"));
+    let (needed, reclaim) = (picks_now(&db, 1.0), picks_now(&db, 0.0));
     assert!(
-        needed.is_none() && idle.is_some() && db.version().frozen_files() >= 10,
-        "set-up must leave only idle-tier work: {needed:?} {idle:?}"
+        needed.is_none() && reclaim.is_some() && db.version().frozen_files() >= 10,
+        "set-up must leave only reclamation work: {needed:?} {reclaim:?}"
     );
-    (db, offered)
+    db.start_workers();
+    assert!(db.workers_active());
+    (db, ldc_merges)
 }
 
 /// "Drained" names the same tree under both drivers: the inline drain pumps
-/// `pick` and `pick_idle` dry, so the pool's drain must not return while
-/// the frozen region is still over budget — even though, with writes
-/// flowing, its workers left that tier alone.
+/// `pick` dry, reclamation included, so the pool's drain must not return
+/// while the frozen region is still over budget.
 #[test]
-fn pool_drain_empties_both_tiers() {
-    let (db, offered) = over_budget_pool();
+fn pool_drain_reclaims_the_frozen_region() {
+    let (db, ldc_merges) = over_budget_pool();
     db.drain_background();
-    assert_eq!(
-        picks_now(&db),
-        (None, None),
-        "the inline post-drain condition"
-    );
+    assert_eq!(picks_now(&db, 0.0), None, "the inline post-drain condition");
     assert_eq!(db.version().frozen_bytes(), 0);
     assert!(
-        offered.load(Ordering::Relaxed) > 0,
-        "the frozen region can only have been emptied through `pick_idle`"
+        ldc_merges.load(Ordering::Relaxed) > 0,
+        "the frozen region can only have been emptied by reclamation merges"
     );
     db.version().check_invariants().unwrap();
     db.shutdown_workers();
 }
 
-/// Liveness of the idle tier without a drain: once writes stop, nobody has
-/// to ask — the workers notice the foreground went quiet and reclaim on
-/// their own.
+/// Liveness without a write or a drain: a pool started on a tree that has
+/// work does it on its own, because starting the pool arms a work hint.
 #[test]
-fn quiet_pool_reclaims_without_a_drain() {
-    let (db, offered) = over_budget_pool();
+fn started_pool_reclaims_without_a_write() {
+    let (db, ldc_merges) = over_budget_pool();
     let (done, finished) = std::sync::mpsc::channel();
     let watched = Arc::clone(&db);
     std::thread::spawn(move || {
-        while picks_now(&watched) != (None, None) {
+        while picks_now(&watched, 0.0).is_some() {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         // Ignored on purpose: the receiver is gone only if it timed out.
@@ -374,41 +341,14 @@ fn quiet_pool_reclaims_without_a_drain() {
         .recv_timeout(std::time::Duration::from_secs(120))
         .unwrap_or_else(|_| {
             panic!(
-                "pool left work undone with the foreground quiet: {:?}",
-                picks_now(&db)
+                "a started pool left work undone with no write to wake it: {:?}",
+                picks_now(&db, 0.0)
             )
         });
     assert_eq!(db.version().frozen_bytes(), 0);
     assert!(
-        offered.load(Ordering::Relaxed) > 0,
-        "the frozen region can only have been emptied through `pick_idle`"
-    );
-    db.shutdown_workers();
-}
-
-/// The idle tier is offered on idle time, not on every wake-up: with one
-/// thread committing back to back the pool is woken 20 000 times, finds
-/// nothing it needs to do every time, and still asks `pick_idle` only when
-/// a whole `GATE_RECHECK` passed without a commit (and not again until an
-/// install changes the tree). Before the tiers were told apart, every one
-/// of those wake-ups evaluated — and ran — the reclamation tier.
-#[test]
-fn idle_tier_is_not_offered_per_commit() {
-    let options = Options {
-        // Few flushes: with a policy that never compacts, Level 0 only
-        // grows, and past the slowdown threshold every put would pause.
-        memtable_bytes: 1 << 20,
-        ..tiny_options()
-    };
-    let (db, asked, _) = counting_pool(mem_storage(), options, None);
-    const PUTS: u32 = 20_000;
-    for k in 0..PUTS {
-        db.put(&key(k), &value(k, 0)).unwrap();
-    }
-    let asked = asked.load(Ordering::Relaxed);
-    assert!(
-        asked < u64::from(PUTS) / 10,
-        "pick_idle asked {asked} times for {PUTS} commits"
+        ldc_merges.load(Ordering::Relaxed) > 0,
+        "the frozen region can only have been emptied by reclamation merges"
     );
     db.shutdown_workers();
 }

@@ -10,9 +10,9 @@
 //!
 //! and adds healthy trees with one lower file near `T_s` (by slice count and
 //! by slice bytes) and with the frozen region over and under the
-//! reclamation budget. Columns: `UdcPolicy::pick`, `LdcPolicy::pick` with
-//! the default `T_s` and with `T_s = 5`, and the default `LdcPolicy`'s
-//! `pick_idle`.
+//! reclamation budget. Columns: `UdcPolicy::pick`, and `LdcPolicy::pick`
+//! with the default `T_s` and with `T_s = 5` (reclamation, its last step,
+//! at the default budget in both).
 //!
 //! UDC is asked only about trees without slices: a UDC store never links,
 //! so those are the only trees it builds itself (`-` marks the rest). L0
@@ -219,8 +219,7 @@ fn row(name: &str, v: &Version, cursors: &[Vec<u8>]) -> String {
         })
         .pick(&ctx),
     );
-    let idle = show(LdcPolicy::new().pick_idle(&ctx));
-    format!("{name:<32} udc={udc:<33} ldc={ldc:<18} ldc5={ldc5:<18} idle={idle}\n")
+    format!("{name:<32} udc={udc:<33} ldc={ldc:<18} ldc5={ldc5}\n")
 }
 
 fn table() -> String {
@@ -267,63 +266,63 @@ fn table() -> String {
 }
 
 const GOLDEN: &str = r"
-L0 Empty None Empty              udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Move(L0 #1)        ldc5=Move(L0 #1)        idle=None
-L0 Empty None Middle             udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Move(L0 #1)        ldc5=Move(L0 #1)        idle=None
-L0 Empty None Past               udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Move(L0 #1)        ldc5=Move(L0 #1)        idle=None
-L0 Overlapping None Empty        udc=Merge(L0 [1, 2, 3, 4] + [20, 21]) ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L0 Overlapping None Middle       udc=Merge(L0 [1, 2, 3, 4] + [20, 21]) ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L0 Overlapping None Past         udc=Merge(L0 [1, 2, 3, 4] + [20, 21]) ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L0 Disjoint None Empty           udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L0 Disjoint None Middle          udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L0 Disjoint None Past            udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L0 OverlappingLinked None Empty  udc=-                                 ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L0 OverlappingLinked None Middle udc=-                                 ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L0 OverlappingLinked None Past   udc=-                                 ldc=Link(L0 #1)        ldc5=Link(L0 #1)        idle=None
-L1 Empty None Empty              udc=Move(L1 #10)                      ldc=Move(L1 #10)       ldc5=Move(L1 #10)       idle=None
-L1 Empty None Middle             udc=Move(L1 #11)                      ldc=Move(L1 #11)       ldc5=Move(L1 #11)       idle=None
-L1 Empty None Past               udc=Move(L1 #10)                      ldc=Move(L1 #10)       ldc5=Move(L1 #10)       idle=None
-L1 Empty Some Empty              udc=-                                 ldc=Move(L1 #10)       ldc5=Move(L1 #10)       idle=None
-L1 Empty Some Middle             udc=-                                 ldc=Move(L1 #12)       ldc5=Move(L1 #12)       idle=None
-L1 Empty Some Past               udc=-                                 ldc=Move(L1 #10)       ldc5=Move(L1 #10)       idle=None
-L1 Empty All Empty               udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 Empty All Middle              udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 Empty All Past                udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 Overlapping None Empty        udc=Merge(L1 [10] + [20])             ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 Overlapping None Middle       udc=Merge(L1 [11] + [21])             ldc=Link(L1 #11)       ldc5=Link(L1 #11)       idle=None
-L1 Overlapping None Past         udc=Merge(L1 [10] + [20])             ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 Overlapping Some Empty        udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 Overlapping Some Middle       udc=-                                 ldc=Link(L1 #12)       ldc5=Link(L1 #12)       idle=None
-L1 Overlapping Some Past         udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 Overlapping All Empty         udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 Overlapping All Middle        udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 Overlapping All Past          udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 Disjoint None Empty           udc=Move(L1 #10)                      ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 Disjoint None Middle          udc=Move(L1 #11)                      ldc=Link(L1 #11)       ldc5=Link(L1 #11)       idle=None
-L1 Disjoint None Past            udc=Move(L1 #10)                      ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 Disjoint Some Empty           udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 Disjoint Some Middle          udc=-                                 ldc=Link(L1 #12)       ldc5=Link(L1 #12)       idle=None
-L1 Disjoint Some Past            udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 Disjoint All Empty            udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 Disjoint All Middle           udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 Disjoint All Past             udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 OverlappingLinked None Empty  udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 OverlappingLinked None Middle udc=-                                 ldc=Link(L1 #11)       ldc5=Link(L1 #11)       idle=None
-L1 OverlappingLinked None Past   udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 OverlappingLinked Some Empty  udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 OverlappingLinked Some Middle udc=-                                 ldc=Link(L1 #12)       ldc5=Link(L1 #12)       idle=None
-L1 OverlappingLinked Some Past   udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)       idle=None
-L1 OverlappingLinked All Empty   udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 OverlappingLinked All Middle  udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-L1 OverlappingLinked All Past    udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)   idle=None
-count 4                          udc=-                                 ldc=None               ldc5=None               idle=LdcMerge(L2 #20)
-count 5                          udc=-                                 ldc=None               ldc5=LdcMerge(L2 #20)   idle=LdcMerge(L2 #20)
-count 9                          udc=-                                 ldc=None               ldc5=LdcMerge(L2 #20)   idle=LdcMerge(L2 #20)
-count 10                         udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)   idle=LdcMerge(L2 #20)
-bytes 2x1048576                  udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)   idle=None
-bytes 2x524288                   udc=-                                 ldc=None               ldc5=LdcMerge(L2 #20)   idle=None
-bytes 4x1048576                  udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)   idle=LdcMerge(L2 #20)
-frozen 300+600                   udc=-                                 ldc=None               ldc5=None               idle=None
-frozen 400+800                   udc=-                                 ldc=None               ldc5=None               idle=LdcMerge(L1 #11)
+L0 Empty None Empty              udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Move(L0 #1)        ldc5=Move(L0 #1)
+L0 Empty None Middle             udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Move(L0 #1)        ldc5=Move(L0 #1)
+L0 Empty None Past               udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Move(L0 #1)        ldc5=Move(L0 #1)
+L0 Overlapping None Empty        udc=Merge(L0 [1, 2, 3, 4] + [20, 21]) ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L0 Overlapping None Middle       udc=Merge(L0 [1, 2, 3, 4] + [20, 21]) ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L0 Overlapping None Past         udc=Merge(L0 [1, 2, 3, 4] + [20, 21]) ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L0 Disjoint None Empty           udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L0 Disjoint None Middle          udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L0 Disjoint None Past            udc=Merge(L0 [1, 2, 3, 4] + [])       ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L0 OverlappingLinked None Empty  udc=-                                 ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L0 OverlappingLinked None Middle udc=-                                 ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L0 OverlappingLinked None Past   udc=-                                 ldc=Link(L0 #1)        ldc5=Link(L0 #1)
+L1 Empty None Empty              udc=Move(L1 #10)                      ldc=Move(L1 #10)       ldc5=Move(L1 #10)
+L1 Empty None Middle             udc=Move(L1 #11)                      ldc=Move(L1 #11)       ldc5=Move(L1 #11)
+L1 Empty None Past               udc=Move(L1 #10)                      ldc=Move(L1 #10)       ldc5=Move(L1 #10)
+L1 Empty Some Empty              udc=-                                 ldc=Move(L1 #10)       ldc5=Move(L1 #10)
+L1 Empty Some Middle             udc=-                                 ldc=Move(L1 #12)       ldc5=Move(L1 #12)
+L1 Empty Some Past               udc=-                                 ldc=Move(L1 #10)       ldc5=Move(L1 #10)
+L1 Empty All Empty               udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 Empty All Middle              udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 Empty All Past                udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 Overlapping None Empty        udc=Merge(L1 [10] + [20])             ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 Overlapping None Middle       udc=Merge(L1 [11] + [21])             ldc=Link(L1 #11)       ldc5=Link(L1 #11)
+L1 Overlapping None Past         udc=Merge(L1 [10] + [20])             ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 Overlapping Some Empty        udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 Overlapping Some Middle       udc=-                                 ldc=Link(L1 #12)       ldc5=Link(L1 #12)
+L1 Overlapping Some Past         udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 Overlapping All Empty         udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 Overlapping All Middle        udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 Overlapping All Past          udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 Disjoint None Empty           udc=Move(L1 #10)                      ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 Disjoint None Middle          udc=Move(L1 #11)                      ldc=Link(L1 #11)       ldc5=Link(L1 #11)
+L1 Disjoint None Past            udc=Move(L1 #10)                      ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 Disjoint Some Empty           udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 Disjoint Some Middle          udc=-                                 ldc=Link(L1 #12)       ldc5=Link(L1 #12)
+L1 Disjoint Some Past            udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 Disjoint All Empty            udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 Disjoint All Middle           udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 Disjoint All Past             udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 OverlappingLinked None Empty  udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 OverlappingLinked None Middle udc=-                                 ldc=Link(L1 #11)       ldc5=Link(L1 #11)
+L1 OverlappingLinked None Past   udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 OverlappingLinked Some Empty  udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 OverlappingLinked Some Middle udc=-                                 ldc=Link(L1 #12)       ldc5=Link(L1 #12)
+L1 OverlappingLinked Some Past   udc=-                                 ldc=Link(L1 #10)       ldc5=Link(L1 #10)
+L1 OverlappingLinked All Empty   udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 OverlappingLinked All Middle  udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+L1 OverlappingLinked All Past    udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
+count 4                          udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)
+count 5                          udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)
+count 9                          udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)
+count 10                         udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)
+bytes 2x1048576                  udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)
+bytes 2x524288                   udc=-                                 ldc=None               ldc5=LdcMerge(L2 #20)
+bytes 4x1048576                  udc=-                                 ldc=LdcMerge(L2 #20)   ldc5=LdcMerge(L2 #20)
+frozen 300+600                   udc=-                                 ldc=None               ldc5=None
+frozen 400+800                   udc=-                                 ldc=LdcMerge(L1 #11)   ldc5=LdcMerge(L1 #11)
 ";
 
 #[test]
