@@ -317,10 +317,6 @@ pub struct Db {
     bloom_skips: AtomicU64,
     /// Reads currently in flight (holding a pinned view).
     read_pins: AtomicU64,
-    /// Checkpoint creations currently in flight. While nonzero, physical
-    /// deletion of dropped tables is deferred: the checkpoint's phase 2
-    /// links files from a pinned version without holding the core lock.
-    ckpt_pins: AtomicU64,
     /// What the opening recovery replayed/discarded.
     recovery: RecoverySummary,
 }
@@ -375,7 +371,6 @@ impl Db {
             scans: AtomicU64::new(0),
             bloom_skips: AtomicU64::new(0),
             read_pins: AtomicU64::new(0),
-            ckpt_pins: AtomicU64::new(0),
             recovery,
         }
     }

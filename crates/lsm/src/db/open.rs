@@ -12,7 +12,7 @@ use crate::cache::{BlockCache, TableSet};
 use crate::compaction::CompactionPolicy;
 use crate::error::Result;
 use crate::memtable::MemTable;
-use crate::options::Options;
+use crate::options::{Options, ENGINE_SEED};
 use crate::retry::RetryStorage;
 use crate::version::{log_file_name, VersionEdit, VersionSet};
 use crate::wal::replay_into;
@@ -43,7 +43,7 @@ impl Db {
         // bounded-retry protection as steady-state reads.
         let storage = RetryStorage::wrap(
             storage,
-            options.seed,
+            ENGINE_SEED,
             Arc::clone(&sink),
             Arc::clone(&metrics),
         );
@@ -64,7 +64,7 @@ impl Db {
         // Logs are deleted only once their contents are flushed, so the set
         // of `.log` files on disk is exactly the unflushed data — even if
         // the crash happened between a rotation and its flush.
-        let mem = MemTable::new(options.seed);
+        let mem = MemTable::new(ENGINE_SEED);
         let mut replayed = 0u64;
         let mut old_logs: Vec<(u64, String)> = storage
             .list()
@@ -142,7 +142,7 @@ impl Db {
         // record the new WAL number.
         let mut core = db.core.lock();
         if replayed > 0 {
-            let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(db.options.seed)));
+            let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(ENGINE_SEED)));
             db.flush_memtable(&mut core, &full, Some(new_log_number))?;
         } else {
             core.log_and_apply(VersionEdit {

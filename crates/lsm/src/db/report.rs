@@ -4,9 +4,10 @@
 use std::sync::Arc;
 
 use ldc_obs::{Blame, LatencyHistogram, LevelGauge, OpType, Trace, TraceCtx, TraceReservoir};
-use ldc_ssd::Nanos;
+use ldc_ssd::{Nanos, PAGE_BYTES};
 
 use super::Db;
+use crate::options::ENGINE_SEED;
 use crate::version::Version;
 
 impl Db {
@@ -186,8 +187,8 @@ impl Db {
             out,
             "SSD: {:.1} MB host writes, {:.1} MB GC relocation, {} erases, \
              NAND WA {:.2}, wear {:.2}%",
-            mb(dev.ftl.host_pages_written * self.device.config().page_bytes),
-            mb(dev.ftl.gc_pages_relocated * self.device.config().page_bytes),
+            mb(dev.ftl.host_pages_written * PAGE_BYTES),
+            mb(dev.ftl.gc_pages_relocated * PAGE_BYTES),
             dev.ftl.erases,
             dev.ftl.write_amplification(),
             dev.wear_fraction * 100.0
@@ -298,13 +299,13 @@ impl Db {
     }
 
     /// Enables per-operation tracing with a worst-`k` reservoir per op
-    /// type, tie-broken deterministically from the options seed. Call
+    /// type, tie-broken deterministically from the engine seed. Call
     /// before sharing the handle (it takes `&mut self`); with tracing off
     /// the op paths never allocate a context, and even with it on the
     /// tracer only *reads* the virtual clock, so traced and untraced runs
     /// are time-identical.
     pub fn enable_tracing(&mut self, worst_k: usize) {
-        self.tracer = Some(Arc::new(TraceReservoir::new(worst_k, self.options.seed)));
+        self.tracer = Some(Arc::new(TraceReservoir::new(worst_k, ENGINE_SEED)));
     }
 
     /// The worst-latency traces captured so far, grouped by op type in

@@ -17,13 +17,14 @@
 use std::sync::Arc;
 
 use ldc_obs::{Blame, Event, EventKind, OpType, TraceCtx};
-use ldc_ssd::{IoClass, Nanos, StorageBackend, TimeCategory};
+use ldc_ssd::{IoClass, Nanos, StorageBackend, TimeCategory, SYSCALL_OVERHEAD_NS, WRITE_BANDWIDTH};
 
 use super::{Db, DbCore};
 use crate::batch::WriteBatch;
 use crate::commit::{Role, Ticket};
 use crate::error::{Error, Result};
 use crate::memtable::MemTable;
+use crate::options::ENGINE_SEED;
 use crate::version::{log_file_name, VersionSet};
 use crate::wal::LogWriter;
 
@@ -282,11 +283,12 @@ impl Db {
             // The async flush consumes device *bandwidth* (no per-append
             // setup latency — the kernel batches page writes), serialized
             // with flush/compaction on the background lane.
-            let lane_cost = (batch.byte_size() as u64).saturating_mul(1_000_000_000)
-                / self.device.config().write_bandwidth;
+            let lane_cost =
+                (batch.byte_size() as u64).saturating_mul(1_000_000_000) / WRITE_BANDWIDTH;
             self.lane.occupy(t0, lane_cost);
-            // The buffered append still costs a syscall on the foreground.
-            self.device.clock().advance(3_000);
+            // The buffered append still costs a syscall on the foreground
+            // (clock only: it is not booked to the file-system ledger).
+            self.device.clock().advance(SYSCALL_OVERHEAD_NS);
             if let Some(t) = trace.as_deref_mut() {
                 t.span(
                     Blame::WalAppend,
@@ -391,7 +393,7 @@ impl Db {
     pub(super) fn rotate_memtable(&self, core: &mut DbCore) -> u64 {
         let (new_log_number, wal) = fresh_wal(&mut core.versions, &self.storage);
         let old_log = std::mem::replace(&mut core.wal, wal).name().to_string();
-        let seed = self.options.seed ^ core.versions.counters.next_file_number;
+        let seed = ENGINE_SEED ^ core.versions.counters.next_file_number;
         let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
         core.imm = Some(full);
         core.imm_wal_to_delete = Some(old_log);

@@ -38,7 +38,7 @@ use ldc_ssd::{IoClass, StorageBackend};
 use crate::cache::BlockCache;
 use crate::error::{corruption, Error, Result};
 use crate::memtable::MemTable;
-use crate::options::Options;
+use crate::options::{Options, ENGINE_SEED};
 use crate::retry::RetryStorage;
 use crate::table::{Table, TableBuilder, BLOCK_RESTART_INTERVAL};
 use crate::types::{parse_trailer, SequenceNumber};
@@ -105,7 +105,7 @@ pub fn repair_db_with_sink(
     // The same bounded transient-retry protection the live engine gets.
     let storage = RetryStorage::wrap(
         storage,
-        options.seed,
+        ENGINE_SEED,
         Arc::clone(&sink),
         Arc::new(MetricsRegistry::new()),
     );
@@ -309,7 +309,7 @@ pub fn repair_db_with_sink(
     };
 
     // -- 4. Salvage WAL remnants into one fresh Level-0 table. --------
-    let mem = MemTable::new(options.seed);
+    let mem = MemTable::new(ENGINE_SEED);
     for (_, name) in &logs {
         // Keep the clean prefix, drop the corrupt tail.
         let log = replay_into(storage.as_ref(), name, &mem)?;

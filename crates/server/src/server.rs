@@ -56,7 +56,7 @@ use ldc_core::lsm::{Error as EngineError, Options};
 use ldc_core::ssd::{MemStorage, SsdConfig, SsdDevice, StorageBackend};
 use ldc_core::{CompactionMode, LdcConfig, LdcDb};
 use ldc_obs::lockcheck::{Condvar, Mutex};
-use ldc_obs::{Blame, MetricsRegistry, OpType, Trace, TraceCtx, TraceReservoir};
+use ldc_obs::{Blame, MetricsRegistry, OpType, TraceCtx};
 use ldc_sync::Follower;
 
 use crate::admission::{AdmissionQueue, ShardState};
@@ -97,8 +97,6 @@ pub struct ServerConfig {
     pub options: Options,
     /// Compaction mechanism (LDC or the UDC baseline) for every shard.
     pub mode: CompactionMode,
-    /// Worst-K capacity of the server's network trace reservoir.
-    pub net_trace_worst_k: usize,
 }
 
 impl Default for ServerConfig {
@@ -109,7 +107,6 @@ impl Default for ServerConfig {
             retry_after_ms: 10,
             options: Options::default(),
             mode: CompactionMode::Ldc(LdcConfig::default()),
-            net_trace_worst_k: 4,
         }
     }
 }
@@ -233,7 +230,6 @@ enum Job {
 
 struct ServerCtx {
     registry: Arc<MetricsRegistry>,
-    reservoir: TraceReservoir,
     router: ShardRouter,
     queues: Vec<AdmissionQueue<Job>>,
     protocol_errors: AtomicU64,
@@ -267,11 +263,11 @@ impl ServerCtx {
         }
     }
 
-    /// Records latency, blame breakdown, and the worst-K trace for one
-    /// completed request. Span layout: dispatch and reply overhead are
-    /// `Net`, queue wait is `Admission`, and the root span's residue —
-    /// the shard service time — lands in `Engine`, so the buckets sum to
-    /// the request's total host nanoseconds.
+    /// Records latency and blame breakdown for one completed request.
+    /// Span layout: dispatch and reply overhead are `Net`, queue wait is
+    /// `Admission`, and the root span's residue — the shard service time —
+    /// lands in `Engine`, so the buckets sum to the request's total host
+    /// nanoseconds.
     fn finish_trace(
         &self,
         op: OpType,
@@ -285,11 +281,10 @@ impl ServerCtx {
         ctx.span(Blame::Net, "net_dispatch", recv_ns, enqueue_ns);
         ctx.span(Blame::Admission, "admission_queue", enqueue_ns, dequeue_ns);
         ctx.span(Blame::Net, "net_reply", svc_end_ns, done_ns);
-        let trace = ctx.finish(done_ns, self.reservoir.next_op_index(op));
+        let trace = ctx.finish(done_ns, 0);
         self.registry
             .record_latency(op, done_ns.saturating_sub(recv_ns));
         self.registry.record_blame(op, &trace.blame_breakdown());
-        self.reservoir.offer(trace);
     }
 }
 
@@ -837,7 +832,6 @@ impl LdcServer {
         let states: Vec<_> = queues.iter().map(|q| Arc::clone(q.state())).collect();
         let ctx = Arc::new(ServerCtx {
             registry: Arc::new(MetricsRegistry::new()),
-            reservoir: TraceReservoir::new(config.net_trace_worst_k.max(1), 0x6e65_745f),
             router: ShardRouter::new(shards),
             queues,
             protocol_errors: AtomicU64::new(0),
@@ -917,11 +911,6 @@ impl LdcServer {
     /// Instantaneous per-shard queue depths (benchmark sampling).
     pub fn queue_depths(&self) -> Vec<u32> {
         self.ctx.queues.iter().map(|q| q.state().depth()).collect()
-    }
-
-    /// The worst network-level request traces captured so far.
-    pub fn worst_net_traces(&self) -> Vec<Trace> {
-        self.ctx.reservoir.all_worst()
     }
 
     /// Parks `shard`'s worker until the returned guard is dropped. The

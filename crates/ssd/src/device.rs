@@ -14,7 +14,10 @@ use ldc_obs::lockcheck::Mutex;
 use ldc_obs::{Event, EventKind, NoopSink, SharedSink};
 
 use crate::clock::{Nanos, TimeCategory, TimeLedger, VirtualClock};
-use crate::config::SsdConfig;
+use crate::config::{
+    SsdConfig, FS_OP_LATENCY_NS, PAGE_BYTES, READ_BANDWIDTH, READ_LATENCY_NS, SEQ_READ_LATENCY_NS,
+    SYSCALL_OVERHEAD_NS, WRITE_BANDWIDTH, WRITE_LATENCY_NS,
+};
 use crate::ftl::{Ftl, FtlStats};
 use crate::stats::{IoClass, IoStats, IoStatsSnapshot};
 
@@ -130,7 +133,7 @@ impl SsdDevice {
     /// category).
     pub fn charge_read(&self, bytes: u64, class: IoClass) -> Nanos {
         self.io.record_read(class, bytes);
-        let t = self.transfer_time(bytes, self.cfg.read_bandwidth, self.cfg.read_latency_ns);
+        let t = transfer_time(bytes, READ_BANDWIDTH, READ_LATENCY_NS);
         self.clock.advance(t);
         t + self.charge_syscall()
     }
@@ -140,7 +143,7 @@ impl SsdDevice {
     /// readahead hides most of the setup latency.
     pub fn charge_read_sequential(&self, bytes: u64, class: IoClass) -> Nanos {
         self.io.record_read(class, bytes);
-        let t = self.transfer_time(bytes, self.cfg.read_bandwidth, self.cfg.seq_read_latency_ns);
+        let t = transfer_time(bytes, READ_BANDWIDTH, SEQ_READ_LATENCY_NS);
         self.clock.advance(t);
         t + self.charge_syscall()
     }
@@ -150,18 +153,16 @@ impl SsdDevice {
     /// separately via [`SsdDevice::program_pages`].)
     pub fn charge_write(&self, bytes: u64, class: IoClass) -> Nanos {
         self.io.record_write(class, bytes);
-        let t = self.transfer_time(bytes, self.cfg.write_bandwidth, self.cfg.write_latency_ns);
+        let t = transfer_time(bytes, WRITE_BANDWIDTH, WRITE_LATENCY_NS);
         self.clock.advance(t);
         t + self.charge_syscall()
     }
 
     fn charge_syscall(&self) -> Nanos {
-        let t = self.cfg.syscall_overhead_ns;
-        if t > 0 {
-            self.clock.advance(t);
-            self.ledger.record(TimeCategory::FileSystem, t);
-        }
-        t
+        self.clock.advance(SYSCALL_OVERHEAD_NS);
+        self.ledger
+            .record(TimeCategory::FileSystem, SYSCALL_OVERHEAD_NS);
+        SYSCALL_OVERHEAD_NS
     }
 
     /// Programs logical pages into the FTL, charging only the *extra* time
@@ -184,8 +185,8 @@ impl SsdDevice {
         }
         // Relocation is a read + a program per page; charge at write
         // bandwidth, which dominates.
-        let bytes = relocated * self.cfg.page_bytes;
-        let t = bytes * 1_000_000_000 / self.cfg.write_bandwidth;
+        let bytes = relocated * PAGE_BYTES;
+        let t = bytes * 1_000_000_000 / WRITE_BANDWIDTH;
         let start = self.clock.now();
         self.clock.advance(t);
         self.gc_nanos.fetch_add(t, Ordering::Relaxed);
@@ -215,10 +216,10 @@ impl SsdDevice {
     /// Charges one file-system metadata operation (create/sync/delete/rename)
     /// and books it under [`TimeCategory::FileSystem`].
     pub fn fs_op(&self) -> Nanos {
-        let t = self.cfg.fs_op_latency_ns;
-        self.clock.advance(t);
-        self.ledger.record(TimeCategory::FileSystem, t);
-        t
+        self.clock.advance(FS_OP_LATENCY_NS);
+        self.ledger
+            .record(TimeCategory::FileSystem, FS_OP_LATENCY_NS);
+        FS_OP_LATENCY_NS
     }
 
     /// Number of logical pages the device exposes.
@@ -247,10 +248,10 @@ impl SsdDevice {
             wear_fraction: mean / self.cfg.endurance_cycles as f64,
         }
     }
+}
 
-    fn transfer_time(&self, bytes: u64, bandwidth: u64, latency_ns: u64) -> Nanos {
-        latency_ns + bytes.saturating_mul(1_000_000_000) / bandwidth
-    }
+fn transfer_time(bytes: u64, bandwidth: u64, latency_ns: u64) -> Nanos {
+    latency_ns + bytes.saturating_mul(1_000_000_000) / bandwidth
 }
 
 #[cfg(test)]
@@ -291,7 +292,7 @@ mod tests {
         dev.fs_op();
         dev.fs_op();
         let after = dev.ledger().get(TimeCategory::FileSystem);
-        assert_eq!(after - before, 2 * dev.config().fs_op_latency_ns);
+        assert_eq!(after - before, 2 * FS_OP_LATENCY_NS);
     }
 
     #[test]
@@ -352,10 +353,7 @@ mod tests {
             .find(|e| e.input_files > 0)
             .expect("relocations recorded");
         assert!(gc.duration_nanos() > 0);
-        assert_eq!(
-            gc.input_bytes,
-            u64::from(gc.input_files) * dev.config().page_bytes
-        );
+        assert_eq!(gc.input_bytes, u64::from(gc.input_files) * PAGE_BYTES);
     }
 
     #[test]

@@ -45,7 +45,10 @@ mod stats;
 mod storage;
 
 pub use clock::{Nanos, TimeCategory, TimeLedger, TimerGuard, VirtualClock};
-pub use config::SsdConfig;
+pub use config::{
+    SsdConfig, FS_OP_LATENCY_NS, PAGE_BYTES, READ_BANDWIDTH, READ_LATENCY_NS, SEQ_READ_LATENCY_NS,
+    SYSCALL_OVERHEAD_NS, WRITE_BANDWIDTH, WRITE_LATENCY_NS,
+};
 pub use device::{DeviceSnapshot, SsdDevice};
 pub use disk::DiskStorage;
 pub use error::{SsdError, SsdResult};

@@ -42,6 +42,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use ldc_obs::lockcheck::{Mutex, RwLock};
 
+use crate::config::PAGE_BYTES;
 use crate::device::SsdDevice;
 use crate::error::{SsdError, SsdResult};
 use crate::stats::IoClass;
@@ -271,10 +272,6 @@ impl MemStorage {
         Self::new(SsdDevice::with_defaults())
     }
 
-    fn page_bytes(&self) -> u64 {
-        self.device.config().page_bytes
-    }
-
     /// The file `name` names now.
     fn file(&self, name: &str) -> SsdResult<Slot> {
         self.files
@@ -292,8 +289,7 @@ impl MemStorage {
         if file.unlinked {
             return Ok(&file.programmed);
         }
-        let page = self.page_bytes();
-        let complete = file.data.len() as u64 / page;
+        let complete = file.data.len() as u64 / PAGE_BYTES;
         while (file.pages.len() as u64) < complete {
             // A previously flushed partial tail becomes this complete page.
             let lpn = match file.tail_lpn.take() {
@@ -303,7 +299,7 @@ impl MemStorage {
             file.pages.push(lpn);
             file.programmed.push(lpn);
         }
-        if seal && !(file.data.len() as u64).is_multiple_of(page) {
+        if seal && !(file.data.len() as u64).is_multiple_of(PAGE_BYTES) {
             let lpn = match file.tail_lpn {
                 Some(lpn) => lpn,
                 None => {
@@ -494,8 +490,7 @@ impl StorageBackend for MemStorage {
         file.synced_len = file.synced_len.min(len);
         // Release pages past the new end; a mid-page cut also invalidates
         // the flushed partial tail (its content changed).
-        let page = self.page_bytes();
-        let keep = ((len / page) as usize).min(file.pages.len());
+        let keep = ((len / PAGE_BYTES) as usize).min(file.pages.len());
         let mut released: Vec<u64> = file.pages.split_off(keep);
         if let Some(tail) = file.tail_lpn.take() {
             released.push(tail);
@@ -573,7 +568,7 @@ mod tests {
     #[test]
     fn append_grows_files_and_flushes_pages() {
         let s = storage();
-        let page = s.device().config().page_bytes as usize;
+        let page = PAGE_BYTES as usize;
         // Three appends crossing a page boundary.
         s.append("wal", &vec![1u8; page / 2], IoClass::WalWrite)
             .unwrap();
@@ -590,7 +585,7 @@ mod tests {
     #[test]
     fn overwrite_releases_old_pages() {
         let s = storage();
-        let page = s.device().config().page_bytes as usize;
+        let page = PAGE_BYTES as usize;
         s.write_file("f", &vec![0u8; page * 4], IoClass::FlushWrite)
             .unwrap();
         let trimmed_before = s.device().ftl_stats().pages_trimmed;
@@ -603,7 +598,7 @@ mod tests {
     #[test]
     fn delete_trims_and_reuses_space() {
         let s = storage();
-        let page = s.device().config().page_bytes as usize;
+        let page = PAGE_BYTES as usize;
         s.write_file("f", &vec![0u8; page * 8], IoClass::FlushWrite)
             .unwrap();
         s.delete("f").unwrap();
@@ -678,7 +673,7 @@ mod tests {
     #[test]
     fn truncate_discards_tail_and_pages() {
         let s = storage();
-        let page = s.device().config().page_bytes as usize;
+        let page = PAGE_BYTES as usize;
         s.append("wal", &vec![1u8; page * 3 + 10], IoClass::WalWrite)
             .unwrap();
         s.sync("wal").unwrap();
@@ -885,7 +880,7 @@ mod tests {
     /// one live file or is free, and each live file owns exactly its
     /// complete pages plus at most one tail.
     fn assert_pages_accounted(s: &MemStorage) {
-        let page = s.page_bytes();
+        let page = PAGE_BYTES;
         let mut seen = HashSet::new();
         let files: Vec<Slot> = s.files.read().values().cloned().collect();
         for file in &files {
@@ -961,7 +956,7 @@ mod tests {
     #[test]
     fn a_held_file_outlives_its_name_but_gets_no_pages() {
         let s = storage();
-        let page = s.page_bytes() as usize;
+        let page = PAGE_BYTES as usize;
         s.append("wal", &vec![1u8; page + 10], IoClass::WalWrite)
             .unwrap();
         s.sync("wal").unwrap();

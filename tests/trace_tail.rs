@@ -118,12 +118,9 @@ proptest! {
 }
 
 /// Runs a small deterministic mixed workload against a traced store.
-fn traced_run(seed: u64) -> LdcDb {
+fn traced_run() -> LdcDb {
     let db = LdcDb::builder()
-        .options(Options {
-            seed,
-            ..Options::small_for_tests()
-        })
+        .options(Options::small_for_tests())
         .trace_worst_k(6)
         .build()
         .expect("open");
@@ -143,7 +140,7 @@ fn traced_run(seed: u64) -> LdcDb {
 
 #[test]
 fn engine_traces_blame_sums_equal_total_exactly() {
-    let db = traced_run(7);
+    let db = traced_run();
     let worst = db.worst_traces();
     assert!(!worst.is_empty(), "reservoir captured nothing");
     for trace in &worst {
@@ -186,8 +183,8 @@ fn same_seed_reruns_reproduce_the_reservoir_byte_identically() {
         out.push_str(&db.tail_report());
         out
     };
-    let a = traced_run(42);
-    let b = traced_run(42);
+    let a = traced_run();
+    let b = traced_run();
     let ra = render(&a);
     assert_eq!(ra, render(&b), "same seed must reproduce the reservoir");
     assert!(!ra.is_empty());
@@ -210,7 +207,7 @@ fn tracing_off_store_knows_nothing_of_traces() {
 
 #[test]
 fn reset_traces_clears_reservoir_and_restarts_op_indices() {
-    let db = traced_run(9);
+    let db = traced_run();
     assert!(!db.worst_traces().is_empty());
     db.reset_traces();
     assert!(db.worst_traces().is_empty());
