@@ -378,11 +378,11 @@ impl Db {
     /// Publishes the core's current state as the view readers pin. Must be
     /// called (while holding the core lock) at every boundary where a
     /// reader is allowed to observe the new state: end of a leader commit,
-    /// end of a background drain, after a quarantine, and at open.
+    /// after an installed background task, after a quarantine, and at open.
     pub(crate) fn publish_view(&self, core: &DbCore) {
         *self.view.write() = ReadView::of(core);
         // Order the publish before any subsequent `read_pins` check (see
-        // `reap_pending_deletes`): a reader that pins after a zero-pin
+        // `publish_and_reap`): a reader that pins after a zero-pin
         // observation must see this (or a newer) view.
         std::sync::atomic::fence(Ordering::SeqCst);
     }

@@ -28,8 +28,7 @@ impl Db {
         if let Err(e) = &outcome {
             core.latch(e.clone());
         }
-        self.publish_view(&core);
-        self.reap_pending_deletes(&mut core);
+        self.publish_and_reap(&mut core);
         outcome
     }
 
@@ -185,8 +184,7 @@ impl Db {
             self.drop_table_file(&mut core, *number);
         }
         core.stats.edits_applied += 1;
-        self.publish_view(&core);
-        self.reap_pending_deletes(&mut core);
+        self.publish_and_reap(&mut core);
         if self.sink.enabled() {
             self.sink.record(
                 Event::span(EventKind::ReplApply, t0, self.device.clock().now())

@@ -171,6 +171,7 @@ impl Db {
                     |core: &DbCore| (core.l0_files(), self.lane.bg_until.load(Ordering::SeqCst));
                 let before = progress(core);
                 self.pump_background(core)?;
+                self.publish_and_reap(core);
                 if before == progress(core) {
                     break; // no progress possible (policy is idle)
                 }
@@ -312,14 +313,17 @@ impl Db {
         Ok(())
     }
 
-    /// Physically deletes table files dropped from the version, once no
-    /// read holds a pinned view that could still reference them. Runs at
-    /// commit and drain boundaries — always *after* `publish_view`, so any
-    /// view pinned after the zero-pin check cannot name these files. The
-    /// delete cost (a filesystem op per file) is booked on the background
-    /// lane, like the compaction work that orphaned the files. A failed
-    /// delete latches the background error.
-    pub(crate) fn reap_pending_deletes(&self, core: &mut DbCore) {
+    /// Publishes the core's state as the readers' view, then physically
+    /// deletes the table files dropped from the version, once no read
+    /// holds a pinned view that could still reference them. Runs at the
+    /// end of every commit and after every task that a drain, the Level-0
+    /// stop gate or a pool worker installs — the publish comes first, so
+    /// any view pinned after the zero-pin check cannot name these files.
+    /// The delete cost (a filesystem op per file) is booked on the
+    /// background lane, like the compaction work that orphaned the files.
+    /// A failed delete latches the background error.
+    pub(crate) fn publish_and_reap(&self, core: &mut DbCore) {
+        self.publish_view(core);
         if core.pending_deletes.is_empty() || self.read_pins.load(Ordering::SeqCst) != 0 {
             return;
         }
@@ -357,18 +361,20 @@ impl Db {
         loop {
             self.lane.wait_idle(clock);
             let before = self.lane.bg_until.load(Ordering::SeqCst);
-            if let Err(e) = self.pump_background(&mut core) {
-                // Fail-stop, for the reason `commit_group` gives: a failed
-                // flush write or MANIFEST append must refuse later writes.
-                core.latch(e);
-                break;
-            }
-            if self.lane.bg_until.load(Ordering::SeqCst) == before && core.imm.is_none() {
-                break; // lane idle and nothing started
+            // Fail-stop, for the reason `commit_group` gives: a failed
+            // flush write or MANIFEST append must refuse later writes.
+            let failed = self
+                .pump_background(&mut core)
+                .map_err(|e| core.latch(e))
+                .is_err();
+            // Each task's dropped tables go before the next task writes,
+            // so old and new files do not pile up across the drain.
+            self.publish_and_reap(&mut core);
+            let idle = self.lane.bg_until.load(Ordering::SeqCst) == before && core.imm.is_none();
+            if failed || idle {
+                break; // failed, or lane idle and nothing started
             }
         }
-        self.publish_view(&core);
-        self.reap_pending_deletes(&mut core);
         // The reap books lane time; absorb it so "drained" means idle.
         self.lane.wait_idle(clock);
         clock.now().saturating_sub(t0)

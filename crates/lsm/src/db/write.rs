@@ -172,8 +172,7 @@ impl Db {
         }
         let batches = group.iter_mut().map(|(_, batch)| batch);
         let outcome = self.commit_group(&mut core, batches, trace, pooled);
-        self.publish_view(&core);
-        self.reap_pending_deletes(&mut core);
+        self.publish_and_reap(&mut core);
         drop(core);
         self.commit
             .finish(own, group, |batch| outcome.for_batch(batch))

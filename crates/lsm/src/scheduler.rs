@@ -350,8 +350,7 @@ impl Db {
         while !(core.failed() || (self.scheduler.wake_all() && core.imm.is_none())) {
             (core, _) = core.wait_timeout(&self.scheduler.done_cv, GATE_RECHECK);
         }
-        self.publish_view(&core);
-        self.reap_pending_deletes(&mut core);
+        self.publish_and_reap(&mut core);
         self.device.clock().now().saturating_sub(t0)
     }
 
@@ -498,8 +497,7 @@ impl Db {
         if let Err(e) = result.or_else(|e| self.abandon(core, clock, e)) {
             core.latch(e);
         }
-        self.publish_view(core);
-        self.reap_pending_deletes(core);
+        self.publish_and_reap(core);
         let mut st = self.scheduler.state.lock();
         if flush {
             st.flush_inflight = false;

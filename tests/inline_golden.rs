@@ -213,7 +213,7 @@ events slowdown 90\n\
 events stall 136\n\
 events trivial_move 15\n\
 events udc_merge 404\n\
-event_stream_crc32c 5867dff1\n\
+event_stream_crc32c 0cc2274c\n\
 manifest MANIFEST-000001 len=146666 crc32c=ee30075c\n\
 next_file_number 3145\n\
 ";
@@ -236,7 +236,7 @@ events recovery 1\n\
 events slowdown 340\n\
 events stall 60\n\
 events trivial_move 3\n\
-event_stream_crc32c eec96e9c\n\
+event_stream_crc32c bb6d8587\n\
 manifest MANIFEST-000001 len=270140 crc32c=2eb71eed\n\
 next_file_number 1805\n\
 ";
