@@ -1,8 +1,8 @@
 //! The paper's analytical performance model (§II-B, §III-C).
 //!
-//! These closed forms predict amplification, throughput, and tail latency
-//! from first principles; the benchmark harness prints model-vs-measured so
-//! the reproduction can be sanity-checked against the theory as well as the
+//! These closed forms predict amplification and throughput from first
+//! principles; the benchmark harness prints model-vs-measured so the
+//! reproduction can be sanity-checked against the theory as well as the
 //! paper's empirical figures.
 
 /// Inputs shared by the model formulas.
@@ -41,22 +41,6 @@ pub fn read_amp_udc(p: &ModelParams) -> f64 {
     p.height() + p.l0_files
 }
 
-/// Theorem 3.2: LDC worst-case read amplification `O(k*log_k(n/b) + u)`.
-/// With effective Bloom filters the practical value approaches
-/// [`read_amp_udc`].
-pub fn read_amp_ldc_worst(p: &ModelParams) -> f64 {
-    p.fan_out * p.height() + p.l0_files
-}
-
-/// Eq. (1): user-visible write/read throughput given device rates and
-/// amplification.
-pub fn lsm_throughput(device_rate: f64, amplification: f64) -> f64 {
-    if amplification <= 0.0 {
-        return 0.0;
-    }
-    device_rate / amplification
-}
-
 /// Eq. (2): total throughput of a mix with write ratio `r_w`.
 pub fn total_throughput(th_write: f64, th_read: f64, write_ratio: f64) -> f64 {
     let r = write_ratio.clamp(0.0, 1.0);
@@ -65,21 +49,6 @@ pub fn total_throughput(th_write: f64, th_read: f64, write_ratio: f64) -> f64 {
         return 0.0;
     }
     1.0 / denom
-}
-
-/// Eq. (3): write tail latency — one round of compaction moves
-/// `(k + 1) * c * b` bytes through the remaining device write bandwidth,
-/// plus the constant memtable insert cost `p`.
-pub fn write_tail_latency_secs(
-    fan_out: f64,
-    files_per_compaction: f64,
-    sstable_bytes: f64,
-    device_write_rate: f64,
-    read_bandwidth_share: f64,
-    memtable_cost_secs: f64,
-) -> f64 {
-    let usable = (device_write_rate - read_bandwidth_share).max(f64::EPSILON);
-    (fan_out + 1.0) * files_per_compaction * sstable_bytes / usable + memtable_cost_secs
 }
 
 #[cfg(test)]
@@ -110,12 +79,6 @@ mod tests {
     }
 
     #[test]
-    fn ldc_worst_case_read_amp_exceeds_udc() {
-        let p = params();
-        assert!(read_amp_ldc_worst(&p) > read_amp_udc(&p));
-    }
-
-    #[test]
     fn throughput_formulas_match_paper_example() {
         // §II-C point 3: r_w=0.5, th_r=10, th_w=1 -> 1.82; th_w=2, th_r=5
         // -> 2.86 (57% better despite a lower sum).
@@ -124,22 +87,5 @@ mod tests {
         assert!((slow - 1.818).abs() < 0.01, "{slow}");
         assert!((fast - 2.857).abs() < 0.01, "{fast}");
         assert!(fast / slow > 1.5);
-    }
-
-    #[test]
-    fn lsm_throughput_divides_by_amplification() {
-        assert!((lsm_throughput(400.0, 40.0) - 10.0).abs() < 1e-9);
-        assert_eq!(lsm_throughput(400.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn tail_latency_scales_with_granularity() {
-        // Bigger compactions (larger c) -> proportionally larger tails.
-        let t1 = write_tail_latency_secs(10.0, 1.0, 2e6, 400e6, 0.0, 1e-6);
-        let t4 = write_tail_latency_secs(10.0, 4.0, 2e6, 400e6, 0.0, 1e-6);
-        assert!(t4 > 3.5 * t1);
-        // LDC's effective fan-out of ~1 shrinks the tail ~(k+1)/2x.
-        let ldc = write_tail_latency_secs(1.0, 1.0, 2e6, 400e6, 0.0, 1e-6);
-        assert!(t1 / ldc > 4.0);
     }
 }

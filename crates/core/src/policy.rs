@@ -114,10 +114,10 @@ impl CompactionPolicy for LdcPolicy {
     fn pick(&mut self, ctx: &PickContext<'_>) -> Option<CompactionTask> {
         let threshold = self.threshold(ctx);
 
-        // Relieve overfull levels first: links are metadata-only and keep
-        // Level 0 from ever hitting the write gates (that cheapness is the
-        // whole point of the link phase). Threshold-triggered merges run
-        // right after, in the gaps.
+        // Relieve overfull levels first: a link is metadata-only (one
+        // MANIFEST edit, no table I/O), the cheapest relief an overfull
+        // level can get. Threshold-triggered merges run right after, in
+        // the gaps.
         if let Some(task) = pick_leveled(ctx, Movement::Link) {
             return Some(task);
         }

@@ -101,7 +101,7 @@ pub(crate) fn write_checkpoint_files(
         last_sequence: counters.last_sequence,
         ..Default::default()
     };
-    let mut link = |number: u64, size: u64| -> Result<()> {
+    for (number, size) in version.tables() {
         let src = table_file_name(number);
         let dst = format!("{prefix}{src}");
         if !storage.exists(&dst) {
@@ -109,15 +109,6 @@ pub(crate) fn write_checkpoint_files(
         }
         report.files_linked += 1;
         report.bytes_linked += size;
-        Ok(())
-    };
-    for files in &version.levels {
-        for f in files {
-            link(f.number, f.size)?;
-        }
-    }
-    for frozen in version.frozen.values() {
-        link(frozen.number, frozen.size)?;
     }
     // The checkpoint's manifest holds one snapshot edit of the pinned
     // state. `log_number` is 0: a checkpoint has no WAL (the caller
@@ -336,13 +327,7 @@ pub fn restore_backup(
     report.last_sequence = vs.counters.last_sequence;
     // Stream records can delete base files (compaction inputs); their
     // bytes were copied before the replay decided they are garbage.
-    let referenced: BTreeSet<u64> = vs
-        .current
-        .levels
-        .iter()
-        .flat_map(|files| files.iter().map(|f| f.number))
-        .chain(vs.current.frozen.keys().copied())
-        .collect();
+    let referenced: BTreeSet<u64> = vs.current.tables().map(|(number, _)| number).collect();
     for name in dst.list() {
         let Some(number) = name
             .strip_suffix(".sst")

@@ -40,12 +40,13 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ldc_obs::lockcheck::Mutex;
-use ldc_ssd::StorageBackend;
+use ldc_ssd::{IoClass, StorageBackend};
 
 use crate::block::Block;
 use crate::error::{Error, Result};
+use crate::iterator::{InternalIterator, MergingIterator};
 use crate::table::Table;
-use crate::version::{table_file_name, Version};
+use crate::version::{table_file_name, FileMeta, Version};
 
 /// Cache key: file number + block offset within the file.
 pub type BlockKey = (u64, u64);
@@ -522,9 +523,8 @@ impl TableSet {
     /// that left are retired: their pinned bytes are released, and a stale
     /// reader that opens one later charges nothing.
     pub(crate) fn successor(&self, version: &Version) -> TableSet {
-        let numbers = version.levels.iter().flatten().map(|f| &f.number);
         let mut slots = HashMap::with_capacity_and_hasher(self.slots.len(), Default::default());
-        for &number in numbers.chain(version.frozen.keys()) {
+        for (number, _) in version.tables() {
             let slot = self.slots.get(&number).cloned().unwrap_or_default();
             slots.insert(number, slot);
         }
@@ -551,6 +551,26 @@ impl TableSet {
             Some(table) => Ok(table),
             None => self.open(number, slot),
         }
+    }
+
+    /// One merged iterator over what `file` reads as, its
+    /// [`FileMeta::sources`] in that order: the file whole, then each
+    /// slice's range of its frozen source. The one place a linked file
+    /// becomes a cursor, for a level scan and for an LDC merge alike.
+    pub(crate) fn file_iter(
+        &self,
+        file: &FileMeta,
+        class: IoClass,
+    ) -> Result<MergingIterator<'static>> {
+        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+        for (number, range) in file.sources() {
+            let table = self.table(number)?;
+            children.push(Box::new(match range {
+                Some(range) => table.range_iter(range.clone(), class),
+                None => table.iter(class),
+            }));
+        }
+        Ok(MergingIterator::new(children))
     }
 
     #[cold]

@@ -9,9 +9,12 @@
 //!    and fixes everything later stages need: input metadata, the input
 //!    set and per-level key-range claims a worker registers for conflict
 //!    tracking, the merge parameters, and the event descriptor. A task
-//!    that no longer matches the version is [`Stale`].
+//!    that no longer matches the version is [`Stale`]. A `Link`'s targets
+//!    ([`link_targets`]) and an `LdcMerge`'s inputs
+//!    ([`FileMeta::sources`]) come from `version/meta.rs`.
 //! 2. [`Db::run`] does the I/O and touches no engine state: it opens the
-//!    inputs, drives the merge loop, and writes output tables. File
+//!    inputs (an `LdcMerge` through `TableSet::file_iter`, as a level scan
+//!    does), drives the merge loop, and writes output tables. File
 //!    numbers come through an allocator handle, so the stage works the
 //!    same under a held core lock (inline) and without one (worker).
 //!    `TrivialMove` and `Link` have an empty run stage.
@@ -39,7 +42,7 @@ use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::MemTable;
 use crate::table::{FinishedTable, TableBuilder, BLOCK_RESTART_INTERVAL};
 use crate::types::{parse_trailer, user_key, KeyRange, SequenceNumber, ValueType};
-use crate::version::{table_file_name, FileMeta, SliceLink, Version, VersionEdit};
+use crate::version::{link_targets, table_file_name, FileMeta, SliceLink, Version, VersionEdit};
 
 /// Why a picked task no longer matches the version it was planned
 /// against: an input vanished, moved, or changed its slice-link state.
@@ -227,13 +230,12 @@ pub(crate) fn plan(
         }
         CompactionTask::LdcMerge { level, file } => {
             let file = input(version, file, level, true)?;
-            let mut inputs: Vec<u64> = vec![file.number];
-            inputs.extend(file.slices.iter().map(|s| s.source_file));
+            let mut inputs: Vec<u64> = file.sources().map(|(number, _)| number).collect();
             inputs.sort_unstable();
             inputs.dedup();
             let mut desc = desc(EventKind::LdcMerge, level, &[&file]);
-            desc.input_files += file.slices.len();
-            desc.input_bytes += file.slices.iter().map(|s| s.approx_bytes).sum::<u64>();
+            desc.input_files = file.sources().count();
+            desc.input_bytes += file.slice_bytes();
             // Outputs replace `file` within its responsible range, so
             // claiming the file's own span excludes same-level writers;
             // shared frozen sources are excluded via `inputs`.
@@ -257,7 +259,10 @@ pub(crate) fn plan(
                 .get(level + 1)
                 .ok_or_else(|| Stale(format!("no level below {level}")))?;
             let (kind, targets) = match task {
-                CompactionTask::Link { .. } => (EventKind::LdcLink, link_targets(&file, lower)),
+                CompactionTask::Link { .. } => {
+                    let targets = link_targets(lower, file.smallest_ukey(), file.largest_ukey());
+                    (EventKind::LdcLink, targets)
+                }
                 _ => (EventKind::TrivialMove, Vec::new()),
             };
             Planned {
@@ -289,30 +294,6 @@ fn key_span(metas: &[&FileMeta]) -> Planning<(Vec<u8>, Vec<u8>)> {
         (Some(lo), Some(hi)) => Ok((lo.to_vec(), hi.to_vec())),
         _ => Err(Stale("task names no input files".to_string())),
     }
-}
-
-/// The `lower` files whose responsible range overlaps `file`, with that
-/// range. Responsible ranges partition the key space: file j owns
-/// `(prev.largest, largest_j]`; the first extends to -inf, the last to +inf.
-fn link_targets(file: &FileMeta, lower: &[FileMeta]) -> Vec<(u64, KeyRange)> {
-    let mut targets = Vec::new();
-    let mut lo: Vec<u8> = Vec::new(); // empty = -inf
-    for (i, lf) in lower.iter().enumerate() {
-        // Exclusive bound: the smallest key strictly above `largest_j`.
-        let hi = (i + 1 < lower.len()).then(|| [lf.largest_ukey(), &[0]].concat());
-        let range = KeyRange {
-            lo: std::mem::replace(&mut lo, hi.clone().unwrap_or_default()),
-            hi,
-        };
-        if range.overlaps(file.smallest_ukey(), file.largest_ukey()) {
-            targets.push((lf.number, range));
-        }
-    }
-    debug_assert!(
-        lower.is_empty() || !targets.is_empty(),
-        "partition must cover the file"
-    );
-    targets
 }
 
 impl Db {
@@ -348,38 +329,33 @@ impl Db {
     ) -> Result<RunOutput> {
         let class = IoClass::CompactionRead;
         let tables = &planned.tables;
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        match &planned.shape {
+        let merge = match &planned.shape {
             Shape::TrivialMove { .. } | Shape::Link { .. } => return Ok(RunOutput::default()),
-            Shape::Ldc { file } => {
-                inputs.push(Box::new(tables.table(file.number)?.iter(class)));
-                for slice in &file.slices {
-                    let frozen = tables.table(slice.source_file)?;
-                    inputs.push(Box::new(frozen.range_iter(slice.range.clone(), class)));
-                }
-            }
+            Shape::Ldc { file } => tables.file_iter(file, class)?,
             Shape::Merge { .. } | Shape::Tiered { .. } => {
+                let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
                 for &n in &planned.inputs {
                     inputs.push(Box::new(tables.table(n)?.iter(class)));
                 }
+                MergingIterator::new(inputs)
             }
-        }
+        };
         let mut out = RunOutput::default();
-        self.merge_entries(inputs, planned, &mut |finished| {
+        self.merge_entries(merge, planned, &mut |finished| {
             self.write_table(finished, IoClass::CompactionWrite, alloc, &mut out)
         })?;
         Ok(out)
     }
 
-    /// The merge loop proper: merge-sorts `inputs`, deduplicates by user
-    /// key (newest wins), and emits output tables cut at the target file
+    /// The merge loop proper: walks `merge`, deduplicates by user key
+    /// (newest wins), and emits output tables cut at the target file
     /// size — only at user-key boundaries, so level files never share a
     /// user key. The kept-entry decisions depend only on the input stream
     /// and `smallest_snapshot`: the shadowing state `last_kept_seq` resets
     /// at every user-key boundary, and file cuts happen only there.
     fn merge_entries(
         &self,
-        inputs: Vec<Box<dyn InternalIterator>>,
+        mut merge: MergingIterator<'_>,
         planned: &Planned,
         emit: &mut dyn FnMut(FinishedTable) -> Result<()>,
     ) -> Result<()> {
@@ -387,7 +363,6 @@ impl Db {
         // live snapshot (or the sequence current at planning time when
         // none is held) can still observe them.
         let smallest_snapshot = planned.smallest_snapshot;
-        let mut merge = MergingIterator::new(inputs);
         merge.seek_to_first();
         let mut builder: Option<TableBuilder> = None;
         let mut last_ukey: Option<Vec<u8>> = None;

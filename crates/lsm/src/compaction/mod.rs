@@ -41,7 +41,7 @@ use std::cmp::Reverse;
 use ldc_obs::{EventSink, NoopSink};
 
 use crate::options::Options;
-use crate::version::{FileMeta, Version};
+use crate::version::{responsible_files, FileMeta, Version};
 
 /// One unit of compaction work proposed by a policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,11 +218,7 @@ pub fn pick_leveled(ctx: &PickContext<'_>, movement: Movement) -> Option<Compact
         .collect();
     let lo = upper.iter().map(|f| f.smallest_ukey()).min()?;
     let hi = upper.iter().map(|f| f.largest_ukey()).max()?;
-    // File j below owns keys past file j-1's largest up to its own; the
-    // last file owns everything past that.
-    let last = below.len().saturating_sub(1);
-    let owner = |key| below.partition_point(|f| f.largest_ukey() < key).min(last);
-    let owners = below.get(owner(lo)..=owner(hi)).unwrap_or_default();
+    let owners = &below[responsible_files(below, lo, hi)];
     if let Some(linked) = owners.iter().find(|f| !f.slices.is_empty()) {
         return Some(LdcMerge {
             level: level + 1,

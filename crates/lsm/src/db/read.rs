@@ -1,7 +1,7 @@
 //! The read path: point lookups, scans, and the per-level LDC iterator.
 //!
 //! Readers never take the core lock. They clone the published
-//! [`ReadView`] — `Arc`s to the current [`Version`], the live memtable,
+//! [`ReadView`] — `Arc`s to the current `Version`, the live memtable,
 //! and the immutable memtable, plus the last published sequence number —
 //! and serve the whole operation from that pinned, immutable snapshot
 //! (DESIGN.md §10).
@@ -25,7 +25,10 @@
 //! the last file's to +inf (paper Example 3.2). Because every slice is
 //! scoped to a responsible range and LDC-merge outputs stay within it, slice
 //! ranges on distinct files never overlap — which keeps both point reads
-//! and range scans single-candidate per level.
+//! and range scans single-candidate per level. The partition
+//! ([`responsible_file`], [`scan_start`]) and what a linked file reads as
+//! ([`FileMeta::probes`], [`FileMeta::sources`]) live in `version/meta.rs`;
+//! `TableSet::file_iter` merges the sources for a scan.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,7 +46,7 @@ use crate::types::{
     encode_internal_key, parse_trailer, user_key, SeekKey, SequenceNumber, ValueType, MAX_SEQUENCE,
     TYPE_FOR_SEEK,
 };
-use crate::version::{FileMeta, Version};
+use crate::version::{responsible_file, scan_start, FileMeta};
 
 impl Db {
     /// Point lookup as of a pinned snapshot.
@@ -174,7 +177,7 @@ impl Db {
         // (the LDC policy freezes oldest-first).
         let mut best: Option<TableHit> = None;
         for meta in view.version.levels.first().into_iter().flatten().rev() {
-            if key < meta.smallest_ukey() || key > meta.largest_ukey() {
+            if !meta.overlaps_ukeys(key, key) {
                 continue;
             }
             let hit = self.probe_table(tables, meta.number, probe, hash, trace.as_deref_mut())?;
@@ -185,29 +188,16 @@ impl Db {
         }
 
         // Deeper levels: one candidate file per level (responsible-range
-        // partition); resolve file-vs-slices by sequence number.
-        for level in 1..view.version.num_levels() {
-            let candidate = match candidate_file(&view.version, level, key) {
-                Some(meta) => meta,
-                None => continue,
+        // partition); resolve file-vs-slices by sequence number. Slices
+        // come first (they are newer on average, enabling bloom skips to
+        // keep this cheap), then the file itself.
+        for files in view.version.levels.iter().skip(1) {
+            let Some(candidate) = responsible_file(files, key).and_then(|j| files.get(j)) else {
+                continue;
             };
             let mut best: Option<TableHit> = None;
-            // Slices first (they are newer on average, enabling bloom skips
-            // to keep this cheap), then the file itself.
-            for slice in candidate.slices.iter().rev() {
-                if !slice.range.contains(key) {
-                    continue;
-                }
-                let frozen = view.version.frozen.get(&slice.source_file);
-                let Some(frozen) = frozen.map(|f| f.number) else {
-                    continue;
-                };
-                let hit = self.probe_table(tables, frozen, probe, hash, trace.as_deref_mut())?;
-                keep_newest(&mut best, hit);
-            }
-            if key >= candidate.smallest_ukey() && key <= candidate.largest_ukey() {
-                let hit =
-                    self.probe_table(tables, candidate.number, probe, hash, trace.as_deref_mut())?;
+            for number in candidate.probes(key) {
+                let hit = self.probe_table(tables, number, probe, hash, trace.as_deref_mut())?;
                 keep_newest(&mut best, hit);
             }
             if let Some(hit) = best {
@@ -366,15 +356,6 @@ fn live_value((_, vt, value): TableHit) -> Option<PinnedValue> {
     }
 }
 
-/// The single file at `level` whose responsible range covers `key`:
-/// the first file with `largest >= key`, or the last file (whose range
-/// extends to +inf) if none.
-fn candidate_file<'v>(version: &'v Version, level: usize, key: &[u8]) -> Option<&'v FileMeta> {
-    let files = version.levels.get(level)?;
-    let idx = files.partition_point(|f| f.largest_ukey() < key);
-    files.get(idx).or_else(|| files.last())
-}
-
 /// Lazily walks one level's files in key order, merging each file with its
 /// slice links (the LDC read path for scans). Borrows its file list and
 /// open tables from the pinned view it was constructed with, so a
@@ -405,17 +386,7 @@ impl<'a> LevelIter<'a> {
         let Some(meta) = self.files.get(self.idx) else {
             return;
         };
-        let build = (|| -> Result<MergingIterator<'static>> {
-            let mut children: Vec<Box<dyn InternalIterator + 'static>> = Vec::new();
-            let table = self.tables.table(meta.number)?;
-            children.push(Box::new(table.iter(self.class)));
-            for slice in &meta.slices {
-                let frozen = self.tables.table(slice.source_file)?;
-                children.push(Box::new(frozen.range_iter(slice.range.clone(), self.class)));
-            }
-            Ok(MergingIterator::new(children))
-        })();
-        match build {
+        match self.tables.file_iter(meta, self.class) {
             Ok(m) => self.cur = Some(m),
             Err(e) => self.error = Some(e),
         }
@@ -458,23 +429,11 @@ impl InternalIterator for LevelIter<'_> {
     }
 
     fn seek(&mut self, target: &[u8]) {
-        let ukey = user_key(target);
-        let mut idx = self.files.partition_point(|f| f.largest_ukey() < ukey);
-        if idx >= self.files.len() {
-            // The last file's slices may extend past its largest key.
-            if self
-                .files
-                .last()
-                .map(|f| f.slices.iter().any(|s| s.range.hi.is_none()))
-                .unwrap_or(false)
-            {
-                idx = self.files.len() - 1;
-            } else {
-                self.cur = None;
-                self.idx = self.files.len();
-                return;
-            }
-        }
+        let Some(idx) = scan_start(self.files, user_key(target)) else {
+            self.cur = None;
+            self.idx = self.files.len();
+            return;
+        };
         self.idx = idx;
         self.open_current();
         if let Some(m) = self.cur.as_mut() {

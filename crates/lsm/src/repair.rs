@@ -257,13 +257,8 @@ pub fn repair_db_with_sink(
             // outputs orphaned by a quarantine) are garbage: deleting them
             // cannot lose live data, and crucially avoids resurrecting
             // keys whose tombstones were already compacted away.
-            let referenced_files: BTreeSet<u64> = version
-                .levels
-                .iter()
-                .flat_map(|files| files.iter())
-                .map(|f| f.number)
-                .chain(version.frozen.keys().copied())
-                .collect();
+            let referenced_files: BTreeSet<u64> =
+                version.tables().map(|(number, _)| number).collect();
             let orphans: Vec<u64> = clean
                 .keys()
                 .copied()

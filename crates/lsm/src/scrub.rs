@@ -69,15 +69,8 @@ impl Db {
     /// block checksums and key ordering. Returns the total entries scanned.
     pub fn verify_integrity(&self) -> Result<u64> {
         let (version, tables) = self.current_tables();
-        let numbers: Vec<u64> = version
-            .levels
-            .iter()
-            .flatten()
-            .map(|f| f.number)
-            .chain(version.frozen.keys().copied())
-            .collect();
         let mut total = 0u64;
-        for number in numbers {
+        for (number, _) in version.tables() {
             total += tables.table(number)?.verify(IoClass::Other)?;
         }
         Ok(total)

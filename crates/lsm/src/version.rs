@@ -22,7 +22,7 @@
 //!
 //! | module | owns |
 //! |---|---|
-//! | `meta` | `SliceLink`, `FileMeta`, `FrozenMeta`, `Version` and its queries, `check_invariants`, Algorithm 1's refcounts (`recompute_refcounts`) |
+//! | `meta` | `SliceLink`, `FileMeta`, `FrozenMeta`, `Version` and its queries (`tables`: every live and frozen table), `check_invariants`, Algorithm 1's refcounts (`recompute_refcounts`); LDC's file layout: the responsible-range partition (`responsible_file`, `responsible_files`, `link_targets`, `scan_start`) and what a linked file reads as (`FileMeta::sources`, `FileMeta::probes`) |
 //! | `edit` | `VersionEdit` and its record encoding, `apply_edit`, the `Counters` that travel in edits and the one `absorb` that reads them out, `snapshot_edit` |
 //! | `set` | `VersionSet`: file names, `write_manifest` (the one place a manifest file is created), recovery, `log_and_apply` / `apply_remote_edit` on one commit tail, rollover, the backup-stream call-out |
 
@@ -37,6 +37,8 @@ pub use set::{
     MANIFEST_ROLLOVER_BYTES,
 };
 
+// LDC's file layout, for the pick, the executor and the read path.
+pub(crate) use meta::{link_targets, responsible_file, responsible_files, scan_start};
 // What a checkpoint's manifest is written with (`backup.rs`).
 pub(crate) use edit::{snapshot_edit, Counters};
 pub(crate) use set::write_manifest;

@@ -456,11 +456,8 @@ mod tests {
             0 | 1 => {
                 let lo = a / 8;
                 let file = slot_file(c.next_file_number, lo, lo + b % 512);
-                if level > 0
-                    && !v
-                        .overlapping_files(level, file.smallest_ukey(), file.largest_ukey())
-                        .is_empty()
-                {
+                let (lo, hi) = (file.smallest_ukey(), file.largest_ukey());
+                if level > 0 && v.levels[level].iter().any(|f| f.overlaps_ukeys(lo, hi)) {
                     return None;
                 }
                 c.next_file_number += 1;

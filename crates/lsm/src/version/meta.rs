@@ -1,6 +1,10 @@
-//! File metadata, slice links, the frozen region, and [`Version`].
+//! File metadata, slice links, the frozen region, and [`Version`] — and
+//! LDC's file layout, written once: the responsible-range partition of a
+//! level ([`responsible_file`], [`link_targets`], [`scan_start`]) and what
+//! a linked file reads as ([`FileMeta::sources`], [`FileMeta::probes`]).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::error::{Error, Result};
 use crate::types::{user_key, KeyRange};
@@ -70,12 +74,26 @@ impl FileMeta {
         self.smallest_ukey() <= hi && self.largest_ukey() >= lo
     }
 
-    /// Slices covering `ukey`, newest link first (read-path priority).
-    pub fn slices_covering<'a>(&'a self, ukey: &'a [u8]) -> impl Iterator<Item = &'a SliceLink> {
-        self.slices
-            .iter()
-            .rev()
-            .filter(move |s| s.range.contains(ukey))
+    /// What this file reads as (Algorithm 1): its own table whole (`None`),
+    /// then each slice's range of its frozen source, oldest link first. A
+    /// merge over the file takes its children in this order; a point read
+    /// walks it backwards ([`FileMeta::probes`]).
+    pub(crate) fn sources(&self) -> impl DoubleEndedIterator<Item = (u64, Option<&KeyRange>)> + '_ {
+        let slices = self.slices.iter().map(|s| (s.source_file, Some(&s.range)));
+        std::iter::once((self.number, None)).chain(slices)
+    }
+
+    /// The tables a point read of `ukey` probes for this file, in probe
+    /// order: the source of each slice covering `ukey`, newest link first,
+    /// then the file itself when `ukey` lies in its span.
+    pub(crate) fn probes<'a>(&'a self, ukey: &'a [u8]) -> impl Iterator<Item = u64> + 'a {
+        self.sources().rev().filter_map(move |(number, range)| {
+            let holds = match range {
+                Some(range) => range.contains(ukey),
+                None => self.overlaps_ukeys(ukey, ukey),
+            };
+            holds.then_some(number)
+        })
     }
 
     /// Number of attached slice links (the paper's merge trigger counter).
@@ -169,14 +187,11 @@ impl Version {
         None
     }
 
-    /// Files in `level` overlapping the closed user-key span `[lo, hi]`.
-    pub fn overlapping_files(&self, level: usize, lo: &[u8], hi: &[u8]) -> Vec<&FileMeta> {
-        self.levels
-            .get(level)
-            .into_iter()
-            .flatten()
-            .filter(|f| f.overlaps_ukeys(lo, hi))
-            .collect()
+    /// Every table this version holds, as `(number, size)`: the live files
+    /// level by level, then the frozen files by number.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let live = self.levels.iter().flatten().map(|f| (f.number, f.size));
+        live.chain(self.frozen.iter().map(|(&number, f)| (number, f.size)))
     }
 
     /// Total number of live slice links across all files.
@@ -195,7 +210,7 @@ impl Version {
     ///
     /// * every link's source is frozen, and refcounts equal live links;
     /// * links on one file ascend strictly in `link_seq`
-    ///   ([`FileMeta::slices_covering`] answers newest-first by reversing);
+    ///   (`FileMeta::probes` answers newest-first by reversing);
     /// * a link's range meets its source's key span (a link that cannot
     ///   serve a read still pins the source);
     /// * slices cut from one source onto different files of one level are
@@ -282,6 +297,59 @@ impl Version {
     }
 }
 
+/// The index of the file whose responsible range holds `ukey` in `files`,
+/// one sorted, disjoint level; `None` on an empty level. Responsible ranges
+/// partition the key space (paper Example 3.2): file `j` owns
+/// `(largest_{j-1}, largest_j]`, the first file's range reaching down to
+/// -inf and the last file's up to +inf.
+pub(crate) fn responsible_file(files: &[FileMeta], ukey: &[u8]) -> Option<usize> {
+    let last = files.len().checked_sub(1)?;
+    Some(files.partition_point(|f| f.largest_ukey() < ukey).min(last))
+}
+
+/// The files of `files` whose responsible ranges meet the closed user-key
+/// span `[lo, hi]`: one contiguous run, empty only on an empty level.
+pub(crate) fn responsible_files(files: &[FileMeta], lo: &[u8], hi: &[u8]) -> Range<usize> {
+    match (responsible_file(files, lo), responsible_file(files, hi)) {
+        (Some(first), Some(last)) => first..last + 1,
+        _ => 0..0,
+    }
+}
+
+/// Algorithm 1's link of a file spanning `[lo, hi]` onto the level
+/// `files`: one `(target, responsible range)` per file of
+/// [`responsible_files`], in key order. A range's exclusive bounds are the
+/// smallest keys strictly above the previous file's largest and its own.
+pub(crate) fn link_targets(files: &[FileMeta], lo: &[u8], hi: &[u8]) -> Vec<(u64, KeyRange)> {
+    // The bound above file `j`; none above the last file.
+    let above = |j: usize| {
+        let f = files.get(j).filter(|_| j + 1 < files.len())?;
+        Some([f.largest_ukey(), &[0]].concat())
+    };
+    let run = responsible_files(files, lo, hi);
+    let targets = files.get(run.clone()).unwrap_or_default();
+    targets
+        .iter()
+        .zip(run)
+        .map(|(f, j)| {
+            let lo = j.checked_sub(1).and_then(above).unwrap_or_default();
+            (f.number, KeyRange { lo, hi: above(j) })
+        })
+        .collect()
+}
+
+/// The file a level scan from `ukey` opens first: the responsible one, but
+/// for a key past the last file's span only when a slice carries that file
+/// on to +inf (only a slice can hold such a key there). `None` when no file
+/// of the level can hold `ukey` or anything after it.
+pub(crate) fn scan_start(files: &[FileMeta], ukey: &[u8]) -> Option<usize> {
+    responsible_file(files, ukey).filter(|&j| {
+        files.get(j).is_some_and(|f| {
+            ukey <= f.largest_ukey() || f.slices.iter().any(|s| s.range.hi.is_none())
+        })
+    })
+}
+
 /// Recomputes frozen-file refcounts from live slice links.
 pub(crate) fn recompute_refcounts(version: &mut Version) {
     for frozen in version.frozen.values_mut() {
@@ -309,33 +377,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn overlap_queries() {
-        let mut v = Version::new(3);
-        apply_edit(
-            &mut v,
-            &VersionEdit {
-                new_files: vec![
-                    (1, meta(1, b"a", b"c")),
-                    (1, meta(2, b"e", b"g")),
-                    (1, meta(3, b"i", b"k")),
-                ],
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let hits = v.overlapping_files(1, b"f", b"j");
-        assert_eq!(
-            hits.iter().map(|f| f.number).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        assert!(v.overlapping_files(1, b"x", b"z").is_empty());
-        // Boundary touch counts as overlap.
-        assert_eq!(v.overlapping_files(1, b"c", b"c").len(), 1);
-    }
-
-    #[test]
-    fn slices_covering_returns_newest_first() {
-        let mut f = meta(1, b"a", b"z");
+    fn probes_walk_covering_slices_newest_first_then_the_file() {
+        let mut f = meta(1, b"b", b"m");
         f.slices.push(SliceLink {
             source_file: 100,
             range: KeyRange::new(&b"a"[..], &b"m"[..]),
@@ -348,10 +391,11 @@ mod tests {
             link_seq: 1,
             approx_bytes: 100,
         });
-        let hits: Vec<u64> = f.slices_covering(b"b").map(|s| s.source_file).collect();
-        assert_eq!(hits, vec![101, 100]);
-        let hits: Vec<u64> = f.slices_covering(b"n").map(|s| s.source_file).collect();
-        assert_eq!(hits, vec![101]);
+        let sources: Vec<u64> = f.sources().map(|(n, _)| n).collect();
+        assert_eq!(sources, vec![1, 100, 101]);
+        assert_eq!(f.probes(b"c").collect::<Vec<_>>(), vec![101, 100, 1]);
+        assert_eq!(f.probes(b"a").collect::<Vec<_>>(), vec![101, 100]);
+        assert_eq!(f.probes(b"n").collect::<Vec<_>>(), vec![101]);
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! The constants were recorded at commit 8c5b69e (PR 11), before the two
 //! compaction executors were collapsed into one. When a PR's stated
 //! purpose is to change them, re-record from the assertion's `left` side
-//! and say why in CHANGES.md.
+//! and say why in CHANGES.md. The event stream is pinned only by its CRC,
+//! so a mismatch also writes the stream as JSONL under the target
+//! directory's `tmp/` and names the file and its event count: run the test
+//! at the parent commit too and diff the two files to see which event moved.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Arc;
 
 use ldc_core::{LdcDb, LdcDbBuilder};
@@ -48,7 +52,8 @@ fn next(state: &mut u64) -> u64 {
 
 /// Runs the fixed put/delete/get mix and renders everything pinned as one
 /// line-per-fact string, so a mismatch shows exactly which fact moved.
-fn fingerprint(builder: LdcDbBuilder) -> String {
+/// Returns the event stream too, as JSONL, one event a line.
+fn fingerprint(builder: LdcDbBuilder) -> (String, String) {
     use std::fmt::Write as _;
     let sink = Arc::new(RingBufferSink::new(1 << 20));
     let db = builder.event_sink(sink.clone()).build().expect("open");
@@ -102,9 +107,13 @@ fn fingerprint(builder: LdcDbBuilder) -> String {
     }
     let mut kinds: BTreeMap<&'static str, u32> = BTreeMap::new();
     let mut stream_crc = 0u32;
+    let mut jsonl = String::new();
     for event in sink.events() {
         *kinds.entry(event.kind.label()).or_default() += 1;
-        stream_crc = extend(stream_crc, event.to_json().as_bytes());
+        let json = event.to_json();
+        stream_crc = extend(stream_crc, json.as_bytes());
+        jsonl.push_str(&json);
+        jsonl.push('\n');
     }
     for (kind, count) in kinds {
         let _ = writeln!(out, "events {kind} {count}");
@@ -139,7 +148,27 @@ fn fingerprint(builder: LdcDbBuilder) -> String {
         })
         .expect("manifest replays");
     let _ = writeln!(out, "next_file_number {next_file_number}");
-    out
+    (out, jsonl)
+}
+
+/// Asserts that `builder`'s run fingerprints as `golden`. On a mismatch the
+/// run's event stream is written first, as `inline_golden_<name>.jsonl`
+/// under the target directory, so it can be diffed line by line against
+/// the same file from a run of the commit that recorded the golden.
+fn assert_fingerprint(name: &str, builder: LdcDbBuilder, golden: &str) {
+    let (actual, jsonl) = fingerprint(builder);
+    if actual == golden {
+        return;
+    }
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("inline_golden_{name}.jsonl"));
+    std::fs::write(&path, &jsonl).expect("write the event stream");
+    let events = jsonl.lines().count();
+    assert_eq!(
+        actual,
+        golden,
+        "event_stream_crc32c covers {events} events, written to {}",
+        path.display()
+    );
 }
 
 /// The manifest writer's other two outputs, which `fingerprint` does not
@@ -263,17 +292,17 @@ next_file_number 1194\n\
 
 #[test]
 fn inline_udc_matches_golden() {
-    assert_eq!(fingerprint(inline().udc_baseline()), GOLDEN_UDC);
+    assert_fingerprint("udc", inline().udc_baseline(), GOLDEN_UDC);
 }
 
 #[test]
 fn inline_ldc_matches_golden() {
-    assert_eq!(fingerprint(inline()), GOLDEN_LDC);
+    assert_fingerprint("ldc", inline(), GOLDEN_LDC);
 }
 
 #[test]
 fn inline_size_tiered_matches_golden() {
-    assert_eq!(fingerprint(inline().size_tiered()), GOLDEN_SIZE_TIERED);
+    assert_fingerprint("size_tiered", inline().size_tiered(), GOLDEN_SIZE_TIERED);
 }
 
 // Recorded at commit fc702ba (PR 18), before `version.rs` was split and its
