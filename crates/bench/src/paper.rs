@@ -1031,7 +1031,6 @@ fn abl_model_check(args: &CommonArgs, out: &mut dyn Write) -> io::Result<()> {
         fan_out: options.fan_out as f64,
         sstable_bytes: options.sstable_bytes as f64,
         total_bytes: (args.ops * (16 + args.value_bytes as u64)) as f64,
-        l0_files: options.l0_compaction_trigger as f64,
     };
     let rows = vec![
         vec![

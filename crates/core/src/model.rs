@@ -14,8 +14,6 @@ pub struct ModelParams {
     pub sstable_bytes: f64,
     /// Total data amount `n` in bytes.
     pub total_bytes: f64,
-    /// Unsorted Level-0 file count `u`.
-    pub l0_files: f64,
 }
 
 impl ModelParams {
@@ -34,11 +32,6 @@ pub fn write_amp_udc(p: &ModelParams) -> f64 {
 /// Theorem 3.1: LDC write amplification `O(log_k(n/b))`.
 pub fn write_amp_ldc(p: &ModelParams) -> f64 {
     p.height()
-}
-
-/// Theorem 2.2: UDC read amplification `O(log_k(n/b) + u)`.
-pub fn read_amp_udc(p: &ModelParams) -> f64 {
-    p.height() + p.l0_files
 }
 
 /// Eq. (2): total throughput of a mix with write ratio `r_w`.
@@ -60,7 +53,6 @@ mod tests {
             fan_out: 10.0,
             sstable_bytes: 2e6,
             total_bytes: 2e10, // 10^4 tables -> height 4
-            l0_files: 4.0,
         }
     }
 

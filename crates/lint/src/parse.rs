@@ -1,4 +1,4 @@
-//! Item-level parsing over the [`SourceView`](crate::lexer::SourceView)
+//! Item-level parsing over the [`SourceView`]
 //! lexer: functions, their impl-block owners, parameter lists, and return
 //! types.
 //!

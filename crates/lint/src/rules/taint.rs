@@ -9,7 +9,7 @@
 //! bench JSON.
 //!
 //! Two analyses run over the workspace call graph
-//! ([`Workspace`](crate::graph::Workspace)):
+//! ([`Workspace`]):
 //!
 //! * **Sink purity.** A sink function and its transitive resolved callees
 //!   must not contain a source token. A sink that computes host time

@@ -15,8 +15,15 @@
 //! buffer is filled only when a later entry has to be rebuilt from its
 //! predecessor's prefix. A seek that ends on a restart entry allocates
 //! nothing; any other seek allocates that one buffer.
+//!
+//! A cursor either owns a handle to its block ([`Block::iter`], what a
+//! table iterator keeps across calls) or borrows it (`Block::cursor`):
+//! a point read seeks its table's index block and the cached data block in
+//! place, touching no reference count.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use bytes::Bytes;
 
@@ -266,7 +273,20 @@ impl Block {
         &data[offset..offset + non_shared as usize]
     }
 
-    /// Creates an unpositioned iterator.
+    /// The bytes at `range` of the block, which must lie inside it (a
+    /// [`BlockIter::value_range`] of a cursor over this block).
+    pub(crate) fn bytes(&self, range: Range<usize>) -> &[u8] {
+        self.data.get(range).unwrap_or_default()
+    }
+
+    /// [`Block::bytes`] as a zero-copy handle that keeps the block's backing
+    /// buffer alive.
+    pub(crate) fn slice(&self, range: Range<usize>) -> Bytes {
+        self.data.slice(range)
+    }
+
+    /// Creates an unpositioned iterator that holds its own handle to the
+    /// block.
     pub fn iter(&self) -> BlockIter {
         self.iter_with_buffer(Vec::new())
     }
@@ -274,21 +294,20 @@ impl Block {
     /// [`Block::iter`] with a key buffer to reuse, typically
     /// [`BlockIter::into_buffer`] of the iterator over the previous block.
     pub(crate) fn iter_with_buffer(&self, buf: Vec<u8>) -> BlockIter {
-        BlockIter {
-            block: self.clone(),
-            offset: 0,
-            key_range: (0, 0),
-            key_in_buf: false,
-            buf,
-            value_range: (0, 0),
-            valid: false,
-        }
+        BlockIter::over(self.clone(), buf)
+    }
+
+    /// An unpositioned cursor that borrows the block in place, with a key
+    /// buffer to reuse.
+    pub(crate) fn cursor(&self, buf: Vec<u8>) -> BlockIter<&Block> {
+        BlockIter::over(self, buf)
     }
 }
 
-/// Cursor over a [`Block`].
-pub struct BlockIter {
-    block: Block,
+/// Cursor over a [`Block`], which it owns (`B = Block`) or borrows
+/// (`B = &Block`).
+pub struct BlockIter<B = Block> {
+    block: B,
     /// Offset of the *next* entry to decode.
     offset: usize,
     /// Where the current key lies in the block, when `!key_in_buf`: the
@@ -302,7 +321,23 @@ pub struct BlockIter {
     valid: bool,
 }
 
-impl BlockIter {
+impl<B: Borrow<Block>> BlockIter<B> {
+    fn over(block: B, buf: Vec<u8>) -> Self {
+        BlockIter {
+            block,
+            offset: 0,
+            key_range: (0, 0),
+            key_in_buf: false,
+            buf,
+            value_range: (0, 0),
+            valid: false,
+        }
+    }
+
+    fn block(&self) -> &Block {
+        self.block.borrow()
+    }
+
     /// Whether positioned at an entry.
     pub fn valid(&self) -> bool {
         self.valid
@@ -314,7 +349,7 @@ impl BlockIter {
         if self.key_in_buf {
             &self.buf
         } else {
-            &self.block.data[self.key_range.0..self.key_range.1]
+            &self.block().data[self.key_range.0..self.key_range.1]
         }
     }
 
@@ -335,17 +370,15 @@ impl BlockIter {
     /// Current value.
     pub fn value(&self) -> &[u8] {
         debug_assert!(self.valid);
-        &self.block.data[self.value_range.0..self.value_range.1]
+        &self.block().data[self.value_range.0..self.value_range.1]
     }
 
-    /// Current value as a zero-copy slice of the block's backing buffer.
-    /// The returned [`Bytes`] pins the decoded block alive, so callers can
-    /// hand the value up the stack without memcpying it out of the cache.
-    pub fn value_bytes(&self) -> Bytes {
+    /// Where the current value lies in the block: a point read keeps the
+    /// range and the block's handle, and copies or slices the value only
+    /// once it knows the entry is the one returned.
+    pub(crate) fn value_range(&self) -> Range<usize> {
         debug_assert!(self.valid);
-        self.block
-            .data
-            .slice(self.value_range.0..self.value_range.1)
+        self.value_range.0..self.value_range.1
     }
 
     /// Positions at the first entry.
@@ -357,10 +390,11 @@ impl BlockIter {
     /// Positions at the first entry with key >= `target`.
     pub fn seek(&mut self, target: &[u8]) {
         // Binary search restarts for the last restart whose key < target.
-        let (mut lo, mut hi) = (0usize, self.block.num_restarts.saturating_sub(1));
+        let block = self.block();
+        let (mut lo, mut hi) = (0usize, block.num_restarts.saturating_sub(1));
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            if compare_internal_keys(self.block.restart_key(mid), target) == Ordering::Less {
+            if compare_internal_keys(block.restart_key(mid), target) == Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -374,11 +408,12 @@ impl BlockIter {
     /// `target`, or restart 0 when none is. [`BlockIter::seek`] finds it by
     /// binary search; a table's index finds it from its key prefixes.
     pub(crate) fn seek_from_restart(&mut self, restart: usize, target: &[u8]) {
-        if restart >= self.block.num_restarts {
+        let block = self.block();
+        if restart >= block.num_restarts {
             self.valid = false;
             return;
         }
-        self.rewind_to(self.block.restart_point(restart));
+        self.rewind_to(block.restart_point(restart));
         loop {
             if !self.parse_next() {
                 return;
@@ -396,12 +431,15 @@ impl BlockIter {
     }
 
     fn parse_next(&mut self) -> bool {
-        let data_end = self.block.restarts_offset;
+        // The field alone, not `self.block()`: the cursor's other fields are
+        // written while the block is borrowed.
+        let block: &Block = self.block.borrow();
+        let data_end = block.restarts_offset;
         if self.offset >= data_end {
             self.valid = false;
             return false;
         }
-        let data = &self.block.data[..data_end];
+        let data = &block.data[..data_end];
         let mut off = self.offset;
         let (shared, n) = match get_varint32(&data[off..]) {
             Some(v) => v,

@@ -18,13 +18,13 @@
 //! block or a value handed to a caller then keeps alive until it is dropped
 //! ([`BlockCache::evict_file`] drops the cache's share when the file goes).
 //!
-//! [`TableSet`] holds the open SSTable handles of one installed version.
+//! `TableSet` holds the open SSTable handles of one installed version.
 //! It lives in the cache layer so the pinned index/filter bytes of every
 //! open table are charged to the block cache budget instead of being
 //! invisible free memory. Handles are not evicted: a table opens once and
 //! stays open while its file is live or frozen.
 //!
-//! Each shard keeps its order in one private [`Lru`]: a slab of nodes on
+//! Each shard keeps its order in one private `Lru`: a slab of nodes on
 //! an intrusive doubly linked list plus a map from key to slot. Every
 //! operation is O(1) and the order is **strictly** least-recently-used —
 //! a hit moves the entry to the front, an insert lands at the front, the
@@ -230,6 +230,9 @@ impl<K: Copy + Default + Eq + Hash, V> Lru<K, V> {
 
 struct ShardInner {
     blocks: Lru<BlockKey, Arc<Block>>,
+    /// Lookups this shard served, counted under the lock a hit takes
+    /// anyway rather than with an atomic of their own.
+    hits: u64,
     used_bytes: usize,
     /// Bytes charged by open tables for their pinned index/filter blocks.
     /// Never evicted here — released when the table handle is dropped.
@@ -263,6 +266,7 @@ impl Shard {
                 "lsm/cache::inner",
                 ShardInner {
                     blocks: Lru::new(),
+                    hits: 0,
                     used_bytes: 0,
                     pinned_bytes: 0,
                 },
@@ -279,7 +283,6 @@ pub struct BlockCache {
     shards: Vec<Shard>,
     /// `shards.len() - 1`; shard index is `hash & mask`.
     mask: u64,
-    hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
@@ -326,7 +329,6 @@ impl BlockCache {
             shard_capacity: capacity_bytes / n,
             shards: (0..n).map(|_| Shard::new()).collect(),
             mask: (n - 1) as u64,
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
@@ -350,9 +352,9 @@ impl BlockCache {
         load: impl FnOnce() -> Result<Block>,
     ) -> Result<Arc<Block>> {
         if self.capacity_bytes > 0 {
-            let hit = self.shard(key).inner.lock().blocks.touch(&key).cloned();
-            if let Some(block) = hit {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            let mut inner = self.shard(key).inner.lock();
+            if let Some(block) = inner.blocks.touch(&key).cloned() {
+                inner.hits += 1;
                 return Ok(block);
             }
         }
@@ -410,9 +412,9 @@ impl BlockCache {
         inner.pinned_bytes = inner.pinned_bytes.saturating_sub(bytes);
     }
 
-    /// Cache hits so far.
+    /// Cache hits so far, summed across shards.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.inner.lock().hits).sum()
     }
 
     /// Cache misses so far — each miss is one data-block read from the
@@ -461,8 +463,10 @@ impl BlockCache {
 /// integrity check asks for the file through a set that holds it. Each
 /// install builds the next version's set from this one ([`TableSet::successor`]),
 /// so a file keeps its slot, and with it its one open handle, for as long as
-/// it is live or frozen. Readers resolve a file with a hash probe and an
-/// atomic load: no lock, no LRU, no reference count.
+/// it is live or frozen. The slots of each level also sit in the version's
+/// file order, so a get resolves a live file by its position and only a
+/// slice's frozen source by number. Either way it is a lookup and an atomic
+/// load: no lock, no LRU, no reference count.
 ///
 /// A table's decoded index block and Bloom filter are charged to the
 /// [`BlockCache`] budget as pinned bytes when it opens and released when
@@ -470,7 +474,10 @@ impl BlockCache {
 /// come out of one pool.
 pub(crate) struct TableSet {
     source: Arc<TableSource>,
+    /// Every live and frozen file's slot, by file number.
     slots: HashMap<u64, Arc<TableSlot>, BuildHasherDefault<KeyHasher>>,
+    /// Each level's slots in the version's file order, shared with `slots`.
+    levels: Vec<Vec<Arc<TableSlot>>>,
 }
 
 /// What every table set of one store shares: where tables open from, the
@@ -492,8 +499,8 @@ const CHARGED: u8 = 1;
 const RETIRED: u8 = 2;
 
 /// One file's handle, shared by every set whose version holds the file.
-#[derive(Default)]
-struct TableSlot {
+pub(crate) struct TableSlot {
+    number: u64,
     table: OnceLock<Arc<Table>>,
     charge: AtomicU8,
 }
@@ -514,6 +521,7 @@ impl TableSet {
         let empty = TableSet {
             source,
             slots: HashMap::default(),
+            levels: Vec::new(),
         };
         empty.successor(version)
     }
@@ -524,33 +532,69 @@ impl TableSet {
     /// reader that opens one later charges nothing.
     pub(crate) fn successor(&self, version: &Version) -> TableSet {
         let mut slots = HashMap::with_capacity_and_hasher(self.slots.len(), Default::default());
-        for (number, _) in version.tables() {
-            let slot = self.slots.get(&number).cloned().unwrap_or_default();
-            slots.insert(number, slot);
+        let mut slot_of = |number: u64| {
+            let kept = self.slots.get(&number).cloned();
+            let slot = kept.unwrap_or_else(|| Arc::new(TableSlot::new(number)));
+            slots.insert(number, Arc::clone(&slot));
+            slot
+        };
+        let levels = version
+            .levels
+            .iter()
+            .map(|files| files.iter().map(|f| slot_of(f.number)).collect())
+            .collect();
+        for &number in version.frozen.keys() {
+            slot_of(number);
         }
         // In map order: a release only lowers its shard's pinned count.
         for (&number, slot) in &self.slots {
             if !slots.contains_key(&number) {
-                slot.retire(&self.source.cache, number);
+                slot.retire(&self.source.cache);
             }
         }
         TableSet {
             source: Arc::clone(&self.source),
             slots,
+            levels,
         }
     }
 
-    /// The open handle of `number`, opening the table on first use (a
+    /// The slot of `number`. Fails if the file is not in this set's
+    /// version.
+    pub(crate) fn slot(&self, number: u64) -> Result<&TableSlot> {
+        match self.slots.get(&number) {
+            Some(slot) => Ok(slot),
+            None => Err(Error::InvalidState(format!(
+                "table {number} is not in the pinned version"
+            ))),
+        }
+    }
+
+    /// The slot of the file at `index` of `level` in this set's version,
+    /// found by position.
+    pub(crate) fn level_slot(&self, level: usize, index: usize) -> Result<&TableSlot> {
+        match self.levels.get(level).and_then(|files| files.get(index)) {
+            Some(slot) => Ok(slot),
+            None => Err(Error::InvalidState(format!(
+                "no file {index} on level {level} of the pinned version"
+            ))),
+        }
+    }
+
+    /// The open handle of `slot`'s file, opening the table on first use (a
     /// metadata read of its footer, index and filter, like a real
-    /// `open()`). Fails if the file is not in this set's version.
-    pub(crate) fn table(&self, number: u64) -> Result<&Arc<Table>> {
-        let slot = self.slots.get(&number).ok_or_else(|| {
-            Error::InvalidState(format!("table {number} is not in the pinned version"))
-        })?;
+    /// `open()`).
+    pub(crate) fn handle<'s>(&self, slot: &'s TableSlot) -> Result<&'s Arc<Table>> {
         match slot.table.get() {
             Some(table) => Ok(table),
-            None => self.open(number, slot),
+            None => self.open(slot),
         }
+    }
+
+    /// The open handle of `number`, opened on first use. Fails if the file
+    /// is not in this set's version.
+    pub(crate) fn table(&self, number: u64) -> Result<&Arc<Table>> {
+        self.handle(self.slot(number)?)
     }
 
     /// One merged iterator over what `file` reads as, its
@@ -574,8 +618,8 @@ impl TableSet {
     }
 
     #[cold]
-    fn open<'s>(&self, number: u64, slot: &'s TableSlot) -> Result<&'s Arc<Table>> {
-        let source = &self.source;
+    fn open<'s>(&self, slot: &'s TableSlot) -> Result<&'s Arc<Table>> {
+        let (source, number) = (&self.source, slot.number);
         // Open outside any lock; two racing opens keep whichever filled
         // the slot first, and only that one is charged.
         let table = Table::open(
@@ -591,7 +635,7 @@ impl TableSet {
             table
         });
         if filled {
-            slot.charge(&source.cache, number, kept.pinned_bytes());
+            slot.charge(&source.cache, kept.pinned_bytes());
         }
         Ok(kept)
     }
@@ -609,9 +653,18 @@ impl TableSet {
 }
 
 impl TableSlot {
+    fn new(number: u64) -> TableSlot {
+        TableSlot {
+            number,
+            table: OnceLock::new(),
+            charge: AtomicU8::new(UNCHARGED),
+        }
+    }
+
     /// Charges a freshly filled handle's pinned bytes, unless the file has
     /// already left the version.
-    fn charge(&self, cache: &BlockCache, number: u64, bytes: usize) {
+    fn charge(&self, cache: &BlockCache, bytes: usize) {
+        let number = self.number;
         if self.charge.load(Ordering::Acquire) == RETIRED {
             return;
         }
@@ -626,10 +679,10 @@ impl TableSlot {
     }
 
     /// Marks the file gone and releases its charge, if it was made.
-    fn retire(&self, cache: &BlockCache, number: u64) {
+    fn retire(&self, cache: &BlockCache) {
         if self.charge.swap(RETIRED, Ordering::AcqRel) == CHARGED {
             if let Some(table) = self.table.get() {
-                cache.release_pinned(number, table.pinned_bytes());
+                cache.release_pinned(self.number, table.pinned_bytes());
             }
         }
     }
@@ -659,6 +712,8 @@ mod tests {
     use super::*;
     use crate::block::BlockBuilder;
     use crate::types::{encode_internal_key, ValueType};
+    use crate::version::tests::apply_random_edit;
+    use crate::version::Counters;
     use bytes::Bytes;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -988,6 +1043,59 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// After every step of a random history of flushes, links, merges
+        /// and reclamations, each level's slots name the version's files in
+        /// its file order and are the very slots the map holds, every file
+        /// has exactly one slot, and a slot whose file left stays retired
+        /// and out of every later set.
+        #[test]
+        fn successor_keeps_level_slots_in_file_order(
+            steps in prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 1..80),
+        ) {
+            let levels = 4;
+            let mut version = Version::new(levels);
+            let mut counters = Counters::new(levels);
+            let storage = ldc_ssd::MemStorage::new(ldc_ssd::SsdDevice::new(
+                ldc_ssd::SsdConfig::tiny_for_tests(),
+            ));
+            let mut set = TableSet::new(storage, Arc::new(BlockCache::new(1 << 20)), &version);
+            let mut retired: Vec<Arc<TableSlot>> = Vec::new();
+            for (kind, a, b) in steps {
+                if !apply_random_edit(&mut version, &mut counters, kind, a, b) {
+                    continue;
+                }
+                let next = set.successor(&version);
+                retired.extend(
+                    set.slots
+                        .iter()
+                        .filter(|(number, _)| !next.slots.contains_key(number))
+                        .map(|(_, slot)| Arc::clone(slot)),
+                );
+                set = next;
+                prop_assert_eq!(set.levels.len(), version.levels.len());
+                for (level, files) in version.levels.iter().enumerate() {
+                    prop_assert_eq!(set.levels[level].len(), files.len());
+                    for (j, file) in files.iter().enumerate() {
+                        let slot = set.level_slot(level, j).unwrap();
+                        prop_assert_eq!(slot.number, file.number);
+                        let mapped = set.slots.get(&file.number).unwrap();
+                        prop_assert!(std::ptr::eq(slot, mapped.as_ref()), "level {} file {}", level, j);
+                        prop_assert_ne!(slot.charge.load(Ordering::Acquire), RETIRED);
+                    }
+                }
+                prop_assert!(set.level_slot(levels, 0).is_err());
+                let live: usize = version.levels.iter().map(Vec::len).sum();
+                prop_assert_eq!(set.slots.len(), live + version.frozen.len());
+                for &number in version.frozen.keys() {
+                    prop_assert_eq!(set.slot(number).unwrap().number, number);
+                }
+                for slot in &retired {
+                    prop_assert_eq!(slot.charge.load(Ordering::Acquire), RETIRED);
+                    prop_assert!(set.slot(slot.number).is_err(), "retired file {} is back", slot.number);
+                }
+            }
+        }
 
         /// The list keeps the order the ticks kept: after every operation of
         /// a random sequence the two caches agree on the hit / miss /

@@ -6,12 +6,12 @@
 //! charged to the simulated SSD. Every public operation takes `&self`.
 //! Mutable engine state lives in one rank-witnessed
 //! [`ldc_obs::lockcheck::Mutex`]`<DbCore>`; readers never touch it — they
-//! pin the published [`ReadView`] instead.
+//! pin the published `ReadView` instead.
 //!
 //! This file holds what every concern shares: the public value types,
-//! `Db` / `DbCore` / `ReadView` and the constructor that names their lock
-//! ids (`crates/lint/lock_order.toml` keys a lock by its file stem, so
-//! `lsm/db::{core,view}` must be built here), accessors,
+//! `Db` / `DbCore` / `ReadView` (and its `ViewParts`) and the constructor
+//! that names their lock ids (`crates/lint/lock_order.toml` keys a lock by
+//! its file stem, so `lsm/db::{core,view}` must be built here), accessors,
 //! snapshots, view publication, the open-table sets and the corruption
 //! quarantine. The `impl Db` blocks live with their concern:
 //!
@@ -19,7 +19,7 @@
 //! |---|---|
 //! | `open` | manifest recovery, WAL replay, building the `DbCore`, the first flush |
 //! | `write` | group commit, WAL + memtable, rotation, write-gate booking; asks once per commit which driver runs |
-//! | `read` | the pinned-view read envelope, gets, scans, `LevelIter`; LDC read semantics and responsible ranges |
+//! | `read` | the pinned-view read envelope, gets and `PinnedValue`, scans, `LevelIter`; LDC read semantics and responsible ranges |
 //! | `lane` | the inline driver: `BgLane`, the pump, its write gates, drain, deferred deletes |
 //! | `checkpoint` | `flush`, checkpoints, backup streams, replicated edits |
 //! | `report` | `stats_report`, `tail_report`, `level_gauges`, per-op tracing |
@@ -29,7 +29,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use ldc_obs::lockcheck::{Mutex, RwLock};
 use ldc_obs::{Event, EventKind, MetricsRegistry, SharedSink, TraceReservoir};
 use ldc_ssd::{SsdDevice, StorageBackend};
@@ -118,76 +117,53 @@ pub struct QuarantinedFile {
     pub largest: Vec<u8>,
 }
 
-/// A value returned by the pinned get path without copying it out of the
-/// block cache. `Block` keeps the decoded SSTable block alive for as long
-/// as the handle exists; `Inline` carries a memtable hit (the skiplist
-/// arena cannot be pinned across the lock, so those bytes are copied
-/// once). Copy to an owned `Vec` only at the API boundary that needs one.
-#[derive(Debug, Clone)]
-pub enum PinnedValue {
-    /// A value copied out of the (im)mutable memtable.
-    Inline(Vec<u8>),
-    /// A zero-copy slice of a cached, immutable SSTable block.
-    Block(Bytes),
-}
-
-impl PinnedValue {
-    /// The value bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            PinnedValue::Inline(v) => v,
-            PinnedValue::Block(b) => b,
-        }
-    }
-
-    /// Copies (or moves, for `Inline`) the value into an owned vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        match self {
-            PinnedValue::Inline(v) => v,
-            PinnedValue::Block(b) => b.to_vec(),
-        }
-    }
-
-    /// Value length in bytes.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether the value is empty.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-}
-
-impl AsRef<[u8]> for PinnedValue {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-/// The state a read operation pins at entry: `Arc`s to the version, its
-/// open tables and the memtables current at some commit boundary, plus the
-/// sequence number published with them. Cloning is a few refcount bumps;
-/// everything reachable from a view is immutable except the live memtable,
-/// whose entries newer than `seq` are invisible to the read (MVCC by
-/// sequence), and the table slots, which fill once.
+/// The state a read operation pins at entry: the parts current at some
+/// commit boundary, plus the sequence number published with them. Cloning
+/// is one refcount bump; everything reachable from a view is immutable
+/// except the live memtable, whose entries newer than `seq` are invisible
+/// to the read (MVCC by sequence), and the table slots, which fill once.
 #[derive(Clone)]
 struct ReadView {
+    parts: Arc<ViewParts>,
+    seq: SequenceNumber,
+}
+
+/// What a view pins besides its sequence: the version, its open tables and
+/// the memtables. An ordinary commit changes none of them, so it publishes
+/// only its sequence; a rotation, flush, install or quarantine allocates
+/// new parts (RocksDB's SuperVersion).
+struct ViewParts {
     version: Arc<Version>,
     tables: Arc<TableSet>,
     mem: Arc<MemTable>,
     imm: Option<Arc<MemTable>>,
-    seq: SequenceNumber,
+}
+
+impl ViewParts {
+    /// The parts of `core`'s current state.
+    fn of(core: &DbCore) -> ViewParts {
+        ViewParts {
+            version: Arc::clone(&core.versions.current),
+            tables: Arc::clone(&core.tables),
+            mem: Arc::clone(&core.mem),
+            imm: core.imm.clone(),
+        }
+    }
+
+    /// Whether these are `core`'s current parts.
+    fn current_in(&self, core: &DbCore) -> bool {
+        Arc::ptr_eq(&self.version, &core.versions.current)
+            && Arc::ptr_eq(&self.tables, &core.tables)
+            && Arc::ptr_eq(&self.mem, &core.mem)
+            && self.imm.as_ref().map(Arc::as_ptr) == core.imm.as_ref().map(Arc::as_ptr)
+    }
 }
 
 impl ReadView {
     /// The view of `core`'s current state.
     fn of(core: &DbCore) -> ReadView {
         ReadView {
-            version: Arc::clone(&core.versions.current),
-            tables: Arc::clone(&core.tables),
-            mem: Arc::clone(&core.mem),
-            imm: core.imm.clone(),
+            parts: Arc::new(ViewParts::of(core)),
             seq: core.versions.counters.last_sequence,
         }
     }
@@ -195,7 +171,7 @@ impl ReadView {
 
 /// All mutable engine state, guarded by one mutex. Writers (and the
 /// background work they pump) hold it for the duration of a commit;
-/// readers never take it — they go through the published [`ReadView`].
+/// readers never take it — they go through the published `ReadView`.
 pub(crate) struct DbCore {
     pub(crate) versions: VersionSet,
     /// The open tables of `versions.current`, rebuilt by every
@@ -284,15 +260,15 @@ pub struct Db {
     pub(crate) storage: Arc<dyn StorageBackend>,
     pub(crate) device: Arc<SsdDevice>,
     block_cache: Arc<BlockCache>,
-    /// Where structured events go; [`NoopSink`] by default, in which case
-    /// no event is ever built (`sink.enabled()` gates construction).
+    /// Where structured events go; [`ldc_obs::NoopSink`] by default, in
+    /// which case no event is ever built (`sink.enabled()` gates it).
     pub(crate) sink: SharedSink,
     /// Per-op latency histograms and blame totals, retry and scrub counts.
     metrics: Arc<MetricsRegistry>,
     /// Worst-K trace reservoir; `None` (the default) disables per-op
-    /// tracing entirely — the op paths then never construct a
-    /// [`TraceCtx`], so the disabled engine is byte- and time-identical
-    /// to one built before tracing existed. Tracing only *reads* the
+    /// tracing entirely — the op paths then never construct an
+    /// [`ldc_obs::TraceCtx`], so the disabled engine is byte- and
+    /// time-identical to one built before tracing existed. Tracing only *reads* the
     /// virtual clock, so even enabled runs charge identical time.
     tracer: Option<Arc<TraceReservoir>>,
     pub(crate) core: Mutex<DbCore>,
@@ -336,6 +312,7 @@ mod tests;
 mod write;
 
 use lane::BgLane;
+pub use read::PinnedValue;
 pub(crate) use write::{Gate, L0_SLOWDOWN_DELAY_NS};
 
 impl Db {
@@ -379,8 +356,20 @@ impl Db {
     /// called (while holding the core lock) at every boundary where a
     /// reader is allowed to observe the new state: end of a leader commit,
     /// after an installed background task, after a quarantine, and at open.
+    /// New parts are allocated only when one of them changed; the sequence
+    /// is stored with them under the same write guard, so a reader never
+    /// pins a sequence without the memtable that holds it.
     pub(crate) fn publish_view(&self, core: &DbCore) {
-        *self.view.write() = ReadView::of(core);
+        let stale = {
+            let mut view = self.view.write();
+            let stale = (!view.parts.current_in(core))
+                .then(|| std::mem::replace(&mut view.parts, Arc::new(ViewParts::of(core))));
+            view.seq = core.versions.counters.last_sequence;
+            stale
+        };
+        // Outside the guard: the old parts may hold the last handle to a
+        // flushed memtable.
+        drop(stale);
         // Order the publish before any subsequent `read_pins` check (see
         // `publish_and_reap`): a reader that pins after a zero-pin
         // observation must see this (or a newer) view.
@@ -435,7 +424,7 @@ impl Db {
 
     /// Routes structured engine events (flush, merge, link, stall, GC, ...)
     /// to `sink`. The device's GC events follow the same sink. With the
-    /// default [`NoopSink`] no event is ever constructed.
+    /// default [`ldc_obs::NoopSink`] no event is ever constructed.
     pub fn set_event_sink(&mut self, sink: SharedSink) {
         self.device.set_event_sink(Arc::clone(&sink));
         self.sink = sink;

@@ -1,10 +1,12 @@
 //! The read path: point lookups, scans, and the per-level LDC iterator.
 //!
 //! Readers never take the core lock. They clone the published
-//! [`ReadView`] — `Arc`s to the current `Version`, the live memtable,
-//! and the immutable memtable, plus the last published sequence number —
-//! and serve the whole operation from that pinned, immutable snapshot
-//! (DESIGN.md §10).
+//! `ReadView` — one `Arc` of its parts (the current `Version`, its open
+//! tables, the live memtable and the immutable memtable) plus the last
+//! published sequence number — and serve the whole operation from that
+//! pinned, immutable snapshot (DESIGN.md §10). A get resolves the live
+//! files it probes by their position in the version, and searches the
+//! blocks it reads in place.
 //!
 //! ## LDC-specific read semantics
 //!
@@ -36,12 +38,13 @@ use bytes::Bytes;
 use ldc_obs::{Blame, OpType, TraceCtx};
 use ldc_ssd::{IoClass, TimeCategory};
 
-use super::{Db, PinnedValue, ReadPin, ReadView, Snapshot};
-use crate::cache::TableSet;
+use super::{Db, ReadPin, ReadView, Snapshot};
+use crate::cache::{TableSet, TableSlot};
 use crate::error::{Error, Result};
 use crate::filter::bloom_hash;
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::LookupResult;
+use crate::table::BlockHit;
 use crate::types::{
     encode_internal_key, parse_trailer, user_key, SeekKey, SequenceNumber, ValueType, MAX_SEQUENCE,
     TYPE_FOR_SEEK,
@@ -53,7 +56,7 @@ impl Db {
     pub fn get_at(&self, key: &[u8], snapshot: &Snapshot) -> Result<Option<Vec<u8>>> {
         Ok(self
             .get_with_seq(key, Some(snapshot.seq))?
-            .map(PinnedValue::into_vec))
+            .map(Found::into_vec))
     }
 
     /// Range scan as of a pinned snapshot.
@@ -68,20 +71,20 @@ impl Db {
 
     /// Point lookup at the latest sequence number.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        Ok(self.get_with_seq(key, None)?.map(PinnedValue::into_vec))
+        Ok(self.get_with_seq(key, None)?.map(Found::into_vec))
     }
 
     /// Zero-copy point lookup at the latest sequence number: an SSTable
     /// hit returns a handle into the cached block instead of copying the
     /// value. Copy at the boundary that needs an owned buffer.
     pub fn get_pinned(&self, key: &[u8]) -> Result<Option<PinnedValue>> {
-        self.get_with_seq(key, None)
+        Ok(self.get_with_seq(key, None)?.map(Found::into_pinned))
     }
 
     /// The shared get path. `seq: None` reads at the latest *published*
     /// sequence (the view's); holding no locks, it pins a view and serves
     /// the whole lookup from it.
-    fn get_with_seq(&self, key: &[u8], seq: Option<SequenceNumber>) -> Result<Option<PinnedValue>> {
+    fn get_with_seq(&self, key: &[u8], seq: Option<SequenceNumber>) -> Result<Option<Found>> {
         self.read_op(OpType::Get, &self.gets, seq, |view, snapshot, trace| {
             self.get_internal(view, key, snapshot, trace)
         })
@@ -150,37 +153,64 @@ impl Db {
     /// One attempt of a point read against a pinned view. The seek key (on
     /// the stack when it fits) and the Bloom hash of `key` are built here,
     /// once, and every memtable and table the lookup visits is asked with
-    /// them. Tables resolve through the view's own open-table set.
+    /// them. Tables resolve through the view's own open-table set; the
+    /// Bloom skips are counted once, after the search.
     pub(super) fn get_internal(
         &self,
         view: &ReadView,
         key: &[u8],
         snapshot: SequenceNumber,
+        trace: Option<&mut TraceCtx>,
+    ) -> Result<Option<Found>> {
+        let mut skips = 0;
+        let found = self.search(view, key, snapshot, trace, &mut skips);
+        if skips > 0 {
+            self.bloom_skips.fetch_add(skips, Ordering::Relaxed);
+        }
+        found
+    }
+
+    fn search(
+        &self,
+        view: &ReadView,
+        key: &[u8],
+        snapshot: SequenceNumber,
         mut trace: Option<&mut TraceCtx>,
-    ) -> Result<Option<PinnedValue>> {
+        skips: &mut u64,
+    ) -> Result<Option<Found>> {
         let probe = SeekKey::new(key, snapshot);
         let probe = probe.as_slice();
         let hash = bloom_hash(key);
-        let tables = view.tables.as_ref();
-        for mem in std::iter::once(&view.mem).chain(&view.imm) {
+        let parts = view.parts.as_ref();
+        let tables = parts.tables.as_ref();
+        for mem in std::iter::once(&parts.mem).chain(&parts.imm) {
             match mem.get_probe(probe, hash) {
-                LookupResult::Found(v) => return Ok(Some(PinnedValue::Inline(v))),
+                LookupResult::Found(v) => return Ok(Some(Found::Inline(v))),
                 LookupResult::Deleted => return Ok(None),
                 LookupResult::NotFound => {}
             }
         }
+        let mut probe_table = |slot: &TableSlot, trace: Option<&mut TraceCtx>| {
+            self.probe_table(tables, slot, probe, hash, trace, skips)
+        };
 
         // Level 0: files may overlap, and (with the tiered policy) file
         // numbers do not imply data age, so gather every covering file's
         // hit and keep the highest sequence. Frozen L0 data is reachable
         // via L1 slices and is guaranteed older than any active L0 file
         // (the LDC policy freezes oldest-first).
-        let mut best: Option<TableHit> = None;
-        for meta in view.version.levels.first().into_iter().flatten().rev() {
+        let mut best: Option<BlockHit> = None;
+        let l0 = parts
+            .version
+            .levels
+            .first()
+            .map(Vec::as_slice)
+            .unwrap_or_default();
+        for (j, meta) in l0.iter().enumerate().rev() {
             if !meta.overlaps_ukeys(key, key) {
                 continue;
             }
-            let hit = self.probe_table(tables, meta.number, probe, hash, trace.as_deref_mut())?;
+            let hit = probe_table(tables.level_slot(0, j)?, trace.as_deref_mut())?;
             keep_newest(&mut best, hit);
         }
         if let Some(hit) = best {
@@ -190,15 +220,21 @@ impl Db {
         // Deeper levels: one candidate file per level (responsible-range
         // partition); resolve file-vs-slices by sequence number. Slices
         // come first (they are newer on average, enabling bloom skips to
-        // keep this cheap), then the file itself.
-        for files in view.version.levels.iter().skip(1) {
-            let Some(candidate) = responsible_file(files, key).and_then(|j| files.get(j)) else {
+        // keep this cheap), then the file itself, found by position.
+        for (level, files) in parts.version.levels.iter().enumerate().skip(1) {
+            let Some((j, candidate)) =
+                responsible_file(files, key).and_then(|j| Some((j, files.get(j)?)))
+            else {
                 continue;
             };
-            let mut best: Option<TableHit> = None;
+            let mut best: Option<BlockHit> = None;
             for number in candidate.probes(key) {
-                let hit = self.probe_table(tables, number, probe, hash, trace.as_deref_mut())?;
-                keep_newest(&mut best, hit);
+                let slot = if number == candidate.number {
+                    tables.level_slot(level, j)?
+                } else {
+                    tables.slot(number)?
+                };
+                keep_newest(&mut best, probe_table(slot, trace.as_deref_mut())?);
             }
             if let Some(hit) = best {
                 return Ok(live_value(hit));
@@ -207,10 +243,10 @@ impl Db {
         Ok(None)
     }
 
-    /// Bloom-checked point probe of table `file_number`, opened through
+    /// Bloom-checked point probe of `slot`'s table, opened through
     /// `tables` if it is not yet, with the seek key `probe`, whose user key
-    /// hashes to `hash`. The returned value is a zero-copy handle into the
-    /// table's cached block.
+    /// hashes to `hash`; a Bloom negative adds one to `skips`. A hit keeps
+    /// the cached block that holds the value.
     ///
     /// With tracing on, any probe that cost virtual time becomes a
     /// [`Blame::CacheMissIo`] span (cache hits and bloom skips are free in
@@ -219,19 +255,20 @@ impl Db {
     fn probe_table(
         &self,
         tables: &TableSet,
-        file_number: u64,
+        slot: &TableSlot,
         probe: &[u8],
         hash: u32,
         trace: Option<&mut TraceCtx>,
-    ) -> Result<Option<TableHit>> {
+        skips: &mut u64,
+    ) -> Result<Option<BlockHit>> {
         let (t0, retry0) = if trace.is_some() {
             (self.device.clock().now(), self.metrics.retry_backoff_ns())
         } else {
             (0, 0)
         };
-        let table = tables.table(file_number)?;
+        let table = tables.handle(slot)?;
         let result = if !table.may_contain_hash(hash) {
-            self.bloom_skips.fetch_add(1, Ordering::Relaxed);
+            *skips += 1;
             Ok(None)
         } else {
             table.get_probe(probe, IoClass::UserRead)
@@ -292,17 +329,18 @@ impl Db {
         limit: usize,
         snapshot: SequenceNumber,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let parts = view.parts.as_ref();
         let mut children: Vec<Box<dyn InternalIterator + '_>> = Vec::new();
-        children.push(Box::new(view.mem.iter()));
-        if let Some(imm) = &view.imm {
+        children.push(Box::new(parts.mem.iter()));
+        if let Some(imm) = &parts.imm {
             children.push(Box::new(imm.iter()));
         }
-        let tables = view.tables.as_ref();
-        for meta in view.version.levels.first().into_iter().flatten().rev() {
+        let tables = parts.tables.as_ref();
+        for meta in parts.version.levels.first().into_iter().flatten().rev() {
             children.push(Box::new(tables.table(meta.number)?.iter(IoClass::UserRead)));
         }
-        for level in 1..view.version.num_levels() {
-            let files = match view.version.levels.get(level) {
+        for level in 1..parts.version.num_levels() {
+            let files = match parts.version.levels.get(level) {
                 Some(files) if !files.is_empty() => files.as_slice(),
                 _ => continue,
             };
@@ -334,14 +372,81 @@ impl Db {
     }
 }
 
-/// What a table probe found: the entry's sequence and type, and its value as
-/// a handle into the cached block.
-type TableHit = (SequenceNumber, ValueType, Bytes);
+/// A value returned by the pinned get path without copying it out of the
+/// block cache. `Block` keeps the decoded SSTable block alive for as long
+/// as the handle exists; `Inline` carries a memtable hit (the skiplist
+/// arena cannot be pinned across the lock, so those bytes are copied
+/// once). Copy to an owned `Vec` only at the API boundary that needs one.
+#[derive(Debug, Clone)]
+pub enum PinnedValue {
+    /// A value copied out of the (im)mutable memtable.
+    Inline(Vec<u8>),
+    /// A zero-copy slice of a cached, immutable SSTable block.
+    Block(Bytes),
+}
+
+impl PinnedValue {
+    /// The value bytes.
+    pub fn as_slice(&self) -> &[u8] {
+        match self {
+            PinnedValue::Inline(v) => v,
+            PinnedValue::Block(b) => b,
+        }
+    }
+
+    /// Copies (or moves, for `Inline`) the value into an owned vector.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            PinnedValue::Inline(v) => v,
+            PinnedValue::Block(b) => b.to_vec(),
+        }
+    }
+
+    /// Value length in bytes.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether the value is empty.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+}
+
+impl AsRef<[u8]> for PinnedValue {
+    fn as_ref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+/// The value a get found: copied out of a memtable, or in the cached block
+/// of the table that holds it. `Db::get` copies the value straight out of
+/// the block; `Db::get_pinned` hands out a handle to it.
+pub(super) enum Found {
+    Inline(Vec<u8>),
+    Block(BlockHit),
+}
+
+impl Found {
+    fn into_vec(self) -> Vec<u8> {
+        match self {
+            Found::Inline(v) => v,
+            Found::Block(hit) => hit.value().to_vec(),
+        }
+    }
+
+    pub(super) fn into_pinned(self) -> PinnedValue {
+        match self {
+            Found::Inline(v) => PinnedValue::Inline(v),
+            Found::Block(hit) => PinnedValue::Block(hit.value_bytes()),
+        }
+    }
+}
 
 /// Replaces `best` with `hit` when `hit` is the newer version.
-fn keep_newest(best: &mut Option<TableHit>, hit: Option<TableHit>) {
+fn keep_newest(best: &mut Option<BlockHit>, hit: Option<BlockHit>) {
     if let Some(hit) = hit {
-        if best.as_ref().is_none_or(|b| hit.0 > b.0) {
+        if best.as_ref().is_none_or(|b| hit.seq > b.seq) {
             *best = Some(hit);
         }
     }
@@ -349,9 +454,9 @@ fn keep_newest(best: &mut Option<TableHit>, hit: Option<TableHit>) {
 
 /// What a get returns for the newest visible version: its value, or nothing
 /// when that version is a tombstone.
-fn live_value((_, vt, value): TableHit) -> Option<PinnedValue> {
-    match vt {
-        ValueType::Value => Some(PinnedValue::Block(value)),
+fn live_value(hit: BlockHit) -> Option<Found> {
+    match hit.vt {
+        ValueType::Value => Some(Found::Block(hit)),
         ValueType::Deletion => None,
     }
 }

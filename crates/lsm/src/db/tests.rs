@@ -3,6 +3,7 @@ use crate::batch::WriteBatch;
 use crate::commit::{Role, Ticket};
 use crate::compaction::UdcPolicy;
 use crate::version::FileMeta;
+use bytes::Bytes;
 use ldc_ssd::{IoClass, MemStorage, SsdConfig, TimeCategory};
 
 fn open_db() -> Db {
@@ -365,6 +366,7 @@ fn table_handles_open_once_and_release_with_their_file() {
     db.drain_background();
     let current = db.version();
     let dropped: Vec<&FileMeta> = stale
+        .parts
         .version
         .levels
         .iter()
@@ -374,14 +376,14 @@ fn table_handles_open_once_and_release_with_their_file() {
     assert!(!dropped.is_empty(), "the rewrite must drop files");
     for meta in &dropped {
         let key = meta.smallest_ukey();
-        let table = stale.tables.table(meta.number).unwrap();
+        let table = stale.parts.tables.table(meta.number).unwrap();
         let (_, _, value) = table
             .get(key, stale.seq, IoClass::UserRead)
             .unwrap()
             .expect("a dropped file still holds its keys");
         assert!(value.starts_with(b"value-"));
         let got = db.get_internal(&stale, key, stale.seq, None).unwrap();
-        assert!(got.unwrap().as_slice().starts_with(b"value-"));
+        assert!(got.unwrap().into_pinned().as_slice().starts_with(b"value-"));
     }
     assert!(db.current_tables().1.table(dropped[0].number).is_err());
 

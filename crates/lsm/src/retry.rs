@@ -2,9 +2,10 @@
 //!
 //! Flash devices routinely report *recoverable* read failures (controller
 //! busy, ECC retry passes) that succeed on a later attempt. [`RetryStorage`]
-//! wraps any [`StorageBackend`] and retries reads that fail with a
-//! [`SsdError`] whose [`SsdError::is_transient`] is true, up to a bounded
-//! attempt budget. Each retry charges a deterministic backoff — linear in
+//! wraps any [`StorageBackend`] and retries reads that fail with an
+//! [`ldc_ssd::SsdError`] whose
+//! [`is_transient`](ldc_ssd::SsdError::is_transient) is true, up to a
+//! bounded attempt budget. Each retry charges a deterministic backoff — linear in
 //! the attempt number plus seeded jitter — to the device's virtual clock,
 //! emits an [`EventKind::Retry`] observability event, and bumps the
 //! degraded-mode metrics. Permanent errors and write-path operations pass

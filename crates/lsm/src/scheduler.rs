@@ -24,7 +24,7 @@
 //! # Conflict tracking
 //!
 //! Two jobs must never touch overlapping key ranges of the same output
-//! level, and no file may be the input of two jobs at once. [`SchedState`]
+//! level, and no file may be the input of two jobs at once. `SchedState`
 //! tracks both: `inflight_inputs` holds every claimed input file number,
 //! and `claims` holds the `[lo, hi]` user-key interval each running job
 //! owns per level. A picked task that conflicts is simply dropped — the
@@ -154,8 +154,8 @@ impl SchedState {
 /// `active() == false`, zero steady-state overhead beyond one relaxed
 /// atomic load per write) unless `Options::background_workers >= 1` *and*
 /// the owner called `Db::start_workers`. Everything inside is private to
-/// this module; the write path reaches it through [`Self::active`],
-/// [`Self::signal`] and the `Db` methods below.
+/// this module; the write path reaches it through `active`, `signal` and
+/// the `Db` methods below.
 pub struct CompactionScheduler {
     /// Configured thread count.
     workers: usize,

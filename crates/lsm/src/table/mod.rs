@@ -20,6 +20,7 @@ mod reader;
 
 pub(crate) use builder::BLOCK_RESTART_INTERVAL;
 pub use builder::{FinishedTable, TableBuilder};
+pub(crate) use reader::BlockHit;
 pub use reader::{Table, TableIter, TableScrubStats};
 
 use std::sync::Arc;

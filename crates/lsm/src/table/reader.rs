@@ -4,10 +4,12 @@
 //! are cached: the index entry is found by a binary search over integers
 //! ([`IndexPrefix`]), the index block serves its keys in place, and the
 //! data block's iterator rebuilds prefix-compressed keys in one buffer per
-//! thread. The value comes back as a slice of the cached block.
+//! thread. Both blocks are searched in place, and the value comes back as a
+//! range of the cached block, copied or sliced by the caller.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -210,37 +212,43 @@ impl Table {
         if !self.filter.may_contain(ukey) {
             return Ok(None);
         }
-        self.get_probe(&encode_internal_key(ukey, snapshot, TYPE_FOR_SEEK), class)
+        let probe = encode_internal_key(ukey, snapshot, TYPE_FOR_SEEK);
+        Ok(self
+            .get_probe(&probe, class)?
+            .map(|hit| (hit.seq, hit.vt, hit.value_bytes())))
     }
 
     /// The search half of [`Table::get`], for the engine's read path: `probe`
     /// is the seek key `(ukey, snapshot, TYPE_FOR_SEEK)`, built once per get
     /// and shared by every table it searches. The Bloom filter is *not*
     /// consulted: the caller has asked [`Table::may_contain_hash`] (it
-    /// counts the skips).
-    pub(crate) fn get_probe(
-        &self,
-        probe: &[u8],
-        class: IoClass,
-    ) -> Result<Option<(SequenceNumber, ValueType, Bytes)>> {
+    /// counts the skips). Both blocks are searched in place; the only
+    /// handle taken is the cache's `Arc` of the data block, which the hit
+    /// keeps.
+    pub(crate) fn get_probe(&self, probe: &[u8], class: IoClass) -> Result<Option<BlockHit>> {
         // The restart before the first one at or after `probe` holds a key
         // below it (or is restart 0): the seek starts there.
         let first_at_or_after = self.prefix.seek(&self.index, probe);
-        let mut index_iter = self.index.iter();
+        let mut index_iter = self.index.cursor(Vec::new());
         index_iter.seek_from_restart(first_at_or_after.saturating_sub(1), probe);
         if !index_iter.valid() {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
         let block = self.read_data_block(handle, class)?;
-        let mut it = block.iter_with_buffer(SEEK_KEY.take());
+        let mut it = block.cursor(SEEK_KEY.take());
         it.seek(probe);
         let hit = (it.valid() && user_key(it.key()) == user_key(probe)).then(|| {
             let (seq, vt) = parse_trailer(it.key());
-            (seq, vt, it.value_bytes())
+            (seq, vt, it.value_range())
         });
         SEEK_KEY.set(it.into_buffer());
-        Ok(hit)
+        Ok(hit.map(|(seq, vt, value)| BlockHit {
+            seq,
+            vt,
+            block,
+            value,
+        }))
     }
 
     /// Iterator over the whole table.
@@ -350,6 +358,27 @@ impl Table {
                 Block::new(bytes)
             })
             .map_err(|e| attribute_file(e, &self.name, handle.offset))
+    }
+}
+
+/// What a point probe found: the entry's sequence and type, and where its
+/// value lies in the cached data block that holds it.
+pub(crate) struct BlockHit {
+    pub(crate) seq: SequenceNumber,
+    pub(crate) vt: ValueType,
+    block: Arc<Block>,
+    value: Range<usize>,
+}
+
+impl BlockHit {
+    /// The value, borrowed from the block.
+    pub(crate) fn value(&self) -> &[u8] {
+        self.block.bytes(self.value.clone())
+    }
+
+    /// The value as a handle that keeps the block's bytes alive.
+    pub(crate) fn value_bytes(&self) -> Bytes {
+        self.block.slice(self.value.clone())
     }
 }
 

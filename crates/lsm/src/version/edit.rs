@@ -387,7 +387,7 @@ pub(crate) fn apply_edit(version: &mut Version, edit: &VersionEdit) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::super::meta::recompute_refcounts;
-    use super::super::tests::meta;
+    use super::super::tests::{meta, random_edit};
     use super::*;
     use proptest::prelude::*;
 
@@ -437,93 +437,6 @@ mod tests {
         let mut bytes = edit.encode();
         bytes.push(42); // unknown tag
         assert!(VersionEdit::decode(&bytes).is_err());
-    }
-
-    /// A file over the slots `lo..=hi`, a slot being a two-byte user key.
-    fn slot_file(number: u64, lo: u16, hi: u16) -> FileMeta {
-        meta(number, &lo.to_be_bytes(), &hi.to_be_bytes())
-    }
-
-    /// One step of a random but valid history: the edit that `kind` asks
-    /// for against `v`, or `None` when `v` has nothing it applies to.
-    /// `a` and `b` pick the level, the file and the key span.
-    fn random_edit(v: &Version, c: &mut Counters, kind: u8, a: u16, b: u16) -> Option<VersionEdit> {
-        let mut edit = VersionEdit::default();
-        let level = usize::from(a) % v.num_levels();
-        let pick = |n: usize| usize::from(b) % n;
-        match kind {
-            // Add a table; below level 0 only where it overlaps nothing.
-            0 | 1 => {
-                let lo = a / 8;
-                let file = slot_file(c.next_file_number, lo, lo + b % 512);
-                let (lo, hi) = (file.smallest_ukey(), file.largest_ukey());
-                if level > 0 && v.levels[level].iter().any(|f| f.overlaps_ukeys(lo, hi)) {
-                    return None;
-                }
-                c.next_file_number += 1;
-                edit.new_files.push((level as u32, file));
-            }
-            // Delete a live table, links and all (what a merge does to its
-            // inputs); its sources may be left unreferenced.
-            2 => {
-                let files = v.levels.get(level).filter(|f| !f.is_empty())?;
-                let file = files.get(pick(files.len()))?;
-                edit.deleted_files.push((level as u32, file.number));
-                edit.compact_pointers
-                    .push((level as u32, file.largest_ukey().to_vec()));
-            }
-            // Freeze an unlinked table and link it below: split where a
-            // boundary between two lower files falls inside its span,
-            // whole onto one lower file otherwise.
-            3 => {
-                let lower = v.levels.get(level + 1).filter(|f| !f.is_empty())?;
-                let unlinked: Vec<&FileMeta> = v
-                    .levels
-                    .get(level)?
-                    .iter()
-                    .filter(|f| f.slices.is_empty())
-                    .collect();
-                let source = *unlinked.get(pick(unlinked.len().max(1)))?;
-                let mut link = |target: &FileMeta, range: KeyRange| {
-                    let link = SliceLink {
-                        source_file: source.number,
-                        range,
-                        link_seq: c.link_counter,
-                        approx_bytes: source.size / 2,
-                    };
-                    c.link_counter += 1;
-                    edit.new_links.push((target.number, link));
-                };
-                let inside = |f: &FileMeta| {
-                    source.smallest_ukey() < f.smallest_ukey()
-                        && f.smallest_ukey() <= source.largest_ukey()
-                };
-                match lower
-                    .windows(2)
-                    .find(|pair| pair.last().is_some_and(inside))
-                {
-                    Some([left, right]) => {
-                        let cut = right.smallest_ukey();
-                        link(left, KeyRange::new(Vec::new(), cut));
-                        link(right, KeyRange::from(cut));
-                    }
-                    _ => link(lower.get(pick(lower.len()))?, KeyRange::all()),
-                }
-                edit.frozen_files.push((level as u32, source.number));
-            }
-            // Reclaim a frozen file nothing links to any more.
-            _ => {
-                let dead: Vec<u64> = v
-                    .frozen
-                    .values()
-                    .filter(|f| f.refcount == 0)
-                    .map(|f| f.number)
-                    .collect();
-                edit.deleted_frozen
-                    .push(*dead.get(pick(dead.len().max(1)))?);
-            }
-        }
-        Some(edit)
     }
 
     proptest! {

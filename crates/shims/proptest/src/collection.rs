@@ -5,7 +5,7 @@ use crate::test_runner::TestRng;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: Range<usize>,
